@@ -732,58 +732,32 @@ let run_pipeline ?obs ?tracer ~workers ~batch ~connections ~packets ~seed () =
       Parallel.Striped.lookup_batch_keyed table flows ~hashes)
     stream
 
-(* The same dispatcher pipeline over the lock-free epoch table:
-   workers demultiplex each batch through Epoch.Table.lookup_batch_keyed
-   (one epoch pin per batch, zero mutex acquisitions).  The dispatcher's
-   default hasher matches the table's Flow_key.hash_words, so the
-   precomputed shard hashes are reusable as probe hashes. *)
-let run_pipeline_epoch ?obs ?tracer ~workers ~batch ~connections ~packets
-    ~seed () =
+(* The same dispatcher pipeline over a lock-free epoch table: workers
+   demultiplex each batch through [lookup_batch_keyed] (one epoch pin
+   per batch, zero mutex acquisitions).  The dispatcher's default
+   hasher matches the table's Flow_key.hash_words, so the precomputed
+   shard hashes are reusable as probe hashes.  Values are the flow's
+   load index. *)
+let run_pipeline_epoch (module E : Epoch.Packed.S) ~prefix ?obs ?tracer
+    ~workers ~batch ~connections ~packets ~seed () =
   let flows = parallel_flows connections in
-  let table : unit Epoch.Table.t = Epoch.Table.create () in
-  Epoch.Table.load table
-    (Array.map
-       (fun flow ->
-         ( Demux.Flow_key.w0_of_flow flow,
-           Demux.Flow_key.w1_of_flow flow,
-           () ))
-       flows);
-  Option.iter (fun obs -> Epoch.Table.register_obs obs table) obs;
-  let stream = pipeline_stream flows ~packets ~seed in
-  let result =
-    Parallel.Dispatcher.run ?obs ?tracer ~workers ~batch
-      ~lookup_batch:(fun flows ~hashes ->
-        Epoch.Table.lookup_batch_keyed table flows ~hashes)
-      stream
-  in
-  Epoch.Table.quiesce table;
-  result
-
-(* And over the off-heap epoch table: identical pipeline shape, but
-   the published region is Bigarray storage and retired regions are
-   freed eagerly at reclaim (values are the flow's load index). *)
-let run_pipeline_offheap ?obs ?tracer ~workers ~batch ~connections ~packets
-    ~seed () =
-  let flows = parallel_flows connections in
-  let table = Epoch.Packed.Offheap.create () in
-  Epoch.Packed.Offheap.load table
+  let table = E.create () in
+  E.load table
     (Array.mapi
        (fun i flow ->
          ( Demux.Flow_key.w0_of_flow flow,
            Demux.Flow_key.w1_of_flow flow,
            i ))
        flows);
-  Option.iter
-    (fun obs -> Epoch.Packed.Offheap.register_obs obs table)
-    obs;
+  Option.iter (fun obs -> E.register_obs ~prefix obs table) obs;
   let stream = pipeline_stream flows ~packets ~seed in
   let result =
     Parallel.Dispatcher.run ?obs ?tracer ~workers ~batch
       ~lookup_batch:(fun flows ~hashes ->
-        Epoch.Packed.Offheap.lookup_batch_keyed table flows ~hashes)
+        E.lookup_batch_keyed table flows ~hashes)
       stream
   in
-  Epoch.Packed.Offheap.quiesce table;
+  E.quiesce table;
   result
 
 (* --smp: the shared-nothing per-core stacks (Parallel.Smp).  Each
@@ -961,9 +935,16 @@ let run_parallel targets domains batches connections lookups pipeline epoch
       in
       if pipeline then begin
         pipeline_pass ~label:"striped" run_pipeline;
-        if epoch then pipeline_pass ~label:"epoch-table" run_pipeline_epoch;
+        if epoch then
+          pipeline_pass ~label:"epoch-table"
+            (run_pipeline_epoch
+               (module Epoch.Packed.Heap)
+               ~prefix:"epoch.table");
         if offheap then
-          pipeline_pass ~label:"offheap-epoch-table" run_pipeline_offheap
+          pipeline_pass ~label:"offheap-epoch-table"
+            (run_pipeline_epoch
+               (module Epoch.Packed.Offheap)
+               ~prefix:"epoch.packed")
       end;
       (try
          (match (obs_json, obs) with
@@ -1048,10 +1029,11 @@ let parallel_cmd =
       value & flag
       & info [ "epoch" ]
           ~doc:
-            "Add the lock-free epoch table (Epoch.Table) to the measured \
-             targets, and — when the pipeline runs — drive the dispatcher \
-             over it as well; with --obs-json, its epoch.* reclamation \
-             and per-operation counters land in the snapshot.")
+            "Add the lock-free epoch table (Epoch.Packed.Heap) to the \
+             measured targets, and — when the pipeline runs — drive the \
+             dispatcher over it as well; with --obs-json, its epoch.* \
+             reclamation and per-operation counters land in the \
+             snapshot.")
   in
   let offheap =
     Arg.(

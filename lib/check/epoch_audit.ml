@@ -1,16 +1,3 @@
-module type TABLE = sig
-  type 'a t
-  type 'a view
-
-  val create : unit -> 'a t
-  val replace : 'a t -> w0:int -> w1:int -> 'a -> unit
-  val pin : 'a t -> 'a view
-  val view_find : 'a view -> w0:int -> w1:int -> 'a option
-  val unpin : 'a t -> unit
-  val pending : 'a t -> int
-  val quiesce : 'a t -> unit
-end
-
 type result = {
   probed : int;
   wrong : int;
@@ -27,7 +14,7 @@ let passed r =
 let w0_of i = (i * 0x9E3779B9) land max_int
 let w1_of i = (i * 0x85EBCA6B) lxor 0x5bd1e995
 
-let run ?(resident = 12) ?(churn = 64) (module T : TABLE) =
+let run ?(resident = 12) ?(churn = 64) (module T : Epoch.Packed.S) =
   let t = T.create () in
   for i = 0 to resident - 1 do
     T.replace t ~w0:(w0_of i) ~w1:(w1_of i) i

@@ -7,32 +7,16 @@
     flow that was resident when it was pinned.  A correct
     implementation answers every probe from the retained region —
     and, because the reader is pinned, its retire backlog is visibly
-    non-empty until the pin is dropped, after which {!TABLE.quiesce}
+    non-empty until the pin is dropped, after which [quiesce]
     drains it to zero.  An implementation that reclaims without
-    honouring pins ({!Buggy_epoch}) scrubs the pinned region and
+    honouring pins ({!Plant.Epoch_table}) scrubs the pinned region and
     misses every probe.
 
-    [test/corpus/epoch_reclaim.prog] pins the same churn shape as a
+    [test/corpus/epoch-reclaim.prog] pins the same churn shape as a
     replayable oracle program (resize boundaries crossed with removes
     and re-inserts in flight), so the single-threaded half of the
     regression survives generator drift; this audit covers the half a
     replay cannot: the reader that outlives the region it reads. *)
-
-(** The surface the audit drives.  {!Epoch.Table} satisfies it (via a
-    trivial adapter fixing [create]'s optional arguments);
-    {!Buggy_epoch} satisfies it with the planted bug. *)
-module type TABLE = sig
-  type 'a t
-  type 'a view
-
-  val create : unit -> 'a t
-  val replace : 'a t -> w0:int -> w1:int -> 'a -> unit
-  val pin : 'a t -> 'a view
-  val view_find : 'a view -> w0:int -> w1:int -> 'a option
-  val unpin : 'a t -> unit
-  val pending : 'a t -> int
-  val quiesce : 'a t -> unit
-end
 
 type result = {
   probed : int;      (** Flows resident at pin time, all probed. *)
@@ -49,7 +33,7 @@ type result = {
 val passed : result -> bool
 (** [wrong = 0 && pending_while_pinned > 0 && pending_after_quiesce = 0]. *)
 
-val run : ?resident:int -> ?churn:int -> (module TABLE) -> result
+val run : ?resident:int -> ?churn:int -> (module Epoch.Packed.S) -> result
 (** Defaults: 12 resident flows probed, 64 churn inserts while pinned
     (enough to cross at least two growth boundaries from the 8-slot
     minimum).  Keys are synthetic two-word pairs; payloads encode the

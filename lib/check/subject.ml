@@ -65,101 +65,23 @@ let striped ?(chains = Demux.Sequent.default_chains)
         sorted_contents !acc);
     guard = None }
 
-module type FLAT = sig
-  type 'a t
+module type PACKED = sig
+  type t
 
-  val create :
-    ?hash:(int -> int -> int) -> ?initial_capacity:int ->
-    ?resize:Demux.Flat_table.resize -> unit -> 'a t
-
-  val length : 'a t -> int
-  val find_opt : 'a t -> w0:int -> w1:int -> 'a option
-  val mem : 'a t -> w0:int -> w1:int -> bool
-  val replace : 'a t -> w0:int -> w1:int -> 'a -> unit
-  val remove : 'a t -> w0:int -> w1:int -> unit
-  val iter : (w0:int -> w1:int -> 'a -> unit) -> 'a t -> unit
+  val length : t -> int
+  val find_opt : t -> w0:int -> w1:int -> int option
+  val mem : t -> w0:int -> w1:int -> bool
+  val replace : t -> w0:int -> w1:int -> int -> unit
+  val remove : t -> w0:int -> w1:int -> unit
+  val iter : (w0:int -> w1:int -> int -> unit) -> t -> unit
 end
 
-let of_flat ?initial_capacity ?resize ~name (module M : FLAT) =
-  let table : int Demux.Pcb.t M.t = M.create ?initial_capacity ?resize () in
-  let stats = Demux.Lookup_stats.create () in
-  let next_id = ref 0 in
-  let words flow =
-    (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
-  in
-  { name;
-    insert =
-      (fun flow v ->
-        let w0, w1 = words flow in
-        if M.mem table ~w0 ~w1 then
-          invalid_arg (name ^ ".insert: duplicate flow");
-        let pcb = Demux.Pcb.make ~id:!next_id ~flow v in
-        incr next_id;
-        M.replace table ~w0 ~w1 pcb;
-        Demux.Lookup_stats.note_insert stats);
-    remove =
-      (fun flow ->
-        let w0, w1 = words flow in
-        match M.find_opt table ~w0 ~w1 with
-        | None -> None
-        | Some pcb ->
-          M.remove table ~w0 ~w1;
-          Demux.Lookup_stats.note_remove stats;
-          Some (pcb_pair pcb));
-    lookup =
-      (fun ~kind:_ flow ->
-        let w0, w1 = words flow in
-        Demux.Lookup_stats.begin_lookup stats;
-        Demux.Lookup_stats.examine stats ();
-        let result = M.find_opt table ~w0 ~w1 in
-        Demux.Lookup_stats.end_lookup stats ~hit_cache:false
-          ~found:(result <> None);
-        Option.map pcb_pair result);
-    note_send = (fun _ -> ());
-    stats = (fun () -> Demux.Lookup_stats.snapshot stats);
-    length = (fun () -> M.length table);
-    contents =
-      (fun () ->
-        let acc = ref [] in
-        M.iter (fun ~w0:_ ~w1:_ pcb -> acc := pcb_pair pcb :: !acc) table;
-        sorted_contents !acc);
-    guard = None }
-
-let flat_table () = of_flat ~name:"flat-table" (module Demux.Flat_table)
-
-let flat_table_doubling () =
-  of_flat ~resize:Demux.Flat_table.Doubling ~name:"flat-table-doubling"
-    (module Demux.Flat_table)
-
-let epoch_table () =
-  (* Epoch.Table behind the FLAT adapter: identical charging to the
-     other flat subjects (one probe per lookup), so Diff's oracle
-     predictions apply unchanged.  Single-domain lockstep here; the
-     multi-domain determinism test in test_check.ml partitions ops
-     across domains and checks it converges to this same subject. *)
-  of_flat ~name:"epoch-table"
-    (module struct
-      type 'a t = 'a Epoch.Table.t
-
-      let create ?hash ?initial_capacity ?resize:(_ : Demux.Flat_table.resize option) () =
-        Epoch.Table.create ?hash ?initial_capacity ()
-
-      let length = Epoch.Table.length
-      let find_opt = Epoch.Table.find_opt
-      let mem = Epoch.Table.mem
-      let replace = Epoch.Table.replace
-      let remove = Epoch.Table.remove
-      let iter = Epoch.Table.iter
-    end)
-
-let of_packed ?initial_capacity ?resize ~name (module M : Demux.Packed_table.S)
-    =
-  (* Packed tables hold bare ints, which is exactly the oracle's
-     payload type — no Pcb box needed.  Flows for [contents] are
-     reconstructed from the stored words ([Flow_key.to_flow] is the
-     packing's inverse), so this adapter also exercises the round-trip
-     the boundary qcheck in test_demux.ml pins. *)
-  let table = M.create ?initial_capacity ?resize () in
+let of_packed (type a) ~name (module M : PACKED with type t = a) (table : a) =
+  (* Payloads live in the table's int value lane (no Pcb box).  Flows
+     for [contents] are reconstructed from the stored words
+     ([Flow_key.to_flow] is the packing's inverse), so this adapter
+     also exercises the round-trip the boundary qcheck in
+     test_demux.ml pins. *)
   let stats = Demux.Lookup_stats.create () in
   let words flow =
     (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
@@ -205,15 +127,39 @@ let of_packed ?initial_capacity ?resize ~name (module M : Demux.Packed_table.S)
         sorted_contents !acc);
     guard = None }
 
+let of_flat ?resize ~name () =
+  let module M = struct
+    type t = int Demux.Flat_table.t
+
+    let length = Demux.Flat_table.length
+    let find_opt = Demux.Flat_table.find_opt
+    let mem = Demux.Flat_table.mem
+    let replace = Demux.Flat_table.replace
+    let remove = Demux.Flat_table.remove
+    let iter = Demux.Flat_table.iter
+  end in
+  of_packed ~name (module M) (Demux.Flat_table.create ?resize ())
+
+let flat_table () = of_flat ~name:"flat-table" ()
+
+let flat_table_doubling () =
+  of_flat ~resize:Demux.Flat_table.Doubling ~name:"flat-table-doubling" ()
+
+let epoch_table () =
+  of_packed ~name:"epoch-table" (module Epoch.Packed.Heap)
+    (Epoch.Packed.Heap.create ())
+
 let offheap_table () =
   of_packed ~name:"offheap-table" (module Demux.Packed_table.Offheap)
+    (Demux.Packed_table.Offheap.create ())
 
-(* Cuckoo_table's signature is a superset of Packed_table.S, so the
-   bare-table subject rides the same adapter: differential programs
-   drive kicks, stash spills and the negative-lookup filter through
-   exactly the oracle the flat tables answer to. *)
+(* Cuckoo_table's signature is a superset of PACKED, so the bare-table
+   subject rides the same adapter: differential programs drive kicks,
+   stash spills and the negative-lookup filter through exactly the
+   oracle the flat tables answer to. *)
 let cuckoo_table () =
   of_packed ~name:"cuckoo-table" (module Demux.Cuckoo_table.Heap)
+    (Demux.Cuckoo_table.Heap.create ())
 
 let guarded_flat_table ?(max_chain = 8) ?(max_total = 40) ?(chains = 4) () =
   let config = Demux.Guarded.config ~max_chain ~max_total ~chains () in

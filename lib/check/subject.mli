@@ -2,9 +2,9 @@
 
     {!Diff} drives anything that looks like a demultiplexer: the
     registry algorithms, the lock-striped parallel table in
-    single-domain lockstep, and bare flat-table indexes (including
-    deliberately broken copies, so tests can prove the fuzzer catches
-    a planted bug).  Payloads are [int]s, matching {!Oracle}. *)
+    single-domain lockstep, and bare flat-table indexes (including the
+    {!Plant} instances, so tests can prove the fuzzer catches a
+    planted bug).  Payloads are [int]s, matching {!Oracle}. *)
 
 type t = {
   name : string;
@@ -35,34 +35,32 @@ val striped : ?chains:int -> ?hasher:Hashing.Hashers.t -> unit -> t
     single-domain lockstep, so results are deterministic and
     comparable to the scalar Sequent algorithm. *)
 
-(** The slice of {!Demux.Flat_table}'s signature the adapter needs.
-    {!Demux.Flat_table} satisfies it; so does {!Buggy_table}. *)
-module type FLAT = sig
-  type 'a t
+(** The slice of an int-valued index the adapter needs.  Every
+    {!Demux.Packed_table.S}, {!Epoch.Packed.S} and
+    {!Demux.Cuckoo_table.S} instance satisfies it. *)
+module type PACKED = sig
+  type t
 
-  val create :
-    ?hash:(int -> int -> int) -> ?initial_capacity:int ->
-    ?resize:Demux.Flat_table.resize -> unit -> 'a t
-
-  val length : 'a t -> int
-  val find_opt : 'a t -> w0:int -> w1:int -> 'a option
-  val mem : 'a t -> w0:int -> w1:int -> bool
-  val replace : 'a t -> w0:int -> w1:int -> 'a -> unit
-  val remove : 'a t -> w0:int -> w1:int -> unit
-  val iter : (w0:int -> w1:int -> 'a -> unit) -> 'a t -> unit
+  val length : t -> int
+  val find_opt : t -> w0:int -> w1:int -> int option
+  val mem : t -> w0:int -> w1:int -> bool
+  val replace : t -> w0:int -> w1:int -> int -> unit
+  val remove : t -> w0:int -> w1:int -> unit
+  val iter : (w0:int -> w1:int -> int -> unit) -> t -> unit
 end
 
-val of_flat :
-  ?initial_capacity:int -> ?resize:Demux.Flat_table.resize ->
-  name:string -> (module FLAT) -> t
-(** A demultiplexer over a bare flat index: one probe charged per
-    lookup, PCBs held as values.  [initial_capacity] defaults to the
-    table's minimum, so collision clusters form early; [resize] is the
-    growth policy (the table's default when omitted). *)
+val of_packed : name:string -> (module PACKED with type t = 'a) -> 'a -> t
+(** A demultiplexer over a bare index: one probe charged per lookup,
+    payloads stored directly in the table's int value lane.
+    [contents] reconstructs each flow from its packed words, so every
+    differential run also exercises the {!Demux.Flow_key}
+    round-trip.  Pass a fresh table at minimum capacity, so collision
+    clusters and resize boundaries come early. *)
 
 val flat_table : unit -> t
-(** [of_flat (module Demux.Flat_table)] under the name ["flat-table"]
-    — incremental resize, the production default. *)
+(** {!Demux.Flat_table} — the ['a] facade over the Robin-Hood engine —
+    under the name ["flat-table"], with the production default
+    incremental resize. *)
 
 val flat_table_doubling : unit -> t
 (** The same index pinned to the legacy stop-the-world
@@ -71,36 +69,27 @@ val flat_table_doubling : unit -> t
     strategies against the oracle and each other. *)
 
 val epoch_table : unit -> t
-(** {!Epoch.Table} — the lock-free read-mostly table — behind the
-    {!of_flat} adapter under the name ["epoch-table"], at minimum
-    initial capacity so differential programs cross several
-    copy-publish-retire growth boundaries.  Driven single-domain
-    (lockstep), every published-region replacement and its retirement
-    still happens exactly as under concurrency; the reader-pinned half
-    of the story is covered by {!Epoch_audit}. *)
-
-val of_packed :
-  ?initial_capacity:int -> ?resize:Demux.Flat_table.resize ->
-  name:string -> (module Demux.Packed_table.S) -> t
-(** A demultiplexer over a {!Demux.Packed_table} instance.  Payloads
-    are stored directly in the table's int value lane (no PCB box);
-    [contents] reconstructs each flow from its packed words, so every
-    differential run also exercises the {!Demux.Flow_key} round-trip. *)
+(** {!Epoch.Packed.Heap} — the lock-free read-mostly table — under the
+    name ["epoch-table"], at minimum initial capacity so differential
+    programs cross several copy-publish-retire growth boundaries.
+    Driven single-domain (lockstep), every published-region
+    replacement and its retirement still happens exactly as under
+    concurrency; the reader-pinned half of the story is covered by
+    {!Epoch_audit}. *)
 
 val offheap_table : unit -> t
 (** {!Demux.Packed_table.Offheap} — the Bigarray-backed flat index —
-    behind {!of_packed} under the name ["offheap-table"], at minimum
-    initial capacity with the default incremental resize, so
-    differential programs cross resize boundaries over off-heap
-    regions.  Check subject #18. *)
+    under the name ["offheap-table"], at minimum initial capacity with
+    the default incremental resize, so differential programs cross
+    resize boundaries over off-heap regions. *)
 
 val cuckoo_table : unit -> t
 (** {!Demux.Cuckoo_table.Heap} — bucketized cuckoo hashing with the
-    negative-lookup filter — behind {!of_packed} under the name
-    ["cuckoo-table"], at minimum capacity so differential programs
-    cross doubling rehashes, BFS kick chains and stash spills.
-    (The registry specs ["cuckoo"] / ["guarded-cuckoo"] are subjects
-    #19–20 via {!of_spec}; this is the bare table.) *)
+    negative-lookup filter — under the name ["cuckoo-table"], at
+    minimum capacity so differential programs cross doubling
+    rehashes, BFS kick chains and stash spills.  (The registry specs
+    ["cuckoo"] / ["guarded-cuckoo"] are subjects via {!of_spec}; this
+    is the bare table.) *)
 
 val guarded_flat_table :
   ?max_chain:int -> ?max_total:int -> ?chains:int -> unit -> t

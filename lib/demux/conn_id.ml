@@ -1,6 +1,6 @@
 type 'a t = {
   slots : 'a Pcb.t option array;
-  ids : int Flat_table.t;
+  ids : Packed_table.Heap.t;
   mutable free : int list;
   stats : Lookup_stats.t;
   mutable population : int;
@@ -11,13 +11,13 @@ let name = "conn-id"
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Conn_id.create: capacity <= 0";
   { slots = Array.make capacity None;
-    ids = Flat_table.create ~initial_capacity:64 ();
+    ids = Packed_table.Heap.create ~initial_capacity:64 ();
     free = List.init capacity Fun.id; stats = Lookup_stats.create ();
     population = 0 }
 
 let insert t flow data =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
-  if Flat_table.mem t.ids ~w0 ~w1 then
+  if Packed_table.Heap.mem t.ids ~w0 ~w1 then
     invalid_arg "Conn_id.insert: duplicate flow";
   match t.free with
   | [] -> failwith "Conn_id.insert: connection-ID space exhausted"
@@ -25,13 +25,13 @@ let insert t flow data =
     t.free <- rest;
     let pcb = Pcb.make ~id ~flow data in
     t.slots.(id) <- Some pcb;
-    Flat_table.replace t.ids ~w0 ~w1 id;
+    Packed_table.Heap.replace t.ids ~w0 ~w1 id;
     t.population <- t.population + 1;
     Lookup_stats.note_insert t.stats;
     pcb
 
 let connection_id t flow =
-  Flat_table.find_opt t.ids ~w0:(Flow_key.w0_of_flow flow)
+  Packed_table.Heap.find_opt t.ids ~w0:(Flow_key.w0_of_flow flow)
     ~w1:(Flow_key.w1_of_flow flow)
 
 let lookup_by_id t ?kind:_ id =
@@ -54,12 +54,12 @@ let lookup_by_id t ?kind:_ id =
 
 let remove t flow =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
-  match Flat_table.find_opt t.ids ~w0 ~w1 with
-  | None -> None
-  | Some id ->
+  match Packed_table.Heap.find t.ids ~w0 ~w1 with
+  | exception Not_found -> None
+  | id ->
     let pcb = t.slots.(id) in
     t.slots.(id) <- None;
-    Flat_table.remove t.ids ~w0 ~w1;
+    Packed_table.Heap.remove t.ids ~w0 ~w1;
     t.free <- id :: t.free;
     t.population <- t.population - 1;
     Lookup_stats.note_remove t.stats;
@@ -69,7 +69,7 @@ let lookup t ?kind flow =
   (* The ID travels in the packet header; translating flow -> ID here
      stands in for reading those header bits and is not charged. *)
   match
-    Flat_table.find t.ids ~w0:(Flow_key.w0_of_flow flow)
+    Packed_table.Heap.find t.ids ~w0:(Flow_key.w0_of_flow flow)
       ~w1:(Flow_key.w1_of_flow flow)
   with
   | id -> lookup_by_id t ?kind id
@@ -79,13 +79,12 @@ let lookup t ?kind flow =
     None
 
 let note_send t flow =
-  match
-    Flat_table.find_opt t.ids ~w0:(Flow_key.w0_of_flow flow)
-      ~w1:(Flow_key.w1_of_flow flow)
-  with
-  | Some id -> (
-    match t.slots.(id) with Some pcb -> Pcb.note_tx pcb | None -> ())
-  | None -> ()
+  let id =
+    Packed_table.Heap.get t.ids ~w0:(Flow_key.w0_of_flow flow)
+      ~w1:(Flow_key.w1_of_flow flow) ~default:(-1)
+  in
+  if id >= 0 then
+    match t.slots.(id) with Some pcb -> Pcb.note_tx pcb | None -> ()
 
 let stats t = t.stats
 let length t = t.population

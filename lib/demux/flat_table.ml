@@ -1,429 +1,121 @@
-(* Open-addressing index keyed by packed flow words.
+(* The ['a] facade over the Robin-Hood engine: Packed_table.Heap maps
+   each key to an int handle, and the handle names a cell of a value
+   slab holding the binding's option cell.
 
-   Layout is struct-of-arrays so a probe touches cache-dense flat
-   storage instead of pointer-chasing boxed buckets:
+   A handle is [chunk lsl chunk_shift lor offset].  Chunks start at
+   8 cells and double up to 4096, and the slab grows by adding a chunk,
+   so no mutation ever copies a cell: incremental resize keeps O(N)
+   work off every insert (E31), and a copying slab would put it back.
+   Freed handles go on an int stack threaded through [links], so
+   remove allocates nothing and insert reuses them first. *)
 
-   - [tags]  : one byte per slot.  0 means empty; otherwise a non-zero
-     8-bit digest of the hash ([(h lsr 16) land 0xFF], remapped 0->1).
-     A probe compares the tag byte before the two key words, so almost
-     every non-matching slot is rejected on a single byte load.
-   - [hs]    : the full stored hash per occupied slot (so probe
-     distances and resize need no re-hashing).
-   - [w0s]/[w1s] : the inline packed key words ([Flow_key] layout).
-   - [vals]  : the bindings.
+type resize = Packed_table.resize = Doubling | Incremental
 
-   Collision policy is Robin-Hood displacement: an inserted entry
-   steals the slot of any resident that is closer to its home bucket,
-   which bounds probe-length variance and lets lookups stop early once
-   they out-distance the resident.  Deletion in the live region is
-   backward-shift (move displaced successors one slot back), so the
-   table never holds tombstones and probe lengths do not degrade with
-   churn.  Capacity is a power of two and grows at 7/8 load.
+module Index = Packed_table.Heap
 
-   Growth comes in two flavours ([resize]):
-
-   - [Incremental] (the default): when the trigger fires, the full
-     arrays become the frozen [old] region and a fresh region of twice
-     the capacity becomes [cur].  Every subsequent mutation migrates a
-     bounded number of entries (and visits a bounded number of slots)
-     from [old] into [cur], so no single insert ever pays the O(N)
-     rebuild; lookups probe [cur] then [old] while the drain is in
-     flight.  The old region never moves an entry once the drain
-     starts: migrated (and user-removed) slots are marked dead with a
-     reserved tag byte, keeping their stored hash so probe-distance
-     arithmetic — and therefore Robin-Hood early termination — still
-     works on the frozen layout.  A dead mark costs O(1) where a
-     backward shift out of a 7/8-full region costs a whole
-     displacement run, which is precisely the tail the incremental
-     policy exists to remove (E31); the region is garbage the moment
-     the drain ends, so the tombstone objection (probe degradation
-     under churn) does not apply to it.
-   - [Doubling]: the original stop-the-world copy, kept behind the flag
-     so differential tests can race the two policies against each
-     other.
-
-   Drain-completes-before-next-trigger argument: growth C -> 2C starts
-   with at most 7C/8 entries to migrate, and the next trigger cannot
-   fire before [length] reaches 7C/4 — at least 7C/8 further inserts,
-   each migrating up to [migration_entries] (>= 1) entries.  The
-   defensive [drain_old] in [begin_grow] covers adversarial
-   interleavings anyway (it is a no-op when the budget maths holds). *)
-
-type resize = Doubling | Incremental
-
-type 'a region = {
-  tags : Bytes.t;
-  hs : int array;
-  w0s : int array;
-  w1s : int array;
-  vals : 'a option array;
-  mask : int; (* capacity - 1; capacity is a power of two *)
-  mutable count : int;
-}
+let chunk_shift = 32
+let offset_mask = (1 lsl chunk_shift) - 1
 
 type 'a t = {
-  mutable cur : 'a region;
-  mutable old : 'a region option;
-      (* the pre-growth region still draining, oldest entries first *)
-  mutable migrate_pos : int;
-      (* next old-region slot the drain will inspect (mod capacity) *)
-  mutable resizes : int;
-  resize : resize;
-  hash : int -> int -> int;
+  index : Index.t;
+  mutable cells : 'a option array array;
+  mutable links : int array array;  (* next free handle, per cell *)
+  mutable chunks : int;
+  mutable fill : int;  (* cells handed out from the newest chunk *)
+  mutable free : int;  (* top of the free-handle stack, -1 when empty *)
 }
 
-let default_hash = Flow_key.hash_words
+let create ?hash ?initial_capacity ?resize () =
+  { index = Index.create ?hash ?initial_capacity ?resize ();
+    cells = [||]; links = [||]; chunks = 0; fill = 0; free = -1 }
 
-let min_capacity = 8
+let[@inline] cell t h =
+  Array.unsafe_get (Array.unsafe_get t.cells (h lsr chunk_shift))
+    (h land offset_mask)
 
-(* Per-mutation drain budget: at most [migration_entries] entries are
-   moved and at most [migration_slot_budget] old-region slots are
-   inspected, so a mutation's resize tax is O(1) even when the old
-   region is sparse (long empty or dead runs cost slot visits, not
-   moves).  One entry per mutation would already finish the drain
-   before the next growth trigger (the old region holds L = 7C/8
-   entries at the trigger and at least L inserts arrive before the
-   doubled table refills to its own trigger), but the budget is set
-   higher on purpose: while the drain is in flight, every inserted
-   key also pays an absent-key probe through the frozen, 7/8-full old
-   region, so the tail is minimized by finishing the drain quickly —
-   a handful of dead-mark moves per mutation is cheap now that
-   migration does no backward shifting (E31). *)
-let migration_entries = 4
-let migration_slot_budget = 32
+let set_cell t h c = t.cells.(h lsr chunk_shift).(h land offset_mask) <- c
+let link t h = t.links.(h lsr chunk_shift).(h land offset_mask)
 
-(* Tag byte for a dead old-region slot: distinct from 0 (empty) and
-   from every live tag ([tag_of_hash] lands in 1..254).  Dead slots
-   keep their stored hash so probe distances still read correctly,
-   but can never match a lookup. *)
-let dead_tag = 255
+let add_chunk t =
+  let k = t.chunks in
+  if k = Array.length t.cells then begin
+    let grow dir = Array.append dir (Array.make (max 4 k) [||]) in
+    t.cells <- grow t.cells;
+    t.links <- grow t.links
+  end;
+  let size = 1 lsl min 12 (3 + k) in
+  t.cells.(k) <- Array.make size None;
+  t.links.(k) <- Array.make size (-1);
+  t.chunks <- k + 1;
+  t.fill <- 0
 
-let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (c * 2)
+let alloc t v =
+  let h =
+    if t.free >= 0 then begin
+      let h = t.free in
+      t.free <- link t h;
+      h
+    end
+    else begin
+      if t.chunks = 0 || t.fill = Array.length t.cells.(t.chunks - 1) then
+        add_chunk t;
+      let h = ((t.chunks - 1) lsl chunk_shift) lor t.fill in
+      t.fill <- t.fill + 1;
+      h
+    end
+  in
+  set_cell t h (Some v);
+  h
 
-let make_region cap =
-  { tags = Bytes.make cap '\000';
-    hs = Array.make cap 0;
-    w0s = Array.make cap 0;
-    w1s = Array.make cap 0;
-    vals = Array.make cap None;
-    mask = cap - 1;
-    count = 0 }
+let release t h =
+  set_cell t h None;
+  t.links.(h lsr chunk_shift).(h land offset_mask) <- t.free;
+  t.free <- h
 
-let create ?(hash = default_hash) ?(initial_capacity = min_capacity)
-    ?(resize = Incremental) () =
-  if initial_capacity < 0 then
-    invalid_arg "Flat_table.create: initial_capacity < 0";
-  let cap = pow2_at_least (max min_capacity initial_capacity) min_capacity in
-  { cur = make_region cap;
-    old = None;
-    migrate_pos = 0;
-    resizes = 0;
-    resize;
-    hash }
+let length t = Index.length t.index
+let capacity t = Index.capacity t.index
+let resize_policy t = Index.resize_policy t.index
+let resizes t = Index.resizes t.index
+let pending_migration t = Index.pending_migration t.index
+let max_probe_length t = Index.max_probe_length t.index
+let mem t ~w0 ~w1 = Index.mem t.index ~w0 ~w1
 
-let length t =
-  t.cur.count + (match t.old with Some o -> o.count | None -> 0)
-
-let capacity t = t.cur.mask + 1
-let resize_policy t = t.resize
-let resizes t = t.resizes
-let pending_migration t = match t.old with Some o -> o.count | None -> 0
-
-let tag_of_hash h =
-  let tag = (h lsr 16) land 0xFF in
-  if tag = 0 || tag = dead_tag then 1 else tag
-
-(* Distance of the entry resident at [slot] from its home bucket. *)
-let distance r slot = (slot - (r.hs.(slot) land r.mask)) land r.mask
-
-(* Probe loop shared by [find]/[find_opt]/[mem]: returns the slot
-   holding the key, or -1.  A top-level [rec] with explicit arguments
-   (not a closure, not [ref] cells) so the hit path allocates
-   nothing.  A dead slot ([dead_tag], old region only) never matches
-   a lookup — [tag_of_hash] avoids 255 — but its retained hash keeps
-   the distance comparison meaningful: the old region's layout is
-   frozen when the drain starts, so every displacement relation that
-   held then still holds, dead or alive. *)
-let rec probe r tag w0 w1 slot dist =
-  let resident = Bytes.get_uint8 r.tags slot in
-  if resident = 0 then -1
-  else if resident = tag && r.w0s.(slot) = w0 && r.w1s.(slot) = w1 then slot
-  else if distance r slot < dist then
-    (* Robin-Hood invariant: had the key been present, it would have
-       displaced this closer-to-home resident. *)
-    -1
-  else probe r tag w0 w1 ((slot + 1) land r.mask) (dist + 1)
-
-let region_slot r h tag w0 w1 = probe r tag w0 w1 (h land r.mask) 0
-
-let value_at r slot =
-  match r.vals.(slot) with
-  | Some v -> v
-  | None -> assert false (* occupied slots always carry a binding *)
-
-let find t ~w0 ~w1 =
-  let h = t.hash w0 w1 in
-  let tag = tag_of_hash h in
-  let slot = region_slot t.cur h tag w0 w1 in
-  if slot >= 0 then value_at t.cur slot
-  else
-    match t.old with
-    | None -> raise Not_found
-    | Some o ->
-      let slot = region_slot o h tag w0 w1 in
-      if slot >= 0 then value_at o slot else raise Not_found
+let value = function Some v -> v | None -> assert false
+let find t ~w0 ~w1 = value (cell t (Index.find t.index ~w0 ~w1))
 
 let find_opt t ~w0 ~w1 =
-  let h = t.hash w0 w1 in
-  let tag = tag_of_hash h in
-  let slot = region_slot t.cur h tag w0 w1 in
-  if slot >= 0 then t.cur.vals.(slot)
-  else
-    match t.old with
-    | None -> None
-    | Some o ->
-      let slot = region_slot o h tag w0 w1 in
-      if slot >= 0 then o.vals.(slot) else None
+  let h = Index.get t.index ~w0 ~w1 ~default:(-1) in
+  if h < 0 then None else cell t h
 
-let mem t ~w0 ~w1 =
-  let h = t.hash w0 w1 in
-  let tag = tag_of_hash h in
-  region_slot t.cur h tag w0 w1 >= 0
-  || (match t.old with
-     | None -> false
-     | Some o -> region_slot o h tag w0 w1 >= 0)
-
-(* Robin-Hood insertion of a key known to be absent from [r]: walk from
-   the home slot, swapping the carried entry with any resident closer
-   to its own home, until an empty slot absorbs the carry. *)
-let insert_fresh r h w0 w1 v =
-  let tag = ref (tag_of_hash h) in
-  let h = ref h and w0 = ref w0 and w1 = ref w1 and v = ref v in
-  let slot = ref (!h land r.mask) in
-  let dist = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let resident = Bytes.get_uint8 r.tags !slot in
-    if resident = 0 then begin
-      Bytes.set_uint8 r.tags !slot !tag;
-      r.hs.(!slot) <- !h;
-      r.w0s.(!slot) <- !w0;
-      r.w1s.(!slot) <- !w1;
-      r.vals.(!slot) <- Some !v;
-      continue := false
-    end
-    else begin
-      let resident_dist = distance r !slot in
-      if resident_dist < !dist then begin
-        (* Swap: the resident is richer (closer to home); it yields
-           the slot and we carry it onward. *)
-        let h' = r.hs.(!slot) and w0' = r.w0s.(!slot)
-        and w1' = r.w1s.(!slot) in
-        let v' =
-          match r.vals.(!slot) with Some v -> v | None -> assert false
-        in
-        Bytes.set_uint8 r.tags !slot !tag;
-        r.hs.(!slot) <- !h;
-        r.w0s.(!slot) <- !w0;
-        r.w1s.(!slot) <- !w1;
-        r.vals.(!slot) <- Some !v;
-        tag := tag_of_hash h';
-        h := h';
-        w0 := w0';
-        w1 := w1';
-        v := v';
-        dist := resident_dist
-      end;
-      slot := (!slot + 1) land r.mask;
-      incr dist
-    end
-  done;
-  r.count <- r.count + 1
-
-(* Backward-shift deletion of the entry at [slot]: pull each displaced
-   successor one slot towards its home until a slot is empty or home
-   (distance 0), so no tombstone is left behind. *)
-let backshift_remove r slot =
-  let i = ref slot in
-  let continue = ref true in
-  while !continue do
-    let next = (!i + 1) land r.mask in
-    if Bytes.get_uint8 r.tags next = 0 || distance r next = 0 then begin
-      Bytes.set_uint8 r.tags !i 0;
-      r.vals.(!i) <- None;
-      continue := false
-    end
-    else begin
-      Bytes.set_uint8 r.tags !i (Bytes.get_uint8 r.tags next);
-      r.hs.(!i) <- r.hs.(next);
-      r.w0s.(!i) <- r.w0s.(next);
-      r.w1s.(!i) <- r.w1s.(next);
-      r.vals.(!i) <- r.vals.(next);
-      i := next
-    end
-  done;
-  r.count <- r.count - 1
-
-let finish_drain t =
-  t.old <- None;
-  t.migrate_pos <- 0
-
-(* Mark an old-region slot dead: O(1), no displacement run.  The
-   stored hash stays behind for probe-distance arithmetic; only the
-   binding is released.  The guard keeps [pending_migration]
-   (= [o.count]) from ever going negative: both callers probe for a
-   live slot first, but a double dead-mark — say an eviction driven
-   through a wrapper racing a plain remove to the same old-region
-   slot — would make the drain's [o.count = 0] termination test
-   unreachable and wedge the resize forever; fail loudly instead. *)
-let kill_slot o slot =
-  if o.count <= 0 || Bytes.get_uint8 o.tags slot = 0
-     || Bytes.get_uint8 o.tags slot = dead_tag
-  then
-    invalid_arg
-      "Flat_table: dead-marking a non-live old-region slot \
-       (pending_migration accounting would go negative)";
-  Bytes.set_uint8 o.tags slot dead_tag;
-  o.vals.(slot) <- None;
-  o.count <- o.count - 1
-
-(* One bounded drain step.  The old region's layout is frozen —
-   migration marks slots dead instead of backshifting — so the cursor
-   sweeps each slot exactly once and never wraps: every live entry
-   sits where it sat when the drain began. *)
-let migrate t =
-  match t.old with
-  | None -> ()
-  | Some o ->
-    let moved = ref 0 and visited = ref 0 in
-    let finished = ref (o.count = 0) in
-    while
-      (not !finished)
-      && !moved < migration_entries
-      && !visited < migration_slot_budget
-    do
-      let p = t.migrate_pos land o.mask in
-      incr visited;
-      let tag = Bytes.get_uint8 o.tags p in
-      if tag = 0 || tag = dead_tag then t.migrate_pos <- t.migrate_pos + 1
-      else begin
-        let h = o.hs.(p) and w0 = o.w0s.(p) and w1 = o.w1s.(p) in
-        let v = value_at o p in
-        kill_slot o p;
-        t.migrate_pos <- t.migrate_pos + 1;
-        insert_fresh t.cur h w0 w1 v;
-        incr moved
-      end;
-      if o.count = 0 then finished := true
-    done;
-    if !finished then finish_drain t
-
-let rec drain_old t =
-  match t.old with
-  | None -> ()
-  | Some _ ->
-    migrate t;
-    drain_old t
-
-let begin_grow t =
-  t.resizes <- t.resizes + 1;
-  match t.resize with
-  | Doubling ->
-    let old = t.cur in
-    t.cur <- make_region ((old.mask + 1) * 2);
-    for slot = 0 to old.mask do
-      if Bytes.get_uint8 old.tags slot <> 0 then
-        insert_fresh t.cur old.hs.(slot) old.w0s.(slot) old.w1s.(slot)
-          (value_at old slot)
-    done
-  | Incremental ->
-    (* Unreachable in practice while the budget maths in the header
-       holds; kept so a future budget tweak degrades to a full drain
-       instead of stacking a third region. *)
-    drain_old t;
-    t.old <- Some t.cur;
-    t.migrate_pos <- 0;
-    t.cur <- make_region ((t.cur.mask + 1) * 2)
-
+(* One probe: bind a fresh handle, and hand it back if the key turns
+   out to be present. *)
 let replace t ~w0 ~w1 v =
-  if t.resize = Incremental then migrate t;
-  let h = t.hash w0 w1 in
-  let tag = tag_of_hash h in
-  let slot = region_slot t.cur h tag w0 w1 in
-  if slot >= 0 then t.cur.vals.(slot) <- Some v
-  else begin
-    let old_slot =
-      match t.old with
-      | None -> -1
-      | Some o -> region_slot o h tag w0 w1
-    in
-    if old_slot >= 0 then
-      (match t.old with
-      | Some o -> o.vals.(old_slot) <- Some v
-      | None -> assert false)
-    else begin
-      (* Grow at 7/8 load of the live region. *)
-      if (length t + 1) * 8 > (t.cur.mask + 1) * 7 then begin_grow t;
-      insert_fresh t.cur h w0 w1 v
-    end
+  let fresh = alloc t v in
+  let h = Index.find_or_add t.index ~w0 ~w1 fresh in
+  if h <> fresh then begin
+    set_cell t h (cell t fresh);
+    release t fresh
   end
 
+(* [Index.remove] runs even for an absent key: it carries the
+   per-mutation drain step. *)
 let remove t ~w0 ~w1 =
-  if t.resize = Incremental then migrate t;
-  let h = t.hash w0 w1 in
-  let tag = tag_of_hash h in
-  let slot = region_slot t.cur h tag w0 w1 in
-  if slot >= 0 then backshift_remove t.cur slot
-  else
-    match t.old with
-    | None -> ()
-    | Some o ->
-      let slot = region_slot o h tag w0 w1 in
-      if slot >= 0 then begin
-        (* Dead-mark, don't backshift: the frozen layout is what keeps
-           old-region probes and the drain cursor correct. *)
-        kill_slot o slot;
-        if o.count = 0 then finish_drain t
-      end
-
-let iter_region f r =
-  for slot = 0 to r.mask do
-    let tag = Bytes.get_uint8 r.tags slot in
-    if tag <> 0 && tag <> dead_tag then
-      match r.vals.(slot) with
-      | Some v -> f ~w0:r.w0s.(slot) ~w1:r.w1s.(slot) v
-      | None -> assert false
-  done
+  let h = Index.get t.index ~w0 ~w1 ~default:(-1) in
+  if h >= 0 then release t h;
+  Index.remove t.index ~w0 ~w1
 
 let iter f t =
-  iter_region f t.cur;
-  match t.old with None -> () | Some o -> iter_region f o
+  Index.iter (fun ~w0 ~w1 h -> f ~w0 ~w1 (value (cell t h))) t.index
 
 let fold f t init =
-  let acc = ref init in
-  iter (fun ~w0 ~w1 v -> acc := f ~w0 ~w1 v !acc) t;
-  !acc
+  Index.fold
+    (fun ~w0 ~w1 h acc -> f ~w0 ~w1 (value (cell t h)) acc)
+    t.index init
 
 let clear t =
-  Bytes.fill t.cur.tags 0 (Bytes.length t.cur.tags) '\000';
-  Array.fill t.cur.vals 0 (Array.length t.cur.vals) None;
-  t.cur.count <- 0;
-  t.old <- None;
-  t.migrate_pos <- 0
-
-(* Longest probe sequence currently in the table — exposed for tests
-   and diagnostics (Robin Hood keeps this small and low-variance). *)
-let max_probe_length t =
-  let worst = ref 0 in
-  let scan r =
-    for slot = 0 to r.mask do
-      let tag = Bytes.get_uint8 r.tags slot in
-      if tag <> 0 && tag <> dead_tag then begin
-        let d = distance r slot in
-        if d > !worst then worst := d
-      end
-    done
-  in
-  scan t.cur;
-  (match t.old with None -> () | Some o -> scan o);
-  !worst
+  Index.clear t.index;
+  t.cells <- [||];
+  t.links <- [||];
+  t.chunks <- 0;
+  t.fill <- 0;
+  t.free <- -1

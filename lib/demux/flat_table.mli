@@ -1,42 +1,35 @@
-(** Flat open-addressing index over packed flow keys.
+(** Flat open-addressing index over packed flow keys, with boxed
+    values.
 
     A cache-friendly replacement for the [Hashtbl]-backed
-    {!Flow_table}: keys are the two packed words of {!Flow_key} stored
-    inline in flat arrays (struct-of-arrays), with a one-byte tag per
-    slot that rejects almost every non-matching probe on a single byte
-    compare before the key words are touched.  Collisions use
-    Robin-Hood displacement (bounded probe variance, early lookup
-    termination); deletion is backward-shift, so the table is
-    tombstone-free and probe lengths do not rot under churn.  Capacity
-    is a power of two and grows at 7/8 load.
+    {!Flow_table}, and a thin facade over the Robin-Hood engine
+    {!Packed_table.Heap}: the engine maps each key's two packed
+    {!Flow_key} words to an int handle, and the handle names a cell of
+    a value slab.  Probing, displacement, backward-shift deletes and
+    both growth policies ({!resize}) are the engine's; see
+    {!Packed_table} and DESIGN.md sections 10 and 12.
 
-    Growth policy is selectable ({!resize}).  The default,
-    {!Incremental}, never rebuilds in one shot: at the trigger the full
-    arrays become a draining old region and a fresh double-size region
-    goes live, then every mutation migrates a bounded handful of
-    entries across, so the per-insert latency tail stays flat while a
-    resize is in flight (EXPERIMENTS.md E31, DESIGN.md section 12).
-    {!Doubling} is the original stop-the-world copy, kept for
-    differential testing.
+    The slab grows by adding chunks and never copies a cell, so the
+    {!Incremental} policy's bound on per-insert work (E31) holds for
+    the facade too; freed handles are reused through an int stack, so
+    [remove] allocates nothing.
 
-    [find] on a present key performs zero minor-heap allocations —
-    this is the index the demultiplexers' hot paths sit on
+    [find] and [find_opt] on a present key perform zero minor-heap
+    allocations ([find_opt] returns the option cell stored at insert
+    time) — this is the index the demultiplexers' hot paths sit on
     (DESIGN.md section 10). *)
 
 type 'a t
 
-type resize =
+type resize = Packed_table.resize =
   | Doubling      (** Stop-the-world rebuild at the growth trigger. *)
   | Incremental   (** Bounded migration per mutation; no O(N) insert. *)
 
 val create :
   ?hash:(int -> int -> int) -> ?initial_capacity:int -> ?resize:resize ->
   unit -> 'a t
-(** [create ()] makes an empty table.  [hash] defaults to
-    {!Flow_key.hash_words}; override only in tests (it must be fixed
-    for the table's lifetime).  [initial_capacity] is rounded up to a
-    power of two, minimum 8.  [resize] (default {!Incremental}) is the
-    growth policy, fixed for the table's lifetime.
+(** [create ()] makes an empty table; the arguments are
+    {!Packed_table.S.create}'s.
     @raise Invalid_argument if [initial_capacity < 0]. *)
 
 val length : 'a t -> int
@@ -55,23 +48,19 @@ val pending_migration : 'a t -> int
     incremental resize is in flight (always 0 under {!Doubling}). *)
 
 val find : 'a t -> w0:int -> w1:int -> 'a
-(** Allocation-free lookup by packed key words; probes the live region
-    first, then the draining region if a resize is in flight.
+(** Allocation-free lookup by packed key words.
     @raise Not_found if the key is absent. *)
 
 val find_opt : 'a t -> w0:int -> w1:int -> 'a option
+(** Allocation-free: returns the stored option cell. *)
 
 val mem : 'a t -> w0:int -> w1:int -> bool
 
 val replace : 'a t -> w0:int -> w1:int -> 'a -> unit
-(** Insert, or overwrite the existing binding.  Under {!Incremental},
-    also migrates up to a constant number of entries from the draining
-    region first. *)
+(** Insert, or overwrite the existing binding. *)
 
 val remove : 'a t -> w0:int -> w1:int -> unit
-(** Remove the binding if present (backward-shift; no tombstones).
-    Under {!Incremental}, also migrates up to a constant number of
-    entries from the draining region first. *)
+(** Remove the binding if present; its handle is recycled. *)
 
 val iter : (w0:int -> w1:int -> 'a -> unit) -> 'a t -> unit
 (** Visits both regions during a drain; order is unspecified. *)

@@ -34,10 +34,9 @@ let check_capacity capacity =
     invalid_arg "Storage.create: capacity must be a positive power of two"
 
 (* -------------------------------------------------------------------
-   Heap backend: Bytes + int arrays, the layout Flat_table has always
-   used.  Everything stored is an immediate, so set_* never hits the
-   write barrier, but the arrays themselves are major-heap blocks the
-   GC must mark on every cycle. *)
+   Heap backend: Bytes + int arrays.  Everything stored is an
+   immediate, so set_* never hits the write barrier, but the arrays
+   themselves are major-heap blocks the GC must mark on every cycle. *)
 
 module Heap = struct
   type t = {

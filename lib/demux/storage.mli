@@ -2,9 +2,9 @@
 
     A {!S} value is the raw storage of one open-addressing region:
     per-slot tag bytes, stored hashes, the two packed {!Flow_key}
-    words, and one integer value lane — the struct-of-arrays layout
-    {!Flat_table} probes, factored out so the {e same} table machinery
-    ({!Packed_table}) can run over two physical layouts:
+    words, and one integer value lane — the struct-of-arrays layout the
+    Robin-Hood engine ({!Packed_table}) probes, so that one engine runs
+    over two physical layouts (and {!Cuckoo_table} over the same two):
 
     - {!Heap}: [Bytes] + [int array], the original layout.  The arrays
       live on the OCaml heap, so at millions of flows every major GC

@@ -1,18 +1,21 @@
-(* Epoch.Table's copy-on-write protocol over Demux.Storage regions.
-   See table.ml for the concurrency argument (immutable published
-   regions, one writer mutex, retire-then-reclaim); the delta here is
-   that a region is a Storage.S buffer of bare-int lanes, so:
+(* Copy-on-write publication of Robin-Hood regions.  Probes and the
+   private-copy mutations are Demux.Packed_table's region primitives;
+   this module adds only the concurrency discipline:
 
-   - the Offheap instance keeps all published flow state out of the
-     OCaml heap (the GC marks five custom-block headers per region,
-     not capacity*4 words), and
-   - the retire closure ends with [St.free], which scrubs AND severs
-     the buffers — off-heap memory is handed back to the allocator at
-     reclaim time rather than at some later major-GC sweep.  Readers
-     pinned before the publish can never observe the free: reclaim
-     only runs the closure once every reader slot has advanced past
-     the retirement epoch (Core's safety invariant, qcheck-verified
-     in test_epoch.ml). *)
+   - published regions are immutable: [count] and the slots are
+     mutated only while a region is the writer's private copy;
+   - readers pin their domain's epoch slot, [Atomic.get] the published
+     region, probe, and unpin — no mutex, no allocation on the warm
+     path;
+   - the writer serialises on one mutex, copy-mutate-publishes, and
+     hands the replaced region to [Core.retire], whose closure ends
+     with [St.free]: scrub (dead tags, zeroed words, so a
+     use-after-reclaim read is a deterministic miss) and sever, so an
+     Offheap region's memory goes back to the allocator at reclaim
+     time, not at some later major-GC sweep.  Reclaim runs the closure
+     only once every reader slot has advanced past the retirement
+     epoch (Core's safety invariant, qcheck-verified in
+     test_epoch.ml). *)
 
 module type S = sig
   type t
@@ -31,9 +34,17 @@ module type S = sig
   val lookup_batch_keyed : t -> Packet.Flow.t array -> hashes:int array -> int
   val length : t -> int
   val iter : (w0:int -> w1:int -> int -> unit) -> t -> unit
+
+  type view
+
+  val pin : t -> view
+  val view_find : view -> w0:int -> w1:int -> int option
+  val view_length : view -> int
+  val unpin : t -> unit
   val replace : t -> w0:int -> w1:int -> int -> unit
   val remove : t -> w0:int -> w1:int -> unit
   val load : t -> (int * int * int) array -> unit
+  val core : t -> Core.t
   val reclaim : t -> int
   val quiesce : t -> unit
   val pending : t -> int
@@ -45,19 +56,9 @@ module type S = sig
   val register_obs : ?prefix:string -> Obs.Registry.t -> t -> unit
 end
 
-let min_capacity = 8
-let scrub_tag = Demux.Storage.dead_tag
-
-let tag_of_hash h =
-  let tag = (h lsr 16) land 0xFF in
-  if tag = 0 || tag = scrub_tag then 1 else tag
-
-let rec pow2_at_least n c = if c >= n then c else pow2_at_least n (c * 2)
-
-module Make (St : Demux.Storage.S) : S = struct
-  (* [count] is mutated only while the region is private to the
-     writer; once published the region is immutable until retired. *)
-  type region = { store : St.t; mutable count : int }
+module Make (F : Demux.Packed_table.FAULT) (St : Demux.Storage.S) = struct
+  module Engine = Demux.Packed_table.Make (F) (St)
+  module Region = Engine.Region
 
   type reader = {
     slot : Domain_slot.t;
@@ -66,7 +67,7 @@ module Make (St : Demux.Storage.S) : S = struct
 
   type t = {
     core : Core.t;
-    published : region Atomic.t;
+    published : Region.t Atomic.t;
     writer : Mutex.t;
     mutable writer_locks : int;  (* guarded by [writer] *)
     readers_lock : Mutex.t;
@@ -79,17 +80,14 @@ module Make (St : Demux.Storage.S) : S = struct
   }
 
   let backend = St.backend
-  let make_region cap = { store = St.create ~capacity:cap; count = 0 }
 
-  let copy_region r = { store = St.copy r.store; count = r.count }
-
-  let create ?(hash = Demux.Flow_key.hash_words)
-      ?(initial_capacity = min_capacity) ?max_readers () =
-    if initial_capacity < 0 then
-      invalid_arg "Epoch.Packed.create: initial_capacity < 0";
-    let cap = pow2_at_least (max min_capacity initial_capacity) min_capacity in
+  let create ?(hash = Demux.Flow_key.hash_words) ?(initial_capacity = 0)
+      ?max_readers () =
+    let capacity =
+      Demux.Packed_table.region_capacity ~who:"Epoch.Packed" initial_capacity
+    in
     { core = Core.create ?max_readers ();
-      published = Atomic.make (make_region cap);
+      published = Atomic.make (Region.create ~capacity);
       writer = Mutex.create ();
       writer_locks = 0;
       readers_lock = Mutex.create ();
@@ -100,6 +98,8 @@ module Make (St : Demux.Storage.S) : S = struct
       hash;
       publish_count = 0 }
 
+  (* Per-reader-domain state: one epoch slot and one private
+     Lookup_stats, registered lazily on the domain's first lookup. *)
   let reader_of t =
     match Domain.DLS.get t.reader_key with
     | Some reader -> reader
@@ -113,18 +113,6 @@ module Make (St : Demux.Storage.S) : S = struct
       Domain.DLS.set t.reader_key (Some reader);
       reader
 
-  (* {1 Probing} *)
-
-  let[@inline] distance s slot =
-    (slot - (St.hash s slot land St.mask s)) land St.mask s
-
-  let rec probe s tag w0 w1 slot dist =
-    let resident = St.tag s slot in
-    if resident = 0 then -1
-    else if resident = tag && St.w0 s slot = w0 && St.w1 s slot = w1 then slot
-    else if distance s slot < dist then -1
-    else probe s tag w0 w1 ((slot + 1) land St.mask s) (dist + 1)
-
   (* {1 Read path} *)
 
   let get t ~w0 ~w1 ~default =
@@ -133,24 +121,21 @@ module Make (St : Demux.Storage.S) : S = struct
     Demux.Lookup_stats.examine reader.stats ();
     Domain_slot.pin reader.slot ~global:(Core.global t.core);
     let r = Atomic.get t.published in
-    let s = r.store in
-    let h = t.hash w0 w1 in
-    let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
-    let result = if slot < 0 then default else St.value s slot in
+    let slot = Region.find r (t.hash w0 w1) ~w0 ~w1 in
+    let result = if slot < 0 then default else St.value r.store slot in
     Domain_slot.unpin reader.slot;
     Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false
       ~found:(slot >= 0);
     result
 
+  (* Values are any int, so [mem] and [find_opt] cannot reuse [get]
+     with a sentinel default: they probe for themselves. *)
   let mem t ~w0 ~w1 =
     let reader = reader_of t in
     Demux.Lookup_stats.begin_lookup reader.stats;
     Demux.Lookup_stats.examine reader.stats ();
     Domain_slot.pin reader.slot ~global:(Core.global t.core);
-    let r = Atomic.get t.published in
-    let s = r.store in
-    let h = t.hash w0 w1 in
-    let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
+    let slot = Region.find (Atomic.get t.published) (t.hash w0 w1) ~w0 ~w1 in
     Domain_slot.unpin reader.slot;
     Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false
       ~found:(slot >= 0);
@@ -162,10 +147,8 @@ module Make (St : Demux.Storage.S) : S = struct
     Demux.Lookup_stats.examine reader.stats ();
     Domain_slot.pin reader.slot ~global:(Core.global t.core);
     let r = Atomic.get t.published in
-    let s = r.store in
-    let h = t.hash w0 w1 in
-    let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
-    let result = if slot < 0 then None else Some (St.value s slot) in
+    let slot = Region.find r (t.hash w0 w1) ~w0 ~w1 in
+    let result = if slot < 0 then None else Some (St.value r.store slot) in
     Domain_slot.unpin reader.slot;
     Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false
       ~found:(slot >= 0);
@@ -184,17 +167,14 @@ module Make (St : Demux.Storage.S) : S = struct
       Demux.Lookup_stats.note_batch reader.stats ~size:n;
       Domain_slot.pin reader.slot ~global:(Core.global t.core);
       let r = Atomic.get t.published in
-      let s = r.store in
       let found = ref 0 in
       for i = 0 to n - 1 do
         let flow = flows.(i) in
         let w0 = Demux.Flow_key.w0_of_flow flow in
         let w1 = Demux.Flow_key.w1_of_flow flow in
-        let h = hash_at t i w0 w1 in
         Demux.Lookup_stats.begin_lookup reader.stats;
         Demux.Lookup_stats.examine reader.stats ();
-        let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
-        let hit = slot >= 0 in
+        let hit = Region.find r (hash_at t i w0 w1) ~w0 ~w1 >= 0 in
         if hit then incr found;
         Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false ~found:hit
       done;
@@ -216,78 +196,25 @@ module Make (St : Demux.Storage.S) : S = struct
   let iter f t =
     let reader = reader_of t in
     Domain_slot.pin reader.slot ~global:(Core.global t.core);
-    let r = Atomic.get t.published in
-    let s = r.store in
-    for slot = 0 to St.mask s do
-      let tag = St.tag s slot in
-      if tag <> 0 && tag <> scrub_tag then
-        f ~w0:(St.w0 s slot) ~w1:(St.w1 s slot) (St.value s slot)
-    done;
+    Region.iter f (Atomic.get t.published);
     Domain_slot.unpin reader.slot
 
-  (* {1 Private-region mutation (pre-publish)} *)
+  (* {1 Pinned views} *)
 
-  let rec place r slot dist h tag w0 w1 v =
-    let s = r.store in
-    let resident = St.tag s slot in
-    if resident = 0 then begin
-      St.set_tag s slot tag;
-      St.set_hash s slot h;
-      St.set_words s slot ~w0 ~w1;
-      St.set_value s slot v;
-      r.count <- r.count + 1
-    end
-    else begin
-      let rdist = distance s slot in
-      if rdist < dist then begin
-        let h' = St.hash s slot
-        and tag' = resident
-        and w0' = St.w0 s slot
-        and w1' = St.w1 s slot
-        and v' = St.value s slot in
-        St.set_tag s slot tag;
-        St.set_hash s slot h;
-        St.set_words s slot ~w0 ~w1;
-        St.set_value s slot v;
-        place r ((slot + 1) land St.mask s) (rdist + 1) h' tag' w0' w1' v'
-      end
-      else place r ((slot + 1) land St.mask s) (dist + 1) h tag w0 w1 v
-    end
+  type view = { region : Region.t; view_hash : int -> int -> int }
 
-  let insert_fresh r h w0 w1 v =
-    place r (h land St.mask r.store) 0 h (tag_of_hash h) w0 w1 v
+  let pin t =
+    let reader = reader_of t in
+    Domain_slot.pin reader.slot ~global:(Core.global t.core);
+    { region = Atomic.get t.published; view_hash = t.hash }
 
-  let rec backshift s slot =
-    let next = (slot + 1) land St.mask s in
-    let next_tag = St.tag s next in
-    if next_tag = 0 || distance s next = 0 then begin
-      St.set_tag s slot 0;
-      St.set_hash s slot 0;
-      St.set_words s slot ~w0:0 ~w1:0;
-      St.set_value s slot 0
-    end
-    else begin
-      St.set_tag s slot next_tag;
-      St.set_hash s slot (St.hash s next);
-      St.set_words s slot ~w0:(St.w0 s next) ~w1:(St.w1 s next);
-      St.set_value s slot (St.value s next);
-      backshift s next
-    end
+  let view_find view ~w0 ~w1 =
+    let r = view.region in
+    let slot = Region.find r (view.view_hash w0 w1) ~w0 ~w1 in
+    if slot < 0 then None else Some (St.value r.store slot)
 
-  let needs_growth r extra = (r.count + extra) * 8 > St.capacity r.store * 7
-
-  let rec grown_capacity cap count =
-    if count * 8 > cap * 7 then grown_capacity (cap * 2) count else cap
-
-  let rebuild r ~capacity =
-    let fresh = make_region capacity in
-    let s = r.store in
-    for slot = 0 to St.mask s do
-      if St.tag s slot <> 0 then
-        insert_fresh fresh (St.hash s slot) (St.w0 s slot) (St.w1 s slot)
-          (St.value s slot)
-    done;
-    fresh
+  let view_length view = view.region.count
+  let unpin t = Domain_slot.unpin (reader_of t).slot
 
   (* {1 Write path} *)
 
@@ -296,36 +223,49 @@ module Make (St : Demux.Storage.S) : S = struct
     t.writer_locks <- t.writer_locks + 1;
     Fun.protect ~finally:(fun () -> Mutex.unlock t.writer) f
 
+  let retire t (old : Region.t) =
+    Core.retire t.core (fun () -> St.free old.store)
+
+  let scrub (old : Region.t) = St.scrub old.store
+
   let publish t fresh old =
     Atomic.set t.published fresh;
     t.publish_count <- t.publish_count + 1;
-    (* Scrub + sever: once every reader has moved past the retirement
-       epoch, the region's buffers lose their last reference inside
-       the closure, so off-heap payloads are released by the eager
-       free, not by a later GC sweep of the region arrays. *)
-    Core.retire t.core (fun () -> St.free old.store);
+    F.publish ~retire:(retire t) ~scrub old;
+    (* Opportunistic: writes are the rare path, so they pay for
+       reclamation; anything still pinned stays on the list. *)
     ignore (Core.reclaim t.core)
+
+  let needs_growth (r : Region.t) extra =
+    (r.count + extra) * 8 > St.capacity r.store * 7
+
+  let rec grown_capacity cap count =
+    if count * 8 > cap * 7 then grown_capacity (cap * 2) count else cap
+
+  (* The private copy [extra] more inserts land in: a plain copy, or a
+     rebuild at the first capacity that keeps them under 7/8 load. *)
+  let private_copy (cur : Region.t) ~extra ~min_capacity =
+    if needs_growth cur extra then
+      Region.rebuild cur
+        ~capacity:(grown_capacity min_capacity (cur.count + extra))
+    else Region.copy cur
 
   let replace t ~w0 ~w1 v =
     with_writer t @@ fun () ->
     let cur = Atomic.get t.published in
-    let s = cur.store in
     let h = t.hash w0 w1 in
-    let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
+    let slot = Region.find cur h ~w0 ~w1 in
     let fresh =
       if slot >= 0 then begin
-        let fresh = copy_region cur in
+        let fresh = Region.copy cur in
         St.set_value fresh.store slot v;
         fresh
       end
       else begin
         let fresh =
-          if needs_growth cur 1 then
-            rebuild cur
-              ~capacity:(grown_capacity (St.capacity s * 2) (cur.count + 1))
-          else copy_region cur
+          private_copy cur ~extra:1 ~min_capacity:(2 * St.capacity cur.store)
         in
-        insert_fresh fresh h w0 w1 v;
+        Region.insert fresh h ~w0 ~w1 v;
         Demux.Lookup_stats.note_insert t.writer_stats;
         fresh
       end
@@ -335,13 +275,10 @@ module Make (St : Demux.Storage.S) : S = struct
   let remove t ~w0 ~w1 =
     with_writer t @@ fun () ->
     let cur = Atomic.get t.published in
-    let s = cur.store in
-    let h = t.hash w0 w1 in
-    let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
+    let slot = Region.find cur (t.hash w0 w1) ~w0 ~w1 in
     if slot >= 0 then begin
-      let fresh = copy_region cur in
-      backshift fresh.store slot;
-      fresh.count <- fresh.count - 1;
+      let fresh = Region.copy cur in
+      Region.delete fresh slot;
       Demux.Lookup_stats.note_remove t.writer_stats;
       publish t fresh cur
     end
@@ -351,21 +288,16 @@ module Make (St : Demux.Storage.S) : S = struct
       with_writer t @@ fun () ->
       let cur = Atomic.get t.published in
       let fresh =
-        if needs_growth cur (Array.length entries) then
-          rebuild cur
-            ~capacity:
-              (grown_capacity (St.capacity cur.store)
-                 (cur.count + Array.length entries))
-        else copy_region cur
+        private_copy cur ~extra:(Array.length entries)
+          ~min_capacity:(St.capacity cur.store)
       in
       Array.iter
         (fun (w0, w1, v) ->
-          let s = fresh.store in
           let h = t.hash w0 w1 in
-          let slot = probe s (tag_of_hash h) w0 w1 (h land St.mask s) 0 in
-          if slot >= 0 then St.set_value s slot v
+          let slot = Region.find fresh h ~w0 ~w1 in
+          if slot >= 0 then St.set_value fresh.store slot v
           else begin
-            insert_fresh fresh h w0 w1 v;
+            Region.insert fresh h ~w0 ~w1 v;
             Demux.Lookup_stats.note_insert t.writer_stats
           end)
         entries;
@@ -373,6 +305,7 @@ module Make (St : Demux.Storage.S) : S = struct
 
   (* {1 Reclamation passthroughs} *)
 
+  let core t = t.core
   let reclaim t = Core.reclaim t.core
   let quiesce t = Core.quiesce t.core
   let pending t = Core.pending t.core
@@ -433,5 +366,5 @@ module Make (St : Demux.Storage.S) : S = struct
            backend) (fun () -> float_of_int (bytes t))
 end
 
-module Heap = Make (Demux.Storage.Heap)
-module Offheap = Make (Demux.Storage.Offheap)
+module Heap = Make (Demux.Packed_table.Identity) (Demux.Storage.Heap)
+module Offheap = Make (Demux.Packed_table.Identity) (Demux.Storage.Offheap)

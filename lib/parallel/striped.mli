@@ -19,7 +19,7 @@
     aggregate read throughput flattens once lock traffic — not chain
     length — is the bottleneck (bench E33 measures the flattening at
     8 domains).  For a read-mostly population the ceiling above this
-    design is [Epoch.Table], whose lookups take no lock at all:
+    design is [Epoch.Packed], whose lookups take no lock at all:
     readers pin an epoch and probe an immutable published region,
     writers serialize on one mutex and retire replaced regions
     through a grace period.  Reach it from the same harnesses via

@@ -99,6 +99,20 @@ let drive_batched ?histogram ?(tracer = Obs.Trace.disabled) ~backwards
     else ignore (lookup_batch view)
   done
 
+(* Lookups go through [mem]: [find_flow] boxes an [int option] per
+   call, which E33's zero-allocation read-path gate would see. *)
+let epoch_target (module E : Epoch.Packed.S) flows =
+  let d = E.create () in
+  E.load d
+    (Array.mapi
+       (fun i flow ->
+         (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow, i))
+       flows);
+  ((fun flow ->
+     E.mem d ~w0:(Demux.Flow_key.w0_of_flow flow)
+       ~w1:(Demux.Flow_key.w1_of_flow flow)),
+   fun batch -> E.lookup_batch d batch)
+
 let run ?obs ?trace_capacity ?(connections = 2000)
     ?(lookups_per_domain = 200_000) ?(seed = 42) ?(batch = 1) ~domains target
     =
@@ -137,28 +151,8 @@ let run ?obs ?trace_capacity ?(connections = 2000)
       Array.iter (fun flow -> ignore (Striped.insert d flow ())) flows;
       ((fun flow -> Striped.lookup d flow <> None),
        fun batch -> Striped.lookup_batch d batch)
-    | Epoch_table ->
-      let d = Epoch.Table.create () in
-      Epoch.Table.load d
-        (Array.map
-           (fun flow ->
-             ( Demux.Flow_key.w0_of_flow flow,
-               Demux.Flow_key.w1_of_flow flow,
-               () ))
-           flows);
-      ((fun flow -> Epoch.Table.find_flow d flow <> None),
-       fun batch -> Epoch.Table.lookup_batch d batch)
-    | Offheap_epoch ->
-      let d = Epoch.Packed.Offheap.create () in
-      Epoch.Packed.Offheap.load d
-        (Array.mapi
-           (fun i flow ->
-             ( Demux.Flow_key.w0_of_flow flow,
-               Demux.Flow_key.w1_of_flow flow,
-               i ))
-           flows);
-      ((fun flow -> Epoch.Packed.Offheap.find_flow d flow <> None),
-       fun batch -> Epoch.Packed.Offheap.lookup_batch d batch)
+    | Epoch_table -> epoch_target (module Epoch.Packed.Heap) flows
+    | Offheap_epoch -> epoch_target (module Epoch.Packed.Offheap) flows
     | Cuckoo_table ->
       (* The bucketized cuckoo table has no internal synchronisation,
          but the measurement phase is strictly read-only over a table

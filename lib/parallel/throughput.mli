@@ -10,7 +10,7 @@
     collision-free striping is {e not} the scaling ceiling, because
     every lookup still pays one mutex acquisition.  The
     {!Epoch_table} target measures the design past that wall:
-    [Epoch.Table]'s lock-free read path (readers pin an epoch and
+    [Epoch.Packed]'s lock-free read path (readers pin an epoch and
     probe an immutable published region; bench E33 is the
     striped-vs-epoch scaling table).
 
@@ -25,10 +25,11 @@ type target =
   | Coarse_sequent of int
   | Striped_sequent of int
   | Epoch_table
-      (** {!Epoch.Table} — lock-free lookups over an immutable
-          published region, epoch-based reclamation.  Timing uses the
-          same monotonic clock and the same clamp-and-count
-          ([clock_went_backwards]) discipline as every other target. *)
+      (** {!Epoch.Packed.Heap} — lock-free lookups over an immutable
+          published region, epoch-based reclamation.  Named
+          ["epoch:table"].  Timing uses the same monotonic clock and
+          the same clamp-and-count ([clock_went_backwards]) discipline
+          as every other target. *)
   | Offheap_epoch
       (** {!Epoch.Packed.Offheap} — the same lock-free protocol with
           the published region held in Bigarray (off-heap) storage,

@@ -7,10 +7,10 @@
 
 let op kind flow = { Check.Op.kind; flow }
 
-(* Five flows whose Flat_table home slots coincide at the minimum
-   capacity (mask 7): inserting them builds a Robin-Hood displacement
-   cluster, and removing from its middle forces the backward shift the
-   planted Buggy_table skips. *)
+(* Five flows whose Robin-Hood home slots coincide at the minimum
+   capacity (mask 7): inserting them builds a displacement cluster, and
+   removing from its middle forces the backward shift that
+   Check.Plant.Table's delete hook skips. *)
 let robin_hood () =
   let mask = 7 in
   let home flow =
@@ -101,7 +101,7 @@ let churn_resize () =
    misses and re-inserts landing between publishes.  The first seven
    ops are plain inserts on purpose: test_check.ml replays this
    program twice — once through the differential oracle like any
-   corpus entry, and once onto a bare Epoch.Table with a view pinned
+   corpus entry, and once onto a bare Epoch.Packed.Heap with a view pinned
    after op 7, the reader that outlives every region the writer
    retires.  Flows are offset from churn_resize's so the two programs
    stay distinguishable in a diff. *)

@@ -1,9 +1,10 @@
 (* Tests for lib/check: the differential oracle, the deterministic
    fuzzer and its shrinker, the pinned regression corpus, and the
    analytic cross-validation grid.  The centrepiece is the planted-bug
-   demonstration: a copy of Flat_table whose delete skips the
-   Robin-Hood backward shift is caught by the fuzzer and shrunk to a
-   replayable counterexample a handful of ops long. *)
+   demonstration: the shipping Robin-Hood engine with its delete hook
+   switched to skip the backward shift (Check.Plant) is caught by the
+   fuzzer and shrunk to a replayable counterexample a handful of ops
+   long. *)
 
 let flow i = Sim.Topology.flow_of_client i
 
@@ -44,7 +45,8 @@ let all_subjects () =
       (fun () -> Check.Subject.cuckoo_table ()) ]
 
 let buggy_subject () =
-  Check.Subject.of_flat ~name:"buggy-flat" (module Check.Buggy_table)
+  Check.Subject.of_packed ~name:"buggy-flat" (module Check.Plant.Table)
+    (Check.Plant.Table.create ())
 
 let op kind flow = { Check.Op.kind; flow }
 
@@ -220,8 +222,9 @@ let test_corpus_robin_hood_is_a_cluster () =
   | [] -> assert false
 
 let test_corpus_robin_hood_catches_buggy_table () =
-  (* The same program must fail the backward-shift-skipping copy —
-     proof the corpus entry really regression-tests the delete path. *)
+  (* The same program must fail the engine with the backward shift
+     planted out — proof the corpus entry really regression-tests the
+     delete path. *)
   let program = load_corpus "robin-hood-backward-shift.prog" in
   Alcotest.(check bool) "flat table passes" true
     (Check.Diff.run_subject (Check.Subject.flat_table ()) program = []);
@@ -611,26 +614,28 @@ let test_batch_accounting_equals_scalar () =
 (* ------------------------------------------------------------------ *)
 (* Epoch table: lockstep determinism and the grace-period audit        *)
 
+module E = Epoch.Packed.Heap
+
 let apply_epoch table (o : Check.Op.op) index =
   let w0 = Demux.Flow_key.w0_of_flow o.Check.Op.flow
   and w1 = Demux.Flow_key.w1_of_flow o.Check.Op.flow in
   match o.Check.Op.kind with
   | Check.Op.Insert ->
-    Epoch.Table.replace table ~w0 ~w1 index;
+    E.replace table ~w0 ~w1 index;
     Inserted
   | Check.Op.Remove ->
-    let prior = Epoch.Table.find_opt table ~w0 ~w1 in
-    Epoch.Table.remove table ~w0 ~w1;
+    let prior = E.find_opt table ~w0 ~w1 in
+    E.remove table ~w0 ~w1;
     Removed prior
   | Check.Op.Lookup | Check.Op.Ack_lookup | Check.Op.Send ->
-    Found (Epoch.Table.find_opt table ~w0 ~w1)
+    Found (E.find_opt table ~w0 ~w1)
 
 let test_epoch_four_domain_lockstep () =
   let domains = 4 in
   let ops = churn_ops ~pool:200 ~ops:8_000 ~seed:35 in
   let n = Array.length ops in
   (* Single-domain reference run of the same driver. *)
-  let reference = Epoch.Table.create () in
+  let reference = E.create () in
   let expected = Array.mapi (fun i o -> apply_epoch reference o i) ops in
   (* 4-domain run: domain d owns the flows hashing to bucket d and
      applies its ops in program order, so every per-flow op sequence
@@ -640,7 +645,7 @@ let test_epoch_four_domain_lockstep () =
      and the merged stats must come out identical (the table charges
      exactly one examination per lookup, an order-independent
      discipline). *)
-  let table = Epoch.Table.create () in
+  let table = E.create () in
   let results = Array.make n Inserted in
   let owner_of (o : Check.Op.op) =
     Hashing.Hashers.bucket_flow Hashing.Hashers.multiplicative
@@ -659,14 +664,14 @@ let test_epoch_four_domain_lockstep () =
     if results.(i) <> expected.(i) then
       Alcotest.fail (Printf.sprintf "op %d diverged from single-domain run" i)
   done;
-  let merged = Epoch.Table.stats table
-  and single = Epoch.Table.stats reference in
+  let merged = E.stats table
+  and single = E.stats reference in
   Alcotest.(check bool) "merged stats match single-domain run" true
     (merged = single);
   (* Every region the concurrent run retired is reclaimable once the
      workers are gone. *)
-  Epoch.Table.quiesce table;
-  Alcotest.(check int) "retire backlog drained" 0 (Epoch.Table.pending table);
+  E.quiesce table;
+  Alcotest.(check int) "retire backlog drained" 0 (E.pending table);
   (* The scalar Sequent algorithm, driven by the same program, returns
      the same payload for every op — same per-flow histories — and
      agrees on the result-derived counters (examined counts differ by
@@ -704,14 +709,7 @@ let test_epoch_four_domain_lockstep () =
     scalar_stats.Demux.Lookup_stats.removes merged.Demux.Lookup_stats.removes
 
 let test_epoch_audit_real_table_passes () =
-  let r =
-    Check.Epoch_audit.run
-      (module struct
-        include Epoch.Table
-
-        let create () = create ()
-      end)
-  in
+  let r = Check.Epoch_audit.run (module E) in
   Alcotest.(check int) "pinned view answers every probe" 0
     r.Check.Epoch_audit.wrong;
   Alcotest.(check bool) "retire backlog visible while pinned" true
@@ -721,14 +719,7 @@ let test_epoch_audit_real_table_passes () =
   Alcotest.(check bool) "audit passes" true (Check.Epoch_audit.passed r)
 
 let test_epoch_audit_catches_buggy_epoch () =
-  let r =
-    Check.Epoch_audit.run
-      (module struct
-        include Check.Buggy_epoch
-
-        let create () = create ()
-      end)
-  in
+  let r = Check.Epoch_audit.run (module Check.Plant.Epoch_table) in
   (* The planted bug scrubs the pinned region at publish time, so the
      pinned view misses every flow that was resident — a total, not a
      partial, failure — and nothing is ever deferred. *)
@@ -745,13 +736,13 @@ let test_corpus_epoch_reclaim () =
      the rest churns across all three growth boundaries (populations
      8, 15, 29) with removes and re-inserts in flight.  Replaying it
      against every subject is covered by the replays-clean test; this
-     one replays it onto a bare epoch table with a view pinned after
+     one replays it onto a bare Epoch.Packed.Heap with a view pinned after
      the seventh insert — the reader that outlives every region the
      writer retires — and checks the view still answers with the
      pin-time payloads even for flows the churn removed or rebound. *)
   let program = load_corpus "epoch-reclaim.prog" in
   let ops = program.Check.Op.ops in
-  let table = Epoch.Table.create () in
+  let table = E.create () in
   let split = 7 in
   for i = 0 to split - 1 do
     Alcotest.(check bool)
@@ -761,29 +752,29 @@ let test_corpus_epoch_reclaim () =
     ignore (apply_epoch table ops.(i) i)
   done;
   let resident = ref [] in
-  Epoch.Table.iter
+  E.iter
     (fun ~w0 ~w1 v -> resident := (w0, w1, v) :: !resident)
     table;
   Alcotest.(check int) "seven residents at pin time" split
     (List.length !resident);
-  let view = Epoch.Table.pin table in
+  let view = E.pin table in
   for i = split to Array.length ops - 1 do
     ignore (apply_epoch table ops.(i) i)
   done;
   Alcotest.(check bool) "crossed all three growth boundaries" true
-    (Epoch.Table.capacity table >= 64);
+    (E.capacity table >= 64);
   Alcotest.(check bool) "writer retired regions across the pin" true
-    (Epoch.Table.pending table > 0);
+    (E.pending table > 0);
   List.iter
     (fun (w0, w1, v) ->
-      match Epoch.Table.view_find view ~w0 ~w1 with
+      match E.view_find view ~w0 ~w1 with
       | Some v' when v' = v -> ()
       | _ -> Alcotest.fail "pinned view lost a pin-time resident")
     !resident;
-  Epoch.Table.unpin table;
-  Epoch.Table.quiesce table;
+  E.unpin table;
+  E.quiesce table;
   Alcotest.(check int) "backlog drains after unpin" 0
-    (Epoch.Table.pending table)
+    (E.pending table)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-validation and the report                                     *)

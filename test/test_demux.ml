@@ -1081,22 +1081,38 @@ let arbitrary_flat_ops =
    [hash] lets the property run again with degenerate hashes that
    force every key into colliding probe sequences — Robin-Hood
    displacement and backward-shift deletion must not lose or invent
-   entries under maximal collision pressure either. *)
-let flat_table_model_agreement ?hash () ops =
-  let table = Demux.Flat_table.create ?hash ~initial_capacity:8 () in
+   entries under maximal collision pressure either.
+
+   A fixed prelude runs first: twenty inserts cross the first slab
+   chunk (8 handles) and two growth triggers (populations 8 and 15
+   from the 8-slot minimum), then ten removes and ten fresh inserts
+   push every freed handle back through the free stack — so the
+   random ops always land on recycled handles, a multi-chunk slab and
+   a table that has resized, under whichever [resize] policy. *)
+let flat_prelude =
+  List.init 20 (fun i -> F_insert i)
+  @ List.init 10 (fun i -> F_remove (2 * i))
+  @ List.init 10 (fun i -> F_insert (40 + i))
+
+let flat_table_model_agreement ?hash ~resize ops =
+  let table = Demux.Flat_table.create ?hash ~initial_capacity:8 ~resize () in
   let model = Hashtbl.create 16 in
   let words i =
     let f = flow i in
     (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
   in
+  (* Every insert binds a fresh value, so an overwrite that lost its
+     value, or two keys sharing one slab cell, shows up. *)
+  let step = ref 0 in
   List.for_all
     (fun op ->
+      incr step;
       match op with
       | F_insert i ->
         let w0, w1 = words i in
-        Demux.Flat_table.replace table ~w0 ~w1 i;
-        Hashtbl.replace model i i;
-        Demux.Flat_table.find_opt table ~w0 ~w1 = Some i
+        Demux.Flat_table.replace table ~w0 ~w1 !step;
+        Hashtbl.replace model i !step;
+        Demux.Flat_table.find_opt table ~w0 ~w1 = Some !step
       | F_remove i ->
         let w0, w1 = words i in
         Demux.Flat_table.remove table ~w0 ~w1;
@@ -1109,23 +1125,35 @@ let flat_table_model_agreement ?hash () ops =
         && (match Demux.Flat_table.find table ~w0 ~w1 with
            | v -> Hashtbl.find_opt model i = Some v
            | exception Not_found -> Hashtbl.find_opt model i = None))
-    ops
+    (flat_prelude @ ops)
+  && Demux.Flat_table.resizes table >= 2
   && Demux.Flat_table.length table = Hashtbl.length model
-  && Demux.Flat_table.fold (fun ~w0:_ ~w1:_ _ n -> n + 1) table 0
-     = Hashtbl.length model
+  && List.sort compare
+       (Demux.Flat_table.fold
+          (fun ~w0 ~w1 v acc -> (w0, w1, v) :: acc)
+          table [])
+     = List.sort compare
+         (Hashtbl.fold
+            (fun i v acc ->
+              let w0, w1 = words i in
+              (w0, w1, v) :: acc)
+            model [])
+
+let both_policies ?hash ops =
+  flat_table_model_agreement ?hash ~resize:Demux.Flat_table.Incremental ops
+  && flat_table_model_agreement ?hash ~resize:Demux.Flat_table.Doubling ops
 
 let prop_flat_table_model =
   QCheck.Test.make ~count:200 ~name:"flat_table agrees with Hashtbl model"
-    arbitrary_flat_ops
-    (flat_table_model_agreement ())
+    arbitrary_flat_ops both_policies
 
 let prop_flat_table_model_degenerate_hash =
   QCheck.Test.make ~count:100
     ~name:"flat_table agrees with model under forced collisions"
     arbitrary_flat_ops
     (fun ops ->
-      flat_table_model_agreement ~hash:(fun _ _ -> 0) () ops
-      && flat_table_model_agreement ~hash:(fun w0 _ -> w0 land 3) () ops)
+      both_policies ~hash:(fun _ _ -> 0) ops
+      && both_policies ~hash:(fun w0 _ -> w0 land 3) ops)
 
 (* ------------------------------------------------------------------ *)
 (* Cuckoo_table: bucketized cuckoo hashing vs the same Hashtbl model   *)
@@ -1514,13 +1542,17 @@ let test_flat_table_find_zero_alloc () =
   let w0 = Demux.Flow_key.w0_of_flow population.(17)
   and w1 = Demux.Flow_key.w1_of_flow population.(17) in
   ignore (Demux.Flat_table.find table ~w0 ~w1);
+  ignore (Demux.Flat_table.find_opt table ~w0 ~w1);
+  (* [find_opt] is what Sequent.note_send calls once per datagram: it
+     must hand back the stored option cell, not box a fresh one. *)
   let delta =
     measure_minor_words 10_000 (fun () ->
-        ignore (Demux.Flat_table.find table ~w0 ~w1))
+        ignore (Demux.Flat_table.find table ~w0 ~w1);
+        ignore (Demux.Flat_table.find_opt table ~w0 ~w1))
   in
   Alcotest.(check bool)
-    (Printf.sprintf "flat find allocates nothing (minor-words delta %.0f)"
-       delta)
+    (Printf.sprintf
+       "flat find/find_opt allocate nothing (minor-words delta %.0f)" delta)
     true (delta <= 64.0)
 
 (* The warm-hit regression E35 gates: cuckoo lookups on either Storage

@@ -2,7 +2,8 @@
    lock-free table's read path (including its zero-allocation and
    zero-mutex guarantees), and a 4-domain reader/writer stress across
    mid-run growth — the concurrent half of what Epoch_audit checks
-   deterministically in lib/check. *)
+   deterministically in lib/check.  The table under test is
+   Epoch.Packed.Heap; test_offheap.ml covers the Offheap instance. *)
 
 let flow i = Sim.Topology.flow_of_client i
 
@@ -167,40 +168,42 @@ let qcheck_reclaim_never_frees_visible =
 (* ------------------------------------------------------------------ *)
 (* Table: single-domain semantics                                      *)
 
+module E = Epoch.Packed.Heap
+
 let words f = (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
 
 let test_table_view_outlives_publishes () =
-  let t = Epoch.Table.create () in
+  let t = E.create () in
   for i = 0 to 6 do
     let w0, w1 = words (flow i) in
-    Epoch.Table.replace t ~w0 ~w1 i
+    E.replace t ~w0 ~w1 i
   done;
-  let view = Epoch.Table.pin t in
+  let view = E.pin t in
   Alcotest.(check int) "view length at pin time" 7
-    (Epoch.Table.view_length view);
+    (E.view_length view);
   (* Overwrite one key and churn past a growth boundary: the live
      table changes, the pinned view must not. *)
   let w0, w1 = words (flow 3) in
-  Epoch.Table.replace t ~w0 ~w1 300;
+  E.replace t ~w0 ~w1 300;
   for i = 7 to 40 do
     let w0, w1 = words (flow i) in
-    Epoch.Table.replace t ~w0 ~w1 i
+    E.replace t ~w0 ~w1 i
   done;
   Alcotest.(check (option int)) "table sees the overwrite" (Some 300)
-    (Epoch.Table.find_opt t ~w0 ~w1);
+    (E.find_opt t ~w0 ~w1);
   Alcotest.(check (option int)) "view sees the pin-time value" (Some 3)
-    (Epoch.Table.view_find view ~w0 ~w1);
+    (E.view_find view ~w0 ~w1);
   Alcotest.(check int) "view length unchanged" 7
-    (Epoch.Table.view_length view);
+    (E.view_length view);
   Alcotest.(check bool) "regions backlogged behind the pin" true
-    (Epoch.Table.pending t > 0);
-  Epoch.Table.unpin t;
+    (E.pending t > 0);
+  E.unpin t;
   Alcotest.check_raises "double unpin"
     (Invalid_argument "Epoch.Domain_slot.unpin: not pinned") (fun () ->
-      Epoch.Table.unpin t);
-  Epoch.Table.quiesce t;
+      E.unpin t);
+  E.quiesce t;
   Alcotest.(check int) "backlog drains once unpinned" 0
-    (Epoch.Table.pending t)
+    (E.pending t)
 
 let test_table_batch_accounting_equals_scalar () =
   (* Mirror of the striped batch-accounting test: lookup_batch must
@@ -208,8 +211,8 @@ let test_table_batch_accounting_equals_scalar () =
      batch markers. *)
   let population = Array.init 300 flow in
   let make () =
-    let t = Epoch.Table.create () in
-    Epoch.Table.load t
+    let t = E.create () in
+    E.load t
       (Array.mapi
          (fun i f ->
            let w0, w1 = words f in
@@ -226,12 +229,12 @@ let test_table_batch_accounting_equals_scalar () =
   let scalar = make () in
   let scalar_found = ref 0 in
   Array.iter
-    (fun f -> if Epoch.Table.find_flow scalar f <> None then incr scalar_found)
+    (fun f -> if E.find_flow scalar f <> None then incr scalar_found)
     burst;
   let batched = make () in
-  let batched_found = Epoch.Table.lookup_batch batched burst in
+  let batched_found = E.lookup_batch batched burst in
   Alcotest.(check int) "same hits" !scalar_found batched_found;
-  let s = Epoch.Table.stats scalar and b = Epoch.Table.stats batched in
+  let s = E.stats scalar and b = E.stats batched in
   Alcotest.(check int) "lookups" s.Demux.Lookup_stats.lookups
     b.Demux.Lookup_stats.lookups;
   Alcotest.(check int) "pcbs_examined" s.Demux.Lookup_stats.pcbs_examined
@@ -245,29 +248,6 @@ let test_table_batch_accounting_equals_scalar () =
   Alcotest.(check bool) "batched path marked batches" true
     (b.Demux.Lookup_stats.batches > 0)
 
-let test_registry_facade () =
-  let demux : int Demux.Registry.t = Epoch.Table.registry () in
-  Alcotest.(check string) "name" "epoch-table" demux.Demux.Registry.name;
-  for i = 0 to 19 do
-    ignore (demux.Demux.Registry.insert (flow i) i)
-  done;
-  Alcotest.(check int) "length" 20 (demux.Demux.Registry.length ());
-  (match demux.Demux.Registry.lookup ~kind:Demux.Types.Data (flow 7) with
-  | Some pcb -> Alcotest.(check int) "payload" 7 pcb.Demux.Pcb.data
-  | None -> Alcotest.fail "resident flow not found");
-  (match demux.Demux.Registry.insert (flow 7) 700 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "duplicate insert must raise");
-  (match demux.Demux.Registry.remove (flow 7) with
-  | Some pcb -> Alcotest.(check int) "removed payload" 7 pcb.Demux.Pcb.data
-  | None -> Alcotest.fail "remove lost the flow");
-  Alcotest.(check bool) "miss after remove" true
-    (demux.Demux.Registry.lookup ~kind:Demux.Types.Data (flow 7) = None);
-  (* Flat-index accounting: exactly one PCB examined per lookup. *)
-  let stats = Demux.Lookup_stats.snapshot demux.Demux.Registry.stats in
-  Alcotest.(check int) "one examined per lookup"
-    stats.Demux.Lookup_stats.lookups stats.Demux.Lookup_stats.pcbs_examined
-
 (* ------------------------------------------------------------------ *)
 (* The read-path guarantees E33 leans on                               *)
 
@@ -279,17 +259,18 @@ let measure_minor_words iterations f =
   Gc.minor_words () -. before
 
 let test_warm_lookup_zero_alloc () =
-  let t = Epoch.Table.create () in
-  Epoch.Table.load t
+  let t = E.create () in
+  E.load t
     (Array.init 256 (fun i ->
          let w0, w1 = words (flow i) in
          (w0, w1, i)));
-  let target = flow 17 in
+  let w0, w1 = words (flow 17) in
   (* Warm: registers this domain's reader slot and faults code in. *)
-  ignore (Epoch.Table.find_flow t target);
+  ignore (E.get t ~w0 ~w1 ~default:(-1));
   let delta =
     measure_minor_words 10_000 (fun () ->
-        ignore (Epoch.Table.find_flow t target))
+        ignore (E.get t ~w0 ~w1 ~default:(-1));
+        ignore (E.mem t ~w0 ~w1))
   in
   Alcotest.(check bool)
     (Printf.sprintf "epoch lookup allocates nothing (minor-words delta %.0f)"
@@ -297,20 +278,22 @@ let test_warm_lookup_zero_alloc () =
     true (delta <= 64.0)
 
 let test_warm_read_phase_takes_no_mutex () =
-  let t = Epoch.Table.create () in
-  Epoch.Table.load t
+  let t = E.create () in
+  E.load t
     (Array.init 256 (fun i ->
          let w0, w1 = words (flow i) in
          (w0, w1, i)));
   (* Warm: the one-time reader registration is the last mutex the read
      path may ever take. *)
-  ignore (Epoch.Table.find_flow t (flow 0));
-  let before = Epoch.Table.lock_acquisitions t in
+  let w0, w1 = words (flow 0) in
+  ignore (E.mem t ~w0 ~w1);
+  let before = E.lock_acquisitions t in
   for i = 0 to 9_999 do
-    ignore (Epoch.Table.find_flow t (flow (i land 255)))
+    let w0, w1 = words (flow (i land 255)) in
+    ignore (E.mem t ~w0 ~w1)
   done;
   Alcotest.(check int) "zero mutex acquisitions across 10k lookups" before
-    (Epoch.Table.lock_acquisitions t);
+    (E.lock_acquisitions t);
   Alcotest.(check bool) "the counter is live, not vacuous" true (before > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -326,16 +309,16 @@ let test_four_domain_stress_mid_run_growth () =
      payload is only ever its index, so any hit with a different
      payload is a use-after-reclaim (or torn read) anomaly. *)
   let total = 2_048 in
-  let t = Epoch.Table.create () in
+  let t = E.create () in
   let done_ = Atomic.make false in
   let writer =
     Domain.spawn (fun () ->
         for i = 0 to total - 1 do
           let w0, w1 = words (flow i) in
-          Epoch.Table.replace t ~w0 ~w1 i;
+          E.replace t ~w0 ~w1 i;
           if i mod 16 = 15 then begin
             let w0, w1 = words (flow (i - 8)) in
-            Epoch.Table.remove t ~w0 ~w1
+            E.remove t ~w0 ~w1
           end
         done;
         Atomic.set done_ true)
@@ -347,7 +330,7 @@ let test_four_domain_stress_mid_run_growth () =
             let anomalies = ref 0 and hits = ref 0 in
             while not (Atomic.get done_) do
               let i = Numerics.Rng.int rng ~bound:total in
-              match Epoch.Table.find_flow t (flow i) with
+              match E.find_flow t (flow i) with
               | Some v ->
                 incr hits;
                 if v <> i then incr anomalies
@@ -370,17 +353,17 @@ let test_four_domain_stress_mid_run_growth () =
      is resident with its own index as payload. *)
   let expected_population = total - (total / 16) in
   Alcotest.(check int) "final population" expected_population
-    (Epoch.Table.length t);
+    (E.length t);
   for i = 0 to total - 1 do
     let expected = if i mod 16 = 7 then None else Some i in
     let w0, w1 = words (flow i) in
-    if Epoch.Table.find_opt t ~w0 ~w1 <> expected then
+    if E.find_opt t ~w0 ~w1 <> expected then
       Alcotest.fail (Printf.sprintf "flow %d has the wrong final binding" i)
   done;
   Alcotest.(check bool) "crossed every growth boundary" true
-    (Epoch.Table.capacity t >= 4_096);
+    (E.capacity t >= 4_096);
   (* Accounting identities survive the concurrency. *)
-  let stats = Epoch.Table.stats t in
+  let stats = E.stats t in
   Alcotest.(check int) "found + not_found = lookups"
     stats.Demux.Lookup_stats.lookups
     (stats.Demux.Lookup_stats.found + stats.Demux.Lookup_stats.not_found);
@@ -388,9 +371,9 @@ let test_four_domain_stress_mid_run_growth () =
   Alcotest.(check int) "removes" (total / 16)
     stats.Demux.Lookup_stats.removes;
   (* And the grace periods drain. *)
-  Epoch.Table.quiesce t;
-  Alcotest.(check int) "retire backlog empty" 0 (Epoch.Table.pending t);
-  let core = Epoch.Table.core t in
+  E.quiesce t;
+  Alcotest.(check int) "retire backlog empty" 0 (E.pending t);
+  let core = E.core t in
   Alcotest.(check int) "every retirement reclaimed"
     (Epoch.Core.retirements core)
     (Epoch.Core.reclamations core)
@@ -404,8 +387,8 @@ let test_dispatcher_over_epoch_table () =
      the table's default hash), and the lossless run conserves every
      packet. *)
   let population = Array.init 200 flow in
-  let t = Epoch.Table.create () in
-  Epoch.Table.load t
+  let t = E.create () in
+  E.load t
     (Array.mapi
        (fun i f ->
          let w0, w1 = words f in
@@ -417,13 +400,13 @@ let test_dispatcher_over_epoch_table () =
   in
   let expected_found =
     Array.fold_left
-      (fun n f -> if Epoch.Table.find_flow t f <> None then n + 1 else n)
+      (fun n f -> if E.find_flow t f <> None then n + 1 else n)
       0 stream
   in
   let result =
     Parallel.Dispatcher.run ~workers:3 ~batch:16
       ~lookup_batch:(fun batch ~hashes ->
-        Epoch.Table.lookup_batch_keyed t batch ~hashes)
+        E.lookup_batch_keyed t batch ~hashes)
       stream
   in
   Alcotest.(check int) "all packets offered" 5_000
@@ -433,24 +416,24 @@ let test_dispatcher_over_epoch_table () =
   Alcotest.(check int) "found matches sequential" expected_found
     result.Parallel.Dispatcher.found;
   Alcotest.(check int) "lossless" 0 result.Parallel.Dispatcher.dropped_packets;
-  Epoch.Table.quiesce t;
-  Alcotest.(check int) "drained after the run" 0 (Epoch.Table.pending t)
+  E.quiesce t;
+  Alcotest.(check int) "drained after the run" 0 (E.pending t)
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
 
 let test_register_obs () =
   let obs = Obs.Registry.create () in
-  let t = Epoch.Table.create () in
-  Epoch.Table.register_obs obs t;
+  let t = E.create () in
+  E.register_obs obs t;
   for i = 0 to 40 do
     let w0, w1 = words (flow i) in
-    Epoch.Table.replace t ~w0 ~w1 i
+    E.replace t ~w0 ~w1 i
   done;
   for i = 0 to 99 do
-    ignore (Epoch.Table.find_flow t (flow (i mod 50)))
+    ignore (E.find_flow t (flow (i mod 50)))
   done;
-  Epoch.Table.quiesce t;
+  E.quiesce t;
   let metrics = Obs.Registry.snapshot obs in
   let value name =
     match Obs.Registry.find metrics name with
@@ -458,16 +441,17 @@ let test_register_obs () =
     | Some { Obs.Registry.data = Obs.Registry.Gauge n; _ } -> int_of_float n
     | _ -> Alcotest.fail ("missing metric " ^ name)
   in
-  Alcotest.(check int) "lookups" 100 (value "epoch.table.lookups");
-  Alcotest.(check int) "inserts" 41 (value "epoch.table.inserts");
-  Alcotest.(check int) "resident" 41 (value "epoch.table.resident");
-  Alcotest.(check int) "pending drained" 0 (value "epoch.table.pending");
-  Alcotest.(check bool) "pins counted" true (value "epoch.table.pins" > 0);
+  Alcotest.(check int) "lookups" 100 (value "epoch.packed.lookups");
+  Alcotest.(check int) "inserts" 41 (value "epoch.packed.inserts");
+  Alcotest.(check int) "resident" 41 (value "epoch.packed.resident");
+  Alcotest.(check int) "pending drained" 0 (value "epoch.packed.pending");
+  Alcotest.(check bool) "pins counted" true (value "epoch.packed.pins" > 0);
   Alcotest.(check int) "retirements all reclaimed"
-    (value "epoch.table.retirements")
-    (value "epoch.table.reclamations");
+    (value "epoch.packed.retirements")
+    (value "epoch.packed.reclamations");
   Alcotest.(check bool) "publishes counted" true
-    (value "epoch.table.publishes" >= 41)
+    (value "epoch.packed.publishes" >= 41);
+  Alcotest.(check bool) "bytes reported" true (value "epoch.packed.bytes" > 0)
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -486,8 +470,7 @@ let () =
         [ quick "pinned view outlives publishes"
             test_table_view_outlives_publishes;
           quick "batch accounting equals scalar"
-            test_table_batch_accounting_equals_scalar;
-          quick "registry facade" test_registry_facade ] );
+            test_table_batch_accounting_equals_scalar ] );
       ( "read-path",
         [ quick "warm lookup allocates zero minor words"
             test_warm_lookup_zero_alloc;
