@@ -41,15 +41,18 @@ let csv_arg =
   let doc = "Also write the series as CSV to $(docv)." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
-let parse_specs names =
+(* Parse every name, stopping at the first error. *)
+let parse_all parse names =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | name :: rest -> (
-      match Demux.Registry.spec_of_string name with
-      | Ok spec -> go (spec :: acc) rest
+      match parse name with
+      | Ok value -> go (value :: acc) rest
       | Error message -> Error message)
   in
   go [] names
+
+let parse_specs = parse_all Demux.Registry.spec_of_string
 
 let params ~users ~response_time ~rtt =
   Analysis.Tpca_params.v ~users ~response_time ~rtt ()
@@ -673,93 +676,6 @@ let attack_cmd =
 (* ------------------------------------------------------------------ *)
 (* parallel: multicore lookup throughput                               *)
 
-let parse_target name =
-  let sequent_chains s =
-    if s = "sequent" then Some 19
-    else if String.length s > 8 && String.sub s 0 8 = "sequent-" then
-      int_of_string_opt (String.sub s 8 (String.length s - 8))
-    else None
-  in
-  match String.split_on_char ':' name with
-  | [ "coarse"; "bsd" ] -> Ok Parallel.Throughput.Coarse_bsd
-  | [ "coarse"; rest ] -> (
-    match sequent_chains rest with
-    | Some chains when chains > 0 ->
-      Ok (Parallel.Throughput.Coarse_sequent chains)
-    | _ -> Error (Printf.sprintf "unknown coarse target %S" name))
-  | [ "striped"; rest ] -> (
-    match sequent_chains rest with
-    | Some chains when chains > 0 ->
-      Ok (Parallel.Throughput.Striped_sequent chains)
-    | _ -> Error (Printf.sprintf "unknown striped target %S" name))
-  | [ "epoch" ] | [ "epoch"; "table" ] -> Ok Parallel.Throughput.Epoch_table
-  | [ "offheap" ] | [ "epoch"; "offheap" ] ->
-    Ok Parallel.Throughput.Offheap_epoch
-  | [ "cuckoo" ] | [ "cuckoo"; "table" ] -> Ok Parallel.Throughput.Cuckoo_table
-  | _ ->
-    Error
-      (Printf.sprintf
-         "unknown target %S (try: coarse:bsd, coarse:sequent-19, \
-          striped:sequent-19, epoch, epoch:offheap, cuckoo)"
-         name)
-
-(* The same synthetic flow population Throughput builds internally,
-   reused here to feed the dispatcher pipeline a packet stream. *)
-let parallel_flows connections =
-  Array.init connections (fun i ->
-      let addr =
-        Packet.Ipv4.addr_of_octets 10
-          ((i lsr 16) land 0xFF)
-          ((i lsr 8) land 0xFF)
-          (i land 0xFF)
-      in
-      Packet.Flow.v
-        ~local:(Packet.Flow.endpoint (Packet.Ipv4.addr_of_octets 192 168 1 1) 8888)
-        ~remote:(Packet.Flow.endpoint addr (1024 + (i * 7 mod 60000))))
-
-let pipeline_stream flows ~packets ~seed =
-  let rng = Parallel.Worker_rng.create seed in
-  Array.init packets (fun _ ->
-      flows.(Parallel.Worker_rng.int rng ~bound:(Array.length flows)))
-
-let run_pipeline ?obs ?tracer ~workers ~batch ~connections ~packets ~seed () =
-  let flows = parallel_flows connections in
-  let table = Parallel.Striped.create ~chains:19 () in
-  Array.iter (fun flow -> ignore (Parallel.Striped.insert table flow ())) flows;
-  let stream = pipeline_stream flows ~packets ~seed in
-  Parallel.Dispatcher.run ?obs ?tracer ~workers ~batch
-    ~lookup_batch:(fun flows ~hashes ->
-      Parallel.Striped.lookup_batch_keyed table flows ~hashes)
-    stream
-
-(* The same dispatcher pipeline over a lock-free epoch table: workers
-   demultiplex each batch through [lookup_batch_keyed] (one epoch pin
-   per batch, zero mutex acquisitions).  The dispatcher's default
-   hasher matches the table's Flow_key.hash_words, so the precomputed
-   shard hashes are reusable as probe hashes.  Values are the flow's
-   load index. *)
-let run_pipeline_epoch (module E : Epoch.Packed.S) ~prefix ?obs ?tracer
-    ~workers ~batch ~connections ~packets ~seed () =
-  let flows = parallel_flows connections in
-  let table = E.create () in
-  E.load table
-    (Array.mapi
-       (fun i flow ->
-         ( Demux.Flow_key.w0_of_flow flow,
-           Demux.Flow_key.w1_of_flow flow,
-           i ))
-       flows);
-  Option.iter (fun obs -> E.register_obs ~prefix obs table) obs;
-  let stream = pipeline_stream flows ~packets ~seed in
-  let result =
-    Parallel.Dispatcher.run ?obs ?tracer ~workers ~batch
-      ~lookup_batch:(fun flows ~hashes ->
-        E.lookup_batch_keyed table flows ~hashes)
-      stream
-  in
-  E.quiesce table;
-  result
-
 (* --smp: the shared-nothing per-core stacks (Parallel.Smp).  Each
    domain owns a complete TCP stack — connection table, timer wheel,
    demux table — and a dispatcher steers raw datagrams into per-domain
@@ -769,9 +685,6 @@ let run_pipeline_epoch (module E : Epoch.Packed.S) ~prefix ?obs ?tracer
    a correctness check in CI. *)
 let run_smp ~domains ~migrate ~smoke ~seed obs_json =
   let domains = if smoke then [ 1; 2 ] else domains in
-  if List.exists (fun d -> d <= 0) domains then
-    `Error (false, "--domains must all be positive")
-  else begin
   let clients, requests = if smoke then (60, 3) else (1500, 10) in
   let trace =
     Sim.Segment_workload.generate
@@ -826,55 +739,27 @@ let run_smp ~domains ~migrate ~smoke ~seed obs_json =
       | _ -> ());
       `Ok ()
     with Sys_error message -> `Error (false, message))
-  end
 
-let run_parallel targets domains batches connections lookups pipeline epoch
-    offheap cuckoo smp migrate smoke seed obs_json trace_file trace_capacity =
-  if smp then run_smp ~domains ~migrate ~smoke ~seed obs_json
+let run_parallel targets domains batches connections lookups pipeline smp
+    migrate smoke seed obs_json trace_file trace_capacity =
+  if List.exists (fun d -> d <= 0) domains then
+    `Error (false, "--domains must all be positive")
+  else if smp then run_smp ~domains ~migrate ~smoke ~seed obs_json
   else
-  let rec parse acc = function
-    | [] -> Ok (List.rev acc)
-    | name :: rest -> (
-      match parse_target name with
-      | Ok target -> parse (target :: acc) rest
-      | Error _ as e -> e)
-  in
   (* --smoke: a CI-sized run that still exercises every path — two
      domains, per-packet vs a small batch, plus the ring pipeline. *)
   let domains, batches, connections, lookups, pipeline =
     if smoke then ([ 2 ], [ 1; 8 ], 200, 20_000, true)
     else (domains, batches, connections, lookups, pipeline)
   in
-  match parse [] targets with
+  match parse_all Parallel.Throughput.target_of_name targets with
   | Error message -> `Error (false, message)
   | Ok targets ->
-    (* --epoch: measure the lock-free table alongside whatever else was
-       asked for, and run the dispatcher pipeline over it too. *)
-    let targets =
-      if epoch && not (List.mem Parallel.Throughput.Epoch_table targets) then
-        targets @ [ Parallel.Throughput.Epoch_table ]
-      else targets
-    in
-    (* --offheap: likewise for the Bigarray-backed epoch table. *)
-    let targets =
-      if
-        offheap
-        && not (List.mem Parallel.Throughput.Offheap_epoch targets)
-      then targets @ [ Parallel.Throughput.Offheap_epoch ]
-      else targets
-    in
-    (* --cuckoo: likewise for the bucketized cuckoo table (read-only
-       concurrent probes over a pre-populated table). *)
-    let targets =
-      if
-        cuckoo && not (List.mem Parallel.Throughput.Cuckoo_table targets)
-      then targets @ [ Parallel.Throughput.Cuckoo_table ]
-      else targets
-    in
-    if List.exists (fun d -> d <= 0) domains then
-      `Error (false, "--domains must all be positive")
-    else if List.exists (fun b -> b <= 0) batches then
+    if List.exists (fun b -> b <= 0) batches then
       `Error (false, "--batch sizes must all be positive")
+    else if connections <= 0 then
+      `Error (false, "--connections must be positive")
+    else if lookups <= 0 then `Error (false, "--lookups must be positive")
     else if trace_capacity <= 0 then
       `Error (false, "--trace-capacity must be positive")
     else
@@ -906,10 +791,22 @@ let run_parallel targets domains batches connections lookups pipeline epoch
               r.Parallel.Throughput.batch Obs.Histogram.pp histogram
           | None -> ())
         results;
+      (* --pipeline: the Dispatcher over each target's table, fed one
+         pseudo-random packet stream over the same flow population;
+         workers demultiplex each batch through the table's keyed
+         batch lookup, reusing the shard-time hashes. *)
       let pipeline_tracers = ref [] in
-      let pipeline_pass ~label run_one =
+      let flows = Parallel.Throughput.flows connections in
+      let rng = Parallel.Worker_rng.create seed in
+      let stream =
+        Array.init lookups (fun _ ->
+            flows.(Parallel.Worker_rng.int rng ~bound:connections))
+      in
+      let run_pipeline target =
         Format.printf "@.pipeline: dispatcher -> SPSC rings -> %s workers@."
-          label;
+          (Parallel.Throughput.target_name target);
+        let table = Parallel.Throughput.table target flows in
+        Option.iter table.Parallel.Throughput.observe obs;
         List.iter
           (fun workers ->
             List.iter
@@ -917,35 +814,23 @@ let run_parallel targets domains batches connections lookups pipeline epoch
                 let tracer =
                   Option.map
                     (fun _ ->
-                      let tracer =
-                        Obs.Trace.create ~id:(1000 + workers)
-                          ~capacity:trace_capacity ()
-                      in
-                      pipeline_tracers := tracer :: !pipeline_tracers;
-                      tracer)
+                      Obs.Trace.create ~id:(1000 + workers)
+                        ~capacity:trace_capacity ())
                     trace_file
                 in
-                let r =
-                  run_one ?obs ?tracer ~workers ~batch ~connections
-                    ~packets:lookups ~seed ()
-                in
-                Format.printf "%a@." Parallel.Dispatcher.pp r)
+                Option.iter
+                  (fun t -> pipeline_tracers := t :: !pipeline_tracers)
+                  tracer;
+                Format.printf "%a@." Parallel.Dispatcher.pp
+                  (Parallel.Dispatcher.run ?obs ?tracer ~workers ~batch
+                     ~hash:Parallel.Throughput.hash
+                     ~consume:(fun _ ->
+                       table.Parallel.Throughput.lookup_batch_keyed)
+                     stream))
               batches)
           domains
       in
-      if pipeline then begin
-        pipeline_pass ~label:"striped" run_pipeline;
-        if epoch then
-          pipeline_pass ~label:"epoch-table"
-            (run_pipeline_epoch
-               (module Epoch.Packed.Heap)
-               ~prefix:"epoch.table");
-        if offheap then
-          pipeline_pass ~label:"offheap-epoch-table"
-            (run_pipeline_epoch
-               (module Epoch.Packed.Offheap)
-               ~prefix:"epoch.packed")
-      end;
+      if pipeline then List.iter run_pipeline targets;
       (try
          (match (obs_json, obs) with
          | Some path, Some obs ->
@@ -975,8 +860,9 @@ let run_parallel targets domains batches connections lookups pipeline epoch
 let parallel_cmd =
   let doc =
     "Measure multicore lookup throughput (and, with --obs-json, \
-     per-lookup latency histograms merged across domains) for \
-     coarse-locked and striped demultiplexers."
+     per-lookup latency histograms merged across domains) for the \
+     three lock designs: one global lock, one lock per chain, and \
+     lock-free epoch reads."
   in
   let targets =
     Arg.(
@@ -984,10 +870,11 @@ let parallel_cmd =
       & opt (list string) [ "coarse:sequent-19"; "striped:sequent-19" ]
       & info [ "t"; "targets" ] ~docv:"TARGETS"
           ~doc:
-            "Comma-separated targets: coarse:bsd, coarse:sequent[-H], \
-             striped:sequent[-H], epoch (the lock-free epoch table), \
-             epoch:offheap (the same protocol over Bigarray storage), \
-             cuckoo (the bucketized cuckoo table, read-only probes).")
+            "Comma-separated targets: coarse:$(i,ALGO) (any algorithm \
+             behind one global lock, e.g. coarse:bsd, coarse:sequent-19), \
+             striped:sequent[-H] (one lock per chain), epoch (lock-free \
+             reads over the epoch table; with --obs-json its epoch.table.* \
+             metrics land in the snapshot when the pipeline runs).")
   in
   let domains =
     Arg.(
@@ -1021,40 +908,8 @@ let parallel_cmd =
       & info [ "pipeline" ]
           ~doc:
             "Also run the dispatcher pipeline (flow-hash sharding into \
-             bounded SPSC rings feeding striped workers) for each \
-             (domains, batch) pair.")
-  in
-  let epoch =
-    Arg.(
-      value & flag
-      & info [ "epoch" ]
-          ~doc:
-            "Add the lock-free epoch table (Epoch.Packed.Heap) to the \
-             measured targets, and — when the pipeline runs — drive the \
-             dispatcher over it as well; with --obs-json, its epoch.* \
-             reclamation and per-operation counters land in the \
-             snapshot.")
-  in
-  let offheap =
-    Arg.(
-      value & flag
-      & info [ "offheap" ]
-          ~doc:
-            "Add the Bigarray-backed epoch table (Epoch.Packed.Offheap) \
-             to the measured targets, and — when the pipeline runs — \
-             drive the dispatcher over it as well; with --obs-json, its \
-             epoch.packed.* counters (including resident storage bytes) \
-             land in the snapshot.")
-  in
-  let cuckoo =
-    Arg.(
-      value & flag
-      & info [ "cuckoo" ]
-          ~doc:
-            "Add the bucketized cuckoo table (Demux.Cuckoo_table) to the \
-             measured targets: populated before the domains spawn, then \
-             probed read-only, so worst-case lookup cost stays two \
-             buckets plus the stash under any load.")
+             bounded SPSC rings feeding worker domains) over each \
+             target's table, for each (domains, batch) pair.")
   in
   let smp =
     Arg.(
@@ -1095,7 +950,7 @@ let parallel_cmd =
     Term.(
       ret
         (const run_parallel $ targets $ domains $ batches $ connections
-        $ lookups $ pipeline $ epoch $ offheap $ cuckoo $ smp $ migrate
+        $ lookups $ pipeline $ smp $ migrate
         $ smoke $ seed_arg $ obs_json_arg $ trace_file_arg
         $ trace_capacity_arg))
 

@@ -1,11 +1,14 @@
 (* Chaos harness for the parallel demux pipeline.
 
-   Each scenario runs a real multi-domain pipeline — producer sharding
-   ops by flow hash into bounded SPSC rings, worker domains applying
-   them to one shared striped table under a tiered pressure controller
-   — while a seeded injector perturbs it (a stalled consumer, a slow
-   worker, undersized rings, bursty arrivals, or a flow population
-   sized to force incremental resizes mid-run).
+   Each scenario drives Parallel.Dispatcher — the producer shards ops
+   by flow hash into bounded SPSC rings, worker domains apply them to
+   one shared striped table under a tiered pressure controller — while
+   a seeded injector perturbs it (a stalled consumer, a slow worker,
+   undersized rings, bursty arrivals, or a flow population sized to
+   force incremental resizes mid-run).  The stalls and per-batch lag
+   live in the workers' consume callback and the pacing in the
+   producer loop; the sharding, batching, tier gates and drain are the
+   Dispatcher's own.
 
    The harness does not judge the run; it records it.  Every op a
    worker applies is logged with its observed outcome, in application
@@ -134,7 +137,9 @@ let tuning = function
 
 (* A synthetic client universe: one distinct remote address per index,
    the same server endpoint everywhere (the demux key is the 4-tuple,
-   so the address alone distinguishes flows). *)
+   so the address alone distinguishes flows).  Not the Throughput
+   population: the tuning above was calibrated on how these flows
+   shard across workers. *)
 let flow_of_index i =
   Packet.Flow.v
     ~local:
@@ -178,11 +183,7 @@ let run ?(workers = 4) ?(ops = 60_000) ?(seed = 42) scenario =
         { kind; flow = pool.(Numerics.Rng.int rng ~bound:tu.pool);
           payload = i })
   in
-  let rings =
-    Array.init workers (fun _ ->
-        Parallel.Ring.create ~capacity:tu.ring_capacity)
-  in
-  let logs = Array.make workers [||] in
+  let logs = Array.make workers [] in
   let apply op =
     let outcome =
       match op.kind with
@@ -202,98 +203,34 @@ let run ?(workers = 4) ?(ops = 60_000) ?(seed = 42) scenario =
     in
     { op; outcome }
   in
-  let worker w =
-    let ring = rings.(w) in
+  (* The injected faults live in the workers' consume callback: worker
+     0's stall runs once, in its own domain, before its first pop. *)
+  let consume w =
     if w = 0 then busy_wait_ns tu.stall_ns;
-    let acc = ref [] in
-    let consume batch =
+    fun batch ~hashes:_ ->
       if w = 0 then busy_wait_ns tu.lag_ns;
       busy_wait_ns tu.drag_ns;
-      Array.iter (fun op -> acc := apply op :: !acc) batch
-    in
-    (* The Ring drain-after-close protocol: after observing the close
-       flag, one more drain pass sees every push that raced it. *)
-    let rec drain () =
-      match Parallel.Ring.try_pop ring with
-      | Some batch -> consume batch; drain ()
-      | None -> ()
-    in
-    let rec loop () =
-      match Parallel.Ring.try_pop ring with
-      | Some batch -> consume batch; loop ()
-      | None ->
-        if Parallel.Ring.is_closed ring then drain ()
-        else begin
-          Domain.cpu_relax ();
-          loop ()
-        end
-    in
-    loop ();
-    logs.(w) <- Array.of_list (List.rev !acc)
+      Array.iter (fun op -> logs.(w) <- apply op :: logs.(w)) batch;
+      Array.length batch
   in
-  let buffers = Array.init workers (fun _ -> Array.make tu.batch script.(0)) in
-  let fills = Array.make workers 0 in
-  let dropped = ref 0 and rejected = ref 0 and max_depth = ref 0 in
-  (* The dispatcher side, with the same tier gates as
-     [Parallel.Dispatcher.run]: at Reject the batch never reaches the
-     ring; at Drop_batches a full ring sheds it; otherwise a full ring
-     is backpressure and the producer waits. *)
-  let flush w =
-    let fill = fills.(w) in
-    if fill > 0 then begin
-      fills.(w) <- 0;
-      if Parallel.Pressure.rejecting pressure then begin
-        Parallel.Pressure.note_rejected pressure ~packets:fill;
-        rejected := !rejected + fill;
-        (* Probe while shedding, as the dispatcher does: the ring
-           keeps draining, and its depth is the signal that lets the
-           controller leave Reject. *)
-        let ring = rings.(w) in
-        Parallel.Pressure.note_ring_depth pressure
-          ~depth:(Parallel.Ring.length ring)
-          ~capacity:(Parallel.Ring.capacity ring)
-      end
-      else begin
-        let batch = Array.sub buffers.(w) 0 fill in
-        let ring = rings.(w) in
-        let depth = Parallel.Ring.length ring in
-        if depth > !max_depth then max_depth := depth;
-        Parallel.Pressure.note_ring_depth pressure ~depth
-          ~capacity:(Parallel.Ring.capacity ring);
-        if not (Parallel.Ring.try_push ring batch) then begin
-          if Parallel.Pressure.drops_batches pressure then begin
-            Parallel.Pressure.note_dropped_batch pressure ~packets:fill;
-            dropped := !dropped + fill
-          end
-          else
-            while not (Parallel.Ring.try_push ring batch) do
-              Domain.cpu_relax ()
-            done
-        end
-      end
-    end
+  let pipeline =
+    Parallel.Dispatcher.start ~ring_capacity:tu.ring_capacity ~pressure
+      ~workers ~batch:tu.batch
+      ~hash:(fun op -> Parallel.Striped.hash_flow table op.flow)
+      ~consume ()
   in
-  let started = Obs.Clock.now_ns () in
-  let domains =
-    Array.init workers (fun w -> Domain.spawn (fun () -> worker w))
-  in
+  (* The producer loop, paced so the run spans the injector's
+     timescale. *)
   Array.iteri
     (fun i op ->
       if tu.burst > 0 && i > 0 && i mod tu.burst = 0 then
         busy_wait_ns tu.gap_ns;
       if tu.pace_every > 0 && i > 0 && i mod tu.pace_every = 0 then
         busy_wait_ns tu.pace_ns;
-      let w = Parallel.Striped.hash_flow table op.flow mod workers in
-      buffers.(w).(fills.(w)) <- op;
-      fills.(w) <- fills.(w) + 1;
-      if fills.(w) = tu.batch then flush w)
+      Parallel.Dispatcher.push pipeline op)
     script;
-  for w = 0 to workers - 1 do
-    flush w
-  done;
-  Array.iter Parallel.Ring.close rings;
-  Array.iter Domain.join domains;
-  let elapsed = float_of_int (Obs.Clock.now_ns () - started) /. 1e9 in
+  let run = Parallel.Dispatcher.finish pipeline in
+  let logs = Array.map (fun log -> Array.of_list (List.rev log)) logs in
   let contents =
     let acc = ref [] in
     Parallel.Striped.iter
@@ -303,14 +240,16 @@ let run ?(workers = 4) ?(ops = 60_000) ?(seed = 42) scenario =
   in
   { scenario; seed; workers; offered = ops;
     delivered = Array.fold_left (fun a log -> a + Array.length log) 0 logs;
-    dropped_ops = !dropped; rejected_ops = !rejected; logs; contents;
+    dropped_ops = run.Parallel.Dispatcher.tier_dropped_packets;
+    rejected_ops = run.Parallel.Dispatcher.rejected_packets; logs; contents;
     population = Parallel.Striped.length table;
     stats = Parallel.Striped.stats table;
     shed_flows = Parallel.Pressure.shed_flows pressure;
     pressure_dropped_ops = Parallel.Pressure.dropped_batch_packets pressure;
     pressure_rejected_ops = Parallel.Pressure.rejected_packets pressure;
     transitions = Parallel.Pressure.transitions pressure;
-    max_ring_depth = !max_depth; elapsed_seconds = elapsed }
+    max_ring_depth = run.Parallel.Dispatcher.max_ring_depth;
+    elapsed_seconds = run.Parallel.Dispatcher.elapsed_seconds }
 
 let pp_result ppf r =
   Format.fprintf ppf

@@ -1,11 +1,11 @@
 (** Pipeline-level chaos scenarios for the parallel demux path.
 
     Where {!Injector} perturbs {e bytes on the wire}, this module
-    perturbs the {e pipeline itself}: a real multi-domain run
-    (producer sharding ops by flow hash into bounded {!Parallel.Ring}s,
-    worker domains applying them to one shared {!Parallel.Striped}
-    table under a {!Parallel.Pressure} controller) with a seeded fault
-    staged on top.  The five scenarios are the failure modes the
+    perturbs the {e pipeline itself}: a real multi-domain
+    {!Parallel.Dispatcher} run (the producer sharding ops by flow hash
+    into bounded rings, worker domains applying them to one shared
+    {!Parallel.Striped} table under a {!Parallel.Pressure} controller)
+    with a seeded fault staged on top.  The five scenarios are the failure modes the
     degradation tiers exist for: a stalled consumer domain, a slow
     worker, a ring-full storm, bursty arrivals, and a flow population
     that forces incremental table resizes mid-run.
@@ -21,7 +21,7 @@
     [offered = applied + dropped + rejected]). *)
 
 type scenario =
-  | Stalled_consumer  (** Worker 0 sleeps ~3 ms before its first pop. *)
+  | Stalled_consumer  (** Worker 0 spins ~1 ms before its first pop. *)
   | Slow_worker       (** Worker 0 delays ~30 us on every batch. *)
   | Ring_full_storm   (** Two-slot rings; every worker drags a little. *)
   | Burst_arrival     (** 4096-op slams separated by 0.5 ms of quiet. *)

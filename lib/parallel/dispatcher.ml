@@ -4,7 +4,6 @@ type result = {
   packets : int;
   found : int;
   batches : int;
-  dropped_packets : int;
   tier_dropped_packets : int;
   rejected_packets : int;
   max_ring_depth : int;
@@ -13,15 +12,41 @@ type result = {
   per_worker_packets : int array;
 }
 
+type 'a t = {
+  workers : int;
+  batch : int;
+  hash : 'a -> int;
+  pressure : Pressure.t option;
+  tracer : Obs.Trace.t;
+  batch_histogram : Obs.Histogram.t option;
+  depth_histogram : Obs.Histogram.t option;
+  rings : ('a array * int array) Ring.t array;
+  domains : (int * int) Domain.t array;
+  (* Per-worker staging: sized on the worker's first item, since an
+     ['a array] cannot be allocated without an element. *)
+  buffers : 'a array array;
+  (* Each item's full hash, computed once at dispatch and shipped with
+     the batch so downstream stages (stripe grouping in
+     [Striped.lookup_batch_keyed]) never re-derive it. *)
+  hash_buffers : int array array;
+  fills : int array;
+  started : int;
+  mutable packets : int;
+  mutable batches : int;
+  mutable max_depth : int;
+  mutable tier_dropped : int;
+  mutable rejected : int;
+}
+
 (* One worker's drain loop: pop batches until the ring is closed AND
    empty.  A push can land between a failed pop and the close check,
    and close is published after the last push, so after observing
    [is_closed] one more drain pass sees everything. *)
-let worker_loop ring lookup_batch =
+let worker_loop ring consume =
   let found = ref 0 and packets = ref 0 in
   let consume (batch, hashes) =
     packets := !packets + Array.length batch;
-    found := !found + lookup_batch batch ~hashes
+    found := !found + consume batch ~hashes
   in
   let rec drain () =
     match Ring.try_pop ring with
@@ -41,160 +66,152 @@ let worker_loop ring lookup_batch =
   loop ();
   (!packets, !found)
 
-let run ?obs ?(tracer = Obs.Trace.disabled)
-    ?(hasher = Hashing.Hashers.multiplicative) ?(ring_capacity = 64)
-    ?(drop_on_full = false) ?pressure ~workers ~batch ~lookup_batch packets =
-  if workers <= 0 then invalid_arg "Dispatcher.run: workers <= 0";
-  if batch <= 0 then invalid_arg "Dispatcher.run: batch <= 0";
-  if ring_capacity <= 0 then invalid_arg "Dispatcher.run: ring_capacity <= 0";
-  let total = Array.length packets in
-  if total = 0 then invalid_arg "Dispatcher.run: empty packet stream";
-  let rings = Array.init workers (fun _ -> Ring.create ~capacity:ring_capacity) in
+let start ?obs ?(tracer = Obs.Trace.disabled) ?(ring_capacity = 64) ?pressure
+    ~workers ~batch ~hash ~consume () =
+  if workers <= 0 then invalid_arg "Dispatcher.start: workers <= 0";
+  if batch <= 0 then invalid_arg "Dispatcher.start: batch <= 0";
+  if ring_capacity <= 0 then
+    invalid_arg "Dispatcher.start: ring_capacity <= 0";
+  let rings =
+    Array.init workers (fun _ -> Ring.create ~capacity:ring_capacity)
+  in
   (* Observability, matching lib/obs conventions: a batch-size
-     histogram and a ring-depth histogram (sampled at each push), a
-     backpressure drop counter, and a max-depth gauge. *)
+     histogram and a ring-depth histogram (sampled at each push). *)
+  let histogram ~units ~help name =
+    Option.map (fun obs -> Obs.Registry.histogram obs ~units ~help name) obs
+  in
   let batch_histogram =
-    Option.map
-      (fun obs ->
-        Obs.Registry.histogram obs ~units:"packets"
-          ~help:"packets per batch pushed to a worker ring"
-          "pipeline.batch_size")
-      obs
+    histogram ~units:"packets"
+      ~help:"packets per batch pushed to a worker ring" "pipeline.batch_size"
   in
   let depth_histogram =
-    Option.map
-      (fun obs ->
-        Obs.Registry.histogram obs ~units:"batches"
-          ~help:"destination ring depth sampled at each push"
-          "pipeline.ring_depth")
-      obs
+    histogram ~units:"batches"
+      ~help:"destination ring depth sampled at each push"
+      "pipeline.ring_depth"
   in
-  let dropped = ref 0 and batches = ref 0 and max_depth = ref 0 in
-  let tier_dropped = ref 0 and rejected = ref 0 in
+  (* [consume w] is applied inside worker [w]'s domain, before its
+     first pop. *)
+  let domains =
+    Array.init workers (fun w ->
+        Domain.spawn (fun () -> worker_loop rings.(w) (consume w)))
+  in
+  let t =
+    { workers; batch; hash; pressure; tracer; batch_histogram;
+      depth_histogram; rings; domains; buffers = Array.make workers [||];
+      hash_buffers = Array.init workers (fun _ -> Array.make batch 0);
+      fills = Array.make workers 0; started = Obs.Clock.now_ns ();
+      packets = 0; batches = 0; max_depth = 0; tier_dropped = 0;
+      rejected = 0 }
+  in
   Option.iter
     (fun obs ->
       Obs.Registry.register_counter obs
         ~help:"packets dropped because the destination ring stayed full"
         ~name:"pipeline.backpressure_drops"
-        (fun () -> !dropped);
+        (fun () -> t.tier_dropped);
       Obs.Registry.register_gauge obs ~units:"batches"
         ~help:"deepest worker-ring occupancy observed by the dispatcher"
         ~name:"pipeline.ring_depth_max"
-        (fun () -> float_of_int !max_depth))
+        (fun () -> float_of_int t.max_depth))
     obs;
-  let counts = Array.make workers (0, 0) in
-  let domains =
-    Array.init workers (fun w ->
-        Domain.spawn (fun () -> counts.(w) <- worker_loop rings.(w) lookup_batch))
-  in
-  let buffers = Array.init workers (fun _ -> Array.make batch packets.(0)) in
-  (* Each packet's full flow hash, computed once at dispatch and
-     shipped with the batch so downstream stages (stripe grouping in
-     [Striped.lookup_batch_keyed]) never re-derive it. *)
-  let hash_buffers = Array.init workers (fun _ -> Array.make batch 0) in
-  let fills = Array.make workers 0 in
-  let started = Obs.Clock.now_ns () in
-  (* Ship worker [w]'s partial buffer as one immutable batch.  The
-     pressure tier gates the push: at [Reject] the batch is refused
-     before the ring is even tried; at [Drop_batches] a full ring drops
-     the batch instead of blocking (a tier-attributed drop, counted
-     separately from the explicit [drop_on_full] mode); below that the
-     original semantics apply. *)
-  let flush w =
-    let fill = fills.(w) in
-    if fill > 0 then begin
-      fills.(w) <- 0;
-      match pressure with
-      | Some p when Pressure.rejecting p ->
-        Pressure.note_rejected p ~packets:fill;
-        rejected := !rejected + fill;
-        (* Still sample the destination ring: the workers keep
-           draining while the producer sheds, and without a load
-           signal the controller would never observe the calm run it
-           needs to leave Reject. *)
-        let ring = rings.(w) in
-        Pressure.note_ring_depth p ~depth:(Ring.length ring)
-          ~capacity:(Ring.capacity ring)
-      | _ ->
-        let batch_array =
-          if fill = batch then
-            (Array.copy buffers.(w), Array.copy hash_buffers.(w))
-          else (Array.sub buffers.(w) 0 fill, Array.sub hash_buffers.(w) 0 fill)
-        in
-        let ring = rings.(w) in
-        let depth = Ring.length ring in
-        if depth > !max_depth then max_depth := depth;
-        Option.iter (fun h -> Obs.Histogram.record h depth) depth_histogram;
-        Option.iter
-          (fun p ->
-            Pressure.note_ring_depth p ~depth ~capacity:(Ring.capacity ring))
-          pressure;
-        let shipped fill w =
-          incr batches;
-          Option.iter (fun h -> Obs.Histogram.record h fill) batch_histogram;
-          Obs.Trace.record tracer Obs.Trace.Batch fill w
-        in
-        if Ring.try_push ring batch_array then shipped fill w
-        else begin
-          let tier_drop =
-            match pressure with
-            | Some p -> Pressure.drops_batches p
-            | None -> false
-          in
-          if tier_drop then begin
-            (match pressure with
-            | Some p -> Pressure.note_dropped_batch p ~packets:fill
-            | None -> ());
-            tier_dropped := !tier_dropped + fill
-          end
-          else if drop_on_full then dropped := !dropped + fill
-          else begin
-            (* Backpressure: the worker is behind; wait for space. *)
-            while not (Ring.try_push ring batch_array) do
-              Domain.cpu_relax ()
-            done;
-            shipped fill w
-          end
-        end
-    end
-  in
-  (* RSS: shard every packet by flow hash, so one connection's packets
-     always reach the same worker (per-stripe caches stay warm and no
-     two workers contend on one connection's stripe).  The hash is
-     computed exactly once per packet, here; the worker index is its
-     reduction mod workers (identical sharding to [bucket_flow]) and
-     the full value ships with the batch. *)
-  for i = 0 to total - 1 do
-    let flow = packets.(i) in
-    let h = Hashing.Hashers.hash_flow hasher flow in
-    let w = h mod workers in
-    buffers.(w).(fills.(w)) <- flow;
-    hash_buffers.(w).(fills.(w)) <- h;
-    fills.(w) <- fills.(w) + 1;
-    if fills.(w) = batch then flush w
+  t
+
+(* Ship worker [w]'s partial buffer as one immutable batch.  The
+   pressure tier gates the push: at [Reject] the batch is refused
+   before the ring is even tried; at [Drop_batches] a full ring drops
+   the batch instead of blocking; below that a full ring is
+   backpressure and the producer spins until the worker frees a
+   slot. *)
+let flush t w =
+  let fill = t.fills.(w) in
+  if fill > 0 then begin
+    t.fills.(w) <- 0;
+    let ring = t.rings.(w) in
+    match t.pressure with
+    | Some p when Pressure.rejecting p ->
+      Pressure.note_rejected p ~packets:fill;
+      t.rejected <- t.rejected + fill;
+      (* Still sample the destination ring: the workers keep draining
+         while the producer sheds, and without a load signal the
+         controller would never observe the calm run it needs to leave
+         Reject. *)
+      Pressure.note_ring_depth p ~depth:(Ring.length ring)
+        ~capacity:(Ring.capacity ring)
+    | _ ->
+      let shipment =
+        (Array.sub t.buffers.(w) 0 fill, Array.sub t.hash_buffers.(w) 0 fill)
+      in
+      let depth = Ring.length ring in
+      if depth > t.max_depth then t.max_depth <- depth;
+      Option.iter (fun h -> Obs.Histogram.record h depth) t.depth_histogram;
+      Option.iter
+        (fun p ->
+          Pressure.note_ring_depth p ~depth ~capacity:(Ring.capacity ring))
+        t.pressure;
+      let shipped () =
+        t.batches <- t.batches + 1;
+        Option.iter (fun h -> Obs.Histogram.record h fill) t.batch_histogram;
+        Obs.Trace.record t.tracer Obs.Trace.Batch fill w
+      in
+      if Ring.try_push ring shipment then shipped ()
+      else
+        match t.pressure with
+        | Some p when Pressure.drops_batches p ->
+          Pressure.note_dropped_batch p ~packets:fill;
+          t.tier_dropped <- t.tier_dropped + fill
+        | _ ->
+          while not (Ring.try_push ring shipment) do
+            Domain.cpu_relax ()
+          done;
+          shipped ()
+  end
+
+(* RSS: shard every item by its hash, so one connection's packets
+   always reach the same worker (per-stripe caches stay warm and no
+   two workers contend on one connection's stripe).  The hash is
+   computed exactly once per item, here; the worker index is its
+   reduction mod workers and the full value ships with the batch. *)
+let push t item =
+  let h = t.hash item in
+  let w = h mod t.workers in
+  if Array.length t.buffers.(w) = 0 then
+    t.buffers.(w) <- Array.make t.batch item;
+  let fill = t.fills.(w) in
+  t.buffers.(w).(fill) <- item;
+  t.hash_buffers.(w).(fill) <- h;
+  t.fills.(w) <- fill + 1;
+  t.packets <- t.packets + 1;
+  if fill + 1 = t.batch then flush t w
+
+let finish t : result =
+  for w = 0 to t.workers - 1 do
+    flush t w
   done;
-  for w = 0 to workers - 1 do
-    flush w
-  done;
-  Array.iter Ring.close rings;
-  Array.iter Domain.join domains;
-  let elapsed =
-    float_of_int (Obs.Clock.now_ns () - started) /. 1e9
-  in
+  Array.iter Ring.close t.rings;
+  let counts = Array.map Domain.join t.domains in
+  let elapsed = float_of_int (Obs.Clock.now_ns () - t.started) /. 1e9 in
   let delivered = Array.fold_left (fun a (p, _) -> a + p) 0 counts in
-  let found = Array.fold_left (fun a (_, f) -> a + f) 0 counts in
-  { workers; batch; packets = total; found; batches = !batches;
-    dropped_packets = !dropped; tier_dropped_packets = !tier_dropped;
-    rejected_packets = !rejected; max_ring_depth = !max_depth;
+  { workers = t.workers; batch = t.batch; packets = t.packets;
+    found = Array.fold_left (fun a (_, f) -> a + f) 0 counts;
+    batches = t.batches; tier_dropped_packets = t.tier_dropped;
+    rejected_packets = t.rejected; max_ring_depth = t.max_depth;
     elapsed_seconds = elapsed;
     packets_per_second =
       (if elapsed > 0.0 then float_of_int delivered /. elapsed else 0.0);
     per_worker_packets = Array.map fst counts }
 
-let lost_packets r =
-  r.dropped_packets + r.tier_dropped_packets + r.rejected_packets
+let run ?obs ?tracer ?ring_capacity ?pressure ~workers ~batch ~hash ~consume
+    items =
+  let t =
+    start ?obs ?tracer ?ring_capacity ?pressure ~workers ~batch ~hash ~consume
+      ()
+  in
+  Array.iter (push t) items;
+  finish t
 
-let pp ppf r =
+let lost_packets (r : result) = r.tier_dropped_packets + r.rejected_packets
+
+let pp ppf (r : result) =
   Format.fprintf ppf
     "@[<v>%d workers x batch %d: %d packets (%d found, %d dropped) in %.3f s \
      = %.0f pkts/s@,%d batches, max ring depth %d, per-worker %s@]"

@@ -1,85 +1,93 @@
-(** Batched, sharded demux pipeline: one dispatcher domain feeding N
-    worker domains through bounded SPSC rings.
+(** Batched, sharded pipeline: one producer feeding N worker domains
+    through bounded SPSC rings — the demux pipeline of
+    [tcpdemux parallel --pipeline] and the chaos harness
+    ([Fault.Chaos]) both run on it.
 
     This is the software shape of hardware RSS (receive-side scaling):
-    the dispatcher hashes each inbound packet's flow and sends it to
-    the worker that owns that hash shard, so all of a connection's
-    packets meet the same worker — per-chain caches stay warm and no
-    two workers ever contend on one connection.  Packets travel in
-    {e batches}: the dispatcher accumulates up to [batch] packets per
-    worker before pushing, and workers demultiplex each batch through
-    a [lookup_batch] closure ({!Striped.lookup_batch} /
-    {!Coarse.lookup_batch}), which takes each stripe mutex once per
-    batch rather than once per packet — batching is what amortises the
-    synchronisation and memory traffic that dominate per-packet lookup
-    cost.
+    the producer hashes each item and sends it to the worker that owns
+    that hash shard, so all of a connection's packets meet the same
+    worker — per-chain caches stay warm and no two workers ever contend
+    on one connection.  Items travel in {e batches} of up to [batch]
+    per worker, and each worker hands every batch to its [consume]
+    callback — for a lookup pipeline, a batched lookup such as
+    {!Striped.lookup_batch_keyed}, which takes each stripe mutex once
+    per batch rather than once per packet.
 
     The rings are bounded, so a slow worker surfaces as backpressure:
-    by default the dispatcher spins until space frees (lossless); with
-    [drop_on_full] it sheds the batch and counts the packets dropped,
-    the way a NIC rx queue overflows.  With a {!Pressure} controller
-    attached, degradation is tiered instead of binary: ring occupancy
-    feeds the controller, and at [Drop_batches] or worse a full ring
-    sheds the batch (attributed to the tier), while at [Reject] batches
-    are refused before the ring is tried at all. *)
+    the producer spins until space frees (lossless).  With a
+    {!Pressure} controller attached, degradation is tiered instead:
+    ring occupancy feeds the controller, and at [Drop_batches] or worse
+    a full ring sheds the batch (attributed to the tier), while at
+    [Reject] batches are refused before the ring is tried at all. *)
 
 type result = {
   workers : int;
   batch : int;
-  packets : int;              (** Packets offered to the dispatcher. *)
-  found : int;                (** Lookups that found their PCB. *)
+  packets : int;              (** Items offered to the producer. *)
+  found : int;                (** Sum of what [consume] returned. *)
   batches : int;              (** Batches actually pushed. *)
-  dropped_packets : int;      (** Shed on full rings ([drop_on_full]). *)
   tier_dropped_packets : int; (** Shed on full rings at [Drop_batches]. *)
   rejected_packets : int;     (** Refused outright at [Reject]. *)
   max_ring_depth : int;       (** Deepest ring occupancy observed. *)
-  elapsed_seconds : float;    (** Monotonic, dispatch start to last join. *)
+  elapsed_seconds : float;    (** Monotonic, {!start} to last join. *)
   packets_per_second : float;
   per_worker_packets : int array;  (** Delivered per shard — shows hash balance. *)
 }
 
 val lost_packets : result -> int
-(** [dropped_packets + tier_dropped_packets + rejected_packets]: every
-    offered packet is either delivered to a worker or counted here —
-    the conservation law the chaos harness audits. *)
+(** [tier_dropped_packets + rejected_packets]: every offered item is
+    either delivered to a worker or counted here — the conservation
+    law the chaos harness audits. *)
 
-val run :
-  ?obs:Obs.Registry.t -> ?tracer:Obs.Trace.t ->
-  ?hasher:Hashing.Hashers.t -> ?ring_capacity:int -> ?drop_on_full:bool ->
+type 'a t
+(** A running pipeline; the producer loop belongs to the caller. *)
+
+val start :
+  ?obs:Obs.Registry.t -> ?tracer:Obs.Trace.t -> ?ring_capacity:int ->
   ?pressure:Pressure.t ->
-  workers:int -> batch:int ->
-  lookup_batch:(Packet.Flow.t array -> hashes:int array -> int) ->
-  Packet.Flow.t array -> result
-(** [run ~workers ~batch ~lookup_batch packets] spawns [workers]
-    domains, shards [packets] across them in batches of [batch], joins
-    them all, and reports.  [lookup_batch] must be safe to call from
-    any domain (the parallel demultiplexers' batch APIs are).
+  workers:int -> batch:int -> hash:('a -> int) ->
+  consume:(int -> 'a array -> hashes:int array -> int) -> unit -> 'a t
+(** Spawn [workers] domains.  Worker [w] applies [consume w] once in
+    its own domain before its first pop (the place for per-worker
+    state or an injected start-up stall), then calls the result on
+    every batch it pops, with [hashes] holding each item's [hash],
+    computed {e once} by the producer — a keyed batch lookup reuses
+    them instead of re-deriving per-packet keys.  [consume] must be
+    safe to run in several domains at once.
 
-    Each batch arrives with [hashes], the flows' full hash values
-    under [hasher], computed {e once} per packet when the dispatcher
-    sharded it.  Pass them to {!Striped.lookup_batch_keyed} (created
-    with the same hasher) so the stripe-grouping stage does not
-    re-derive per-packet keys; callers that do not want them can
-    ignore the argument.
-
-    Defaults: multiplicative hash (allocation-free per packet),
-    [ring_capacity = 64] batches per worker (rounded up to a power of
-    two), blocking backpressure.
+    [hash] must be non-negative; an item goes to worker
+    [hash item mod workers].  [ring_capacity] (default 64 batches per
+    worker) is rounded up to a power of two.
 
     With [?obs], registers [pipeline.batch_size] and
-    [pipeline.ring_depth] histograms, the
-    [pipeline.backpressure_drops] counter and the
-    [pipeline.ring_depth_max] gauge.  With [?tracer], records one
-    [Batch] event per push ([a] = size, [b] = worker shard); the
-    tracer is touched only by the dispatching domain.
+    [pipeline.ring_depth] histograms, the [pipeline.backpressure_drops]
+    counter (tier drops) and the [pipeline.ring_depth_max] gauge.  With
+    [?tracer], records one [Batch] event per push ([a] = size, [b] =
+    worker shard); the tracer is touched only by the producer.
 
     With [?pressure], every push samples ring occupancy into the
-    controller ({!Pressure.note_ring_depth}) and the current tier
-    gates shipping as described above; tier-attributed losses are
-    counted both in the controller and in [tier_dropped_packets] /
+    controller ({!Pressure.note_ring_depth}) and the current tier gates
+    shipping as described above; tier-attributed losses are counted
+    both in the controller and in [tier_dropped_packets] /
     [rejected_packets].
 
     @raise Invalid_argument if [workers], [batch] or [ring_capacity]
-    is non-positive, or [packets] is empty. *)
+    is non-positive. *)
+
+val push : 'a t -> 'a -> unit
+(** Stage one item for its worker, shipping the worker's batch when it
+    fills.  Producer-side only: call from the domain that called
+    {!start}, never after {!finish}. *)
+
+val finish : 'a t -> result
+(** Ship every partial batch, close the rings, join the workers and
+    report. *)
+
+val run :
+  ?obs:Obs.Registry.t -> ?tracer:Obs.Trace.t -> ?ring_capacity:int ->
+  ?pressure:Pressure.t ->
+  workers:int -> batch:int -> hash:('a -> int) ->
+  consume:(int -> 'a array -> hashes:int array -> int) -> 'a array -> result
+(** {!start}, {!push} every item in order, {!finish}. *)
 
 val pp : Format.formatter -> result -> unit

@@ -23,7 +23,7 @@
     readers pin an epoch and probe an immutable published region,
     writers serialize on one mutex and retire replaced regions
     through a grace period.  Reach it from the same harnesses via
-    {!Throughput.Epoch_table} and the ["epoch-table"] check
+    {!Throughput.Epoch} and the ["epoch-table"] check
     subject. *)
 
 type 'a t

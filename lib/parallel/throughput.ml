@@ -1,18 +1,30 @@
-type target =
-  | Coarse_bsd
-  | Coarse_sequent of int
-  | Striped_sequent of int
-  | Epoch_table
-  | Offheap_epoch
-  | Cuckoo_table
+type target = Coarse of Demux.Registry.spec | Striped of int | Epoch
 
 let target_name = function
-  | Coarse_bsd -> "coarse:bsd"
-  | Coarse_sequent chains -> Printf.sprintf "coarse:sequent-%d" chains
-  | Striped_sequent chains -> Printf.sprintf "striped:sequent-%d" chains
-  | Epoch_table -> "epoch:table"
-  | Offheap_epoch -> "epoch:offheap"
-  | Cuckoo_table -> "cuckoo:table"
+  | Coarse spec -> "coarse:" ^ Demux.Registry.spec_name spec
+  | Striped chains -> Printf.sprintf "striped:sequent-%d" chains
+  | Epoch -> "epoch:table"
+
+let target_of_name name =
+  let invalid detail =
+    Error
+      (Printf.sprintf
+         "invalid target %S%s (valid: coarse:<algorithm>, \
+          striped:sequent[-H], epoch)"
+         name detail)
+  in
+  match String.split_on_char ':' name with
+  | [ "coarse"; spec ] -> (
+    match Demux.Registry.spec_of_string spec with
+    | Ok spec -> Ok (Coarse spec)
+    | Error message -> invalid (": " ^ message))
+  | [ "striped"; spec ] -> (
+    match Demux.Registry.spec_of_string spec with
+    | Ok (Demux.Registry.Sequent { chains; _ }) -> Ok (Striped chains)
+    | Ok _ -> invalid ""
+    | Error message -> invalid (": " ^ message))
+  | [ "epoch" ] | [ "epoch"; "table" ] -> Ok Epoch
+  | _ -> invalid ""
 
 type result = {
   target : string;
@@ -99,86 +111,73 @@ let drive_batched ?histogram ?(tracer = Obs.Trace.disabled) ~backwards
     else ignore (lookup_batch view)
   done
 
-(* Lookups go through [mem]: [find_flow] boxes an [int option] per
-   call, which E33's zero-allocation read-path gate would see. *)
-let epoch_target (module E : Epoch.Packed.S) flows =
-  let d = E.create () in
-  E.load d
-    (Array.mapi
-       (fun i flow ->
-         (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow, i))
-       flows);
-  ((fun flow ->
-     E.mem d ~w0:(Demux.Flow_key.w0_of_flow flow)
-       ~w1:(Demux.Flow_key.w1_of_flow flow)),
-   fun batch -> E.lookup_batch d batch)
+let flows connections =
+  Array.init connections (fun i ->
+      let addr =
+        Packet.Ipv4.addr_of_octets 10
+          ((i lsr 16) land 0xFF)
+          ((i lsr 8) land 0xFF)
+          (i land 0xFF)
+      in
+      Packet.Flow.v
+        ~local:(Packet.Flow.endpoint (Packet.Ipv4.addr_of_octets 192 168 1 1) 8888)
+        ~remote:(Packet.Flow.endpoint addr (1024 + (i * 7 mod 60000))))
+
+let hash = Hashing.Hashers.(hash_flow multiplicative)
+
+type table = {
+  lookup : Packet.Flow.t -> bool;
+  lookup_batch : Packet.Flow.t array -> int;
+  lookup_batch_keyed : Packet.Flow.t array -> hashes:int array -> int;
+  observe : Obs.Registry.t -> unit;
+}
+
+let table target flows =
+  match target with
+  | Coarse spec ->
+    let d = Coarse.create spec in
+    Array.iter (fun flow -> ignore (Coarse.insert d flow ())) flows;
+    { lookup = (fun flow -> Coarse.lookup d flow <> None);
+      lookup_batch = (fun batch -> Coarse.lookup_batch d batch);
+      lookup_batch_keyed = (fun batch ~hashes:_ -> Coarse.lookup_batch d batch);
+      observe = ignore }
+  | Striped chains ->
+    let d = Striped.create ~chains () in
+    Array.iter (fun flow -> ignore (Striped.insert d flow ())) flows;
+    { lookup = (fun flow -> Striped.lookup d flow <> None);
+      lookup_batch = (fun batch -> Striped.lookup_batch d batch);
+      lookup_batch_keyed =
+        (fun batch ~hashes -> Striped.lookup_batch_keyed d batch ~hashes);
+      observe = ignore }
+  | Epoch ->
+    let module E = Epoch.Packed.Heap in
+    let d = E.create () in
+    E.load d
+      (Array.mapi
+         (fun i flow ->
+           (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow, i))
+         flows);
+    (* Lookups go through [mem]: [find_flow] boxes an [int option] per
+       call, which E33's zero-allocation read-path gate would see. *)
+    { lookup =
+        (fun flow ->
+          E.mem d ~w0:(Demux.Flow_key.w0_of_flow flow)
+            ~w1:(Demux.Flow_key.w1_of_flow flow));
+      lookup_batch = (fun batch -> E.lookup_batch d batch);
+      lookup_batch_keyed =
+        (fun batch ~hashes -> E.lookup_batch_keyed d batch ~hashes);
+      observe = (fun obs -> E.register_obs ~prefix:"epoch.table" obs d) }
 
 let run ?obs ?trace_capacity ?(connections = 2000)
     ?(lookups_per_domain = 200_000) ?(seed = 42) ?(batch = 1) ~domains target
     =
   if domains <= 0 then invalid_arg "Throughput.run: domains <= 0";
   if batch <= 0 then invalid_arg "Throughput.run: batch <= 0";
-  let flows =
-    Array.init connections (fun i ->
-        let addr =
-          Packet.Ipv4.addr_of_octets 10
-            ((i lsr 16) land 0xFF)
-            ((i lsr 8) land 0xFF)
-            (i land 0xFF)
-        in
-        Packet.Flow.v
-          ~local:(Packet.Flow.endpoint (Packet.Ipv4.addr_of_octets 192 168 1 1) 8888)
-          ~remote:(Packet.Flow.endpoint addr (1024 + (i * 7 mod 60000))))
-  in
-  let lookup, lookup_batch =
-    match target with
-    | Coarse_bsd ->
-      let d = Coarse.create Demux.Registry.Bsd in
-      Array.iter (fun flow -> ignore (Coarse.insert d flow ())) flows;
-      ((fun flow -> Coarse.lookup d flow <> None),
-       fun batch -> Coarse.lookup_batch d batch)
-    | Coarse_sequent chains ->
-      let d =
-        Coarse.create
-          (Demux.Registry.Sequent
-             { chains; hasher = Hashing.Hashers.multiplicative })
-      in
-      Array.iter (fun flow -> ignore (Coarse.insert d flow ())) flows;
-      ((fun flow -> Coarse.lookup d flow <> None),
-       fun batch -> Coarse.lookup_batch d batch)
-    | Striped_sequent chains ->
-      let d = Striped.create ~chains () in
-      Array.iter (fun flow -> ignore (Striped.insert d flow ())) flows;
-      ((fun flow -> Striped.lookup d flow <> None),
-       fun batch -> Striped.lookup_batch d batch)
-    | Epoch_table -> epoch_target (module Epoch.Packed.Heap) flows
-    | Offheap_epoch -> epoch_target (module Epoch.Packed.Offheap) flows
-    | Cuckoo_table ->
-      (* The bucketized cuckoo table has no internal synchronisation,
-         but the measurement phase is strictly read-only over a table
-         populated before the domains spawn, so concurrent probes see
-         a frozen structure.  (The per-lookup probe accumulator each
-         reader races on is a plain immediate field — last writer
-         wins, nobody reads it here.) *)
-      let d = Demux.Cuckoo_table.Heap.create () in
-      Array.iteri
-        (fun i flow ->
-          Demux.Cuckoo_table.Heap.replace d
-            ~w0:(Demux.Flow_key.w0_of_flow flow)
-            ~w1:(Demux.Flow_key.w1_of_flow flow)
-            i)
-        flows;
-      let mem flow =
-        Demux.Cuckoo_table.Heap.mem d
-          ~w0:(Demux.Flow_key.w0_of_flow flow)
-          ~w1:(Demux.Flow_key.w1_of_flow flow)
-      in
-      ( mem,
-        fun batch ->
-          Array.fold_left
-            (fun hits flow -> if mem flow then hits + 1 else hits)
-            0 batch )
-  in
+  if connections <= 0 then invalid_arg "Throughput.run: connections <= 0";
+  if lookups_per_domain <= 0 then
+    invalid_arg "Throughput.run: lookups_per_domain <= 0";
+  let flows = flows connections in
+  let { lookup; lookup_batch; _ } = table target flows in
   (* One histogram per domain, merged after the join: recording stays
      allocation- and contention-free on the measurement path. *)
   let histograms =

@@ -8,11 +8,13 @@
     a single lock, adding processors adds nothing; with per-chain
     locks, throughput scales until chains collide — and even
     collision-free striping is {e not} the scaling ceiling, because
-    every lookup still pays one mutex acquisition.  The
-    {!Epoch_table} target measures the design past that wall:
-    [Epoch.Packed]'s lock-free read path (readers pin an epoch and
-    probe an immutable published region; bench E33 is the
-    striped-vs-epoch scaling table).
+    every lookup still pays one mutex acquisition.  The {!Epoch}
+    target measures the design past that wall: [Epoch.Packed]'s
+    lock-free read path (readers pin an epoch and probe an immutable
+    published region; bench E33 is the striped-vs-epoch scaling
+    table).  These three lock designs are the only targets; the
+    single-domain table comparisons (E34 storage, E35 cuckoo) measure
+    their tables directly.
 
     All timing — the run's elapsed window and the optional per-lookup
     latency — uses the monotonic nanosecond clock ({!Obs.Clock.now_ns}),
@@ -21,28 +23,54 @@
     would be clamped to zero and counted ([clock_went_backwards]). *)
 
 type target =
-  | Coarse_bsd
-  | Coarse_sequent of int
-  | Striped_sequent of int
-  | Epoch_table
-      (** {!Epoch.Packed.Heap} — lock-free lookups over an immutable
+  | Coarse of Demux.Registry.spec
+      (** {!Coarse}: any registry algorithm behind one global lock.
+          Named ["coarse:<algorithm>"], e.g. ["coarse:bsd"],
+          ["coarse:sequent-19"]. *)
+  | Striped of int
+      (** {!Striped}: Sequent hashing with one lock per chain, over
+          this many chains.  Named ["striped:sequent-<H>"]. *)
+  | Epoch
+      (** {!Epoch.Packed.Heap}: lock-free lookups over an immutable
           published region, epoch-based reclamation.  Named
-          ["epoch:table"].  Timing uses the same monotonic clock and
-          the same clamp-and-count ([clock_went_backwards]) discipline
-          as every other target. *)
-  | Offheap_epoch
-      (** {!Epoch.Packed.Offheap} — the same lock-free protocol with
-          the published region held in Bigarray (off-heap) storage,
-          values the flow's load index.  Named ["epoch:offheap"]. *)
-  | Cuckoo_table
-      (** {!Demux.Cuckoo_table.Heap} — bucketized cuckoo hashing with
-          per-bucket tag vectors and negative-lookup filters,
-          populated before the domains spawn and probed read-only, so
-          the unsynchronised structure is frozen for the whole
-          measurement window.  Worst-case lookup is two buckets plus
-          the stash regardless of load.  Named ["cuckoo:table"]. *)
+          ["epoch:table"]. *)
 
 val target_name : target -> string
+
+val target_of_name : string -> (target, string) result
+(** Inverse of {!target_name}.  The algorithm after ["coarse:"] is
+    parsed by {!Demux.Registry.spec_of_string}; ["striped:sequent"]
+    means 19 chains and ["epoch"] is accepted for ["epoch:table"].
+    The error message lists the valid forms. *)
+
+val flows : int -> Packet.Flow.t array
+(** The synthetic flow population every target is loaded with: [n]
+    clients, each with its own remote address and port, talking to one
+    server endpoint. *)
+
+val hash : Packet.Flow.t -> int
+(** [Hashing.Hashers.(hash_flow multiplicative)]: the shard hash whose
+    values every table's [lookup_batch_keyed] accepts as [~hashes]
+    (pass it to {!Dispatcher.start}). *)
+
+(** A target's table, loaded with a flow population.  Every operation
+    is safe to call from any domain. *)
+type table = {
+  lookup : Packet.Flow.t -> bool;
+  lookup_batch : Packet.Flow.t array -> int;
+      (** Hits in the batch, under one lock acquisition per stripe
+          (one epoch pin for {!Epoch}). *)
+  lookup_batch_keyed : Packet.Flow.t array -> hashes:int array -> int;
+      (** {!lookup_batch} with each flow's {!hash} supplied, as the
+          {!Dispatcher} ships it. *)
+  observe : Obs.Registry.t -> unit;
+      (** Register the table's own metrics: [epoch.table.*] for
+          {!Epoch}, nothing for the locked targets. *)
+}
+
+val table : target -> Packet.Flow.t array -> table
+(** A fresh table of the target's kind holding [flows]; with {!Epoch},
+    flow [i] is bound to [i]. *)
 
 type result = {
   target : string;
@@ -88,7 +116,8 @@ val run :
     ["parallel.clock_went_backwards"] counter.  Timing costs two clock
     reads per lookup (per batch when batched), so throughput numbers
     with [?obs] are not comparable to numbers without.
-    @raise Invalid_argument if [domains <= 0] or [batch <= 0]. *)
+    @raise Invalid_argument if [domains], [batch], [connections] or
+    [lookups_per_domain] is non-positive. *)
 
 val scaling_table :
   ?obs:Obs.Registry.t -> ?trace_capacity:int -> ?connections:int ->

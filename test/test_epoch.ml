@@ -3,7 +3,10 @@
    zero-mutex guarantees), and a 4-domain reader/writer stress across
    mid-run growth — the concurrent half of what Epoch_audit checks
    deterministically in lib/check.  The table under test is
-   Epoch.Packed.Heap; test_offheap.ml covers the Offheap instance. *)
+   Epoch.Packed.Heap, except that the stress and pipeline tests also
+   run over Epoch.Packed.Offheap, so a writer frees retired Bigarray
+   regions while readers are pinned; test_offheap.ml covers the rest
+   of the Offheap instance. *)
 
 let flow i = Sim.Topology.flow_of_client i
 
@@ -299,7 +302,7 @@ let test_warm_read_phase_takes_no_mutex () =
 (* ------------------------------------------------------------------ *)
 (* 4-domain reader/writer stress across mid-run growth                 *)
 
-let test_four_domain_stress_mid_run_growth () =
+let test_four_domain_stress_mid_run_growth (module E : Epoch.Packed.S) () =
   (* The concurrent half of the grace-period story, shaped like
      [Fault.Chaos.Mid_run_growth]: an insert-heavy script over a large
      distinct-flow population drives the table across every growth
@@ -381,11 +384,10 @@ let test_four_domain_stress_mid_run_growth () =
 (* ------------------------------------------------------------------ *)
 (* Dispatcher over the epoch table                                     *)
 
-let test_dispatcher_over_epoch_table () =
+let test_dispatcher_over_epoch_table (module E : Epoch.Packed.S) () =
   (* The pipeline integration: shard-time hashes feed
-     [lookup_batch_keyed] directly (the dispatcher's default hasher is
-     the table's default hash), and the lossless run conserves every
-     packet. *)
+     [lookup_batch_keyed] directly ([Throughput.hash] is the table's
+     default hash), and the lossless run conserves every packet. *)
   let population = Array.init 200 flow in
   let t = E.create () in
   E.load t
@@ -405,8 +407,8 @@ let test_dispatcher_over_epoch_table () =
   in
   let result =
     Parallel.Dispatcher.run ~workers:3 ~batch:16
-      ~lookup_batch:(fun batch ~hashes ->
-        E.lookup_batch_keyed t batch ~hashes)
+      ~hash:Parallel.Throughput.hash
+      ~consume:(fun _ batch ~hashes -> E.lookup_batch_keyed t batch ~hashes)
       stream
   in
   Alcotest.(check int) "all packets offered" 5_000
@@ -415,7 +417,7 @@ let test_dispatcher_over_epoch_table () =
     (Array.fold_left ( + ) 0 result.Parallel.Dispatcher.per_worker_packets);
   Alcotest.(check int) "found matches sequential" expected_found
     result.Parallel.Dispatcher.found;
-  Alcotest.(check int) "lossless" 0 result.Parallel.Dispatcher.dropped_packets;
+  Alcotest.(check int) "lossless" 0 (Parallel.Dispatcher.lost_packets result);
   E.quiesce t;
   Alcotest.(check int) "drained after the run" 0 (E.pending t)
 
@@ -478,9 +480,15 @@ let () =
             test_warm_read_phase_takes_no_mutex ] );
       ( "stress",
         [ quick "4-domain readers across mid-run growth"
-            test_four_domain_stress_mid_run_growth ] );
+            (test_four_domain_stress_mid_run_growth (module Epoch.Packed.Heap));
+          quick "4-domain readers across mid-run growth (offheap)"
+            (test_four_domain_stress_mid_run_growth
+               (module Epoch.Packed.Offheap)) ] );
       ( "pipeline",
         [ quick "dispatcher over the epoch table"
-            test_dispatcher_over_epoch_table ] );
+            (test_dispatcher_over_epoch_table (module Epoch.Packed.Heap));
+          quick "dispatcher over the epoch table (offheap)"
+            (test_dispatcher_over_epoch_table
+               (module Epoch.Packed.Offheap)) ] );
       ( "obs",
         [ quick "registered metrics" test_register_obs ] ) ]

@@ -505,7 +505,8 @@ let test_dispatcher_under_pressure () =
   Parallel.Pressure.force p Parallel.Pressure.Reject;
   let result =
     Parallel.Dispatcher.run ~pressure:p ~workers:3 ~batch:8
-      ~lookup_batch:(fun batch ~hashes:_ -> Array.length batch)
+      ~hash:Parallel.Throughput.hash
+      ~consume:(fun _ batch ~hashes:_ -> Array.length batch)
       stream
   in
   Alcotest.(check int) "all packets offered" total
@@ -522,7 +523,8 @@ let test_dispatcher_under_pressure () =
   Parallel.Pressure.force p Parallel.Pressure.Drop_batches;
   let result =
     Parallel.Dispatcher.run ~pressure:p ~workers:2 ~batch:4 ~ring_capacity:1
-      ~lookup_batch:(fun batch ~hashes:_ -> Array.length batch)
+      ~hash:Parallel.Throughput.hash
+      ~consume:(fun _ batch ~hashes:_ -> Array.length batch)
       stream
   in
   let delivered =
@@ -552,7 +554,8 @@ let test_dispatcher_pipeline () =
   let obs = Obs.Registry.create () in
   let result =
     Parallel.Dispatcher.run ~obs ~workers:3 ~batch:16
-      ~lookup_batch:(fun batch ~hashes ->
+      ~hash:(Parallel.Striped.hash_flow d)
+      ~consume:(fun _ batch ~hashes ->
         Parallel.Striped.lookup_batch_keyed d batch ~hashes)
       stream
   in
@@ -563,7 +566,7 @@ let test_dispatcher_pipeline () =
   Alcotest.(check int) "found matches sequential" expected_found
     result.Parallel.Dispatcher.found;
   Alcotest.(check int) "lossless by default" 0
-    result.Parallel.Dispatcher.dropped_packets;
+    (Parallel.Dispatcher.lost_packets result);
   Alcotest.(check bool) "batches sized" true
     (result.Parallel.Dispatcher.batches
      >= 5_000 / 16 (* at least ceil per worker *));
@@ -578,10 +581,12 @@ let test_dispatcher_pipeline () =
   | Some { Obs.Registry.data = Obs.Registry.Counter 0; _ } -> ()
   | _ -> Alcotest.fail "pipeline.backpressure_drops missing or nonzero");
   Alcotest.check_raises "workers 0"
-    (Invalid_argument "Dispatcher.run: workers <= 0") (fun () ->
+    (Invalid_argument "Dispatcher.start: workers <= 0") (fun () ->
       ignore
         (Parallel.Dispatcher.run ~workers:0 ~batch:1
-           ~lookup_batch:(fun _ ~hashes:_ -> 0) stream))
+           ~hash:Parallel.Throughput.hash
+           ~consume:(fun _ _ ~hashes:_ -> 0)
+           stream))
 
 let test_dispatcher_sharding_is_by_flow () =
   (* Every packet of one flow must land on the same worker: feed a
@@ -599,8 +604,10 @@ let test_dispatcher_sharding_is_by_flow () =
       expected.(w) <- expected.(w) + repeats)
     population;
   let result =
-    Parallel.Dispatcher.run ~hasher ~workers ~batch:8
-      ~lookup_batch:(fun batch ~hashes:_ -> Array.length batch) stream
+    Parallel.Dispatcher.run ~workers ~batch:8
+      ~hash:(Hashing.Hashers.hash_flow hasher)
+      ~consume:(fun _ batch ~hashes:_ -> Array.length batch)
+      stream
   in
   Alcotest.(check (array int)) "per-worker counts follow the flow hash"
     expected result.Parallel.Dispatcher.per_worker_packets
@@ -611,7 +618,7 @@ let test_dispatcher_sharding_is_by_flow () =
 let test_throughput_smoke () =
   let result =
     Parallel.Throughput.run ~connections:200 ~lookups_per_domain:20_000
-      ~domains:2 (Parallel.Throughput.Striped_sequent 19)
+      ~domains:2 (Parallel.Throughput.Striped 19)
   in
   Alcotest.(check string) "target" "striped:sequent-19" result.Parallel.Throughput.target;
   Alcotest.(check int) "total" 40_000 result.Parallel.Throughput.total_lookups;
@@ -620,15 +627,60 @@ let test_throughput_smoke () =
     (result.Parallel.Throughput.lookups_per_second > 0.0);
   Alcotest.(check bool) "elapsed is positive" true
     (result.Parallel.Throughput.elapsed_seconds > 0.0);
-  Alcotest.check_raises "domains 0"
-    (Invalid_argument "Throughput.run: domains <= 0") (fun () ->
-      ignore
-        (Parallel.Throughput.run ~domains:0 Parallel.Throughput.Coarse_bsd));
-  Alcotest.check_raises "batch 0"
-    (Invalid_argument "Throughput.run: batch <= 0") (fun () ->
-      ignore
-        (Parallel.Throughput.run ~domains:1 ~batch:0
-           Parallel.Throughput.Coarse_bsd))
+  let bsd = Parallel.Throughput.Coarse Demux.Registry.Bsd in
+  List.iter
+    (fun (label, message, run) ->
+      Alcotest.check_raises label (Invalid_argument message) (fun () ->
+          ignore (run ())))
+    [ ("domains 0", "Throughput.run: domains <= 0",
+       fun () -> Parallel.Throughput.run ~domains:0 bsd);
+      ("batch 0", "Throughput.run: batch <= 0",
+       fun () -> Parallel.Throughput.run ~domains:1 ~batch:0 bsd);
+      ("connections 0", "Throughput.run: connections <= 0",
+       fun () -> Parallel.Throughput.run ~domains:1 ~connections:0 bsd);
+      ("connections -5", "Throughput.run: connections <= 0",
+       fun () -> Parallel.Throughput.run ~domains:1 ~connections:(-5) bsd);
+      ("lookups 0", "Throughput.run: lookups_per_domain <= 0",
+       fun () -> Parallel.Throughput.run ~domains:1 ~lookups_per_domain:0 bsd);
+      ("lookups -3", "Throughput.run: lookups_per_domain <= 0",
+       fun () ->
+         Parallel.Throughput.run ~domains:1 ~lookups_per_domain:(-3) bsd) ]
+
+(* Names round-trip for every target, including a coarse wrapper
+   around each of the paper's algorithms; removed or malformed names
+   are refused with the list of valid forms. *)
+let test_target_names () =
+  let targets =
+    List.map (fun spec -> Parallel.Throughput.Coarse spec)
+      Demux.Registry.default_specs
+    @ Parallel.Throughput.[ Striped 19; Striped 100; Epoch ]
+  in
+  List.iter
+    (fun target ->
+      let name = Parallel.Throughput.target_name target in
+      match Parallel.Throughput.target_of_name name with
+      | Ok parsed ->
+        (* [compare], not [=]: Sequent specs carry a hasher closure,
+           physically shared, which [compare] skips and [=] rejects. *)
+        Alcotest.(check bool) (name ^ " round-trips") true
+          (compare parsed target = 0)
+      | Error message -> Alcotest.fail (name ^ ": " ^ message))
+    targets;
+  Alcotest.(check (list string)) "kept names"
+    [ "coarse:bsd"; "coarse:mtf"; "coarse:sr-cache"; "coarse:sequent-19";
+      "striped:sequent-19"; "striped:sequent-100"; "epoch:table" ]
+    (List.map Parallel.Throughput.target_name targets);
+  List.iter
+    (fun name ->
+      match Parallel.Throughput.target_of_name name with
+      | Ok _ -> Alcotest.fail (name ^ " accepted")
+      | Error message ->
+        let forms = "(valid: coarse:<algorithm>, striped:sequent[-H], epoch)" in
+        let tail = String.length forms in
+        Alcotest.(check string) (name ^ " error lists the valid forms") forms
+          (String.sub message (String.length message - tail) tail))
+    [ "epoch:offheap"; "cuckoo"; "cuckoo:table"; "coarse:sequent-0";
+      "striped:bsd" ]
 
 let test_throughput_batched () =
   (* Batched mode with the monotonic clock: every lookup accounted,
@@ -636,7 +688,7 @@ let test_throughput_batched () =
   let obs = Obs.Registry.create () in
   let result =
     Parallel.Throughput.run ~obs ~connections:200 ~lookups_per_domain:10_000
-      ~batch:8 ~domains:2 (Parallel.Throughput.Striped_sequent 19)
+      ~batch:8 ~domains:2 (Parallel.Throughput.Striped 19)
   in
   Alcotest.(check int) "total" 20_000 result.Parallel.Throughput.total_lookups;
   Alcotest.(check int) "batch recorded" 8 result.Parallel.Throughput.batch;
@@ -663,7 +715,7 @@ let test_throughput_epoch_table () =
      samples) as the striped targets. *)
   let result =
     Parallel.Throughput.run ~connections:200 ~lookups_per_domain:20_000
-      ~domains:2 Parallel.Throughput.Epoch_table
+      ~domains:2 Parallel.Throughput.Epoch
   in
   Alcotest.(check string) "target" "epoch:table"
     result.Parallel.Throughput.target;
@@ -675,7 +727,7 @@ let test_throughput_epoch_table () =
   (* Batched mode drives lookup_batch under one pin per batch. *)
   let batched =
     Parallel.Throughput.run ~connections:200 ~lookups_per_domain:10_000
-      ~batch:8 ~domains:2 Parallel.Throughput.Epoch_table
+      ~batch:8 ~domains:2 Parallel.Throughput.Epoch
   in
   Alcotest.(check int) "batched total" 20_000
     batched.Parallel.Throughput.total_lookups;
@@ -832,6 +884,8 @@ let () =
           Alcotest.test_case "batched mode" `Quick test_throughput_batched;
           Alcotest.test_case "epoch table target" `Quick
             test_throughput_epoch_table;
+          Alcotest.test_case "target names round-trip" `Quick
+            test_target_names;
           Alcotest.test_case "worker rng" `Quick test_worker_rng;
           QCheck_alcotest.to_alcotest worker_rng_in_bounds;
           Alcotest.test_case "rng uniformity" `Quick test_worker_rng_uniform ] );
