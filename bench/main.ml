@@ -464,12 +464,15 @@ let print_e29 rows =
     rows;
   assert_e29 rows;
   row
-    "Same multiplicative hash, same packed 96-bit key; the chained\n\
-     walk pointer-chases boxed list nodes while the flat table probes\n\
-     tag-filtered inline words.  Both paths allocate nothing per\n\
-     lookup (the words columns are measurement-harness noise), so the\n\
-     gap is pure memory locality — and it widens with N, which is the\n\
-     Cuckoo++/DPDK argument for flat connection tracking.\n"
+    "Same multiplicative hash, same packed 96-bit key, compared as two\n\
+     ints on both sides: each chain node holds its flow's packed words,\n\
+     so a chained examination no longer dereferences a boxed flow.  The\n\
+     gap is list hops against one inline probe: the chained walk makes\n\
+     about N/38 dependent node loads per lookup, the flat table touches\n\
+     a tag byte and, almost always, one key-word pair.  Both allocate\n\
+     nothing per lookup (the words columns are measurement-harness\n\
+     noise).  Nearly even at N = 100, the gap widens with N, which is\n\
+     the Cuckoo++/DPDK argument for flat connection tracking.\n"
 
 (* E31: per-insert latency tail across a churn ramp, incremental vs
    doubling resize (DESIGN.md section 12).  Keys are synthesized

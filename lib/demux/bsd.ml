@@ -33,25 +33,28 @@ let remove t flow =
     Lookup_stats.note_remove t.stats;
     Some (Chain.pcb node)
 
-let cache_probe t flow =
+(* A hit returns the cache's own option cell. *)
+let cache_probe t ~w0 ~w1 =
   match t.cache with
   | None -> None
-  | Some node ->
+  | Some node as cached ->
     Lookup_stats.examine t.stats ();
-    if Pcb.matches (Chain.pcb node) flow then Some node else None
+    if Chain.matches node ~w0 ~w1 then cached else None
 
 let lookup t ?kind:_ flow =
   Lookup_stats.begin_lookup t.stats;
-  match cache_probe t flow with
+  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  match cache_probe t ~w0 ~w1 with
   | Some node ->
     let pcb = Chain.pcb node in
     Pcb.note_rx pcb;
     Lookup_stats.end_lookup t.stats ~hit_cache:true ~found:true;
     Some pcb
   | None -> (
-    match Chain.scan t.chain ~stats:t.stats flow with
-    | Some node ->
-      t.cache <- Some node;
+    match Chain.scan t.chain ~stats:t.stats ~w0 ~w1 with
+    | Some node as found ->
+      (* Store the scan's own option cell rather than a fresh [Some]. *)
+      t.cache <- found;
       let pcb = Chain.pcb node in
       Pcb.note_rx pcb;
       Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;

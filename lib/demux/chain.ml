@@ -1,5 +1,11 @@
+(* Each node carries its flow as the two packed words of {!Flow_key},
+   computed once at insertion, so a scan step compares two immediates
+   held in the node and never loads the PCB, its flow or the boxed
+   addresses behind it. *)
 type 'a node = {
   pcb : 'a Pcb.t;
+  w0 : int;
+  w1 : int;
   mutable prev : 'a node option;
   mutable next : 'a node option;
   mutable linked : bool;
@@ -15,13 +21,22 @@ let create () = { head = None; tail = None; length = 0 }
 let length t = t.length
 let is_empty t = t.length = 0
 let pcb node = node.pcb
+let matches node ~w0 ~w1 = node.w0 = w0 && node.w1 = w1
 
+(* One [Some node] cell, shared by [t.head] and the old head's [prev]
+   (or [t.tail]): option cells are immutable, so sharing is safe, and
+   it pays for the node's two key words. *)
 let push_front t pcb =
-  let node = { pcb; prev = None; next = t.head; linked = true } in
+  let flow = pcb.Pcb.flow in
+  let node =
+    { pcb; w0 = Flow_key.w0_of_flow flow; w1 = Flow_key.w1_of_flow flow;
+      prev = None; next = t.head; linked = true }
+  in
+  let cell = Some node in
   (match t.head with
-  | Some old_head -> old_head.prev <- Some node
-  | None -> t.tail <- Some node);
-  t.head <- Some node;
+  | Some old_head -> old_head.prev <- cell
+  | None -> t.tail <- cell);
+  t.head <- cell;
   t.length <- t.length + 1;
   node
 
@@ -46,23 +61,27 @@ let move_to_front t node =
     node.linked <- true;
     node.next <- t.head;
     node.prev <- None;
+    let cell = Some node in
     (match t.head with
-    | Some old_head -> old_head.prev <- Some node
-    | None -> t.tail <- Some node);
-    t.head <- Some node;
+    | Some old_head -> old_head.prev <- cell
+    | None -> t.tail <- cell);
+    t.head <- cell;
     t.length <- t.length + 1
   end
 
 (* Top-level recursion with explicit arguments (not a closure over
-   [stats]/[flow]) and reuse of the chain's own option cells, so a
-   scan allocates nothing. *)
-let rec scan_nodes stats flow = function
+   [stats]/[w0]/[w1]) and reuse of the chain's own option cells, so a
+   scan allocates nothing.  One examination per step, charged as it
+   happens: totalling them into one [~count] at the end would box the
+   optional argument. *)
+let rec scan_nodes stats w0 w1 = function
   | None -> None
   | Some node as found ->
     Lookup_stats.examine stats ();
-    if Pcb.matches node.pcb flow then found else scan_nodes stats flow node.next
+    if node.w0 = w0 && node.w1 = w1 then found
+    else scan_nodes stats w0 w1 node.next
 
-let scan t ~stats flow = scan_nodes stats flow t.head
+let scan t ~stats ~w0 ~w1 = scan_nodes stats w0 w1 t.head
 
 let iter f t =
   let rec walk = function
@@ -81,9 +100,10 @@ let to_list t =
 let tail_pcb t =
   match t.tail with Some node -> Some node.pcb | None -> None
 
-let find_exact t flow =
+let find_exact t ~w0 ~w1 =
   let rec walk = function
     | None -> None
-    | Some node -> if Pcb.matches node.pcb flow then Some node else walk node.next
+    | Some node as found ->
+      if node.w0 = w0 && node.w1 = w1 then found else walk node.next
   in
   walk t.head

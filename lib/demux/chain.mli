@@ -1,11 +1,17 @@
-(** Intrusive doubly linked PCB chain.
+(** Intrusive doubly linked PCB chain, keyed by packed flow words.
 
     The common substrate of every list-based algorithm in the paper:
     BSD's single list, Crowcroft's move-to-front list, Partridge and
     Pink's cached list, and each of the Sequent algorithm's hash
-    chains.  Nodes support O(1) unlink and move-to-front, and the scan
-    primitive charges one examination per PCB compared via the
-    caller's {!Lookup_stats.t}. *)
+    chains.  Nodes support O(1) unlink and move-to-front.
+
+    Each node holds its PCB's flow as the two {!Flow_key} words,
+    computed once by {!push_front}.  Queries arrive as the same two
+    words ([~w0 ~w1], from {!Flow_key.w0_of_flow}/{!Flow_key.w1_of_flow},
+    computed once per lookup), so comparing a PCB is two int compares
+    on the node itself: the scan never dereferences the PCB.  The scan
+    charges one examination per PCB compared via the caller's
+    {!Lookup_stats.t}. *)
 
 type 'a node
 type 'a t
@@ -16,8 +22,13 @@ val is_empty : 'a t -> bool
 
 val pcb : 'a node -> 'a Pcb.t
 
+val matches : 'a node -> w0:int -> w1:int -> bool
+(** Whether the node's flow packs to [w0]/[w1]: the one-entry-cache
+    probe.  Uncharged; the caller charges the examination. *)
+
 val push_front : 'a t -> 'a Pcb.t -> 'a node
-(** New PCBs go to the head, matching BSD's insertion discipline. *)
+(** New PCBs go to the head, matching BSD's insertion discipline.
+    Allocates the node and one option cell, nothing else. *)
 
 val remove : 'a t -> 'a node -> unit
 (** Unlink a node.
@@ -27,10 +38,11 @@ val remove : 'a t -> 'a node -> unit
 val move_to_front : 'a t -> 'a node -> unit
 (** Crowcroft's heuristic; no-op when already at the head. *)
 
-val scan : 'a t -> stats:Lookup_stats.t -> Packet.Flow.t -> 'a node option
-(** Walk from the head comparing flows, charging one examination per
-    PCB compared (including the match itself, per the paper's
-    accounting). *)
+val scan : 'a t -> stats:Lookup_stats.t -> w0:int -> w1:int -> 'a node option
+(** Walk from the head comparing the packed words held in each node,
+    charging one examination per PCB compared (including the match
+    itself, per the paper's accounting).  A hit returns the chain's
+    own option cell, so callers may store it without allocating. *)
 
 val iter : ('a Pcb.t -> unit) -> 'a t -> unit
 (** Head-to-tail iteration (no charge). *)
@@ -41,6 +53,6 @@ val to_list : 'a t -> 'a Pcb.t list
 val tail_pcb : 'a t -> 'a Pcb.t option
 (** The PCB at the tail (least recently pushed/moved), O(1). *)
 
-val find_exact : 'a t -> Packet.Flow.t -> 'a node option
+val find_exact : 'a t -> w0:int -> w1:int -> 'a node option
 (** Uncharged exact search, for maintenance paths (removal, transmit
     bookkeeping) that the paper does not meter. *)

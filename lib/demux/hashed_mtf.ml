@@ -50,7 +50,10 @@ let remove t flow =
 let lookup t ?kind:_ flow =
   Lookup_stats.begin_lookup t.stats;
   let chain = t.buckets.(bucket_index t flow) in
-  match Chain.scan chain ~stats:t.stats flow with
+  match
+    Chain.scan chain ~stats:t.stats ~w0:(Flow_key.w0_of_flow flow)
+      ~w1:(Flow_key.w1_of_flow flow)
+  with
   | Some node ->
     Chain.move_to_front chain node;
     let pcb = Chain.pcb node in

@@ -32,7 +32,10 @@ let remove t flow =
 
 let lookup t ?kind:_ flow =
   Lookup_stats.begin_lookup t.stats;
-  match Chain.scan t.chain ~stats:t.stats flow with
+  match
+    Chain.scan t.chain ~stats:t.stats ~w0:(Flow_key.w0_of_flow flow)
+      ~w1:(Flow_key.w1_of_flow flow)
+  with
   | Some node ->
     let pcb = Chain.pcb node in
     Pcb.note_rx pcb;

@@ -62,7 +62,8 @@ let remove t flow =
 
 let lookup t ?kind:_ flow =
   Lookup_stats.begin_lookup t.stats;
-  match Chain.scan t.cache ~stats:t.stats flow with
+  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  match Chain.scan t.cache ~stats:t.stats ~w0 ~w1 with
   | Some cache_node ->
     Chain.move_to_front t.cache cache_node;
     let pcb = Chain.pcb cache_node in
@@ -70,7 +71,7 @@ let lookup t ?kind:_ flow =
     Lookup_stats.end_lookup t.stats ~hit_cache:true ~found:true;
     Some pcb
   | None -> (
-    match Chain.scan t.list ~stats:t.stats flow with
+    match Chain.scan t.list ~stats:t.stats ~w0 ~w1 with
     | Some node ->
       let pcb = Chain.pcb node in
       cache_admit t pcb;

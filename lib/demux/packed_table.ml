@@ -41,7 +41,10 @@
 
    This build has no flambda, so every [St.*] call in the functor body
    is an indirect call: the slot loops read [St.mask] once per call and
-   carry it as an argument instead of re-reading it on every step. *)
+   carry it as an argument instead of re-reading it on every step, and
+   the lookup probe, the loop every find runs, is [St.find_slot]: each
+   backend writes it over its own accessors, so a lookup pays one
+   indirect call rather than three or more per slot visited. *)
 
 type resize = Doubling | Incremental
 
@@ -147,26 +150,10 @@ module Make (F : FAULT) (St : Storage.S) = struct
        away (subtraction modulo a power of two). *)
     let[@inline] distance s mask slot = (slot - St.hash s slot) land mask
 
-    (* The probe: the slot holding the key, or [lnot dist] (negative)
-       for a miss that stopped [dist] slots past home.  A top-level
-       [rec] with explicit arguments (no closure, no [ref] cells) so
-       the hit path allocates nothing.  A dead slot never matches —
-       [tag_of_hash] avoids 255 — but its retained hash keeps the
-       distance comparison meaningful on a frozen old region. *)
-    let rec probe s mask tag w0 w1 slot dist =
-      let resident = St.tag s slot in
-      if resident = 0 then lnot dist
-      else if resident = tag && St.w0 s slot = w0 && St.w1 s slot = w1 then slot
-      else if distance s mask slot < dist then
-        (* Robin-Hood invariant: had the key been present, it would
-           have displaced this closer-to-home resident. *)
-        lnot dist
-      else probe s mask tag w0 w1 ((slot + 1) land mask) (dist + 1)
-
+    (* The probe lives in the storage backend ([St.find_slot]): see
+       the header for why. *)
     let find r h ~w0 ~w1 =
-      let s = r.store in
-      let mask = St.mask s in
-      probe s mask (tag_of_hash h) w0 w1 (h land mask) 0
+      St.find_slot r.store ~hash:h ~tag:(tag_of_hash h) ~w0 ~w1
 
     (* Robin-Hood insertion of a key known to be absent: walk from the
        home slot, swapping the carried entry with any resident closer

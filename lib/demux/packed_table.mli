@@ -127,8 +127,10 @@ module type S = sig
 end
 
 (** One storage region and the Robin-Hood loops over it.  These are
-    the only probe, insert and backward-shift loops in the library;
-    the table above and [Epoch.Packed] both call them. *)
+    the only insert and backward-shift loops in the library, and
+    [find] is the only way in to the lookup probe
+    ({!Storage.S.find_slot}); the table above and [Epoch.Packed] both
+    call them. *)
 module type REGION = sig
   type store
   type t = { store : store; mutable count : int }

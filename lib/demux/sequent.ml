@@ -63,8 +63,8 @@ let remove t flow =
 
 (* Cache missed (or was cold): scan the chain.  Shared miss
    continuation for [lookup_pcb]. *)
-let scan_chain t bucket flow =
-  match Chain.scan bucket.chain ~stats:t.stats flow with
+let scan_chain t bucket ~w0 ~w1 =
+  match Chain.scan bucket.chain ~stats:t.stats ~w0 ~w1 with
   | Some node as found ->
     (* Store the scan's own option cell rather than a fresh [Some]. *)
     bucket.cache <- found;
@@ -79,17 +79,18 @@ let scan_chain t bucket flow =
 let lookup_pcb t flow =
   Lookup_stats.begin_lookup t.stats;
   let bucket = t.buckets.(bucket_index t flow) in
+  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
   match bucket.cache with
   | Some node ->
     Lookup_stats.examine t.stats ();
-    let pcb = Chain.pcb node in
-    if Pcb.matches pcb flow then begin
+    if Chain.matches node ~w0 ~w1 then begin
+      let pcb = Chain.pcb node in
       Pcb.note_rx pcb;
       Lookup_stats.end_lookup t.stats ~hit_cache:true ~found:true;
       pcb
     end
-    else scan_chain t bucket flow
-  | None -> scan_chain t bucket flow
+    else scan_chain t bucket ~w0 ~w1
+  | None -> scan_chain t bucket ~w0 ~w1
 
 let lookup t ?kind:_ flow =
   match lookup_pcb t flow with

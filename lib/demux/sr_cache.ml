@@ -39,38 +39,42 @@ let remove t flow =
     Lookup_stats.note_remove t.stats;
     Some (Chain.pcb node)
 
-let probe t slot flow =
+(* A hit returns the slot's own option cell. *)
+let probe t slot ~w0 ~w1 =
   match slot with
   | None -> None
-  | Some node ->
+  | Some node as cached ->
     Lookup_stats.examine t.stats ();
-    if Pcb.matches (Chain.pcb node) flow then Some node else None
+    if Chain.matches node ~w0 ~w1 then cached else None
+
+(* [found] is the probed slot's or the scan's own option cell, so
+   refilling [received] allocates nothing. *)
+let finish t ~hit_cache = function
+  | Some node as found ->
+    t.received <- found;
+    let pcb = Chain.pcb node in
+    Pcb.note_rx pcb;
+    Lookup_stats.end_lookup t.stats ~hit_cache ~found:true;
+    Some pcb
+  | None ->
+    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
+    None
 
 let lookup t ?(kind = Types.Data) flow =
   Lookup_stats.begin_lookup t.stats;
+  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
   let first, second =
     match kind with
     | Types.Data -> (t.received, t.sent)
     | Types.Pure_ack -> (t.sent, t.received)
   in
-  let finish ~hit_cache node =
-    t.received <- Some node;
-    let pcb = Chain.pcb node in
-    Pcb.note_rx pcb;
-    Lookup_stats.end_lookup t.stats ~hit_cache ~found:true;
-    Some pcb
-  in
-  match probe t first flow with
-  | Some node -> finish ~hit_cache:true node
+  match probe t first ~w0 ~w1 with
+  | Some _ as found -> finish t ~hit_cache:true found
   | None -> (
-    match probe t second flow with
-    | Some node -> finish ~hit_cache:true node
-    | None -> (
-      match Chain.scan t.chain ~stats:t.stats flow with
-      | Some node -> finish ~hit_cache:false node
-      | None ->
-        Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-        None))
+    match probe t second ~w0 ~w1 with
+    | Some _ as found -> finish t ~hit_cache:true found
+    | None ->
+      finish t ~hit_cache:false (Chain.scan t.chain ~stats:t.stats ~w0 ~w1))
 
 let note_send t flow =
   match Flow_table.find_opt t.index flow with

@@ -24,6 +24,7 @@ module type S = sig
   val reset : t -> unit
   val scrub : t -> unit
   val free : t -> unit
+  val find_slot : t -> hash:int -> tag:int -> w0:int -> w1:int -> int
 end
 
 (* Tag values shared with Packed_table: 0 = empty, 255 = dead. *)
@@ -83,6 +84,19 @@ module Heap = struct
 
   let[@inline] value t i = Array.unsafe_get t.vals i
   let[@inline] set_value t i v = Array.unsafe_set t.vals i v
+
+  (* The lookup probe, written out in each backend so its slot reads
+     are direct array loads: a caller in a functor (no flambda) pays
+     one indirect call per lookup instead of one per slot read. *)
+  let rec probe t mask tg k0 k1 slot dist =
+    let resident = tag t slot in
+    if resident = 0 then lnot dist
+    else if resident = tg && w0 t slot = k0 && w1 t slot = k1 then slot
+    else if (slot - hash t slot) land mask < dist then lnot dist
+    else probe t mask tg k0 k1 ((slot + 1) land mask) (dist + 1)
+
+  let find_slot t ~hash ~tag ~w0 ~w1 =
+    probe t t.mask tag w0 w1 (hash land t.mask) 0
 
   let copy t =
     {
@@ -190,6 +204,17 @@ module Offheap = struct
 
   let[@inline] value t i = Array1.unsafe_get t.vals i
   let[@inline] set_value t i v = Array1.unsafe_set t.vals i v
+
+  (* Same probe as [Heap.find_slot], over this backend's accessors. *)
+  let rec probe t mask tg k0 k1 slot dist =
+    let resident = tag t slot in
+    if resident = 0 then lnot dist
+    else if resident = tg && w0 t slot = k0 && w1 t slot = k1 then slot
+    else if (slot - hash t slot) land mask < dist then lnot dist
+    else probe t mask tg k0 k1 ((slot + 1) land mask) (dist + 1)
+
+  let find_slot t ~hash ~tag ~w0 ~w1 =
+    probe t t.mask tag w0 w1 (hash land t.mask) 0
 
   let copy t =
     let c = capacity t in

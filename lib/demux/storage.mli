@@ -84,6 +84,15 @@ module type S = sig
       instead of living as long as whatever closure retired the
       region.  Any probe of freed storage lands in the sentinel's
       empty slot and misses.  Idempotent. *)
+
+  val find_slot : t -> hash:int -> tag:int -> w0:int -> w1:int -> int
+  (** The Robin-Hood lookup probe from [hash land mask t]: the slot
+      whose tag is [tag] and whose words are [w0]/[w1], or [lnot dist]
+      (negative) for a miss that stopped [dist] slots past home, at an
+      empty slot or at a resident closer to its own home than the
+      probe is to [hash]'s.  A dead slot never matches (live tags avoid
+      {!dead_tag}) but its stored hash keeps the distance test
+      meaningful on a frozen region.  Allocation-free. *)
 end
 
 module Heap : S

@@ -108,24 +108,27 @@ let remove t flow =
         Atomic.decr t.population;
         Some (Demux.Chain.pcb node))
 
-let cache_probe stripe flow =
+(* A hit returns the cache's own option cell. *)
+let cache_probe stripe ~w0 ~w1 =
   match stripe.cache with
   | None -> None
-  | Some node ->
+  | Some node as cached ->
     Demux.Lookup_stats.examine stripe.stats ();
-    if Demux.Pcb.matches (Demux.Chain.pcb node) flow then Some node else None
+    if Demux.Chain.matches node ~w0 ~w1 then cached else None
 
 (* The receive-path lookup body; caller holds the stripe lock. *)
 let lookup_locked stripe flow =
   Demux.Lookup_stats.begin_lookup stripe.stats;
-  match cache_probe stripe flow with
+  let w0 = Demux.Flow_key.w0_of_flow flow
+  and w1 = Demux.Flow_key.w1_of_flow flow in
+  match cache_probe stripe ~w0 ~w1 with
   | Some node ->
     let pcb = Demux.Chain.pcb node in
     Demux.Pcb.note_rx pcb;
     Demux.Lookup_stats.end_lookup stripe.stats ~hit_cache:true ~found:true;
     Some pcb
   | None -> (
-    match Demux.Chain.scan stripe.chain ~stats:stripe.stats flow with
+    match Demux.Chain.scan stripe.chain ~stats:stripe.stats ~w0 ~w1 with
     | Some node as found ->
       (* Reuse the scan's option cell instead of a fresh [Some]. *)
       stripe.cache <- found;

@@ -821,7 +821,10 @@ let test_chain_scan_counts () =
     [ 0; 1; 2 ];
   Demux.Lookup_stats.begin_lookup stats;
   (* List is 2,1,0 — finding 0 examines 3 PCBs. *)
-  (match Demux.Chain.scan chain ~stats (flow 0) with
+  (match
+     Demux.Chain.scan chain ~stats ~w0:(Demux.Flow_key.w0_of_flow (flow 0))
+       ~w1:(Demux.Flow_key.w1_of_flow (flow 0))
+   with
   | Some node -> Alcotest.(check int) "found 0" 0 (Demux.Chain.pcb node).Demux.Pcb.id
   | None -> Alcotest.fail "scan failed");
   Demux.Lookup_stats.end_lookup stats ~hit_cache:false ~found:true;
@@ -1052,6 +1055,91 @@ let prop_flow_key_boundary_round_trip =
       && Packet.Flow.equal f
            (Demux.Flow_key.to_flow (Demux.Flow_key.make ~w0 ~w1))
       && Demux.Flow_key.hash_words w0 w1 = Demux.Flow_key.hash k)
+
+(* ------------------------------------------------------------------ *)
+(* Keyed chain scan vs a reference walk over the boxed flows           *)
+
+(* [f] with one bit flipped in exactly one of its four fields: the near
+   miss a scan comparing too few bits of the key would accept. *)
+let flip_one_field (f : Packet.Flow.t) field bit =
+  let flip_addr a =
+    Packet.Ipv4.addr_of_int32
+      (Int32.logxor (Packet.Ipv4.addr_to_int32 a)
+         (Int32.shift_left 1l (bit mod 32)))
+  in
+  let flip_port p = p lxor (1 lsl (bit mod 16)) in
+  let open Packet.Flow in
+  let l = f.local and r = f.remote in
+  match field with
+  | 0 -> v ~local:(endpoint (flip_addr l.addr) l.port) ~remote:r
+  | 1 -> v ~local:(endpoint l.addr (flip_port l.port)) ~remote:r
+  | 2 -> v ~local:l ~remote:(endpoint (flip_addr r.addr) r.port)
+  | _ -> v ~local:l ~remote:(endpoint r.addr (flip_port r.port))
+
+(* A chain's flows (duplicates allowed: the scan must stop at the
+   first) and a query that is resident, a one-field neighbour of a
+   resident flow, or drawn afresh. *)
+let gen_chain_and_query =
+  let open QCheck.Gen in
+  let fresh = oneof [ gen_flow_boundary; gen_flow_full_range ] in
+  list_size (int_range 0 24) fresh >>= fun flows ->
+  let query =
+    match flows with
+    | [] -> fresh
+    | _ :: _ ->
+      frequency
+        [ (2, oneofl flows);
+          (3, map3 flip_one_field (oneofl flows) (int_bound 3) (int_bound 31));
+          (1, fresh) ]
+  in
+  map (fun q -> (flows, q)) query
+
+let prop_chain_scan_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"keyed Chain.scan agrees with a Pcb.matches walk"
+    (QCheck.make
+       ~print:(fun (flows, q) ->
+         String.concat "; " (List.map Packet.Flow.to_string flows)
+         ^ " ? " ^ Packet.Flow.to_string q)
+       gen_chain_and_query)
+    (fun (flows, query) ->
+      let chain = Demux.Chain.create () in
+      let nodes =
+        List.mapi
+          (fun id flow ->
+            Demux.Chain.push_front chain (Demux.Pcb.make ~id ~flow ()))
+          flows
+      in
+      let w0 = Demux.Flow_key.w0_of_flow query
+      and w1 = Demux.Flow_key.w1_of_flow query in
+      (* Reference: the first PCB from the head whose boxed flow is
+         [Flow.equal] to the query, charging every PCB compared. *)
+      let rec walk examined = function
+        | [] -> (None, examined)
+        | pcb :: rest ->
+          if Demux.Pcb.matches pcb query then (Some pcb, examined + 1)
+          else walk (examined + 1) rest
+      in
+      let expected, expected_examined = walk 0 (Demux.Chain.to_list chain) in
+      let stats = Demux.Lookup_stats.create () in
+      Demux.Lookup_stats.begin_lookup stats;
+      let found = Demux.Chain.scan chain ~stats ~w0 ~w1 in
+      Demux.Lookup_stats.end_lookup stats ~hit_cache:false
+        ~found:(Option.is_some found);
+      let examined =
+        (Demux.Lookup_stats.snapshot stats).Demux.Lookup_stats.pcbs_examined
+      in
+      examined = expected_examined
+      && List.for_all
+           (fun node ->
+             Demux.Chain.matches node ~w0 ~w1
+             = Demux.Pcb.matches (Demux.Chain.pcb node) query)
+           nodes
+      &&
+      match (found, expected) with
+      | None, None -> true
+      | Some node, Some pcb -> Demux.Chain.pcb node == pcb
+      | Some _, None | None, Some _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Flat_table: open-addressing index vs a Hashtbl reference model      *)
@@ -1531,6 +1619,91 @@ let test_sequent_hit_path_zero_alloc () =
        delta)
     true (delta <= 64.0)
 
+(* [lookup] returns a fresh [Some pcb] (two words); nothing else on
+   these paths may allocate. *)
+let result_words_per_lookup = 2.0
+
+(* Each iteration is a cache refill followed by a cache hit, twice: the
+   refill must store the scan's own option cell and the hit must hand
+   back the cached cell, so neither boxes a fresh [Some]. *)
+let test_bsd_hit_path_zero_alloc () =
+  let t = Demux.Bsd.create () in
+  let population = Sim.Topology.flows 64 in
+  Array.iter (fun f -> ignore (Demux.Bsd.insert t f ())) population;
+  let a = population.(17) and b = population.(40) in
+  ignore (Demux.Bsd.lookup t a);
+  ignore (Demux.Bsd.lookup t b);
+  let delta =
+    measure_minor_words 10_000 (fun () ->
+        ignore (Demux.Bsd.lookup t a);
+        ignore (Demux.Bsd.lookup t a);
+        ignore (Demux.Bsd.lookup t b);
+        ignore (Demux.Bsd.lookup t b))
+  in
+  Alcotest.(check (float 0.0))
+    "bsd refill and hit allocate only the result (minor words)"
+    (40_000.0 *. result_words_per_lookup) delta
+
+(* Covers all three ways [received] is refilled: a hit on [received]
+   itself, a hit on the [sent] probe ([c] was sent on last), and a
+   full scan. *)
+let test_sr_cache_hit_path_zero_alloc () =
+  let t = Demux.Sr_cache.create () in
+  let population = Sim.Topology.flows 64 in
+  Array.iter (fun f -> ignore (Demux.Sr_cache.insert t f ())) population;
+  let a = population.(17) and c = population.(40) in
+  Demux.Sr_cache.note_send t c;
+  ignore (Demux.Sr_cache.lookup t a);
+  ignore (Demux.Sr_cache.lookup t c);
+  let delta =
+    measure_minor_words 10_000 (fun () ->
+        ignore (Demux.Sr_cache.lookup t a);
+        ignore (Demux.Sr_cache.lookup t a);
+        ignore (Demux.Sr_cache.lookup t c);
+        ignore (Demux.Sr_cache.lookup t c))
+  in
+  Alcotest.(check (float 0.0))
+    "sr-cache probes and refills allocate only the result (minor words)"
+    (40_000.0 *. result_words_per_lookup) delta
+
+(* A pushed node is [pcb; w0; w1; prev; next; linked] plus a header,
+   and it is linked through one shared [Some node] cell (two words). *)
+let chain_node_words = 7.0
+let option_cell_words = 2.0
+
+let test_chain_push_front_words () =
+  let n = 1_000 in
+  let pcbs = Array.init n (fun i -> Demux.Pcb.make ~id:i ~flow:(flow i) ()) in
+  let chain = Demux.Chain.create () in
+  let before = Gc.minor_words () in
+  for i = 0 to n - 1 do
+    ignore (Demux.Chain.push_front chain pcbs.(i))
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0))
+    "push_front = one node + one option cell"
+    (float_of_int n *. (chain_node_words +. option_cell_words))
+    delta
+
+(* Words per Sequent insert into a 1,000-flow table: the PCB
+   (6), the chain node and its cell (9), the index entry [{node; home}]
+   (3) and the index's [Some entry] cell (2). *)
+let sequent_insert_words = 20.0
+
+let test_sequent_insert_words () =
+  let t = Demux.Sequent.create () in
+  let population = Sim.Topology.flows 2_000 in
+  Array.iteri
+    (fun i f -> if i < 1_000 then ignore (Demux.Sequent.insert t f ()))
+    population;
+  let before = Gc.minor_words () in
+  for i = 1_000 to 1_099 do
+    ignore (Demux.Sequent.insert t population.(i) ())
+  done;
+  let delta = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0))
+    "sequent insert words" (100.0 *. sequent_insert_words) delta
+
 let test_flat_table_find_zero_alloc () =
   let table = Demux.Flat_table.create () in
   let population = Sim.Topology.flows 256 in
@@ -1580,7 +1753,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     (prop_lookup_count_invariant :: prop_merge_snapshots_with_histograms
      :: prop_flow_key_round_trip :: prop_flow_key_equality_agrees
-     :: prop_flow_key_boundary_round_trip
+     :: prop_flow_key_boundary_round_trip :: prop_chain_scan_matches_reference
      :: prop_flat_table_model :: prop_flat_table_model_degenerate_hash
      :: prop_cuckoo_model :: prop_cuckoo_model_degenerate_primary
      :: prop_cuckoo_model_stash
@@ -1674,6 +1847,14 @@ let () =
       ( "zero-alloc",
         [ Alcotest.test_case "sequent hit path" `Quick
             test_sequent_hit_path_zero_alloc;
+          Alcotest.test_case "bsd refill and hit" `Quick
+            test_bsd_hit_path_zero_alloc;
+          Alcotest.test_case "sr-cache probes and refills" `Quick
+            test_sr_cache_hit_path_zero_alloc;
+          Alcotest.test_case "chain push_front words" `Quick
+            test_chain_push_front_words;
+          Alcotest.test_case "sequent insert words" `Quick
+            test_sequent_insert_words;
           Alcotest.test_case "flat_table find" `Quick
             test_flat_table_find_zero_alloc;
           Alcotest.test_case "cuckoo find (heap)" `Quick
