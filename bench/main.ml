@@ -1,10 +1,14 @@
 (* Benchmark harness: regenerates every table and figure of McKenney &
-   Dove (1992) — experiment ids E1-E18 from DESIGN.md — and then runs
-   bechamel wall-clock microbenchmarks of the same code paths.
+   Dove (1992) — experiment ids E1-E18 from DESIGN.md — and the
+   extensions E19-E36, then runs bechamel wall-clock microbenchmarks of
+   the same code paths.
 
    Two layers on purpose:
-   - the {e reproduction} layer prints paper-value vs our-value rows so
-     EXPERIMENTS.md can be filled mechanically;
+   - the {e reproduction} layer is one table of experiments
+     ([experiments] below).  Each entry measures once, prints
+     paper-value vs our-value rows so EXPERIMENTS.md can be filled
+     mechanically, gates its acceptance bars, and declares its
+     tcpdemux-bench/1 records;
    - the {e bechamel} layer has one Test.make per experiment (timing
      its regeneration) plus lookup/hash throughput groups, wall-clock
      being the secondary check the paper's PCBs-examined metric stands
@@ -15,6 +19,54 @@ let section title =
 
 let row fmt = Printf.printf fmt
 
+let bench_seed = 42
+
+(* ------------------------------------------------------------------ *)
+(* The experiment record                                               *)
+
+(* One experiment: [run] measures once, at smoke or full size; [print]
+   renders its table on full runs; [gate] returns one message per
+   failed acceptance bar; [records] declares every tcpdemux-bench/1
+   record the run emits, built from the grid constants the run
+   iterates, so --check can require each name without running
+   anything. *)
+type 'r experiment = {
+  id : string;  (* "E29": selected by --e29, and the id of its records *)
+  run : smoke:bool -> 'r;
+  print : 'r -> unit;
+  gate : smoke:bool -> 'r -> string list;
+  records : smoke:bool -> 'r record list;
+}
+
+(* [Metric (metric, units, value)] is one declared record.
+   [Histograms (id, snapshot)] records p50 and p99 of every histogram
+   in an obs snapshot under [id]; those names exist only after the
+   run, so --check cannot require them. *)
+and 'r record =
+  | Metric of string * string * ('r -> float)
+  | Histograms of string * ('r -> Obs.Registry.metric list)
+
+type entry = E : 'r experiment -> entry
+
+let experiment ?(gate = fun ~smoke:_ _ -> []) ?(records = fun ~smoke:_ -> [])
+    id run print =
+  E { id; run; print; gate; records }
+
+let always records ~smoke:_ = records
+
+(* The declared records of one grid point: [find] picks the point's
+   row out of the result, and each (metric, units, field) reads one
+   value from that row. *)
+let point find fields =
+  List.map
+    (fun (metric, units, field) ->
+      Metric (metric, units, fun r -> field (find r)))
+    fields
+
+(* One acceptance bar: the formatted message when [cond] holds. *)
+let failing cond fmt =
+  Printf.ksprintf (fun message -> if cond then [ message ] else []) fmt
+
 (* ------------------------------------------------------------------ *)
 (* Reproduction layer                                                  *)
 
@@ -22,54 +74,87 @@ let default_params = Analysis.Tpca_params.default
 
 let e1_figure4 () = [ Analysis.Comparison.figure4 () ]
 
-let print_e1 () =
-  section "E1 / Figure 4: N(T) for 2,000 TPC/A users";
-  let series = e1_figure4 () in
-  Report.Ascii_plot.print ~title:"Figure 4" series;
-  let p = default_params in
-  row "spot values: N(5)=%.0f N(10)=%.0f N(50)=%.0f (curve: 0 -> 1999)\n"
-    (Analysis.Mtf_model.expected_preceding p 5.0)
-    (Analysis.Mtf_model.expected_preceding p 10.0)
-    (Analysis.Mtf_model.expected_preceding p 50.0)
+let e1 =
+  experiment "E1"
+    (fun ~smoke:_ -> e1_figure4 ())
+    (fun series ->
+      section "E1 / Figure 4: N(T) for 2,000 TPC/A users";
+      Report.Ascii_plot.print ~title:"Figure 4" series;
+      let p = default_params in
+      row "spot values: N(5)=%.0f N(10)=%.0f N(50)=%.0f (curve: 0 -> 1999)\n"
+        (Analysis.Mtf_model.expected_preceding p 5.0)
+        (Analysis.Mtf_model.expected_preceding p 10.0)
+        (Analysis.Mtf_model.expected_preceding p 50.0))
 
 let e2_e3 () =
   ( Analysis.Bsd_model.cost default_params,
     Analysis.Bsd_model.train_probability default_params )
 
-let print_e2_e3 () =
-  section "E2/E3: BSD cost and packet-train probability (Section 3.1)";
-  let cost, train = e2_e3 () in
-  row "E2 BSD expected PCBs searched : paper 1001    ours %.1f\n" cost;
-  row "E3 packet-train probability   : paper 1.9e-35 ours %.3g\n" train
+let e2 =
+  experiment "E2"
+    ~records:(always [ Metric ("analysis.bsd.cost", "pcbs", Fun.id) ])
+    (fun ~smoke:_ -> fst (e2_e3 ()))
+    (fun cost ->
+      section "E2: BSD expected PCBs searched (Section 3.1, Eq 1)";
+      row "E2 BSD expected PCBs searched : paper 1001    ours %.1f\n" cost)
+
+let e3 =
+  experiment "E3"
+    ~records:(always [ Metric ("analysis.bsd.train_probability", "", Fun.id) ])
+    (fun ~smoke:_ -> snd (e2_e3 ()))
+    (fun train ->
+      section "E3: BSD packet-train probability (Section 3.1)";
+      row "E3 packet-train probability   : paper 1.9e-35 ours %.3g\n" train)
 
 let e4_e6 () =
   Analysis.Comparison.mtf_response_time_table [ 0.2; 0.5; 1.0; 2.0 ]
 
-let print_e4_e6 () =
-  section "E4/E5/E6: move-to-front costs (Section 3.2)";
-  row "%-6s %18s %16s %18s\n" "R" "entry: paper/ours" "ack: paper/ours"
-    "overall: paper/ours";
-  List.iter2
-    (fun (paper_entry, paper_ack, paper_overall) (r, entry, ack, overall) ->
-      row "%-6.1f %10d/%-7.0f %8d/%-7.0f %10d/%-7.0f\n" r paper_entry entry
-        paper_ack ack paper_overall overall)
-    [ (1019, 78, 549); (1045, 190, 618); (1086, 362, 724); (1150, 659, 904) ]
-    (e4_e6 ())
+(* E4, E5 and E6 are the entry, ack and overall columns of one model
+   table over the response time R. *)
+let e4_e6_column id title ~paper column =
+  experiment id
+    (fun ~smoke:_ -> e4_e6 ())
+    (fun rows ->
+      section (Printf.sprintf "%s: move-to-front %s (Section 3.2)" id title);
+      row "%-6s %18s\n" "R" "paper/ours";
+      List.iter2
+        (fun paper ((r, _, _, _) as cells) ->
+          row "%-6.1f %10d/%-7.0f\n" r paper (column cells))
+        paper rows)
 
-let e7 () =
+let e4 =
+  e4_e6_column "E4" "transaction-entry cost" ~paper:[ 1019; 1045; 1086; 1150 ]
+    (fun (_, entry, _, _) -> entry)
+
+let e5 =
+  e4_e6_column "E5" "acknowledgement cost" ~paper:[ 78; 190; 362; 659 ]
+    (fun (_, _, ack, _) -> ack)
+
+let e6 =
+  e4_e6_column "E6" "overall cost" ~paper:[ 549; 618; 724; 904 ]
+    (fun (_, _, _, overall) -> overall)
+
+let e7_rows () =
   List.map
     (fun rtt ->
       (rtt, Analysis.Srcache_model.overall_cost
               (Analysis.Tpca_params.v ~users:2000 ~rtt ())))
     [ 0.001; 0.010; 0.100 ]
 
-let print_e7 () =
-  section "E7: send/receive cache overall cost (Section 3.3, Eq 17)";
-  row "%-8s %18s\n" "D" "paper/ours";
-  List.iter2
-    (fun paper (rtt, ours) ->
-      row "%-8s %10d/%-8.0f\n" (Printf.sprintf "%gms" (rtt *. 1000.)) paper ours)
-    [ 667; 993; 1002 ] (e7 ())
+let e7 =
+  (* The record is the paper's operating point, D = 1 ms. *)
+  experiment "E7"
+    ~records:
+      (always [ Metric ("analysis.sr-cache.cost", "pcbs", List.assoc 0.001) ])
+    (fun ~smoke:_ -> e7_rows ())
+    (fun rows ->
+      section "E7: send/receive cache overall cost (Section 3.3, Eq 17)";
+      row "%-8s %18s\n" "D" "paper/ours";
+      List.iter2
+        (fun paper (rtt, ours) ->
+          row "%-8s %10d/%-8.0f\n" (Printf.sprintf "%gms" (rtt *. 1000.)) paper
+            ours)
+        [ 667; 993; 1002 ] rows)
 
 let e8_e11 () =
   let p = default_params in
@@ -80,304 +165,340 @@ let e8_e11 () =
     Analysis.Sequent_model.cost_naive p ~chains:19,
     Analysis.Sequent_model.cost p ~chains:100 )
 
-let print_e8_e11 () =
-  section "E8-E11: Sequent hashed chains (Section 3.4)";
-  let hit, quiet19, quiet51, cost19, naive19, cost100 = e8_e11 () in
-  row "E8  hit rate H=19          : paper ~0.95%%  ours %.2f%%\n" (100. *. hit);
-  row "E9  quiet prob H=19 / H=51 : paper ~1.5%% / ~21%%  ours %.1f%% / %.1f%%\n"
-    (100. *. quiet19) (100. *. quiet51);
-  row "E10 cost (Eq 22 vs Eq 19)  : paper 53.0 vs 53.6  ours %.1f vs %.1f\n"
-    cost19 naive19;
-  row "E11 cost at H=100          : paper <9  ours %.2f\n" cost100
+(* E8-E11 each print one row of the Sequent model's numbers. *)
+let e8_e11_row ?records id print_row =
+  experiment id ?records
+    (fun ~smoke:_ -> e8_e11 ())
+    (fun values ->
+      section (id ^ ": Sequent hashed chains (Section 3.4)");
+      print_row values)
+
+let e8 =
+  e8_e11_row "E8" (fun (hit, _, _, _, _, _) ->
+      row "E8  hit rate H=19          : paper ~0.95%%  ours %.2f%%\n"
+        (100. *. hit))
+
+let e9 =
+  e8_e11_row "E9" (fun (_, quiet19, quiet51, _, _, _) ->
+      row "E9  quiet prob H=19 / H=51 : paper ~1.5%% / ~21%%  ours %.1f%% / %.1f%%\n"
+        (100. *. quiet19) (100. *. quiet51))
+
+let e10 =
+  e8_e11_row "E10"
+    ~records:
+      (always
+         [ Metric ("analysis.sequent-19.cost", "pcbs",
+                   fun (_, _, _, cost19, _, _) -> cost19) ])
+    (fun (_, _, _, cost19, naive19, _) ->
+      row "E10 cost (Eq 22 vs Eq 19)  : paper 53.0 vs 53.6  ours %.1f vs %.1f\n"
+        cost19 naive19)
+
+let e11 =
+  e8_e11_row "E11"
+    ~records:
+      (always
+         [ Metric ("analysis.sequent-100.cost", "pcbs",
+                   fun (_, _, _, _, _, cost100) -> cost100) ])
+    (fun (_, _, _, _, _, cost100) ->
+      row "E11 cost at H=100          : paper <9  ours %.2f\n" cost100)
 
 let e12_figure13 () = Analysis.Comparison.figure13 ()
 let e13_figure14 () = Analysis.Comparison.figure14 ()
 
-let print_e12_e13 () =
-  section "E12 / Figure 13: algorithm comparison, 0-10,000 connections";
-  Report.Ascii_plot.print ~title:"Figure 13" (e12_figure13 ());
-  section "E13 / Figure 14: detail, 0-1,000 connections";
-  Report.Ascii_plot.print ~title:"Figure 14" (e13_figure14 ())
+let e12 =
+  experiment "E12"
+    (fun ~smoke:_ -> e12_figure13 ())
+    (fun series ->
+      section "E12 / Figure 13: algorithm comparison, 0-10,000 connections";
+      Report.Ascii_plot.print ~title:"Figure 13" series)
+
+let e13 =
+  experiment "E13"
+    (fun ~smoke:_ -> e13_figure14 ())
+    (fun series ->
+      section "E13 / Figure 14: detail, 0-1,000 connections";
+      Report.Ascii_plot.print ~title:"Figure 14" series)
 
 (* Simulation-backed experiments.  Sized to keep the whole bench run in
    tens of seconds; `tcpdemux simulate` runs bigger ones. *)
 
 let validation_params = Analysis.Tpca_params.v ~users:1000 ()
 
-let e14 () =
+(* One TPC/A pass over the paper's four algorithms with an obs registry
+   attached: E14's table and records come from its rows, E27's
+   examined-count percentiles from the registry that watched the same
+   run.  Smoke shrinks the population and window for CI. *)
+let e14_tpca ~smoke =
+  let params =
+    if smoke then Analysis.Tpca_params.v ~users:200 () else validation_params
+  in
   let config =
-    Sim.Tpca_workload.default_config ~duration:150.0 validation_params
+    Sim.Tpca_workload.default_config
+      ~duration:(if smoke then 20.0 else 150.0) ~seed:bench_seed params
   in
-  Sim.Validate.compare ~config validation_params
-    Demux.Registry.
-      [ Bsd; Mtf; Sr_cache;
-        Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative } ]
-
-let print_e14 () =
-  section "E14: simulation vs analysis (TPC/A, 1,000 users, 150 s)";
-  Format.printf "%a@." Sim.Validate.pp_rows (e14 ())
-
-let e15 () =
-  let config = Sim.Polling_workload.default_config ~users:400 ~rounds:8 () in
-  Sim.Polling_workload.run config Demux.Registry.Mtf
-
-let print_e15 () =
-  section "E15: deterministic polling is MTF's worst case (Section 3.2)";
-  let report = e15 () in
-  row "MTF entry cost with deterministic think time, 400 users: paper N=400  ours %.1f\n"
-    report.Sim.Report.entry_mean
-
-let e16 () =
-  let config = Sim.Trains_workload.default_config () in
-  Sim.Trains_workload.run config Demux.Registry.Bsd
-
-let print_e16 () =
-  section "E16: packet trains redeem the BSD cache (Section 1)";
-  let report = e16 () in
-  row "BSD on mean-16 trains: hit rate %.2f (one-entry cache works), cost %.2f\n"
-    report.Sim.Report.hit_rate report.Sim.Report.overall_mean
-
-let e17 () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:150.0 validation_params
+  let obs = Obs.Registry.create () in
+  let rows =
+    Sim.Validate.compare ~obs ~config params Demux.Registry.default_specs
   in
-  let hasher = Hashing.Hashers.multiplicative in
-  ( Sim.Tpca_workload.run config
-      (Demux.Registry.Sequent { chains = 19; hasher }),
-    Sim.Tpca_workload.run config
-      (Demux.Registry.Hashed_mtf { chains = 19; hasher }),
-    Sim.Tpca_workload.run config
-      (Demux.Registry.Sequent { chains = 100; hasher }) )
+  (rows, Obs.Registry.snapshot obs)
 
-let print_e17 () =
-  section "E17: hashing + move-to-front vs simply more chains (Section 3.5)";
-  let plain, mtf, more_chains = e17 () in
-  row "sequent H=19      : %.2f PCBs/packet\n" plain.Sim.Report.overall_mean;
-  row "hashed-mtf H=19   : %.2f  (paper: at best ~2x better)\n"
-    mtf.Sim.Report.overall_mean;
-  row "sequent H=100     : %.2f  (paper: ~5x better — the better buy)\n"
-    more_chains.Sim.Report.overall_mean
+let e14 =
+  experiment "E14"
+    ~records:
+      (always
+         (List.concat_map
+            (fun spec ->
+              let name = Demux.Registry.spec_name spec in
+              point
+                (fun (rows, _) ->
+                  List.find
+                    (fun (r : Sim.Validate.row) ->
+                      r.Sim.Validate.algorithm = name)
+                    rows)
+                [ ("sim.tpca." ^ name ^ ".overall_mean", "pcbs",
+                   fun r -> r.Sim.Validate.simulated) ])
+            Demux.Registry.default_specs
+         @ [ Histograms ("E27", snd) ]))
+    e14_tpca
+    (fun (rows, _) ->
+      section "E14: simulation vs analysis (TPC/A, 1,000 users, 150 s)";
+      Format.printf "%a@." Sim.Validate.pp_rows rows)
 
-let e18 () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:60.0 validation_params
-  in
-  Sim.Tpca_workload.run config (Demux.Registry.Conn_id { capacity = 2048 })
+let e15 =
+  experiment "E15"
+    (fun ~smoke:_ ->
+      let config =
+        Sim.Polling_workload.default_config ~users:400 ~rounds:8 ()
+      in
+      Sim.Polling_workload.run config Demux.Registry.Mtf)
+    (fun report ->
+      section "E15: deterministic polling is MTF's worst case (Section 3.2)";
+      row "MTF entry cost with deterministic think time, 400 users: paper N=400  ours %.1f\n"
+        report.Sim.Report.entry_mean)
 
-let print_e18 () =
-  section "E18: connection-ID direct indexing (Section 3.5 counterfactual)";
-  let report = e18 () in
-  row "conn-id cost: exactly %.2f PCB/packet — what TP4/X.25/XTP buy;\n"
-    report.Sim.Report.overall_mean;
-  row "hashing gets within a small constant of it without protocol changes.\n"
+let e16 =
+  experiment "E16"
+    (fun ~smoke:_ ->
+      let config = Sim.Trains_workload.default_config () in
+      Sim.Trains_workload.run config Demux.Registry.Bsd)
+    (fun report ->
+      section "E16: packet trains redeem the BSD cache (Section 1)";
+      row "BSD on mean-16 trains: hit rate %.2f (one-entry cache works), cost %.2f\n"
+        report.Sim.Report.hit_rate report.Sim.Report.overall_mean)
 
-let e19 () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:120.0 validation_params
-  in
-  let delayed = { config with Sim.Tpca_workload.delayed_acks = true } in
-  ( Sim.Tpca_workload.run config Demux.Registry.Bsd,
-    Sim.Tpca_workload.run delayed Demux.Registry.Bsd,
-    Sim.Tpca_workload.run config Demux.Registry.Sr_cache,
-    Sim.Tpca_workload.run delayed Demux.Registry.Sr_cache )
+let e17 =
+  experiment "E17"
+    (fun ~smoke:_ ->
+      let config =
+        Sim.Tpca_workload.default_config ~duration:150.0 validation_params
+      in
+      let hasher = Hashing.Hashers.multiplicative in
+      ( Sim.Tpca_workload.run config
+          (Demux.Registry.Sequent { chains = 19; hasher }),
+        Sim.Tpca_workload.run config
+          (Demux.Registry.Hashed_mtf { chains = 19; hasher }),
+        Sim.Tpca_workload.run config
+          (Demux.Registry.Sequent { chains = 100; hasher }) ))
+    (fun (plain, mtf, more_chains) ->
+      section "E17: hashing + move-to-front vs simply more chains (Section 3.5)";
+      row "sequent H=19      : %.2f PCBs/packet\n" plain.Sim.Report.overall_mean;
+      row "hashed-mtf H=19   : %.2f  (paper: at best ~2x better)\n"
+        mtf.Sim.Report.overall_mean;
+      row "sequent H=100     : %.2f  (paper: ~5x better — the better buy)\n"
+        more_chains.Sim.Report.overall_mean)
 
-let print_e19 () =
-  section "E19: delayed acknowledgements (paper footnote 2)";
-  let bsd, bsd_delayed, sr, sr_delayed = e19 () in
-  row "bsd      : normal %.1f  delayed-acks %.1f  (paper: 'no effect at the server')\n"
-    bsd.Sim.Report.overall_mean bsd_delayed.Sim.Report.overall_mean;
-  row "sr-cache : normal %.1f  delayed-acks %.1f  (send cache no longer evicted by query acks)\n"
-    sr.Sim.Report.overall_mean sr_delayed.Sim.Report.overall_mean
+let e18 =
+  experiment "E18"
+    (fun ~smoke:_ ->
+      let config =
+        Sim.Tpca_workload.default_config ~duration:60.0 validation_params
+      in
+      Sim.Tpca_workload.run config (Demux.Registry.Conn_id { capacity = 2048 }))
+    (fun report ->
+      section "E18: connection-ID direct indexing (Section 3.5 counterfactual)";
+      row "conn-id cost: exactly %.2f PCB/packet — what TP4/X.25/XTP buy;\n"
+        report.Sim.Report.overall_mean;
+      row "hashing gets within a small constant of it without protocol changes.\n")
 
-let e20 () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:120.0 validation_params
-  in
-  let chatty = { config with Sim.Tpca_workload.extra_query_packets = 2 } in
-  ( Sim.Tpca_workload.run config Demux.Registry.Bsd,
-    Sim.Tpca_workload.run chatty Demux.Registry.Bsd )
+let e19 =
+  experiment "E19"
+    (fun ~smoke:_ ->
+      let config =
+        Sim.Tpca_workload.default_config ~duration:120.0 validation_params
+      in
+      let delayed = { config with Sim.Tpca_workload.delayed_acks = true } in
+      ( Sim.Tpca_workload.run config Demux.Registry.Bsd,
+        Sim.Tpca_workload.run delayed Demux.Registry.Bsd,
+        Sim.Tpca_workload.run config Demux.Registry.Sr_cache,
+        Sim.Tpca_workload.run delayed Demux.Registry.Sr_cache ))
+    (fun (bsd, bsd_delayed, sr, sr_delayed) ->
+      section "E19: delayed acknowledgements (paper footnote 2)";
+      row "bsd      : normal %.1f  delayed-acks %.1f  (paper: 'no effect at the server')\n"
+        bsd.Sim.Report.overall_mean bsd_delayed.Sim.Report.overall_mean;
+      row "sr-cache : normal %.1f  delayed-acks %.1f  (send cache no longer evicted by query acks)\n"
+        sr.Sim.Report.overall_mean sr_delayed.Sim.Report.overall_mean)
 
-let print_e20 () =
-  section "E20: the hit-ratio pitfall (Section 3.4, chatty clients)";
-  let base, chatty = e20 () in
-  let per_txn r packets_per_txn =
-    r.Sim.Report.overall_mean *. packets_per_txn
-  in
-  row "efficient client : hit rate %.4f, %.1f PCBs/packet, %.0f PCBs/transaction\n"
-    base.Sim.Report.hit_rate base.Sim.Report.overall_mean (per_txn base 2.0);
-  row "3x-chatty client : hit rate %.4f, %.1f PCBs/packet, %.0f PCBs/transaction\n"
-    chatty.Sim.Report.hit_rate chatty.Sim.Report.overall_mean (per_txn chatty 4.0);
-  row "Hit ratio soars; work per transaction does not drop — 'the miss\n";
-  row "penalty dominates the hit ratio' (paper Section 3.4).\n"
+let e20 =
+  experiment "E20"
+    (fun ~smoke:_ ->
+      let config =
+        Sim.Tpca_workload.default_config ~duration:120.0 validation_params
+      in
+      let chatty = { config with Sim.Tpca_workload.extra_query_packets = 2 } in
+      ( Sim.Tpca_workload.run config Demux.Registry.Bsd,
+        Sim.Tpca_workload.run chatty Demux.Registry.Bsd ))
+    (fun (base, chatty) ->
+      section "E20: the hit-ratio pitfall (Section 3.4, chatty clients)";
+      let per_txn r packets_per_txn =
+        r.Sim.Report.overall_mean *. packets_per_txn
+      in
+      row "efficient client : hit rate %.4f, %.1f PCBs/packet, %.0f PCBs/transaction\n"
+        base.Sim.Report.hit_rate base.Sim.Report.overall_mean (per_txn base 2.0);
+      row "3x-chatty client : hit rate %.4f, %.1f PCBs/packet, %.0f PCBs/transaction\n"
+        chatty.Sim.Report.hit_rate chatty.Sim.Report.overall_mean
+        (per_txn chatty 4.0);
+      row "Hit ratio soars; work per transaction does not drop — 'the miss\n";
+      row "penalty dominates the hit ratio' (paper Section 3.4).\n")
 
-let e21_splay () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:120.0 validation_params
-  in
-  ( Sim.Tpca_workload.run config Demux.Registry.Splay,
-    Sim.Tpca_workload.run config
-      (Demux.Registry.Sequent
-         { chains = 19; hasher = Hashing.Hashers.multiplicative }) )
-
-let print_e21 () =
-  section "E21 (extension): splay tree vs hashed chains";
-  let splay, sequent = e21_splay () in
-  row "splay      : %.2f PCBs/packet (worst %d) — self-adjusting, no tuning knob\n"
-    splay.Sim.Report.overall_mean splay.Sim.Report.max_examined;
-  row "sequent-19 : %.2f PCBs/packet (worst %d)\n"
-    sequent.Sim.Report.overall_mean sequent.Sim.Report.max_examined;
-  row "Splaying exploits the txn->ack locality the paper's caches chase,\n";
-  row "with an O(log N) cold cost; 1992 hardware preferred hashing's\n";
-  row "simpler memory behaviour, and so do modern stacks.\n"
-
-let bench_seed = 42
+let e21 =
+  experiment "E21"
+    (fun ~smoke:_ ->
+      let config =
+        Sim.Tpca_workload.default_config ~duration:120.0 validation_params
+      in
+      ( Sim.Tpca_workload.run config Demux.Registry.Splay,
+        Sim.Tpca_workload.run config
+          (Demux.Registry.Sequent
+             { chains = 19; hasher = Hashing.Hashers.multiplicative }) ))
+    (fun (splay, sequent) ->
+      section "E21 (extension): splay tree vs hashed chains";
+      row "splay      : %.2f PCBs/packet (worst %d) — self-adjusting, no tuning knob\n"
+        splay.Sim.Report.overall_mean splay.Sim.Report.max_examined;
+      row "sequent-19 : %.2f PCBs/packet (worst %d)\n"
+        sequent.Sim.Report.overall_mean sequent.Sim.Report.max_examined;
+      row "Splaying exploits the txn->ack locality the paper's caches chase,\n";
+      row "with an O(log N) cold cost; 1992 hardware preferred hashing's\n";
+      row "simpler memory behaviour, and so do modern stacks.\n")
 
 let throughput_targets names =
   List.map
     (fun name -> Result.get_ok (Parallel.Throughput.target_of_name name))
     names
 
-let e22 () =
-  Parallel.Throughput.scaling_table ~lookups_per_domain:20_000
-    ~domains:[ 1; 2; 4 ]
-    (throughput_targets
-       [ "coarse:bsd"; "coarse:sequent-19"; "striped:sequent-19" ])
+let e22 =
+  experiment "E22"
+    (fun ~smoke:_ ->
+      Parallel.Throughput.scaling_table ~lookups_per_domain:20_000
+        ~domains:[ 1; 2; 4 ]
+        (throughput_targets
+           [ "coarse:bsd"; "coarse:sequent-19"; "striped:sequent-19" ]))
+    (fun results ->
+      section "E22 (extension): parallel TCP, the paper's context [Dov90]";
+      Format.printf "%a" Parallel.Throughput.pp_results results;
+      row
+        "A single lock serialises every inbound packet (coarse throughput\n\
+         degrades as domains are added); per-chain locks let packets for\n\
+         different connections proceed in parallel — the other reason\n\
+         Sequent's parallel TCP hashed its PCBs.\n")
 
-let print_e22 () =
-  section "E22 (extension): parallel TCP, the paper's context [Dov90]";
-  Format.printf "%a" Parallel.Throughput.pp_results (e22 ());
-  row
-    "A single lock serialises every inbound packet (coarse throughput\n\
-     degrades as domains are added); per-chain locks let packets for\n\
-     different connections proceed in parallel — the other reason\n\
-     Sequent's parallel TCP hashed its PCBs.\n"
+let e23 =
+  experiment "E23"
+    (fun ~smoke:_ ->
+      let config = Sim.Mixed_workload.default_config ~oltp_users:1000 () in
+      List.map
+        (Sim.Mixed_workload.run config)
+        Demux.Registry.
+          [ Bsd; Mtf; Sr_cache;
+            Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative } ])
+    (fun results ->
+      section "E23: mixed OLTP + bulk traffic (the abstract's full claim)";
+      Format.printf "%a" Sim.Mixed_workload.pp_results results;
+      row
+        "Sequent is an order of magnitude better on the OLTP class while\n\
+         still catching the bulk trains in its per-chain caches; note the\n\
+         send/receive cache's OLTP cost is WORSE here than under pure\n\
+         OLTP — the bulk stream keeps evicting its two cache slots.\n")
 
-let e23 () =
-  let config = Sim.Mixed_workload.default_config ~oltp_users:1000 () in
-  List.map
-    (Sim.Mixed_workload.run config)
-    Demux.Registry.
-      [ Bsd; Mtf; Sr_cache;
-        Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative } ]
-
-let print_e23 () =
-  section "E23: mixed OLTP + bulk traffic (the abstract's full claim)";
-  Format.printf "%a" Sim.Mixed_workload.pp_results (e23 ());
-  row
-    "Sequent is an order of magnitude better on the OLTP class while\n\
-     still catching the bulk trains in its per-chain caches; note the\n\
-     send/receive cache's OLTP cost is WORSE here than under pure\n\
-     OLTP — the bulk stream keeps evicting its two cache slots.\n"
-
-let e24 () =
-  let config =
-    Sim.Tpca_workload.default_config ~duration:120.0 validation_params
-  in
-  List.map
-    (fun entries ->
-      ( entries,
-        Analysis.Lru_model.cost validation_params ~entries,
-        (Sim.Tpca_workload.run config
-           (Demux.Registry.Lru_cache { entries }))
-          .Sim.Report.overall_mean ))
-    [ 1; 8; 64; 256 ]
-
-let print_e24 () =
-  section "E24 (extension): would a bigger cache have saved BSD?";
-  row "%-10s %12s %12s\n" "K entries" "model" "simulated";
-  List.iter
-    (fun (entries, model, simulated) ->
-      row "%-10d %12.1f %12.1f\n" entries model simulated)
-    (e24 ());
-  row
-    "A K-entry LRU cache starts catching response acks once K exceeds\n\
-     the response-window packet count (~%.0f here) — but the floor is\n\
-     still an order of magnitude above sequent-19's ~26.  Bigger\n\
-     caches cannot rescue the linear scan; the miss penalty dominates.\n"
-    (2.0 *. 0.1 *. 0.201 *. 999.0)
-
-let e25 () =
-  (* Think-time distribution ablation: same mean (10 s), different
-     shapes.  MTF's TPC/A advantage came from exponential randomness;
-     Sequent does not care. *)
-  let base = Sim.Tpca_workload.default_config ~duration:120.0 validation_params in
-  let shapes =
-    [ ("truncated-exp", base.Sim.Tpca_workload.think);
-      ("uniform(5,15)", Numerics.Distribution.uniform ~min:5.0 ~max:15.0);
-      ("deterministic", Numerics.Distribution.deterministic 10.0) ]
-  in
-  List.map
-    (fun (label, think) ->
+let e24 =
+  experiment "E24"
+    (fun ~smoke:_ ->
       let config =
-        { base with
-          Sim.Tpca_workload.think;
-          stagger =
-            (* Deterministic think needs staggered starts to avoid a
-               degenerate thundering herd. *)
-            (match label with
-            | "deterministic" -> Sim.Tpca_workload.Even
-            | _ -> base.Sim.Tpca_workload.stagger) }
+        Sim.Tpca_workload.default_config ~duration:120.0 validation_params
       in
-      ( label,
-        (Sim.Tpca_workload.run config Demux.Registry.Mtf).Sim.Report.overall_mean,
-        (Sim.Tpca_workload.run config
-           (Demux.Registry.Sequent
-              { chains = 19; hasher = Hashing.Hashers.multiplicative }))
-          .Sim.Report.overall_mean ))
-    shapes
+      List.map
+        (fun entries ->
+          ( entries,
+            Analysis.Lru_model.cost validation_params ~entries,
+            (Sim.Tpca_workload.run config
+               (Demux.Registry.Lru_cache { entries }))
+              .Sim.Report.overall_mean ))
+        [ 1; 8; 64; 256 ])
+    (fun rows ->
+      section "E24 (extension): would a bigger cache have saved BSD?";
+      row "%-10s %12s %12s\n" "K entries" "model" "simulated";
+      List.iter
+        (fun (entries, model, simulated) ->
+          row "%-10d %12.1f %12.1f\n" entries model simulated)
+        rows;
+      row
+        "A K-entry LRU cache starts catching response acks once K exceeds\n\
+         the response-window packet count (~%.0f here) — but the floor is\n\
+         still an order of magnitude above sequent-19's ~26.  Bigger\n\
+         caches cannot rescue the linear scan; the miss penalty dominates.\n"
+        (2.0 *. 0.1 *. 0.201 *. 999.0))
 
-let print_e25 () =
-  section "E25 (extension): think-time shape ablation (Section 3.2's caveat)";
-  row "%-16s %10s %12s\n" "think time" "mtf" "sequent-19";
-  List.iter
-    (fun (label, mtf, sequent) -> row "%-16s %10.1f %12.2f\n" label mtf sequent)
-    (e25 ());
-  row
-    "MTF's win over BSD (~%.0f) exists only while think times are\n\
-     random; make them deterministic and it collapses to ~N.  The\n\
-     hashed scheme is insensitive to the shape — robustness the paper\n\
-     credits when dismissing move-to-front.\n"
-    (Analysis.Bsd_model.cost validation_params)
+(* Think-time distribution ablation: same mean (10 s), different
+   shapes.  MTF's TPC/A advantage came from exponential randomness;
+   Sequent does not care. *)
+let e25 =
+  experiment "E25"
+    (fun ~smoke:_ ->
+      let base =
+        Sim.Tpca_workload.default_config ~duration:120.0 validation_params
+      in
+      let shapes =
+        [ ("truncated-exp", base.Sim.Tpca_workload.think);
+          ("uniform(5,15)", Numerics.Distribution.uniform ~min:5.0 ~max:15.0);
+          ("deterministic", Numerics.Distribution.deterministic 10.0) ]
+      in
+      List.map
+        (fun (label, think) ->
+          let config =
+            { base with
+              Sim.Tpca_workload.think;
+              stagger =
+                (* Deterministic think needs staggered starts to avoid a
+                   degenerate thundering herd. *)
+                (match label with
+                | "deterministic" -> Sim.Tpca_workload.Even
+                | _ -> base.Sim.Tpca_workload.stagger) }
+          in
+          ( label,
+            (Sim.Tpca_workload.run config Demux.Registry.Mtf).Sim.Report.overall_mean,
+            (Sim.Tpca_workload.run config
+               (Demux.Registry.Sequent
+                  { chains = 19; hasher = Hashing.Hashers.multiplicative }))
+              .Sim.Report.overall_mean ))
+        shapes)
+    (fun rows ->
+      section "E25 (extension): think-time shape ablation (Section 3.2's caveat)";
+      row "%-16s %10s %12s\n" "think time" "mtf" "sequent-19";
+      List.iter
+        (fun (label, mtf, sequent) ->
+          row "%-16s %10.1f %12.2f\n" label mtf sequent)
+        rows;
+      row
+        "MTF's win over BSD (~%.0f) exists only while think times are\n\
+         random; make them deterministic and it collapses to ~N.  The\n\
+         hashed scheme is insensitive to the shape — robustness the paper\n\
+         credits when dismissing move-to-front.\n"
+        (Analysis.Bsd_model.cost validation_params))
 
-(* Smoke keeps only the two points --check gates on: batch 1 vs 64 at
-   4 domains. *)
-let e28 ~smoke () =
-  Parallel.Throughput.scaling_table
-    ~lookups_per_domain:(if smoke then 20_000 else 100_000)
-    ~seed:bench_seed
-    ~domains:(if smoke then [ 4 ] else [ 1; 2; 4; 8 ])
-    ~batches:(if smoke then [ 1; 64 ] else [ 1; 8; 64 ])
-    (throughput_targets [ "striped:sequent-19" ])
-
-let print_e28 results =
-  section "E28 (extension): batched demultiplexing amortises the stripe locks";
-  Format.printf "%a" Parallel.Throughput.pp_results results;
-  row
-    "Per-packet lookup pays one mutex acquisition per packet; grouping\n\
-     a burst by stripe and taking each stripe's lock once per batch\n\
-     spreads that cost over the batch, so batched throughput pulls\n\
-     ahead as domains (lock traffic) grow.  Timing is the monotonic\n\
-     ns clock; per-lookup latencies are batch-amortised.\n"
-
-(* E29: flat open-addressing PCB table vs chained Sequent, wall-clock
-   and minor-heap allocation per warm lookup (DESIGN.md section 10).
-   Both paths are allocation-free by construction; the regression bar
-   is flat <= chained on {e both} metrics at every population. *)
-
-let e29_populations = [ 100; 1_000; 10_000 ]
-
-type e29_row = {
-  n : int;
-  chained_ns : float;
-  chained_words : float;
-  flat_ns : float;
-  flat_words : float;
-}
-
-(* Best-of-[trials] ns per lookup and minor-words per lookup for
-   [run lookups].  Minimum over trials on both metrics: the floor is
-   the signal, everything above it is scheduler noise (ns) or
-   measurement-harness boxing (words). *)
+(* Best-of-[trials] ns per lookup and minor words per lookup for
+   [run lookups], which performs [lookups] warm lookups.  Minimum over
+   trials on both metrics: the floor is the signal, everything above
+   it is scheduler noise (ns) or measurement-harness boxing (words).
+   Every warm-lookup allocation figure in the bench comes from here. *)
 let measure_lookups ~trials ~lookups run =
   let best_ns = ref infinity and best_words = ref infinity in
   for _ = 1 to trials do
@@ -393,6 +514,77 @@ let measure_lookups ~trials ~lookups run =
     if words < !best_words then best_words := words
   done;
   (!best_ns, !best_words)
+
+(* Distinct per-index keys for the table experiments (E31, E34, E35),
+   synthesized directly as packed words: w0 carries the index, w1 is a
+   mix. *)
+let w1_of i = (i lxor 0x2545F491) * 0x9E3779B9
+
+let throughput_rate results ~target ~domains ~batch =
+  (List.find
+     (fun (r : Parallel.Throughput.result) ->
+       r.Parallel.Throughput.target = target
+       && r.Parallel.Throughput.domains = domains
+       && r.Parallel.Throughput.batch = batch)
+     results)
+    .Parallel.Throughput.lookups_per_second
+
+(* One lookups/s record per (domains, batch) point of [target], read
+   from the throughput results [results] picks out of the run. *)
+let throughput_records results ~target ~domains ~batches =
+  List.concat_map
+    (fun d ->
+      List.map
+        (fun b ->
+          Metric
+            ( Printf.sprintf "parallel.%s.d%d.b%d.lookups_per_s" target d b,
+              "lookups/s",
+              fun r ->
+                throughput_rate (results r) ~target ~domains:d ~batch:b ))
+        batches)
+    domains
+
+(* Smoke keeps only the two points --check gates on: batch 1 vs 64 at
+   4 domains. *)
+let e28_domains ~smoke = if smoke then [ 4 ] else [ 1; 2; 4; 8 ]
+let e28_batches ~smoke = if smoke then [ 1; 64 ] else [ 1; 8; 64 ]
+
+let e28 =
+  experiment "E28"
+    ~records:(fun ~smoke ->
+      throughput_records Fun.id ~target:"striped:sequent-19"
+        ~domains:(e28_domains ~smoke) ~batches:(e28_batches ~smoke))
+    (fun ~smoke ->
+      Parallel.Throughput.scaling_table
+        ~lookups_per_domain:(if smoke then 20_000 else 100_000)
+        ~seed:bench_seed ~domains:(e28_domains ~smoke)
+        ~batches:(e28_batches ~smoke)
+        (throughput_targets [ "striped:sequent-19" ]))
+    (fun results ->
+      section
+        "E28 (extension): batched demultiplexing amortises the stripe locks";
+      Format.printf "%a" Parallel.Throughput.pp_results results;
+      row
+        "Per-packet lookup pays one mutex acquisition per packet; grouping\n\
+         a burst by stripe and taking each stripe's lock once per batch\n\
+         spreads that cost over the batch, so batched throughput pulls\n\
+         ahead as domains (lock traffic) grow.  Timing is the monotonic\n\
+         ns clock; per-lookup latencies are batch-amortised.\n")
+
+(* E29: flat open-addressing PCB table vs chained Sequent, wall-clock
+   and minor-heap allocation per warm lookup (DESIGN.md section 10).
+   Both paths are allocation-free by construction; the regression bar
+   is flat <= chained on {e both} metrics at every population. *)
+
+let e29_populations = [ 100; 1_000; 10_000 ]
+
+type e29_row = {
+  n : int;
+  chained_ns : float;
+  chained_words : float;
+  flat_ns : float;
+  flat_words : float;
+}
 
 let e29_measure ~trials ~lookups n =
   let population = Sim.Topology.flows n in
@@ -427,52 +619,63 @@ let e29_measure ~trials ~lookups n =
   let flat_ns, flat_words = measure_lookups ~trials ~lookups run_flat in
   { n; chained_ns; chained_words; flat_ns; flat_words }
 
-let e29 ~smoke () =
-  let trials = if smoke then 3 else 5 in
-  let lookups = if smoke then 50_000 else 200_000 in
-  List.map (e29_measure ~trials ~lookups) e29_populations
-
-(* The tentpole's acceptance bar, enforced wherever E29 runs: the flat
-   table must not lose to the chained baseline on time or allocation.
-   Allocation gets a hair of slack for the measurement harness's own
-   float boxing (fractions of a word per lookup at these counts). *)
-let assert_e29 rows =
-  List.iter
+(* The tentpole's acceptance bar: the flat table must not lose to the
+   chained baseline on time or allocation.  Allocation gets a hair of
+   slack for the measurement harness's own float boxing (fractions of
+   a word per lookup at these counts). *)
+let e29_gate ~smoke:_ rows =
+  List.concat_map
     (fun r ->
-      if r.flat_ns > r.chained_ns then begin
-        Printf.eprintf
-          "E29 REGRESSION: flat %.1f ns/lookup > chained %.1f at N=%d\n"
-          r.flat_ns r.chained_ns r.n;
-        exit 1
-      end;
-      if r.flat_words > r.chained_words +. 0.01 then begin
-        Printf.eprintf
-          "E29 REGRESSION: flat %.4f minor words/lookup > chained %.4f at N=%d\n"
-          r.flat_words r.chained_words r.n;
-        exit 1
-      end)
+      failing (r.flat_ns > r.chained_ns)
+        "E29 REGRESSION: flat %.1f ns/lookup > chained %.1f at N=%d"
+        r.flat_ns r.chained_ns r.n
+      @ failing (r.flat_words > r.chained_words +. 0.01)
+          "E29 REGRESSION: flat %.4f minor words/lookup > chained %.4f at N=%d"
+          r.flat_words r.chained_words r.n)
     rows
 
-let print_e29 rows =
-  section "E29 (extension): flat PCB table vs chained Sequent, warm lookups";
-  row "%-8s %14s %14s %16s %16s\n" "N" "chained ns" "flat ns" "chained words"
-    "flat words";
-  List.iter
-    (fun r ->
-      row "%-8d %14.1f %14.1f %16.4f %16.4f\n" r.n r.chained_ns r.flat_ns
-        r.chained_words r.flat_words)
-    rows;
-  assert_e29 rows;
-  row
-    "Same multiplicative hash, same packed 96-bit key, compared as two\n\
-     ints on both sides: each chain node holds its flow's packed words,\n\
-     so a chained examination no longer dereferences a boxed flow.  The\n\
-     gap is list hops against one inline probe: the chained walk makes\n\
-     about N/38 dependent node loads per lookup, the flat table touches\n\
-     a tag byte and, almost always, one key-word pair.  Both allocate\n\
-     nothing per lookup (the words columns are measurement-harness\n\
-     noise).  Nearly even at N = 100, the gap widens with N, which is\n\
-     the Cuckoo++/DPDK argument for flat connection tracking.\n"
+let e29 =
+  experiment "E29"
+    ~gate:e29_gate
+    ~records:
+      (always
+         (List.concat_map
+            (fun n ->
+              point
+                (List.find (fun r -> r.n = n))
+                [ (Printf.sprintf "demux.chained.sequent-19.n%d.ns_per_lookup" n,
+                   "ns", fun r -> r.chained_ns);
+                  (Printf.sprintf
+                     "demux.chained.sequent-19.n%d.minor_words_per_lookup" n,
+                   "words", fun r -> r.chained_words);
+                  (Printf.sprintf "demux.flat.n%d.ns_per_lookup" n, "ns",
+                   fun r -> r.flat_ns);
+                  (Printf.sprintf "demux.flat.n%d.minor_words_per_lookup" n,
+                   "words", fun r -> r.flat_words) ])
+            e29_populations))
+    (fun ~smoke ->
+      let trials = if smoke then 3 else 5 in
+      let lookups = if smoke then 50_000 else 200_000 in
+      List.map (e29_measure ~trials ~lookups) e29_populations)
+    (fun rows ->
+      section "E29 (extension): flat PCB table vs chained Sequent, warm lookups";
+      row "%-8s %14s %14s %16s %16s\n" "N" "chained ns" "flat ns"
+        "chained words" "flat words";
+      List.iter
+        (fun r ->
+          row "%-8d %14.1f %14.1f %16.4f %16.4f\n" r.n r.chained_ns r.flat_ns
+            r.chained_words r.flat_words)
+        rows;
+      row
+        "Same multiplicative hash, same packed 96-bit key, compared as two\n\
+         ints on both sides: each chain node holds its flow's packed words,\n\
+         so a chained examination no longer dereferences a boxed flow.  The\n\
+         gap is list hops against one inline probe: the chained walk makes\n\
+         about N/38 dependent node loads per lookup, the flat table touches\n\
+         a tag byte and, almost always, one key-word pair.  Both allocate\n\
+         nothing per lookup (the words columns are measurement-harness\n\
+         noise).  Nearly even at N = 100, the gap widens with N, which is\n\
+         the Cuckoo++/DPDK argument for flat connection tracking.\n")
 
 (* E31: per-insert latency tail across a churn ramp, incremental vs
    doubling resize (DESIGN.md section 12).  Keys are synthesized
@@ -498,12 +701,12 @@ type e31_row = {
   resizes : int;
 }
 
+let e31_policies = [ "incremental"; "doubling"; "presized" ]
+
 let e31_measure ~warmup ~total ?initial_capacity ~name resize =
   let table : int Demux.Flat_table.t =
     Demux.Flat_table.create ?initial_capacity ~resize ()
   in
-  (* Distinct per-index keys: w0 carries the index, w1 is a mix. *)
-  let w1_of i = (i lxor 0x2545F491) * 0x9E3779B9 in
   let insert i = Demux.Flat_table.replace table ~w0:i ~w1:(w1_of i) i in
   let remove i = Demux.Flat_table.remove table ~w0:i ~w1:(w1_of i) in
   (* Churn: every 16th insert retires a key 8 behind it (untimed), so
@@ -527,20 +730,6 @@ let e31_measure ~warmup ~total ?initial_capacity ~name resize =
     if i land 15 = 15 then remove (i - 8);
     if i land 4095 = 0 then Gc.minor ()
   done;
-  (if Sys.getenv_opt "E31_DEBUG" <> None then begin
-     let over n =
-       Array.fold_left (fun a x -> if x > n then a + 1 else a) 0 latencies
-     in
-     Printf.eprintf "[%s] over2u=%d over4u=%d over8u=%d over16u=%d\n" name
-       (over 2000) (over 4000) (over 8000) (over 16000);
-     let idx = Array.init timed Fun.id in
-     Array.sort (fun a b -> compare latencies.(b) latencies.(a)) idx;
-     for r = 0 to 119 do
-       if r < 20 || r >= 100 then
-         Printf.eprintf "  top%-3d ns=%-8d at insert %d\n" r
-           latencies.(idx.(r)) (warmup + idx.(r))
-     done
-   end);
   Array.sort (fun (a : int) b -> compare a b) latencies;
   { policy = name;
     p50_ns = latencies.(timed / 2);
@@ -560,7 +749,7 @@ let e31_best ~warmup ~total ?initial_capacity ~name resize =
   done;
   !best
 
-let e31 ~smoke () =
+let e31_run ~smoke =
   let warmup, total =
     if smoke then (10_000, 120_000) else (100_000, 1_000_000)
   in
@@ -591,73 +780,71 @@ let e31 ~smoke () =
    multiples of p50, the excess is allowed up to twice the control's
    p999 instead.  (On a quiet machine the 8x-p50 arm dominates and
    the bar is the strict one.) *)
-let assert_e31 rows =
-  let find name =
-    match List.find_opt (fun r -> r.policy = name) rows with
-    | Some r -> r
-    | None ->
-      Printf.eprintf "E31 BROKEN: missing %s row\n" name;
-      exit 1
-  in
+let e31_gate ~smoke:_ rows =
+  let find name = List.find (fun r -> r.policy = name) rows in
   let incremental = find "incremental" in
   let doubling = find "doubling" in
   let presized = find "presized" in
-  if presized.resizes <> 0 then begin
-    Printf.eprintf
-      "E31 BROKEN: pre-sized control resized %d time(s) — it no longer \
-       isolates the noise floor\n"
-      presized.resizes;
-    exit 1
-  end;
-  List.iter
-    (fun r ->
-      if r.resizes < 2 then begin
-        Printf.eprintf
-          "E31 BROKEN: %s ramp crossed only %d growth trigger(s)\n" r.policy
-          r.resizes;
-        exit 1
-      end)
-    [ incremental; doubling ];
   let excess = incremental.p999_ns - doubling.p999_ns in
   let bar = max (8 * incremental.p50_ns) (2 * presized.p999_ns) in
-  if excess > bar then begin
-    Printf.eprintf
+  failing (presized.resizes <> 0)
+    "E31 BROKEN: pre-sized control resized %d time(s) — it no longer \
+     isolates the noise floor"
+    presized.resizes
+  @ List.concat_map
+      (fun r ->
+        failing (r.resizes < 2)
+          "E31 BROKEN: %s ramp crossed only %d growth trigger(s)" r.policy
+          r.resizes)
+      [ incremental; doubling ]
+  @ failing (excess > bar)
       "E31 REGRESSION: incremental p999 %d ns exceeds doubling's p999 \
-       %d ns by %d ns > max(8x p50 %d ns, 2x pre-sized p999 %d ns)\n"
+       %d ns by %d ns > max(8x p50 %d ns, 2x pre-sized p999 %d ns)"
       incremental.p999_ns doubling.p999_ns excess incremental.p50_ns
-      presized.p999_ns;
-    exit 1
-  end;
-  if doubling.max_ns < 50 * doubling.p50_ns then begin
-    Printf.eprintf
+      presized.p999_ns
+  @ failing (doubling.max_ns < 50 * doubling.p50_ns)
       "E31 BROKEN: doubling max %d ns < 50x p50 %d ns — the \
-       stop-the-world cliff is missing\n"
-      doubling.max_ns doubling.p50_ns;
-    exit 1
-  end
+       stop-the-world cliff is missing"
+      doubling.max_ns doubling.p50_ns
 
-let print_e31 rows =
-  section
-    "E31 (extension): insert-latency tail under growth, incremental vs \
-     doubling";
-  row "%-14s %10s %10s %12s %9s\n" "policy" "p50 ns" "p999 ns" "max ns"
-    "resizes";
-  List.iter
-    (fun r ->
-      row "%-14s %10d %10d %12d %9d\n" r.policy r.p50_ns r.p999_ns r.max_ns
-        r.resizes)
-    rows;
-  assert_e31 rows;
-  row
-    "Same Robin-Hood table, same churn ramp (inserts with interleaved\n\
-     removes, population 100k -> ~1M); the pre-sized row never grows\n\
-     and so measures the host's own single-shot timing tail.  Doubling\n\
-     stops the world at every growth trigger, so its worst insert\n\
-     costs a full-table copy; incremental resize migrates a bounded\n\
-     handful of entries per mutation, so its p999 tracks the control's\n\
-     to within a few multiples of p50 — the latency a connection-setup\n\
-     packet sees no longer depends on whether it arrived at a resize\n\
-     boundary.\n"
+let e31 =
+  experiment "E31"
+    ~gate:e31_gate
+    ~records:
+      (always
+         (List.concat_map
+            (fun policy ->
+              let metric suffix =
+                Printf.sprintf "demux.resize.%s.%s" policy suffix
+              in
+              point
+                (List.find (fun r -> r.policy = policy))
+                [ (metric "p50_ns", "ns", fun r -> float_of_int r.p50_ns);
+                  (metric "p999_ns", "ns", fun r -> float_of_int r.p999_ns);
+                  (metric "max_ns", "ns", fun r -> float_of_int r.max_ns) ])
+            e31_policies))
+    e31_run
+    (fun rows ->
+      section
+        "E31 (extension): insert-latency tail under growth, incremental vs \
+         doubling";
+      row "%-14s %10s %10s %12s %9s\n" "policy" "p50 ns" "p999 ns" "max ns"
+        "resizes";
+      List.iter
+        (fun r ->
+          row "%-14s %10d %10d %12d %9d\n" r.policy r.p50_ns r.p999_ns
+            r.max_ns r.resizes)
+        rows;
+      row
+        "Same Robin-Hood table, same churn ramp (inserts with interleaved\n\
+         removes, population 100k -> ~1M); the pre-sized row never grows\n\
+         and so measures the host's own single-shot timing tail.  Doubling\n\
+         stops the world at every growth trigger, so its worst insert\n\
+         costs a full-table copy; incremental resize migrates a bounded\n\
+         handful of entries per mutation, so its p999 tracks the control's\n\
+         to within a few multiples of p50 — the latency a connection-setup\n\
+         packet sees no longer depends on whether it arrived at a resize\n\
+         boundary.\n")
 
 (* E33: striped locks vs lock-free epoch reads across the domain
    ladder (DESIGN.md section 13).  The same read-heavy harness drives
@@ -671,13 +858,9 @@ let print_e31 rows =
 let e33_domains = [ 1; 2; 4; 8 ]
 let e33_targets = [ "striped:sequent-19"; "epoch:table" ]
 
-let e33 ~smoke () =
-  let lookups_per_domain = if smoke then 20_000 else 100_000 in
-  Parallel.Throughput.scaling_table ~lookups_per_domain ~seed:bench_seed
-    ~domains:e33_domains
-    (throughput_targets e33_targets)
-
-let e33_read_path ~smoke () =
+(* Mutex acquisitions and minor words per lookup over a warm read
+   phase of the epoch table. *)
+let e33_read_path ~smoke =
   let population = if smoke then 10_000 else 50_000 in
   let lookups = if smoke then 100_000 else 400_000 in
   let flows = Sim.Topology.flows population in
@@ -694,79 +877,68 @@ let e33_read_path ~smoke () =
   in
   (* [mem], not [find_flow]: the int table's [find_flow] boxes its
      result, and this loop gates zero allocation per lookup. *)
-  let lookup k =
-    let f = flows.(order.(k)) in
-    ignore
-      (E.mem t ~w0:(Demux.Flow_key.w0_of_flow f)
-         ~w1:(Demux.Flow_key.w1_of_flow f))
+  let run count =
+    for k = 0 to count - 1 do
+      let f = flows.(order.(k)) in
+      ignore
+        (E.mem t ~w0:(Demux.Flow_key.w0_of_flow f)
+           ~w1:(Demux.Flow_key.w1_of_flow f))
+    done
   in
   (* Warm: the one-time reader registration happens here, before the
      counters are read. *)
-  for k = 0 to 999 do
-    lookup k
-  done;
+  run 1_000;
   let locks_before = E.lock_acquisitions t in
-  let words_before = Gc.minor_words () in
-  for k = 0 to lookups - 1 do
-    lookup k
-  done;
-  let words =
-    (Gc.minor_words () -. words_before) /. float_of_int lookups
-  in
+  let _, words = measure_lookups ~trials:1 ~lookups run in
   (E.lock_acquisitions t - locks_before, words)
 
-let e33_rate results ~target ~domains =
-  let found =
-    List.find_opt
-      (fun (r : Parallel.Throughput.result) ->
-        r.Parallel.Throughput.target = target
-        && r.Parallel.Throughput.domains = domains
-        && r.Parallel.Throughput.batch = 1)
-      results
-  in
-  match found with
-  | Some r -> r.Parallel.Throughput.lookups_per_second
-  | None ->
-    Printf.eprintf "E33: missing %s at %d domains\n" target domains;
-    exit 1
-
-let assert_e33 results (mutex_delta, words_per_lookup) =
-  let striped = e33_rate results ~target:"striped:sequent-19" ~domains:8
-  and epoch = e33_rate results ~target:"epoch:table" ~domains:8 in
-  if not (epoch > striped) then begin
-    Printf.eprintf
-      "E33 REGRESSION: epoch %.0f lookups/s <= striped %.0f at 8 domains\n"
-      epoch striped;
-    exit 1
-  end;
-  if mutex_delta <> 0 then begin
-    Printf.eprintf
-      "E33 REGRESSION: warm epoch read phase took %d mutex acquisitions\n"
-      mutex_delta;
-    exit 1
-  end;
+let e33_gate ~smoke:_ (results, (mutex_delta, words_per_lookup)) =
+  let rate target = throughput_rate results ~target ~domains:8 ~batch:1 in
+  let striped = rate "striped:sequent-19" and epoch = rate "epoch:table" in
+  failing (not (epoch > striped))
+    "E33 REGRESSION: epoch %.0f lookups/s <= striped %.0f at 8 domains" epoch
+    striped
+  @ failing (mutex_delta <> 0)
+      "E33 REGRESSION: warm epoch read phase took %d mutex acquisitions"
+      mutex_delta
   (* The same harness-boxing slack as E29's allocation bar. *)
-  if words_per_lookup > 0.01 then begin
-    Printf.eprintf
-      "E33 REGRESSION: warm epoch lookup allocates %.4f minor words\n"
-      words_per_lookup;
-    exit 1
-  end
+  @ failing (words_per_lookup > 0.01)
+      "E33 REGRESSION: warm epoch lookup allocates %.4f minor words"
+      words_per_lookup
 
-let print_e33 results (mutex_delta, words) =
-  section "E33 (extension): lock-free epoch reads vs striped locks";
-  Format.printf "%a" Parallel.Throughput.pp_results results;
-  row "warm read phase: %d mutex acquisitions, %.4f minor words/lookup\n"
-    mutex_delta words;
-  assert_e33 results (mutex_delta, words);
-  row
-    "Striping spreads the lock, it does not remove it: every lookup\n\
-     still pays one acquisition, so the striped curve flattens as\n\
-     domains grow.  An epoch reader pins (one atomic store), probes an\n\
-     immutable published region and unpins — no mutex, no allocation —\n\
-     so read throughput keeps scaling; writers pay instead with\n\
-     copy-publish-retire work and grace-period reclamation\n\
-     (DESIGN.md section 13).\n"
+let e33 =
+  experiment "E33"
+    ~gate:e33_gate
+    ~records:
+      (always
+         (List.concat_map
+            (fun target ->
+              throughput_records fst ~target ~domains:e33_domains
+                ~batches:[ 1 ])
+            e33_targets
+         @ [ Metric ("epoch.read_path.mutex_acquisitions", "locks",
+                     fun (_, (mutex_delta, _)) -> float_of_int mutex_delta);
+             Metric ("epoch.read_path.minor_words_per_lookup", "words",
+                     fun (_, (_, words)) -> words) ]))
+    (fun ~smoke ->
+      let lookups_per_domain = if smoke then 20_000 else 100_000 in
+      ( Parallel.Throughput.scaling_table ~lookups_per_domain
+          ~seed:bench_seed ~domains:e33_domains
+          (throughput_targets e33_targets),
+        e33_read_path ~smoke ))
+    (fun (results, (mutex_delta, words)) ->
+      section "E33 (extension): lock-free epoch reads vs striped locks";
+      Format.printf "%a" Parallel.Throughput.pp_results results;
+      row "warm read phase: %d mutex acquisitions, %.4f minor words/lookup\n"
+        mutex_delta words;
+      row
+        "Striping spreads the lock, it does not remove it: every lookup\n\
+         still pays one acquisition, so the striped curve flattens as\n\
+         domains grow.  An epoch reader pins (one atomic store), probes an\n\
+         immutable published region and unpins — no mutex, no allocation —\n\
+         so read throughput keeps scaling; writers pay instead with\n\
+         copy-publish-retire work and grace-period reclamation\n\
+         (DESIGN.md section 13).\n")
 
 (* E34: churn at 10M resident flows, heap vs off-heap slot storage
    (DESIGN.md section 14).  E31 measured the resize machinery with GC
@@ -824,7 +996,7 @@ type e34_row = {
   e34_resizes : int;
 }
 
-let rec e34_pow2_at_least n c = if c >= n then c else e34_pow2_at_least n (c * 2)
+let e34_backends = [ "heap"; "offheap" ]
 
 (* Smallest power-of-two slot count (>= the table's 8-slot minimum)
    that holds [n] flows under the 7/8 growth trigger: the denominator
@@ -833,12 +1005,10 @@ let rec e34_pow2_at_least n c = if c >= n then c else e34_pow2_at_least n (c * 2
    power-of-two table, not a fictional perfectly-sized one. *)
 let e34_lower_bound_bytes n =
   let rec fit cap = if n * 8 <= cap * 7 then cap else fit (cap * 2) in
-  let cap = fit (e34_pow2_at_least 8 8) in
-  cap * Demux.Storage.Heap.bytes_per_slot
+  fit 8 * Demux.Storage.Heap.bytes_per_slot
 
 let e34_measure (module M : Demux.Packed_table.S) ~total ~plateau =
   let table = M.create () in
-  let w1_of i = (i lxor 0x2545F491) * 0x9E3779B9 in
   let insert i = M.replace table ~w0:i ~w1:(w1_of i) i in
   let remove i = M.remove table ~w0:i ~w1:(w1_of i) in
   (* Untimed ramp: build the resident population (15/16 of [total])
@@ -907,18 +1077,14 @@ let e34_measure (module M : Demux.Packed_table.S) ~total ~plateau =
        [resident0] >> 4096).  Warm once so the measured loop sees only
        steady-state finds. *)
     let base = !next - 4096 in
-    let key k = base + (k land 4095) in
-    for k = 0 to 999 do
-      let i = key k in
-      ignore (M.find table ~w0:i ~w1:(w1_of i))
-    done;
-    let lookups = 200_000 in
-    let before = Gc.minor_words () in
-    for k = 0 to lookups - 1 do
-      let i = key k in
-      ignore (M.find table ~w0:i ~w1:(w1_of i))
-    done;
-    (Gc.minor_words () -. before) /. float_of_int lookups
+    let run count =
+      for k = 0 to count - 1 do
+        let i = base + (k land 4095) in
+        ignore (M.find table ~w0:i ~w1:(w1_of i))
+      done
+    in
+    run 1_000;
+    snd (measure_lookups ~trials:1 ~lookups:200_000 run)
   in
   (* The cycle-completion stall: what any caller of [Gc.full_major]
      (compaction, a checkpoint, heap diagnostics) pays while the table
@@ -963,123 +1129,125 @@ let e34_run (module M : Demux.Packed_table.S) ~total ~plateau =
       Gc.compact ())
     (fun () -> e34_measure (module M : Demux.Packed_table.S) ~total ~plateau)
 
-let e34 ~smoke () =
-  (* The full ramp's resident population crosses 10M flows (total
-     minus the 1-in-16 churn removes); smoke keeps the same shape at
-     CI scale, sized so the plateau's net insert drift stays under the
-     growth trigger (no resize inside timed windows). *)
-  let total = if smoke then 110_000 else 10_700_000 in
-  let plateau = if smoke then 40_000 else 2_000_000 in
-  let heap = e34_run (module Demux.Packed_table.Heap) ~total ~plateau in
-  let offheap = e34_run (module Demux.Packed_table.Offheap) ~total ~plateau in
-  [ heap; offheap ]
-
-let assert_e34 ~smoke rows =
-  let find backend =
-    match List.find_opt (fun r -> r.backend = backend) rows with
-    | Some r -> r
-    | None ->
-      Printf.eprintf "E34 BROKEN: missing %s row\n" backend;
-      exit 1
-  in
+(* The headline gates.  At smoke scale the table is a few MB, every
+   GC effect is a coin flip between adjacent histogram octaves, and
+   the only stable signal is the non-GC insert path, so smoke gates
+   p50: off-heap accessors (Bigarray loads instead of array loads)
+   must not be categorically slower than heap ones.  At full scale
+   two gates apply.  The op-latency p999 is a PARITY bar with a
+   1.5x noise allowance: the measured gap is far larger in
+   off-heap's favor, but how much marking reaches the op tail is
+   the runtime's slice-scheduling business (see the E34 header
+   comment), so the gate only pins what the code promises — no
+   regression.  The residency signal itself is gated where no
+   pacing can amortize it: completing a
+   full major cycle must mark ~0.5 GB of slot arrays on the heap
+   backend and none of it off-heap, so the off-heap stall is
+   required to come in at a quarter of the heap one (measured
+   margin is ~100x; 4x keeps the gate honest under host noise). *)
+let e34_gate ~smoke rows =
+  let find backend = List.find (fun r -> r.backend = backend) rows in
   let heap = find "heap" in
   let offheap = find "offheap" in
-  List.iter
+  List.concat_map
     (fun r ->
-      if r.e34_resizes < 2 then begin
-        Printf.eprintf
-          "E34 BROKEN: %s ramp crossed only %d growth trigger(s)\n" r.backend
-          r.e34_resizes;
-        exit 1
-      end;
-      if r.bytes_ratio > 1.25 then begin
-        Printf.eprintf
+      failing (r.e34_resizes < 2)
+        "E34 BROKEN: %s ramp crossed only %d growth trigger(s)" r.backend
+        r.e34_resizes
+      @ failing (r.bytes_ratio > 1.25)
           "E34 REGRESSION: %s resident storage is %.3fx the packed \
-           lower bound (bar 1.25x) — a drain leak or layout bloat\n"
-          r.backend r.bytes_ratio;
-        exit 1
-      end)
-    [ heap; offheap ];
-  if offheap.warm_words_per_lookup > 0.01 then begin
-    Printf.eprintf
-      "E34 REGRESSION: warm off-heap hit allocates %.4f minor words\n"
-      offheap.warm_words_per_lookup;
-    exit 1
-  end;
-  (* The headline gates.  At smoke scale the table is a few MB, every
-     GC effect is a coin flip between adjacent histogram octaves, and
-     the only stable signal is the non-GC insert path, so smoke gates
-     p50: off-heap accessors (Bigarray loads instead of array loads)
-     must not be categorically slower than heap ones.  At full scale
-     two gates apply.  The op-latency p999 is a PARITY bar with a
-     1.5x noise allowance: the measured gap is far larger in
-     off-heap's favor, but how much marking reaches the op tail is
-     the runtime's slice-scheduling business (see the E34 header
-     comment), so the gate only pins what the code promises — no
-     regression.  The residency signal itself is gated where no
-     pacing can amortize it: completing a
-     full major cycle must mark ~0.5 GB of slot arrays on the heap
-     backend and none of it off-heap, so the off-heap stall is
-     required to come in at a quarter of the heap one (measured
-     margin is ~100x; 4x keeps the gate honest under host noise). *)
-  if smoke then begin
-    if offheap.e34_p50_ns > 2 * heap.e34_p50_ns then begin
-      Printf.eprintf
-        "E34 REGRESSION: offheap p50 %d ns > 2x heap p50 %d ns — the \
-         off-heap accessor path got categorically slower\n"
-        offheap.e34_p50_ns heap.e34_p50_ns;
-      exit 1
-    end
-  end
-  else begin
-    if 2 * offheap.e34_p999_ns > 3 * heap.e34_p999_ns then begin
-      Printf.eprintf
-        "E34 REGRESSION: offheap p999 %d ns > 1.5x heap p999 %d ns\n"
-        offheap.e34_p999_ns heap.e34_p999_ns;
-      exit 1
-    end;
-    if 4 * offheap.full_major_ns > heap.full_major_ns then begin
-      Printf.eprintf
+           lower bound (bar 1.25x) — a drain leak or layout bloat"
+          r.backend r.bytes_ratio)
+    [ heap; offheap ]
+  @ failing (offheap.warm_words_per_lookup > 0.01)
+      "E34 REGRESSION: warm off-heap hit allocates %.4f minor words"
+      offheap.warm_words_per_lookup
+  @
+  if smoke then
+    failing (offheap.e34_p50_ns > 2 * heap.e34_p50_ns)
+      "E34 REGRESSION: offheap p50 %d ns > 2x heap p50 %d ns — the \
+       off-heap accessor path got categorically slower"
+      offheap.e34_p50_ns heap.e34_p50_ns
+  else
+    failing (2 * offheap.e34_p999_ns > 3 * heap.e34_p999_ns)
+      "E34 REGRESSION: offheap p999 %d ns > 1.5x heap p999 %d ns"
+      offheap.e34_p999_ns heap.e34_p999_ns
+    @ failing (4 * offheap.full_major_ns > heap.full_major_ns)
         "E34 REGRESSION: offheap full-major stall %d ns is not under \
          a quarter of the heap backend's %d ns — the collector is \
-         still marking the slot storage\n"
-        offheap.full_major_ns heap.full_major_ns;
-      exit 1
-    end
-  end
+         still marking the slot storage"
+        offheap.full_major_ns heap.full_major_ns
 
-let print_e34 ~smoke rows =
-  section
-    "E34 (extension): off-heap vs heap slot storage at 10M flows, \
-     GC-exposed tail";
-  row "%-10s %9s %9s %11s %8s %7s %11s %11s %10s %7s\n" "backend" "p50 ns"
-    "p999 ns" "max ns" "B/flow" "ratio" "pause p50" "pause p99" "cycle ms"
-    "words";
-  List.iter
-    (fun r ->
-      row "%-10s %9d %9d %11d %8.1f %7.3f %11d %11d %10.1f %7.4f\n" r.backend
-        r.e34_p50_ns r.e34_p999_ns r.e34_max_ns r.bytes_per_flow r.bytes_ratio
-        r.pause_p50_ns r.pause_p99_ns
-        (float_of_int r.full_major_ns /. 1e6)
-        r.warm_words_per_lookup)
-    rows;
-  assert_e34 ~smoke rows;
-  row
-    "Same Robin-Hood machinery, same untimed churn ramp to >10M\n\
-     resident flows, then a timed steady-state plateau\n\
-     (insert + evict + 1 KB packet stand-in per op); the only\n\
-     difference is where the slot arrays live.  On the heap they are\n\
-     ~0.5 GB of live int arrays the collector must traverse every\n\
-     major cycle, and the collections that land inside timed ops\n\
-     carry that work; in Bigarray storage the GC sees five small\n\
-     custom blocks per region, so the same collections cost little.\n\
-     The cycle-completion stall (the cycle-ms column: a forced full\n\
-     major, what compaction or any checkpoint pays) is O(table) on\n\
-     the heap and O(noise) off-heap.  Bytes/flow is identical by\n\
-     construction (33 bytes/slot, power-of-two capacity) — off-heap\n\
-     costs nothing in space and takes the table out of the\n\
-     collector's workload (the \"millions of users\" scaling claim,\n\
-     ROADMAP item 2).\n"
+let e34 =
+  experiment "E34"
+    ~gate:e34_gate
+    ~records:
+      (always
+         (List.concat_map
+            (fun backend ->
+              let metric suffix =
+                Printf.sprintf "demux.storage.%s.%s" backend suffix
+              in
+              let ns field r = float_of_int (field r) in
+              point
+                (List.find (fun r -> r.backend = backend))
+                [ (metric "p50_ns", "ns", ns (fun r -> r.e34_p50_ns));
+                  (metric "p999_ns", "ns", ns (fun r -> r.e34_p999_ns));
+                  (metric "max_ns", "ns", ns (fun r -> r.e34_max_ns));
+                  (metric "bytes_per_flow", "bytes", fun r -> r.bytes_per_flow);
+                  (metric "bytes_per_flow_ratio", "", fun r -> r.bytes_ratio);
+                  (metric "minor_pause_p50_ns", "ns",
+                   ns (fun r -> r.pause_p50_ns));
+                  (metric "minor_pause_p99_ns", "ns",
+                   ns (fun r -> r.pause_p99_ns));
+                  (metric "full_major_ns", "ns", ns (fun r -> r.full_major_ns));
+                  (metric "warm_minor_words_per_lookup", "words",
+                   fun r -> r.warm_words_per_lookup) ])
+            e34_backends))
+    (fun ~smoke ->
+      (* The full ramp's resident population crosses 10M flows
+         (total minus the 1-in-16 churn removes); smoke keeps the
+         same shape at CI scale, sized so the plateau's net insert
+         drift stays under the growth trigger (no resize inside
+         timed windows). *)
+      let total = if smoke then 110_000 else 10_700_000 in
+      let plateau = if smoke then 40_000 else 2_000_000 in
+      let heap = e34_run (module Demux.Packed_table.Heap) ~total ~plateau in
+      let offheap =
+        e34_run (module Demux.Packed_table.Offheap) ~total ~plateau
+      in
+      [ heap; offheap ])
+    (fun rows ->
+      section
+        "E34 (extension): off-heap vs heap slot storage at 10M flows, \
+         GC-exposed tail";
+      row "%-10s %9s %9s %11s %8s %7s %11s %11s %10s %7s\n" "backend"
+        "p50 ns" "p999 ns" "max ns" "B/flow" "ratio" "pause p50"
+        "pause p99" "cycle ms" "words";
+      List.iter
+        (fun r ->
+          row "%-10s %9d %9d %11d %8.1f %7.3f %11d %11d %10.1f %7.4f\n"
+            r.backend r.e34_p50_ns r.e34_p999_ns r.e34_max_ns
+            r.bytes_per_flow r.bytes_ratio r.pause_p50_ns r.pause_p99_ns
+            (float_of_int r.full_major_ns /. 1e6)
+            r.warm_words_per_lookup)
+        rows;
+      row
+        "Same Robin-Hood machinery, same untimed churn ramp to >10M\n\
+         resident flows, then a timed steady-state plateau\n\
+         (insert + evict + 1 KB packet stand-in per op); the only\n\
+         difference is where the slot arrays live.  On the heap they are\n\
+         ~0.5 GB of live int arrays the collector must traverse every\n\
+         major cycle, and the collections that land inside timed ops\n\
+         carry that work; in Bigarray storage the GC sees five small\n\
+         custom blocks per region, so the same collections cost little.\n\
+         The cycle-completion stall (the cycle-ms column: a forced full\n\
+         major, what compaction or any checkpoint pays) is O(table) on\n\
+         the heap and O(noise) off-heap.  Bytes/flow is identical by\n\
+         construction (33 bytes/slot, power-of-two capacity) — off-heap\n\
+         costs nothing in space and takes the table out of the\n\
+         collector's workload (the \"millions of users\" scaling claim,\n\
+         ROADMAP item 2).\n")
 
 (* ------------------------------------------------------------------ *)
 (* E35: flat Robin-Hood vs bucketized cuckoo under hostile lookups.
@@ -1133,8 +1301,6 @@ let e35_profiles = [ "uniform"; "zipf"; "collision-flood"; "syn-flood" ]
 (* Query sets cycle a power-of-two pool so the timed loop indexes with
    a mask (no bounds math on the hot path). *)
 let e35_qlen = 65536
-
-let e35_w1_of i = (i lxor 0x2545F491) * 0x9E3779B9
 
 (* Modular inverse of the golden-ratio multiplier mod 2^32, by Newton
    iteration (x <- x * (2 - a*x) doubles the correct low bits each
@@ -1198,13 +1364,13 @@ let e35_queries ~profile ~n ~seed =
     for k = 0 to e35_qlen - 1 do
       let i = Numerics.Rng.int rng ~bound:n in
       qw0.(k) <- i;
-      qw1.(k) <- e35_w1_of i
+      qw1.(k) <- w1_of i
     done
   | "zipf" ->
     let indexes = e35_zipf_indexes ~n ~count:e35_qlen rng in
     for k = 0 to e35_qlen - 1 do
       qw0.(k) <- indexes.(k);
-      qw1.(k) <- e35_w1_of indexes.(k)
+      qw1.(k) <- w1_of indexes.(k)
     done
   | "collision-flood" ->
     for k = 0 to e35_qlen - 1 do
@@ -1250,7 +1416,7 @@ let e35_measure_cell ~mem ~probe ~qw0 ~qw1 ~lookups ~trials =
   done;
   (!best, float_of_int !sum /. float_of_int e35_qlen, !max_probes)
 
-let e35 ~smoke () =
+let e35_cells ~smoke =
   let lookups = if smoke then 100_000 else 2_000_000 in
   let trials = if smoke then 2 else 3 in
   (* Populations stay full-size even under smoke: the miss-cost claim
@@ -1262,16 +1428,16 @@ let e35 ~smoke () =
       let module C = Demux.Cuckoo_table.Heap in
       let flat = F.create () in
       for i = 0 to n - 1 do
-        F.replace flat ~w0:i ~w1:(e35_w1_of i) i
+        F.replace flat ~w0:i ~w1:(w1_of i) i
       done;
       (* Finish the incremental migration so flat lookups probe one
          region — the steady state the resize policy converges to. *)
       while F.pending_migration flat > 0 do
-        F.replace flat ~w0:0 ~w1:(e35_w1_of 0) 0
+        F.replace flat ~w0:0 ~w1:(w1_of 0) 0
       done;
       let cuckoo = C.create () in
       for i = 0 to n - 1 do
-        C.replace cuckoo ~w0:i ~w1:(e35_w1_of i) i
+        C.replace cuckoo ~w0:i ~w1:(w1_of i) i
       done;
       List.concat_map
         (fun profile ->
@@ -1290,7 +1456,7 @@ let e35 ~smoke () =
             let flat_target = (F.capacity flat * 7 / 8) - 8 in
             let j = ref 0 in
             while F.length flat < flat_target do
-              F.replace flat ~w0:(flood_w0 !j) ~w1:(e35_w1_of (!j + 7)) !j;
+              F.replace flat ~w0:(flood_w0 !j) ~w1:(w1_of (!j + 7)) !j;
               incr j
             done;
             let cuckoo_target =
@@ -1299,7 +1465,7 @@ let e35 ~smoke () =
             in
             let j = ref 0 in
             while C.length cuckoo < cuckoo_target do
-              C.replace cuckoo ~w0:(flood_w0 !j) ~w1:(e35_w1_of (!j + 7)) !j;
+              C.replace cuckoo ~w0:(flood_w0 !j) ~w1:(w1_of (!j + 7)) !j;
               incr j
             done
           end;
@@ -1321,109 +1487,118 @@ let e35 ~smoke () =
         e35_profiles)
     e35_populations
 
+let e35_algos = [ "flat"; "cuckoo" ]
+
 (* Warm-hit allocation for the cuckoo read path, per storage backend:
    the same zero-allocation bar every other lookup structure in the
    tree is held to (DESIGN.md section 10). *)
 let e35_warm_words (module M : Demux.Cuckoo_table.S) =
   let table = M.create () in
   for i = 0 to 4095 do
-    M.replace table ~w0:i ~w1:(e35_w1_of i) i
+    M.replace table ~w0:i ~w1:(w1_of i) i
   done;
-  for k = 0 to 999 do
-    let i = k land 4095 in
-    ignore (M.find table ~w0:i ~w1:(e35_w1_of i))
-  done;
-  let lookups = 200_000 in
-  let before = Gc.minor_words () in
-  for k = 0 to lookups - 1 do
-    let i = k land 4095 in
-    ignore (M.find table ~w0:i ~w1:(e35_w1_of i))
-  done;
-  (Gc.minor_words () -. before) /. float_of_int lookups
-
-let e35_warm_pair () =
-  ( e35_warm_words (module Demux.Cuckoo_table.Heap),
-    e35_warm_words (module Demux.Cuckoo_table.Offheap) )
-
-let assert_e35 rows (heap_words, offheap_words) =
-  let cell algo profile n =
-    match
-      List.find_opt
-        (fun r ->
-          r.e35_algo = algo && r.e35_profile = profile && r.e35_n = n)
-        rows
-    with
-    | Some r -> r
-    | None ->
-      Printf.eprintf "E35 BROKEN: missing %s/%s/n%d cell\n" algo profile n;
-      exit 1
+  let run count =
+    for k = 0 to count - 1 do
+      let i = k land 4095 in
+      ignore (M.find table ~w0:i ~w1:(w1_of i))
+    done
   in
+  run 1_000;
+  snd (measure_lookups ~trials:1 ~lookups:200_000 run)
+
+let e35_cell rows ~algo ~profile ~n =
+  List.find
+    (fun r -> r.e35_algo = algo && r.e35_profile = profile && r.e35_n = n)
+    rows
+
+let e35_gate ~smoke:_ (rows, (heap_words, offheap_words)) =
   (* The structural bound first: two buckets plus the stash, in every
      cell — if any adversarial profile pushed a cuckoo lookup past
      it, the filter/stash machinery is broken, not slow. *)
   let bound = 2 + Demux.Cuckoo_table.stash_capacity in
-  List.iter
-    (fun r ->
-      if r.e35_algo = "cuckoo" && r.e35_max_probes > bound then begin
-        Printf.eprintf
-          "E35 BROKEN: cuckoo %s/n%d max probes %d exceeds the \
-           structural bound %d\n"
-          r.e35_profile r.e35_n r.e35_max_probes bound;
-        exit 1
-      end)
-    rows;
   (* The headline miss-heavy gate: at 1M residents under syn-flood,
      the filtered cuckoo miss must beat the flat Robin-Hood miss on
      both probe count and wall clock, strictly. *)
-  let flat = cell "flat" "syn-flood" 1_000_000 in
-  let cuckoo = cell "cuckoo" "syn-flood" 1_000_000 in
-  if cuckoo.e35_probes >= flat.e35_probes then begin
-    Printf.eprintf
+  let flat = e35_cell rows ~algo:"flat" ~profile:"syn-flood" ~n:1_000_000 in
+  let cuckoo = e35_cell rows ~algo:"cuckoo" ~profile:"syn-flood" ~n:1_000_000 in
+  List.concat_map
+    (fun r ->
+      failing (r.e35_algo = "cuckoo" && r.e35_max_probes > bound)
+        "E35 BROKEN: cuckoo %s/n%d max probes %d exceeds the \
+         structural bound %d"
+        r.e35_profile r.e35_n r.e35_max_probes bound)
+    rows
+  @ failing (cuckoo.e35_probes >= flat.e35_probes)
       "E35 REGRESSION: cuckoo syn-flood misses probe %.2f units vs \
        flat %.2f at 1M — the negative-lookup filter is not \
-       short-circuiting\n"
-      cuckoo.e35_probes flat.e35_probes;
-    exit 1
-  end;
-  if cuckoo.e35_ns >= flat.e35_ns then begin
-    Printf.eprintf
+       short-circuiting"
+      cuckoo.e35_probes flat.e35_probes
+  @ failing (cuckoo.e35_ns >= flat.e35_ns)
       "E35 REGRESSION: cuckoo syn-flood miss %.1f ns vs flat %.1f ns \
-       at 1M — the probe advantage is not reaching wall clock\n"
-      cuckoo.e35_ns flat.e35_ns;
-    exit 1
-  end;
-  List.iter
-    (fun (backend, words) ->
-      if words > 0.01 then begin
-        Printf.eprintf
+       at 1M — the probe advantage is not reaching wall clock"
+      cuckoo.e35_ns flat.e35_ns
+  @ List.concat_map
+      (fun (backend, words) ->
+        failing (words > 0.01)
           "E35 REGRESSION: warm cuckoo hit (%s) allocates %.4f minor \
-           words per lookup\n"
-          backend words;
-        exit 1
-      end)
-    [ ("heap", heap_words); ("offheap", offheap_words) ]
+           words per lookup"
+          backend words)
+      [ ("heap", heap_words); ("offheap", offheap_words) ]
 
-let print_e35 rows (heap_words, offheap_words) =
-  section
-    "E35 (extension): flat Robin-Hood vs bucketized cuckoo under \
-     hostile lookup profiles";
-  row "%-8s %-16s %9s %10s %10s %6s\n" "algo" "profile" "n" "ns/lookup"
-    "probes" "max";
-  List.iter
-    (fun r ->
-      row "%-8s %-16s %9d %10.1f %10.2f %6d\n" r.e35_algo r.e35_profile
-        r.e35_n r.e35_ns r.e35_probes r.e35_max_probes)
-    rows;
-  row "warm cuckoo hit: %.4f minor words/lookup (heap), %.4f (offheap)\n"
-    heap_words offheap_words;
-  assert_e35 rows (heap_words, offheap_words);
-  row
-    "Hits are a wash — one filtered bucket vs a short Robin-Hood run\n\
-     — but misses diverge: the flat walk lengthens with load and with\n\
-     crafted home-slot collisions, while the cuckoo filter answers\n\
-     most misses from one bucket's tag vector and is capped at two\n\
-     buckets plus the stash by construction, whatever the attacker\n\
-     knows about the primary hash.\n"
+let e35 =
+  experiment "E35"
+    ~gate:e35_gate
+    ~records:
+      (always
+         (List.concat_map
+            (fun n ->
+              List.concat_map
+                (fun profile ->
+                  List.concat_map
+                    (fun algo ->
+                      let metric suffix =
+                        Printf.sprintf "demux.e35.%s.%s.n%d.%s" algo profile n
+                          suffix
+                      in
+                      point
+                        (fun (rows, _) -> e35_cell rows ~algo ~profile ~n)
+                        [ (metric "ns_per_lookup", "ns", fun r -> r.e35_ns);
+                          (metric "probes_per_lookup", "probes",
+                           fun r -> r.e35_probes);
+                          (metric "max_probes", "probes",
+                           fun r -> float_of_int r.e35_max_probes) ])
+                    e35_algos)
+                e35_profiles)
+            e35_populations
+         @ [ Metric ("demux.e35.cuckoo.heap.warm_minor_words_per_lookup",
+                     "words", fun (_, (heap, _)) -> heap);
+             Metric ("demux.e35.cuckoo.offheap.warm_minor_words_per_lookup",
+                     "words", fun (_, (_, offheap)) -> offheap) ]))
+    (fun ~smoke ->
+      let cells = e35_cells ~smoke in
+      ( cells,
+        ( e35_warm_words (module Demux.Cuckoo_table.Heap),
+          e35_warm_words (module Demux.Cuckoo_table.Offheap) ) ))
+    (fun (rows, (heap_words, offheap_words)) ->
+      section
+        "E35 (extension): flat Robin-Hood vs bucketized cuckoo under \
+         hostile lookup profiles";
+      row "%-8s %-16s %9s %10s %10s %6s\n" "algo" "profile" "n" "ns/lookup"
+        "probes" "max";
+      List.iter
+        (fun r ->
+          row "%-8s %-16s %9d %10.1f %10.2f %6d\n" r.e35_algo r.e35_profile
+            r.e35_n r.e35_ns r.e35_probes r.e35_max_probes)
+        rows;
+      row "warm cuckoo hit: %.4f minor words/lookup (heap), %.4f (offheap)\n"
+        heap_words offheap_words;
+      row
+        "Hits are a wash — one filtered bucket vs a short Robin-Hood run\n\
+         — but misses diverge: the flat walk lengthens with load and with\n\
+         crafted home-slot collisions, while the cuckoo filter answers\n\
+         most misses from one bucket's tag vector and is capped at two\n\
+         buckets plus the stash by construction, whatever the attacker\n\
+         knows about the primary hash.\n")
 
 (* E36: the shared-nothing per-core stacks (DESIGN.md section 16).
    Every prior parallel experiment shared the flow table and scaled
@@ -1441,404 +1616,251 @@ let print_e35 rows (heap_words, offheap_words) =
    cores the ladder measures time-slicing, not scaling. *)
 
 let e36_domains = [ 1; 2; 4; 8 ]
-
-let e36_trace ~smoke () =
-  let clients, requests = if smoke then (80, 4) else (800, 12) in
-  Sim.Segment_workload.generate
-    (Sim.Segment_workload.config ~clients ~requests_per_client:requests
-       ~interleave:Sim.Segment_workload.Round_robin ~seed:bench_seed ())
-
+let e36_stage_names = [ "steer"; "enqueue"; "parse"; "demux"; "state" ]
 let e36_server_addr = Sim.Topology.server.Packet.Flow.addr
 
-let e36_gate ~label r =
-  match Parallel.Smp.violations r with
-  | [] -> ()
-  | violations ->
-    Printf.eprintf "E36 BROKEN: %s violates conservation:\n" label;
-    List.iter (fun v -> Printf.eprintf "  %s\n" v) violations;
-    exit 1
+type e36_result = {
+  ladder : (int * Parallel.Smp.result) list;
+  instrumented : Parallel.Smp.result;
+  migrated : Parallel.Smp.result;
+}
 
-(* The scaling ladder: chain-affine steering, no migration, stage
-   clocks off so the rate is the pipeline's own. *)
-let e36_scaling ~smoke () =
-  let trace = e36_trace ~smoke () in
-  List.map
-    (fun domains ->
-      let r =
-        Parallel.Smp.run
-          (Parallel.Smp.config ~domains ~local_addr:e36_server_addr ())
-          trace.Sim.Segment_workload.datagrams
-      in
-      e36_gate ~label:(Printf.sprintf "ladder at %d domains" domains) r;
-      (domains, r))
-    e36_domains
-
-(* The instrumented pass: stage histograms on, 4 domains. *)
-let e36_stages ~smoke () =
-  let trace = e36_trace ~smoke () in
-  let r =
-    Parallel.Smp.run
+let e36_run ~smoke =
+  let clients, requests = if smoke then (80, 4) else (800, 12) in
+  let datagrams =
+    (Sim.Segment_workload.generate
+       (Sim.Segment_workload.config ~clients ~requests_per_client:requests
+          ~interleave:Sim.Segment_workload.Round_robin ~seed:bench_seed ()))
+      .Sim.Segment_workload.datagrams
+  in
+  let run config = Parallel.Smp.run config datagrams in
+  (* The scaling ladder: chain-affine steering, no migration, stage
+     clocks off so the rate is the pipeline's own. *)
+  let ladder =
+    List.map
+      (fun domains ->
+        (domains,
+         run (Parallel.Smp.config ~domains ~local_addr:e36_server_addr ())))
+      e36_domains
+  in
+  (* The instrumented pass: stage histograms on, 4 domains. *)
+  let instrumented =
+    run
       (Parallel.Smp.config ~stages:true ~domains:4
          ~local_addr:e36_server_addr ())
-      trace.Sim.Segment_workload.datagrams
   in
-  e36_gate ~label:"instrumented run" r;
-  r
-
-(* The migration pass: listener core accepts, every connection
-   migrates, stragglers forward; conservation is the result. *)
-let e36_migrate ~smoke () =
-  let trace = e36_trace ~smoke () in
-  let r =
-    Parallel.Smp.run
+  (* The migration pass: listener core accepts, every connection
+     migrates, stragglers forward; conservation is the result. *)
+  let migrated =
+    run
       (Parallel.Smp.config
          ~demux:(Demux.Registry.Conn_id { capacity = 65536 })
          ~migrate:true ~domains:4 ~local_addr:e36_server_addr ())
-      trace.Sim.Segment_workload.datagrams
   in
-  e36_gate ~label:"migration run" r;
-  r
+  { ladder; instrumented; migrated }
 
-let e36_rate rows ~domains =
-  match List.assoc_opt domains rows with
-  | Some (r : Parallel.Smp.result) -> r.Parallel.Smp.packets_per_s
-  | None ->
-    Printf.eprintf "E36: missing ladder rung at %d domains\n" domains;
-    exit 1
+let e36_stage r name =
+  List.assoc name r.instrumented.Parallel.Smp.stages
 
-let e36_stage_names = [ "steer"; "enqueue"; "parse"; "demux"; "state" ]
-
-let assert_e36 rows (instrumented : Parallel.Smp.result)
-    (migrated : Parallel.Smp.result) =
-  (* Stage coverage: the breakdown must exist and have seen every
-     datagram, or the latency story is dark. *)
-  List.iter
-    (fun name ->
-      match List.assoc_opt name instrumented.Parallel.Smp.stages with
-      | None ->
-        Printf.eprintf "E36 BROKEN: stage %s missing from breakdown\n" name;
-        exit 1
-      | Some h ->
-        if Obs.Histogram.count h <> instrumented.Parallel.Smp.total then begin
-          Printf.eprintf
-            "E36 BROKEN: stage %s saw %d of %d datagrams\n" name
-            (Obs.Histogram.count h) instrumented.Parallel.Smp.total;
-          exit 1
-        end)
-    e36_stage_names;
-  (* Migration actually happened, and conserved every segment. *)
-  e36_gate ~label:"migration run" migrated;
-  if migrated.Parallel.Smp.handoffs = 0 then begin
-    Printf.eprintf "E36 BROKEN: migration run performed no handoffs\n";
-    exit 1
-  end;
-  (* The scaling bar, where the hardware can express it. *)
+let e36_gate ~smoke:_ r =
+  let conservation label (result : Parallel.Smp.result) =
+    match Parallel.Smp.violations result with
+    | [] -> []
+    | violations ->
+      [ String.concat "\n  "
+          (Printf.sprintf "E36 BROKEN: %s violates conservation:" label
+          :: violations) ]
+  in
+  let total = r.instrumented.Parallel.Smp.total in
+  let rate domains = (List.assoc domains r.ladder).Parallel.Smp.packets_per_s in
   let threads = Domain.recommended_domain_count () in
-  if threads >= 8 then begin
-    let d1 = e36_rate rows ~domains:1 and d8 = e36_rate rows ~domains:8 in
-    if not (d8 > d1) then begin
-      Printf.eprintf
-        "E36 REGRESSION: 8 shared-nothing stacks deliver %.0f pkts/s <= \
-         %.0f at 1 domain on %d hardware threads\n"
-        d8 d1 threads;
-      exit 1
-    end
-  end
-  else
-    Printf.printf
-      "E36: scaling bar skipped (%d hardware threads < 8); rates \
-       recorded, not enforced\n"
-      threads
+  List.concat_map
+    (fun (d, result) ->
+      conservation (Printf.sprintf "ladder at %d domains" d) result)
+    r.ladder
+  @ conservation "instrumented run" r.instrumented
+  @ conservation "migration run" r.migrated
+  (* Stage coverage: the breakdown must have seen every datagram, or
+     the latency story is dark. *)
+  @ List.concat_map
+      (fun name ->
+        let seen = Obs.Histogram.count (e36_stage r name) in
+        failing (seen <> total) "E36 BROKEN: stage %s saw %d of %d datagrams"
+          name seen total)
+      e36_stage_names
+  @ failing (r.migrated.Parallel.Smp.handoffs = 0)
+      "E36 BROKEN: migration run performed no handoffs"
+  (* The scaling bar, where the hardware can express it. *)
+  @ failing (threads >= 8 && not (rate 8 > rate 1))
+      "E36 REGRESSION: 8 shared-nothing stacks deliver %.0f pkts/s <= \
+       %.0f at 1 domain on %d hardware threads"
+      (rate 8) (rate 1) threads
 
-let print_e36 rows instrumented migrated =
-  section
-    "E36 (extension): shared-nothing per-core TCP stacks with flow \
-     steering";
-  row "%-10s %14s %12s %10s\n" "domains" "pkts/s" "delivered" "handoffs";
-  List.iter
-    (fun (d, (r : Parallel.Smp.result)) ->
-      row "%-10d %14.0f %12d %10d\n" d r.Parallel.Smp.packets_per_s
-        r.Parallel.Smp.total r.Parallel.Smp.handoffs)
-    rows;
-  row "per-stage latency (4 domains, every datagram):\n";
-  List.iter
-    (fun name ->
-      match List.assoc_opt name instrumented.Parallel.Smp.stages with
-      | Some h ->
-        row "  %-8s p50 %6d ns   p99 %8d ns\n" name (Obs.Histogram.p50 h)
-          (Obs.Histogram.p99 h)
-      | None -> ())
-    e36_stage_names;
-  row
-    "migration: %d handoffs, %d stragglers forwarded, %d flushes, \
-     conservation exact\n"
-    migrated.Parallel.Smp.handoffs migrated.Parallel.Smp.forwarded
-    migrated.Parallel.Smp.flushes;
-  assert_e36 rows instrumented migrated;
-  row
-    "Each domain owns its connection table, timer wheel and demux\n\
-     table outright — the dispatcher steers whole flows, so no lookup,\n\
-     timer or state transition ever crosses a core boundary, and the\n\
-     migration pass shows the one moment ownership moves is a\n\
-     message-passing handoff with exact segment accounting, not a\n\
-     shared structure.\n"
+let e36 =
+  experiment "E36"
+    ~gate:e36_gate
+    ~records:
+      (always
+         (List.concat_map
+            (fun d ->
+              point
+                (fun r -> List.assoc d r.ladder)
+                [ (Printf.sprintf "smp.d%d.packets_per_s" d, "pkts/s",
+                   fun (result : Parallel.Smp.result) ->
+                     result.Parallel.Smp.packets_per_s) ])
+            e36_domains
+         @ List.concat_map
+             (fun name ->
+               point
+                 (fun r -> e36_stage r name)
+                 [ (Printf.sprintf "smp.stage.%s.p50_ns" name, "ns",
+                    fun h -> float_of_int (Obs.Histogram.p50 h));
+                   (Printf.sprintf "smp.stage.%s.p99_ns" name, "ns",
+                    fun h -> float_of_int (Obs.Histogram.p99 h)) ])
+             e36_stage_names
+         @ point
+             (fun r -> r.migrated)
+             [ ("smp.migrate.handoffs", "flows",
+                fun m -> float_of_int m.Parallel.Smp.handoffs);
+               ("smp.migrate.forwarded", "segments",
+                fun m -> float_of_int m.Parallel.Smp.forwarded);
+               ("smp.migrate.flushes", "flows",
+                fun m -> float_of_int m.Parallel.Smp.flushes);
+               ("smp.migrate.violations", "count",
+                fun m -> float_of_int (List.length (Parallel.Smp.violations m)))
+             ]))
+    e36_run
+    (fun r ->
+      section
+        "E36 (extension): shared-nothing per-core TCP stacks with flow \
+         steering";
+      row "%-10s %14s %12s %10s\n" "domains" "pkts/s" "delivered" "handoffs";
+      List.iter
+        (fun (d, (result : Parallel.Smp.result)) ->
+          row "%-10d %14.0f %12d %10d\n" d result.Parallel.Smp.packets_per_s
+            result.Parallel.Smp.total result.Parallel.Smp.handoffs)
+        r.ladder;
+      let threads = Domain.recommended_domain_count () in
+      if threads < 8 then
+        row "scaling bar skipped (%d hardware threads < 8); rates \
+             recorded, not enforced\n"
+          threads;
+      row "per-stage latency (4 domains, every datagram):\n";
+      List.iter
+        (fun name ->
+          match List.assoc_opt name r.instrumented.Parallel.Smp.stages with
+          | Some h ->
+            row "  %-8s p50 %6d ns   p99 %8d ns\n" name
+              (Obs.Histogram.p50 h) (Obs.Histogram.p99 h)
+          | None -> ())
+        e36_stage_names;
+      row
+        "migration: %d handoffs, %d stragglers forwarded, %d flushes, \
+         conservation exact\n"
+        r.migrated.Parallel.Smp.handoffs r.migrated.Parallel.Smp.forwarded
+        r.migrated.Parallel.Smp.flushes;
+      row
+        "Each domain owns its connection table, timer wheel and demux\n\
+         table outright — the dispatcher steers whole flows, so no lookup,\n\
+         timer or state transition ever crosses a core boundary, and the\n\
+         migration pass shows the one moment ownership moves is a\n\
+         message-passing handoff with exact segment accounting, not a\n\
+         shared structure.\n")
 
-let print_hash_ablation () =
-  section "Ablation: hash-function chain balance (DESIGN.md section 6)";
-  let flows = Array.to_list (Sim.Topology.flows 2000) in
-  row "%-16s %9s %7s %9s %9s\n" "hash" "max-load" "cv" "chi2" "E[scan]";
-  List.iter
-    (fun hasher ->
-      let q = Hashing.Quality.evaluate_hash hasher ~buckets:19 flows in
-      row "%-16s %9d %7.3f %9.1f %9.2f\n" (Hashing.Hashers.name hasher)
-        q.Hashing.Quality.max_load q.Hashing.Quality.coefficient_of_variation
-        q.Hashing.Quality.chi_square q.Hashing.Quality.expected_search_cost)
-    Hashing.Hashers.all
+let hash_ablation =
+  experiment "ablation"
+    (fun ~smoke:_ ->
+      let flows = Array.to_list (Sim.Topology.flows 2000) in
+      List.map
+        (fun hasher ->
+          (hasher, Hashing.Quality.evaluate_hash hasher ~buckets:19 flows))
+        Hashing.Hashers.all)
+    (fun rows ->
+      section "Ablation: hash-function chain balance (DESIGN.md section 6)";
+      row "%-16s %9s %7s %9s %9s\n" "hash" "max-load" "cv" "chi2" "E[scan]";
+      List.iter
+        (fun (hasher, q) ->
+          row "%-16s %9d %7.3f %9.1f %9.2f\n" (Hashing.Hashers.name hasher)
+            q.Hashing.Quality.max_load
+            q.Hashing.Quality.coefficient_of_variation
+            q.Hashing.Quality.chi_square q.Hashing.Quality.expected_search_cost)
+        rows)
+(* ------------------------------------------------------------------ *)
+(* The experiment table                                                *)
+
+(* Full runs walk every entry in this order; smoke runs walk the
+   entries that declare records.  E26, E30 and E32 are `tcpdemux`
+   subcommands, and E27's records ride on E14's run. *)
+let experiments =
+  [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14;
+    e15; e16; e17; e18; e19; e20; e21; e22; e23; e24; e25; e28; e29;
+    e31; e33; e34; e35; e36; hash_ablation ]
+
+let declares_records ~smoke (E e) =
+  match e.records ~smoke with [] -> false | _ :: _ -> true
 
 (* ------------------------------------------------------------------ *)
-(* The gated experiments, measured once per run                        *)
+(* Running the table                                                   *)
 
-(* Everything E28-E36 measured: a full run prints its tables from
-   these and a --json run records them, so no experiment runs twice. *)
-type gated = {
-  e28_results : Parallel.Throughput.result list;
-  e29_rows : e29_row list;
-  e31_rows : e31_row list;
-  e33_results : Parallel.Throughput.result list;
-  e33_read_path : int * float;  (* mutex acquisitions, words/lookup *)
-  e34_rows : e34_row list;
-  e35_rows : e35_row list;
-  e35_warm_words : float * float;  (* heap, offheap *)
-  e36_rows : (int * Parallel.Smp.result) list;
-  e36_instrumented : Parallel.Smp.result;
-  e36_migrated : Parallel.Smp.result;
-}
+let json_record ~id ~metric ~units value =
+  Obs.Json.Obj
+    [ ("id", Obs.Json.String id); ("metric", Obs.Json.String metric);
+      ("value", Obs.Json.Float value); ("units", Obs.Json.String units);
+      ("seed", Obs.Json.Int bench_seed) ]
 
-(* Measure in experiment order; each gate is enforced as soon as its
-   experiment finishes (by the printer, when [print]). *)
-let run_gated ~smoke ~print =
-  let e28_results = e28 ~smoke () in
-  if print then print_e28 e28_results;
-  let e29_rows = e29 ~smoke () in
-  if print then print_e29 e29_rows else assert_e29 e29_rows;
-  let e31_rows = e31 ~smoke () in
-  if print then print_e31 e31_rows else assert_e31 e31_rows;
-  let e33_results = e33 ~smoke () in
-  let e33_read_path = e33_read_path ~smoke () in
-  if print then print_e33 e33_results e33_read_path
-  else assert_e33 e33_results e33_read_path;
-  let e34_rows = e34 ~smoke () in
-  if print then print_e34 ~smoke e34_rows else assert_e34 ~smoke e34_rows;
-  (* Full-size populations even under smoke (only the timed windows
-     shrink). *)
-  let e35_rows = e35 ~smoke () in
-  let e35_warm_words = e35_warm_pair () in
-  if print then print_e35 e35_rows e35_warm_words
-  else assert_e35 e35_rows e35_warm_words;
-  let e36_rows = e36_scaling ~smoke () in
-  let e36_instrumented = e36_stages ~smoke () in
-  let e36_migrated = e36_migrate ~smoke () in
-  if print then print_e36 e36_rows e36_instrumented e36_migrated
-  else assert_e36 e36_rows e36_instrumented e36_migrated;
-  { e28_results; e29_rows; e31_rows; e33_results; e33_read_path; e34_rows;
-    e35_rows; e35_warm_words; e36_rows; e36_instrumented; e36_migrated }
-
-(* ------------------------------------------------------------------ *)
-(* JSON record layer (BENCH_demux.json, schema tcpdemux-bench/1)       *)
-
-let records : Obs.Json.t list ref = ref []
-
-let emit ~id ~metric ?(units = "") value =
-  records :=
-    Obs.Json.Obj
-      [ ("id", Obs.Json.String id); ("metric", Obs.Json.String metric);
-        ("value", Obs.Json.Float value); ("units", Obs.Json.String units);
-        ("seed", Obs.Json.Int bench_seed) ]
-    :: !records
-
-(* The figures of merit a regression checker wants, one record each:
-   the analytic headline numbers (instant) and a simulation pass over
-   the paper's four algorithms with an obs registry attached, so
-   examined-count percentiles ride along, then the gated experiments'
-   measurements [g].  [smoke] shrinks the simulated population and
-   window for CI. *)
-let collect_records ~smoke g =
-  let p = default_params in
-  emit ~id:"E2" ~metric:"analysis.bsd.cost" ~units:"pcbs"
-    (Analysis.Bsd_model.cost p);
-  emit ~id:"E3" ~metric:"analysis.bsd.train_probability"
-    (Analysis.Bsd_model.train_probability p);
-  emit ~id:"E7" ~metric:"analysis.sr-cache.cost" ~units:"pcbs"
-    (Analysis.Srcache_model.overall_cost p);
-  emit ~id:"E10" ~metric:"analysis.sequent-19.cost" ~units:"pcbs"
-    (Analysis.Sequent_model.cost p ~chains:19);
-  emit ~id:"E11" ~metric:"analysis.sequent-100.cost" ~units:"pcbs"
-    (Analysis.Sequent_model.cost p ~chains:100);
-  let users = if smoke then 200 else 1000 in
-  let duration = if smoke then 20.0 else 150.0 in
-  let sim_params = Analysis.Tpca_params.v ~users () in
-  let config =
-    Sim.Tpca_workload.default_config ~duration ~seed:bench_seed sim_params
-  in
-  let obs = Obs.Registry.create () in
-  List.iter
-    (fun spec ->
-      let name = Demux.Registry.spec_name spec in
-      let report = Sim.Tpca_workload.run ~obs config spec in
-      emit ~id:"E14" ~metric:("sim.tpca." ^ name ^ ".overall_mean")
-        ~units:"pcbs" report.Sim.Report.overall_mean)
-    Demux.Registry.default_specs;
-  List.iter
+let histogram_records ~id snapshot =
+  List.concat_map
     (fun metric ->
       match metric.Obs.Registry.data with
       | Obs.Registry.Histogram (summary, _) ->
-        emit ~id:"E27" ~metric:(metric.Obs.Registry.name ^ ".p50")
-          ~units:metric.Obs.Registry.units
-          (float_of_int summary.Obs.Histogram.p50);
-        emit ~id:"E27" ~metric:(metric.Obs.Registry.name ^ ".p99")
-          ~units:metric.Obs.Registry.units
-          (float_of_int summary.Obs.Histogram.p99)
-      | Obs.Registry.Counter _ | Obs.Registry.Gauge _ -> ())
-    (Obs.Registry.snapshot obs);
-  (* E28: batched vs per-packet parallel lookup throughput on the
-     striped table. *)
-  let throughput_records id =
-    List.iter (fun (r : Parallel.Throughput.result) ->
-      emit ~id
-        ~metric:
-          (Printf.sprintf "parallel.%s.d%d.b%d.lookups_per_s"
-             r.Parallel.Throughput.target r.Parallel.Throughput.domains
-             r.Parallel.Throughput.batch)
-        ~units:"lookups/s" r.Parallel.Throughput.lookups_per_second)
-  in
-  throughput_records "E28" g.e28_results;
-  (* E29: flat vs chained per-lookup wall clock and minor allocation. *)
-  List.iter
-    (fun r ->
-      emit ~id:"E29"
-        ~metric:
-          (Printf.sprintf "demux.chained.sequent-19.n%d.ns_per_lookup" r.n)
-        ~units:"ns" r.chained_ns;
-      emit ~id:"E29"
-        ~metric:
-          (Printf.sprintf "demux.chained.sequent-19.n%d.minor_words_per_lookup"
-             r.n)
-        ~units:"words" r.chained_words;
-      emit ~id:"E29"
-        ~metric:(Printf.sprintf "demux.flat.n%d.ns_per_lookup" r.n)
-        ~units:"ns" r.flat_ns;
-      emit ~id:"E29"
-        ~metric:(Printf.sprintf "demux.flat.n%d.minor_words_per_lookup" r.n)
-        ~units:"words" r.flat_words)
-    g.e29_rows;
-  (* E31: resize-policy latency-tail records. *)
-  List.iter
-    (fun r ->
-      emit ~id:"E31"
-        ~metric:(Printf.sprintf "demux.resize.%s.p50_ns" r.policy)
-        ~units:"ns" (float_of_int r.p50_ns);
-      emit ~id:"E31"
-        ~metric:(Printf.sprintf "demux.resize.%s.p999_ns" r.policy)
-        ~units:"ns" (float_of_int r.p999_ns);
-      emit ~id:"E31"
-        ~metric:(Printf.sprintf "demux.resize.%s.max_ns" r.policy)
-        ~units:"ns" (float_of_int r.max_ns))
-    g.e31_rows;
-  (* E33: striped vs epoch read scaling across the domain ladder, plus
-     the two lock-free read-path guarantee records. *)
-  throughput_records "E33" g.e33_results;
-  let mutex_delta, words_per_lookup = g.e33_read_path in
-  emit ~id:"E33" ~metric:"epoch.read_path.mutex_acquisitions" ~units:"locks"
-    (float_of_int mutex_delta);
-  emit ~id:"E33" ~metric:"epoch.read_path.minor_words_per_lookup"
-    ~units:"words" words_per_lookup;
-  (* E34: heap vs off-heap slot storage under the GC-exposed churn
-     ramp. *)
-  List.iter
-    (fun r ->
-      let metric suffix =
-        Printf.sprintf "demux.storage.%s.%s" r.backend suffix
-      in
-      emit ~id:"E34" ~metric:(metric "p50_ns") ~units:"ns"
-        (float_of_int r.e34_p50_ns);
-      emit ~id:"E34" ~metric:(metric "p999_ns") ~units:"ns"
-        (float_of_int r.e34_p999_ns);
-      emit ~id:"E34" ~metric:(metric "max_ns") ~units:"ns"
-        (float_of_int r.e34_max_ns);
-      emit ~id:"E34" ~metric:(metric "bytes_per_flow") ~units:"bytes"
-        r.bytes_per_flow;
-      emit ~id:"E34" ~metric:(metric "bytes_per_flow_ratio") r.bytes_ratio;
-      emit ~id:"E34" ~metric:(metric "minor_pause_p50_ns") ~units:"ns"
-        (float_of_int r.pause_p50_ns);
-      emit ~id:"E34" ~metric:(metric "minor_pause_p99_ns") ~units:"ns"
-        (float_of_int r.pause_p99_ns);
-      emit ~id:"E34" ~metric:(metric "full_major_ns") ~units:"ns"
-        (float_of_int r.full_major_ns);
-      emit ~id:"E34" ~metric:(metric "warm_minor_words_per_lookup")
-        ~units:"words" r.warm_words_per_lookup)
-    g.e34_rows;
-  (* E35: flat vs cuckoo under the four lookup profiles. *)
-  List.iter
-    (fun r ->
-      let metric suffix =
-        Printf.sprintf "demux.e35.%s.%s.n%d.%s" r.e35_algo r.e35_profile
-          r.e35_n suffix
-      in
-      emit ~id:"E35" ~metric:(metric "ns_per_lookup") ~units:"ns" r.e35_ns;
-      emit ~id:"E35" ~metric:(metric "probes_per_lookup") ~units:"probes"
-        r.e35_probes;
-      emit ~id:"E35" ~metric:(metric "max_probes") ~units:"probes"
-        (float_of_int r.e35_max_probes))
-    g.e35_rows;
-  let e35_heap_words, e35_offheap_words = g.e35_warm_words in
-  emit ~id:"E35"
-    ~metric:"demux.e35.cuckoo.heap.warm_minor_words_per_lookup"
-    ~units:"words" e35_heap_words;
-  emit ~id:"E35"
-    ~metric:"demux.e35.cuckoo.offheap.warm_minor_words_per_lookup"
-    ~units:"words" e35_offheap_words;
-  (* E36: the shared-nothing ladder at every rung, the per-stage
-     latency breakdown, and the migration-conservation records. *)
-  List.iter
-    (fun (d, (r : Parallel.Smp.result)) ->
-      emit ~id:"E36"
-        ~metric:(Printf.sprintf "smp.d%d.packets_per_s" d)
-        ~units:"pkts/s" r.Parallel.Smp.packets_per_s)
-    g.e36_rows;
-  List.iter
-    (fun name ->
-      match List.assoc_opt name g.e36_instrumented.Parallel.Smp.stages with
-      | Some h ->
-        emit ~id:"E36"
-          ~metric:(Printf.sprintf "smp.stage.%s.p50_ns" name)
-          ~units:"ns"
-          (float_of_int (Obs.Histogram.p50 h));
-        emit ~id:"E36"
-          ~metric:(Printf.sprintf "smp.stage.%s.p99_ns" name)
-          ~units:"ns"
-          (float_of_int (Obs.Histogram.p99 h))
-      | None -> ())
-    e36_stage_names;
-  let migrated = g.e36_migrated in
-  emit ~id:"E36" ~metric:"smp.migrate.handoffs" ~units:"flows"
-    (float_of_int migrated.Parallel.Smp.handoffs);
-  emit ~id:"E36" ~metric:"smp.migrate.forwarded" ~units:"segments"
-    (float_of_int migrated.Parallel.Smp.forwarded);
-  emit ~id:"E36" ~metric:"smp.migrate.flushes" ~units:"flows"
-    (float_of_int migrated.Parallel.Smp.flushes);
-  emit ~id:"E36" ~metric:"smp.migrate.violations" ~units:"count"
-    (float_of_int (List.length (Parallel.Smp.violations migrated)))
+        let record suffix value =
+          json_record ~id ~metric:(metric.Obs.Registry.name ^ suffix)
+            ~units:metric.Obs.Registry.units (float_of_int value)
+        in
+        [ record ".p50" summary.Obs.Histogram.p50;
+          record ".p99" summary.Obs.Histogram.p99 ]
+      | Obs.Registry.Counter _ | Obs.Registry.Gauge _ -> [])
+    snapshot
 
-let write_records path =
+(* Measure one experiment once, print it when [print], read every
+   record it declares, then apply its gate; return its records.  A
+   declared record the run did not produce fails the run like a gate
+   does.  This is the only place the bench reports a failed bar: on
+   stderr, then exit 1. *)
+let run_experiment ~smoke ~print (E e) =
+  let result = e.run ~smoke in
+  if print then e.print result;
+  let records, missing =
+    List.partition_map
+      (function
+        | Metric (metric, units, value) -> (
+          match value result with
+          | v -> Either.Left [ json_record ~id:e.id ~metric ~units v ]
+          | exception Not_found ->
+            Either.Right
+              (Printf.sprintf "%s BROKEN: the run produced no %s record" e.id
+                 metric))
+        | Histograms (id, snapshot) ->
+          Either.Left (histogram_records ~id (snapshot result)))
+      (e.records ~smoke)
+  in
+  (match if missing = [] then e.gate ~smoke result else missing with
+  | [] -> ()
+  | failures ->
+    List.iter prerr_endline failures;
+    exit 1);
+  List.concat records
+
+let write_records path records =
   Obs.Json.write_file path
     (Obs.Json.Obj
        [ ("schema", Obs.Json.String "tcpdemux-bench/1");
-         ("records", Obs.Json.List (List.rev !records)) ]);
-  Printf.printf "wrote %d benchmark records to %s\n" (List.length !records)
-    path
+         ("records", Obs.Json.List records) ]);
+  Printf.printf "wrote %d benchmark records to %s\n" (List.length records) path
 
 (* Schema sanity for --check: fail loudly (exit 1) on anything a
-   regression dashboard could not ingest. *)
+   regression dashboard could not ingest, or on a missing record the
+   table declares. *)
 let check_records path =
   let fail message =
     Printf.eprintf "%s: %s\n" path message;
@@ -1857,258 +1879,74 @@ let check_records path =
     | None -> fail "records is not a list"
     | Some [] -> fail "records is empty"
     | Some items ->
-      List.iteri
-        (fun index item ->
-          let where name =
-            Printf.sprintf "record %d: bad or missing %s" index name
-          in
-          let str name =
-            match field name item Obs.Json.to_string_opt with
-            | Some s -> s
-            | None -> fail (where name)
-          in
-          if str "id" = "" then fail (where "id");
-          if str "metric" = "" then fail (where "metric");
-          ignore (str "units");
-          (match field "value" item Obs.Json.to_float_opt with
-          | Some value when Float.is_finite value -> ()
-          | Some _ | None -> fail (where "value"));
-          match field "seed" item Obs.Json.to_int_opt with
-          | Some _ -> ()
-          | None -> fail (where "seed"))
-        items;
-      (* Coverage gate for the perf-trajectory records: every E29
-         flat/chained metric must be present at every population, or
-         the dashboard's regression series silently goes dark. *)
-      let e29_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E29" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
+      let present =
+        List.mapi
+          (fun index item ->
+            let where name =
+              Printf.sprintf "record %d: bad or missing %s" index name
+            in
+            let str name =
+              match field name item Obs.Json.to_string_opt with
+              | Some s -> s
+              | None -> fail (where name)
+            in
+            let id = str "id" and metric = str "metric" in
+            if id = "" then fail (where "id");
+            if metric = "" then fail (where "metric");
+            ignore (str "units");
+            (match field "value" item Obs.Json.to_float_opt with
+            | Some value when Float.is_finite value -> ()
+            | Some _ | None -> fail (where "value"));
+            (match field "seed" item Obs.Json.to_int_opt with
+            | Some _ -> ()
+            | None -> fail (where "seed"));
+            ((id, metric), item))
           items
       in
-      List.iter
-        (fun n ->
-          List.iter
-            (fun family ->
-              List.iter
-                (fun suffix ->
-                  let want = Printf.sprintf "demux.%s.n%d.%s" family n suffix in
-                  if not (List.mem want e29_metrics) then
-                    fail (Printf.sprintf "missing E29 record %s" want))
-                [ "ns_per_lookup"; "minor_words_per_lookup" ])
-            [ "flat"; "chained.sequent-19" ])
-        e29_populations;
-      (* Same gate for the E31 resize-tail series: both growing
-         policies plus the pre-sized control, all three tail points. *)
-      let e31_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E31" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
+      (* Coverage: every record the table declares at smoke size (the
+         floor every records file holds) must be present, or a
+         dashboard's regression series silently goes dark. *)
+      let declared =
+        List.concat_map
+          (fun (E e) ->
+            List.filter_map
+              (function
+                | Metric (metric, _, _) -> Some (e.id, metric)
+                | Histograms _ -> None)
+              (e.records ~smoke:true))
+          experiments
       in
-      List.iter
-        (fun policy ->
-          List.iter
-            (fun suffix ->
-              let want =
-                Printf.sprintf "demux.resize.%s.%s" policy suffix
-              in
-              if not (List.mem want e31_metrics) then
-                fail (Printf.sprintf "missing E31 record %s" want))
-            [ "p50_ns"; "p999_ns"; "max_ns" ])
-        [ "incremental"; "doubling"; "presized" ];
-      (* The E28 batching pair the CLI's target names must keep
-         producing: striped per-packet vs batch 64 at 4 domains. *)
-      let e28_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E28" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
+      let missing =
+        List.filter (fun key -> not (List.mem_assoc key present)) declared
       in
-      List.iter
-        (fun batch ->
-          let want =
-            Printf.sprintf "parallel.striped:sequent-19.d4.b%d.lookups_per_s"
-              batch
-          in
-          if not (List.mem want e28_metrics) then
-            fail (Printf.sprintf "missing E28 record %s" want))
-        [ 1; 64 ];
-      (* And the E33 scaling series: both targets at every rung of the
-         domain ladder, plus the two read-path guarantee records. *)
-      let e33_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E33" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
-      in
-      List.iter
-        (fun domains ->
-          List.iter
-            (fun target ->
-              let want =
-                Printf.sprintf "parallel.%s.d%d.b1.lookups_per_s" target
-                  domains
-              in
-              if not (List.mem want e33_metrics) then
-                fail (Printf.sprintf "missing E33 record %s" want))
-            e33_targets)
-        e33_domains;
-      List.iter
-        (fun want ->
-          if not (List.mem want e33_metrics) then
-            fail (Printf.sprintf "missing E33 record %s" want))
-        [ "epoch.read_path.mutex_acquisitions";
-          "epoch.read_path.minor_words_per_lookup" ];
-      (* And the E34 storage series: both backends, all eight metrics
-         — the off-heap claim is untestable against history if any
-         side of the comparison goes dark. *)
-      let e34_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E34" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
-      in
-      List.iter
-        (fun backend ->
-          List.iter
-            (fun suffix ->
-              let want =
-                Printf.sprintf "demux.storage.%s.%s" backend suffix
-              in
-              if not (List.mem want e34_metrics) then
-                fail (Printf.sprintf "missing E34 record %s" want))
-            [ "p50_ns"; "p999_ns"; "max_ns"; "bytes_per_flow";
-              "bytes_per_flow_ratio"; "minor_pause_p50_ns";
-              "minor_pause_p99_ns"; "full_major_ns";
-              "warm_minor_words_per_lookup" ])
-        [ "heap"; "offheap" ];
-      (* And the E35 adversarial-profile grid: both algorithms, every
-         profile and population, all three metrics, plus the two
-         warm-hit allocation records — the SYN-flood claim needs the
-         flat side of the comparison as much as the cuckoo side. *)
-      let e35_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E35" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
-      in
-      List.iter
-        (fun algo ->
-          List.iter
-            (fun profile ->
-              List.iter
-                (fun n ->
-                  List.iter
-                    (fun suffix ->
-                      let want =
-                        Printf.sprintf "demux.e35.%s.%s.n%d.%s" algo
-                          profile n suffix
-                      in
-                      if not (List.mem want e35_metrics) then
-                        fail (Printf.sprintf "missing E35 record %s" want))
-                    [ "ns_per_lookup"; "probes_per_lookup"; "max_probes" ])
-                e35_populations)
-            e35_profiles)
-        [ "flat"; "cuckoo" ];
-      List.iter
-        (fun want ->
-          if not (List.mem want e35_metrics) then
-            fail (Printf.sprintf "missing E35 record %s" want))
-        [ "demux.e35.cuckoo.heap.warm_minor_words_per_lookup";
-          "demux.e35.cuckoo.offheap.warm_minor_words_per_lookup" ];
-      (* And the E36 shared-nothing series: the packets/sec ladder at
-         every rung, the five-stage latency breakdown, and the
-         migration-conservation records — the SMP claim is only
-         auditable with the scaling curve AND the exact-handoff
-         evidence side by side. *)
-      let e36_metrics =
-        List.filter_map
-          (fun item ->
-            match field "id" item Obs.Json.to_string_opt with
-            | Some "E36" -> field "metric" item Obs.Json.to_string_opt
-            | _ -> None)
-          items
-      in
-      List.iter
-        (fun domains ->
-          let want = Printf.sprintf "smp.d%d.packets_per_s" domains in
-          if not (List.mem want e36_metrics) then
-            fail (Printf.sprintf "missing E36 record %s" want))
-        e36_domains;
-      List.iter
-        (fun name ->
-          List.iter
-            (fun suffix ->
-              let want = Printf.sprintf "smp.stage.%s.%s" name suffix in
-              if not (List.mem want e36_metrics) then
-                fail (Printf.sprintf "missing E36 record %s" want))
-            [ "p50_ns"; "p99_ns" ])
-        e36_stage_names;
-      List.iter
-        (fun want ->
-          if not (List.mem want e36_metrics) then
-            fail (Printf.sprintf "missing E36 record %s" want))
-        [ "smp.migrate.handoffs"; "smp.migrate.forwarded";
-          "smp.migrate.flushes"; "smp.migrate.violations" ];
-      (match
-         List.find_opt
-           (fun item ->
-             field "id" item Obs.Json.to_string_opt = Some "E36"
-             && field "metric" item Obs.Json.to_string_opt
-                = Some "smp.migrate.violations")
-           items
-       with
-      | Some item ->
-        (match field "value" item Obs.Json.to_float_opt with
-        | Some 0. -> ()
-        | Some v ->
-          fail
-            (Printf.sprintf
-               "E36 migration conservation violated (%d violations)"
-               (int_of_float v))
-        | None -> fail "E36 smp.migrate.violations is not a number")
-      | None -> ());
+      if missing <> [] then
+        fail
+          (String.concat "\n"
+             (List.map
+                (fun (id, metric) ->
+                  Printf.sprintf "missing %s record %s" id metric)
+                missing));
+      (match List.assoc_opt ("E36", "smp.migrate.violations") present with
+      | Some item when field "value" item Obs.Json.to_float_opt <> Some 0. ->
+        fail "E36 migration conservation violated (smp.migrate.violations > 0)"
+      | Some _ | None -> ());
       Printf.printf
-        "%s: %d records (E28 + E29 + E31 + E33 + E34 + E35 + E36 \
-         coverage ok, migration conservation ok), schema ok\n"
-        path (List.length items))
+        "%s: %d records (all %d declared present, migration conservation \
+         ok), schema ok\n"
+        path (List.length items) (List.length declared))
 
-(* The differential-check gate: --check refuses to bless a benchmark
-   run unless a passing tcpdemux-check/1 report sits next to it —
-   perf numbers from tables the oracle has not cleared are not
-   results. *)
-let check_check_report path =
-  match Check.Report.validate_file path with
-  | Ok () -> Printf.printf "%s: tcpdemux-check/1 ok\n" path
+(* The differential-check and chaos gates: --check refuses to bless a
+   benchmark run unless a passing tcpdemux-check/1 report (check.json)
+   and a passing tcpdemux-chaos/1 report (chaos.json) sit next to it —
+   perf numbers from tables the oracle has not cleared, or from a
+   pipeline that did not survive the fault scenarios with a clean
+   replay audit, are not results. *)
+let check_report ~schema ~command validate path =
+  match validate path with
+  | Ok () -> Printf.printf "%s: %s ok\n" path schema
   | Error message ->
-    Printf.eprintf
-      "%s: %s\n(run `tcpdemux check --smoke --json %s` first)\n" path message
-      path;
-    exit 1
-
-(* The chaos gate, same posture: a benchmark run is only blessed when
-   the pipeline survived the fault scenarios with a clean replay
-   audit. *)
-let check_chaos_report path =
-  match Check.Chaos.validate_file path with
-  | Ok () -> Printf.printf "%s: tcpdemux-chaos/1 ok\n" path
-  | Error message ->
-    Printf.eprintf
-      "%s: %s\n(run `tcpdemux chaos --smoke --json %s` first)\n" path message
-      path;
+    Printf.eprintf "%s: %s\n(run `tcpdemux %s --smoke --json %s` first)\n" path
+      message command path;
     exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -2195,7 +2033,7 @@ let regen_tests =
     [ Test.make ~name:"E1-fig4" (Staged.stage (fun () -> ignore (e1_figure4 ())));
       Test.make ~name:"E2-E3-bsd" (Staged.stage (fun () -> ignore (e2_e3 ())));
       Test.make ~name:"E4-E6-mtf" (Staged.stage (fun () -> ignore (e4_e6 ())));
-      Test.make ~name:"E7-srcache" (Staged.stage (fun () -> ignore (e7 ())));
+      Test.make ~name:"E7-srcache" (Staged.stage (fun () -> ignore (e7_rows ())));
       Test.make ~name:"E8-E11-sequent"
         (Staged.stage (fun () -> ignore (e8_e11 ())));
       Test.make ~name:"E12-fig13"
@@ -2321,98 +2159,55 @@ let run_bechamel ~smoke () =
 
 let usage () =
   prerr_endline
-    "usage: bench [--smoke] [--e34] [--e35] [--json FILE] [--check FILE] \
-     [--check-report FILE] [--chaos-report FILE]\n\
-     \  --smoke      small populations and windows (CI)\n\
-     \  --e34        run only the E34 off-heap storage ramp (10M flows,\n\
-     \               ~minutes and ~1 GB resident) and exit\n\
-     \  --e35        run only the E35 flat-vs-cuckoo adversarial lookup\n\
-     \               grid (three populations to 1M flows) and exit\n\
-     \  --e36        run only the E36 shared-nothing per-core stack\n\
-     \               ladder (throughput, stage breakdown, migration)\n\
-     \               and exit\n\
+    "usage: bench [--smoke] [--json FILE] [--eNN ...]\n\
+    \       bench --check FILE\n\
+     \  --smoke      small populations and windows (CI); without --eNN,\n\
+     \               runs only the experiments that declare records\n\
      \  --json FILE  write tcpdemux-bench/1 records to FILE\n\
-     \  --check FILE validate a records file (plus the tcpdemux-check/1\n\
-     \               report, --check-report, default check.json, and the\n\
-     \               tcpdemux-chaos/1 report, --chaos-report, default\n\
-     \               chaos.json) and exit";
+     \  --eNN        run only experiment ENN (repeatable; e.g. --e29),\n\
+     \               full size unless --smoke, no microbenchmarks\n\
+     \  --check FILE validate a records file (schema and every declared\n\
+     \               record) plus the passing check.json and chaos.json\n\
+     \               reports in FILE's directory, and exit";
   exit 2
 
 let () =
   let smoke = ref false and json = ref None and check = ref None in
-  let only_e34 = ref false in
-  let only_e35 = ref false in
-  let only_e36 = ref false in
-  let check_report = ref "check.json" in
-  let chaos_report = ref "chaos.json" in
+  let selected = ref [] in
   let rec parse = function
     | [] -> ()
     | "--smoke" :: rest -> smoke := true; parse rest
-    | "--e34" :: rest -> only_e34 := true; parse rest
-    | "--e35" :: rest -> only_e35 := true; parse rest
-    | "--e36" :: rest -> only_e36 := true; parse rest
     | "--json" :: path :: rest -> json := Some path; parse rest
     | "--check" :: path :: rest -> check := Some path; parse rest
-    | "--check-report" :: path :: rest -> check_report := path; parse rest
-    | "--chaos-report" :: path :: rest -> chaos_report := path; parse rest
+    | flag :: rest when String.starts_with ~prefix:"--e" flag ->
+      let id = "E" ^ String.sub flag 3 (String.length flag - 3) in
+      (match List.find_opt (fun (E e) -> e.id = id) experiments with
+      | Some entry -> selected := entry :: !selected; parse rest
+      | None -> usage ())
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let smoke = !smoke in
   match !check with
   | Some path ->
     check_records path;
-    check_check_report !check_report;
-    check_chaos_report !chaos_report
-  | None when !only_e34 ->
-    print_endline
-      "tcpdemux benchmark harness — McKenney & Dove (1992) reproduction";
-    print_e34 ~smoke:false (e34 ~smoke:false ());
-    print_endline "\ndone."
-  | None when !only_e35 ->
-    print_endline
-      "tcpdemux benchmark harness — McKenney & Dove (1992) reproduction";
-    print_e35 (e35 ~smoke:false ()) (e35_warm_pair ());
-    print_endline "\ndone."
-  | None when !only_e36 ->
-    print_endline
-      "tcpdemux benchmark harness — McKenney & Dove (1992) reproduction";
-    print_e36
-      (e36_scaling ~smoke:false ())
-      (e36_stages ~smoke:false ())
-      (e36_migrate ~smoke:false ());
-    print_endline "\ndone."
+    let beside name = Filename.concat (Filename.dirname path) name in
+    check_report ~schema:"tcpdemux-check/1" ~command:"check"
+      Check.Report.validate_file (beside "check.json");
+    check_report ~schema:"tcpdemux-chaos/1" ~command:"chaos"
+      Check.Chaos.validate_file (beside "chaos.json")
   | None ->
     print_endline
       "tcpdemux benchmark harness — McKenney & Dove (1992) reproduction";
-    if not !smoke then begin
-      print_e1 ();
-      print_e2_e3 ();
-      print_e4_e6 ();
-      print_e7 ();
-      print_e8_e11 ();
-      print_e12_e13 ();
-      print_e14 ();
-      print_e15 ();
-      print_e16 ();
-      print_e17 ();
-      print_e18 ();
-      print_e19 ();
-      print_e20 ();
-      print_e21 ();
-      print_e22 ();
-      print_e23 ();
-      print_e24 ();
-      print_e25 ()
-    end;
-    let print = not !smoke in
-    if print || !json <> None then begin
-      let gated = run_gated ~smoke:!smoke ~print in
-      if print then print_hash_ablation ();
-      Option.iter
-        (fun path ->
-          collect_records ~smoke:!smoke gated;
-          write_records path)
-        !json
-    end;
-    run_bechamel ~smoke:!smoke ();
+    let entries =
+      match List.rev !selected with
+      | [] when smoke -> List.filter (declares_records ~smoke) experiments
+      | [] -> experiments
+      | chosen -> chosen
+    in
+    let records =
+      List.concat_map (run_experiment ~smoke ~print:(not smoke)) entries
+    in
+    Option.iter (fun path -> write_records path records) !json;
+    (match !selected with [] -> run_bechamel ~smoke () | _ :: _ -> ());
     print_endline "\ndone."
