@@ -19,15 +19,6 @@ type t = {
 
 let of_spec spec =
   let demux = Demux.Registry.create spec in
-  let guard =
-    match spec with
-    | Demux.Registry.Guarded { spec = inner; max_chain; max_total } ->
-      (* Mirror Registry.create's guard wiring exactly, so the shadow
-         guard Diff runs over the oracle makes the same decisions. *)
-      let chains, hasher = Demux.Registry.chain_geometry inner in
-      Some (Demux.Guarded.config ~max_chain ~max_total ~chains ~hasher ())
-    | _ -> None
-  in
   { name = demux.Demux.Registry.name;
     insert = (fun flow v -> ignore (demux.Demux.Registry.insert flow v));
     remove =
@@ -43,7 +34,7 @@ let of_spec spec =
         let acc = ref [] in
         demux.Demux.Registry.iter (fun pcb -> acc := pcb_pair pcb :: !acc);
         sorted_contents !acc);
-    guard }
+    guard = Demux.Registry.guard_config spec }
 
 let striped ?(chains = Demux.Sequent.default_chains)
     ?(hasher = Hashing.Hashers.multiplicative) () =

@@ -99,11 +99,3 @@ let to_list t =
 
 let tail_pcb t =
   match t.tail with Some node -> Some node.pcb | None -> None
-
-let find_exact t ~w0 ~w1 =
-  let rec walk = function
-    | None -> None
-    | Some node as found ->
-      if node.w0 = w0 && node.w1 = w1 then found else walk node.next
-  in
-  walk t.head

@@ -1,9 +1,12 @@
 (** Intrusive doubly linked PCB chain, keyed by packed flow words.
 
-    The common substrate of every list-based algorithm in the paper:
-    BSD's single list, Crowcroft's move-to-front list, Partridge and
-    Pink's cached list, and each of the Sequent algorithm's hash
-    chains.  Nodes support O(1) unlink and move-to-front.
+    One of {!Sequent}'s [H] chains.  That one store serves every
+    list-based algorithm in the paper: BSD's single list and
+    Crowcroft's move-to-front list are its one-chain cases, Partridge
+    and Pink's cached list adds a slot to BSD's, and the Sequent
+    algorithm is its [H]-chain case.  {!Lru_cache}'s K-entry cache,
+    {!Guarded}'s shadow chains and [Parallel.Striped]'s stripes are
+    chains too.  Nodes support O(1) unlink and move-to-front.
 
     Each node holds its PCB's flow as the two {!Flow_key} words,
     computed once by {!push_front}.  Queries arrive as the same two
@@ -52,7 +55,3 @@ val to_list : 'a t -> 'a Pcb.t list
 
 val tail_pcb : 'a t -> 'a Pcb.t option
 (** The PCB at the tail (least recently pushed/moved), O(1). *)
-
-val find_exact : 'a t -> w0:int -> w1:int -> 'a node option
-(** Uncharged exact search, for maintenance paths (removal, transmit
-    bookkeeping) that the paper does not meter. *)

@@ -6,7 +6,6 @@ type 'a t = {
   mutable population : int;
 }
 
-let name = "conn-id"
 
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Conn_id.create: capacity <= 0";

@@ -15,15 +15,12 @@
 
 type 'a t
 
-val name : string
+include Types.TABLE with type 'a t := 'a t
+(** [insert] also raises [Failure] when the ID space is exhausted. *)
 
 val create : ?capacity:int -> unit -> 'a t
 (** [capacity] bounds the ID space (default 65536, a 16-bit ID field).
     @raise Invalid_argument if [capacity <= 0]. *)
-
-val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
-(** @raise Invalid_argument if the flow is already present.
-    @raise Failure if the ID space is exhausted. *)
 
 val connection_id : 'a t -> Packet.Flow.t -> int option
 (** The negotiated ID for a flow, as the peer would learn it during
@@ -31,10 +28,3 @@ val connection_id : 'a t -> Packet.Flow.t -> int option
 
 val lookup_by_id : 'a t -> ?kind:Types.packet_kind -> int -> 'a Pcb.t option
 (** The real protocol's receive path: one examination. *)
-
-val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
-val lookup : 'a t -> ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option
-val note_send : 'a t -> Packet.Flow.t -> unit
-val stats : 'a t -> Lookup_stats.t
-val length : 'a t -> int
-val iter : ('a Pcb.t -> unit) -> 'a t -> unit

@@ -18,7 +18,6 @@ type 'a t = {
   stats : Lookup_stats.t;
 }
 
-let name = "cuckoo"
 
 let create () =
   { table = Table.create ();

@@ -10,23 +10,10 @@
 
 type 'a t
 
-val name : string
+include Types.TABLE with type 'a t := 'a t
 
 val create : unit -> 'a t
-
-val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
-(** @raise Invalid_argument if the flow is already present. *)
-
-val lookup :
-  'a t -> ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option
-
-val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
-val note_send : 'a t -> Packet.Flow.t -> unit
-val stats : 'a t -> Lookup_stats.t
-val length : 'a t -> int
 
 val table : 'a t -> Cuckoo_table.Heap.t
 (** The underlying table, for kick/stash diagnostics in attack
     reports. *)
-
-val iter : ('a Pcb.t -> unit) -> 'a t -> unit

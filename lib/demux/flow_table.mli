@@ -1,9 +1,8 @@
 (** Hashtable keyed by flows — internal bookkeeping substrate.
 
-    The list-based algorithms need O(1) access to their own nodes on
-    the {e unmetered} maintenance paths (duplicate detection on
-    insert, removal on connection close, transmit-side bookkeeping
-    where the real stack already holds the PCB in hand).  This index
-    is never consulted on the metered receive path. *)
+    For per-flow state off the metered receive path: {!Lru_cache}'s
+    map to its cache nodes, {!Guarded}'s shadow chains, the stack's
+    TIME-WAIT timers and [Parallel.Smp]'s migration bookkeeping.  The
+    chained algorithms' own index is {!Sequent}'s {!Flat_table}. *)
 
 include Hashtbl.S with type key = Packet.Flow.t

@@ -1,18 +1,17 @@
-(** Uncached linear PCB list — the original BSD scheme before the
-    4.3-Reno one-entry cache, kept as the degenerate baseline.  Every
-    lookup scans from the head; new PCBs are inserted at the head. *)
+(** Uncached scan — the original BSD scheme before the 4.3-Reno
+    one-entry cache, kept as the degenerate baseline.
 
-type 'a t
+    A lookup policy over {!Sequent}'s store that never reads the cache
+    slots: every lookup scans the flow's home chain from the head, and
+    new PCBs go to the head.  With its one chain a lookup for the PCB
+    at position [i] costs [i]: [(N + 1)/2] for a uniformly chosen
+    resident, the scan term of BSD's Equation 1, and [N] for a miss.
+    {!Resizing_hash} runs the same lookup over [H] growing chains. *)
 
-val name : string
+type 'a t = 'a Sequent.t
+(** Sequent's store, so {!Resizing_hash} can run this lookup over its
+    own. *)
+
+include Types.TABLE with type 'a t := 'a t
+
 val create : unit -> 'a t
-
-val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
-(** @raise Invalid_argument if the flow is already present. *)
-
-val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
-val lookup : 'a t -> ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option
-val note_send : 'a t -> Packet.Flow.t -> unit
-val stats : 'a t -> Lookup_stats.t
-val length : 'a t -> int
-val iter : ('a Pcb.t -> unit) -> 'a t -> unit

@@ -9,25 +9,16 @@
     BSD's single entry), yet the miss penalty keeps the overall cost
     an order of magnitude above hashed chains.
     {!Analysis.Lru_model.cost} gives the matching analytic model;
-    experiment E24 measures both. *)
+    experiment E24 measures both.
+
+    A lookup policy over {!Sequent}'s store at one chain, which leaves
+    the store's cache slot unused: the K-entry cache is this module's
+    own state.  At K = 1 the costs equal BSD's (Equation 1). *)
 
 type 'a t
 
-val name : string
+include Types.TABLE with type 'a t := 'a t
 
 val create : ?entries:int -> unit -> 'a t
-(** [entries] is the cache capacity K (default 8; K = 1 reproduces
-    BSD's behaviour with an LRU-maintained slot).
+(** [entries] is the cache capacity K (default 8).
     @raise Invalid_argument if [entries <= 0]. *)
-
-val entries : 'a t -> int
-
-val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
-(** @raise Invalid_argument if the flow is already present. *)
-
-val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
-val lookup : 'a t -> ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option
-val note_send : 'a t -> Packet.Flow.t -> unit
-val stats : 'a t -> Lookup_stats.t
-val length : 'a t -> int
-val iter : ('a Pcb.t -> unit) -> 'a t -> unit

@@ -1,28 +1,27 @@
-(** Crowcroft's move-to-front list (paper Section 3.2).
+(** Crowcroft's move-to-front list (paper Section 3.2), per hash chain.
 
-    A plain linear list; whenever a PCB is found it is moved to the
-    head.  There is no separate cache — after a hit the found PCB
-    {e is} the head, so a cache would always duplicate position 1.
-    Under TPC/A this trades a slight penalty on transaction entry
-    (think times are long, so almost everyone else gets in front of
-    you) for a large win on the response acknowledgement (only
-    packets within the response window precede yours), netting 549-904
-    PCBs against BSD's 1001 (Equation 6). *)
+    A lookup policy over {!Sequent}'s store: scan the flow's home
+    chain and move the PCB found to that chain's head.  There is no
+    separate cache — after a hit the found PCB {e is} the head, so a
+    cache would always duplicate position 1.
+
+    - At one chain (the default) this is the paper's MTF list.  Under
+      TPC/A it trades a slight penalty on transaction entry (think
+      times are long, so almost everyone else gets in front of you)
+      for a large win on the response acknowledgement (only packets
+      within the response window precede yours), netting 549-904 PCBs
+      against BSD's 1001 (Equation 6).
+    - At [H] chains it is the hashed MTF Section 3.5 weighs and
+      rejects: its best case is a factor-of-two win over plain
+      chains, while merely raising [H] from 19 to 100 wins a factor of
+      five.  The paper gives no equation; {!Analysis.Hashed_mtf_model}
+      estimates it as Equation 6 at [N/H] users per chain, and
+      experiment E17 measures the trade. *)
 
 type 'a t
 
-val name : string
-val create : unit -> 'a t
+include Types.TABLE with type 'a t := 'a t
 
-val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
-(** @raise Invalid_argument if the flow is already present. *)
-
-val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
-val lookup : 'a t -> ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option
-val note_send : 'a t -> Packet.Flow.t -> unit
-val stats : 'a t -> Lookup_stats.t
-val length : 'a t -> int
-val iter : ('a Pcb.t -> unit) -> 'a t -> unit
-
-val front_flow : 'a t -> Packet.Flow.t option
-(** Flow currently at the head, for tests. *)
+val create : ?chains:int -> ?hasher:Hashing.Hashers.t -> unit -> 'a t
+(** Defaults: one chain, multiplicative hashing.
+    @raise Invalid_argument if [chains <= 0]. *)

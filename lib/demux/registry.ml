@@ -117,6 +117,14 @@ let rec chain_geometry = function
   | Lru_cache _ | Cuckoo ->
     (1, Hashing.Hashers.multiplicative)
 
+let guard_config = function
+  | Guarded { spec; max_chain; max_total } ->
+    let chains, hasher = chain_geometry spec in
+    Some (Guarded.config ~max_chain ~max_total ~chains ~hasher ())
+  | Linear | Bsd | Mtf | Sr_cache | Sequent _ | Hashed_mtf _ | Conn_id _
+  | Resizing_hash | Splay | Lru_cache _ | Cuckoo ->
+    None
+
 let guard config inner =
   let g = Guarded.create config in
   let stats = inner.stats in
@@ -158,88 +166,41 @@ let guard config inner =
     length = inner.length;
     iter = inner.iter }
 
+(* Erase one table behind the record of closures. *)
+module Erase (D : Types.TABLE) = struct
+  let make name d =
+    { name; insert = D.insert d; remove = D.remove d;
+      lookup = (fun ?kind flow -> D.lookup d ?kind flow);
+      note_send = D.note_send d; stats = D.stats d;
+      length = (fun () -> D.length d); iter = (fun f -> D.iter f d) }
+end
+
+module Linear_e = Erase (Linear)
+module Mtf_e = Erase (Mtf)
+module Sr_cache_e = Erase (Sr_cache)
+module Sequent_e = Erase (Sequent)
+module Conn_id_e = Erase (Conn_id)
+module Resizing_hash_e = Erase (Resizing_hash)
+module Splay_e = Erase (Splay)
+module Lru_cache_e = Erase (Lru_cache)
+module Cuckoo_e = Erase (Cuckoo)
+
 let rec create spec =
-  let name = spec_name spec in
+  let n = spec_name spec in
   match spec with
-  | Linear ->
-    let d = Linear.create () in
-    { name; insert = Linear.insert d; remove = Linear.remove d;
-      lookup = (fun ?kind flow -> Linear.lookup d ?kind flow);
-      note_send = Linear.note_send d; stats = Linear.stats d;
-      length = (fun () -> Linear.length d);
-      iter = (fun f -> Linear.iter f d) }
-  | Bsd ->
-    let d = Bsd.create () in
-    { name; insert = Bsd.insert d; remove = Bsd.remove d;
-      lookup = (fun ?kind flow -> Bsd.lookup d ?kind flow);
-      note_send = Bsd.note_send d; stats = Bsd.stats d;
-      length = (fun () -> Bsd.length d); iter = (fun f -> Bsd.iter f d) }
-  | Mtf ->
-    let d = Mtf.create () in
-    { name; insert = Mtf.insert d; remove = Mtf.remove d;
-      lookup = (fun ?kind flow -> Mtf.lookup d ?kind flow);
-      note_send = Mtf.note_send d; stats = Mtf.stats d;
-      length = (fun () -> Mtf.length d); iter = (fun f -> Mtf.iter f d) }
-  | Sr_cache ->
-    let d = Sr_cache.create () in
-    { name; insert = Sr_cache.insert d; remove = Sr_cache.remove d;
-      lookup = (fun ?kind flow -> Sr_cache.lookup d ?kind flow);
-      note_send = Sr_cache.note_send d; stats = Sr_cache.stats d;
-      length = (fun () -> Sr_cache.length d);
-      iter = (fun f -> Sr_cache.iter f d) }
-  | Sequent { chains; hasher } ->
-    let d = Sequent.create ~chains ~hasher () in
-    { name; insert = Sequent.insert d; remove = Sequent.remove d;
-      lookup = (fun ?kind flow -> Sequent.lookup d ?kind flow);
-      note_send = Sequent.note_send d; stats = Sequent.stats d;
-      length = (fun () -> Sequent.length d);
-      iter = (fun f -> Sequent.iter f d) }
-  | Hashed_mtf { chains; hasher } ->
-    let d = Hashed_mtf.create ~chains ~hasher () in
-    { name; insert = Hashed_mtf.insert d; remove = Hashed_mtf.remove d;
-      lookup = (fun ?kind flow -> Hashed_mtf.lookup d ?kind flow);
-      note_send = Hashed_mtf.note_send d; stats = Hashed_mtf.stats d;
-      length = (fun () -> Hashed_mtf.length d);
-      iter = (fun f -> Hashed_mtf.iter f d) }
-  | Conn_id { capacity } ->
-    let d = Conn_id.create ~capacity () in
-    { name; insert = Conn_id.insert d; remove = Conn_id.remove d;
-      lookup = (fun ?kind flow -> Conn_id.lookup d ?kind flow);
-      note_send = Conn_id.note_send d; stats = Conn_id.stats d;
-      length = (fun () -> Conn_id.length d);
-      iter = (fun f -> Conn_id.iter f d) }
-  | Resizing_hash ->
-    let d = Resizing_hash.create () in
-    { name; insert = Resizing_hash.insert d; remove = Resizing_hash.remove d;
-      lookup = (fun ?kind flow -> Resizing_hash.lookup d ?kind flow);
-      note_send = Resizing_hash.note_send d; stats = Resizing_hash.stats d;
-      length = (fun () -> Resizing_hash.length d);
-      iter = (fun f -> Resizing_hash.iter f d) }
-  | Splay ->
-    let d = Splay.create () in
-    { name; insert = Splay.insert d; remove = Splay.remove d;
-      lookup = (fun ?kind flow -> Splay.lookup d ?kind flow);
-      note_send = Splay.note_send d; stats = Splay.stats d;
-      length = (fun () -> Splay.length d); iter = (fun f -> Splay.iter f d) }
-  | Lru_cache { entries } ->
-    let d = Lru_cache.create ~entries () in
-    { name; insert = Lru_cache.insert d; remove = Lru_cache.remove d;
-      lookup = (fun ?kind flow -> Lru_cache.lookup d ?kind flow);
-      note_send = Lru_cache.note_send d; stats = Lru_cache.stats d;
-      length = (fun () -> Lru_cache.length d);
-      iter = (fun f -> Lru_cache.iter f d) }
-  | Cuckoo ->
-    let d = Cuckoo.create () in
-    { name; insert = Cuckoo.insert d; remove = Cuckoo.remove d;
-      lookup = (fun ?kind flow -> Cuckoo.lookup d ?kind flow);
-      note_send = Cuckoo.note_send d; stats = Cuckoo.stats d;
-      length = (fun () -> Cuckoo.length d);
-      iter = (fun f -> Cuckoo.iter f d) }
-  | Guarded { spec = inner_spec; max_chain; max_total } ->
-    let chains, hasher = chain_geometry inner_spec in
-    guard
-      (Guarded.config ~max_chain ~max_total ~chains ~hasher ())
-      (create inner_spec)
+  | Linear -> Linear_e.make n (Linear.create ())
+  | Bsd -> Sequent_e.make n (Sequent.create ~chains:1 ())
+  | Mtf -> Mtf_e.make n (Mtf.create ())
+  | Sr_cache -> Sr_cache_e.make n (Sr_cache.create ())
+  | Sequent { chains; hasher } -> Sequent_e.make n (Sequent.create ~chains ~hasher ())
+  | Hashed_mtf { chains; hasher } -> Mtf_e.make n (Mtf.create ~chains ~hasher ())
+  | Conn_id { capacity } -> Conn_id_e.make n (Conn_id.create ~capacity ())
+  | Resizing_hash -> Resizing_hash_e.make n (Resizing_hash.create ())
+  | Splay -> Splay_e.make n (Splay.create ())
+  | Lru_cache { entries } -> Lru_cache_e.make n (Lru_cache.create ~entries ())
+  | Cuckoo -> Cuckoo_e.make n (Cuckoo.create ())
+  | Guarded { spec = inner; _ } ->
+    guard (Option.get (guard_config spec)) (create inner)
 
 let observe ?prefix obs t =
   let prefix =

@@ -74,6 +74,11 @@ val observe : ?prefix:string -> Obs.Registry.t -> 'a t -> unit
     ["<prefix>.examined_miss"] per-outcome series via
     {!Lookup_stats.set_series_histograms}. *)
 
+val guard_config : spec -> Guarded.config option
+(** The overload guard {!create} wraps a [Guarded] spec in: its
+    bounds, with the inner algorithm's {!chain_geometry}.  [None] for
+    every other spec. *)
+
 val guard : Guarded.config -> 'a t -> 'a t
 (** [guard config inner] bounds [inner]'s population: insertions that
     would push a chain past [config.max_chain] or the table past

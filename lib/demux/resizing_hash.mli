@@ -1,26 +1,20 @@
 (** A modern resizing hash table, no per-chain cache — what production
-    stacks converged on after this paper's era.  Doubles the bucket
-    array when the load factor crosses 1, so expected lookup cost
-    stays O(1) regardless of connection count.  Included as the
-    "future work validated by history" baseline. *)
+    stacks converged on after this paper's era, included as the
+    "future work validated by history" baseline.
+
+    {!Linear}'s uncached scan over {!Sequent}'s store, with [H]
+    doubled ({!Sequent.grow}) whenever a new flow would push the load
+    factor [N/H] past 1.  Expected lookup cost stays O(1) at any
+    connection count: under uniform hashing a hit scans
+    [1 + (N - 1)/2H <= 1.5] PCBs. *)
 
 type 'a t
 
-val name : string
+include Types.TABLE with type 'a t := 'a t
 
 val create : ?initial_buckets:int -> ?hasher:Hashing.Hashers.t -> unit -> 'a t
-(** Defaults: 16 buckets, multiplicative hashing.
+(** Defaults: 16 chains, multiplicative hashing.
     @raise Invalid_argument if [initial_buckets <= 0]. *)
 
-val buckets : 'a t -> int
-(** Current bucket-array size (changes as the table grows). *)
-
-val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
-(** @raise Invalid_argument if the flow is already present. *)
-
-val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
-val lookup : 'a t -> ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option
-val note_send : 'a t -> Packet.Flow.t -> unit
-val stats : 'a t -> Lookup_stats.t
-val length : 'a t -> int
-val iter : ('a Pcb.t -> unit) -> 'a t -> unit
+val chains : 'a t -> int
+(** Current [H] (changes as the table grows). *)

@@ -9,22 +9,23 @@ type 'a bucket = {
 type 'a entry = { node : 'a Chain.node; home : int }
 
 type 'a t = {
-  buckets : 'a bucket array;
+  mutable buckets : 'a bucket array;
   hasher : Hashing.Hashers.t;
   index : 'a entry Flat_table.t;
   stats : Lookup_stats.t;
   mutable next_id : int;
 }
 
-let name = "sequent"
 let default_chains = 19
+
+let make_buckets n =
+  Array.init n (fun _ -> { chain = Chain.create (); cache = None })
 
 let create ?(chains = default_chains) ?(hasher = Hashing.Hashers.multiplicative)
     () =
   if chains <= 0 then invalid_arg "Sequent.create: chains <= 0";
-  { buckets =
-      Array.init chains (fun _ -> { chain = Chain.create (); cache = None });
-    hasher; index = Flat_table.create ~initial_capacity:64 ();
+  { buckets = make_buckets chains; hasher;
+    index = Flat_table.create ~initial_capacity:64 ();
     stats = Lookup_stats.create (); next_id = 0 }
 
 let chains t = Array.length t.buckets
@@ -34,18 +35,37 @@ let chains t = Array.length t.buckets
 let bucket_index t flow =
   Hashing.Hashers.bucket_flow t.hasher ~buckets:(Array.length t.buckets) flow
 
+let home t flow = t.buckets.(bucket_index t flow)
+let bucket t i = t.buckets.(i)
+
+(* Push [pcb] onto the head of its home chain and (re)index it. *)
+let link t pcb ~w0 ~w1 =
+  let home = bucket_index t pcb.Pcb.flow in
+  let node = Chain.push_front t.buckets.(home).chain pcb in
+  Flat_table.replace t.index ~w0 ~w1 { node; home }
+
 let insert t flow data =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
   if Flat_table.mem t.index ~w0 ~w1 then
     invalid_arg "Sequent.insert: duplicate flow";
   let pcb = Pcb.make ~id:t.next_id ~flow data in
   t.next_id <- t.next_id + 1;
-  let home = bucket_index t flow in
-  let bucket = t.buckets.(home) in
-  let node = Chain.push_front bucket.chain pcb in
-  Flat_table.replace t.index ~w0 ~w1 { node; home };
+  link t pcb ~w0 ~w1;
   Lookup_stats.note_insert t.stats;
   pcb
+
+let grow t =
+  let old = t.buckets in
+  t.buckets <- make_buckets (2 * Array.length old);
+  Array.iter
+    (fun bucket ->
+      Chain.iter
+        (fun pcb ->
+          let flow = pcb.Pcb.flow in
+          link t pcb ~w0:(Flow_key.w0_of_flow flow)
+            ~w1:(Flow_key.w1_of_flow flow))
+        bucket.chain)
+    old
 
 let remove t flow =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
@@ -60,6 +80,20 @@ let remove t flow =
     Flat_table.remove t.index ~w0 ~w1;
     Lookup_stats.note_remove t.stats;
     Some (Chain.pcb node)
+
+let finish t ~hit_cache = function
+  | Some node ->
+    let pcb = Chain.pcb node in
+    Pcb.note_rx pcb;
+    Lookup_stats.end_lookup t.stats ~hit_cache ~found:true;
+    Some pcb
+  | None ->
+    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
+    None
+
+(* Sequent's policy.  It stays in this module, next to the store,
+   because the stack's receive path runs it on every datagram and a
+   helper in another module would be a real call there. *)
 
 (* Cache missed (or was cold): scan the chain.  Shared miss
    continuation for [lookup_pcb]. *)
@@ -97,6 +131,20 @@ let lookup t ?kind:_ flow =
   | pcb -> Some pcb
   | exception Not_found -> None
 
+let mem t flow =
+  Flat_table.mem t.index ~w0:(Flow_key.w0_of_flow flow)
+    ~w1:(Flow_key.w1_of_flow flow)
+
+let find t flow =
+  match
+    Flat_table.find_opt t.index ~w0:(Flow_key.w0_of_flow flow)
+      ~w1:(Flow_key.w1_of_flow flow)
+  with
+  | Some { node; _ } -> Some node
+  | None -> None
+
+(* Matches the index's own option cell, so a reply's bookkeeping
+   allocates nothing. *)
 let note_send t flow =
   match
     Flat_table.find_opt t.index ~w0:(Flow_key.w0_of_flow flow)

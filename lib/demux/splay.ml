@@ -8,7 +8,6 @@ type 'a t = {
   mutable charging : bool;
 }
 
-let name = "splay"
 
 let create () =
   { root = Leaf; population = 0; stats = Lookup_stats.create (); next_id = 0;

@@ -14,18 +14,9 @@
 
 type 'a t
 
-val name : string
+include Types.TABLE with type 'a t := 'a t
+
 val create : unit -> 'a t
-
-val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
-(** @raise Invalid_argument if the flow is already present. *)
-
-val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
-val lookup : 'a t -> ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option
-val note_send : 'a t -> Packet.Flow.t -> unit
-val stats : 'a t -> Lookup_stats.t
-val length : 'a t -> int
-val iter : ('a Pcb.t -> unit) -> 'a t -> unit
 
 val depth : 'a t -> int
 (** Current tree height (0 when empty), for balance diagnostics. *)

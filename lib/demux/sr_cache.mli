@@ -8,30 +8,22 @@
     examinations; a full miss costs both probes plus the list scan,
     the paper's [(N+5)/2].  The scheme leans on packet trains, so it
     shines for few users and converges to BSD as N grows
-    (Equation 17). *)
+    (Equation 17).
+
+    A lookup policy over {!Sequent}'s store at one chain, which is
+    BSD: the list and its last-found slot are the store's chain and
+    that chain's cache slot, which is the receive side.  The send side
+    is the one slot this module adds. *)
 
 type 'a t
 
-val name : string
+include Types.TABLE with type 'a t := 'a t
+(** [lookup]'s [kind] defaults to [Data]; a successful lookup installs
+    the PCB in the receive-side cache.  [note_send] installs the
+    flow's PCB in the send-side cache.  Removing a cached PCB
+    invalidates that cache side. *)
+
 val create : unit -> 'a t
-
-val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
-(** @raise Invalid_argument if the flow is already present. *)
-
-val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
-(** Removing a cached PCB invalidates that cache side. *)
-
-val lookup : 'a t -> ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option
-(** Default [kind] is [Data].  A successful lookup installs the PCB in
-    the receive-side cache. *)
-
-val note_send : 'a t -> Packet.Flow.t -> unit
-(** Transmit-side bookkeeping: installs the flow's PCB in the
-    send-side cache.  Uncharged — the sender already holds its PCB. *)
-
-val stats : 'a t -> Lookup_stats.t
-val length : 'a t -> int
-val iter : ('a Pcb.t -> unit) -> 'a t -> unit
 
 val cached_received_flow : 'a t -> Packet.Flow.t option
 val cached_sent_flow : 'a t -> Packet.Flow.t option

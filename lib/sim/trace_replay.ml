@@ -6,17 +6,6 @@ type result = {
   flows_seen : int;
 }
 
-let classify_kind (segment : Packet.Segment.t) =
-  let tcp = segment.Packet.Segment.tcp in
-  let flags = tcp.Packet.Tcp_header.flags in
-  if
-    String.length segment.Packet.Segment.payload = 0
-    && flags.Packet.Tcp_header.ack
-    && (not flags.Packet.Tcp_header.syn)
-    && not flags.Packet.Tcp_header.fin
-  then Demux.Types.Pure_ack
-  else Demux.Types.Data
-
 let replay_records ?obs ?tracer ?(verify_checksum = true) records spec =
   let demux = Demux.Registry.create spec in
   let meter = Meter.create ?obs ?tracer demux in
@@ -30,8 +19,8 @@ let replay_records ?obs ?tracer ?(verify_checksum = true) records spec =
       | Error _ -> incr skipped
       | Ok segment ->
         let flow = Packet.Segment.flow segment in
-        if demux.Demux.Registry.lookup ~kind:(classify_kind segment) flow = None
-        then begin
+        let kind = Demux.Types.kind_of_segment segment in
+        if demux.Demux.Registry.lookup ~kind flow = None then begin
           (* First packet of a new flow: the lookup (a charged miss,
              as in a real stack) falls through to connection setup. *)
           ignore (demux.Demux.Registry.insert flow ())

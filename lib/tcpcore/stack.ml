@@ -431,15 +431,6 @@ let poll_output t =
   t.outbox <- [];
   queued
 
-let classify_kind (tcp : Packet.Tcp_header.t) payload =
-  if
-    String.length payload = 0
-    && tcp.Packet.Tcp_header.flags.Packet.Tcp_header.ack
-    && (not tcp.Packet.Tcp_header.flags.Packet.Tcp_header.syn)
-    && not tcp.Packet.Tcp_header.flags.Packet.Tcp_header.fin
-  then Demux.Types.Pure_ack
-  else Demux.Types.Data
-
 let apply_transition conn event =
   match State.transition conn.state event with
   | Some next ->
@@ -612,7 +603,7 @@ let handle_segment t (segment : Packet.Segment.t) =
     let tcp = segment.Packet.Segment.tcp in
     let flags = tcp.Packet.Tcp_header.flags in
     let flow = Packet.Segment.flow segment in
-    let kind = classify_kind tcp segment.Packet.Segment.payload in
+    let kind = Demux.Types.kind_of_segment segment in
     let payload_len = String.length segment.Packet.Segment.payload in
     let timing = t.stage_demux <> None || t.stage_state <> None in
     let demux_t0 = if timing then Obs.Clock.now_ns () else 0 in

@@ -126,6 +126,109 @@ let generic_cases =
     all_specs
 
 (* ------------------------------------------------------------------ *)
+(* Golden accounting: one long mixed program, every spec               *)
+
+type golden_op =
+  | Open of int
+  | Close of int
+  | Receive of Demux.Types.packet_kind * int
+  | Send of int
+
+(* A fixed seeded program over a pool of 120 flows, built once and
+   independent of any table's answers.  It opens with 48 inserts and
+   ends with 85 residents, so resizing-hash (16 buckets) grows three
+   times.  Trains of lookups repeat the last flow, so the
+   one-entry caches hit; random lookups cycle far more than four
+   distinct flows, so lru-cache-4 evicts, and about a third of them
+   name an absent flow.  Removes often take the flow just looked up or
+   just sent on, so cached PCBs leave the table. *)
+let golden_program =
+  let pool = 120 in
+  let rng = Numerics.Rng.create ~seed:1992 in
+  let present = Array.make pool false in
+  let ops = ref [] in
+  let emit op = ops := op :: !ops in
+  let insert i =
+    present.(i) <- true;
+    emit (Open i)
+  in
+  for i = 0 to 47 do
+    insert i
+  done;
+  let looked = ref 0 and sent = ref 0 in
+  for _ = 1 to 4_000 do
+    let i = Numerics.Rng.int rng ~bound:pool in
+    match Numerics.Rng.int rng ~bound:20 with
+    | 0 | 1 -> if not present.(i) then insert i
+    | 2 ->
+      let victim =
+        match Numerics.Rng.int rng ~bound:3 with
+        | 0 -> !looked
+        | 1 -> !sent
+        | _ -> i
+      in
+      if present.(victim) then begin
+        present.(victim) <- false;
+        emit (Close victim)
+      end
+    | 3 | 4 | 5 ->
+      sent := i;
+      emit (Send i)
+    | 6 | 7 | 8 | 9 | 10 ->
+      looked := i;
+      emit (Receive (Demux.Types.Data, i))
+    | 11 | 12 | 13 | 14 -> emit (Receive (Demux.Types.Data, !looked))
+    | 15 | 16 -> emit (Receive (Demux.Types.Pure_ack, i))
+    | _ -> emit (Receive (Demux.Types.Pure_ack, !sent))
+  done;
+  List.rev !ops
+
+let golden_snapshot spec =
+  let demux = Demux.Registry.create spec in
+  List.iter
+    (function
+      | Open i -> ignore (demux.Demux.Registry.insert (flow i) ())
+      | Close i -> ignore (demux.Demux.Registry.remove (flow i))
+      | Receive (kind, i) -> ignore (demux.Demux.Registry.lookup ~kind (flow i))
+      | Send i -> demux.Demux.Registry.note_send (flow i))
+    golden_program;
+  let s = Demux.Lookup_stats.snapshot demux.Demux.Registry.stats in
+  Demux.Lookup_stats.
+    [ s.lookups; s.pcbs_examined; s.cache_hits; s.found; s.not_found;
+      s.inserts; s.removes; s.evictions; s.rejections; s.batches;
+      s.max_examined ]
+
+(* [lookups; pcbs_examined; cache_hits; found; not_found; inserts;
+   removes; evictions; rejections; batches; max_examined] per spec.
+   The values are the algorithms' exact accounting on this program:
+   a refactor of any table must leave every one of them unchanged. *)
+let golden_expected =
+  [ ("linear", [ 2793; 140781; 0; 1727; 1066; 198; 113; 0; 0; 0; 90 ]);
+    ("bsd", [ 2793; 126092; 495; 1727; 1066; 198; 113; 0; 0; 0; 91 ]);
+    ("mtf", [ 2793; 120177; 0; 1727; 1066; 198; 113; 0; 0; 0; 90 ]);
+    ("sr-cache", [ 2793; 118055; 752; 1727; 1066; 198; 113; 0; 0; 0; 92 ]);
+    ("sequent-19", [ 2793; 9232; 889; 1727; 1066; 198; 113; 0; 0; 0; 10 ]);
+    ("hashed-mtf-19", [ 2793; 8037; 0; 1727; 1066; 198; 113; 0; 0; 0; 9 ]);
+    ("conn-id", [ 2793; 1727; 0; 1727; 1066; 198; 113; 0; 0; 0; 1 ]);
+    ("resizing-hash", [ 2793; 3958; 0; 1727; 1066; 198; 113; 0; 0; 0; 6 ]);
+    ("splay", [ 2793; 14150; 0; 1727; 1066; 198; 113; 0; 0; 0; 19 ]);
+    ("lru-cache-4", [ 2793; 125025; 712; 1727; 1066; 198; 113; 0; 0; 0; 94 ]);
+    ( "guarded-sequent-19",
+      [ 2793; 9232; 889; 1727; 1066; 198; 113; 0; 0; 0; 10 ] );
+    ("cuckoo", [ 2793; 3534; 0; 1727; 1066; 198; 113; 0; 0; 0; 2 ]) ]
+
+let test_golden_accounting () =
+  let specs = all_specs @ [ Demux.Registry.Cuckoo ] in
+  Alcotest.(check int) "every spec pinned" (List.length golden_expected)
+    (List.length specs);
+  List.iter
+    (fun spec ->
+      let name = Demux.Registry.spec_name spec in
+      Alcotest.(check (list int)) name (List.assoc name golden_expected)
+        (golden_snapshot spec))
+    specs
+
+(* ------------------------------------------------------------------ *)
 (* Linear: cost = scan position from the head                          *)
 
 let test_linear_cost_is_position () =
@@ -159,19 +262,24 @@ let test_bsd_cache_hit_costs_one () =
   Alcotest.(check int) "cache miss pays probe + scan" 2 third
 
 let test_bsd_cache_invalidated_on_remove () =
-  let demux = Demux.Bsd.create () in
+  (* BSD is Sequent at one chain: its cache is that chain's slot. *)
+  let demux = Demux.Sequent.create ~chains:1 () in
+  let cached_flow () =
+    Option.map
+      (fun node -> (Demux.Chain.pcb node).Demux.Pcb.flow)
+      (Demux.Sequent.bucket demux 0).Demux.Sequent.cache
+  in
   let population = flows 5 in
-  List.iter (fun f -> ignore (Demux.Bsd.insert demux f ())) population;
-  ignore (Demux.Bsd.lookup demux (flow 2));
+  List.iter (fun f -> ignore (Demux.Sequent.insert demux f ())) population;
+  ignore (Demux.Sequent.lookup demux (flow 2));
   Alcotest.(check bool) "cached" true
-    (match Demux.Bsd.cached_flow demux with
+    (match cached_flow () with
     | Some f -> Packet.Flow.equal f (flow 2)
     | None -> false);
-  ignore (Demux.Bsd.remove demux (flow 2));
-  Alcotest.(check bool) "cache cleared" true
-    (Demux.Bsd.cached_flow demux = None);
+  ignore (Demux.Sequent.remove demux (flow 2));
+  Alcotest.(check bool) "cache cleared" true (cached_flow () = None);
   (* And the removed flow is really gone. *)
-  Alcotest.(check bool) "gone" true (Demux.Bsd.lookup demux (flow 2) = None)
+  Alcotest.(check bool) "gone" true (Demux.Sequent.lookup demux (flow 2) = None)
 
 let test_bsd_hit_rate_on_trains () =
   (* Packet train of length 100 on one connection: 99 hits. *)
@@ -190,10 +298,12 @@ let test_mtf_moves_to_front () =
   let demux = Demux.Mtf.create () in
   List.iter (fun f -> ignore (Demux.Mtf.insert demux f ())) (flows 10);
   ignore (Demux.Mtf.lookup demux (flow 0));
+  let order = ref [] in
+  Demux.Mtf.iter (fun pcb -> order := pcb.Demux.Pcb.flow :: !order) demux;
   Alcotest.(check bool) "front is flow 0" true
-    (match Demux.Mtf.front_flow demux with
-    | Some f -> Packet.Flow.equal f (flow 0)
-    | None -> false)
+    (match List.rev !order with
+    | f :: _ -> Packet.Flow.equal f (flow 0)
+    | [] -> false)
 
 let test_mtf_repeat_costs_one () =
   let demux = Demux.Registry.create Demux.Registry.Mtf in
@@ -400,7 +510,7 @@ let test_resizing_grows_and_stays_correct () =
   let demux = Demux.Resizing_hash.create ~initial_buckets:2 () in
   let population = flows 300 in
   List.iter (fun f -> ignore (Demux.Resizing_hash.insert demux f ())) population;
-  Alcotest.(check bool) "grew" true (Demux.Resizing_hash.buckets demux >= 256);
+  Alcotest.(check bool) "grew" true (Demux.Resizing_hash.chains demux >= 256);
   List.iter
     (fun f ->
       match Demux.Resizing_hash.lookup demux f with
@@ -1627,18 +1737,18 @@ let result_words_per_lookup = 2.0
    refill must store the scan's own option cell and the hit must hand
    back the cached cell, so neither boxes a fresh [Some]. *)
 let test_bsd_hit_path_zero_alloc () =
-  let t = Demux.Bsd.create () in
+  let t = Demux.Sequent.create ~chains:1 () in
   let population = Sim.Topology.flows 64 in
-  Array.iter (fun f -> ignore (Demux.Bsd.insert t f ())) population;
+  Array.iter (fun f -> ignore (Demux.Sequent.insert t f ())) population;
   let a = population.(17) and b = population.(40) in
-  ignore (Demux.Bsd.lookup t a);
-  ignore (Demux.Bsd.lookup t b);
+  ignore (Demux.Sequent.lookup t a);
+  ignore (Demux.Sequent.lookup t b);
   let delta =
     measure_minor_words 10_000 (fun () ->
-        ignore (Demux.Bsd.lookup t a);
-        ignore (Demux.Bsd.lookup t a);
-        ignore (Demux.Bsd.lookup t b);
-        ignore (Demux.Bsd.lookup t b))
+        ignore (Demux.Sequent.lookup t a);
+        ignore (Demux.Sequent.lookup t a);
+        ignore (Demux.Sequent.lookup t b);
+        ignore (Demux.Sequent.lookup t b))
   in
   Alcotest.(check (float 0.0))
     "bsd refill and hit allocate only the result (minor words)"
@@ -1764,6 +1874,9 @@ let qcheck_cases =
 let () =
   Alcotest.run "demux"
     [ ("generic", generic_cases);
+      ( "golden",
+        [ Alcotest.test_case "accounting over a mixed program" `Quick
+            test_golden_accounting ] );
       ( "linear",
         [ Alcotest.test_case "cost = position" `Quick test_linear_cost_is_position ] );
       ( "bsd",
