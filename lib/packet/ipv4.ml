@@ -105,7 +105,7 @@ let serialize t buf ~off =
 
 let parse buf ~off =
   let len = Bytes.length buf in
-  if off < 0 || off + header_length > len then Error "ipv4: truncated header"
+  if off < 0 || off > len - header_length then Error "ipv4: truncated header"
   else
     let vi = Bytes.get_uint8 buf off in
     let version = vi lsr 4 and ihl = vi land 0xF in

@@ -149,7 +149,7 @@ let serialize t buf ~off =
   Bytes.blit_string t.dst 0 buf (off + 24) 16
 
 let parse buf ~off =
-  if off < 0 || off + header_length > Bytes.length buf then
+  if off < 0 || off > Bytes.length buf - header_length then
     Error "ipv6: truncated header"
   else
     let word0 = Bytes.get_int32_be buf off in

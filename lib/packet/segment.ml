@@ -37,7 +37,8 @@ let to_bytes t =
    packet; full validation stays with [parse] on the owning core. *)
 let peek_flow buf ~off =
   let len = Bytes.length buf - off in
-  if len < Ipv4.header_length + 4 then Error "segment: truncated datagram"
+  if off < 0 || len < Ipv4.header_length + 4 then
+    Error "segment: truncated datagram"
   else
     let b i = Char.code (Bytes.unsafe_get buf (off + i)) in
     let first = b 0 in

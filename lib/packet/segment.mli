@@ -35,6 +35,7 @@ val peek_flow : bytes -> off:int -> (Flow.t, string) result
     parsing or payload extraction — the constant-time peek an RSS
     steering layer performs before handing the datagram to the core
     that will {!parse} and validate it.  Rejects only what makes the
-    4-tuple unreadable (truncation, wrong IP version, non-TCP). *)
+    4-tuple unreadable (an [off] outside the buffer, truncation, wrong
+    IP version, non-TCP). *)
 
 val pp : Format.formatter -> t -> unit

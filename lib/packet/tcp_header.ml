@@ -194,7 +194,7 @@ let parse_options buf ~off ~stop =
 let parse ?pseudo_sum ?len buf ~off =
   let buf_len = Bytes.length buf in
   let len = match len with Some l -> l | None -> buf_len - off in
-  if off < 0 || len < 0 || off + len > buf_len then Error "tcp: bad region"
+  if off < 0 || len < 0 || len > buf_len - off then Error "tcp: bad region"
   else if len < 20 then Error "tcp: truncated header"
   else
     let data_offset = (Bytes.get_uint8 buf (off + 12) lsr 4) * 4 in

@@ -36,12 +36,50 @@ let test_checksum_bounds () =
   let data = Bytes.create 4 in
   Alcotest.check_raises "out of range"
     (Invalid_argument "Checksum.ones_complement_sum: region out of range")
-    (fun () -> ignore (Packet.Checksum.compute data ~off:2 ~len:4))
+    (fun () -> ignore (Packet.Checksum.compute data ~off:2 ~len:4));
+  (* [off + len] wraps to a negative int here; the check must not. *)
+  Alcotest.check_raises "wrapping length"
+    (Invalid_argument "Checksum.ones_complement_sum: region out of range")
+    (fun () -> ignore (Packet.Checksum.compute data ~off:1 ~len:max_int))
 
 let test_checksum_zero_region () =
   let data = Bytes.make 8 '\x00' in
   Alcotest.(check int) "all-zero checksum" 0xFFFF
     (Packet.Checksum.compute data ~off:0 ~len:8)
+
+(* The RFC 1071 reference: one big-endian 16-bit word per iteration,
+   carries folded only by [reference_finish].  The property below
+   checks the word-at-a-time kernel against it. *)
+let reference_sum ?(initial = 0) buf ~off ~len =
+  let sum = ref initial in
+  let i = ref off in
+  let stop = off + len in
+  while !i + 1 < stop do
+    sum := !sum + Bytes.get_uint16_be buf !i;
+    i := !i + 2
+  done;
+  if !i < stop then sum := !sum + (Bytes.get_uint8 buf !i lsl 8);
+  !sum
+
+let reference_finish sum =
+  let s = ref sum in
+  while !s lsr 16 <> 0 do
+    s := (!s land 0xFFFF) + (!s lsr 16)
+  done;
+  lnot !s land 0xFFFF
+
+(* A full-size Ethernet datagram.  A kernel that boxed its [Int64]
+   loads would allocate about 3 words per 8 bytes, ~560 per call. *)
+let test_checksum_zero_alloc () =
+  let data = Bytes.init 1_500 (fun i -> Char.chr (i * 7 land 0xFF)) in
+  ignore (Packet.Checksum.compute data ~off:0 ~len:1_500);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (Packet.Checksum.compute data ~off:0 ~len:1_500))
+  done;
+  Alcotest.(check (float 0.0))
+    "compute over 1,500 bytes allocates nothing (minor words)" 0.0
+    (Gc.minor_words () -. before)
 
 (* ------------------------------------------------------------------ *)
 (* IPv4 addresses                                                      *)
@@ -238,6 +276,13 @@ let test_tcp_rejects_bad_offset () =
   match Packet.Tcp_header.parse buf ~off:0 with
   | Ok _ -> Alcotest.fail "accepted oversized offset"
   | Error e -> Alcotest.(check string) "error" "tcp: data offset beyond segment" e
+
+let test_tcp_rejects_wrapping_region () =
+  (* [off + len] wraps to a negative int: the region check must still
+     see that [len] runs past the buffer. *)
+  match Packet.Tcp_header.parse ~len:max_int (Bytes.make 40 '\x50') ~off:1 with
+  | Ok _ -> Alcotest.fail "accepted a region past the buffer"
+  | Error e -> Alcotest.(check string) "error" "tcp: bad region" e
 
 let test_tcp_validation () =
   Alcotest.check_raises "port range"
@@ -638,11 +683,74 @@ let prop_flow_key_injective_on_reverse =
            (Packet.Flow.to_key_bytes (Packet.Flow.reverse flow))
          <> 0)
 
-(* Fuzzing: parsers must totalise — any byte string yields Ok or Error,
-   never an exception. *)
+(* The largest pseudo-header sum a caller seeds a checksum with: IPv6's
+   sixteen address words, a 16-bit length and the next-header byte. *)
+let max_pseudo_sum = (17 * 0xFFFF) + 0xFF
 
-let arbitrary_bytes =
-  QCheck.map Bytes.of_string QCheck.(string_of_size (QCheck.Gen.int_range 0 200))
+type fill = Random_bytes | All_zero | All_ones | Stuffed
+
+(* A region of 0–1,600 bytes at every start offset mod 8, followed by
+   0–7 bytes it does not cover.  All-0xFF sums to one's-complement -0;
+   [Stuffed] carries a valid checksum in its first word, so [verify]
+   also sees regions that pass. *)
+let arbitrary_checksum_region =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 1_600 >>= fun len ->
+      int_range 0 7 >>= fun off ->
+      int_range 0 7 >>= fun tail ->
+      frequency [ (1, return 0); (3, int_range 0 max_pseudo_sum) ]
+      >>= fun initial ->
+      oneofl [ Random_bytes; All_zero; All_ones; Stuffed ] >>= fun fill ->
+      string_size (return (off + len + tail)) >|= fun s ->
+      let buf =
+        match fill with
+        | All_zero -> Bytes.make (String.length s) '\x00'
+        | All_ones -> Bytes.make (String.length s) '\xFF'
+        | Random_bytes | Stuffed -> Bytes.of_string s
+      in
+      if fill = Stuffed && len >= 2 then begin
+        Bytes.set_uint16_be buf off 0;
+        Bytes.set_uint16_be buf off
+          (reference_finish (reference_sum ~initial buf ~off ~len))
+      end;
+      (buf, off, len, initial))
+  in
+  QCheck.make gen ~print:(fun (buf, off, len, initial) ->
+      Printf.sprintf "off=%d len=%d initial=%d %S" off len initial
+        (Bytes.to_string buf))
+
+let prop_checksum_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"checksum agrees with the RFC 1071 reference"
+    arbitrary_checksum_region (fun (buf, off, len, initial) ->
+      let reference = reference_sum ~initial buf ~off ~len in
+      let expected = reference_finish reference in
+      let sum = Packet.Checksum.ones_complement_sum ~initial buf ~off ~len in
+      sum mod 0xFFFF = reference mod 0xFFFF
+      && sum <= 0xFFFF + initial
+      && Packet.Checksum.finish sum = expected
+      && Packet.Checksum.compute ~initial buf ~off ~len = expected
+      && Packet.Checksum.verify ~initial buf ~off ~len = (expected = 0))
+
+(* Fuzzing: parsers must totalise — any byte string at any offset
+   yields Ok or Error, never an exception. *)
+
+(* Garbage and an offset into it: 0, anywhere in or just past the
+   buffer, negative, or within 64 of [max_int], where [off + length]
+   wraps. *)
+let arbitrary_garbage_at =
+  let gen =
+    QCheck.Gen.(
+      string_size (int_range 0 200) >>= fun s ->
+      let n = String.length s in
+      frequency
+        [ (2, return 0); (3, int_range 0 (n + 8)); (1, int_range (-64) (-1));
+          (1, int_range min_int (-1)); (2, int_range (max_int - 64) max_int) ]
+      >|= fun off -> (Bytes.of_string s, off))
+  in
+  QCheck.make gen ~print:(fun (bytes, off) ->
+      Printf.sprintf "off=%d %S" off (Bytes.to_string bytes))
 
 let no_exception f =
   match f () with
@@ -651,18 +759,32 @@ let no_exception f =
 
 let prop_ipv4_parse_total =
   QCheck.Test.make ~count:1000 ~name:"Ipv4.parse never raises on garbage"
-    arbitrary_bytes (fun bytes ->
-      no_exception (fun () -> Packet.Ipv4.parse bytes ~off:0))
+    arbitrary_garbage_at (fun (bytes, off) ->
+      no_exception (fun () -> Packet.Ipv4.parse bytes ~off))
+
+let prop_ipv6_parse_total =
+  QCheck.Test.make ~count:1000 ~name:"Ipv6.parse never raises on garbage"
+    arbitrary_garbage_at (fun (bytes, off) ->
+      no_exception (fun () -> Packet.Ipv6.parse bytes ~off))
 
 let prop_tcp_parse_total =
   QCheck.Test.make ~count:1000 ~name:"Tcp_header.parse never raises on garbage"
-    arbitrary_bytes (fun bytes ->
-      no_exception (fun () -> Packet.Tcp_header.parse bytes ~off:0))
+    arbitrary_garbage_at (fun (bytes, off) ->
+      no_exception (fun () -> Packet.Tcp_header.parse bytes ~off))
 
 let prop_segment_parse_total =
   QCheck.Test.make ~count:1000 ~name:"Segment.parse never raises on garbage"
-    arbitrary_bytes (fun bytes ->
-      no_exception (fun () -> Packet.Segment.parse bytes ~off:0))
+    arbitrary_garbage_at (fun (bytes, off) ->
+      no_exception (fun () -> Packet.Segment.parse bytes ~off))
+
+let prop_peek_flow_total =
+  QCheck.Test.make ~count:1000
+    ~name:"Segment.peek_flow never raises, rejects off outside the buffer"
+    arbitrary_garbage_at (fun (bytes, off) ->
+      match Packet.Segment.peek_flow bytes ~off with
+      | Ok _ -> off >= 0 && off <= Bytes.length bytes
+      | Error _ -> true
+      | exception _ -> false)
 
 let prop_segment_parse_total_on_mutated_valid =
   (* Mutation fuzzing: start from a valid datagram, flip a few bytes. *)
@@ -679,9 +801,10 @@ let prop_segment_parse_total_on_mutated_valid =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_segment_roundtrip; prop_flow_key_injective_on_reverse;
-      prop_ipv4_parse_total; prop_tcp_parse_total; prop_segment_parse_total;
-      prop_segment_parse_total_on_mutated_valid ]
+    [ prop_checksum_matches_reference; prop_segment_roundtrip;
+      prop_flow_key_injective_on_reverse; prop_ipv4_parse_total;
+      prop_ipv6_parse_total; prop_tcp_parse_total; prop_segment_parse_total;
+      prop_peek_flow_total; prop_segment_parse_total_on_mutated_valid ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -692,7 +815,8 @@ let () =
           Alcotest.test_case "odd length" `Quick test_checksum_odd_length;
           Alcotest.test_case "verify roundtrip" `Quick test_checksum_verify_roundtrip;
           Alcotest.test_case "bounds" `Quick test_checksum_bounds;
-          Alcotest.test_case "all zero" `Quick test_checksum_zero_region ] );
+          Alcotest.test_case "all zero" `Quick test_checksum_zero_region;
+          Alcotest.test_case "zero allocation" `Quick test_checksum_zero_alloc ] );
       ( "ipv4-addr",
         [ Alcotest.test_case "roundtrip" `Quick test_addr_roundtrip;
           Alcotest.test_case "invalid strings" `Quick test_addr_invalid;
@@ -712,6 +836,8 @@ let () =
           Alcotest.test_case "pseudo-header checksum" `Quick
             test_tcp_checksum_with_pseudo_header;
           Alcotest.test_case "bad data offset" `Quick test_tcp_rejects_bad_offset;
+          Alcotest.test_case "wrapping region" `Quick
+            test_tcp_rejects_wrapping_region;
           Alcotest.test_case "validation" `Quick test_tcp_validation ] );
       ( "flow",
         [ Alcotest.test_case "of_headers" `Quick test_flow_of_headers;
