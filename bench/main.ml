@@ -1388,22 +1388,25 @@ let e35_queries ~profile ~n ~seed =
   | _ -> invalid_arg ("e35_queries: unknown profile " ^ profile));
   (qw0, qw1)
 
-(* One (table, profile) cell: an untimed probe census over the
-   distinct query pool, a warm pass, then best-of-trials wall clock
-   over [lookups] mask-cycled membership tests.  Both tables pay the
-   same closure call, so the comparison is probe work only. *)
-let e35_measure_cell ~mem ~probe ~qw0 ~qw1 ~lookups ~trials =
-  let sum = ref 0 and max_probes = ref 0 in
-  for k = 0 to e35_qlen - 1 do
-    let p = probe ~w0:qw0.(k) ~w1:qw1.(k) in
-    sum := !sum + p;
-    if p > !max_probes then max_probes := p
-  done;
-  for k = 0 to e35_qlen - 1 do
-    ignore (mem ~w0:qw0.(k) ~w1:qw1.(k))
-  done;
-  let best = ref infinity in
-  for _ = 1 to trials do
+(* One (profile, population) pair of cells.  Each side is [(algo,
+   mem, probe)]: an untimed probe census of each table over the
+   distinct query pool, a warm pass of each, then [trials] rounds
+   that time every side in turn over [lookups] mask-cycled membership
+   tests, each side keeping its best.  Interleaving the sides' trials
+   exposes them to the same host noise, and every side pays the same
+   closure call, so the comparison is probe work only.  Returns
+   [(ns, mean probes, max probes)] per side, in order. *)
+let e35_measure_cells sides ~qw0 ~qw1 ~lookups ~trials =
+  let census (_, _, probe) =
+    let sum = ref 0 and max_probes = ref 0 in
+    for k = 0 to e35_qlen - 1 do
+      let p = probe ~w0:qw0.(k) ~w1:qw1.(k) in
+      sum := !sum + p;
+      if p > !max_probes then max_probes := p
+    done;
+    (float_of_int !sum /. float_of_int e35_qlen, !max_probes)
+  in
+  let timed mem =
     let t0 = Obs.Clock.now_ns () in
     for k = 0 to lookups - 1 do
       let i = k land (e35_qlen - 1) in
@@ -1411,10 +1414,22 @@ let e35_measure_cell ~mem ~probe ~qw0 ~qw1 ~lookups ~trials =
         (mem ~w0:(Array.unsafe_get qw0 i) ~w1:(Array.unsafe_get qw1 i))
     done;
     let t1 = Obs.Clock.now_ns () in
-    let ns = float_of_int (t1 - t0) /. float_of_int lookups in
-    if ns < !best then best := ns
+    float_of_int (t1 - t0) /. float_of_int lookups
+  in
+  let probes = List.map census sides in
+  List.iter
+    (fun (_, mem, _) ->
+      for k = 0 to e35_qlen - 1 do
+        ignore (mem ~w0:qw0.(k) ~w1:qw1.(k))
+      done)
+    sides;
+  let best = Array.make (List.length sides) infinity in
+  for _ = 1 to trials do
+    List.iteri
+      (fun j (_, mem, _) -> best.(j) <- Float.min best.(j) (timed mem))
+      sides
   done;
-  (!best, float_of_int !sum /. float_of_int e35_qlen, !max_probes)
+  List.mapi (fun j (mean, max_probes) -> (best.(j), mean, max_probes)) probes
 
 let e35_cells ~smoke =
   let lookups = if smoke then 100_000 else 2_000_000 in
@@ -1470,20 +1485,21 @@ let e35_cells ~smoke =
             done
           end;
           let qw0, qw1 = e35_queries ~profile ~n ~seed:(bench_seed + n) in
-          let cell algo mem probe =
-            let ns, probes, max_probes =
-              e35_measure_cell ~mem ~probe ~qw0 ~qw1 ~lookups ~trials
-            in
-            { e35_algo = algo; e35_profile = profile; e35_n = n;
-              e35_ns = ns; e35_probes = probes;
-              e35_max_probes = max_probes }
+          let sides =
+            [ ( "flat",
+                (fun ~w0 ~w1 -> F.mem flat ~w0 ~w1),
+                fun ~w0 ~w1 -> F.probe_count flat ~w0 ~w1 );
+              ( "cuckoo",
+                (fun ~w0 ~w1 -> C.mem cuckoo ~w0 ~w1),
+                fun ~w0 ~w1 -> C.probe_count cuckoo ~w0 ~w1 ) ]
           in
-          [ cell "flat"
-              (fun ~w0 ~w1 -> F.mem flat ~w0 ~w1)
-              (fun ~w0 ~w1 -> F.probe_count flat ~w0 ~w1);
-            cell "cuckoo"
-              (fun ~w0 ~w1 -> C.mem cuckoo ~w0 ~w1)
-              (fun ~w0 ~w1 -> C.probe_count cuckoo ~w0 ~w1) ])
+          List.map2
+            (fun (algo, _, _) (ns, probes, max_probes) ->
+              { e35_algo = algo; e35_profile = profile; e35_n = n;
+                e35_ns = ns; e35_probes = probes;
+                e35_max_probes = max_probes })
+            sides
+            (e35_measure_cells sides ~qw0 ~qw1 ~lookups ~trials))
         e35_profiles)
     e35_populations
 

@@ -17,8 +17,9 @@ type t = {
   guard : Demux.Guarded.config option;
 }
 
-let of_spec spec =
-  let demux = Demux.Registry.create spec in
+(* The one Registry.t -> t adapter: [guard] is the configuration of
+   the overload guard [demux] wraps, if any. *)
+let of_registry ?guard (demux : int Demux.Registry.t) =
   { name = demux.Demux.Registry.name;
     insert = (fun flow v -> ignore (demux.Demux.Registry.insert flow v));
     remove =
@@ -34,7 +35,11 @@ let of_spec spec =
         let acc = ref [] in
         demux.Demux.Registry.iter (fun pcb -> acc := pcb_pair pcb :: !acc);
         sorted_contents !acc);
-    guard = Demux.Registry.guard_config spec }
+    guard }
+
+let of_spec spec =
+  of_registry ?guard:(Demux.Registry.guard_config spec)
+    (Demux.Registry.create spec)
 
 let striped ?(chains = Demux.Sequent.default_chains)
     ?(hasher = Hashing.Hashers.multiplicative) () =
@@ -152,12 +157,11 @@ let cuckoo_table () =
   of_packed ~name:"cuckoo-table" (module Demux.Cuckoo_table.Heap)
     (Demux.Cuckoo_table.Heap.create ())
 
-let guarded_flat_table ?(max_chain = 8) ?(max_total = 40) ?(chains = 4) () =
-  let config = Demux.Guarded.config ~max_chain ~max_total ~chains () in
-  let guard = Demux.Guarded.create config in
-  (* Default (minimum) initial capacity: the guard's bounds sit above
-     several incremental-resize boundaries, so evictions fire while a
-     migration is in flight. *)
+(* A registry demultiplexer over a bare Flat_table of PCBs, charging
+   one probe per lookup.  Default (minimum) initial capacity: the
+   guard's bounds sit above several incremental-resize boundaries, so
+   evictions fire while a migration is in flight. *)
+let flat_registry () : int Demux.Registry.t =
   let table : int Demux.Pcb.t Demux.Flat_table.t =
     Demux.Flat_table.create ()
   in
@@ -166,68 +170,41 @@ let guarded_flat_table ?(max_chain = 8) ?(max_total = 40) ?(chains = 4) () =
   let words flow =
     (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
   in
-  let remove_raw flow =
-    let w0, w1 = words flow in
-    match Demux.Flat_table.find_opt table ~w0 ~w1 with
-    | None -> None
-    | Some pcb ->
-      Demux.Flat_table.remove table ~w0 ~w1;
-      Some pcb
-  in
-  (* The same wiring as Registry.guard, so the shadow guard Diff runs
-     over the oracle makes identical shed decisions: evict the guard's
-     victims (each a remove + an eviction) before the admitted insert;
-     a rejection mutates nothing. *)
-  { name = "guarded-flat-table";
+  { name = "flat-table";
     insert =
       (fun flow v ->
-        match Demux.Guarded.admit guard flow with
-        | `Reject -> Demux.Lookup_stats.note_rejection stats
-        | `Admit victims ->
-          List.iter
-            (fun victim ->
-              match remove_raw victim with
-              | Some _ ->
-                Demux.Lookup_stats.note_remove stats;
-                Demux.Lookup_stats.note_eviction stats
-              | None ->
-                invalid_arg
-                  "guarded-flat-table: guard evicted an absent flow")
-            victims;
-          let w0, w1 = words flow in
-          if Demux.Flat_table.mem table ~w0 ~w1 then
-            invalid_arg "guarded-flat-table.insert: duplicate flow";
-          let pcb = Demux.Pcb.make ~id:!next_id ~flow v in
-          incr next_id;
-          Demux.Flat_table.replace table ~w0 ~w1 pcb;
-          Demux.Guarded.note_inserted guard flow;
-          Demux.Lookup_stats.note_insert stats);
+        let w0, w1 = words flow in
+        if Demux.Flat_table.mem table ~w0 ~w1 then
+          invalid_arg "flat-table.insert: duplicate flow";
+        let pcb = Demux.Pcb.make ~id:!next_id ~flow v in
+        incr next_id;
+        Demux.Flat_table.replace table ~w0 ~w1 pcb;
+        Demux.Lookup_stats.note_insert stats;
+        pcb);
     remove =
       (fun flow ->
-        match remove_raw flow with
+        let w0, w1 = words flow in
+        match Demux.Flat_table.find_opt table ~w0 ~w1 with
         | None -> None
-        | Some pcb ->
+        | Some _ as removed ->
+          Demux.Flat_table.remove table ~w0 ~w1;
           Demux.Lookup_stats.note_remove stats;
-          Demux.Guarded.note_removed guard flow;
-          Some (pcb_pair pcb));
+          removed);
     lookup =
-      (fun ~kind:_ flow ->
+      (fun ?kind:_ flow ->
         let w0, w1 = words flow in
         Demux.Lookup_stats.begin_lookup stats;
         Demux.Lookup_stats.examine stats ();
         let result = Demux.Flat_table.find_opt table ~w0 ~w1 in
-        if result <> None then Demux.Guarded.note_touched guard flow;
         Demux.Lookup_stats.end_lookup stats ~hit_cache:false
           ~found:(result <> None);
-        Option.map pcb_pair result);
+        result);
     note_send = (fun _ -> ());
-    stats = (fun () -> Demux.Lookup_stats.snapshot stats);
+    stats;
     length = (fun () -> Demux.Flat_table.length table);
-    contents =
-      (fun () ->
-        let acc = ref [] in
-        Demux.Flat_table.iter
-          (fun ~w0:_ ~w1:_ pcb -> acc := pcb_pair pcb :: !acc)
-          table;
-        sorted_contents !acc);
-    guard = Some config }
+    iter =
+      (fun f -> Demux.Flat_table.iter (fun ~w0:_ ~w1:_ pcb -> f pcb) table) }
+
+let guarded_flat_table ?(max_chain = 8) ?(max_total = 40) ?(chains = 4) () =
+  let config = Demux.Guarded.config ~max_chain ~max_total ~chains () in
+  of_registry ~guard:config (Demux.Registry.guard config (flat_registry ()))

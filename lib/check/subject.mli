@@ -93,11 +93,11 @@ val cuckoo_table : unit -> t
 
 val guarded_flat_table :
   ?max_chain:int -> ?max_total:int -> ?chains:int -> unit -> t
-(** A {!Demux.Guarded} overload guard (defaults: [max_chain 8],
-    [max_total 40], [4] chains, LRU shedding) over an incrementally
-    resizing {!Demux.Flat_table} at minimum initial capacity, wired
-    exactly like {!Demux.Registry}'s guarded algorithms and named
-    ["guarded-flat-table"].  The bounds sit above several resize
+(** {!Demux.Registry.guard} (defaults: [max_chain 8], [max_total 40],
+    [4] chains, LRU shedding) over a registry demultiplexer backed by
+    an incrementally resizing {!Demux.Flat_table} at minimum initial
+    capacity, named ["guarded-flat-table"]: the check drives the
+    registry's own guard wiring.  The bounds sit above several resize
     boundaries (populations 7, 14, 28 from the 8-slot minimum), so
     guard activity and incremental migrations interleave under churn;
     tightening [max_total] to sit just past a boundary (e.g. [30])

@@ -5,8 +5,9 @@
     Crowcroft's move-to-front list are its one-chain cases, Partridge
     and Pink's cached list adds a slot to BSD's, and the Sequent
     algorithm is its [H]-chain case.  {!Lru_cache}'s K-entry cache,
-    {!Guarded}'s shadow chains and [Parallel.Striped]'s stripes are
-    chains too.  Nodes support O(1) unlink and move-to-front.
+    {!Guarded}'s shadow population and [Parallel.Striped]'s stripes
+    are {!Sequent} stores of their own, so {!Sequent} creates every
+    chain.  Nodes support O(1) unlink and move-to-front.
 
     Each node holds its PCB's flow as the two {!Flow_key} words,
     computed once by {!push_front}.  Queries arrive as the same two

@@ -19,69 +19,56 @@ let config ?(policy = Evict_lru) ?(max_chain = default_max_chain)
   if chains <= 0 then invalid_arg "Guarded.config: chains <= 0";
   { max_chain; max_total; chains; hasher; policy }
 
-(* Recency metadata carried in the guard's shadow chains: a logical
-   timestamp bumped on every insert and every successful lookup. *)
+(* Recency metadata carried in the guard's shadow population: a
+   logical timestamp bumped on every insert and every successful
+   lookup. *)
 type meta = { mutable tick : int }
 
+(* The shadow population is a Sequent store at the guarded algorithm's
+   chain geometry; each chain is kept in recency order (front = most
+   recent), and its cache slot is never used. *)
 type t = {
   cfg : config;
-  buckets : meta Chain.t array;          (* front = most recent *)
-  index : meta Chain.node Flow_table.t;
+  shadow : meta Sequent.t;
   mutable clock : int;
 }
 
 let create cfg =
-  { cfg;
-    buckets = Array.init cfg.chains (fun _ -> Chain.create ());
-    index = Flow_table.create 64;
+  { cfg; shadow = Sequent.create ~chains:cfg.chains ~hasher:cfg.hasher ();
     clock = 0 }
 
-let bucket_index t flow =
-  Hashing.Hashers.bucket_flow t.cfg.hasher ~buckets:t.cfg.chains flow
+let tracked t = Sequent.length t.shadow
 
-let tracked t = Flow_table.length t.index
-
-let occupancy t = Array.map Chain.length t.buckets
+let occupancy t = Sequent.chain_lengths t.shadow
 
 let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-let unlink t flow =
-  match Flow_table.find_opt t.index flow with
-  | None -> ()
-  | Some node ->
-    Chain.remove t.buckets.(bucket_index t flow) node;
-    Flow_table.remove t.index flow
+let unlink t flow = ignore (Sequent.remove t.shadow flow)
 
 (* The least recently touched flow across all shadow chains.  Each
    chain keeps recency order, so only the tails compete: O(chains). *)
 let global_lru t =
-  Array.fold_left
-    (fun best chain ->
-      match Chain.tail_pcb chain with
-      | None -> best
-      | Some pcb -> (
-        let age = pcb.Pcb.data.tick in
-        match best with
-        | Some (_, best_age) when best_age <= age -> best
-        | Some _ | None -> Some (pcb.Pcb.flow, age)))
-    None t.buckets
-
-let chain_lru t bucket =
-  match Chain.tail_pcb t.buckets.(bucket) with
-  | None -> None
-  | Some pcb -> Some pcb.Pcb.flow
+  let oldest = ref None in
+  for i = 0 to t.cfg.chains - 1 do
+    let chain = (Sequent.bucket t.shadow i).Sequent.chain in
+    match Chain.tail_pcb chain, !oldest with
+    | Some tail, Some best when best.Pcb.data.tick <= tail.Pcb.data.tick -> ()
+    | (Some _ as tail), _ -> oldest := tail
+    | None, _ -> ()
+  done;
+  Option.map (fun pcb -> pcb.Pcb.flow) !oldest
 
 (* Decide the fate of an insertion: [`Admit victims] means the caller
    must first evict [victims] from the underlying table (the guard has
    already forgotten them), [`Reject] means the insertion itself must
    be shed.  Mutates the guard state. *)
 let admit t flow =
-  if Flow_table.mem t.index flow then `Admit [] (* duplicate: inner decides *)
+  if Sequent.mem t.shadow flow then `Admit [] (* duplicate: inner decides *)
   else
-    let bucket = bucket_index t flow in
-    let chain_full = Chain.length t.buckets.(bucket) >= t.cfg.max_chain in
+    let chain = (Sequent.home t.shadow flow).Sequent.chain in
+    let chain_full = Chain.length chain >= t.cfg.max_chain in
     let total_full = tracked t >= t.cfg.max_total in
     match t.cfg.policy with
     | Reject_new when chain_full || total_full -> `Reject
@@ -92,26 +79,23 @@ let admit t flow =
         victims := flow :: !victims
       in
       if chain_full then
-        Option.iter evict (chain_lru t bucket);
+        Option.iter (fun pcb -> evict pcb.Pcb.flow) (Chain.tail_pcb chain);
       while tracked t >= t.cfg.max_total do
         match global_lru t with
-        | Some (flow, _) -> evict flow
+        | Some flow -> evict flow
         | None -> assert false (* max_total > 0 and the table is non-empty *)
       done;
       `Admit (List.rev !victims)
 
 let note_inserted t flow =
-  if not (Flow_table.mem t.index flow) then begin
-    let pcb = Pcb.make ~id:0 ~flow { tick = tick t } in
-    let node = Chain.push_front t.buckets.(bucket_index t flow) pcb in
-    Flow_table.replace t.index flow node
-  end
+  if not (Sequent.mem t.shadow flow) then
+    ignore (Sequent.insert t.shadow flow { tick = tick t })
 
 let note_touched t flow =
-  match Flow_table.find_opt t.index flow with
+  match Sequent.find t.shadow flow with
   | None -> ()
   | Some node ->
     (Chain.pcb node).Pcb.data.tick <- tick t;
-    Chain.move_to_front t.buckets.(bucket_index t flow) node
+    Chain.move_to_front (Sequent.home t.shadow flow).Sequent.chain node
 
 let note_removed t flow = unlink t flow

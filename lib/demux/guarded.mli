@@ -9,7 +9,9 @@
     overload then costs throughput (evicted connections) instead of
     unbounded lookup time.
 
-    The guard holds no PCBs itself; it shadows the population and
+    The guard holds none of the table's PCBs; it shadows the
+    population in a {!Sequent} store of its own, built at the guarded
+    algorithm's chain geometry with each chain in recency order, and
     plans evictions.  {!Registry.guard} wires it around any
     instantiated demultiplexer and charges the shed work to
     {!Lookup_stats} ([evictions] / [rejections]). *)

@@ -12,8 +12,9 @@
     experiment E24 measures both.
 
     A lookup policy over {!Sequent}'s store at one chain, which leaves
-    the store's cache slot unused: the K-entry cache is this module's
-    own state.  At K = 1 the costs equal BSD's (Equation 1). *)
+    the store's cache slot unused: the K-entry cache is a second
+    one-chain {!Sequent} store, keyed by the cached flows and kept in
+    LRU order.  At K = 1 the costs equal BSD's (Equation 1). *)
 
 type 'a t
 

@@ -22,9 +22,9 @@
     - [Insert] / [Remove] — table population changes.
     - [Eviction] / [Rejection] — overload-guard shedding
       (see {!Demux.Guarded}).
-    - [Drop] — ingest shed a datagram; [a] = reason code
-      (0 parse-error, 1 wrong-destination, 2 handler-error — see
-      [Tcpcore.Stack]).
+    - [Drop] — ingest shed a datagram; [a] = reason code, the index
+      of its reason in [Tcpcore.Stack.drop_reasons] (decoded by
+      [Tcpcore.Stack.drop_reason_of_code]).
     - [Phase] — a marker injected between runs ([a] = phase index), so
       one dump can carry several algorithms' traces.
     - [Latency] — [a] = measured latency (unit chosen by the

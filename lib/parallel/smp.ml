@@ -1,15 +1,10 @@
-type steering = Flow_hash | Chain_affine
-
 type config = {
   domains : int;
   ring_capacity : int;
   demux : Demux.Registry.spec;
-  steering : steering;
   migrate : bool;
   migrate_target : int option;
-  listen_port : int;
   local_addr : Packet.Ipv4.addr;
-  iss : Packet.Flow.t -> int32;
   on_data :
     Tcpcore.Stack.t -> Tcpcore.Stack.connection -> string -> unit;
   pressure : Pressure.config option;
@@ -22,14 +17,11 @@ let config ?(ring_capacity = 1024)
     ?(demux =
       Demux.Registry.Sequent
         { chains = 19; hasher = Hashing.Hashers.multiplicative })
-    ?(steering = Chain_affine) ?(migrate = false) ?migrate_target
-    ?(listen_port = 8888) ?(iss = Tcpcore.Stack.deterministic_iss)
-    ?(on_data = fun _ _ _ -> ()) ?pressure ?(on_pressure = fun _ -> ())
-    ?stall ?(stages = false) ~domains ~local_addr () =
+    ?(migrate = false) ?migrate_target ?(on_data = fun _ _ _ -> ()) ?pressure
+    ?(on_pressure = fun _ -> ()) ?stall ?(stages = false) ~domains ~local_addr
+    () =
   if domains <= 0 then invalid_arg "Smp.config: domains <= 0";
   if ring_capacity <= 0 then invalid_arg "Smp.config: ring_capacity <= 0";
-  if listen_port <= 0 || listen_port > 0xFFFF then
-    invalid_arg "Smp.config: bad listen_port";
   (match migrate_target with
   | Some t when not migrate ->
     invalid_arg
@@ -42,9 +34,11 @@ let config ?(ring_capacity = 1024)
     invalid_arg "Smp.config: stall domain outside [0, domains)"
   | Some (_, ns) when ns < 0 -> invalid_arg "Smp.config: negative stall"
   | _ -> ());
-  { domains; ring_capacity; demux; steering; migrate; migrate_target;
-    listen_port; local_addr; iss; on_data; pressure; on_pressure; stall;
-    stages }
+  { domains; ring_capacity; demux; migrate; migrate_target; local_addr;
+    on_data; pressure; on_pressure; stall; stages }
+
+(* Every worker's listener; the traffic generators' server port. *)
+let listen_port = 8888
 
 type conn_summary = {
   flow : Packet.Flow.t;
@@ -152,10 +146,10 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
     ~w0_drained ~pressure ~stall_ns ~stage_parse ~stage_demux
     ~stage_state () =
   let stack =
-    Tcpcore.Stack.create ~demux:cfg.demux ~iss:cfg.iss
-      ~local_addr:cfg.local_addr ()
+    Tcpcore.Stack.create ~demux:cfg.demux
+      ~iss:Tcpcore.Stack.deterministic_iss ~local_addr:cfg.local_addr ()
   in
-  Tcpcore.Stack.listen stack ~port:cfg.listen_port ~on_data:cfg.on_data;
+  Tcpcore.Stack.listen stack ~port:listen_port ~on_data:cfg.on_data;
   (match pressure with
   | Some p ->
     Tcpcore.Stack.set_overload_probe stack (fun () ->
@@ -506,10 +500,7 @@ let run (cfg : config) datagrams =
     done
   in
   let base_worker flow =
-    match cfg.steering with
-    | Flow_hash -> Hashing.Hashers.hash_flow hasher flow mod d
-    | Chain_affine ->
-      Hashing.Hashers.bucket_flow hasher ~buckets:chains flow mod d
+    Hashing.Hashers.bucket_flow hasher ~buckets:chains flow mod d
   in
   let steer bytes =
     match Packet.Segment.peek_flow bytes ~off:0 with

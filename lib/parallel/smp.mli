@@ -13,12 +13,14 @@
 
     {2 Steering}
 
-    {!Flow_hash} shards by full flow hash; {!Chain_affine} shards by
-    the demultiplexer's own chain bucket, so every hash chain lives
-    wholly on one core and an N-core run performs {e bit-identical}
-    per-chain work to a single-core run — the property the cross-core
-    lockstep tests assert, down to exact {!Demux.Lookup_stats}
-    equality.
+    The dispatcher shards by the demultiplexer's own chain bucket
+    (chain-affine steering), so every hash chain lives wholly on one
+    core and an N-core run performs {e bit-identical} per-chain work
+    to a single-core run — the property the cross-core lockstep tests
+    assert, down to exact {!Demux.Lookup_stats} equality.  Every stack
+    listens on port 8888 and draws its initial sequence numbers from
+    {!Tcpcore.Stack.deterministic_iss}; per-stack ISS counters would
+    break that lockstep.
 
     {2 Flow migration}
 
@@ -46,23 +48,15 @@
     adopt table operations against the same stack — so single-domain
     runs remain op-for-op comparable with multi-domain ones. *)
 
-type steering =
-  | Flow_hash     (** Shard by full flow hash (RSS). *)
-  | Chain_affine  (** Shard by the demux spec's chain bucket, keeping
-                      each hash chain wholly on one core. *)
-
 type config = {
   domains : int;
   ring_capacity : int;
   demux : Demux.Registry.spec;
-  steering : steering;
   migrate : bool;
   migrate_target : int option;
       (** With [migrate]: adopt every flow on this domain, or spread
           across domains 1..N-1 by flow hash when [None]. *)
-  listen_port : int;
   local_addr : Packet.Ipv4.addr;
-  iss : Packet.Flow.t -> int32;
   on_data :
     Tcpcore.Stack.t -> Tcpcore.Stack.connection -> string -> unit;
       (** Application callback, invoked on whichever domain owns the
@@ -85,11 +79,8 @@ type config = {
 val config :
   ?ring_capacity:int ->
   ?demux:Demux.Registry.spec ->
-  ?steering:steering ->
   ?migrate:bool ->
   ?migrate_target:int ->
-  ?listen_port:int ->
-  ?iss:(Packet.Flow.t -> int32) ->
   ?on_data:(Tcpcore.Stack.t -> Tcpcore.Stack.connection -> string -> unit) ->
   ?pressure:Pressure.config ->
   ?on_pressure:(Pressure.t array -> unit) ->
@@ -99,12 +90,9 @@ val config :
   local_addr:Packet.Ipv4.addr ->
   unit ->
   config
-(** Defaults: ring capacity 1024, Sequent with 19 chains,
-    [Chain_affine], no migration, port 8888,
-    {!Tcpcore.Stack.deterministic_iss} (required for cross-domain
-    lockstep — per-stack ISS counters would diverge), no-op [on_data],
-    no pressure, no stall, stages off.
-    @raise Invalid_argument on non-positive domains / capacity / port,
+(** Defaults: ring capacity 1024, Sequent with 19 chains, no
+    migration, no-op [on_data], no pressure, no stall, stages off.
+    @raise Invalid_argument on non-positive domains / capacity,
     a stall or migrate target outside [0, domains), or
     [migrate_target] without [migrate]. *)
 

@@ -1,15 +1,13 @@
+(* A stripe is its lock plus a one-chain Sequent store: the chain, its
+   cache slot, the flat index, PCB ids and the ledger are the store's. *)
 type 'a stripe = {
   mutex : Mutex.t;
-  chain : 'a Demux.Chain.t;
-  index : 'a Demux.Chain.node Demux.Flat_table.t;
-  mutable cache : 'a Demux.Chain.node option;
-  stats : Demux.Lookup_stats.t;
+  store : 'a Demux.Sequent.t;
 }
 
 type 'a t = {
   stripes : 'a stripe array;
   hasher : Hashing.Hashers.t;
-  next_id : int Atomic.t;
   population : int Atomic.t;
   mutable pressure : Pressure.t option;
 }
@@ -19,11 +17,9 @@ let create ?(chains = Demux.Sequent.default_chains)
   if chains <= 0 then invalid_arg "Striped.create: chains <= 0";
   { stripes =
       Array.init chains (fun _ ->
-          { mutex = Mutex.create (); chain = Demux.Chain.create ();
-            index = Demux.Flat_table.create ~initial_capacity:16 ();
-            cache = None;
-            stats = Demux.Lookup_stats.create () });
-    hasher; next_id = Atomic.make 0; population = Atomic.make 0; pressure }
+          { mutex = Mutex.create ();
+            store = Demux.Sequent.create ~chains:1 () });
+    hasher; population = Atomic.make 0; pressure }
 
 let set_pressure t p = t.pressure <- Some p
 let pressure t = t.pressure
@@ -47,24 +43,16 @@ let with_stripe stripe f =
   Fun.protect ~finally:(fun () -> Mutex.unlock stripe.mutex) f
 
 let insert_locked t stripe flow data =
-  let w0 = Demux.Flow_key.w0_of_flow flow
-  and w1 = Demux.Flow_key.w1_of_flow flow in
-  if Demux.Flat_table.mem stripe.index ~w0 ~w1 then
-    invalid_arg "Striped.insert: duplicate flow";
-  let id = Atomic.fetch_and_add t.next_id 1 in
-  let pcb = Demux.Pcb.make ~id ~flow data in
-  (* With a pressure controller attached, the index mutation is timed:
-     its latency (which carries the incremental-resize tax, if any) is
-     one of the controller's two load signals. *)
+  (* With a pressure controller attached, the insert is timed: its
+     latency (which carries the index's incremental-resize tax, if
+     any) is one of the controller's two load signals. *)
   let started =
     match t.pressure with Some _ -> Obs.Clock.now_ns () | None -> 0
   in
-  let node = Demux.Chain.push_front stripe.chain pcb in
-  Demux.Flat_table.replace stripe.index ~w0 ~w1 node;
+  let pcb = Demux.Sequent.insert stripe.store flow data in
   (match t.pressure with
   | Some p -> Pressure.note_insert_ns p (Obs.Clock.now_ns () - started)
   | None -> ());
-  Demux.Lookup_stats.note_insert stripe.stats;
   Atomic.incr t.population;
   pcb
 
@@ -80,69 +68,27 @@ let insert t flow data =
 let try_insert t flow data =
   let stripe = stripe_of_flow t flow in
   with_stripe stripe (fun () ->
-      let w0 = Demux.Flow_key.w0_of_flow flow
-      and w1 = Demux.Flow_key.w1_of_flow flow in
-      if Demux.Flat_table.mem stripe.index ~w0 ~w1 then `Duplicate
+      if Demux.Sequent.mem stripe.store flow then `Duplicate
       else
         match t.pressure with
         | Some p when not (Pressure.admits_new_flows p) ->
           Pressure.note_shed_flow p;
-          Demux.Lookup_stats.note_rejection stripe.stats;
+          Demux.Lookup_stats.note_rejection (Demux.Sequent.stats stripe.store);
           `Shed
         | _ -> `Inserted (insert_locked t stripe flow data))
 
 let remove t flow =
   let stripe = stripe_of_flow t flow in
-  let w0 = Demux.Flow_key.w0_of_flow flow
-  and w1 = Demux.Flow_key.w1_of_flow flow in
   with_stripe stripe (fun () ->
-      match Demux.Flat_table.find_opt stripe.index ~w0 ~w1 with
-      | None -> None
-      | Some node ->
-        (match stripe.cache with
-        | Some cached when cached == node -> stripe.cache <- None
-        | Some _ | None -> ());
-        Demux.Chain.remove stripe.chain node;
-        Demux.Flat_table.remove stripe.index ~w0 ~w1;
-        Demux.Lookup_stats.note_remove stripe.stats;
+      match Demux.Sequent.remove stripe.store flow with
+      | Some _ as removed ->
         Atomic.decr t.population;
-        Some (Demux.Chain.pcb node))
-
-(* A hit returns the cache's own option cell. *)
-let cache_probe stripe ~w0 ~w1 =
-  match stripe.cache with
-  | None -> None
-  | Some node as cached ->
-    Demux.Lookup_stats.examine stripe.stats ();
-    if Demux.Chain.matches node ~w0 ~w1 then cached else None
-
-(* The receive-path lookup body; caller holds the stripe lock. *)
-let lookup_locked stripe flow =
-  Demux.Lookup_stats.begin_lookup stripe.stats;
-  let w0 = Demux.Flow_key.w0_of_flow flow
-  and w1 = Demux.Flow_key.w1_of_flow flow in
-  match cache_probe stripe ~w0 ~w1 with
-  | Some node ->
-    let pcb = Demux.Chain.pcb node in
-    Demux.Pcb.note_rx pcb;
-    Demux.Lookup_stats.end_lookup stripe.stats ~hit_cache:true ~found:true;
-    Some pcb
-  | None -> (
-    match Demux.Chain.scan stripe.chain ~stats:stripe.stats ~w0 ~w1 with
-    | Some node as found ->
-      (* Reuse the scan's option cell instead of a fresh [Some]. *)
-      stripe.cache <- found;
-      let pcb = Demux.Chain.pcb node in
-      Demux.Pcb.note_rx pcb;
-      Demux.Lookup_stats.end_lookup stripe.stats ~hit_cache:false ~found:true;
-      Some pcb
-    | None ->
-      Demux.Lookup_stats.end_lookup stripe.stats ~hit_cache:false ~found:false;
-      None)
+        removed
+      | None -> None)
 
 let lookup t ?kind:_ flow =
   let stripe = stripe_of_flow t flow in
-  with_stripe stripe (fun () -> lookup_locked stripe flow)
+  with_stripe stripe (fun () -> Demux.Sequent.lookup stripe.store flow)
 
 (* Batched operations visit each stripe once: a counting sort groups
    the batch's indices by stripe (O(batch + chains), no comparisons),
@@ -181,11 +127,12 @@ let run_lookup_batch t flows (first, order) =
     if hi > lo then begin
       let stripe = t.stripes.(s) in
       with_stripe stripe (fun () ->
-          Demux.Lookup_stats.note_batch stripe.stats ~size:(hi - lo);
+          Demux.Lookup_stats.note_batch (Demux.Sequent.stats stripe.store)
+            ~size:(hi - lo);
           for k = lo to hi - 1 do
-            match lookup_locked stripe flows.(order.(k)) with
-            | Some _ -> incr found
-            | None -> ()
+            match Demux.Sequent.lookup_pcb stripe.store flows.(order.(k)) with
+            | _ -> incr found
+            | exception Not_found -> ()
           done)
     end
   done;
@@ -221,7 +168,8 @@ let insert_batch t entries =
       if hi > lo then begin
         let stripe = t.stripes.(s) in
         with_stripe stripe (fun () ->
-            Demux.Lookup_stats.note_batch stripe.stats ~size:(hi - lo);
+            Demux.Lookup_stats.note_batch (Demux.Sequent.stats stripe.store)
+              ~size:(hi - lo);
             for k = lo to hi - 1 do
               let i = order.(k) in
               let flow, data = entries.(i) in
@@ -236,19 +184,14 @@ let insert_batch t entries =
 
 let note_send t flow =
   let stripe = stripe_of_flow t flow in
-  let w0 = Demux.Flow_key.w0_of_flow flow
-  and w1 = Demux.Flow_key.w1_of_flow flow in
-  with_stripe stripe (fun () ->
-      match Demux.Flat_table.find_opt stripe.index ~w0 ~w1 with
-      | Some node -> Demux.Pcb.note_tx (Demux.Chain.pcb node)
-      | None -> ())
+  with_stripe stripe (fun () -> Demux.Sequent.note_send stripe.store flow)
 
 let length t = Atomic.get t.population
 
 let iter f t =
   Array.iter
     (fun stripe ->
-      with_stripe stripe (fun () -> Demux.Chain.iter f stripe.chain))
+      with_stripe stripe (fun () -> Demux.Sequent.iter f stripe.store))
     t.stripes
 
 let stats t =
@@ -257,5 +200,5 @@ let stats t =
        (Array.map
           (fun stripe ->
             with_stripe stripe (fun () ->
-                Demux.Lookup_stats.snapshot stripe.stats))
+                Demux.Lookup_stats.snapshot (Demux.Sequent.stats stripe.store)))
           t.stripes))

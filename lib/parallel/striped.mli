@@ -8,11 +8,16 @@
     cache) can carry {e its own lock}, and packets for different
     connections proceed in parallel with probability [1 - 1/H].  This
     module is that design: the Sequent algorithm with one mutex per
-    chain.
+    chain.  Each stripe is its mutex plus a one-chain
+    {!Demux.Sequent} store, which holds the stripe's chain, its
+    one-entry cache slot, its index, its PCB ids and its ledger; this
+    module adds only the locks, the stripe hash, batch grouping, the
+    pressure hooks and the population count.  A stripe lookup is
+    Sequent's: probe the cache slot, then scan the chain.
 
     All operations are safe to call from any domain.  Statistics are
     kept per stripe and merged on read, so the hot path never shares a
-    counter across stripes.
+    counter across stripes.  PCB ids are numbered per stripe.
 
     {b Scaling caveat.}  Striping removes {e collisions}, not the
     {e locks}: every lookup still acquires its stripe's mutex, so
@@ -39,7 +44,7 @@ val chains : 'a t -> int
 
 val set_pressure : 'a t -> Pressure.t -> unit
 (** Attach (or replace) the overload controller after creation.  With
-    one attached, every insert's index-mutation latency feeds
+    one attached, every store insert's latency feeds
     {!Pressure.note_insert_ns}, and {!try_insert} sheds new flows at
     {!Pressure.Shed_new_flows} or worse. *)
 

@@ -594,8 +594,11 @@ let note_overload_drop t tier len =
   in
   Obs.Trace.record t.tracer Obs.Trace.Drop code len
 
-let handle_segment t (segment : Packet.Segment.t) =
-  match t.overload_probe () with
+(* [tier] is read once per datagram by the caller: a second read
+   could see a different tier and shed a datagram [handle_bytes] has
+   already admitted. *)
+let handle_segment_at t tier (segment : Packet.Segment.t) =
+  match tier with
   | Reject ->
     note_overload_drop t Reject
       (String.length segment.Packet.Segment.payload)
@@ -639,6 +642,9 @@ let handle_segment t (segment : Packet.Segment.t) =
     | Some h -> Obs.Histogram.record h (Obs.Clock.now_ns () - state_t0)
     | None -> ()
 
+let handle_segment t segment =
+  handle_segment_at t (t.overload_probe ()) segment
+
 (* Attacker-controlled bytes: never raise.  Anything that cannot be
    processed is shed and attributed to a named counter. *)
 let handle_bytes t buf =
@@ -648,7 +654,7 @@ let handle_bytes t buf =
        shed before even parsing. *)
     note_overload_drop t Reject (Bytes.length buf);
     Error "stack: overloaded; datagram rejected"
-  | Normal | Shed_new_flows | Drop_batches -> (
+  | (Normal | Shed_new_flows | Drop_batches) as tier -> (
   let parse_t0 =
     match t.stage_parse with None -> 0 | Some _ -> Obs.Clock.now_ns ()
   in
@@ -664,7 +670,7 @@ let handle_bytes t buf =
   | Ok segment ->
     if Packet.Ipv4.equal_addr segment.Packet.Segment.ip.Packet.Ipv4.dst t.local_addr
     then
-      match handle_segment t segment with
+      match handle_segment_at t tier segment with
       | () -> Ok ()
       | exception exn ->
         t.drops.handler_error <- t.drops.handler_error + 1;

@@ -140,8 +140,10 @@ type overload_tier = Normal | Shed_new_flows | Drop_batches | Reject
 (** Mirror of [Parallel.Pressure.tier], in severity order. *)
 
 val set_overload_probe : t -> (unit -> overload_tier) -> unit
-(** Install the tier source consulted on every inbound datagram and
-    segment (default: always {!Normal}).  At {!Shed_new_flows},
+(** Install the tier source, read once per {!handle_bytes} datagram
+    or direct {!handle_segment} call (default: always {!Normal}), so a
+    tier that moves mid-datagram cannot shed a datagram already
+    admitted.  At {!Shed_new_flows},
     listener SYNs are shed silently (the peer's RTO retries the open;
     no RST).  At {!Drop_batches}, everything except established
     connections' traffic is shed, including the RST courtesy for

@@ -183,20 +183,33 @@ let golden_program =
   done;
   List.rev !ops
 
-let golden_snapshot spec =
-  let demux = Demux.Registry.create spec in
+(* Drive the golden program through any table's four operations. *)
+let golden_run ~insert ~remove ~lookup ~note_send =
   List.iter
     (function
-      | Open i -> ignore (demux.Demux.Registry.insert (flow i) ())
-      | Close i -> ignore (demux.Demux.Registry.remove (flow i))
-      | Receive (kind, i) -> ignore (demux.Demux.Registry.lookup ~kind (flow i))
-      | Send i -> demux.Demux.Registry.note_send (flow i))
-    golden_program;
-  let s = Demux.Lookup_stats.snapshot demux.Demux.Registry.stats in
+      | Open i -> insert (flow i)
+      | Close i -> remove (flow i)
+      | Receive (kind, i) -> lookup kind (flow i)
+      | Send i -> note_send (flow i))
+    golden_program
+
+let golden_fields (s : Demux.Lookup_stats.snapshot) =
   Demux.Lookup_stats.
     [ s.lookups; s.pcbs_examined; s.cache_hits; s.found; s.not_found;
       s.inserts; s.removes; s.evictions; s.rejections; s.batches;
       s.max_examined ]
+
+let golden_demux spec =
+  let demux = Demux.Registry.create spec in
+  golden_run
+    ~insert:(fun f -> ignore (demux.Demux.Registry.insert f ()))
+    ~remove:(fun f -> ignore (demux.Demux.Registry.remove f))
+    ~lookup:(fun kind f -> ignore (demux.Demux.Registry.lookup ~kind f))
+    ~note_send:demux.Demux.Registry.note_send;
+  demux
+
+let golden_ledger demux =
+  golden_fields (Demux.Lookup_stats.snapshot demux.Demux.Registry.stats)
 
 (* [lookups; pcbs_examined; cache_hits; found; not_found; inserts;
    removes; evictions; rejections; batches; max_examined] per spec.
@@ -217,6 +230,35 @@ let golden_expected =
       [ 2793; 9232; 889; 1727; 1066; 198; 113; 0; 0; 0; 10 ] );
     ("cuckoo", [ 2793; 3534; 0; 1727; 1066; 198; 113; 0; 0; 0; 2 ]) ]
 
+(* Guards whose bounds do shed on this program (the pinned
+   guarded-sequent-19 above never does): the full ledger, evictions
+   and rejections included, plus the sorted indices of the flows left
+   resident, so a changed victim shows even when the counts agree. *)
+let golden_shedding =
+  Demux.Registry.
+    [ ( Guarded
+          { spec =
+              Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative };
+            max_chain = 4; max_total = 40 },
+        [ 2793; 6978; 606; 966; 1827; 198; 158; 98; 0; 0; 5 ],
+        [ 8; 11; 14; 26; 27; 28; 29; 31; 32; 35; 36; 39; 40; 42; 46; 53; 54;
+          56; 65; 67; 71; 72; 74; 75; 78; 79; 80; 84; 89; 95; 96; 97; 99;
+          103; 105; 108; 112; 116; 117; 118 ] );
+      ( Guarded { spec = Bsd; max_chain = 16; max_total = 32 },
+        [ 2793; 42181; 171; 415; 2378; 198; 182; 158; 0; 0; 17 ],
+        [ 8; 26; 27; 29; 35; 39; 56; 67; 75; 79; 84; 89; 97; 99; 103; 112 ] )
+    ]
+
+let golden_residents demux =
+  let acc = ref [] in
+  demux.Demux.Registry.iter (fun pcb ->
+      let rec index i =
+        if Packet.Flow.equal (flow i) pcb.Demux.Pcb.flow then i
+        else index (i + 1)
+      in
+      acc := index 0 :: !acc);
+  List.sort compare !acc
+
 let test_golden_accounting () =
   let specs = all_specs @ [ Demux.Registry.Cuckoo ] in
   Alcotest.(check int) "every spec pinned" (List.length golden_expected)
@@ -225,8 +267,27 @@ let test_golden_accounting () =
     (fun spec ->
       let name = Demux.Registry.spec_name spec in
       Alcotest.(check (list int)) name (List.assoc name golden_expected)
-        (golden_snapshot spec))
-    specs
+        (golden_ledger (golden_demux spec)))
+    specs;
+  let striped = Parallel.Striped.create ~chains:19 () in
+  golden_run
+    ~insert:(fun f -> ignore (Parallel.Striped.insert striped f ()))
+    ~remove:(fun f -> ignore (Parallel.Striped.remove striped f))
+    ~lookup:(fun kind f -> ignore (Parallel.Striped.lookup striped ~kind f))
+    ~note_send:(Parallel.Striped.note_send striped);
+  (* The lock-striped table at 19 chains makes Sequent-19's decisions
+     one stripe at a time, so its merged ledger is Sequent-19's. *)
+  Alcotest.(check (list int)) "striped-sequent-19"
+    (List.assoc "sequent-19" golden_expected)
+    (golden_fields (Parallel.Striped.stats striped));
+  List.iter
+    (fun (spec, stats, residents) ->
+      let demux = golden_demux spec in
+      let name = demux.Demux.Registry.name in
+      Alcotest.(check (list int)) name stats (golden_ledger demux);
+      Alcotest.(check (list int)) (name ^ " residents") residents
+        (golden_residents demux))
+    golden_shedding
 
 (* ------------------------------------------------------------------ *)
 (* Linear: cost = scan position from the head                          *)

@@ -12,11 +12,11 @@ let workload ?(clients = 48) ?(requests = 5) ?(close_after = false)
     (Sim.Segment_workload.config ~clients ~requests_per_client:requests
        ~close_after ~interleave ())
 
-let smp ?ring_capacity ?demux ?steering ?migrate ?migrate_target ?pressure
+let smp ?ring_capacity ?demux ?migrate ?migrate_target ?pressure
     ?on_pressure ?stall ?stages domains trace =
   Parallel.Smp.run
-    (Parallel.Smp.config ?ring_capacity ?demux ?steering ?migrate
-       ?migrate_target ?pressure ?on_pressure ?stall ?stages ~domains
+    (Parallel.Smp.config ?ring_capacity ?demux ?migrate ?migrate_target
+       ?pressure ?on_pressure ?stall ?stages ~domains
        ~local_addr:server.Packet.Flow.addr ())
     trace.Sim.Segment_workload.datagrams
 

@@ -775,6 +775,37 @@ let test_stack_overload_tiers () =
   Alcotest.(check int) "recovered" 2 (Tcpcore.Stack.connection_count stack);
   Alcotest.(check int) "drops sum" 4 (Tcpcore.Stack.drops_total stack)
 
+let test_stack_overload_probe_once () =
+  (* The tier is read once per datagram.  A probe that flips between
+     Normal and Reject on every call (a dispatcher domain moving the
+     tier mid-datagram) must not let handle_bytes shed a datagram yet
+     report it as [Ok]: every shed datagram is an [Error]. *)
+  let calls = ref 0 in
+  let stack = Tcpcore.Stack.create ~local_addr:server_addr () in
+  Tcpcore.Stack.set_overload_probe stack (fun () ->
+      incr calls;
+      if !calls mod 2 = 1 then Tcpcore.Stack.Normal else Tcpcore.Stack.Reject);
+  Tcpcore.Stack.listen stack ~port:80 ~on_data:(fun _ _ _ -> ());
+  let errors = ref 0 in
+  for i = 0 to 5 do
+    let syn =
+      Packet.Segment.to_bytes
+        (Packet.Segment.make
+           ~src:(Packet.Flow.endpoint client_addr (5000 + i))
+           ~dst:(Packet.Flow.endpoint server_addr 80)
+           ~flags:Packet.Tcp_header.flag_syn ~seq:100l ())
+    in
+    match Tcpcore.Stack.handle_bytes stack syn with
+    | Ok () -> ()
+    | Error _ -> incr errors
+  done;
+  Alcotest.(check int) "one probe per datagram" 6 !calls;
+  Alcotest.(check int) "every shed reported as Error"
+    (Tcpcore.Stack.drops_total stack) !errors;
+  Alcotest.(check int) "every other datagram rejected" 3 !errors;
+  Alcotest.(check int) "the rest accepted" 3
+    (Tcpcore.Stack.connection_count stack)
+
 let test_stack_fuzz_never_raises () =
   (* 10k hostile buffers: pure junk, bit-flipped real segments,
      truncated real segments and misdelivered ones.  [handle_bytes]
@@ -1076,6 +1107,8 @@ let () =
             test_stack_rto_jitter_off_is_doubling;
           Alcotest.test_case "overload tiers" `Quick
             test_stack_overload_tiers;
+          Alcotest.test_case "overload probe read once per datagram" `Quick
+            test_stack_overload_probe_once;
           Alcotest.test_case "fuzzed bytes never raise" `Quick
             test_stack_fuzz_never_raises;
           Alcotest.test_case "ack cancels retransmission" `Quick
