@@ -668,13 +668,13 @@ let e29 =
         rows;
       row
         "Same multiplicative hash, same packed 96-bit key, compared as two\n\
-         ints on both sides: each chain node holds its flow's packed words,\n\
-         so a chained examination no longer dereferences a boxed flow.  The\n\
-         gap is list hops against one inline probe: the chained walk makes\n\
-         about N/38 dependent node loads per lookup, the flat table touches\n\
-         a tag byte and, almost always, one key-word pair.  Both allocate\n\
-         nothing per lookup (the words columns are measurement-harness\n\
-         noise).  Nearly even at N = 100, the gap widens with N, which is\n\
+         ints on both sides: each chain keeps its flows' packed words in one\n\
+         array, so a chained examination is two loads from contiguous memory\n\
+         and no node is touched until one matches.  The gap is a linear scan\n\
+         against one inline probe: the chained walk reads about N/38 entries\n\
+         per lookup, the flat table a tag byte and, almost always, one\n\
+         key-word pair.  Both allocate nothing per lookup (the words columns\n\
+         are measurement-harness noise).  The gap widens with N, which is\n\
          the Cuckoo++/DPDK argument for flat connection tracking.\n")
 
 (* E31: per-insert latency tail across a churn ramp, incremental vs

@@ -103,7 +103,7 @@ let of_packed (type a) ~name (module M : PACKED with type t = a) (table : a) =
       (fun ~kind:_ flow ->
         let w0, w1 = words flow in
         Demux.Lookup_stats.begin_lookup stats;
-        Demux.Lookup_stats.examine stats ();
+        Demux.Lookup_stats.examine stats;
         let result = M.find_opt table ~w0 ~w1 in
         Demux.Lookup_stats.end_lookup stats ~hit_cache:false
           ~found:(result <> None);
@@ -194,7 +194,7 @@ let flat_registry () : int Demux.Registry.t =
       (fun ?kind:_ flow ->
         let w0, w1 = words flow in
         Demux.Lookup_stats.begin_lookup stats;
-        Demux.Lookup_stats.examine stats ();
+        Demux.Lookup_stats.examine stats;
         let result = Demux.Flat_table.find_opt table ~w0 ~w1 in
         Demux.Lookup_stats.end_lookup stats ~hit_cache:false
           ~found:(result <> None);

@@ -1,101 +1,153 @@
-(* Each node carries its flow as the two packed words of {!Flow_key},
-   computed once at insertion, so a scan step compares two immediates
-   held in the node and never loads the PCB, its flow or the boxed
-   addresses behind it. *)
-type 'a node = {
-  pcb : 'a Pcb.t;
-  w0 : int;
-  w1 : int;
-  mutable prev : 'a node option;
-  mutable next : 'a node option;
-  mutable linked : bool;
-}
+(* A chain is a struct of arrays.  Entry [i] runs from the tail
+   ([i = 0]) to the head ([i = length - 1]), so [push_front] appends
+   and unlinking shifts only the entries between a node and the head.
+   With [cap] the capacity, [words] holds:
+
+     [0, 2 cap)       entry i's packed flow words at 2i and 2i + 1
+     [2 cap, 3 cap)   entry i's slab slot at 2 cap + i; past [length],
+                      the free slots
+
+   Every slot is either in use, held by one entry, or free, held past
+   [length], so the free list needs no storage of its own.  [slab.(s)]
+   is [Some node] for the node in slot [s], or [None] when the slot is
+   free.  A node never changes slot while linked, so its [Some] cell
+   is the one a scan hands back and a cache slot keeps.  Only [words]
+   is ever shifted, and it holds only immediates: shifting the nodes
+   themselves would write each through [caml_modify]. *)
+type 'a node = { pcb : 'a Pcb.t; w0 : int; w1 : int; slot : int }
 
 type 'a t = {
-  mutable head : 'a node option;
-  mutable tail : 'a node option;
+  mutable words : int array;
+  mutable slab : 'a node option array;
   mutable length : int;
 }
 
-let create () = { head = None; tail = None; length = 0 }
+(* An empty chain holds no arrays: [Stack.create] builds 19 of them. *)
+let create () = { words = [||]; slab = [||]; length = 0 }
 let length t = t.length
 let is_empty t = t.length = 0
 let pcb node = node.pcb
 let matches node ~w0 ~w1 = node.w0 = w0 && node.w1 = w1
+let capacity t = Array.length t.slab
+let slot_base t = 2 * capacity t
+let initial_capacity = 8
 
-(* One [Some node] cell, shared by [t.head] and the old head's [prev]
-   (or [t.tail]): option cells are immutable, so sharing is safe, and
-   it pays for the node's two key words. *)
+(* Forward copy, so it may move a range down within one array.  The
+   [int array] annotations make the stores plain; on a polymorphic
+   array they would go through [caml_modify]. *)
+let move_ints (src : int array) src_pos (dst : int array) dst_pos len =
+  for k = 0 to len - 1 do
+    Array.unsafe_set dst (dst_pos + k) (Array.unsafe_get src (src_pos + k))
+  done
+
+(* Called when full, so every slot is in use and the new ones are
+   exactly the free ones. *)
+let grow t =
+  let cap = capacity t in
+  let cap' = if cap = 0 then initial_capacity else 2 * cap in
+  let words = Array.make (3 * cap') 0 in
+  move_ints t.words 0 words 0 (2 * cap);
+  move_ints t.words (2 * cap) words (2 * cap') cap;
+  for slot = cap to cap' - 1 do
+    words.((2 * cap') + slot) <- slot
+  done;
+  let slab = Array.make cap' None in
+  Array.blit t.slab 0 slab 0 cap;
+  t.words <- words;
+  t.slab <- slab
+
 let push_front t pcb =
+  if t.length = capacity t then grow t;
+  let i = t.length in
+  let slot = t.words.(slot_base t + i) in
   let flow = pcb.Pcb.flow in
   let node =
-    { pcb; w0 = Flow_key.w0_of_flow flow; w1 = Flow_key.w1_of_flow flow;
-      prev = None; next = t.head; linked = true }
+    { pcb; w0 = Flow_key.w0_of_flow flow; w1 = Flow_key.w1_of_flow flow; slot }
   in
-  let cell = Some node in
-  (match t.head with
-  | Some old_head -> old_head.prev <- cell
-  | None -> t.tail <- cell);
-  t.head <- cell;
-  t.length <- t.length + 1;
+  t.words.(2 * i) <- node.w0;
+  t.words.((2 * i) + 1) <- node.w1;
+  t.slab.(slot) <- Some node;
+  t.length <- i + 1;
   node
 
+(* Whether [node] is linked in [t], not in another chain or nowhere. *)
+let linked t node =
+  node.slot < capacity t
+  && match t.slab.(node.slot) with Some n -> n == node | None -> false
+
+(* The entry holding [slot] at or below [i]; [slot] is in use, so the
+   search stops. *)
+let rec position (words : int array) base (slot : int) i =
+  if Array.unsafe_get words (base + i) = slot then i
+  else position words base slot (i - 1)
+
+(* [node]'s entry, searched from the head. *)
+let entry t node ~op =
+  if not (linked t node) then invalid_arg (op ^ ": node not linked");
+  position t.words (slot_base t) node.slot (t.length - 1)
+
+(* Shift the entries above [i] down one, leaving the head entry for
+   the caller to fill. *)
+let close_gap t i =
+  let last = t.length - 1 and base = slot_base t in
+  move_ints t.words (2 * (i + 1)) t.words (2 * i) (2 * (last - i));
+  move_ints t.words (base + i + 1) t.words (base + i) (last - i)
+
 let remove t node =
-  if not node.linked then invalid_arg "Chain.remove: node not linked";
-  (match node.prev with
-  | Some p -> p.next <- node.next
-  | None -> t.head <- node.next);
-  (match node.next with
-  | Some n -> n.prev <- node.prev
-  | None -> t.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None;
-  node.linked <- false;
-  t.length <- t.length - 1
+  close_gap t (entry t node ~op:"Chain.remove");
+  (* The freed slot lands just past the new length, in the free list. *)
+  t.length <- t.length - 1;
+  t.words.(slot_base t + t.length) <- node.slot;
+  t.slab.(node.slot) <- None
 
 let move_to_front t node =
-  if not node.linked then invalid_arg "Chain.move_to_front: node not linked";
-  let is_head = match t.head with Some h -> h == node | None -> false in
-  if not is_head then begin
-    remove t node;
-    node.linked <- true;
-    node.next <- t.head;
-    node.prev <- None;
-    let cell = Some node in
-    (match t.head with
-    | Some old_head -> old_head.prev <- cell
-    | None -> t.tail <- cell);
-    t.head <- cell;
-    t.length <- t.length + 1
+  let i = entry t node ~op:"Chain.move_to_front" and last = t.length - 1 in
+  if i < last then begin
+    close_gap t i;
+    t.words.(2 * last) <- node.w0;
+    t.words.((2 * last) + 1) <- node.w1;
+    t.words.(slot_base t + last) <- node.slot
   end
 
-(* Top-level recursion with explicit arguments (not a closure over
-   [stats]/[w0]/[w1]) and reuse of the chain's own option cells, so a
-   scan allocates nothing.  One examination per step, charged as it
-   happens: totalling them into one [~count] at the end would box the
-   optional argument. *)
-let rec scan_nodes stats w0 w1 = function
-  | None -> None
-  | Some node as found ->
-    Lookup_stats.examine stats ();
-    if node.w0 = w0 && node.w1 = w1 then found
-    else scan_nodes stats w0 w1 node.next
+(* The entry matching [w0]/[w1] at or below [i], or -1.  Top-level
+   recursion with explicit arguments, as a local closure would allocate
+   its environment; the [int] annotations keep [=] an int compare. *)
+let rec find_from (words : int array) (w0 : int) (w1 : int) i =
+  if i < 0 then i
+  else if
+    Array.unsafe_get words (2 * i) = w0
+    && Array.unsafe_get words ((2 * i) + 1) = w1
+  then i
+  else find_from words w0 w1 (i - 1)
 
-let scan t ~stats ~w0 ~w1 = scan_nodes stats w0 w1 t.head
+(* One charge for the whole walk, the match included. *)
+let scan t ~stats ~w0 ~w1 =
+  let last = t.length - 1 in
+  let i = find_from t.words w0 w1 last in
+  if i < 0 then begin
+    Lookup_stats.charge stats t.length;
+    None
+  end
+  else begin
+    Lookup_stats.charge stats (last - i + 1);
+    t.slab.(t.words.(slot_base t + i))
+  end
+
+let node_at t i =
+  match t.slab.(t.words.(slot_base t + i)) with
+  | Some node -> node
+  | None -> assert false (* every entry's slot is in use *)
 
 let iter f t =
-  let rec walk = function
-    | None -> ()
-    | Some node ->
-      f node.pcb;
-      walk node.next
-  in
-  walk t.head
+  for i = t.length - 1 downto 0 do
+    f (node_at t i).pcb
+  done
 
 let to_list t =
   let acc = ref [] in
-  iter (fun pcb -> acc := pcb :: !acc) t;
-  List.rev !acc
+  for i = 0 to t.length - 1 do
+    acc := (node_at t i).pcb :: !acc
+  done;
+  !acc
 
-let tail_pcb t =
-  match t.tail with Some node -> Some node.pcb | None -> None
+let tail_pcb t = if t.length = 0 then None else Some (node_at t 0).pcb

@@ -1,4 +1,5 @@
-(** Intrusive doubly linked PCB chain, keyed by packed flow words.
+(** PCB chain, keyed by packed flow words and laid out as a struct of
+    arrays.
 
     One of {!Sequent}'s [H] chains.  That one store serves every
     list-based algorithm in the paper: BSD's single list and
@@ -7,15 +8,28 @@
     algorithm is its [H]-chain case.  {!Lru_cache}'s K-entry cache,
     {!Guarded}'s shadow population and [Parallel.Striped]'s stripes
     are {!Sequent} stores of their own, so {!Sequent} creates every
-    chain.  Nodes support O(1) unlink and move-to-front.
+    chain.
 
-    Each node holds its PCB's flow as the two {!Flow_key} words,
-    computed once by {!push_front}.  Queries arrive as the same two
-    words ([~w0 ~w1], from {!Flow_key.w0_of_flow}/{!Flow_key.w1_of_flow},
-    computed once per lookup), so comparing a PCB is two int compares
-    on the node itself: the scan never dereferences the PCB.  The scan
-    charges one examination per PCB compared via the caller's
-    {!Lookup_stats.t}. *)
+    {b Layout.}  A chain keeps its PCBs' flows as the two {!Flow_key}
+    words, computed once by {!push_front}, in chain order in one
+    [int array], which also holds each entry's slab slot.  The nodes
+    themselves sit in a slab, each in a slot that never moves while it
+    is linked.  Queries arrive as the same two words ([~w0 ~w1], from
+    {!Flow_key.w0_of_flow}/{!Flow_key.w1_of_flow}, computed once per
+    lookup), so {!scan} compares a PCB with two int loads from
+    contiguous memory: it never touches a node until it has found one.
+    The scan charges its examinations, one per PCB compared, through
+    the caller's {!Lookup_stats.t} once, at the end of the walk.
+
+    {b Costs.}  {!push_front} is amortised O(1).  {!remove} and
+    {!move_to_front} find the node and shift every entry between it
+    and the head down by one: O(distance from the head), in plain int
+    stores.  A stack pays that once per connection, and
+    move-to-front pays over no more than the walk that found the
+    node.
+
+    {b Memory.}  An empty chain holds no arrays.  The arrays double
+    when full and never shrink, so a chain keeps its peak capacity. *)
 
 type 'a node
 type 'a t
@@ -32,21 +46,25 @@ val matches : 'a node -> w0:int -> w1:int -> bool
 
 val push_front : 'a t -> 'a Pcb.t -> 'a node
 (** New PCBs go to the head, matching BSD's insertion discipline.
-    Allocates the node and one option cell, nothing else. *)
+    Allocates the node and its one option cell; below its capacity,
+    nothing else. *)
 
 val remove : 'a t -> 'a node -> unit
-(** Unlink a node.
+(** Unlink a node, in O(distance from the head).
     @raise Invalid_argument if the node is not currently linked in
-    this chain. *)
+    this chain: unlinked, or linked in another. *)
 
 val move_to_front : 'a t -> 'a node -> unit
-(** Crowcroft's heuristic; no-op when already at the head. *)
+(** Crowcroft's heuristic, in O(distance from the head); no-op when
+    already at the head.
+    @raise Invalid_argument as {!remove} does. *)
 
 val scan : 'a t -> stats:Lookup_stats.t -> w0:int -> w1:int -> 'a node option
-(** Walk from the head comparing the packed words held in each node,
-    charging one examination per PCB compared (including the match
-    itself, per the paper's accounting).  A hit returns the chain's
-    own option cell, so callers may store it without allocating. *)
+(** Walk from the head comparing each entry's packed words, charging
+    one examination per PCB compared (including the match itself, per
+    the paper's accounting).  A hit returns the node's own option
+    cell, so callers may store it without allocating; a scan allocates
+    nothing. *)
 
 val iter : ('a Pcb.t -> unit) -> 'a t -> unit
 (** Head-to-tail iteration (no charge). *)

@@ -40,7 +40,7 @@ let lookup_by_id t ?kind:_ id =
     None
   end
   else begin
-    Lookup_stats.examine t.stats ();
+    Lookup_stats.examine t.stats;
     match t.slots.(id) with
     | Some pcb ->
       Pcb.note_rx pcb;

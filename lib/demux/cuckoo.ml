@@ -56,18 +56,19 @@ let lookup t ?kind:_ flow =
   Lookup_stats.begin_lookup t.stats;
   match Table.find t.table ~w0 ~w1 with
   | id ->
-    Lookup_stats.examine t.stats ~count:(Table.last_probes t.table) ();
-    (match t.slots.(id) with
-    | Some pcb ->
-      Pcb.note_rx pcb;
-      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-      Some pcb
+    Lookup_stats.charge t.stats (Table.last_probes t.table);
+    (* A hit hands back the slot's own option cell. *)
+    let found = t.slots.(id) in
+    (match found with
+    | Some pcb -> Pcb.note_rx pcb
     | None ->
       (* The table and the side store move in lockstep; a dangling
          index is a bug, not a miss. *)
-      assert false)
+      assert false);
+    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
+    found
   | exception Not_found ->
-    Lookup_stats.examine t.stats ~count:(Table.last_probes t.table) ();
+    Lookup_stats.charge t.stats (Table.last_probes t.table);
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
     None
 

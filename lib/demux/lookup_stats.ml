@@ -51,9 +51,13 @@ let begin_lookup t =
   t.current <- 0;
   Obs.Trace.record t.tracer Obs.Trace.Lookup_begin 0 0
 
-let examine t ?(count = 1) () =
+let examine t =
   assert t.in_lookup;
-  t.current <- t.current + count
+  t.current <- t.current + 1
+
+let charge t n =
+  assert t.in_lookup;
+  t.current <- t.current + n
 
 let end_lookup t ~hit_cache ~found =
   assert t.in_lookup;

@@ -13,8 +13,12 @@ val create : unit -> t
 (** {1 Charging (called by algorithm implementations)} *)
 
 val begin_lookup : t -> unit
-val examine : t -> ?count:int -> unit -> unit
-(** Charge [count] (default 1) PCB examinations to the current lookup. *)
+val examine : t -> unit
+(** Charge one PCB examination to the current lookup. *)
+
+val charge : t -> int -> unit
+(** Charge [n] PCB examinations to the current lookup at once: a chain
+    scan's whole walk, or a cuckoo probe's buckets and stash entries. *)
 
 val end_lookup : t -> hit_cache:bool -> found:bool -> unit
 (** Close the current lookup; [hit_cache] records that a one-entry

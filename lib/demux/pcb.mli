@@ -21,7 +21,7 @@ val note_tx : 'a t -> unit
 val matches : 'a t -> Packet.Flow.t -> bool
 (** Full 96-bit comparison of the PCB's boxed flow.  The reference
     comparison: {!Chain.scan} and {!Chain.matches} compare the packed
-    {!Flow_key} words held in each chain node instead, and the tests
-    check them against this. *)
+    {!Flow_key} words a chain keeps for each PCB instead, and the
+    tests check them against this. *)
 
 val pp : Format.formatter -> 'a t -> unit

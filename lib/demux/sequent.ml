@@ -3,15 +3,12 @@ type 'a bucket = {
   mutable cache : 'a Chain.node option;
 }
 
-(* Index entry: the chain node plus the bucket it lives in, so
-   [remove] never re-hashes the flow the index already proved
-   present. *)
-type 'a entry = { node : 'a Chain.node; home : int }
-
+(* The index maps a flow straight to its chain node; [remove] hashes
+   the flow again to find the node's chain. *)
 type 'a t = {
   mutable buckets : 'a bucket array;
   hasher : Hashing.Hashers.t;
-  index : 'a entry Flat_table.t;
+  index : 'a Chain.node Flat_table.t;
   stats : Lookup_stats.t;
   mutable next_id : int;
 }
@@ -40,9 +37,8 @@ let bucket t i = t.buckets.(i)
 
 (* Push [pcb] onto the head of its home chain and (re)index it. *)
 let link t pcb ~w0 ~w1 =
-  let home = bucket_index t pcb.Pcb.flow in
-  let node = Chain.push_front t.buckets.(home).chain pcb in
-  Flat_table.replace t.index ~w0 ~w1 { node; home }
+  Flat_table.replace t.index ~w0 ~w1
+    (Chain.push_front (home t pcb.Pcb.flow).chain pcb)
 
 let insert t flow data =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
@@ -71,8 +67,8 @@ let remove t flow =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
   match Flat_table.find_opt t.index ~w0 ~w1 with
   | None -> None
-  | Some { node; home } ->
-    let bucket = t.buckets.(home) in
+  | Some node ->
+    let bucket = home t flow in
     (match bucket.cache with
     | Some cached when cached == node -> bucket.cache <- None
     | Some _ | None -> ());
@@ -116,7 +112,7 @@ let lookup_pcb t flow =
   let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
   match bucket.cache with
   | Some node ->
-    Lookup_stats.examine t.stats ();
+    Lookup_stats.examine t.stats;
     if Chain.matches node ~w0 ~w1 then begin
       let pcb = Chain.pcb node in
       Pcb.note_rx pcb;
@@ -135,13 +131,10 @@ let mem t flow =
   Flat_table.mem t.index ~w0:(Flow_key.w0_of_flow flow)
     ~w1:(Flow_key.w1_of_flow flow)
 
+(* The index's own option cell: allocation-free. *)
 let find t flow =
-  match
-    Flat_table.find_opt t.index ~w0:(Flow_key.w0_of_flow flow)
-      ~w1:(Flow_key.w1_of_flow flow)
-  with
-  | Some { node; _ } -> Some node
-  | None -> None
+  Flat_table.find_opt t.index ~w0:(Flow_key.w0_of_flow flow)
+    ~w1:(Flow_key.w1_of_flow flow)
 
 (* Matches the index's own option cell, so a reply's bookkeeping
    allocates nothing. *)
@@ -150,7 +143,7 @@ let note_send t flow =
     Flat_table.find_opt t.index ~w0:(Flow_key.w0_of_flow flow)
       ~w1:(Flow_key.w1_of_flow flow)
   with
-  | Some { node; _ } -> Pcb.note_tx (Chain.pcb node)
+  | Some node -> Pcb.note_tx (Chain.pcb node)
   | None -> ()
 
 let stats t = t.stats

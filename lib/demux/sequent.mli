@@ -71,7 +71,8 @@ val finish : 'a t -> hit_cache:bool -> 'a Chain.node option -> 'a Pcb.t option
 val mem : 'a t -> Packet.Flow.t -> bool
 
 val find : 'a t -> Packet.Flow.t -> 'a Chain.node option
-(** The flow's node, through the index: uncharged. *)
+(** The flow's node, through the index: uncharged, and allocation-free
+    (the index's own option cell). *)
 
 val grow : 'a t -> unit
 (** Double [H].  The old chains are walked in order, each head to

@@ -14,7 +14,7 @@ let create () =
     charging = false }
 
 let compare_charged t key pcb =
-  if t.charging then Lookup_stats.examine t.stats ();
+  if t.charging then Lookup_stats.examine t.stats;
   Packet.Flow.compare key pcb.Pcb.flow
 
 (* Top-down-style recursive splay: brings the searched key (or the

@@ -21,7 +21,7 @@ let probe stats slot ~w0 ~w1 =
   match slot with
   | None -> None
   | Some node as cached ->
-    Lookup_stats.examine stats ();
+    Lookup_stats.examine stats;
     if Chain.matches node ~w0 ~w1 then cached else None
 
 (* [found] is the probed slot's or the scan's own option cell, so

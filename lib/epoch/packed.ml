@@ -118,7 +118,7 @@ module Make (F : Demux.Packed_table.FAULT) (St : Demux.Storage.S) = struct
   let get t ~w0 ~w1 ~default =
     let reader = reader_of t in
     Demux.Lookup_stats.begin_lookup reader.stats;
-    Demux.Lookup_stats.examine reader.stats ();
+    Demux.Lookup_stats.examine reader.stats;
     Domain_slot.pin reader.slot ~global:(Core.global t.core);
     let r = Atomic.get t.published in
     let slot = Region.find r (t.hash w0 w1) ~w0 ~w1 in
@@ -133,7 +133,7 @@ module Make (F : Demux.Packed_table.FAULT) (St : Demux.Storage.S) = struct
   let mem t ~w0 ~w1 =
     let reader = reader_of t in
     Demux.Lookup_stats.begin_lookup reader.stats;
-    Demux.Lookup_stats.examine reader.stats ();
+    Demux.Lookup_stats.examine reader.stats;
     Domain_slot.pin reader.slot ~global:(Core.global t.core);
     let slot = Region.find (Atomic.get t.published) (t.hash w0 w1) ~w0 ~w1 in
     Domain_slot.unpin reader.slot;
@@ -144,7 +144,7 @@ module Make (F : Demux.Packed_table.FAULT) (St : Demux.Storage.S) = struct
   let find_opt t ~w0 ~w1 =
     let reader = reader_of t in
     Demux.Lookup_stats.begin_lookup reader.stats;
-    Demux.Lookup_stats.examine reader.stats ();
+    Demux.Lookup_stats.examine reader.stats;
     Domain_slot.pin reader.slot ~global:(Core.global t.core);
     let r = Atomic.get t.published in
     let slot = Region.find r (t.hash w0 w1) ~w0 ~w1 in
@@ -173,7 +173,7 @@ module Make (F : Demux.Packed_table.FAULT) (St : Demux.Storage.S) = struct
         let w0 = Demux.Flow_key.w0_of_flow flow in
         let w1 = Demux.Flow_key.w1_of_flow flow in
         Demux.Lookup_stats.begin_lookup reader.stats;
-        Demux.Lookup_stats.examine reader.stats ();
+        Demux.Lookup_stats.examine reader.stats;
         let hit = Region.find r (hash_at t i w0 w1) ~w0 ~w1 >= 0 in
         if hit then incr found;
         Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false ~found:hit

@@ -59,7 +59,18 @@ type ('conn, 'listener) result =
   | Listener of 'listener
   | No_match
 
-let lookup t ?kind flow =
+(* The registry takes [kind] as an optional argument; handing it one of
+   these preallocated cells keeps the receive path from boxing a
+   [Some kind] per datagram. *)
+let some_data = Some Demux.Types.Data
+let some_pure_ack = Some Demux.Types.Pure_ack
+
+let lookup t ~kind flow =
+  let kind =
+    match kind with
+    | Demux.Types.Data -> some_data
+    | Demux.Types.Pure_ack -> some_pure_ack
+  in
   match t.demux.Demux.Registry.lookup ?kind flow with
   | Some pcb -> Connection pcb
   | None -> (

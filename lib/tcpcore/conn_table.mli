@@ -43,11 +43,12 @@ type ('conn, 'listener) result =
   | No_match
 
 val lookup :
-  ('conn, 'listener) t -> ?kind:Demux.Types.packet_kind -> Packet.Flow.t ->
+  ('conn, 'listener) t -> kind:Demux.Types.packet_kind -> Packet.Flow.t ->
   ('conn, 'listener) result
 (** Full receive-path lookup: 4-tuple first (metered by the demux
     algorithm), then address-specific listener, then wildcard
-    listener. *)
+    listener.  [kind] is a plain argument, so a call allocates no
+    option for it. *)
 
 val note_send : ('conn, 'listener) t -> Packet.Flow.t -> unit
 val connections : ('conn, 'listener) t -> int

@@ -899,11 +899,11 @@ let test_guarded_remove_untracks () =
 let test_lookup_stats_lifecycle () =
   let stats = Demux.Lookup_stats.create () in
   Demux.Lookup_stats.begin_lookup stats;
-  Demux.Lookup_stats.examine stats ();
-  Demux.Lookup_stats.examine stats ~count:3 ();
+  Demux.Lookup_stats.examine stats;
+  Demux.Lookup_stats.charge stats 3;
   Demux.Lookup_stats.end_lookup stats ~hit_cache:false ~found:true;
   Demux.Lookup_stats.begin_lookup stats;
-  Demux.Lookup_stats.examine stats ();
+  Demux.Lookup_stats.examine stats;
   Demux.Lookup_stats.end_lookup stats ~hit_cache:true ~found:true;
   Demux.Lookup_stats.note_insert stats;
   Demux.Lookup_stats.note_remove stats;
@@ -928,7 +928,7 @@ let test_lookup_stats_merge () =
     let stats = Demux.Lookup_stats.create () in
     for _ = 1 to lookups do
       Demux.Lookup_stats.begin_lookup stats;
-      Demux.Lookup_stats.examine stats ~count:examined ();
+      Demux.Lookup_stats.charge stats examined;
       Demux.Lookup_stats.end_lookup stats ~hit_cache:false ~found:true
     done;
     Demux.Lookup_stats.snapshot stats
@@ -983,6 +983,28 @@ let test_chain_operations () =
   | _ -> assert false);
   let order = List.map (fun p -> p.Demux.Pcb.id) (Demux.Chain.to_list chain) in
   Alcotest.(check (list int)) "after remove" [ 0; 3; 1 ] order
+
+(* Unlinking through the wrong chain must raise and leave both chains
+   as they were, not splice one chain's nodes into the other. *)
+let test_chain_wrong_chain () =
+  let a = Demux.Chain.create () and b = Demux.Chain.create () in
+  let push chain i =
+    Demux.Chain.push_front chain (Demux.Pcb.make ~id:i ~flow:(flow i) ())
+  in
+  let a_nodes = List.map (push a) [ 0; 1; 2 ] in
+  ignore (List.map (push b) [ 3; 4 ]);
+  let a_head = List.nth a_nodes 2 in
+  Alcotest.check_raises "remove through b"
+    (Invalid_argument "Chain.remove: node not linked") (fun () ->
+      Demux.Chain.remove b a_head);
+  Alcotest.check_raises "move through b"
+    (Invalid_argument "Chain.move_to_front: node not linked") (fun () ->
+      Demux.Chain.move_to_front b a_head);
+  let ids chain = List.map (fun p -> p.Demux.Pcb.id) (Demux.Chain.to_list chain) in
+  Alcotest.(check (list int)) "a unchanged" [ 2; 1; 0 ] (ids a);
+  Alcotest.(check (list int)) "b unchanged" [ 4; 3 ] (ids b);
+  Alcotest.(check (pair int int)) "lengths" (3, 2)
+    (Demux.Chain.length a, Demux.Chain.length b)
 
 let test_chain_scan_counts () =
   let chain = Demux.Chain.create () in
@@ -1118,7 +1140,7 @@ let prop_merge_snapshots_with_histograms =
       Demux.Lookup_stats.set_histogram whole_stats (Some whole_histogram);
       let drive stats examined =
         Demux.Lookup_stats.begin_lookup stats;
-        Demux.Lookup_stats.examine stats ~count:examined ();
+        Demux.Lookup_stats.charge stats examined;
         Demux.Lookup_stats.end_lookup stats ~hit_cache:(examined = 0)
           ~found:(examined land 1 = 0)
       in
@@ -1311,6 +1333,121 @@ let prop_chain_scan_matches_reference =
       | None, None -> true
       | Some node, Some pcb -> Demux.Chain.pcb node == pcb
       | Some _, None | None, Some _ -> false)
+
+(* Chain programs over two chains against a list reference.  Nodes are
+   named by the order they were pushed, so a remove or move may name a
+   node linked in the other chain, or in none; flows come from a pool
+   of 5, so chains hold duplicates and a scan must find the one nearest
+   the head. *)
+type chain_op =
+  | C_push of int * int  (* chain, flow *)
+  | C_remove of int * int  (* chain, node *)
+  | C_move of int * int
+  | C_scan of int * int  (* chain, flow *)
+  | C_tail of int
+
+let print_chain_op = function
+  | C_push (c, f) -> Printf.sprintf "push %d f%d" c f
+  | C_remove (c, n) -> Printf.sprintf "remove %d n%d" c n
+  | C_move (c, n) -> Printf.sprintf "move %d n%d" c n
+  | C_scan (c, f) -> Printf.sprintf "scan %d f%d" c f
+  | C_tail c -> Printf.sprintf "tail %d" c
+
+let arbitrary_chain_ops =
+  let open QCheck.Gen in
+  let chain = int_bound 1 in
+  let op =
+    frequency
+      [ (4, map2 (fun c f -> C_push (c, f)) chain (int_bound 4));
+        (2, map2 (fun c n -> C_remove (c, n)) chain (int_bound 24));
+        (2, map2 (fun c n -> C_move (c, n)) chain (int_bound 24));
+        (3, map2 (fun c f -> C_scan (c, f)) chain (int_bound 4));
+        (1, map (fun c -> C_tail c) chain) ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_chain_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_range 1 60) op)
+
+let prop_chain_model =
+  QCheck.Test.make ~count:500
+    ~name:"Chain agrees with a list model over two chains" arbitrary_chain_ops
+    (fun ops ->
+      let chains = [| Demux.Chain.create (); Demux.Chain.create () |] in
+      (* Head-to-tail PCB ids, and for each pushed node (by id) the
+         chain it is linked in. *)
+      let model = [| []; [] |] in
+      let nodes = Hashtbl.create 16 and home = Hashtbl.create 16 in
+      let pushed = ref 0 in
+      let raises f =
+        match f () with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      (* Run a remove or move on node [n] through chain [c]: it must
+         raise exactly when [n] is not linked in [c]. *)
+      let relink c n f update =
+        match Hashtbl.find_opt nodes n with
+        | None -> true
+        | Some node ->
+          let linked_here = Hashtbl.find_opt home n = Some c in
+          let raised = raises (fun () -> f chains.(c) node) in
+          if linked_here then update ();
+          raised = not linked_here
+      in
+      let step = function
+        | C_push (c, f) ->
+          let id = !pushed in
+          incr pushed;
+          Hashtbl.replace nodes id
+            (Demux.Chain.push_front chains.(c)
+               (Demux.Pcb.make ~id ~flow:(flow f) ()));
+          Hashtbl.replace home id c;
+          model.(c) <- id :: model.(c);
+          true
+        | C_remove (c, n) ->
+          relink c n Demux.Chain.remove (fun () ->
+              Hashtbl.remove home n;
+              model.(c) <- List.filter (( <> ) n) model.(c))
+        | C_move (c, n) ->
+          relink c n Demux.Chain.move_to_front (fun () ->
+              model.(c) <- n :: List.filter (( <> ) n) model.(c))
+        | C_scan (c, f) ->
+          let query = flow f in
+          let pcb_flow id = (Demux.Chain.pcb (Hashtbl.find nodes id)).Demux.Pcb.flow in
+          let rec walk examined = function
+            | [] -> (None, examined)
+            | id :: rest ->
+              if Packet.Flow.equal (pcb_flow id) query then (Some id, examined + 1)
+              else walk (examined + 1) rest
+          in
+          let expected, expected_examined = walk 0 model.(c) in
+          let stats = Demux.Lookup_stats.create () in
+          Demux.Lookup_stats.begin_lookup stats;
+          let found =
+            Demux.Chain.scan chains.(c) ~stats
+              ~w0:(Demux.Flow_key.w0_of_flow query)
+              ~w1:(Demux.Flow_key.w1_of_flow query)
+          in
+          Demux.Lookup_stats.end_lookup stats ~hit_cache:false
+            ~found:(Option.is_some found);
+          (Demux.Lookup_stats.snapshot stats).Demux.Lookup_stats.pcbs_examined
+          = expected_examined
+          && Option.map (fun node -> (Demux.Chain.pcb node).Demux.Pcb.id) found
+             = expected
+        | C_tail c ->
+          Option.map (fun pcb -> pcb.Demux.Pcb.id) (Demux.Chain.tail_pcb chains.(c))
+          = List.nth_opt (List.rev model.(c)) 0
+      in
+      let agrees c =
+        let ids =
+          List.map (fun pcb -> pcb.Demux.Pcb.id) (Demux.Chain.to_list chains.(c))
+        in
+        ids = model.(c)
+        && Demux.Chain.length chains.(c) = List.length model.(c)
+        && Demux.Chain.is_empty chains.(c) = (model.(c) = [])
+      in
+      List.for_all (fun op -> step op && agrees 0 && agrees 1) ops)
 
 (* ------------------------------------------------------------------ *)
 (* Flat_table: open-addressing index vs a Hashtbl reference model      *)
@@ -1837,15 +1974,19 @@ let test_sr_cache_hit_path_zero_alloc () =
     "sr-cache probes and refills allocate only the result (minor words)"
     (40_000.0 *. result_words_per_lookup) delta
 
-(* A pushed node is [pcb; w0; w1; prev; next; linked] plus a header,
-   and it is linked through one shared [Some node] cell (two words). *)
-let chain_node_words = 7.0
+(* A pushed node is [pcb; w0; w1; slot] plus a header, and the slab
+   keeps it in one [Some node] cell (two words).  The chain's arrays
+   are measured warm: a chain keeps its peak capacity, so a refill
+   after draining allocates nothing but nodes and cells. *)
+let chain_node_words = 5.0
 let option_cell_words = 2.0
 
 let test_chain_push_front_words () =
   let n = 1_000 in
   let pcbs = Array.init n (fun i -> Demux.Pcb.make ~id:i ~flow:(flow i) ()) in
   let chain = Demux.Chain.create () in
+  Array.iter (Demux.Chain.remove chain)
+    (Array.map (Demux.Chain.push_front chain) pcbs);
   let before = Gc.minor_words () in
   for i = 0 to n - 1 do
     ignore (Demux.Chain.push_front chain pcbs.(i))
@@ -1856,17 +1997,21 @@ let test_chain_push_front_words () =
     (float_of_int n *. (chain_node_words +. option_cell_words))
     delta
 
-(* Words per Sequent insert into a 1,000-flow table: the PCB
-   (6), the chain node and its cell (9), the index entry [{node; home}]
-   (3) and the index's [Some entry] cell (2). *)
-let sequent_insert_words = 20.0
+(* Words per warm Sequent insert: the PCB (6), the chain node and its
+   cell (7) and the index's [Some node] cell (2).  Warm, as above: the
+   100 flows measured were inserted and removed once, so neither the
+   chains nor the index grow. *)
+let sequent_insert_words = 15.0
 
 let test_sequent_insert_words () =
   let t = Demux.Sequent.create () in
   let population = Sim.Topology.flows 2_000 in
   Array.iteri
-    (fun i f -> if i < 1_000 then ignore (Demux.Sequent.insert t f ()))
+    (fun i f -> if i < 1_100 then ignore (Demux.Sequent.insert t f ()))
     population;
+  for i = 1_000 to 1_099 do
+    ignore (Demux.Sequent.remove t population.(i))
+  done;
   let before = Gc.minor_words () in
   for i = 1_000 to 1_099 do
     ignore (Demux.Sequent.insert t population.(i) ())
@@ -1874,6 +2019,104 @@ let test_sequent_insert_words () =
   let delta = Gc.minor_words () -. before in
   Alcotest.(check (float 0.0))
     "sequent insert words" (100.0 *. sequent_insert_words) delta
+
+(* A chain's scan, unlink and move-to-front are int loads and stores
+   over its arrays: nothing is allocated, hit or miss. *)
+let test_chain_zero_alloc () =
+  let n = 200 in
+  let chain = Demux.Chain.create () in
+  let nodes =
+    Array.init n (fun i ->
+        Demux.Chain.push_front chain (Demux.Pcb.make ~id:i ~flow:(flow i) ()))
+  in
+  let stats = Demux.Lookup_stats.create () in
+  let scan f =
+    Demux.Lookup_stats.begin_lookup stats;
+    let found =
+      Demux.Chain.scan chain ~stats ~w0:(Demux.Flow_key.w0_of_flow f)
+        ~w1:(Demux.Flow_key.w1_of_flow f)
+    in
+    Demux.Lookup_stats.end_lookup stats ~hit_cache:false
+      ~found:(Option.is_some found)
+  in
+  let check what delta =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s allocates nothing (minor-words delta %.0f)" what delta)
+      true (delta <= 64.0)
+  in
+  let hit = flow 17 and miss = flow (n + 1) in
+  scan hit;
+  check "chain scan hit" (measure_minor_words 10_000 (fun () -> scan hit));
+  check "chain scan miss" (measure_minor_words 10_000 (fun () -> scan miss));
+  (* Cycle the tail to the head: every move shifts the whole chain. *)
+  let k = ref 0 in
+  check "chain move_to_front"
+    (measure_minor_words 10_000 (fun () ->
+         Demux.Chain.move_to_front chain nodes.(!k mod n);
+         incr k));
+  check "chain remove"
+    (measure_minor_words 1 (fun () ->
+         Array.iter (Demux.Chain.remove chain) nodes));
+  Alcotest.(check bool) "drained" true (Demux.Chain.is_empty chain)
+
+(* A miss walks the flow's whole chain and boxes nothing. *)
+let test_sequent_miss_zero_alloc () =
+  let t = Demux.Sequent.create () in
+  let population = Sim.Topology.flows 2_001 in
+  for i = 0 to 1_999 do
+    ignore (Demux.Sequent.insert t population.(i) ())
+  done;
+  let absent = population.(2_000) in
+  ignore (Demux.Sequent.lookup t absent);
+  let delta =
+    measure_minor_words 10_000 (fun () -> ignore (Demux.Sequent.lookup t absent))
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "sequent miss allocates nothing (minor-words delta %.0f)"
+       delta)
+    true (delta <= 64.0)
+
+(* An MTF hit through the registry allocates its [Some pcb] result and
+   nothing else: the move to the front is int stores. *)
+let test_mtf_hit_words () =
+  let demux = Demux.Registry.create Demux.Registry.Mtf in
+  let population = Sim.Topology.flows 2_000 in
+  Array.iter (fun f -> ignore (demux.Demux.Registry.insert f ())) population;
+  let rng = Numerics.Rng.create ~seed:7 in
+  let order =
+    Array.init 10_000 (fun _ -> population.(Numerics.Rng.int rng ~bound:2_000))
+  in
+  ignore (demux.Demux.Registry.lookup order.(0));
+  let k = ref 0 in
+  let delta =
+    measure_minor_words 10_000 (fun () ->
+        ignore (demux.Demux.Registry.lookup order.(!k));
+        incr k)
+  in
+  Alcotest.(check (float 0.0))
+    "mtf hit allocates only the result (minor words)"
+    (10_000.0 *. result_words_per_lookup) delta
+
+(* Cuckoo charges its probes in one call and hands back the slot's own
+   option cell, so a registry lookup allocates nothing, hit or miss. *)
+let test_cuckoo_lookup_zero_alloc () =
+  let demux = Demux.Registry.create Demux.Registry.Cuckoo in
+  let population = Sim.Topology.flows 257 in
+  for i = 0 to 255 do
+    ignore (demux.Demux.Registry.insert population.(i) ())
+  done;
+  List.iter
+    (fun (what, f) ->
+      ignore (demux.Demux.Registry.lookup f);
+      let delta =
+        measure_minor_words 10_000 (fun () ->
+            ignore (demux.Demux.Registry.lookup f))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "cuckoo %s allocates nothing (minor-words delta %.0f)"
+           what delta)
+        true (delta <= 64.0))
+    [ ("hit", population.(17)); ("miss", population.(256)) ]
 
 let test_flat_table_find_zero_alloc () =
   let table = Demux.Flat_table.create () in
@@ -1925,6 +2168,7 @@ let qcheck_cases =
     (prop_lookup_count_invariant :: prop_merge_snapshots_with_histograms
      :: prop_flow_key_round_trip :: prop_flow_key_equality_agrees
      :: prop_flow_key_boundary_round_trip :: prop_chain_scan_matches_reference
+     :: prop_chain_model
      :: prop_flat_table_model :: prop_flat_table_model_degenerate_hash
      :: prop_cuckoo_model :: prop_cuckoo_model_degenerate_primary
      :: prop_cuckoo_model_stash
@@ -2002,7 +2246,8 @@ let () =
           Alcotest.test_case "pcb counters" `Quick test_pcb_counters ] );
       ( "chain",
         [ Alcotest.test_case "operations" `Quick test_chain_operations;
-          Alcotest.test_case "scan counts" `Quick test_chain_scan_counts ] );
+          Alcotest.test_case "scan counts" `Quick test_chain_scan_counts;
+          Alcotest.test_case "wrong chain raises" `Quick test_chain_wrong_chain ] );
       ( "flat-table",
         [ Alcotest.test_case "grows, stays correct" `Quick test_flat_table_grows;
           Alcotest.test_case "dead slots never resurrect a binding" `Quick
@@ -2029,6 +2274,13 @@ let () =
             test_chain_push_front_words;
           Alcotest.test_case "sequent insert words" `Quick
             test_sequent_insert_words;
+          Alcotest.test_case "chain scan, remove and move" `Quick
+            test_chain_zero_alloc;
+          Alcotest.test_case "sequent miss at 2,000 flows" `Quick
+            test_sequent_miss_zero_alloc;
+          Alcotest.test_case "mtf hit" `Quick test_mtf_hit_words;
+          Alcotest.test_case "cuckoo lookup hit and miss" `Quick
+            test_cuckoo_lookup_zero_alloc;
           Alcotest.test_case "flat_table find" `Quick
             test_flat_table_find_zero_alloc;
           Alcotest.test_case "cuckoo find (heap)" `Quick

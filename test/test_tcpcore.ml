@@ -124,18 +124,18 @@ let test_conn_table_lookup_priority () =
   let table = Tcpcore.Conn_table.create Demux.Registry.Bsd in
   Tcpcore.Conn_table.listen table ~port:8888 "listener-payload";
   (* SYN to the listening port with no connection: listener. *)
-  (match Tcpcore.Conn_table.lookup table (flow 5000) with
+  (match Tcpcore.Conn_table.lookup table ~kind:Demux.Types.Data (flow 5000) with
   | Tcpcore.Conn_table.Listener payload ->
     Alcotest.(check string) "listener" "listener-payload" payload
   | _ -> Alcotest.fail "expected listener");
   (* Establish a connection: 4-tuple match wins over the listener. *)
   ignore (Tcpcore.Conn_table.add_connection table (flow 5000) "conn-payload");
-  (match Tcpcore.Conn_table.lookup table (flow 5000) with
+  (match Tcpcore.Conn_table.lookup table ~kind:Demux.Types.Data (flow 5000) with
   | Tcpcore.Conn_table.Connection pcb ->
     Alcotest.(check string) "connection" "conn-payload" pcb.Demux.Pcb.data
   | _ -> Alcotest.fail "expected connection");
   (* A different remote port still reaches the listener. *)
-  (match Tcpcore.Conn_table.lookup table (flow 5001) with
+  (match Tcpcore.Conn_table.lookup table ~kind:Demux.Types.Data (flow 5001) with
   | Tcpcore.Conn_table.Listener _ -> ()
   | _ -> Alcotest.fail "expected listener for new peer");
   (* Port without listener: no match. *)
@@ -144,7 +144,7 @@ let test_conn_table_lookup_priority () =
       ~local:(Packet.Flow.endpoint server_addr 9999)
       ~remote:(client_ep 5000)
   in
-  (match Tcpcore.Conn_table.lookup table other_local with
+  (match Tcpcore.Conn_table.lookup table ~kind:Demux.Types.Data other_local with
   | Tcpcore.Conn_table.No_match -> ()
   | _ -> Alcotest.fail "expected no match")
 
@@ -180,7 +180,7 @@ let test_conn_table_wildcard_vs_specific () =
   (* lookup () consults the packet's destination address. *)
   Tcpcore.Conn_table.listen ~addr:(addr 10 9 9 9) table ~port:81 "only-specific";
   (match
-     Tcpcore.Conn_table.lookup table
+     Tcpcore.Conn_table.lookup table ~kind:Demux.Types.Data
        (Packet.Flow.v
           ~local:(Packet.Flow.endpoint (addr 10 9 9 9) 81)
           ~remote:(client_ep 777))
@@ -189,7 +189,7 @@ let test_conn_table_wildcard_vs_specific () =
     Alcotest.(check string) "routed by dst addr" "only-specific" which
   | _ -> Alcotest.fail "expected the specific listener");
   match
-    Tcpcore.Conn_table.lookup table
+    Tcpcore.Conn_table.lookup table ~kind:Demux.Types.Data
       (Packet.Flow.v
          ~local:(Packet.Flow.endpoint server_addr 81)
          ~remote:(client_ep 778))
