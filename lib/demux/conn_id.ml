@@ -42,10 +42,9 @@ let lookup_by_id t ?kind:_ id =
   else begin
     Lookup_stats.examine t.stats;
     match t.slots.(id) with
-    | Some pcb ->
-      Pcb.note_rx pcb;
+    | Some _ as found ->
       Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-      Some pcb
+      found
     | None ->
       Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
       None
@@ -77,13 +76,7 @@ let lookup t ?kind flow =
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
     None
 
-let note_send t flow =
-  let id =
-    Packed_table.Heap.get t.ids ~w0:(Flow_key.w0_of_flow flow)
-      ~w1:(Flow_key.w1_of_flow flow) ~default:(-1)
-  in
-  if id >= 0 then
-    match t.slots.(id) with Some pcb -> Pcb.note_tx pcb | None -> ()
+let note_send _ _ = ()
 
 let stats t = t.stats
 let length t = t.population

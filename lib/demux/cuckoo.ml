@@ -59,12 +59,9 @@ let lookup t ?kind:_ flow =
     Lookup_stats.charge t.stats (Table.last_probes t.table);
     (* A hit hands back the slot's own option cell. *)
     let found = t.slots.(id) in
-    (match found with
-    | Some pcb -> Pcb.note_rx pcb
-    | None ->
-      (* The table and the side store move in lockstep; a dangling
-         index is a bug, not a miss. *)
-      assert false);
+    (* The table and the side store move in lockstep; a dangling
+       index is a bug, not a miss. *)
+    assert (Option.is_some found);
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
     found
   | exception Not_found ->
@@ -84,12 +81,7 @@ let remove t flow =
     Lookup_stats.note_remove t.stats;
     pcb
 
-let note_send t flow =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
-  match Table.find_opt t.table ~w0 ~w1 with
-  | Some id -> (
-    match t.slots.(id) with Some pcb -> Pcb.note_tx pcb | None -> ())
-  | None -> ()
+let note_send _ _ = ()
 
 let stats t = t.stats
 let length t = Table.length t.table

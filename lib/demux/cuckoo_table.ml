@@ -44,18 +44,12 @@ module type S = sig
   val backend : string
 
   val create :
-    ?hash:(int -> int -> int) -> ?initial_capacity:int ->
-    ?resize:Flat_table.resize -> unit -> t
-
-  val create2 :
     ?hash1:(int -> int -> int) -> ?hash2:(int -> int -> int) ->
     ?initial_capacity:int -> unit -> t
 
   val length : t -> int
   val capacity : t -> int
-  val resize_policy : t -> Flat_table.resize
   val resizes : t -> int
-  val pending_migration : t -> int
   val bytes : t -> int
   val find : t -> w0:int -> w1:int -> int
   val find_opt : t -> w0:int -> w1:int -> int option
@@ -112,7 +106,7 @@ module Make (St : Storage.S) : S = struct
 
   let backend = St.backend
 
-  let create2 ?(hash1 = default_hash1) ?(hash2 = default_hash2)
+  let create ?(hash1 = default_hash1) ?(hash2 = default_hash2)
       ?(initial_capacity = min_buckets * slots_per_bucket) () =
     if initial_capacity < 0 then
       invalid_arg "Cuckoo_table.create: initial_capacity < 0";
@@ -145,14 +139,9 @@ module Make (St : Storage.S) : S = struct
       hash1;
       hash2 }
 
-  let create ?hash ?initial_capacity ?resize:_ () =
-    create2 ?hash1:hash ?initial_capacity ()
-
   let length t = t.count + t.stash_len
   let capacity t = t.nbuckets * slots_per_bucket
-  let resize_policy _ = Flat_table.Doubling
   let resizes t = t.resizes
-  let pending_migration _ = 0
   let buckets t = t.nbuckets
   let stash_len t = t.stash_len
   let kicks t = t.kicks

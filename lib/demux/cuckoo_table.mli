@@ -81,19 +81,11 @@ module type S = sig
   (** Storage backend name ("heap" / "offheap"). *)
 
   val create :
-    ?hash:(int -> int -> int) -> ?initial_capacity:int ->
-    ?resize:Flat_table.resize -> unit -> t
-  (** {!Packed_table.S}-compatible constructor: [hash] overrides the
-      primary hash only.  [resize] is accepted for interface
-      compatibility and ignored — cuckoo growth is always
-      stop-the-world doubling ({!resize_policy} reports
-      [Doubling]). *)
-
-  val create2 :
     ?hash1:(int -> int -> int) -> ?hash2:(int -> int -> int) ->
     ?initial_capacity:int -> unit -> t
-  (** Full constructor; degenerate [hash1]/[hash2] pairs are how the
-      tests force kick loops into the stash. *)
+  (** Defaults: {!default_hash1}, {!default_hash2}, 16 slots.
+      Degenerate [hash1]/[hash2] pairs are how the tests force kick
+      loops into the stash. *)
 
   val length : t -> int
   (** Resident keys, bucket slots + stash. *)
@@ -101,11 +93,8 @@ module type S = sig
   val capacity : t -> int
   (** Bucket slots ([buckets t * 8]); the stash is extra. *)
 
-  val resize_policy : t -> Flat_table.resize
   val resizes : t -> int
-
-  val pending_migration : t -> int
-  (** Always 0 — no incremental drain. *)
+  (** Stop-the-world doublings so far. *)
 
   val bytes : t -> int
   (** Slot storage + filter + stash + BFS scratch, in bytes. *)

@@ -1,16 +1,5 @@
-type 'a t = {
-  id : int;
-  flow : Packet.Flow.t;
-  data : 'a;
-  mutable rx_packets : int;
-  mutable tx_packets : int;
-}
+type 'a t = { id : int; flow : Packet.Flow.t; data : 'a }
 
-let make ~id ~flow data = { id; flow; data; rx_packets = 0; tx_packets = 0 }
-let note_rx t = t.rx_packets <- t.rx_packets + 1
-let note_tx t = t.tx_packets <- t.tx_packets + 1
+let make ~id ~flow data = { id; flow; data }
 let matches t flow = Packet.Flow.equal t.flow flow
-
-let pp ppf t =
-  Format.fprintf ppf "pcb#%d %a rx=%d tx=%d" t.id Packet.Flow.pp t.flow
-    t.rx_packets t.tx_packets
+let pp ppf t = Format.fprintf ppf "pcb#%d %a" t.id Packet.Flow.pp t.flow

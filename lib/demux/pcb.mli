@@ -10,13 +10,9 @@ type 'a t = private {
   id : int;            (** Unique per-demultiplexer instance. *)
   flow : Packet.Flow.t;
   data : 'a;
-  mutable rx_packets : int;  (** Segments delivered to this PCB. *)
-  mutable tx_packets : int;  (** Segments sent on this PCB. *)
 }
 
 val make : id:int -> flow:Packet.Flow.t -> 'a -> 'a t
-val note_rx : 'a t -> unit
-val note_tx : 'a t -> unit
 
 val matches : 'a t -> Packet.Flow.t -> bool
 (** Full 96-bit comparison of the PCB's boxed flow.  The reference

@@ -79,10 +79,8 @@ let remove t flow =
 
 let finish t ~hit_cache = function
   | Some node ->
-    let pcb = Chain.pcb node in
-    Pcb.note_rx pcb;
     Lookup_stats.end_lookup t.stats ~hit_cache ~found:true;
-    Some pcb
+    Some (Chain.pcb node)
   | None ->
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
     None
@@ -98,10 +96,8 @@ let scan_chain t bucket ~w0 ~w1 =
   | Some node as found ->
     (* Store the scan's own option cell rather than a fresh [Some]. *)
     bucket.cache <- found;
-    let pcb = Chain.pcb node in
-    Pcb.note_rx pcb;
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-    pcb
+    Chain.pcb node
   | None ->
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
     raise Not_found
@@ -114,10 +110,8 @@ let lookup_pcb t flow =
   | Some node ->
     Lookup_stats.examine t.stats;
     if Chain.matches node ~w0 ~w1 then begin
-      let pcb = Chain.pcb node in
-      Pcb.note_rx pcb;
       Lookup_stats.end_lookup t.stats ~hit_cache:true ~found:true;
-      pcb
+      Chain.pcb node
     end
     else scan_chain t bucket ~w0 ~w1
   | None -> scan_chain t bucket ~w0 ~w1
@@ -136,15 +130,8 @@ let find t flow =
   Flat_table.find_opt t.index ~w0:(Flow_key.w0_of_flow flow)
     ~w1:(Flow_key.w1_of_flow flow)
 
-(* Matches the index's own option cell, so a reply's bookkeeping
-   allocates nothing. *)
-let note_send t flow =
-  match
-    Flat_table.find_opt t.index ~w0:(Flow_key.w0_of_flow flow)
-      ~w1:(Flow_key.w1_of_flow flow)
-  with
-  | Some node -> Pcb.note_tx (Chain.pcb node)
-  | None -> ()
+(* No policy over this store reads transmit order but SR-cache's. *)
+let note_send _ _ = ()
 
 let stats t = t.stats
 let length t = Flat_table.length t.index

@@ -4,9 +4,10 @@
     The store is [H] hash chains ({!Chain}), each with a one-entry
     cache slot, plus one flat index ({!Flat_table}) from a flow's
     packed words to its chain node, the PCB-id counter and the
-    {!Lookup_stats} ledger.  Insert, remove, transmit bookkeeping,
-    iteration and growth are written here once; each algorithm is a
-    lookup policy over the store:
+    {!Lookup_stats} ledger.  Insert, remove, iteration and growth are
+    written here once, and [note_send] does nothing: {!Sr_cache} is
+    the one policy over the store that reads transmit order.  Each
+    algorithm is a lookup policy over the store:
 
     - this module's own policy is Sequent's: hash the flow to a chain,
       probe that chain's cache (one examination), and on a miss scan
@@ -64,9 +65,9 @@ val bucket : 'a t -> int -> 'a bucket
 
 val finish : 'a t -> hit_cache:bool -> 'a Chain.node option -> 'a Pcb.t option
 (** Close a lookup the policy opened with {!Lookup_stats.begin_lookup}
-    on {!stats}: count the receive on the PCB found, if any, and the
-    outcome in the ledger.  Pass a chain's or cache slot's own option
-    cell, so nothing but the result is allocated. *)
+    on {!stats}: count the outcome in the ledger and return the PCB
+    found, if any.  Pass a chain's or cache slot's own option cell, so
+    nothing but the result is allocated. *)
 
 val mem : 'a t -> Packet.Flow.t -> bool
 

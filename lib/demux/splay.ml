@@ -137,7 +137,6 @@ let lookup t ?kind:_ flow =
   | Node (_, v, _) as root ->
     t.root <- root;
     if Packet.Flow.equal v.Pcb.flow flow then begin
-      Pcb.note_rx v;
       Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
       Some v
     end
@@ -146,12 +145,7 @@ let lookup t ?kind:_ flow =
       None
     end
 
-let note_send t flow =
-  let root = splay_uncharged t flow t.root in
-  t.root <- root;
-  match root with
-  | Node (_, v, _) when Packet.Flow.equal v.Pcb.flow flow -> Pcb.note_tx v
-  | Leaf | Node _ -> ()
+let note_send t flow = t.root <- splay_uncharged t flow t.root
 
 let stats t = t.stats
 let length t = t.population

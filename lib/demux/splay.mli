@@ -10,7 +10,8 @@
     section 6).
 
     Cost accounting: one PCB examined per tree node whose key is
-    compared during the access, matching the paper's discipline. *)
+    compared during the access, matching the paper's discipline.
+    [note_send] splays the sent flow to the root, uncharged. *)
 
 type 'a t
 

@@ -52,7 +52,6 @@ let lookup t ?(kind = Types.Data) flow =
         (Chain.scan list.Sequent.chain ~stats ~w0 ~w1))
 
 let note_send t flow =
-  Sequent.note_send t.store flow;
   match Sequent.find t.store flow with
   | Some _ as sent -> t.sent <- sent
   | None -> ()

@@ -27,8 +27,10 @@ module type TABLE = sig
       {!stats}.  Only {!Sr_cache} reads [kind] (default [Data]). *)
 
   val note_send : 'a t -> Packet.Flow.t -> unit
-  (** Transmit-side bookkeeping, uncharged: the sender already holds
-      its PCB. *)
+  (** A segment was sent on the flow.  Uncharged: the sender already
+      holds its PCB.  Only {!Sr_cache} (its send-side cache) and
+      {!Splay} (splay on send) read it; every other table ignores
+      it. *)
 
   val stats : 'a t -> Lookup_stats.t
   val length : 'a t -> int

@@ -108,26 +108,6 @@ type peer_msg =
    [k] from now on. *)
 type ctrl_msg = Redirect of Packet.Flow.t * int
 
-(* What each worker domain returns through [Domain.join] — the stack
-   itself never crosses domains. *)
-type worker_summary = {
-  w_processed : int;
-  w_forwarded_in : int;
-  w_forwarded_out : int;
-  w_buffered : int;
-  w_adopted : int;
-  w_migrated_out : int;
-  w_self_handoffs : int;
-  w_flushes : int;
-  w_unclassified : int;
-  w_leftover : int;
-  w_tx : int;
-  w_connection_count : int;
-  w_connections : conn_summary list;
-  w_drops : (string * int) list;
-  w_stats : Demux.Lookup_stats.snapshot;
-}
-
 let blocking_push ring v =
   while not (Ring.try_push ring v) do
     Domain.cpu_relax ()
@@ -141,7 +121,10 @@ let stack_tier = function
 
 (* The whole life of one worker domain: build a private stack, drain
    the dispatcher ring (and, when adopting, the peer ring) until both
-   are closed and empty, summarize. *)
+   are closed and empty, summarize.  The summary crosses back through
+   [Domain.join]; the stack itself never leaves its domain.  The
+   dispatcher's fields ([steered], [rejected], [dropped_full]) and the
+   pressure fields are left empty for [run] to fill. *)
 let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
     ~w0_drained ~pressure ~stall_ns ~stage_parse ~stage_demux
     ~stage_state () =
@@ -400,16 +383,17 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
           bytes_in = c.bytes_in; bytes_out = c.bytes_out;
           snd_nxt = c.snd_nxt; rcv_nxt = c.rcv_nxt; snd_una = c.snd_una }
         :: !connections);
-  { w_processed = !processed; w_forwarded_in = !forwarded_in;
-    w_forwarded_out = !forwarded_out; w_buffered = !buffered;
-    w_adopted = !adopted; w_migrated_out = !migrated_out;
-    w_self_handoffs = !self_handoffs; w_flushes = !flushes;
-    w_unclassified = !unclassified; w_leftover = !leftover; w_tx = !tx;
-    w_connection_count = Tcpcore.Stack.connection_count stack;
-    w_connections = !connections;
-    w_drops = Tcpcore.Stack.drop_counts stack;
-    w_stats = Demux.Lookup_stats.snapshot (Tcpcore.Stack.demux_stats stack)
-  }
+  ( { index; steered = 0; rejected = 0; dropped_full = 0;
+      processed = !processed; forwarded_in = !forwarded_in;
+      forwarded_out = !forwarded_out; buffered = !buffered;
+      adopted = !adopted; migrated_out = !migrated_out;
+      self_handoffs = !self_handoffs; flushes = !flushes;
+      unclassified = !unclassified; leftover = !leftover; tx = !tx;
+      connections = Tcpcore.Stack.connection_count stack;
+      drops = Tcpcore.Stack.drop_counts stack;
+      stats = Demux.Lookup_stats.snapshot (Tcpcore.Stack.demux_stats stack);
+      tier = None; tier_transitions = []; pressure_counters = [] },
+    !connections )
 
 let merge_counts lists =
   match lists with
@@ -597,35 +581,26 @@ let run (cfg : config) datagrams =
     float_of_int (Obs.Clock.now_ns () - started) /. 1e9
   in
   let per_domain =
-    Array.init d (fun k ->
-        let s = summaries.(k) in
-        let tier, tier_transitions, pressure_counters =
-          match controllers with
-          | Some cs ->
-            ( Some (Pressure.tier_name (Pressure.tier cs.(k))),
-              Pressure.transitions cs.(k),
-              Pressure.counters cs.(k) )
-          | None -> (None, [], [])
+    Array.mapi
+      (fun k (s, _) ->
+        let s =
+          { s with steered = steered.(k); rejected = rejected.(k);
+                   dropped_full = dropped.(k) }
         in
-        { index = k; steered = steered.(k); rejected = rejected.(k);
-          dropped_full = dropped.(k); processed = s.w_processed;
-          forwarded_in = s.w_forwarded_in;
-          forwarded_out = s.w_forwarded_out; buffered = s.w_buffered;
-          adopted = s.w_adopted; migrated_out = s.w_migrated_out;
-          self_handoffs = s.w_self_handoffs; flushes = s.w_flushes;
-          unclassified = s.w_unclassified; leftover = s.w_leftover;
-          tx = s.w_tx; connections = s.w_connection_count;
-          drops = s.w_drops; stats = s.w_stats; tier; tier_transitions;
-          pressure_counters })
+        match controllers with
+        | Some cs ->
+          { s with tier = Some (Pressure.tier_name (Pressure.tier cs.(k)));
+                   tier_transitions = Pressure.transitions cs.(k);
+                   pressure_counters = Pressure.counters cs.(k) }
+        | None -> s)
+      summaries
   in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 summaries in
-  let delivered = sum (fun s -> s.w_processed + s.w_forwarded_in) in
+  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 per_domain in
+  let delivered = sum (fun s -> s.processed + s.forwarded_in) in
   let connections =
     List.sort
       (fun a b -> Packet.Flow.compare a.flow b.flow)
-      (Array.fold_left
-         (fun acc s -> List.rev_append s.w_connections acc)
-         [] summaries)
+      (Array.fold_left (fun acc (_, cs) -> List.rev_append cs acc) [] summaries)
   in
   let stages =
     if not cfg.stages then []
@@ -640,14 +615,14 @@ let run (cfg : config) datagrams =
   in
   { domains = d; total; per_domain;
     merged_drops =
-      merge_counts (Array.to_list (Array.map (fun s -> s.w_drops) summaries));
+      merge_counts (Array.to_list (Array.map (fun s -> s.drops) per_domain));
     merged_stats =
       Demux.Lookup_stats.merge_snapshots
-        (Array.to_list (Array.map (fun s -> s.w_stats) summaries));
-    connections; handoffs = sum (fun s -> s.w_migrated_out);
-    self_handoffs = sum (fun s -> s.w_self_handoffs);
-    forwarded = sum (fun s -> s.w_forwarded_out);
-    flushes = sum (fun s -> s.w_flushes); elapsed_s;
+        (Array.to_list (Array.map (fun s -> s.stats) per_domain));
+    connections; handoffs = sum (fun s -> s.migrated_out);
+    self_handoffs = sum (fun s -> s.self_handoffs);
+    forwarded = sum (fun s -> s.forwarded_out);
+    flushes = sum (fun s -> s.flushes); elapsed_s;
     packets_per_s =
       (if elapsed_s > 0.0 then float_of_int delivered /. elapsed_s else 0.0);
     stages }

@@ -182,9 +182,7 @@ let insert_batch t entries =
       pcbs
   end
 
-let note_send t flow =
-  let stripe = stripe_of_flow t flow in
-  with_stripe stripe (fun () -> Demux.Sequent.note_send stripe.store flow)
+let note_send _ _ = ()
 
 let length t = Atomic.get t.population
 

@@ -115,6 +115,9 @@ val insert_batch :
     inserted (including later ones on other stripes) remain. *)
 
 val note_send : 'a t -> Packet.Flow.t -> unit
+(** Does nothing and takes no lock: a stripe's {!Demux.Sequent} store
+    ignores transmit order. *)
+
 val length : 'a t -> int
 
 val iter : ('a Demux.Pcb.t -> unit) -> 'a t -> unit

@@ -4,6 +4,13 @@ let log_src = Logs.Src.create "tcpdemux.stack" ~doc:"TCP stack events"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* The stack-side view of pipeline overload.  Mirrors the tiers of the
+   parallel pipeline's pressure controller without depending on it: the
+   integration layer bridges the two with a closure
+   ([set_overload_probe]), keeping tcpcore free of any domain/threading
+   dependency. *)
+type overload_tier = Normal | Shed_new_flows | Drop_batches | Reject
+
 type connection = {
   flow : Packet.Flow.t;
   mutable state : State.t;
@@ -16,16 +23,11 @@ type connection = {
       (* retransmission queue: (first sequence number, segment),
          oldest first *)
   mutable ack_pending : bool;
+  mutable listener : listener option;
+  mutable time_wait_timer : Timer_wheel.timer option;
 }
 
-(* The stack-side view of pipeline overload.  Mirrors the tiers of the
-   parallel pipeline's pressure controller without depending on it: the
-   integration layer bridges the two with a closure
-   ([set_overload_probe]), keeping tcpcore free of any domain/threading
-   dependency. *)
-type overload_tier = Normal | Shed_new_flows | Drop_batches | Reject
-
-type listener = { on_data : t -> connection -> string -> unit }
+and listener = { on_data : t -> connection -> string -> unit }
 
 and timer_event =
   | Reap_time_wait of connection
@@ -67,7 +69,7 @@ and t = {
   delayed_ack_timeout : float;
   mutable overload_probe : unit -> overload_tier;
   wheel : timer_event Timer_wheel.t;
-  time_wait_timers : Timer_wheel.timer Demux.Flow_table.t;
+  mutable time_wait_pending : int;  (* connections whose 2MSL timer is armed *)
 }
 
 (* Sequence-number comparison with wraparound: a < b iff the signed
@@ -101,8 +103,7 @@ let create ?(demux =
     rto_jitter; rto_rng = Numerics.Rng.create ~seed:rto_seed;
     delayed_acks; delayed_ack_timeout;
     overload_probe = (fun () -> Normal);
-    wheel = Timer_wheel.create ~tick:0.25 ();
-    time_wait_timers = Demux.Flow_table.create 16 }
+    wheel = Timer_wheel.create ~tick:0.25 (); time_wait_pending = 0 }
 
 let set_overload_probe t probe = t.overload_probe <- probe
 let set_on_established t hook = t.on_established <- hook
@@ -227,7 +228,9 @@ let connect t ~local_port ~remote =
   let conn =
     { flow; state = State.Syn_sent; snd_nxt = Int32.add iss 1l;
       rcv_nxt = 0l; snd_una = iss; bytes_in = 0; bytes_out = 0; unacked = [];
-      ack_pending = false }
+      ack_pending = false;
+      listener = Conn_table.listener ~addr:t.local_addr t.table ~port:local_port;
+      time_wait_timer = None }
   in
   ignore (Conn_table.add_connection t.table flow conn);
   emit_reliable t conn ~flags:Packet.Tcp_header.flag_syn ~seq:iss
@@ -258,31 +261,37 @@ let close t conn =
     conn.snd_nxt <- Int32.add conn.snd_nxt 1l (* FIN occupies a sequence slot *);
     conn.state <- next
 
+(* The 2MSL timer left the wheel: fired, or cancelled by the caller. *)
+let time_wait_done t conn =
+  conn.time_wait_timer <- None;
+  t.time_wait_pending <- t.time_wait_pending - 1
+
+let cancel_time_wait t conn =
+  match conn.time_wait_timer with
+  | Some timer ->
+    ignore (Timer_wheel.cancel t.wheel timer);
+    time_wait_done t conn
+  | None -> ()
+
 let drop_connection t conn =
   Log.debug (fun m -> m "drop %s" (Packet.Flow.to_string conn.flow));
   conn.state <- State.Closed;
   conn.unacked <- [];
-  (match Demux.Flow_table.find_opt t.time_wait_timers conn.flow with
-  | Some timer ->
-    ignore (Timer_wheel.cancel t.wheel timer);
-    Demux.Flow_table.remove t.time_wait_timers conn.flow
-  | None -> ());
+  cancel_time_wait t conn;
   ignore (Conn_table.remove_connection t.table conn.flow)
 
 (* Arm the 2MSL timer the first time a connection is seen in
    TIME-WAIT; re-arming on retransmitted FINs is harmless but
-   wasteful, so membership is checked. *)
+   wasteful, so an armed timer is kept. *)
 let maybe_arm_time_wait t conn =
-  if
-    State.equal conn.state State.Time_wait
-    && not (Demux.Flow_table.mem t.time_wait_timers conn.flow)
-  then begin
-    let timer =
-      Timer_wheel.schedule t.wheel ~delay:t.time_wait_timeout
-        (Reap_time_wait conn)
-    in
-    Demux.Flow_table.replace t.time_wait_timers conn.flow timer
-  end
+  match conn.time_wait_timer with
+  | None when State.equal conn.state State.Time_wait ->
+    conn.time_wait_timer <-
+      Some
+        (Timer_wheel.schedule t.wheel ~delay:t.time_wait_timeout
+           (Reap_time_wait conn));
+    t.time_wait_pending <- t.time_wait_pending + 1
+  | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Flow migration (shared-nothing handoff between per-core stacks)     *)
@@ -295,22 +304,14 @@ let extract_connection t flow =
   | None -> None
   | Some pcb ->
     let conn = pcb.Demux.Pcb.data in
-    (match Demux.Flow_table.find_opt t.time_wait_timers flow with
-    | Some timer ->
-      ignore (Timer_wheel.cancel t.wheel timer);
-      Demux.Flow_table.remove t.time_wait_timers flow
-    | None -> ());
+    cancel_time_wait t conn;
     (* Ship a fresh record and neutralize the original.  Pending wheel
        entries (RTO, delayed ack) still reference the original, and
        every timer path is a no-op on a Closed connection with an
        empty retransmission queue — so no timer on this stack can ever
-       touch state that now lives on another domain. *)
-    let copy =
-      { flow = conn.flow; state = conn.state; snd_nxt = conn.snd_nxt;
-        rcv_nxt = conn.rcv_nxt; snd_una = conn.snd_una;
-        bytes_in = conn.bytes_in; bytes_out = conn.bytes_out;
-        unacked = conn.unacked; ack_pending = conn.ack_pending }
-    in
+       touch state that now lives on another domain.  The adopting
+       stack binds the copy to its own listener. *)
+    let copy = { conn with listener = None; time_wait_timer = None } in
     conn.state <- State.Closed;
     conn.unacked <- [];
     conn.ack_pending <- false;
@@ -324,17 +325,25 @@ let adopt_connection t conn =
   then invalid_arg "Stack.adopt_connection: flow is not addressed to this host";
   if State.equal conn.state State.Closed then
     invalid_arg "Stack.adopt_connection: connection is closed";
+  conn.listener <-
+    Conn_table.listener ~addr:t.local_addr t.table
+      ~port:conn.flow.Packet.Flow.local.Packet.Flow.port;
   ignore (Conn_table.add_connection t.table conn.flow conn);
   maybe_arm_time_wait t conn;
   (* Anything still unacknowledged gets a fresh first-attempt RTO on
      this stack's wheel (attempt 1 never consumes a jitter draw, so
-     adoption stays deterministic). *)
+     adoption stays deterministic), and an owed delayed ACK a fresh
+     delayed-ACK timer. *)
   List.iter
     (fun (seq, _) ->
       ignore
         (Timer_wheel.schedule t.wheel ~delay:(rto_for_attempt t 1)
            (Retransmit (conn, seq, 1))))
-    conn.unacked
+    conn.unacked;
+  if conn.ack_pending then
+    ignore
+      (Timer_wheel.schedule t.wheel ~delay:t.delayed_ack_timeout
+         (Delayed_ack conn))
 
 (* Retransmission bookkeeping.  An arriving ACK advances snd_una and
    releases fully acknowledged segments from the queue; an expired RTO
@@ -383,7 +392,7 @@ let advance_clock t ~now =
     (fun actions (_, event) ->
       match event with
       | Reap_time_wait conn ->
-        Demux.Flow_table.remove t.time_wait_timers conn.flow;
+        time_wait_done t conn;
         if State.equal conn.state State.Time_wait then begin
           drop_connection t conn;
           actions + 1
@@ -400,7 +409,7 @@ let advance_clock t ~now =
         else actions)
     0 fired
 
-let pending_time_wait t = Demux.Flow_table.length t.time_wait_timers
+let pending_time_wait t = t.time_wait_pending
 
 let expire_time_wait t conn =
   match State.transition conn.state State.Time_wait_expired with
@@ -447,10 +456,7 @@ let deliver_data t conn (segment : Packet.Segment.t) =
         Int32.add conn.rcv_nxt (Int32.of_int (String.length payload));
       conn.bytes_in <- conn.bytes_in + String.length payload;
       ack_data t conn;
-      match
-        Conn_table.listener ~addr:conn.flow.Packet.Flow.local.Packet.Flow.addr
-          t.table ~port:conn.flow.Packet.Flow.local.Packet.Flow.port
-      with
+      match conn.listener with
       | Some { on_data } -> on_data t conn payload
       | None -> ()
     end
@@ -556,14 +562,14 @@ let handle_connection t conn (segment : Packet.Segment.t) =
       handle_closing_states t conn segment
     | State.Closed | State.Listen -> ()
 
-let accept t flow (tcp : Packet.Tcp_header.t) =
+let accept t listener flow (tcp : Packet.Tcp_header.t) =
   let iss = fresh_iss t flow in
   let conn =
     { flow; state = State.Syn_received;
       snd_nxt = Int32.add iss 1l;
       rcv_nxt = Int32.add tcp.Packet.Tcp_header.seq 1l;
       snd_una = iss; bytes_in = 0; bytes_out = 0; unacked = [];
-      ack_pending = false }
+      ack_pending = false; listener = Some listener; time_wait_timer = None }
   in
   ignore (Conn_table.add_connection t.table flow conn);
   Log.debug (fun m -> m "accept %s" (Packet.Flow.to_string flow));
@@ -626,10 +632,10 @@ let handle_segment_at t tier (segment : Packet.Segment.t) =
       let conn = pcb.Demux.Pcb.data in
       handle_connection t conn segment;
       maybe_arm_time_wait t conn
-    | Conn_table.Listener _ when flags.Packet.Tcp_header.syn
-                                 && not flags.Packet.Tcp_header.ack -> (
+    | Conn_table.Listener listener when flags.Packet.Tcp_header.syn
+                                        && not flags.Packet.Tcp_header.ack -> (
       match tier with
-      | Normal -> accept t flow tcp
+      | Normal -> accept t listener flow tcp
       | Shed_new_flows -> note_overload_drop t Shed_new_flows payload_len
       | Drop_batches -> note_overload_drop t Drop_batches payload_len
       | Reject -> assert false (* handled above *))

@@ -19,6 +19,9 @@ type t
 val log_src : Logs.src
 (** Log source ["tcpdemux.stack"]; connection events at debug level. *)
 
+type listener
+(** A port's [on_data] callback, as registered by {!listen}. *)
+
 type connection = {
   flow : Packet.Flow.t;
   mutable state : State.t;
@@ -32,6 +35,12 @@ type connection = {
           segments (SYN, FIN, data) not yet covered by [snd_una]. *)
   mutable ack_pending : bool;
       (** A delayed acknowledgement is owed (see [delayed_acks]). *)
+  mutable listener : listener option;
+      (** The listener this connection delivers its data to, [None] for
+          nowhere: see {!listen}.  Owned by the stack. *)
+  mutable time_wait_timer : Timer_wheel.timer option;
+      (** The armed 2MSL timer, while the connection waits in
+          TIME-WAIT.  Owned by the stack. *)
 }
 
 val create :
@@ -85,12 +94,19 @@ val local_addr : t -> Packet.Ipv4.addr
 
 val listen : t -> port:int -> on_data:(t -> connection -> string -> unit) -> unit
 (** Accept connections on [port]; [on_data] fires for each in-order
-    data segment delivered on an accepted connection.
+    data segment delivered on a connection bound to this listener.  A
+    connection is bound once, when it is made: one accepted here is
+    bound to the listener its SYN reached, one opened by {!connect}
+    from [port] to the listener on [port] at that moment, and one
+    installed by {!adopt_connection} to the adopting stack's listener
+    on its local port.  So a listener registered on a port after an
+    active open from it does not receive that connection's data.
     @raise Invalid_argument if the port is busy. *)
 
 val connect : t -> local_port:int -> remote:Packet.Flow.endpoint -> connection
 (** Active open: emits a SYN and returns the new connection in
-    [Syn_sent].
+    [Syn_sent], bound to the listener on [local_port], if any (see
+    {!listen}).
     @raise Invalid_argument if the flow already exists. *)
 
 val send : t -> connection -> string -> unit
@@ -201,7 +217,8 @@ val advance_clock : t -> now:float -> int
     @raise Invalid_argument if [now] moves backwards. *)
 
 val pending_time_wait : t -> int
-(** TIME-WAIT connections currently awaiting reaping. *)
+(** TIME-WAIT connections whose 2MSL timer is armed: those awaiting
+    reaping. *)
 
 val retransmissions : t -> int
 (** Segments re-sent by the RTO timer since the stack was created. *)
@@ -236,14 +253,17 @@ val extract_connection : t -> Packet.Flow.t -> connection option
 (** Detach the connection for handoff: remove it from the demux table
     (unmetered maintenance removal, counted as a remove in
     {!demux_stats}), cancel its 2MSL timer if armed, and return a
-    fresh copy of the record; the original is closed and emptied so
-    pending RTO / delayed-ack timers on this stack fire as no-ops.
+    fresh copy of the record, bound to no listener and with no timer;
+    the original is closed and emptied so pending RTO / delayed-ack
+    timers on this stack fire as no-ops.
     [None] if the flow is not resident. *)
 
 val adopt_connection : t -> connection -> unit
-(** Install an extracted connection into this stack: demux-table
-    insert (counted), re-arm 2MSL if the connection is in TIME-WAIT
-    and a first-attempt RTO for each still-unacknowledged segment.
+(** Install an extracted connection into this stack: bind it to this
+    stack's listener on its local port (see {!listen}), demux-table
+    insert (counted), re-arm 2MSL if the connection is in TIME-WAIT, a
+    first-attempt RTO for each still-unacknowledged segment, and the
+    delayed-ACK timer if an acknowledgement is owed.
     @raise Invalid_argument if the connection is [Closed] or its local
     address is not this stack's. *)
 

@@ -1,28 +1,27 @@
+(* [id] only orders timers that share a deadline. *)
 type 'a entry = {
   id : int;
   deadline : float;
   payload : 'a;
-  mutable cancelled : bool;
+  mutable pending : bool;  (* false once fired or cancelled *)
 }
 
 type 'a t = {
   slots : 'a entry list array; (* unordered within a slot *)
   tick : float;
   mutable clock : float;
-  mutable cursor : int;        (* slot the clock currently sits in *)
   mutable next_id : int;
   mutable live : int;
-  by_id : (int, 'a entry) Hashtbl.t;
   mutable owner : int option;  (* domain that claimed the wheel *)
 }
 
-type timer = int
+type timer = Timer : 'a entry -> timer [@@unboxed]
 
 let create ?(slot_count = 256) ~tick () =
   if tick <= 0.0 then invalid_arg "Timer_wheel.create: tick <= 0";
   if slot_count <= 0 then invalid_arg "Timer_wheel.create: slot_count <= 0";
-  { slots = Array.make slot_count []; tick; clock = 0.0; cursor = 0;
-    next_id = 0; live = 0; by_id = Hashtbl.create 64; owner = None }
+  { slots = Array.make slot_count []; tick; clock = 0.0; next_id = 0;
+    live = 0; owner = None }
 
 let now t = t.clock
 
@@ -54,23 +53,21 @@ let schedule t ~delay payload =
   if Float.is_nan delay || delay < 0.0 then
     invalid_arg "Timer_wheel.schedule: negative or NaN delay";
   let deadline = t.clock +. delay in
-  let entry = { id = t.next_id; deadline; payload; cancelled = false } in
+  let entry = { id = t.next_id; deadline; payload; pending = true } in
   t.next_id <- t.next_id + 1;
   let slot = slot_of t deadline in
   t.slots.(slot) <- entry :: t.slots.(slot);
-  Hashtbl.replace t.by_id entry.id entry;
   t.live <- t.live + 1;
-  entry.id
+  Timer entry
 
-let cancel t id =
+let cancel t (Timer entry) =
   claim t "cancel";
-  match Hashtbl.find_opt t.by_id id with
-  | Some entry when not entry.cancelled ->
-    entry.cancelled <- true;
-    Hashtbl.remove t.by_id id;
+  if entry.pending then begin
+    entry.pending <- false;
     t.live <- t.live - 1;
     true
-  | Some _ | None -> false
+  end
+  else false
 
 let advance t ~now =
   claim t "advance";
@@ -90,15 +87,13 @@ let advance t ~now =
   let fired = ref [] in
   let visit slot =
     let due, remaining =
-      List.partition (fun e -> (not e.cancelled) && e.deadline <= now)
-        t.slots.(slot)
+      List.partition (fun e -> e.pending && e.deadline <= now) t.slots.(slot)
     in
     (* Drop cancelled entries while we are here. *)
-    let remaining = List.filter (fun e -> not e.cancelled) remaining in
-    t.slots.(slot) <- remaining;
+    t.slots.(slot) <- List.filter (fun e -> e.pending) remaining;
     List.iter
       (fun e ->
-        Hashtbl.remove t.by_id e.id;
+        e.pending <- false;
         t.live <- t.live - 1;
         fired := e :: !fired)
       due
@@ -107,7 +102,6 @@ let advance t ~now =
     visit ((current_index + i) mod slot_count)
   done;
   t.clock <- now;
-  t.cursor <- target_index mod slot_count;
   !fired
   |> List.sort (fun a b ->
          match Float.compare a.deadline b.deadline with

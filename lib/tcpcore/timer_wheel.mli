@@ -5,7 +5,8 @@
 
     Timers hash into [slot_count] buckets of width [tick] seconds;
     {!advance} walks the buckets the clock has passed and fires due
-    timers in deadline order.  Schedule and cancel are O(1); advance
+    timers in deadline order, scheduling order breaking ties.  Schedule
+    and cancel are O(1), since a {!timer} handle is its entry; advance
     is O(buckets passed + timers fired).
 
     A wheel is {e single-domain}: the first call to {!schedule},
@@ -20,7 +21,8 @@
 type 'a t
 
 type timer
-(** Handle for cancellation.  Never reused. *)
+(** Handle for cancellation: the scheduled entry itself.  Pass it
+    only to the wheel that returned it. *)
 
 val create : ?slot_count:int -> tick:float -> unit -> 'a t
 (** A wheel starting at time 0.  Defaults: 256 slots.
@@ -40,7 +42,8 @@ val schedule : 'a t -> delay:float -> 'a -> timer
     wheel is owned by a different domain. *)
 
 val cancel : 'a t -> timer -> bool
-(** True if the timer was still pending (and is now cancelled).
+(** True if the timer was still pending (and is now cancelled); false
+    once it has fired or been cancelled.
     @raise Invalid_argument if the wheel is owned by a different
     domain. *)
 

@@ -942,12 +942,6 @@ let test_lookup_stats_merge () =
 
 let test_pcb_counters () =
   let pcb = Demux.Pcb.make ~id:7 ~flow:(flow 7) () in
-  Alcotest.(check int) "fresh rx" 0 pcb.Demux.Pcb.rx_packets;
-  Demux.Pcb.note_rx pcb;
-  Demux.Pcb.note_rx pcb;
-  Demux.Pcb.note_tx pcb;
-  Alcotest.(check int) "rx" 2 pcb.Demux.Pcb.rx_packets;
-  Alcotest.(check int) "tx" 1 pcb.Demux.Pcb.tx_packets;
   Alcotest.(check bool) "matches own flow" true (Demux.Pcb.matches pcb (flow 7));
   Alcotest.(check bool) "rejects other" false (Demux.Pcb.matches pcb (flow 8))
 
@@ -1561,7 +1555,7 @@ let prop_flat_table_model_degenerate_hash =
    model key for key. *)
 let cuckoo_model_agreement (module T : Demux.Cuckoo_table.S) ?hash1 ?hash2 ()
     ops =
-  let table = T.create2 ?hash1 ?hash2 () in
+  let table = T.create ?hash1 ?hash2 () in
   let model = Hashtbl.create 16 in
   let words i =
     let f = flow i in
@@ -1653,7 +1647,7 @@ let prop_cuckoo_model_stash =
    probe bound must hold. *)
 let test_cuckoo_kick_chain_into_stash () =
   let module T = Demux.Cuckoo_table.Heap in
-  let table = T.create2 ~hash1:(fun _ _ -> 0) ~hash2:(fun _ _ -> 1) () in
+  let table = T.create ~hash1:(fun _ _ -> 0) ~hash2:(fun _ _ -> 1) () in
   let words i =
     let f = flow i in
     (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
@@ -1688,7 +1682,7 @@ let test_cuckoo_kick_chain_into_stash () =
    separate keys whose hashes are constants), not loop forever. *)
 let test_cuckoo_degenerate_overflow_raises () =
   let module T = Demux.Cuckoo_table.Heap in
-  let table = T.create2 ~hash1:(fun _ _ -> 0) ~hash2:(fun _ _ -> 1) () in
+  let table = T.create ~hash1:(fun _ _ -> 0) ~hash2:(fun _ _ -> 1) () in
   let words i =
     let f = flow i in
     (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
@@ -1997,11 +1991,11 @@ let test_chain_push_front_words () =
     (float_of_int n *. (chain_node_words +. option_cell_words))
     delta
 
-(* Words per warm Sequent insert: the PCB (6), the chain node and its
+(* Words per warm Sequent insert: the PCB (4), the chain node and its
    cell (7) and the index's [Some node] cell (2).  Warm, as above: the
    100 flows measured were inserted and removed once, so neither the
    chains nor the index grow. *)
-let sequent_insert_words = 15.0
+let sequent_insert_words = 13.0
 
 let test_sequent_insert_words () =
   let t = Demux.Sequent.create () in
@@ -2130,8 +2124,9 @@ let test_flat_table_find_zero_alloc () =
   and w1 = Demux.Flow_key.w1_of_flow population.(17) in
   ignore (Demux.Flat_table.find table ~w0 ~w1);
   ignore (Demux.Flat_table.find_opt table ~w0 ~w1);
-  (* [find_opt] is what Sequent.note_send calls once per datagram: it
-     must hand back the stored option cell, not box a fresh one. *)
+  (* [find_opt] is what Sr_cache.note_send calls once per sent
+     segment: it must hand back the stored option cell, not box a
+     fresh one. *)
   let delta =
     measure_minor_words 10_000 (fun () ->
         ignore (Demux.Flat_table.find table ~w0 ~w1);

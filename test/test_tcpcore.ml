@@ -375,6 +375,74 @@ let prop_wheel_fires_everything =
       List.length fired = List.length delays
       && Tcpcore.Timer_wheel.pending wheel = 0)
 
+(* The wheel against a list model: an advance fires every pending
+   timer whose deadline the clock has reached, in (deadline, scheduling
+   order); a cancel succeeds only on a pending timer, so cancelling
+   after the timer fired or a second time returns false. *)
+type wheel_op = Schedule of float | Cancel of int | Advance of float
+
+let print_wheel_op = function
+  | Schedule delay -> Printf.sprintf "schedule %g" delay
+  | Cancel i -> Printf.sprintf "cancel #%d" i
+  | Advance step -> Printf.sprintf "advance +%g" step
+
+let prop_wheel_matches_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ ( 4,
+            (* Whole delays make deadline ties; 40 ticks wrap the
+               8-slot wheel several times. *)
+            map
+              (fun delay -> Schedule delay)
+              (oneof
+                 [ float_range 0.0 40.0; map float_of_int (int_range 0 12) ]) );
+          (2, map (fun i -> Cancel i) (int_bound 1000));
+          (3, map (fun step -> Advance step) (float_range 0.0 12.0)) ])
+  in
+  QCheck.Test.make ~count:300
+    ~name:"wheel agrees with a list model under schedule, cancel, advance"
+    (QCheck.make
+       ~print:(QCheck.Print.list print_wheel_op)
+       QCheck.Gen.(list_size (int_range 1 80) op))
+    (fun ops ->
+      let module W = Tcpcore.Timer_wheel in
+      let wheel = W.create ~slot_count:8 ~tick:1.0 () in
+      (* Timer [id]'s handle, and the deadlines of the pending ones. *)
+      let handles = Hashtbl.create 16 and model = Hashtbl.create 16 in
+      let scheduled = ref 0 and clock = ref 0.0 in
+      List.for_all
+        (fun op ->
+          let agrees =
+            match op with
+            | Schedule delay ->
+              let id = !scheduled in
+              Hashtbl.replace handles id (W.schedule wheel ~delay id);
+              Hashtbl.replace model id (!clock +. delay);
+              incr scheduled;
+              true
+            | Cancel i ->
+              !scheduled = 0
+              ||
+              let id = i mod !scheduled in
+              let was_pending = Hashtbl.mem model id in
+              Hashtbl.remove model id;
+              W.cancel wheel (Hashtbl.find handles id) = was_pending
+            | Advance step ->
+              clock := !clock +. step;
+              let due =
+                Hashtbl.fold
+                  (fun id deadline acc ->
+                    if deadline <= !clock then (deadline, id) :: acc else acc)
+                  model []
+                |> List.sort compare
+              in
+              List.iter (fun (_, id) -> Hashtbl.remove model id) due;
+              W.advance wheel ~now:!clock = due
+          in
+          agrees && W.pending wheel = Hashtbl.length model)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Stack: full segment exchanges between two instances                 *)
 
@@ -934,6 +1002,63 @@ let test_stack_delayed_acks () =
   Alcotest.(check int) "client quiescent" 0
     (Tcpcore.Stack.advance_clock client ~now:50.0)
 
+(* Move the server side of the client's connection from stack [a] to
+   stack [b], as [Parallel.Smp]'s flow migration does. *)
+let migrate a b =
+  match
+    Tcpcore.Stack.extract_connection a
+      (Packet.Flow.v ~local:server_ep ~remote:(client_ep 4000))
+  with
+  | Some conn -> Tcpcore.Stack.adopt_connection b conn
+  | None -> Alcotest.fail "the connection was not resident"
+
+let test_stack_adopted_connection_delivers_to_adopter () =
+  let a = Tcpcore.Stack.create ~local_addr:server_addr () in
+  let b = Tcpcore.Stack.create ~local_addr:server_addr () in
+  let client = Tcpcore.Stack.create ~local_addr:client_addr () in
+  let got_a = Buffer.create 16 and got_b = Buffer.create 16 in
+  Tcpcore.Stack.listen a ~port:8888 ~on_data:(fun _ _ payload ->
+      Buffer.add_string got_a payload);
+  Tcpcore.Stack.listen b ~port:8888 ~on_data:(fun _ _ payload ->
+      Buffer.add_string got_b payload);
+  let conn = Tcpcore.Stack.connect client ~local_port:4000 ~remote:server_ep in
+  pump a client;
+  migrate a b;
+  Tcpcore.Stack.send client conn "moved";
+  pump b client;
+  Alcotest.(check string) "B's listener got the data" "moved"
+    (Buffer.contents got_b);
+  Alcotest.(check string) "A's listener did not" "" (Buffer.contents got_a)
+
+let test_stack_adopt_keeps_owed_delayed_ack () =
+  (* One data segment reaches A, which owes a delayed ACK; the
+     connection moves to B before A's timer fires.  B must send the
+     ACK when its own delayed-ACK timer fires, not leave it to the
+     client's RTO. *)
+  let a = Tcpcore.Stack.create ~delayed_acks:true ~local_addr:server_addr () in
+  let b = Tcpcore.Stack.create ~delayed_acks:true ~local_addr:server_addr () in
+  let client = Tcpcore.Stack.create ~local_addr:client_addr () in
+  Tcpcore.Stack.listen a ~port:8888 ~on_data:(fun _ _ _ -> ());
+  Tcpcore.Stack.listen b ~port:8888 ~on_data:(fun _ _ _ -> ());
+  let conn = Tcpcore.Stack.connect client ~local_port:4000 ~remote:server_ep in
+  pump a client;
+  Tcpcore.Stack.send client conn "one";
+  List.iter (Tcpcore.Stack.handle_segment a) (Tcpcore.Stack.poll_output client);
+  Alcotest.(check (list pass)) "no immediate ack" []
+    (Tcpcore.Stack.poll_output a);
+  migrate a b;
+  Alcotest.(check int) "A's timers fire as no-ops" 0
+    (Tcpcore.Stack.advance_clock a ~now:1.0);
+  Alcotest.(check (list pass)) "A sends nothing" []
+    (Tcpcore.Stack.poll_output a);
+  Alcotest.(check int) "B's delayed-ACK timer fires" 1
+    (Tcpcore.Stack.advance_clock b ~now:1.0);
+  (match Tcpcore.Stack.poll_output b with
+  | [ ack ] -> Tcpcore.Stack.handle_segment client ack
+  | _ -> Alcotest.fail "expected B's delayed ack");
+  Alcotest.(check int) "the client's data is acknowledged" 0
+    (List.length conn.Tcpcore.Stack.unacked)
+
 let test_stack_simultaneous_open () =
   (* Both ends actively connect to each other; the crossing SYNs drive
      both through SYN-RECEIVED to ESTABLISHED (RFC 793 figure 8). *)
@@ -1060,7 +1185,7 @@ let prop_stack_survives_arbitrary_segments =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_transitions_closed_world; prop_wheel_fires_everything;
-      prop_stack_survives_arbitrary_segments ]
+      prop_wheel_matches_model; prop_stack_survives_arbitrary_segments ]
 
 let () =
   Alcotest.run "tcpcore"
@@ -1116,6 +1241,10 @@ let () =
           Alcotest.test_case "SYN retransmission" `Quick
             test_stack_syn_retransmission;
           Alcotest.test_case "delayed acks" `Quick test_stack_delayed_acks;
+          Alcotest.test_case "adopted connection delivers to the adopter"
+            `Quick test_stack_adopted_connection_delivers_to_adopter;
+          Alcotest.test_case "adopt keeps an owed delayed ack" `Quick
+            test_stack_adopt_keeps_owed_delayed_ack;
           Alcotest.test_case "simultaneous open" `Quick test_stack_simultaneous_open;
           Alcotest.test_case "many clients" `Quick test_stack_many_clients ] );
       ( "timer-wheel",
