@@ -38,32 +38,11 @@ type 'a t = {
   mutable rejected : int;
 }
 
-(* One worker's drain loop: pop batches until the ring is closed AND
-   empty.  A push can land between a failed pop and the close check,
-   and close is published after the last push, so after observing
-   [is_closed] one more drain pass sees everything. *)
 let worker_loop ring consume =
   let found = ref 0 and packets = ref 0 in
-  let consume (batch, hashes) =
-    packets := !packets + Array.length batch;
-    found := !found + consume batch ~hashes
-  in
-  let rec drain () =
-    match Ring.try_pop ring with
-    | Some batch -> consume batch; drain ()
-    | None -> ()
-  in
-  let rec loop () =
-    match Ring.try_pop ring with
-    | Some batch -> consume batch; loop ()
-    | None ->
-      if Ring.is_closed ring then drain ()
-      else begin
-        Domain.cpu_relax ();
-        loop ()
-      end
-  in
-  loop ();
+  Ring.drain ring (fun (batch, hashes) ->
+      packets := !packets + Array.length batch;
+      found := !found + consume batch ~hashes);
   (!packets, !found)
 
 let start ?obs ?(tracer = Obs.Trace.disabled) ?(ring_capacity = 64) ?pressure
@@ -86,9 +65,10 @@ let start ?obs ?(tracer = Obs.Trace.disabled) ?(ring_capacity = 64) ?pressure
   in
   let depth_histogram =
     histogram ~units:"batches"
-      ~help:"destination ring depth sampled at each push"
+      ~help:"destination ring depth sampled at each batch offered"
       "pipeline.ring_depth"
   in
+  let started = Obs.Clock.now_ns () in
   (* [consume w] is applied inside worker [w]'s domain, before its
      first pop. *)
   let domains =
@@ -99,7 +79,7 @@ let start ?obs ?(tracer = Obs.Trace.disabled) ?(ring_capacity = 64) ?pressure
     { workers; batch; hash; pressure; tracer; batch_histogram;
       depth_histogram; rings; domains; buffers = Array.make workers [||];
       hash_buffers = Array.init workers (fun _ -> Array.make batch 0);
-      fills = Array.make workers 0; started = Obs.Clock.now_ns ();
+      fills = Array.make workers 0; started;
       packets = 0; batches = 0; max_depth = 0; tier_dropped = 0;
       rejected = 0 }
   in
@@ -116,54 +96,57 @@ let start ?obs ?(tracer = Obs.Trace.disabled) ?(ring_capacity = 64) ?pressure
     obs;
   t
 
-(* Ship worker [w]'s partial buffer as one immutable batch.  The
-   pressure tier gates the push: at [Reject] the batch is refused
-   before the ring is even tried; at [Drop_batches] a full ring drops
-   the batch instead of blocking; below that a full ring is
-   backpressure and the producer spins until the worker frees a
-   slot. *)
+type offered = Shipped | Rejected | Dropped
+
+let note_depth p ring =
+  Pressure.note_ring_depth p ~depth:(Ring.length ring)
+    ~capacity:(Ring.capacity ring)
+
+(* The tier policy.  At [Reject] the value is refused before the ring
+   is even tried; at [Drop_batches] a full ring drops it instead of
+   blocking; below that a full ring is backpressure and the producer
+   spins until the worker frees a slot.  Every offer samples the ring
+   into the controller, a refused one too: the workers keep draining
+   while the producer sheds, and without a load signal the controller
+   would never observe the calm run it needs to leave Reject. *)
+let offer ?pressure ?spin ring value ~packets =
+  match pressure with
+  | Some p when Pressure.rejecting p ->
+    Pressure.note_rejected p ~packets;
+    note_depth p ring;
+    Rejected
+  | _ -> (
+    (match pressure with Some p -> note_depth p ring | None -> ());
+    if Ring.try_push ring value then Shipped
+    else
+      match pressure with
+      | Some p when Pressure.drops_batches p ->
+        Pressure.note_dropped_batch p ~packets;
+        Dropped
+      | _ ->
+        Ring.push ?spin ring value;
+        Shipped)
+
+(* Ship worker [w]'s partial buffer as one immutable batch, through
+   the tier policy. *)
 let flush t w =
   let fill = t.fills.(w) in
   if fill > 0 then begin
     t.fills.(w) <- 0;
     let ring = t.rings.(w) in
-    match t.pressure with
-    | Some p when Pressure.rejecting p ->
-      Pressure.note_rejected p ~packets:fill;
-      t.rejected <- t.rejected + fill;
-      (* Still sample the destination ring: the workers keep draining
-         while the producer sheds, and without a load signal the
-         controller would never observe the calm run it needs to leave
-         Reject. *)
-      Pressure.note_ring_depth p ~depth:(Ring.length ring)
-        ~capacity:(Ring.capacity ring)
-    | _ ->
-      let shipment =
-        (Array.sub t.buffers.(w) 0 fill, Array.sub t.hash_buffers.(w) 0 fill)
-      in
-      let depth = Ring.length ring in
-      if depth > t.max_depth then t.max_depth <- depth;
-      Option.iter (fun h -> Obs.Histogram.record h depth) t.depth_histogram;
-      Option.iter
-        (fun p ->
-          Pressure.note_ring_depth p ~depth ~capacity:(Ring.capacity ring))
-        t.pressure;
-      let shipped () =
-        t.batches <- t.batches + 1;
-        Option.iter (fun h -> Obs.Histogram.record h fill) t.batch_histogram;
-        Obs.Trace.record t.tracer Obs.Trace.Batch fill w
-      in
-      if Ring.try_push ring shipment then shipped ()
-      else
-        match t.pressure with
-        | Some p when Pressure.drops_batches p ->
-          Pressure.note_dropped_batch p ~packets:fill;
-          t.tier_dropped <- t.tier_dropped + fill
-        | _ ->
-          while not (Ring.try_push ring shipment) do
-            Domain.cpu_relax ()
-          done;
-          shipped ()
+    let depth = Ring.length ring in
+    if depth > t.max_depth then t.max_depth <- depth;
+    Option.iter (fun h -> Obs.Histogram.record h depth) t.depth_histogram;
+    let shipment =
+      (Array.sub t.buffers.(w) 0 fill, Array.sub t.hash_buffers.(w) 0 fill)
+    in
+    match offer ?pressure:t.pressure ring shipment ~packets:fill with
+    | Shipped ->
+      t.batches <- t.batches + 1;
+      Option.iter (fun h -> Obs.Histogram.record h fill) t.batch_histogram;
+      Obs.Trace.record t.tracer Obs.Trace.Batch fill w
+    | Dropped -> t.tier_dropped <- t.tier_dropped + fill
+    | Rejected -> t.rejected <- t.rejected + fill
   end
 
 (* RSS: shard every item by its hash, so one connection's packets

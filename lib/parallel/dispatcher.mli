@@ -18,7 +18,9 @@
     {!Pressure} controller attached, degradation is tiered instead:
     ring occupancy feeds the controller, and at [Drop_batches] or worse
     a full ring sheds the batch (attributed to the tier), while at
-    [Reject] batches are refused before the ring is tried at all. *)
+    [Reject] batches are refused before the ring is tried at all.
+    That policy is one function, {!offer}, which {!Smp}'s dispatcher
+    applies to every datagram it ships. *)
 
 type result = {
   workers : int;
@@ -29,7 +31,10 @@ type result = {
   tier_dropped_packets : int; (** Shed on full rings at [Drop_batches]. *)
   rejected_packets : int;     (** Refused outright at [Reject]. *)
   max_ring_depth : int;       (** Deepest ring occupancy observed. *)
-  elapsed_seconds : float;    (** Monotonic, {!start} to last join. *)
+  elapsed_seconds : float;
+      (** Monotonic, from {!start}'s clock read before it spawns the
+          workers to the last join — the window {!Smp.result}'s
+          [elapsed_s] covers too. *)
   packets_per_second : float;
   per_worker_packets : int array;  (** Delivered per shard — shows hash balance. *)
 }
@@ -38,6 +43,25 @@ val lost_packets : result -> int
 (** [tier_dropped_packets + rejected_packets]: every offered item is
     either delivered to a worker or counted here — the conservation
     law the chaos harness audits. *)
+
+type offered = Shipped | Rejected | Dropped
+
+val offer :
+  ?pressure:Pressure.t -> ?spin:(unit -> unit) -> 'a Ring.t -> 'a ->
+  packets:int -> offered
+(** The tier policy for one push of a value carrying [packets] items:
+    - at {!Pressure.Reject} the value is refused before the ring is
+      tried ([Rejected]);
+    - otherwise, if the ring is full, it is dropped at
+      {!Pressure.Drop_batches} or worse ([Dropped]);
+    - below that a full ring is backpressure: {!Ring.push} spins, with
+      [spin], until the consumer frees a slot ([Shipped]).
+
+    With [pressure], every offer, a refused one included, samples the
+    ring's depth into the controller ({!Pressure.note_ring_depth}), and
+    refusals and drops are counted there
+    ({!Pressure.note_rejected}, {!Pressure.note_dropped_batch}).
+    Without it every offer ships.  Producer-side only. *)
 
 type 'a t
 (** A running pipeline; the producer loop belongs to the caller. *)
@@ -65,11 +89,9 @@ val start :
     [?tracer], records one [Batch] event per push ([a] = size, [b] =
     worker shard); the tracer is touched only by the producer.
 
-    With [?pressure], every push samples ring occupancy into the
-    controller ({!Pressure.note_ring_depth}) and the current tier gates
-    shipping as described above; tier-attributed losses are counted
-    both in the controller and in [tier_dropped_packets] /
-    [rejected_packets].
+    With [?pressure], every batch goes through {!offer}; its
+    tier-attributed losses are counted both in the controller and in
+    [tier_dropped_packets] / [rejected_packets].
 
     @raise Invalid_argument if [workers], [batch] or [ring_capacity]
     is non-positive. *)

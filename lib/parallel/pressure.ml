@@ -2,9 +2,9 @@
    concurrent tables.
 
    The controller watches two load signals — worker-ring occupancy
-   (sampled by the dispatcher at each push) and table insert latency
-   (sampled by [Striped] under its stripe lock) — against high/low
-   watermarks, and folds them into one degradation tier:
+   (sampled by [Dispatcher.offer] at each offer) and table insert
+   latency (sampled by [Striped] under its stripe lock) — against
+   high/low watermarks, and folds them into one degradation tier:
 
      Normal -> Shed_new_flows -> Drop_batches -> Reject
 
@@ -17,9 +17,11 @@
    the signal merely dipped below "hot".
 
    The tier itself and every counter are atomics, so any domain may
-   read [tier] on its hot path without a lock; the streak state is
-   guarded by a mutex because observations are rare (per batch / per
-   insert), not per packet. *)
+   read [tier] on its hot path without a lock.  The streak state is
+   guarded by a mutex.  Ring observations come once per offer: per
+   batch for [Dispatcher], but per datagram for [Smp]'s dispatcher,
+   which with a controller attached pays a lock and an unlock per
+   datagram.  Insert observations come once per insert. *)
 
 type tier = Normal | Shed_new_flows | Drop_batches | Reject
 

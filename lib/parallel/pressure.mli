@@ -1,10 +1,10 @@
 (** Tiered overload controller for the parallel pipeline.
 
     One controller is shared by the {!Dispatcher} (which samples
-    worker-ring occupancy at each push) and the {!Striped} table (which
-    samples insert latency under its stripe lock); both signals are
-    classified against high/low watermarks and folded into a single
-    degradation tier:
+    worker-ring occupancy at each {!Dispatcher.offer}) and the
+    {!Striped} table (which samples insert latency under its stripe
+    lock); both signals are classified against high/low watermarks and
+    folded into a single degradation tier:
 
     {ul
     {- {!Normal} — full service.}
@@ -69,7 +69,7 @@ val configuration : t -> config
 (** {1 Observations} *)
 
 val note_ring_depth : t -> depth:int -> capacity:int -> unit
-(** One ring-occupancy sample (the dispatcher, at each push). *)
+(** One ring-occupancy sample ({!Dispatcher.offer}, at each offer). *)
 
 val note_insert_ns : t -> int -> unit
 (** One insert-latency sample ({!Striped}, under the stripe lock). *)

@@ -52,5 +52,28 @@ let try_pop t =
     | None -> assert false (* producer published tail after the write *)
   end
 
+let push ?(spin = ignore) t value =
+  while not (try_push t value) do
+    spin ();
+    Domain.cpu_relax ()
+  done
+
 let close t = Atomic.set t.closed true
 let is_closed t = Atomic.get t.closed
+
+let rec pop_all t f =
+  match try_pop t with
+  | Some v ->
+    f v;
+    pop_all t f
+  | None -> ()
+
+(* The protocol of ring.mli's {!close}: a [None] is authoritative only
+   once [closed] has been observed, so one more pass follows it. *)
+let rec drain t f =
+  pop_all t f;
+  if is_closed t then pop_all t f
+  else begin
+    Domain.cpu_relax ();
+    drain t f
+  end

@@ -1,15 +1,19 @@
 (** Bounded single-producer / single-consumer ring.
 
-    The queue between the demux pipeline's dispatcher and each worker
-    domain ({!Dispatcher}): the dispatcher is the only pusher, the
-    worker the only popper, so neither side ever takes a lock — one
-    atomic read and one atomic write per operation, and the bounded
-    capacity is the pipeline's backpressure signal (a full ring means
-    the worker is behind).
+    The queue between a dispatcher and each worker domain: the
+    dispatcher is the only pusher, the worker the only popper, so
+    neither side ever takes a lock — one atomic read and one atomic
+    write per operation, and the bounded capacity is the pipeline's
+    backpressure signal (a full ring means the worker is behind).
+    {!Dispatcher} feeds one ring per worker with batches;
+    {!Smp} feeds one ring per core with messages, and adds one control
+    ring whose only producer is the listener core and whose only
+    consumer is the dispatcher.
 
-    Safety relies on the SPSC contract: concurrent {!try_push} from
-    two domains (or {!try_pop} from two) is a race.  {!length},
-    {!is_closed} and {!capacity} may be read from anywhere. *)
+    Safety relies on the SPSC contract: concurrent {!try_push} or
+    {!push} from two domains (or {!try_pop} or {!drain} from two) is a
+    race.  {!length}, {!is_closed} and {!capacity} may be read from
+    anywhere. *)
 
 type 'a t
 
@@ -25,10 +29,18 @@ val try_push : 'a t -> 'a -> bool
     spin (backpressure) or drop.
     @raise Invalid_argument if the ring has been {!close}d. *)
 
+val push : ?spin:(unit -> unit) -> 'a t -> 'a -> unit
+(** Blocking {!try_push}: while the ring is full, call [spin] (default
+    nothing) and relax the CPU, then try again.  [spin] is the
+    producer's chance to keep its own inputs moving while it waits —
+    it must not push onto this ring, or it could overtake [value].
+    @raise Invalid_argument if the ring has been {!close}d. *)
+
 val try_pop : 'a t -> 'a option
 (** Consumer side.  [None] means currently empty, not finished: check
     {!is_closed}, and after observing it closed, pop again until empty
-    (a push may land between a failed pop and the close check). *)
+    (a push may land between a failed pop and the close check) — or
+    let {!drain} do both. *)
 
 val length : 'a t -> int
 (** Current depth.  Approximate under concurrency (the two ends move
@@ -62,7 +74,14 @@ val close : 'a t -> unit
     observed.  Nothing is lost and nothing is duplicated when pushes
     race [close] from the producer's own domain — the race that
     matters is only ever producer-vs-consumer, which the SPSC
-    index discipline already orders.  See the produce-vs-close
-    property test in [test_parallel.ml]. *)
+    index discipline already orders.  {!drain} is this protocol; see
+    the produce-vs-close property test in [test_parallel.ml]. *)
 
 val is_closed : 'a t -> bool
+
+val drain : 'a t -> ('a -> unit) -> unit
+(** Consumer side: apply [f] to every element in push order until the
+    ring is closed and empty, relaxing the CPU while it is empty but
+    open — the protocol {!close} describes.  Returns after the
+    producer has closed the ring and every element has been handed to
+    [f], each exactly once. *)

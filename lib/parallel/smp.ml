@@ -90,28 +90,20 @@ type result = {
   stages : (string * Obs.Histogram.t) list;
 }
 
-(* Dispatcher -> worker messages.  [Flush f] only ever travels to the
-   listener core (ring 0): "every straggler of [f] precedes this
-   message — forward them, then tell the new owner the stream is
-   complete". *)
-type msg = Datagram of bytes | Flush of Packet.Flow.t
-
-(* Listener core -> adopting core, over that core's peer ring.  FIFO
-   order carries the protocol: [Adopt] before any [Forwarded] segment
-   of the flow, [Forward_done] after the last. *)
-type peer_msg =
+(* Everything a worker pops off its one ring, the dispatcher its only
+   producer.  [Datagram] comes from the trace.  The rest is the flow
+   handoff, relayed from the listener core's control sends, except
+   [Flush], which the dispatcher itself pushes onto ring 0 once the
+   flow's route has changed: "every straggler of this flow precedes
+   this message".  FIFO order on ring k puts [Adopt] before every
+   datagram of the flow and every [Forwarded] straggler before
+   [Forward_done]. *)
+type msg =
+  | Datagram of bytes
+  | Flush of Packet.Flow.t
   | Adopt of Tcpcore.Stack.connection
   | Forwarded of bytes
   | Forward_done of Packet.Flow.t
-
-(* Listener core -> dispatcher: route datagrams of [flow] to domain
-   [k] from now on. *)
-type ctrl_msg = Redirect of Packet.Flow.t * int
-
-let blocking_push ring v =
-  while not (Ring.try_push ring v) do
-    Domain.cpu_relax ()
-  done
 
 let stack_tier = function
   | Pressure.Normal -> Tcpcore.Stack.Normal
@@ -120,14 +112,15 @@ let stack_tier = function
   | Pressure.Reject -> Tcpcore.Stack.Reject
 
 (* The whole life of one worker domain: build a private stack, drain
-   the dispatcher ring (and, when adopting, the peer ring) until both
-   are closed and empty, summarize.  The summary crosses back through
-   [Domain.join]; the stack itself never leaves its domain.  The
-   dispatcher's fields ([steered], [rejected], [dropped_full]) and the
-   pressure fields are left empty for [run] to fill. *)
-let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
-    ~w0_drained ~pressure ~stall_ns ~stage_parse ~stage_demux
-    ~stage_state () =
+   its ring until closed and empty, summarize.  The summary crosses
+   back through [Domain.join]; the stack itself never leaves its
+   domain.  The dispatcher's fields ([steered], [rejected],
+   [dropped_full]) and the pressure fields are left empty for [run] to
+   fill.  The listener core of a migrating run sends [(k, msg)] for
+   ring k over [ctrl], and bumps [finished] after each message it has
+   finished, control sends included. *)
+let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
+    ~stage_parse ~stage_demux ~stage_state () =
   let stack =
     Tcpcore.Stack.create ~demux:cfg.demux
       ~iss:Tcpcore.Stack.deterministic_iss ~local_addr:cfg.local_addr ()
@@ -163,6 +156,7 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
       done
     end
   in
+  let listener = cfg.migrate && index = 0 in
   (* Migration state.  Listener core: flows extracted but not yet
      flushed ([migrating]: stragglers still possible in ring 0) and
      flows fully handed off.  Adopting core: per-flow backlogs of
@@ -183,7 +177,7 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
         + Hashing.Hashers.bucket_flow geometry_hasher
             ~buckets:(cfg.domains - 1) flow
   in
-  if cfg.migrate && index = 0 then
+  if listener then
     Tcpcore.Stack.set_on_established stack
       (Some
          (fun _ conn ->
@@ -203,9 +197,8 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
         end
         else begin
           incr migrated_out;
-          blocking_push peer_out.(t) (Adopt conn);
           Demux.Flow_table.replace migrating flow t;
-          blocking_push ctrl (Redirect (flow, t))
+          Ring.push ctrl (t, Adopt conn)
         end
     done
   in
@@ -213,7 +206,7 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
     incr processed;
     stall ();
     ignore (Tcpcore.Stack.handle_bytes stack bytes);
-    if cfg.migrate && index = 0 then process_migrations ();
+    if listener then process_migrations ();
     drain_tx ()
   in
   let feed_forwarded bytes =
@@ -223,31 +216,49 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
     drain_tx ()
   in
   (* Listener core: a datagram for a migrating flow is a straggler
-     steered before the route change — forward it; a flush closes the
-     straggler stream. *)
-  let handle_w0 = function
-    | Datagram bytes -> (
-      match Packet.Segment.peek_flow bytes ~off:0 with
-      | Error _ -> feed bytes
-      | Ok flow -> (
-        match Demux.Flow_table.find_opt migrating flow with
-        | Some t ->
-          incr forwarded_out;
-          blocking_push peer_out.(t) (Forwarded bytes)
-        | None ->
-          if Demux.Flow_table.mem handed_off flow then incr unclassified
-          else feed bytes))
+     steered before the route change — forward it. *)
+  let listener_datagram bytes =
+    match Packet.Segment.peek_flow bytes ~off:0 with
+    | Error _ -> feed bytes
+    | Ok flow -> (
+      match Demux.Flow_table.find_opt migrating flow with
+      | Some t ->
+        incr forwarded_out;
+        Ring.push ctrl (t, Forwarded bytes)
+      | None ->
+        if Demux.Flow_table.mem handed_off flow then incr unclassified
+        else feed bytes)
+  in
+  (* Adopting core.  A flow's [Adopt] precedes on this ring every
+     datagram the dispatcher routed here, so a flow in neither set was
+     never routed here: a protocol violation, counted, never fed. *)
+  let adopter_datagram bytes =
+    match Packet.Segment.peek_flow bytes ~off:0 with
+    | Error _ -> feed bytes
+    | Ok flow -> (
+      match Demux.Flow_table.find_opt pending_buffers flow with
+      | Some q ->
+        incr buffered;
+        Queue.add bytes q
+      | None ->
+        if Demux.Flow_table.mem adopted_set flow then feed bytes
+        else incr unclassified)
+  in
+  let datagram =
+    if listener then listener_datagram
+    else if cfg.migrate then adopter_datagram
+    else feed
+  in
+  let handle = function
+    | Datagram bytes -> datagram bytes
     | Flush flow -> (
       match Demux.Flow_table.find_opt migrating flow with
       | Some t ->
         incr flushes;
         Demux.Flow_table.remove migrating flow;
         Demux.Flow_table.replace handed_off flow t;
-        blocking_push peer_out.(t) (Forward_done flow)
+        Ring.push ctrl (t, Forward_done flow)
       | None -> incr unclassified)
-  in
-  (* Adopting core, peer-ring side. *)
-  let handle_peer = function
     | Adopt conn ->
       Tcpcore.Stack.adopt_connection stack conn;
       incr adopted;
@@ -262,120 +273,14 @@ let worker (cfg : config) ~index ~ring ~peer_in ~peer_out ~ctrl ~input_done
         Demux.Flow_table.replace adopted_set flow ()
       | None -> incr unclassified)
   in
-  let drain_peer pr =
-    let rec go () =
-      match Ring.try_pop pr with
-      | Some m ->
-        handle_peer m;
-        go ()
-      | None -> ()
-    in
-    go ()
-  in
-  (* Adopting core, direct side.  A flow in neither set after a full
-     peer-ring drain cannot be a redirected flow: its [Adopt] was
-     pushed before the [Redirect] the dispatcher acted on, so the
-     SC-atomic ring order makes it visible by the time the redirected
-     datagram is popped.  With migrate steering everything lands on
-     domain 0 first, so reaching that branch is a protocol violation,
-     counted, never fed. *)
-  let classify_direct bytes =
-    match Packet.Segment.peek_flow bytes ~off:0 with
-    | Error _ -> feed bytes
-    | Ok flow ->
-      let rec attempt retried =
-        match Demux.Flow_table.find_opt pending_buffers flow with
-        | Some q ->
-          incr buffered;
-          Queue.add bytes q
-        | None ->
-          if Demux.Flow_table.mem adopted_set flow then feed bytes
-          else if retried then incr unclassified
-          else begin
-            (match peer_in with Some pr -> drain_peer pr | None -> ());
-            attempt true
-          end
-      in
-      attempt false
-  in
-  (match peer_in with
-  | None ->
-    (* Plain shard (all workers without migration, and the listener
-       core when there are no peers to adopt from).  One ring, one
-       producer: pop until closed and drained. *)
-    let handle =
-      if cfg.migrate && index = 0 then handle_w0
-      else function
-        | Datagram bytes -> feed bytes
-        | Flush _ -> incr unclassified
-    in
-    let rec drain () =
-      match Ring.try_pop ring with
-      | Some m ->
-        handle m;
-        drain ()
-      | None -> ()
-    in
-    let rec loop () =
-      match Ring.try_pop ring with
-      | Some m ->
-        handle m;
-        loop ()
-      | None ->
-        if
-          cfg.migrate && index = 0
-          && Atomic.get input_done
-          && Ring.is_empty ring
-        then Atomic.set w0_drained true;
-        if Ring.is_closed ring then drain ()
-        else begin
-          Domain.cpu_relax ();
-          loop ()
-        end
-    in
-    loop ();
-    if cfg.migrate && index = 0 then begin
-      Atomic.set w0_drained true;
-      Array.iteri
-        (fun k r -> if k > 0 then Ring.close r)
-        peer_out
-    end
-  | Some pr ->
-    (* Adopting core: interleave the direct ring and the peer ring;
-       done when both are closed and a joint drain makes no
-       progress. *)
-    let pump () =
-      let progress = ref false in
-      (match Ring.try_pop ring with
-      | Some (Datagram b) ->
-        classify_direct b;
-        progress := true
-      | Some (Flush _) ->
-        incr unclassified;
-        progress := true
-      | None -> ());
-      (match Ring.try_pop pr with
-      | Some m ->
-        handle_peer m;
-        progress := true
-      | None -> ());
-      !progress
-    in
-    let rec loop () =
-      if pump () then loop ()
-      else if Ring.is_closed ring && Ring.is_closed pr then
-        while pump () do
-          ()
-        done
-      else begin
-        Domain.cpu_relax ();
-        loop ()
-      end
-    in
-    loop ();
-    Demux.Flow_table.iter
-      (fun _ q -> leftover := !leftover + Queue.length q)
-      pending_buffers);
+  Ring.drain ring
+    (if listener then (fun m ->
+       handle m;
+       Atomic.incr finished)
+     else handle);
+  Demux.Flow_table.iter
+    (fun _ q -> leftover := !leftover + Queue.length q)
+    pending_buffers;
   let connections = ref [] in
   Tcpcore.Stack.iter_connections stack (fun c ->
       connections :=
@@ -416,36 +321,33 @@ let run (cfg : config) datagrams =
   let rings =
     Array.init d (fun _ -> Ring.create ~capacity:cfg.ring_capacity)
   in
-  (* Peer rings exist only when another core can adopt; index 0 is a
-     placeholder so worker code indexes by domain. *)
-  let peer =
-    if cfg.migrate && d > 1 then
-      Array.init d (fun _ -> Ring.create ~capacity:cfg.ring_capacity)
-    else [||]
-  in
   let ctrl = Ring.create ~capacity:256 in
-  let input_done = Atomic.make false in
-  let w0_drained = Atomic.make false in
+  let finished = Atomic.make 0 in
   let controllers =
     Option.map
       (fun pc -> Array.init d (fun _ -> Pressure.create ~config:pc ()))
       cfg.pressure
   in
   (match controllers with Some cs -> cfg.on_pressure cs | None -> ());
+  let pressure =
+    Array.init d (fun k -> Option.map (fun cs -> cs.(k)) controllers)
+  in
   let mk_h () = if cfg.stages then Some (Obs.Histogram.create ()) else None in
   let parse_h = Array.init d (fun _ -> mk_h ())
   and demux_h = Array.init d (fun _ -> mk_h ())
   and state_h = Array.init d (fun _ -> mk_h ()) in
-  let steer_h = Obs.Histogram.create ()
-  and enqueue_h = Obs.Histogram.create () in
+  let steer_h = mk_h () and enqueue_h = mk_h () in
+  let record h t0 =
+    match h with
+    | Some h -> Obs.Histogram.record h (Obs.Clock.now_ns () - t0)
+    | None -> ()
+  in
   let started = Obs.Clock.now_ns () in
   let workers =
     Array.init d (fun k ->
         Domain.spawn (fun () ->
-            worker cfg ~index:k ~ring:rings.(k)
-              ~peer_in:(if cfg.migrate && k > 0 then Some peer.(k) else None)
-              ~peer_out:peer ~ctrl ~input_done ~w0_drained
-              ~pressure:(Option.map (fun cs -> cs.(k)) controllers)
+            worker cfg ~index:k ~ring:rings.(k) ~ctrl ~finished
+              ~pressure:pressure.(k)
               ~stall_ns:
                 (match cfg.stall with
                 | Some (i, ns) when i = k -> ns
@@ -453,34 +355,41 @@ let run (cfg : config) datagrams =
               ~stage_parse:parse_h.(k) ~stage_demux:demux_h.(k)
               ~stage_state:state_h.(k) ()))
   in
-  (* Dispatcher state: the route map is private to this domain; the
-     only writes it sees arrive as [Redirect] messages. *)
+  (* Dispatcher state.  The route map is private to this domain and
+     changes only when an [Adopt] is relayed.  [relay] holds control
+     messages popped but not yet pushed on: a push that spins pops the
+     control ring into it, and never pushes, so nothing overtakes the
+     value it is blocked on. *)
   let route = Demux.Flow_table.create 64 in
-  let flush_q = Queue.create () in
+  let relay = Queue.create () in
   let steered = Array.make d 0
   and rejected = Array.make d 0
-  and dropped = Array.make d 0 in
+  and dropped = Array.make d 0
+  and flushes = ref 0 in
   let poll_ctrl () =
     let rec go () =
       match Ring.try_pop ctrl with
-      | Some (Redirect (flow, k)) ->
-        Demux.Flow_table.replace route flow k;
-        Queue.add flow flush_q;
+      | Some m ->
+        Queue.add m relay;
         go ()
       | None -> ()
     in
     go ()
   in
-  (* Flushes ride ring 0 behind the datagrams: a flush for [f] may
-     only be pushed once every datagram of [f] steered before the
-     route change has been pushed — which is exactly "between input
-     datagrams", never mid-spin. *)
-  let try_flushes () =
-    let continue = ref true in
-    while !continue && not (Queue.is_empty flush_q) do
-      if Ring.try_push rings.(0) (Flush (Queue.peek flush_q)) then
-        ignore (Queue.pop flush_q)
-      else continue := false
+  let spin = if cfg.migrate then Some poll_ctrl else None in
+  (* Runs between datagrams only.  [Adopt] lands on ring k before the
+     route change, so it precedes every datagram routed to k after it;
+     [Flush] follows the change on ring 0, so every straggler steered
+     there before it precedes the flush. *)
+  let relay_all () =
+    while not (Queue.is_empty relay) do
+      match Queue.pop relay with
+      | k, (Adopt conn as m) ->
+        Ring.push ?spin rings.(k) m;
+        Demux.Flow_table.replace route conn.Tcpcore.Stack.flow k;
+        Ring.push ?spin rings.(0) (Flush conn.flow);
+        incr flushes
+      | k, m -> Ring.push ?spin rings.(k) m
     done
   in
   let base_worker flow =
@@ -499,83 +408,43 @@ let run (cfg : config) datagrams =
   for i = 0 to total - 1 do
     if cfg.migrate then begin
       poll_ctrl ();
-      try_flushes ()
+      relay_all ()
     end;
     let bytes = datagrams.(i) in
     let t0 = if cfg.stages then Obs.Clock.now_ns () else 0 in
     let w = steer bytes in
-    if cfg.stages then
-      Obs.Histogram.record steer_h (Obs.Clock.now_ns () - t0);
-    let ring = rings.(w) in
-    let p = Option.map (fun cs -> cs.(w)) controllers in
-    match p with
-    | Some pr when Pressure.rejecting pr ->
-      Pressure.note_rejected pr ~packets:1;
-      rejected.(w) <- rejected.(w) + 1;
-      (* Keep sampling so the controller can observe the calm run it
-         needs to leave Reject (same rationale as [Dispatcher]). *)
-      Pressure.note_ring_depth pr ~depth:(Ring.length ring)
-        ~capacity:(Ring.capacity ring)
-    | _ ->
-      let e0 = if cfg.stages then Obs.Clock.now_ns () else 0 in
-      (match p with
-      | Some pr ->
-        Pressure.note_ring_depth pr ~depth:(Ring.length ring)
-          ~capacity:(Ring.capacity ring)
-      | None -> ());
-      if Ring.try_push ring (Datagram bytes) then
-        steered.(w) <- steered.(w) + 1
-      else begin
-        let tier_drop =
-          match p with Some pr -> Pressure.drops_batches pr | None -> false
-        in
-        if tier_drop then begin
-          (match p with
-          | Some pr -> Pressure.note_dropped_batch pr ~packets:1
-          | None -> ());
-          dropped.(w) <- dropped.(w) + 1
-        end
-        else begin
-          (* Backpressure.  Only the control ring is polled while
-             spinning: pushing a queued flush here could overtake the
-             very datagram we are blocked on and break the
-             straggler-before-flush order on ring 0. *)
-          while not (Ring.try_push ring (Datagram bytes)) do
-            if cfg.migrate then poll_ctrl ();
-            Domain.cpu_relax ()
-          done;
-          steered.(w) <- steered.(w) + 1
-        end
-      end;
-      if cfg.stages then
-        Obs.Histogram.record enqueue_h (Obs.Clock.now_ns () - e0)
+    record steer_h t0;
+    let e0 = if cfg.stages then Obs.Clock.now_ns () else 0 in
+    (match
+       Dispatcher.offer ?pressure:pressure.(w) ?spin rings.(w) (Datagram bytes)
+         ~packets:1
+     with
+    | Shipped -> steered.(w) <- steered.(w) + 1
+    | Rejected -> rejected.(w) <- rejected.(w) + 1
+    | Dropped -> dropped.(w) <- dropped.(w) + 1);
+    record enqueue_h e0
   done;
-  if not cfg.migrate then Array.iter Ring.close rings
-  else begin
-    Atomic.set input_done true;
-    for k = 1 to d - 1 do
-      Ring.close rings.(k)
-    done;
-    (* The listener core going quiescent (input done, its ring empty)
-       is the promise that no further [Redirect] can be emitted; after
-       that, draining the control ring dry and flushing the queue
-       makes closing ring 0 safe. *)
+  (* Shutdown by count.  The listener core sends only while it handles
+     a message from ring 0, and bumps [finished] after; once it has
+     finished all that ring 0 was given, with the control ring read
+     dry after that and everything relayed, no message is left
+     anywhere but on the rings, and closing them all is safe. *)
+  if cfg.migrate then begin
     let rec settle () =
       poll_ctrl ();
-      try_flushes ();
+      relay_all ();
       if
         not
-          (Atomic.get w0_drained
-          && Ring.is_empty ctrl
-          && Queue.is_empty flush_q)
+          (Atomic.get finished = steered.(0) + !flushes
+          && Ring.is_empty ctrl)
       then begin
         Domain.cpu_relax ();
         settle ()
       end
     in
-    settle ();
-    Ring.close rings.(0)
+    settle ()
   end;
+  Array.iter Ring.close rings;
   let summaries = Array.map Domain.join workers in
   let elapsed_s =
     float_of_int (Obs.Clock.now_ns () - started) /. 1e9
@@ -603,15 +472,15 @@ let run (cfg : config) datagrams =
       (Array.fold_left (fun acc (_, cs) -> List.rev_append cs acc) [] summaries)
   in
   let stages =
-    if not cfg.stages then []
-    else
+    match (steer_h, enqueue_h) with
+    | Some steer, Some enqueue ->
       let merged arr =
         Obs.Histogram.merge_all
           (List.filter_map Fun.id (Array.to_list arr))
       in
-      [ ("steer", steer_h); ("enqueue", enqueue_h);
-        ("parse", merged parse_h); ("demux", merged demux_h);
-        ("state", merged state_h) ]
+      [ ("steer", steer); ("enqueue", enqueue); ("parse", merged parse_h);
+        ("demux", merged demux_h); ("state", merged state_h) ]
+    | _ -> []
   in
   { domains = d; total; per_domain;
     merged_drops =
@@ -674,7 +543,7 @@ let register_obs ?(prefix = "smp") (r : result) obs =
   counter "handoffs" "connections migrated across cores" r.handoffs;
   counter "self_handoffs" "extract+adopt against the same core"
     r.self_handoffs;
-  counter "forwarded" "straggler segments forwarded over peer rings"
+  counter "forwarded" "straggler segments forwarded to an adopting core"
     r.forwarded;
   counter "flushes" "flush messages completing a handoff" r.flushes;
   Obs.Registry.register_gauge obs ~units:"pkts/s"
@@ -690,7 +559,7 @@ let register_obs ?(prefix = "smp") (r : result) obs =
       counter (dn "steered") "datagrams steered to this domain" dr.steered;
       counter (dn "processed") "datagrams processed by this domain"
         dr.processed;
-      counter (dn "forwarded_in") "stragglers processed via peer ring"
+      counter (dn "forwarded_in") "forwarded stragglers processed here"
         dr.forwarded_in;
       counter (dn "rejected") "datagrams refused at dispatch" dr.rejected;
       counter (dn "dropped_full") "datagrams dropped on a full ring"

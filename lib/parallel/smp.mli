@@ -6,10 +6,11 @@
     own connection table, demultiplexer and timing wheel — and the
     dispatcher steers raw datagrams to the owning core with a
     constant-time header peek ({!Packet.Segment.peek_flow}), exactly
-    as NIC receive-side scaling would.  No mutable state is shared
-    between domains: every cross-core interaction travels over an SPSC
-    {!Ring}, so the full receive path — parse, steer, enqueue, demux,
-    state machine — runs without a single lock or shared write.
+    as NIC receive-side scaling would, through {!Dispatcher.offer}'s
+    tier policy.  No mutable state is shared between domains: every
+    cross-core interaction travels over an SPSC {!Ring}, so the full
+    receive path — parse, steer, enqueue, demux, state machine — runs
+    without a single lock or shared write.
 
     {2 Steering}
 
@@ -27,26 +28,47 @@
     With [migrate] every datagram is first steered to domain 0, the
     listener core.  When a handshake completes there, the accepted
     connection is extracted ({!Tcpcore.Stack.extract_connection}) and
-    handed to its owning core over a peer ring, and the dispatcher's
-    {e private} route map is updated via a control ring:
+    handed to its owning core k.  Every core has one input ring, and
+    the dispatcher is its only producer, so the listener core sends
+    its part of the handoff to the dispatcher over a control ring and
+    the dispatcher relays each message onto ring k between datagrams:
 
     {v
-      worker 0:   Adopt(conn) -> peer ring k;  Redirect(f,k) -> ctrl
-      dispatcher: pops Redirect; route[f] <- k; Flush(f) -> ring 0
-      worker 0:   forwards stragglers of f from ring 0 to peer ring k,
-                  converts Flush(f) into Forward_done(f) -> peer ring k
+      worker 0:   (k, Adopt conn) -> ctrl
+      dispatcher: Adopt conn -> ring k;  route[f] <- k;  Flush f -> ring 0
+      worker 0:   each straggler of f: (k, Forwarded bytes) -> ctrl
+                  on Flush f:          (k, Forward_done f)  -> ctrl
+      dispatcher: relays both onto ring k, in order
       worker k:   buffers direct datagrams of f from Adopt until
                   Forward_done, then processes the backlog in order
     v}
 
-    Ring FIFO order plus the SC-atomic publication order of the rings
-    give per-flow total order across the handoff: stragglers steered
-    before the route change are processed (at the new core) before any
+    FIFO order on one ring carries the whole protocol:
+    - [Adopt] reaches ring k before the route changes, so it precedes
+      every datagram of the flow on that ring;
+    - the listener core sends every straggler before [Forward_done],
+      and the relay keeps that order on ring k;
+    - [Flush] follows the route change on ring 0, so every straggler
+      steered there before the change precedes it.
+
+    Relayed messages block on a full ring and are never shed by a
+    pressure tier.  While a push spins, the dispatcher only reads the
+    control ring into its relay queue, so no message can overtake the
+    datagram it is blocked on.  Stragglers steered before the route
+    change are therefore processed (at the new core) before any
     datagram steered after it, each exactly once.  {!violations}
-    checks the resulting conservation ledger.  At [domains = 1] the
-    handoff degenerates to a {e self-handoff} — the same extract and
-    adopt table operations against the same stack — so single-domain
-    runs remain op-for-op comparable with multi-domain ones. *)
+    checks the resulting conservation ledger.
+
+    Shutdown is by count: the listener core counts each message it has
+    finished, control sends included, and the dispatcher counts what
+    it pushed onto ring 0, relayed [Flush]es included.  Once the two
+    agree and the control ring and relay queue are empty, the
+    dispatcher closes every ring at once.
+
+    At [domains = 1] the handoff degenerates to a {e self-handoff} —
+    the same extract and adopt table operations against the same
+    stack — so single-domain runs remain op-for-op comparable with
+    multi-domain ones. *)
 
 type config = {
   domains : int;
@@ -116,8 +138,8 @@ type domain_result = {
                             ({!Pressure.Drop_batches}). *)
   processed : int;      (** Direct datagrams fed to the stack
                             (including buffered-then-flushed ones). *)
-  forwarded_in : int;   (** Straggler segments processed via the peer
-                            ring. *)
+  forwarded_in : int;   (** Straggler segments forwarded here and
+                            processed. *)
   forwarded_out : int;  (** Stragglers this domain forwarded (listener
                             core only). *)
   buffered : int;       (** Direct datagrams that waited for
@@ -175,7 +197,8 @@ val violations : result -> string list
 (** The conservation ledger, empty when sound: every offered datagram
     accounted for exactly once (steered/rejected/dropped vs
     processed/forwarded/unclassified/leftover, per domain and in
-    total), forwarded segments conserved across the peer rings,
+    total), every straggler the listener core forwarded processed by
+    an adopting core,
     adoptions matching extractions matching flushes, and no
     unclassified or leftover datagrams. *)
 

@@ -350,52 +350,89 @@ let test_ring_produce_close_race () =
      consumer pacing vary where [close] lands relative to the
      consumer's progress, the documented drain-after-close protocol
      (ring.mli) delivers every element exactly once and in order —
-     and a push after close raises.  [delivered] counts the in-order
-     prefix, so a lost element shows as a short count and a
-     duplicated or reordered one as [disorder > 0]. *)
-  for round = 0 to 24 do
-    let rng = Random.State.make [| 0xC105E; round |] in
-    let capacity = 1 lsl Random.State.int rng 4 in
-    let total = 1 + Random.State.int rng 400 in
-    let jitter = Random.State.int rng 3 in
-    let ring = Parallel.Ring.create ~capacity in
-    let consumer =
-      Domain.spawn (fun () ->
-          let next = ref 0 and disorder = ref 0 in
-          let consume v = if v = !next then incr next else incr disorder in
-          let rec drain () =
-            match Parallel.Ring.try_pop ring with
-            | Some v -> consume v; drain ()
-            | None -> ()
-          in
-          let rec loop () =
-            match Parallel.Ring.try_pop ring with
-            | Some v -> consume v; loop ()
-            | None ->
-              if Parallel.Ring.is_closed ring then drain ()
-              else begin
-                for _ = 0 to jitter do Domain.cpu_relax () done;
-                loop ()
-              end
-          in
-          loop ();
-          (!next, !disorder))
+     and a push after close raises.  Each round runs two consumers:
+     the protocol written out by hand, and [Ring.drain], paced by a
+     delay per element.  [delivered] counts the in-order prefix, so a
+     lost element shows as a short count and a duplicated or
+     reordered one as [disorder > 0]. *)
+  let hand_written ring consume ~jitter =
+    let rec drain () =
+      match Parallel.Ring.try_pop ring with
+      | Some v -> consume v; drain ()
+      | None -> ()
     in
-    for i = 0 to total - 1 do
-      while not (Parallel.Ring.try_push ring i) do Domain.cpu_relax () done
-    done;
-    Parallel.Ring.close ring;
-    (match Parallel.Ring.try_push ring total with
-    | _ -> Alcotest.fail "push after close accepted"
-    | exception Invalid_argument _ -> ());
-    let delivered, disorder = Domain.join consumer in
-    Alcotest.(check int)
-      (Printf.sprintf "round %d: every element, in order" round)
-      total delivered;
-    Alcotest.(check int)
-      (Printf.sprintf "round %d: no duplicate or reordered element" round)
-      0 disorder
+    let rec loop () =
+      match Parallel.Ring.try_pop ring with
+      | Some v -> consume v; loop ()
+      | None ->
+        if Parallel.Ring.is_closed ring then drain ()
+        else begin
+          for _ = 0 to jitter do Domain.cpu_relax () done;
+          loop ()
+        end
+    in
+    loop ()
+  in
+  let with_drain ring consume ~jitter =
+    Parallel.Ring.drain ring (fun v ->
+        consume v;
+        for _ = 1 to jitter do Domain.cpu_relax () done)
+  in
+  for round = 0 to 24 do
+    List.iter
+      (fun (name, consumer) ->
+        let rng = Random.State.make [| 0xC105E; round |] in
+        let capacity = 1 lsl Random.State.int rng 4 in
+        let total = 1 + Random.State.int rng 400 in
+        let jitter = Random.State.int rng 3 in
+        let ring = Parallel.Ring.create ~capacity in
+        let consumer =
+          Domain.spawn (fun () ->
+              let next = ref 0 and disorder = ref 0 in
+              let consume v =
+                if v = !next then incr next else incr disorder
+              in
+              consumer ring consume ~jitter;
+              (!next, !disorder))
+        in
+        for i = 0 to total - 1 do
+          while not (Parallel.Ring.try_push ring i) do
+            Domain.cpu_relax ()
+          done
+        done;
+        Parallel.Ring.close ring;
+        (match Parallel.Ring.try_push ring total with
+        | _ -> Alcotest.fail "push after close accepted"
+        | exception Invalid_argument _ -> ());
+        let delivered, disorder = Domain.join consumer in
+        Alcotest.(check int)
+          (Printf.sprintf "round %d, %s: every element, in order" round name)
+          total delivered;
+        Alcotest.(check int)
+          (Printf.sprintf "round %d, %s: no duplicate or reordered element"
+             round name)
+          0 disorder)
+      [ ("hand-written", hand_written); ("drain", with_drain) ]
   done
+
+let test_ring_blocking_push () =
+  (* [push] returns at once while there is room; on a full ring it
+     calls [spin] until a slot frees, then lands the value behind the
+     ones already queued.  Here [spin] itself frees the slot on its
+     third call. *)
+  let ring = Parallel.Ring.create ~capacity:2 in
+  let no_spin () = Alcotest.fail "spin called with room in the ring" in
+  Parallel.Ring.push ~spin:no_spin ring 1;
+  Parallel.Ring.push ~spin:no_spin ring 2;
+  let spins = ref 0 and popped = ref [] in
+  Parallel.Ring.push ring 3 ~spin:(fun () ->
+      incr spins;
+      if !spins = 3 then
+        popped := Option.to_list (Parallel.Ring.try_pop ring));
+  Alcotest.(check int) "spun until a slot freed" 3 !spins;
+  Alcotest.(check (list int)) "spin freed the oldest" [ 1 ] !popped;
+  Alcotest.(check (list int)) "landed behind the queue" [ 2; 3 ]
+    (List.filter_map (fun _ -> Parallel.Ring.try_pop ring) [ (); (); () ])
 
 (* ------------------------------------------------------------------ *)
 (* Pressure controller                                                 *)
@@ -865,6 +902,7 @@ let () =
       ( "ring",
         [ Alcotest.test_case "basics" `Quick test_ring_basics;
           Alcotest.test_case "spsc transfer" `Quick test_ring_spsc_transfer;
+          Alcotest.test_case "blocking push" `Quick test_ring_blocking_push;
           Alcotest.test_case "produce racing close" `Quick
             test_ring_produce_close_race ] );
       ( "pressure",

@@ -155,6 +155,21 @@ let test_migrate_shuffled_conservation () =
   Alcotest.(check int) "handoff accounting exact" 40
     multi.Parallel.Smp.flushes
 
+let test_migrate_backpressure () =
+  (* Two-slot rings keep the dispatcher spinning on full rings while
+     the listener core sends handoff messages: a spinning push must
+     keep reading the control ring, and nothing it reads may overtake
+     the datagram it is blocked on. *)
+  let trace =
+    workload ~clients:40 ~requests:6 ~close_after:true
+      ~interleave:Sim.Segment_workload.Shuffled ()
+  in
+  let single = smp ~demux:conn_id ~migrate:true 1 trace in
+  let multi = smp ~ring_capacity:2 ~demux:conn_id ~migrate:true 3 trace in
+  check_lockstep "two-slot rings, migrate d1 vs d3" single multi;
+  Alcotest.(check int) "every flow handed off" 40
+    multi.Parallel.Smp.handoffs
+
 let test_migrate_fixed_target () =
   (* Pinning the target puts every accepted flow on one core. *)
   let trace = workload ~clients:12 ~requests:2 () in
@@ -288,6 +303,43 @@ let test_pressure_forced_reject () =
     | Some n -> n
     | None -> -1)
 
+let test_pressure_control_never_shed () =
+  (* Handoff messages share the adopting core's ring with datagrams,
+     but only datagrams go through the tier gate: with domain 2 at
+     Reject, its datagrams are refused while every [Adopt] and
+     [Forward_done] still lands.  Domains 0 and 1 are pinned at Normal
+     so their two-slot rings push back instead of shedding. *)
+  let clients = 30 in
+  let trace =
+    workload ~clients ~requests:4
+      ~interleave:Sim.Segment_workload.Round_robin ()
+  in
+  let r =
+    smp ~ring_capacity:2 ~migrate:true
+      ~pressure:(Parallel.Pressure.config ())
+      ~on_pressure:(fun cs ->
+        Parallel.Pressure.force cs.(0) Parallel.Pressure.Normal;
+        Parallel.Pressure.force cs.(1) Parallel.Pressure.Normal;
+        Parallel.Pressure.force cs.(2) Parallel.Pressure.Reject)
+      3 trace
+  in
+  check_no_violations "control never shed" r;
+  let adopted =
+    Array.fold_left
+      (fun n (d : Parallel.Smp.domain_result) -> n + d.adopted)
+      0 r.Parallel.Smp.per_domain
+  in
+  Alcotest.(check int) "every flow handed off" clients
+    r.Parallel.Smp.handoffs;
+  Alcotest.(check int) "every handoff adopted" clients adopted;
+  Alcotest.(check int) "every handoff flushed" clients
+    r.Parallel.Smp.flushes;
+  let d2 = r.Parallel.Smp.per_domain.(2) in
+  Alcotest.(check bool) "the rejecting domain adopted flows" true
+    (d2.Parallel.Smp.adopted > 0);
+  Alcotest.(check bool) "the rejecting domain refused datagrams" true
+    (d2.Parallel.Smp.rejected > 0)
+
 let test_pressure_organic_stall () =
   (* A genuinely slow core: its ring stays hot, its controller trips
      Shed_new_flows on its own observations, and the ledger still
@@ -367,6 +419,8 @@ let () =
         [ Alcotest.test_case "migrate d1 = d3" `Quick test_lockstep_migrate;
           Alcotest.test_case "shuffled stragglers conserved" `Quick
             test_migrate_shuffled_conservation;
+          Alcotest.test_case "two-slot rings d1 = d3" `Quick
+            test_migrate_backpressure;
           Alcotest.test_case "fixed target" `Quick test_migrate_fixed_target;
           Alcotest.test_case "pinned corpus oracle" `Quick
             test_migrate_corpus_oracle ] );
@@ -375,6 +429,8 @@ let () =
             test_pressure_forced_local_shed;
           Alcotest.test_case "forced reject ledger" `Quick
             test_pressure_forced_reject;
+          Alcotest.test_case "control is never shed" `Quick
+            test_pressure_control_never_shed;
           Alcotest.test_case "organic stall trips locally" `Quick
             test_pressure_organic_stall ] );
       ( "stages",
