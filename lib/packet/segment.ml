@@ -31,35 +31,52 @@ let to_bytes t =
   assert (written = Bytes.length buf);
   buf
 
-(* Read only the five header fields a steering layer needs — version,
-   IHL, protocol, addresses, ports — without checksum verification or
-   payload copying.  This is the work a NIC's RSS engine does per
-   packet; full validation stays with [parse] on the owning core. *)
-let peek_flow buf ~off =
+(* The steering reads check only the header fields that locate the
+   4-tuple — version, IHL, protocol, length — without checksum
+   verification or payload copying.  This is the work a NIC's RSS
+   engine does per packet; full validation stays with [parse] on the
+   owning core.  The check answers with the TCP header's offset, or
+   with one of these negative codes. *)
+let truncated = -1
+let bad_version = -2
+let short_header = -3
+let not_tcp = -4
+
+let peek_tcp buf ~off =
   let len = Bytes.length buf - off in
-  if off < 0 || len < Ipv4.header_length + 4 then
-    Error "segment: truncated datagram"
+  if off < 0 || len < Ipv4.header_length + 4 then truncated
   else
-    let b i = Char.code (Bytes.unsafe_get buf (off + i)) in
-    let first = b 0 in
-    if first lsr 4 <> 4 then Error "ipv4: bad version"
-    else
-      let ihl = (first land 0xF) * 4 in
-      if ihl < Ipv4.header_length then Error "ipv4: header too short"
-      else if len < ihl + 4 then Error "segment: truncated datagram"
-      else if b 9 <> 6 then Error "segment: not TCP"
-      else
-        let addr i =
-          Ipv4.addr_of_int32
-            (Int32.logor
-               (Int32.shift_left (Int32.of_int ((b i lsl 8) lor b (i + 1))) 16)
-               (Int32.of_int ((b (i + 2) lsl 8) lor b (i + 3))))
-        in
-        let port i = (b i lsl 8) lor b (i + 1) in
-        let src = { Flow.addr = addr 12; port = port ihl } in
-        let dst = { Flow.addr = addr 16; port = port (ihl + 2) } in
-        (* The receiver's key: local = destination, remote = source. *)
-        Ok { Flow.local = dst; remote = src }
+    let first = Bytes.get_uint8 buf off in
+    let ihl = (first land 0xF) * 4 in
+    if first lsr 4 <> 4 then bad_version
+    else if ihl < Ipv4.header_length then short_header
+    else if len < ihl + 4 then truncated
+    else if Bytes.get_uint8 buf (off + 9) <> 6 then not_tcp
+    else off + ihl
+
+let word buf ~addr ~port =
+  (Bytes.get_uint16_be buf addr lsl 32)
+  lor (Bytes.get_uint16_be buf (addr + 2) lsl 16)
+  lor Bytes.get_uint16_be buf port
+
+(* The receiver's key: local = destination, remote = source. *)
+let peek_w0 buf ~off ~tcp = word buf ~addr:(off + 16) ~port:(tcp + 2)
+let peek_w1 buf ~off ~tcp = word buf ~addr:(off + 12) ~port:tcp
+
+let peek_flow buf ~off =
+  let tcp = peek_tcp buf ~off in
+  if tcp >= 0 then
+    let endpoint ~addr ~port =
+      { Flow.addr = Ipv4.addr_of_int32 (Bytes.get_int32_be buf addr);
+        port = Bytes.get_uint16_be buf port }
+    in
+    Ok
+      { Flow.local = endpoint ~addr:(off + 16) ~port:(tcp + 2);
+        remote = endpoint ~addr:(off + 12) ~port:tcp }
+  else if tcp = bad_version then Error "ipv4: bad version"
+  else if tcp = short_header then Error "ipv4: header too short"
+  else if tcp = not_tcp then Error "segment: not TCP"
+  else Error "segment: truncated datagram"
 
 let parse ?(verify_checksum = true) buf ~off =
   match Ipv4.parse buf ~off with

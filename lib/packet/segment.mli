@@ -38,4 +38,27 @@ val peek_flow : bytes -> off:int -> (Flow.t, string) result
     4-tuple unreadable (an [off] outside the buffer, truncation, wrong
     IP version, non-TCP). *)
 
+(** {2 In-place flow words}
+
+    The same peek without building a {!Flow.t}: {!peek_tcp} makes
+    {!peek_flow}'s header checks, and {!peek_w0}/{!peek_w1} then read
+    the key as the two packed immediate words of [Demux.Flow_key]
+    ([w0 = local addr lsl 16 lor local port], [w1] the same for the
+    remote endpoint).  None of the three allocates. *)
+
+val peek_tcp : bytes -> off:int -> int
+(** The absolute offset of the TCP header of the datagram at [off]
+    when {!peek_flow} would read its 4-tuple, a negative number when
+    it would reject it. *)
+
+val peek_w0 : bytes -> off:int -> tcp:int -> int
+(** The receiver's local endpoint — the datagram's destination — as
+    a packed word; [tcp] is {!peek_tcp}'s non-negative answer for
+    [off].
+    @raise Invalid_argument if the header lies outside the buffer. *)
+
+val peek_w1 : bytes -> off:int -> tcp:int -> int
+(** The remote endpoint — the datagram's source — as {!peek_w0}
+    packs the local one. *)
+
 val pp : Format.formatter -> t -> unit

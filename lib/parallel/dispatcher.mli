@@ -19,8 +19,10 @@
     ring occupancy feeds the controller, and at [Drop_batches] or worse
     a full ring sheds the batch (attributed to the tier), while at
     [Reject] batches are refused before the ring is tried at all.
-    That policy is one function, {!offer}, which {!Smp}'s dispatcher
-    applies to every datagram it ships. *)
+
+    {!Smp}'s dispatcher runs on the same two pieces: it stages each
+    datagram for the core it steered it to ({!staging}), and ships
+    every batch through the tier policy ({!offer}). *)
 
 type result = {
   workers : int;
@@ -44,11 +46,39 @@ val lost_packets : result -> int
     either delivered to a worker or counted here — the conservation
     law the chaos harness audits. *)
 
+(** {1 Staging} *)
+
+type 'a staging
+(** Per-target batch buffers: {!push} stages through one, and so does
+    {!Smp}'s dispatcher, which picks each datagram's core itself and
+    flushes a core's partial batch before a control message goes onto
+    that core's ring.  Producer-side only. *)
+
+val staging :
+  targets:int -> batch:int ->
+  ship:(int -> 'a array -> int array -> int -> unit) -> 'a staging
+(** Buffers for [targets] targets of up to [batch] items each.
+    [ship target items hashes fill] is called when [fill] items are
+    staged for [target] — its batch filled, or {!flush} — with the
+    target's own buffers, which hold the items and their hashes in
+    [0, fill) in staging order.  The buffers are reused once [ship]
+    returns, so it must copy what it keeps.  [targets] and [batch]
+    must be positive. *)
+
+val stage : 'a staging -> target:int -> hash:int -> 'a -> unit
+(** Stage [item] with its [hash] for [target], shipping the target's
+    batch when it fills. *)
+
+val flush : 'a staging -> int -> unit
+(** Ship the target's partial batch, if it has one. *)
+
+(** {1 Tier policy} *)
+
 type offered = Shipped | Rejected | Dropped
 
 val offer :
-  ?pressure:Pressure.t -> ?spin:(unit -> unit) -> 'a Ring.t -> 'a ->
-  packets:int -> offered
+  ?pressure:Pressure.t -> ?spin:(unit -> unit) -> ?limit:int -> 'a Ring.t ->
+  'a -> packets:int -> offered
 (** The tier policy for one push of a value carrying [packets] items:
     - at {!Pressure.Reject} the value is refused before the ring is
       tried ([Rejected]);
@@ -57,11 +87,15 @@ val offer :
     - below that a full ring is backpressure: {!Ring.push} spins, with
       [spin], until the consumer frees a slot ([Shipped]).
 
+    With [limit], the ring counts as full at [limit] values
+    ({!Ring.try_push}), and its occupancy is taken against [limit].
     With [pressure], every offer, a refused one included, samples the
     ring's depth into the controller ({!Pressure.note_ring_depth}), and
     refusals and drops are counted there
     ({!Pressure.note_rejected}, {!Pressure.note_dropped_batch}).
     Without it every offer ships.  Producer-side only. *)
+
+(** {1 The pipeline} *)
 
 type 'a t
 (** A running pipeline; the producer loop belongs to the caller. *)

@@ -24,10 +24,10 @@ let length t =
 
 let is_empty t = length t = 0
 
-let try_push t value =
+let try_push ?(limit = max_int) t value =
   if Atomic.get t.closed then invalid_arg "Ring.try_push: ring is closed";
   let tail = Atomic.get t.tail in
-  if tail - Atomic.get t.head >= capacity t then false
+  if tail - Atomic.get t.head >= min limit (capacity t) then false
   else begin
     (* Plain write, then the Atomic.set on [tail] publishes it: the
        consumer's acquiring read of [tail] orders the slot contents. *)
@@ -52,8 +52,8 @@ let try_pop t =
     | None -> assert false (* producer published tail after the write *)
   end
 
-let push ?(spin = ignore) t value =
-  while not (try_push t value) do
+let push ?(spin = ignore) ?limit t value =
+  while not (try_push ?limit t value) do
     spin ();
     Domain.cpu_relax ()
   done

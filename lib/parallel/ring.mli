@@ -24,12 +24,14 @@ val create : capacity:int -> 'a t
 val capacity : 'a t -> int
 (** The rounded capacity actually in force. *)
 
-val try_push : 'a t -> 'a -> bool
+val try_push : ?limit:int -> 'a t -> 'a -> bool
 (** Producer side.  [false] means full — the caller decides whether to
-    spin (backpressure) or drop.
+    spin (backpressure) or drop.  With [limit], the ring counts as full
+    once it holds [limit] elements, so one kind of value can be kept to
+    part of the ring while another may use all of it.
     @raise Invalid_argument if the ring has been {!close}d. *)
 
-val push : ?spin:(unit -> unit) -> 'a t -> 'a -> unit
+val push : ?spin:(unit -> unit) -> ?limit:int -> 'a t -> 'a -> unit
 (** Blocking {!try_push}: while the ring is full, call [spin] (default
     nothing) and relax the CPU, then try again.  [spin] is the
     producer's chance to keep its own inputs moving while it waits —

@@ -16,7 +16,8 @@ type config = {
 let config ?(ring_capacity = 1024)
     ?(demux =
       Demux.Registry.Sequent
-        { chains = 19; hasher = Hashing.Hashers.multiplicative })
+        { chains = Demux.Sequent.default_chains;
+          hasher = Hashing.Hashers.multiplicative })
     ?(migrate = false) ?migrate_target ?(on_data = fun _ _ _ -> ()) ?pressure
     ?(on_pressure = fun _ -> ()) ?stall ?(stages = false) ~domains ~local_addr
     () =
@@ -91,15 +92,15 @@ type result = {
 }
 
 (* Everything a worker pops off its one ring, the dispatcher its only
-   producer.  [Datagram] comes from the trace.  The rest is the flow
-   handoff, relayed from the listener core's control sends, except
-   [Flush], which the dispatcher itself pushes onto ring 0 once the
-   flow's route has changed: "every straggler of this flow precedes
-   this message".  FIFO order on ring k puts [Adopt] before every
-   datagram of the flow and every [Forwarded] straggler before
+   producer.  [Batch] carries trace datagrams, in steering order.  The
+   rest is the flow handoff, relayed from the listener core's control
+   sends, except [Flush], which the dispatcher itself pushes onto ring
+   0 once the flow's route has changed: "every straggler of this flow
+   precedes this message".  FIFO order on ring k puts [Adopt] before
+   every datagram of the flow and every [Forwarded] straggler before
    [Forward_done]. *)
 type msg =
-  | Datagram of bytes
+  | Batch of bytes array
   | Flush of Packet.Flow.t
   | Adopt of Tcpcore.Stack.connection
   | Forwarded of bytes
@@ -117,8 +118,9 @@ let stack_tier = function
    domain.  The dispatcher's fields ([steered], [rejected],
    [dropped_full]) and the pressure fields are left empty for [run] to
    fill.  The listener core of a migrating run sends [(k, msg)] for
-   ring k over [ctrl], and bumps [finished] after each message it has
-   finished, control sends included. *)
+   ring k over [ctrl], and after each message it has finished, control
+   sends included, adds the datagrams it carried to [finished] (one for
+   a [Flush]). *)
 let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
     ~stage_parse ~stage_demux ~stage_state () =
   let stack =
@@ -250,7 +252,7 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
     else feed
   in
   let handle = function
-    | Datagram bytes -> datagram bytes
+    | Batch ds -> Array.iter datagram ds
     | Flush flow -> (
       match Demux.Flow_table.find_opt migrating flow with
       | Some t ->
@@ -273,10 +275,12 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
         Demux.Flow_table.replace adopted_set flow ()
       | None -> incr unclassified)
   in
+  (* Shutdown counts datagrams: a batch finishes all of its own. *)
   Ring.drain ring
     (if listener then (fun m ->
        handle m;
-       Atomic.incr finished)
+       let n = match m with Batch ds -> Array.length ds | _ -> 1 in
+       ignore (Atomic.fetch_and_add finished n))
      else handle);
   Demux.Flow_table.iter
     (fun _ q -> leftover := !leftover + Queue.length q)
@@ -313,11 +317,30 @@ let merge_counts lists =
             0 lists ))
       first
 
+(* Chain-affine steering, from the flow words read in place. *)
+let steer (cfg : config) =
+  let chains, hasher = Demux.Registry.chain_geometry cfg.demux in
+  fun bytes ->
+    let tcp = Packet.Segment.peek_tcp bytes ~off:0 in
+    if tcp < 0 then 0
+    else
+      Hashing.Hashers.bucket_words hasher ~buckets:chains
+        (Packet.Segment.peek_w0 bytes ~off:0 ~tcp)
+        (Packet.Segment.peek_w1 bytes ~off:0 ~tcp)
+      mod cfg.domains
+
+(* The most datagrams one ring message carries. *)
+let max_batch = 32
+
 let run (cfg : config) datagrams =
   let total = Array.length datagrams in
   if total = 0 then invalid_arg "Smp.run: empty trace";
   let d = cfg.domains in
-  let chains, hasher = Demux.Registry.chain_geometry cfg.demux in
+  (* A batch goes onto a ring only while it holds fewer than [slots]
+     messages, so at most [ring_capacity] datagrams are queued there;
+     handoff messages may use the rest of the ring. *)
+  let batch = min max_batch cfg.ring_capacity in
+  let slots = cfg.ring_capacity / batch in
   let rings =
     Array.init d (fun _ -> Ring.create ~capacity:cfg.ring_capacity)
   in
@@ -355,12 +378,12 @@ let run (cfg : config) datagrams =
               ~stage_parse:parse_h.(k) ~stage_demux:demux_h.(k)
               ~stage_state:state_h.(k) ()))
   in
-  (* Dispatcher state.  The route map is private to this domain and
-     changes only when an [Adopt] is relayed.  [relay] holds control
-     messages popped but not yet pushed on: a push that spins pops the
-     control ring into it, and never pushes, so nothing overtakes the
-     value it is blocked on. *)
-  let route = Demux.Flow_table.create 64 in
+  (* Dispatcher state.  The route map is private to this domain, keyed
+     by flow words, and changes only when an [Adopt] is relayed.
+     [relay] holds control messages popped but not yet pushed on: a
+     push that spins pops the control ring into it, and never pushes,
+     so nothing overtakes the value it is blocked on. *)
+  let route = Demux.Flat_table.create () in
   let relay = Queue.create () in
   let steered = Array.make d 0
   and rejected = Array.make d 0
@@ -377,33 +400,54 @@ let run (cfg : config) datagrams =
     go ()
   in
   let spin = if cfg.migrate then Some poll_ctrl else None in
-  (* Runs between datagrams only.  [Adopt] lands on ring k before the
-     route change, so it precedes every datagram routed to k after it;
-     [Flush] follows the change on ring 0, so every straggler steered
-     there before it precedes the flush. *)
+  (* Every batch meets the tier policy whole, and every datagram in it
+     is counted. *)
+  let ship w items _ fill =
+    match
+      Dispatcher.offer ?pressure:pressure.(w) ?spin ~limit:slots rings.(w)
+        (Batch (Array.sub items 0 fill)) ~packets:fill
+    with
+    | Shipped -> steered.(w) <- steered.(w) + fill
+    | Rejected -> rejected.(w) <- rejected.(w) + fill
+    | Dropped -> dropped.(w) <- dropped.(w) + fill
+  in
+  let staging = Dispatcher.staging ~targets:d ~batch ~ship in
+  (* Runs between datagrams only, and ships ring k's partial batch
+     before anything else goes onto ring k, so ring order is steering
+     order.  [Adopt] lands on ring k before the route change, so it
+     precedes every datagram routed to k after it; [Flush] follows the
+     change on ring 0, so every straggler steered there before it
+     precedes the flush. *)
+  let push k m =
+    Dispatcher.flush staging k;
+    Ring.push ?spin rings.(k) m
+  in
   let relay_all () =
     while not (Queue.is_empty relay) do
       match Queue.pop relay with
       | k, (Adopt conn as m) ->
-        Ring.push ?spin rings.(k) m;
-        Demux.Flow_table.replace route conn.Tcpcore.Stack.flow k;
-        Ring.push ?spin rings.(0) (Flush conn.flow);
+        push k m;
+        let flow = conn.Tcpcore.Stack.flow in
+        Demux.Flat_table.replace route ~w0:(Demux.Flow_key.w0_of_flow flow)
+          ~w1:(Demux.Flow_key.w1_of_flow flow) k;
+        push 0 (Flush flow);
         incr flushes
-      | k, m -> Ring.push ?spin rings.(k) m
+      | k, m -> push k m
     done
   in
-  let base_worker flow =
-    Hashing.Hashers.bucket_flow hasher ~buckets:chains flow mod d
-  in
-  let steer bytes =
-    match Packet.Segment.peek_flow bytes ~off:0 with
-    | Error _ -> 0
-    | Ok flow ->
-      if cfg.migrate then (
-        match Demux.Flow_table.find_opt route flow with
+  let steer =
+    if not cfg.migrate then steer cfg
+    else fun bytes ->
+      let tcp = Packet.Segment.peek_tcp bytes ~off:0 in
+      if tcp < 0 then 0
+      else
+        match
+          Demux.Flat_table.find_opt route
+            ~w0:(Packet.Segment.peek_w0 bytes ~off:0 ~tcp)
+            ~w1:(Packet.Segment.peek_w1 bytes ~off:0 ~tcp)
+        with
         | Some k -> k
-        | None -> 0)
-      else base_worker flow
+        | None -> 0
   in
   for i = 0 to total - 1 do
     if cfg.migrate then begin
@@ -415,20 +459,26 @@ let run (cfg : config) datagrams =
     let w = steer bytes in
     record steer_h t0;
     let e0 = if cfg.stages then Obs.Clock.now_ns () else 0 in
-    (match
-       Dispatcher.offer ?pressure:pressure.(w) ?spin rings.(w) (Datagram bytes)
-         ~packets:1
-     with
-    | Shipped -> steered.(w) <- steered.(w) + 1
-    | Rejected -> rejected.(w) <- rejected.(w) + 1
-    | Dropped -> dropped.(w) <- dropped.(w) + 1);
+    (* The controller samples the ring at every datagram, as it would
+       if each travelled alone. *)
+    (match pressure.(w) with
+    | Some p ->
+      Pressure.note_ring_depth p ~depth:(Ring.length rings.(w))
+        ~capacity:slots
+    | None -> ());
+    (* Each stack hashes its own lookups: no hash rides along. *)
+    Dispatcher.stage staging ~target:w ~hash:0 bytes;
     record enqueue_h e0
   done;
-  (* Shutdown by count.  The listener core sends only while it handles
-     a message from ring 0, and bumps [finished] after; once it has
-     finished all that ring 0 was given, with the control ring read
-     dry after that and everything relayed, no message is left
-     anywhere but on the rings, and closing them all is safe. *)
+  for w = 0 to d - 1 do
+    Dispatcher.flush staging w
+  done;
+  (* Shutdown by count, in datagrams plus [Flush]es.  The listener core
+     sends only while it handles a message from ring 0, and counts it
+     into [finished] after; once it has finished all that ring 0 was
+     given, with the control ring read dry after that and everything
+     relayed, no message is left anywhere but on the rings, and closing
+     them all is safe. *)
   if cfg.migrate then begin
     let rec settle () =
       poll_ctrl ();

@@ -5,12 +5,14 @@
     stack instead.  Each domain owns a private {!Tcpcore.Stack} — its
     own connection table, demultiplexer and timing wheel — and the
     dispatcher steers raw datagrams to the owning core with a
-    constant-time header peek ({!Packet.Segment.peek_flow}), exactly
-    as NIC receive-side scaling would, through {!Dispatcher.offer}'s
-    tier policy.  No mutable state is shared between domains: every
-    cross-core interaction travels over an SPSC {!Ring}, so the full
-    receive path — parse, steer, enqueue, demux, state machine — runs
-    without a single lock or shared write.
+    constant-time header peek, exactly as NIC receive-side scaling
+    would.  It stages each datagram for its core through
+    {!Dispatcher.staging}, and ships each core's datagrams as one ring
+    message of up to 32, through {!Dispatcher.offer}'s tier policy.
+    No mutable state is shared between domains: every cross-core
+    interaction travels over an SPSC {!Ring}, so the full receive
+    path — parse, steer, enqueue, demux, state machine — runs without
+    a single lock or shared write.
 
     {2 Steering}
 
@@ -18,7 +20,10 @@
     (chain-affine steering), so every hash chain lives wholly on one
     core and an N-core run performs {e bit-identical} per-chain work
     to a single-core run — the property the cross-core lockstep tests
-    assert, down to exact {!Demux.Lookup_stats} equality.  Every stack
+    assert, down to exact {!Demux.Lookup_stats} equality.  It reads the
+    bucket from the flow's packed words in place
+    ({!Packet.Segment.peek_w0}), with no {!Packet.Flow.t}, boxed
+    address or [result] per datagram ({!steer}).  Every stack
     listens on port 8888 and draws its initial sequence numbers from
     {!Tcpcore.Stack.deterministic_iss}; per-stack ISS counters would
     break that lockstep.
@@ -43,13 +48,16 @@
                   Forward_done, then processes the backlog in order
     v}
 
-    FIFO order on one ring carries the whole protocol:
+    FIFO order on one ring carries the whole protocol, because a
+    relayed message, or the dispatcher's own [Flush], first ships its
+    ring's partial batch, so ring order is steering order:
     - [Adopt] reaches ring k before the route changes, so it precedes
       every datagram of the flow on that ring;
     - the listener core sends every straggler before [Forward_done],
       and the relay keeps that order on ring k;
     - [Flush] follows the route change on ring 0, so every straggler
-      steered there before the change precedes it.
+      steered there before the change precedes it.  The route map
+      keys on the same flow words as steering.
 
     Relayed messages block on a full ring and are never shed by a
     pressure tier.  While a push spins, the dispatcher only reads the
@@ -59,11 +67,12 @@
     datagram steered after it, each exactly once.  {!violations}
     checks the resulting conservation ledger.
 
-    Shutdown is by count: the listener core counts each message it has
-    finished, control sends included, and the dispatcher counts what
-    it pushed onto ring 0, relayed [Flush]es included.  Once the two
-    agree and the control ring and relay queue are empty, the
-    dispatcher closes every ring at once.
+    Shutdown is by count, in datagrams: the listener core counts the
+    datagrams of each message it has finished, control sends included,
+    and the dispatcher counts the datagrams it shipped onto ring 0.
+    Each [Flush] counts one on both sides.  Once the two agree and the
+    control ring and relay queue are empty, the dispatcher closes every
+    ring at once.
 
     At [domains = 1] the handoff degenerates to a {e self-handoff} —
     the same extract and adopt table operations against the same
@@ -73,6 +82,12 @@
 type config = {
   domains : int;
   ring_capacity : int;
+      (** The most steered datagrams a core may have queued.  Its
+          ring has [ring_capacity] slots, rounded up to a power of
+          two; a batch of at most [b = min 32 ring_capacity]
+          datagrams goes onto it only while it holds fewer than
+          [ring_capacity / b] messages, and handoff messages may use
+          the rest. *)
   demux : Demux.Registry.spec;
   migrate : bool;
   migrate_target : int option;
@@ -86,7 +101,10 @@ type config = {
   pressure : Pressure.config option;
       (** Per-domain overload controllers (one {!Pressure.t} each, so
           a stalled core degrades locally without dragging siblings
-          down). *)
+          down).  Each samples its ring's occupancy, against the
+          [ring_capacity / b] messages batches may fill, at every
+          datagram steered to it; a batch meets the tier policy
+          whole. *)
   on_pressure : Pressure.t array -> unit;
       (** Observation hook handed the per-domain controllers before
           the run starts — tests use it to {!Pressure.force} tiers. *)
@@ -112,8 +130,9 @@ val config :
   local_addr:Packet.Ipv4.addr ->
   unit ->
   config
-(** Defaults: ring capacity 1024, Sequent with 19 chains, no
-    migration, no-op [on_data], no pressure, no stall, stages off.
+(** Defaults: ring capacity 1024, Sequent with
+    {!Demux.Sequent.default_chains} chains (the stack's own default),
+    no migration, no-op [on_data], no pressure, no stall, stages off.
     @raise Invalid_argument on non-positive domains / capacity,
     a stall or migrate target outside [0, domains), or
     [migrate_target] without [migrate]. *)
@@ -183,6 +202,15 @@ type result = {
           latency histograms in nanoseconds, worker-side ones merged
           across domains.  Empty otherwise. *)
 }
+
+val steer : config -> bytes -> int
+(** [steer cfg] is the dispatcher's steering without migration: the
+    datagram's chain bucket under [cfg.demux]'s
+    {!Demux.Registry.chain_geometry}, mod [cfg.domains], read from its
+    flow words in place; core 0 when {!Packet.Segment.peek_tcp} cannot
+    read its 4-tuple.  Apply it to [cfg] once: the function it returns
+    allocates nothing under a word-folding hasher such as the default
+    spec's. *)
 
 val run : config -> bytes array -> result
 (** Replay a wire-format datagram trace (e.g.

@@ -799,12 +799,37 @@ let prop_segment_parse_total_on_mutated_valid =
         flips;
       no_exception (fun () -> Packet.Segment.parse wire ~off:0))
 
+(* The in-place read accepts exactly what [peek_flow] accepts, and
+   reads the same key as [Demux.Flow_key]'s packed words. *)
+let prop_peek_words_match_peek_flow =
+  QCheck.Test.make ~count:1000
+    ~name:"Segment.peek_tcp and peek_w0/w1 agree with peek_flow"
+    QCheck.(
+      pair arbitrary_segment
+        (list_of_size (Gen.int_range 0 4) (pair small_nat small_nat)))
+    (fun (segment, flips) ->
+      let wire = Packet.Segment.to_bytes segment in
+      List.iter
+        (fun (position, value) ->
+          Bytes.set_uint8 wire (position mod Bytes.length wire) (value land 0xFF))
+        flips;
+      let tcp = Packet.Segment.peek_tcp wire ~off:0 in
+      match Packet.Segment.peek_flow wire ~off:0 with
+      | Error _ -> tcp < 0
+      | Ok flow ->
+        tcp >= 0
+        && Packet.Segment.peek_w0 wire ~off:0 ~tcp
+           = Demux.Flow_key.w0_of_flow flow
+        && Packet.Segment.peek_w1 wire ~off:0 ~tcp
+           = Demux.Flow_key.w1_of_flow flow)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_checksum_matches_reference; prop_segment_roundtrip;
       prop_flow_key_injective_on_reverse; prop_ipv4_parse_total;
       prop_ipv6_parse_total; prop_tcp_parse_total; prop_segment_parse_total;
-      prop_peek_flow_total; prop_segment_parse_total_on_mutated_valid ]
+      prop_peek_flow_total; prop_segment_parse_total_on_mutated_valid;
+      prop_peek_words_match_peek_flow ]
 
 (* ------------------------------------------------------------------ *)
 
