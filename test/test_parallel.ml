@@ -288,13 +288,19 @@ let test_ring_basics () =
   Alcotest.(check int) "length" 4 (Parallel.Ring.length ring);
   Alcotest.(check bool) "fifo" true (Parallel.Ring.try_pop ring = Some 1);
   Alcotest.(check bool) "room again" true (Parallel.Ring.try_push ring 5);
+  (* A limit makes the ring full at that many elements. *)
+  Alcotest.(check bool) "pop" true (Parallel.Ring.try_pop ring = Some 2);
+  Alcotest.(check bool) "full at the limit" false
+    (Parallel.Ring.try_push ~limit:3 ring 6);
+  Alcotest.(check bool) "room under the capacity" true
+    (Parallel.Ring.try_push ~limit:4 ring 6);
   (* Close: pushes refused, pops drain what is left. *)
   Parallel.Ring.close ring;
   Alcotest.(check bool) "closed" true (Parallel.Ring.is_closed ring);
-  (match Parallel.Ring.try_push ring 6 with
+  (match Parallel.Ring.try_push ring 7 with
   | _ -> Alcotest.fail "push after close accepted"
   | exception Invalid_argument _ -> ());
-  Alcotest.(check (list int)) "drains in order" [ 2; 3; 4; 5 ]
+  Alcotest.(check (list int)) "drains in order" [ 3; 4; 5; 6 ]
     (List.filter_map
        (fun _ -> Parallel.Ring.try_pop ring)
        [ (); (); (); () ]);
