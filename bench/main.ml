@@ -1666,7 +1666,8 @@ let e36_run ~smoke =
          ~local_addr:e36_server_addr ())
   in
   (* The migration pass: listener core accepts, every connection
-     migrates, stragglers forward; conservation is the result. *)
+     migrates, the dispatcher holds each flow while it moves;
+     conservation is the result. *)
   let migrated =
     run
       (Parallel.Smp.config
@@ -1738,8 +1739,8 @@ let e36 =
              (fun r -> r.migrated)
              [ ("smp.migrate.handoffs", "flows",
                 fun m -> float_of_int m.Parallel.Smp.handoffs);
-               ("smp.migrate.forwarded", "segments",
-                fun m -> float_of_int m.Parallel.Smp.forwarded);
+               ("smp.migrate.held", "datagrams",
+                fun m -> float_of_int m.Parallel.Smp.held);
                ("smp.migrate.flushes", "flows",
                 fun m -> float_of_int m.Parallel.Smp.flushes);
                ("smp.migrate.violations", "count",
@@ -1750,13 +1751,15 @@ let e36 =
       section
         "E36 (extension): shared-nothing per-core TCP stacks with flow \
          steering";
+      let threads = Domain.recommended_domain_count () in
       row "%-10s %14s %12s %10s\n" "domains" "pkts/s" "delivered" "handoffs";
+      (* A rung runs d workers plus the dispatcher. *)
       List.iter
         (fun (d, (result : Parallel.Smp.result)) ->
-          row "%-10d %14.0f %12d %10d\n" d result.Parallel.Smp.packets_per_s
-            result.Parallel.Smp.total result.Parallel.Smp.handoffs)
+          row "%-10d %14.0f %12d %10d%s\n" d result.Parallel.Smp.packets_per_s
+            result.Parallel.Smp.total result.Parallel.Smp.handoffs
+            (if d + 1 > threads then "   (time-sliced)" else ""))
         r.ladder;
-      let threads = Domain.recommended_domain_count () in
       if threads < 8 then
         row "scaling bar skipped (%d hardware threads < 8); rates \
              recorded, not enforced\n"
@@ -1771,9 +1774,9 @@ let e36 =
           | None -> ())
         e36_stage_names;
       row
-        "migration: %d handoffs, %d stragglers forwarded, %d flushes, \
+        "migration: %d handoffs, %d datagrams held, %d flushes, \
          conservation exact\n"
-        r.migrated.Parallel.Smp.handoffs r.migrated.Parallel.Smp.forwarded
+        r.migrated.Parallel.Smp.handoffs r.migrated.Parallel.Smp.held
         r.migrated.Parallel.Smp.flushes;
       row
         "Each domain owns its connection table, timer wheel and demux\n\

@@ -931,9 +931,9 @@ let parallel_cmd =
       & info [ "migrate" ]
           ~doc:
             "With --smp: accept every connection on the listener core \
-             (domain 0) and migrate it to another core mid-trace — \
-             route-map override plus in-flight segment forwarding, with \
-             exact handoff accounting.")
+             (domain 0) and migrate it to another core mid-trace — the \
+             dispatcher holds the flow's later segments until the \
+             connection has moved, with exact handoff accounting.")
   in
   let smoke =
     Arg.(

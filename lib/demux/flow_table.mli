@@ -1,8 +1,8 @@
 (** Hashtable keyed by flows — internal bookkeeping substrate.
 
-    For per-flow state off the metered receive path: [Parallel.Smp]'s
-    migration bookkeeping and route map, and [Check.Smp_trace]'s
-    per-flow lowering state.  No chained store uses it: the one flow
-    to chain-node index is {!Sequent}'s {!Flat_table}. *)
+    For per-flow state off the metered receive path, such as
+    [Check.Smp_trace]'s per-flow lowering state.  No chained store uses
+    it: the one flow to chain-node index is {!Sequent}'s
+    {!Flat_table}, which also keys [Parallel.Smp]'s route map. *)
 
 include Hashtbl.S with type key = Packet.Flow.t

@@ -23,7 +23,11 @@
    which with a controller attached pays a lock and an unlock per
    datagram.  Insert observations come once per insert. *)
 
-type tier = Normal | Shed_new_flows | Drop_batches | Reject
+type tier = Tcpcore.Stack.overload_tier =
+  | Normal
+  | Shed_new_flows
+  | Drop_batches
+  | Reject
 
 let tiers = [ Normal; Shed_new_flows; Drop_batches; Reject ]
 
@@ -44,9 +48,6 @@ let tier_name = function
   | Shed_new_flows -> "shed-new-flows"
   | Drop_batches -> "drop-batches"
   | Reject -> "reject"
-
-let severity = tier_index
-let compare_tier a b = compare (severity a) (severity b)
 
 type config = {
   ring_high_pct : int;   (* ring occupancy %: hot at or above *)
@@ -221,5 +222,3 @@ let register_obs ?(prefix = "pressure") t obs =
     ~help:"packets refused outright at the reject tier"
     ~name:(name "rejected_packets")
     (fun () -> rejected_packets t)
-
-let pp_tier ppf tr = Format.pp_print_string ppf (tier_name tr)

@@ -27,19 +27,19 @@
     Every shed/drop/reject decision is counted per tier, so accounting
     can be audited exactly ({!Check}'s chaos oracle does). *)
 
-type tier = Normal | Shed_new_flows | Drop_batches | Reject
+type tier = Tcpcore.Stack.overload_tier =
+  | Normal
+  | Shed_new_flows
+  | Drop_batches
+  | Reject
+(** The stack's own tier type, so a stack's overload probe is
+    [fun () -> tier p]. *)
 
 val tiers : tier list
 (** In severity order, mildest first. *)
 
-val tier_index : tier -> int
-(** 0 (Normal) .. 3 (Reject). *)
-
 val tier_name : tier -> string
 (** ["normal"], ["shed-new-flows"], ["drop-batches"], ["reject"]. *)
-
-val compare_tier : tier -> tier -> int
-(** By severity. *)
 
 type config
 
@@ -121,5 +121,3 @@ val counters : t -> (string * int) list
 val register_obs : ?prefix:string -> t -> Obs.Registry.t -> unit
 (** Register tier gauge, transition counters and degradation counters
     under ["<prefix>."] (default ["pressure"]). *)
-
-val pp_tier : Format.formatter -> tier -> unit

@@ -57,15 +57,10 @@ type domain_result = {
   rejected : int;
   dropped_full : int;
   processed : int;
-  forwarded_in : int;
-  forwarded_out : int;
-  buffered : int;
   adopted : int;
   migrated_out : int;
   self_handoffs : int;
   flushes : int;
-  unclassified : int;
-  leftover : int;
   tx : int;
   connections : int;
   drops : (string * int) list;
@@ -84,43 +79,44 @@ type result = {
   connections : conn_summary list;
   handoffs : int;
   self_handoffs : int;
-  forwarded : int;
+  held : int;
   flushes : int;
+  unreleased : int;
   elapsed_s : float;
   packets_per_s : float;
   stages : (string * Obs.Histogram.t) list;
 }
 
 (* Everything a worker pops off its one ring, the dispatcher its only
-   producer.  [Batch] carries trace datagrams, in steering order.  The
-   rest is the flow handoff, relayed from the listener core's control
-   sends, except [Flush], which the dispatcher itself pushes onto ring
-   0 once the flow's route has changed: "every straggler of this flow
-   precedes this message".  FIFO order on ring k puts [Adopt] before
-   every datagram of the flow and every [Forwarded] straggler before
-   [Forward_done]. *)
+   producer.  [Batch] carries trace datagrams, in steering order.
+   [Flush] goes onto ring 0 once the flow is held: "every datagram of
+   this flow routed here precedes this message".  [Adopt] goes onto
+   ring k ahead of every datagram of the flow routed there. *)
 type msg =
   | Batch of bytes array
   | Flush of Packet.Flow.t
   | Adopt of Tcpcore.Stack.connection
-  | Forwarded of bytes
-  | Forward_done of Packet.Flow.t
 
-let stack_tier = function
-  | Pressure.Normal -> Tcpcore.Stack.Normal
-  | Pressure.Shed_new_flows -> Tcpcore.Stack.Shed_new_flows
-  | Pressure.Drop_batches -> Tcpcore.Stack.Drop_batches
-  | Pressure.Reject -> Tcpcore.Stack.Reject
+(* What the listener core sends the dispatcher over the control ring:
+   a handshake completed on this flow, and the answer to its [Flush],
+   the connection and its core, or none if it closed meanwhile. *)
+type ctrl =
+  | Migrate of Packet.Flow.t
+  | Extracted of Packet.Flow.t * (int * Tcpcore.Stack.connection) option
+
+(* A flow's entry in the dispatcher's route map; a flow without one
+   goes to the listener core.  [Held] keeps its datagrams, in arrival
+   order, from its [Migrate] until the answer to its [Flush]. *)
+type route = Routed of int | Held of bytes Queue.t
 
 (* The whole life of one worker domain: build a private stack, drain
    its ring until closed and empty, summarize.  The summary crosses
    back through [Domain.join]; the stack itself never leaves its
    domain.  The dispatcher's fields ([steered], [rejected],
    [dropped_full]) and the pressure fields are left empty for [run] to
-   fill.  The listener core of a migrating run sends [(k, msg)] for
-   ring k over [ctrl], and after each message it has finished, control
-   sends included, adds the datagrams it carried to [finished] (one for
-   a [Flush]). *)
+   fill.  The listener core of a migrating run sends over [ctrl], and
+   after each message it has finished, control sends included, adds
+   the datagrams it carried to [finished] (one for a [Flush]). *)
 let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
     ~stage_parse ~stage_demux ~stage_state () =
   let stack =
@@ -130,22 +126,16 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
   Tcpcore.Stack.listen stack ~port:listen_port ~on_data:cfg.on_data;
   (match pressure with
   | Some p ->
-    Tcpcore.Stack.set_overload_probe stack (fun () ->
-        stack_tier (Pressure.tier p))
+    Tcpcore.Stack.set_overload_probe stack (fun () -> Pressure.tier p)
   | None -> ());
   if cfg.stages then
     Tcpcore.Stack.set_stage_histograms stack ~parse:stage_parse
       ~demux:stage_demux ~state:stage_state;
   let processed = ref 0
-  and forwarded_in = ref 0
-  and forwarded_out = ref 0
-  and buffered = ref 0
   and adopted = ref 0
   and migrated_out = ref 0
   and self_handoffs = ref 0
   and flushes = ref 0
-  and unclassified = ref 0
-  and leftover = ref 0
   and tx = ref 0 in
   let drain_tx () =
     tx := !tx + List.length (Tcpcore.Stack.poll_output stack)
@@ -159,15 +149,7 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
     end
   in
   let listener = cfg.migrate && index = 0 in
-  (* Migration state.  Listener core: flows extracted but not yet
-     flushed ([migrating]: stragglers still possible in ring 0) and
-     flows fully handed off.  Adopting core: per-flow backlogs of
-     direct datagrams awaiting [Forward_done], then the adopted set. *)
   let pending_migration = Queue.create () in
-  let migrating = Demux.Flow_table.create 64 in
-  let handed_off = Demux.Flow_table.create 64 in
-  let pending_buffers = Demux.Flow_table.create 64 in
-  let adopted_set = Demux.Flow_table.create 64 in
   let _, geometry_hasher = Demux.Registry.chain_geometry cfg.demux in
   let target_of flow =
     match cfg.migrate_target with
@@ -184,24 +166,19 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
       (Some
          (fun _ conn ->
            Queue.add conn.Tcpcore.Stack.flow pending_migration));
-  (* The hook must not reenter the stack, so handoffs are performed
-     here, after [handle_bytes] has returned. *)
+  (* The hook must not reenter the stack, so handoffs start here, after
+     [handle_bytes] has returned: a self-handoff at once, any other by
+     asking the dispatcher to hold the flow. *)
   let process_migrations () =
     while not (Queue.is_empty pending_migration) do
       let flow = Queue.pop pending_migration in
-      match Tcpcore.Stack.extract_connection stack flow with
-      | None -> incr unclassified
-      | Some conn ->
-        let t = target_of flow in
-        if t = index then begin
-          Tcpcore.Stack.adopt_connection stack conn;
-          incr self_handoffs
-        end
-        else begin
-          incr migrated_out;
-          Demux.Flow_table.replace migrating flow t;
-          Ring.push ctrl (t, Adopt conn)
-        end
+      if target_of flow <> index then Ring.push ctrl (Migrate flow)
+      else
+        Option.iter
+          (fun conn ->
+            Tcpcore.Stack.adopt_connection stack conn;
+            incr self_handoffs)
+          (Tcpcore.Stack.extract_connection stack flow)
     done
   in
   let feed bytes =
@@ -211,69 +188,22 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
     if listener then process_migrations ();
     drain_tx ()
   in
-  let feed_forwarded bytes =
-    incr forwarded_in;
-    stall ();
-    ignore (Tcpcore.Stack.handle_bytes stack bytes);
-    drain_tx ()
-  in
-  (* Listener core: a datagram for a migrating flow is a straggler
-     steered before the route change — forward it. *)
-  let listener_datagram bytes =
-    match Packet.Segment.peek_flow bytes ~off:0 with
-    | Error _ -> feed bytes
-    | Ok flow -> (
-      match Demux.Flow_table.find_opt migrating flow with
-      | Some t ->
-        incr forwarded_out;
-        Ring.push ctrl (t, Forwarded bytes)
-      | None ->
-        if Demux.Flow_table.mem handed_off flow then incr unclassified
-        else feed bytes)
-  in
-  (* Adopting core.  A flow's [Adopt] precedes on this ring every
-     datagram the dispatcher routed here, so a flow in neither set was
-     never routed here: a protocol violation, counted, never fed. *)
-  let adopter_datagram bytes =
-    match Packet.Segment.peek_flow bytes ~off:0 with
-    | Error _ -> feed bytes
-    | Ok flow -> (
-      match Demux.Flow_table.find_opt pending_buffers flow with
-      | Some q ->
-        incr buffered;
-        Queue.add bytes q
-      | None ->
-        if Demux.Flow_table.mem adopted_set flow then feed bytes
-        else incr unclassified)
-  in
-  let datagram =
-    if listener then listener_datagram
-    else if cfg.migrate then adopter_datagram
-    else feed
-  in
   let handle = function
-    | Batch ds -> Array.iter datagram ds
-    | Flush flow -> (
-      match Demux.Flow_table.find_opt migrating flow with
-      | Some t ->
-        incr flushes;
-        Demux.Flow_table.remove migrating flow;
-        Demux.Flow_table.replace handed_off flow t;
-        Ring.push ctrl (t, Forward_done flow)
-      | None -> incr unclassified)
+    | Batch ds -> Array.iter feed ds
+    | Flush flow ->
+      (* Every datagram of the flow routed here has been handled. *)
+      incr flushes;
+      let moved =
+        Option.map
+          (fun conn ->
+            incr migrated_out;
+            (target_of flow, conn))
+          (Tcpcore.Stack.extract_connection stack flow)
+      in
+      Ring.push ctrl (Extracted (flow, moved))
     | Adopt conn ->
       Tcpcore.Stack.adopt_connection stack conn;
-      incr adopted;
-      Demux.Flow_table.replace pending_buffers conn.Tcpcore.Stack.flow
-        (Queue.create ())
-    | Forwarded bytes -> feed_forwarded bytes
-    | Forward_done flow -> (
-      match Demux.Flow_table.find_opt pending_buffers flow with
-      | Some q ->
-        Queue.iter feed q;
-        Demux.Flow_table.remove pending_buffers flow;
-        Demux.Flow_table.replace adopted_set flow ()
-      | None -> incr unclassified)
+      incr adopted
   in
   (* Shutdown counts datagrams: a batch finishes all of its own. *)
   Ring.drain ring
@@ -282,9 +212,6 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
        let n = match m with Batch ds -> Array.length ds | _ -> 1 in
        ignore (Atomic.fetch_and_add finished n))
      else handle);
-  Demux.Flow_table.iter
-    (fun _ q -> leftover := !leftover + Queue.length q)
-    pending_buffers;
   let connections = ref [] in
   Tcpcore.Stack.iter_connections stack (fun c ->
       connections :=
@@ -293,11 +220,9 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
           snd_nxt = c.snd_nxt; rcv_nxt = c.rcv_nxt; snd_una = c.snd_una }
         :: !connections);
   ( { index; steered = 0; rejected = 0; dropped_full = 0;
-      processed = !processed; forwarded_in = !forwarded_in;
-      forwarded_out = !forwarded_out; buffered = !buffered;
-      adopted = !adopted; migrated_out = !migrated_out;
-      self_handoffs = !self_handoffs; flushes = !flushes;
-      unclassified = !unclassified; leftover = !leftover; tx = !tx;
+      processed = !processed; adopted = !adopted;
+      migrated_out = !migrated_out; self_handoffs = !self_handoffs;
+      flushes = !flushes; tx = !tx;
       connections = Tcpcore.Stack.connection_count stack;
       drops = Tcpcore.Stack.drop_counts stack;
       stats = Demux.Lookup_stats.snapshot (Tcpcore.Stack.demux_stats stack);
@@ -379,15 +304,16 @@ let run (cfg : config) datagrams =
               ~stage_state:state_h.(k) ()))
   in
   (* Dispatcher state.  The route map is private to this domain, keyed
-     by flow words, and changes only when an [Adopt] is relayed.
-     [relay] holds control messages popped but not yet pushed on: a
-     push that spins pops the control ring into it, and never pushes,
-     so nothing overtakes the value it is blocked on. *)
+     by flow words, and holds all handoff state.  [relay] holds control
+     messages popped but not yet acted on: a push that spins pops the
+     control ring into it, and never pushes, so nothing overtakes the
+     value it is blocked on. *)
   let route = Demux.Flat_table.create () in
   let relay = Queue.create () in
   let steered = Array.make d 0
   and rejected = Array.make d 0
   and dropped = Array.make d 0
+  and held = ref 0
   and flushes = ref 0 in
   let poll_ctrl () =
     let rec go () =
@@ -412,29 +338,68 @@ let run (cfg : config) datagrams =
     | Dropped -> dropped.(w) <- dropped.(w) + fill
   in
   let staging = Dispatcher.staging ~targets:d ~batch ~ship in
+  let stage w bytes =
+    (* The controller samples the ring at every datagram, as it would
+       if each travelled alone. *)
+    (match pressure.(w) with
+    | Some p ->
+      Pressure.note_ring_depth p ~depth:(Ring.length rings.(w))
+        ~capacity:slots
+    | None -> ());
+    (* Each stack hashes its own lookups: no hash rides along. *)
+    Dispatcher.stage staging ~target:w ~hash:0 bytes
+  in
   (* Runs between datagrams only, and ships ring k's partial batch
      before anything else goes onto ring k, so ring order is steering
-     order.  [Adopt] lands on ring k before the route change, so it
-     precedes every datagram routed to k after it; [Flush] follows the
-     change on ring 0, so every straggler steered there before it
-     precedes the flush. *)
+     order. *)
   let push k m =
     Dispatcher.flush staging k;
     Ring.push ?spin rings.(k) m
   in
+  let words flow =
+    (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
+  in
+  let hold_of ~w0 ~w1 =
+    match Demux.Flat_table.find_opt route ~w0 ~w1 with
+    | Some (Held q) -> Some q
+    | Some (Routed _) | None -> None
+  in
+  (* A held flow's datagrams go to core k in arrival order, shipped at
+     once: shutdown counts only what has shipped. *)
+  let release k q =
+    Queue.iter (stage k) q;
+    Dispatcher.flush staging k
+  in
+  (* [Flush] follows on ring 0 every datagram of the flow steered there
+     before its hold.  [Adopt] goes onto ring k before the held
+     datagrams and before the route change, so it precedes every
+     datagram of the flow on ring k.  A flow whose connection closed
+     meanwhile goes back to the listener core. *)
   let relay_all () =
     while not (Queue.is_empty relay) do
       match Queue.pop relay with
-      | k, (Adopt conn as m) ->
-        push k m;
-        let flow = conn.Tcpcore.Stack.flow in
-        Demux.Flat_table.replace route ~w0:(Demux.Flow_key.w0_of_flow flow)
-          ~w1:(Demux.Flow_key.w1_of_flow flow) k;
+      | Migrate flow ->
+        let w0, w1 = words flow in
+        if Option.is_none (hold_of ~w0 ~w1) then
+          Demux.Flat_table.replace route ~w0 ~w1 (Held (Queue.create ()));
         push 0 (Flush flow);
         incr flushes
-      | k, m -> push k m
+      | Extracted (flow, moved) -> (
+        let w0, w1 = words flow in
+        let hold = hold_of ~w0 ~w1 in
+        match (moved, hold) with
+        | Some (k, conn), _ ->
+          push k (Adopt conn);
+          Option.iter (release k) hold;
+          Demux.Flat_table.replace route ~w0 ~w1 (Routed k)
+        | None, Some q ->
+          Demux.Flat_table.remove route ~w0 ~w1;
+          release 0 q
+        | None, None -> ())
     done
   in
+  (* Migrating, a flow without a route goes to the listener core, and
+     a held flow's datagram joins its hold: core -1. *)
   let steer =
     if not cfg.migrate then steer cfg
     else fun bytes ->
@@ -446,7 +411,11 @@ let run (cfg : config) datagrams =
             ~w0:(Packet.Segment.peek_w0 bytes ~off:0 ~tcp)
             ~w1:(Packet.Segment.peek_w1 bytes ~off:0 ~tcp)
         with
-        | Some k -> k
+        | Some (Routed k) -> k
+        | Some (Held q) ->
+          Queue.add bytes q;
+          incr held;
+          -1
         | None -> 0
   in
   for i = 0 to total - 1 do
@@ -459,15 +428,7 @@ let run (cfg : config) datagrams =
     let w = steer bytes in
     record steer_h t0;
     let e0 = if cfg.stages then Obs.Clock.now_ns () else 0 in
-    (* The controller samples the ring at every datagram, as it would
-       if each travelled alone. *)
-    (match pressure.(w) with
-    | Some p ->
-      Pressure.note_ring_depth p ~depth:(Ring.length rings.(w))
-        ~capacity:slots
-    | None -> ());
-    (* Each stack hashes its own lookups: no hash rides along. *)
-    Dispatcher.stage staging ~target:w ~hash:0 bytes;
+    if w >= 0 then stage w bytes;
     record enqueue_h e0
   done;
   for w = 0 to d - 1 do
@@ -515,7 +476,7 @@ let run (cfg : config) datagrams =
       summaries
   in
   let sum f = Array.fold_left (fun acc s -> acc + f s) 0 per_domain in
-  let delivered = sum (fun s -> s.processed + s.forwarded_in) in
+  let delivered = sum (fun s -> s.processed) in
   let connections =
     List.sort
       (fun a b -> Packet.Flow.compare a.flow b.flow)
@@ -539,9 +500,13 @@ let run (cfg : config) datagrams =
       Demux.Lookup_stats.merge_snapshots
         (Array.to_list (Array.map (fun s -> s.stats) per_domain));
     connections; handoffs = sum (fun s -> s.migrated_out);
-    self_handoffs = sum (fun s -> s.self_handoffs);
-    forwarded = sum (fun s -> s.forwarded_out);
-    flushes = sum (fun s -> s.flushes); elapsed_s;
+    self_handoffs = sum (fun s -> s.self_handoffs); held = !held;
+    flushes = !flushes;
+    unreleased =
+      Demux.Flat_table.fold
+        (fun ~w0:_ ~w1:_ r n -> match r with Held _ -> n + 1 | Routed _ -> n)
+        route 0;
+    elapsed_s;
     packets_per_s =
       (if elapsed_s > 0.0 then float_of_int delivered /. elapsed_s else 0.0);
     stages }
@@ -550,38 +515,22 @@ let violations (r : result) =
   let v = ref [] in
   let add fmt = Printf.ksprintf (fun s -> v := s :: !v) fmt in
   let sum f = Array.fold_left (fun acc dr -> acc + f dr) 0 r.per_domain in
+  Array.iter
+    (fun dr ->
+      if dr.steered <> dr.processed then
+        add "domain %d: steered %d <> processed %d" dr.index dr.steered
+          dr.processed)
+    r.per_domain;
   let offered = sum (fun dr -> dr.steered + dr.rejected + dr.dropped_full) in
   if offered <> r.total then
     add "offered %d <> steered+rejected+dropped %d" r.total offered;
-  Array.iter
-    (fun dr ->
-      if dr.unclassified <> 0 then
-        add "domain %d: %d unclassified datagrams" dr.index dr.unclassified;
-      if dr.leftover <> 0 then
-        add "domain %d: %d buffered datagrams never flushed" dr.index
-          dr.leftover;
-      let consumed =
-        dr.processed + dr.forwarded_out + dr.unclassified + dr.leftover
-      in
-      if dr.steered <> consumed then
-        add "domain %d: steered %d <> consumed %d" dr.index dr.steered
-          consumed)
-    r.per_domain;
-  let fwd_in = sum (fun dr -> dr.forwarded_in) in
-  if r.forwarded <> fwd_in then
-    add "forwarded out %d <> forwarded in %d" r.forwarded fwd_in;
   let adopted = sum (fun dr -> dr.adopted) in
   if r.handoffs <> adopted then
     add "handoffs %d <> adoptions %d" r.handoffs adopted;
-  if r.flushes <> r.handoffs then
-    add "flushes %d <> handoffs %d" r.flushes r.handoffs;
-  let processed_once =
-    sum (fun dr -> dr.processed + dr.forwarded_in)
-    + sum (fun dr -> dr.rejected + dr.dropped_full)
-    + sum (fun dr -> dr.unclassified + dr.leftover)
-  in
-  if processed_once <> r.total then
-    add "exactly-once ledger %d <> total %d" processed_once r.total;
+  let answered = sum (fun dr -> dr.flushes) in
+  if r.flushes <> answered then
+    add "flushes %d <> answered %d" r.flushes answered;
+  if r.unreleased <> 0 then add "%d flows still held at shutdown" r.unreleased;
   List.rev !v
 
 let register_obs ?(prefix = "smp") (r : result) obs =
@@ -593,8 +542,8 @@ let register_obs ?(prefix = "smp") (r : result) obs =
   counter "handoffs" "connections migrated across cores" r.handoffs;
   counter "self_handoffs" "extract+adopt against the same core"
     r.self_handoffs;
-  counter "forwarded" "straggler segments forwarded to an adopting core"
-    r.forwarded;
+  counter "held" "datagrams held by the dispatcher while their flow moved"
+    r.held;
   counter "flushes" "flush messages completing a handoff" r.flushes;
   Obs.Registry.register_gauge obs ~units:"pkts/s"
     ~help:"end-to-end delivered datagrams per second"
@@ -609,8 +558,6 @@ let register_obs ?(prefix = "smp") (r : result) obs =
       counter (dn "steered") "datagrams steered to this domain" dr.steered;
       counter (dn "processed") "datagrams processed by this domain"
         dr.processed;
-      counter (dn "forwarded_in") "forwarded stragglers processed here"
-        dr.forwarded_in;
       counter (dn "rejected") "datagrams refused at dispatch" dr.rejected;
       counter (dn "dropped_full") "datagrams dropped on a full ring"
         dr.dropped_full;
@@ -631,16 +578,13 @@ let register_obs ?(prefix = "smp") (r : result) obs =
 let pp ppf (r : result) =
   Format.fprintf ppf
     "@[<v>%d domains: %d datagrams in %.3f s = %.0f pkts/s@,\
-     %d handoffs (%d self), %d forwarded, %d flushes@]" r.domains r.total
-    r.elapsed_s r.packets_per_s r.handoffs r.self_handoffs r.forwarded
-    r.flushes;
+     %d handoffs (%d self), %d held, %d flushes@]" r.domains r.total
+    r.elapsed_s r.packets_per_s r.handoffs r.self_handoffs r.held r.flushes;
   Array.iter
     (fun dr ->
       Format.fprintf ppf
-        "@,  d%d: steered %d processed %d fwd-in %d fwd-out %d adopted %d \
-         conns %d tx %d%s"
-        dr.index dr.steered dr.processed dr.forwarded_in dr.forwarded_out
-        dr.adopted dr.connections dr.tx
+        "@,  d%d: steered %d processed %d adopted %d conns %d tx %d%s"
+        dr.index dr.steered dr.processed dr.adopted dr.connections dr.tx
         (match dr.tier with
         | Some t -> Printf.sprintf " tier %s" t
         | None -> ""))

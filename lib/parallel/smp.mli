@@ -31,41 +31,40 @@
     {2 Flow migration}
 
     With [migrate] every datagram is first steered to domain 0, the
-    listener core.  When a handshake completes there, the accepted
-    connection is extracted ({!Tcpcore.Stack.extract_connection}) and
-    handed to its owning core k.  Every core has one input ring, and
-    the dispatcher is its only producer, so the listener core sends
-    its part of the handoff to the dispatcher over a control ring and
-    the dispatcher relays each message onto ring k between datagrams:
+    listener core.  When a handshake completes there, the connection
+    moves to its owning core k once every datagram already routed to
+    the listener core has been handled there.  Every core has one
+    input ring, and the dispatcher is its only producer, so the
+    listener core talks to the dispatcher over a control ring, and all
+    handoff state lives in the dispatcher's route map:
 
     {v
-      worker 0:   (k, Adopt conn) -> ctrl
-      dispatcher: Adopt conn -> ring k;  route[f] <- k;  Flush f -> ring 0
-      worker 0:   each straggler of f: (k, Forwarded bytes) -> ctrl
-                  on Flush f:          (k, Forward_done f)  -> ctrl
-      dispatcher: relays both onto ring k, in order
-      worker k:   buffers direct datagrams of f from Adopt until
-                  Forward_done, then processes the backlog in order
+      worker 0:   Migrate f -> ctrl
+      dispatcher: route[f] <- held;  Flush f -> ring 0
+                  (f's later datagrams wait in the hold, in order)
+      worker 0:   on Flush f: extract_connection f -> ctrl
+                  (none if it closed meanwhile)
+      dispatcher: Adopt conn -> ring k;  held datagrams -> ring k;
+                  route[f] <- k
     v}
 
-    FIFO order on one ring carries the whole protocol, because a
-    relayed message, or the dispatcher's own [Flush], first ships its
-    ring's partial batch, so ring order is steering order:
-    - [Adopt] reaches ring k before the route changes, so it precedes
-      every datagram of the flow on that ring;
-    - the listener core sends every straggler before [Forward_done],
-      and the relay keeps that order on ring k;
-    - [Flush] follows the route change on ring 0, so every straggler
-      steered there before the change precedes it.  The route map
-      keys on the same flow words as steering.
+    FIFO order on one ring carries the protocol, because the
+    dispatcher ships a ring's partial batch before it pushes [Flush] or
+    [Adopt] there, so ring order is steering order:
+    - [Flush] follows on ring 0 every datagram of the flow steered
+      there before its hold;
+    - [Adopt] goes onto ring k before the held datagrams are staged and
+      before the route changes, so it precedes every datagram of the
+      flow on that ring.
 
-    Relayed messages block on a full ring and are never shed by a
-    pressure tier.  While a push spins, the dispatcher only reads the
-    control ring into its relay queue, so no message can overtake the
-    datagram it is blocked on.  Stragglers steered before the route
-    change are therefore processed (at the new core) before any
-    datagram steered after it, each exactly once.  {!violations}
-    checks the resulting conservation ledger.
+    So each datagram is steered once, to the core that then handles
+    it, and none is ever forwarded; {!violations} checks the ledger.
+    A flow whose connection closed before its [Flush] goes back to the
+    listener core with its held datagrams.  Handoff messages block on
+    a full ring and are never shed by a pressure tier; held datagrams
+    meet the tier policy when they are staged.  While a push spins,
+    the dispatcher only reads the control ring into its relay queue,
+    so no message can overtake the datagram it is blocked on.
 
     Shutdown is by count, in datagrams: the listener core counts the
     datagrams of each message it has finished, control sends included,
@@ -76,8 +75,8 @@
 
     At [domains = 1] the handoff degenerates to a {e self-handoff} —
     the same extract and adopt table operations against the same
-    stack — so single-domain runs remain op-for-op comparable with
-    multi-domain ones. *)
+    stack, at once — so single-domain runs remain op-for-op comparable
+    with multi-domain ones. *)
 
 type config = {
   domains : int;
@@ -155,26 +154,13 @@ type domain_result = {
   rejected : int;       (** Refused at dispatch ({!Pressure.Reject}). *)
   dropped_full : int;   (** Dropped at dispatch on a full ring
                             ({!Pressure.Drop_batches}). *)
-  processed : int;      (** Direct datagrams fed to the stack
-                            (including buffered-then-flushed ones). *)
-  forwarded_in : int;   (** Straggler segments forwarded here and
-                            processed. *)
-  forwarded_out : int;  (** Stragglers this domain forwarded (listener
-                            core only). *)
-  buffered : int;       (** Direct datagrams that waited for
-                            [Forward_done]. *)
+  processed : int;      (** Datagrams fed to the stack. *)
   adopted : int;        (** Connections adopted from the listener core. *)
   migrated_out : int;   (** Connections extracted and handed off. *)
   self_handoffs : int;  (** Extract+adopt against the same stack
                             ([domains = 1] or target = listener). *)
-  flushes : int;        (** [Flush] messages converted to
-                            [Forward_done] (listener core only). *)
-  unclassified : int;   (** Datagrams that matched no protocol state —
-                            always 0 unless the handoff protocol is
-                            broken (the oracle the migration tests
-                            assert). *)
-  leftover : int;       (** Buffered datagrams never flushed — same
-                            invariant, same expected 0. *)
+  flushes : int;        (** [Flush] messages answered (listener core
+                            only). *)
   tx : int;             (** Reply segments emitted by this stack. *)
   connections : int;
   drops : (string * int) list;        (** {!Tcpcore.Stack.drop_counts}. *)
@@ -193,8 +179,12 @@ type result = {
   connections : conn_summary list;    (** All domains, sorted by flow. *)
   handoffs : int;                     (** Cross-core migrations. *)
   self_handoffs : int;
-  forwarded : int;                    (** Total straggler segments. *)
-  flushes : int;
+  held : int;
+      (** Datagrams the dispatcher held while their flow moved. *)
+  flushes : int;                      (** [Flush] messages pushed. *)
+  unreleased : int;
+      (** Flows still held at shutdown: 0 unless the handoff protocol
+          is broken. *)
   elapsed_s : float;
   packets_per_s : float;              (** Delivered datagrams / s. *)
   stages : (string * Obs.Histogram.t) list;
@@ -222,13 +212,10 @@ val run : config -> bytes array -> result
     @raise Invalid_argument on an empty trace. *)
 
 val violations : result -> string list
-(** The conservation ledger, empty when sound: every offered datagram
-    accounted for exactly once (steered/rejected/dropped vs
-    processed/forwarded/unclassified/leftover, per domain and in
-    total), every straggler the listener core forwarded processed by
-    an adopting core,
-    adoptions matching extractions matching flushes, and no
-    unclassified or leftover datagrams. *)
+(** The conservation ledger, empty when sound: each domain processed
+    every datagram steered to it, every offered datagram was steered,
+    rejected or dropped at dispatch, adoptions match handoffs, every
+    [Flush] was answered, and no flow is held at shutdown. *)
 
 val register_obs : ?prefix:string -> result -> Obs.Registry.t -> unit
 (** Register the run's counters (totals and per-domain) and stage

@@ -267,10 +267,12 @@ let scaling_table ?obs ?trace_capacity ?connections ?lookups_per_domain
     targets
 
 let pp_results ppf results =
+  let threads = Domain.recommended_domain_count () in
   Format.fprintf ppf "%-22s %8s %6s %14s %12s@." "target" "domains" "batch"
     "lookups/s" "elapsed";
   List.iter
     (fun r ->
-      Format.fprintf ppf "%-22s %8d %6d %14.0f %11.2fs@." r.target r.domains
-        r.batch r.lookups_per_second r.elapsed_seconds)
+      Format.fprintf ppf "%-22s %8d %6d %14.0f %11.2fs%s@." r.target r.domains
+        r.batch r.lookups_per_second r.elapsed_seconds
+        (if r.domains > threads then "  (time-sliced)" else ""))
     results

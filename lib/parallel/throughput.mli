@@ -127,3 +127,5 @@ val scaling_table :
     ([batches] defaults to [[1]], i.e. per-packet). *)
 
 val pp_results : Format.formatter -> result list -> unit
+(** One row per result; a row that ran more domains than
+    [Domain.recommended_domain_count ()] is marked [(time-sliced)]. *)

@@ -4,12 +4,42 @@ let log_src = Logs.Src.create "tcpdemux.stack" ~doc:"TCP stack events"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* The stack-side view of pipeline overload.  Mirrors the tiers of the
-   parallel pipeline's pressure controller without depending on it: the
-   integration layer bridges the two with a closure
-   ([set_overload_probe]), keeping tcpcore free of any domain/threading
-   dependency. *)
+(* The stack-side view of pipeline overload.  The parallel pipeline's
+   pressure controller re-exports this type as its tier, and reaches
+   the stack through a closure ([set_overload_probe]), keeping tcpcore
+   free of any domain/threading dependency. *)
 type overload_tier = Normal | Shed_new_flows | Drop_batches | Reject
+
+(* Why a datagram or segment was shed. *)
+type drop_reason =
+  | Parse_error  (* malformed or checksum-failing bytes *)
+  | Wrong_destination  (* well-formed but not addressed to us *)
+  | Handler_error  (* segment processing raised; datagram shed *)
+  | Overload_shed_new_flow  (* SYNs refused at Shed_new_flows *)
+  | Overload_drop_batch  (* non-established shed at Drop_batches *)
+  | Overload_reject  (* datagrams refused outright at Reject *)
+
+(* In drop-code order.  A reason's code indexes the stack's count array
+   and is the payload of its traced [Drop] event. *)
+let all_drops =
+  [ Parse_error; Wrong_destination; Handler_error; Overload_shed_new_flow;
+    Overload_drop_batch; Overload_reject ]
+
+let drop_code = function
+  | Parse_error -> 0
+  | Wrong_destination -> 1
+  | Handler_error -> 2
+  | Overload_shed_new_flow -> 3
+  | Overload_drop_batch -> 4
+  | Overload_reject -> 5
+
+let drop_name = function
+  | Parse_error -> "parse-error"
+  | Wrong_destination -> "wrong-destination"
+  | Handler_error -> "handler-error"
+  | Overload_shed_new_flow -> "overload-shed-new-flow"
+  | Overload_drop_batch -> "overload-drop-batch"
+  | Overload_reject -> "overload-reject"
 
 type connection = {
   flow : Packet.Flow.t;
@@ -34,15 +64,6 @@ and timer_event =
   | Retransmit of connection * int32 * int  (* attempt number, from 1 *)
   | Delayed_ack of connection
 
-and drop_counters = {
-  mutable parse_error : int;    (* malformed or checksum-failing bytes *)
-  mutable wrong_destination : int;  (* well-formed but not addressed to us *)
-  mutable handler_error : int;  (* segment processing raised; datagram shed *)
-  mutable overload_shed_new_flow : int;  (* SYNs refused at Shed_new_flows *)
-  mutable overload_drop_batch : int;  (* non-established shed at Drop_batches *)
-  mutable overload_reject : int;  (* datagrams refused outright at Reject *)
-}
-
 and t = {
   local_addr : Packet.Ipv4.addr;
   mutable tracer : Obs.Trace.t;  (* Drop events; disabled by default. *)
@@ -59,7 +80,7 @@ and t = {
   mutable segments_sent : int;
   mutable rsts_sent : int;
   mutable retransmissions : int;
-  drops : drop_counters;
+  drops : int array;  (* by drop code *)
   time_wait_timeout : float;
   retransmit_timeout : float;
   max_retransmits : int;
@@ -95,10 +116,7 @@ let create ?(demux =
     next_iss = 1000l; iss_for = iss; on_established = None;
     stage_parse = None; stage_demux = None; stage_state = None;
     segments_sent = 0; rsts_sent = 0; retransmissions = 0;
-    drops =
-      { parse_error = 0; wrong_destination = 0; handler_error = 0;
-        overload_shed_new_flow = 0; overload_drop_batch = 0;
-        overload_reject = 0 };
+    drops = Array.make (List.length all_drops) 0;
     time_wait_timeout; retransmit_timeout; max_retransmits;
     rto_jitter; rto_rng = Numerics.Rng.create ~seed:rto_seed;
     delayed_acks; delayed_ack_timeout;
@@ -585,20 +603,18 @@ let accept t listener flow (tcp : Packet.Tcp_header.t) =
    strays; [Reject] sheds the datagram before any demux work
    ([handle_bytes] short-circuits, and direct [handle_segment] callers
    are shed here). *)
-let note_overload_drop t tier len =
-  let code =
-    match tier with
-    | Shed_new_flows ->
-      t.drops.overload_shed_new_flow <- t.drops.overload_shed_new_flow + 1;
-      3
-    | Drop_batches ->
-      t.drops.overload_drop_batch <- t.drops.overload_drop_batch + 1;
-      4
-    | Normal | Reject ->
-      t.drops.overload_reject <- t.drops.overload_reject + 1;
-      5
-  in
+let note_drop t reason len =
+  let code = drop_code reason in
+  t.drops.(code) <- t.drops.(code) + 1;
   Obs.Trace.record t.tracer Obs.Trace.Drop code len
+
+let note_overload_drop t tier len =
+  note_drop t
+    (match tier with
+    | Shed_new_flows -> Overload_shed_new_flow
+    | Drop_batches -> Overload_drop_batch
+    | Normal | Reject -> Overload_reject)
+    len
 
 (* [tier] is read once per datagram by the caller: a second read
    could see a different tier and shed a datagram [handle_bytes] has
@@ -670,8 +686,7 @@ let handle_bytes t buf =
   | None -> ());
   match parsed with
   | Error reason ->
-    t.drops.parse_error <- t.drops.parse_error + 1;
-    Obs.Trace.record t.tracer Obs.Trace.Drop 0 (Bytes.length buf);
+    note_drop t Parse_error (Bytes.length buf);
     Error reason
   | Ok segment ->
     if Packet.Ipv4.equal_addr segment.Packet.Segment.ip.Packet.Ipv4.dst t.local_addr
@@ -679,36 +694,23 @@ let handle_bytes t buf =
       match handle_segment_at t tier segment with
       | () -> Ok ()
       | exception exn ->
-        t.drops.handler_error <- t.drops.handler_error + 1;
-        Obs.Trace.record t.tracer Obs.Trace.Drop 2 (Bytes.length buf);
+        note_drop t Handler_error (Bytes.length buf);
         Log.debug (fun m ->
             m "segment handler raised %s; datagram shed"
               (Printexc.to_string exn));
         Error ("stack: segment handler failed: " ^ Printexc.to_string exn)
     else begin
-      t.drops.wrong_destination <- t.drops.wrong_destination + 1;
-      Obs.Trace.record t.tracer Obs.Trace.Drop 1 (Bytes.length buf);
+      note_drop t Wrong_destination (Bytes.length buf);
       Error "stack: datagram not addressed to this host"
     end)
 
-let drop_reasons =
-  [ "parse-error"; "wrong-destination"; "handler-error";
-    "overload-shed-new-flow"; "overload-drop-batch"; "overload-reject" ]
-
+let drop_reasons = List.map drop_name all_drops
 let drop_reason_of_code code = List.nth_opt drop_reasons code
 
 let drop_counts t =
-  [ ("parse-error", t.drops.parse_error);
-    ("wrong-destination", t.drops.wrong_destination);
-    ("handler-error", t.drops.handler_error);
-    ("overload-shed-new-flow", t.drops.overload_shed_new_flow);
-    ("overload-drop-batch", t.drops.overload_drop_batch);
-    ("overload-reject", t.drops.overload_reject) ]
+  List.map (fun r -> (drop_name r, t.drops.(drop_code r))) all_drops
 
-let drops_total t =
-  t.drops.parse_error + t.drops.wrong_destination + t.drops.handler_error
-  + t.drops.overload_shed_new_flow + t.drops.overload_drop_batch
-  + t.drops.overload_reject
+let drops_total t = Array.fold_left ( + ) 0 t.drops
 
 (* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
@@ -720,12 +722,12 @@ let set_tracer t tracer =
 let register_obs ?(prefix = "stack") t obs =
   let name suffix = prefix ^ "." ^ suffix in
   List.iter
-    (fun reason ->
+    (fun r ->
       Obs.Registry.register_counter obs
-        ~help:("datagrams shed by handle_bytes: " ^ reason)
-        ~name:(name ("drops." ^ reason))
-        (fun () -> List.assoc reason (drop_counts t)))
-    drop_reasons;
+        ~help:("datagrams shed by handle_bytes: " ^ drop_name r)
+        ~name:(name ("drops." ^ drop_name r))
+        (fun () -> t.drops.(drop_code r)))
+    all_drops;
   Obs.Registry.register_counter obs ~help:"datagrams shed by handle_bytes"
     ~name:(name "drops.total") (fun () -> drops_total t);
   Obs.Registry.register_counter obs ~help:"segments transmitted"

@@ -153,7 +153,7 @@ val drop_reasons : string list
     tier maps onto a named drop reason (see {!drop_counts}). *)
 
 type overload_tier = Normal | Shed_new_flows | Drop_batches | Reject
-(** Mirror of [Parallel.Pressure.tier], in severity order. *)
+(** In severity order; [Parallel.Pressure.tier] re-exports it. *)
 
 val set_overload_probe : t -> (unit -> overload_tier) -> unit
 (** Install the tier source, read once per {!handle_bytes} datagram

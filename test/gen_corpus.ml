@@ -251,10 +251,10 @@ let cuckoo_kick () =
    protocol path (R -> server TIME-WAIT) and then retransmits its FIN
    (S) — the TIME-WAIT resurrection probe.  The first six flows are
    contiguous, so each handshake is chased immediately by its own data
-   while the accept-hook redirect is still in flight (stragglers the
-   listener core must forward); the last six are round-robin
-   interleaved, so redirected segments race the Forward_done barrier on
-   the adoptive cores (arrivals the new owner must buffer). *)
+   while the handoff is still in flight (datagrams the dispatcher holds
+   until the connection has moved); the last six are round-robin
+   interleaved, so a flow's segments arrive before, during and after
+   its move. *)
 let smp_migrate () =
   let flow i = Sim.Topology.flow_of_client (300 + i) in
   let per k =

@@ -132,50 +132,70 @@ let test_lockstep_migrate () =
     && multi.Parallel.Smp.per_domain.(2).Parallel.Smp.adopted > 0)
 
 let test_migrate_shuffled_conservation () =
-  (* A seeded random interleave maximizes stragglers: data segments
-     race the handshake-completing ACK into ring 0 and must be
-     forwarded, never lost or double-processed. *)
+  (* A seeded random interleave puts data segments right behind the
+     handshake-completing ACK, and 16-datagram rings keep the
+     dispatcher close enough behind the listener core that they race
+     the handoff: each datagram must be processed exactly once, on the
+     core its flow was routed to when it was steered. *)
   let trace =
     workload ~clients:40 ~requests:6 ~close_after:true
       ~interleave:Sim.Segment_workload.Shuffled ()
   in
   let single = smp ~demux:conn_id ~migrate:true 1 trace in
-  let multi = smp ~demux:conn_id ~migrate:true 4 trace in
+  let multi = smp ~ring_capacity:16 ~demux:conn_id ~migrate:true 4 trace in
   check_lockstep "shuffled migrate d1 vs d4" single multi;
-  let m = multi.Parallel.Smp.per_domain in
+  let processed = ref 0 in
   Array.iter
     (fun (d : Parallel.Smp.domain_result) ->
       Alcotest.(check int)
-        (Printf.sprintf "d%d: no unclassified datagrams" d.index)
-        0 d.unclassified;
-      Alcotest.(check int)
-        (Printf.sprintf "d%d: no stranded buffers" d.index)
-        0 d.leftover)
-    m;
+        (Printf.sprintf "d%d: processed what was steered to it" d.index)
+        d.steered d.processed;
+      processed := !processed + d.processed)
+    multi.Parallel.Smp.per_domain;
+  Alcotest.(check int) "every datagram processed once"
+    (Array.length trace.Sim.Segment_workload.datagrams)
+    !processed;
+  Alcotest.(check int) "no flow held at shutdown" 0
+    multi.Parallel.Smp.unreleased;
   Alcotest.(check int) "handoff accounting exact" 40
     multi.Parallel.Smp.flushes
 
 let test_migrate_backpressure () =
-  (* Two-slot rings keep the dispatcher spinning on full rings while
-     the listener core sends handoff messages: a spinning push must
-     keep reading the control ring, and nothing it reads may overtake
-     the datagram it is blocked on.  A ring of capacity c carries
-     batches of up to c datagrams, so the other capacities leave
-     partial batches of several sizes pending when a relay arrives,
-     and each must ship before the relayed message. *)
+  (* Small rings keep the dispatcher close behind the listener core,
+     so flows migrate mid-trace and their later datagrams are held
+     while the connection moves; the default ring holds this whole
+     trace, so the listener core handles everything before any
+     [Flush] and nothing is held.  Two-slot rings also keep the
+     dispatcher spinning on full rings while the listener core sends
+     control messages: a spinning push must keep reading the control
+     ring, and nothing it reads may overtake the datagram it is blocked
+     on.  A ring of capacity c carries batches of up to c datagrams,
+     so the other capacities leave partial batches of several sizes
+     pending when [Flush] or [Adopt] goes on, and each must ship
+     first. *)
   let trace =
     workload ~clients:40 ~requests:6 ~close_after:true
       ~interleave:Sim.Segment_workload.Shuffled ()
   in
   let single = smp ~demux:conn_id ~migrate:true 1 trace in
-  List.iter
-    (fun ring_capacity ->
-      let multi = smp ~ring_capacity ~demux:conn_id ~migrate:true 3 trace in
-      let label = Printf.sprintf "capacity-%d rings" ring_capacity in
-      check_lockstep (label ^ ", migrate d1 vs d3") single multi;
-      Alcotest.(check int) (label ^ ": every flow handed off") 40
-        multi.Parallel.Smp.handoffs)
-    [ 2; 1; 3; 8 ]
+  let held =
+    List.fold_left
+      (fun held ring_capacity ->
+        let multi = smp ~ring_capacity ~demux:conn_id ~migrate:true 3 trace in
+        let label = Printf.sprintf "capacity-%d rings" ring_capacity in
+        check_lockstep (label ^ ", migrate d1 vs d3") single multi;
+        Alcotest.(check int) (label ^ ": every flow handed off") 40
+          multi.Parallel.Smp.handoffs;
+        let adopters = multi.Parallel.Smp.per_domain in
+        Alcotest.(check bool) (label ^ ": adopting cores processed datagrams")
+          true
+          (adopters.(1).Parallel.Smp.processed
+           + adopters.(2).Parallel.Smp.processed
+          > 0);
+        held + multi.Parallel.Smp.held)
+      0 [ 2; 1; 3; 8 ]
+  in
+  Alcotest.(check bool) "datagrams were held while flows moved" true (held > 0)
 
 let test_migrate_fixed_target () =
   (* Pinning the target puts every accepted flow on one core. *)
@@ -187,14 +207,50 @@ let test_migrate_fixed_target () =
   Alcotest.(check int) "domain 2 owns every connection" 12
     r.Parallel.Smp.per_domain.(2).Parallel.Smp.connections
 
+let test_migrate_reset_before_flush () =
+  (* A client resets its connection right behind the handshake ACK.
+     The three datagrams ship as one batch, so the listener core has
+     closed the connection before its [Flush] arrives: the answer
+     carries no connection, the flow goes back to the listener core,
+     and nothing is handed off or left held. *)
+  let client =
+    Packet.Flow.endpoint (Packet.Ipv4.addr_of_octets 10 9 9 9) 40000
+  in
+  let listener = Packet.Flow.endpoint server.Packet.Flow.addr 8888 in
+  let iss =
+    Tcpcore.Stack.deterministic_iss
+      (Packet.Flow.v ~local:listener ~remote:client)
+  in
+  let segment ?ack_number ~seq flags =
+    Packet.Segment.to_bytes
+      (Packet.Segment.make ~src:client ~dst:listener ~flags ~seq ?ack_number
+         ())
+  in
+  let r =
+    Parallel.Smp.run
+      (Parallel.Smp.config ~demux:conn_id ~migrate:true ~domains:2
+         ~local_addr:server.Packet.Flow.addr ())
+      [| segment ~seq:100l Packet.Tcp_header.flag_syn;
+         segment ~seq:101l ~ack_number:(Int32.add iss 1l)
+           Packet.Tcp_header.flag_ack;
+         segment ~seq:101l Packet.Tcp_header.flag_rst |]
+  in
+  check_no_violations "reset before flush" r;
+  Alcotest.(check int) "one Flush, answered" 1
+    r.Parallel.Smp.per_domain.(0).Parallel.Smp.flushes;
+  Alcotest.(check int) "nothing handed off" 0 r.Parallel.Smp.handoffs;
+  Alcotest.(check int) "no connection left" 0
+    (List.length r.Parallel.Smp.connections)
+
 let test_migrate_corpus_oracle () =
   (* The pinned migration trace: corpus/smp-migrate.prog lowered to
      wire segments (Check.Smp_trace) and replayed through the full
      migrating pipeline.  The oracle is exact handoff conservation —
-     offered = processed-at-old + forwarded + processed-at-new, no
-     datagram lost or double-processed — plus per-flow final states:
-     every Removed flow must be parked in TIME-WAIT on its adoptive
-     core, and the retransmitted-FIN probes must not resurrect it. *)
+     each datagram processed once, on the listener core before its
+     flow's hold or on the adoptive core after — plus per-flow final
+     states: every Removed flow must be parked in TIME-WAIT on its
+     adoptive core, and the retransmitted-FIN probes must not
+     resurrect it. *)
   let prog =
     match Check.Op.load "corpus/smp-migrate.prog" with
     | Ok p -> p
@@ -205,52 +261,58 @@ let test_migrate_corpus_oracle () =
     | Ok l -> l
     | Error e -> Alcotest.failf "lowering: %s" e
   in
-  let run domains =
+  let run ?ring_capacity domains =
     Parallel.Smp.run
-      (Parallel.Smp.config ~demux:conn_id ~migrate:true
+      (Parallel.Smp.config ?ring_capacity ~demux:conn_id ~migrate:true
          ~on_data:Check.Smp_trace.close_on_marker ~domains
          ~local_addr:server.Packet.Flow.addr ())
       low.Check.Smp_trace.datagrams
   in
-  let single = run 1 and multi = run 3 in
-  check_lockstep "corpus d1 vs d3" single multi;
-  Alcotest.(check int) "every datagram accounted"
-    (Array.length low.Check.Smp_trace.datagrams)
-    multi.Parallel.Smp.total;
-  Alcotest.(check int) "exactly one connection per opened flow"
-    low.Check.Smp_trace.opened
-    (List.length multi.Parallel.Smp.connections);
-  Alcotest.(check int) "every accepted flow handed off"
-    low.Check.Smp_trace.opened multi.Parallel.Smp.handoffs;
-  List.iter
-    (fun (e : Check.Smp_trace.expectation) ->
-      match
-        List.find_opt
-          (fun (c : Parallel.Smp.conn_summary) ->
-            Packet.Flow.equal c.flow e.flow)
-          multi.Parallel.Smp.connections
-      with
-      | None ->
-        Alcotest.failf "flow %s has no connection"
-          (Packet.Flow.to_string e.flow)
-      | Some c ->
-        Alcotest.(check string)
-          (Packet.Flow.to_string e.flow ^ ": final state")
-          (Tcpcore.State.to_string e.Check.Smp_trace.state)
-          (Tcpcore.State.to_string c.state);
-        Alcotest.(check int)
-          (Packet.Flow.to_string e.flow ^ ": bytes delivered")
-          e.Check.Smp_trace.bytes_in c.bytes_in)
-    low.Check.Smp_trace.expectations;
-  let time_waits =
-    List.length
-      (List.filter
-         (fun (c : Parallel.Smp.conn_summary) ->
-           Tcpcore.State.equal c.state Tcpcore.State.Time_wait)
-         multi.Parallel.Smp.connections)
+  let single = run 1 in
+  let check_run label multi =
+    check_lockstep label single multi;
+    Alcotest.(check int) (label ^ ": every datagram accounted")
+      (Array.length low.Check.Smp_trace.datagrams)
+      multi.Parallel.Smp.total;
+    Alcotest.(check int) (label ^ ": exactly one connection per opened flow")
+      low.Check.Smp_trace.opened
+      (List.length multi.Parallel.Smp.connections);
+    Alcotest.(check int) (label ^ ": every accepted flow handed off")
+      low.Check.Smp_trace.opened multi.Parallel.Smp.handoffs;
+    List.iter
+      (fun (e : Check.Smp_trace.expectation) ->
+        match
+          List.find_opt
+            (fun (c : Parallel.Smp.conn_summary) ->
+              Packet.Flow.equal c.flow e.flow)
+            multi.Parallel.Smp.connections
+        with
+        | None ->
+          Alcotest.failf "%s: flow %s has no connection" label
+            (Packet.Flow.to_string e.flow)
+        | Some c ->
+          Alcotest.(check string)
+            (Packet.Flow.to_string e.flow ^ ": final state")
+            (Tcpcore.State.to_string e.Check.Smp_trace.state)
+            (Tcpcore.State.to_string c.state);
+          Alcotest.(check int)
+            (Packet.Flow.to_string e.flow ^ ": bytes delivered")
+            e.Check.Smp_trace.bytes_in c.bytes_in)
+      low.Check.Smp_trace.expectations;
+    let time_waits =
+      List.length
+        (List.filter
+           (fun (c : Parallel.Smp.conn_summary) ->
+             Tcpcore.State.equal c.state Tcpcore.State.Time_wait)
+           multi.Parallel.Smp.connections)
+    in
+    Alcotest.(check int) (label ^ ": no TIME-WAIT resurrection")
+      low.Check.Smp_trace.closed time_waits
   in
-  Alcotest.(check int) "no TIME-WAIT resurrection"
-    low.Check.Smp_trace.closed time_waits;
+  (* The default ring takes the whole trace before the first [Flush];
+     two-slot rings make flows move mid-trace, with datagrams held. *)
+  check_run "corpus d1 vs d3" (run 3);
+  check_run "corpus d1 vs d3, two-slot rings" (run ~ring_capacity:2 3);
   Alcotest.(check bool) "resurrection probes actually fired" true
     (low.Check.Smp_trace.probes > 0)
 
@@ -313,9 +375,9 @@ let test_pressure_forced_reject () =
 let test_pressure_control_never_shed () =
   (* Handoff messages share the adopting core's ring with datagrams,
      but only datagrams go through the tier gate: with domain 2 at
-     Reject, its datagrams are refused while every [Adopt] and
-     [Forward_done] still lands.  Domains 0 and 1 are pinned at Normal
-     so their two-slot rings push back instead of shedding. *)
+     Reject, its datagrams, held ones too, are refused while every
+     [Adopt] still lands.  Domains 0 and 1 are pinned at Normal so
+     their two-slot rings push back instead of shedding. *)
   let clients = 30 in
   let trace =
     workload ~clients ~requests:4
@@ -476,24 +538,30 @@ let test_steer_zero_alloc () =
 
 let test_stage_breakdown () =
   let trace = workload ~clients:20 ~requests:3 () in
-  let r = smp ~stages:true 2 trace in
-  check_no_violations "stages" r;
-  let total = trace.Sim.Segment_workload.datagrams |> Array.length in
-  let stage name =
-    match List.assoc_opt name r.Parallel.Smp.stages with
-    | Some h -> h
-    | None -> Alcotest.failf "missing stage %s" name
-  in
-  Alcotest.(check int) "every datagram steered" total
-    (Obs.Histogram.count (stage "steer"));
-  Alcotest.(check int) "every datagram enqueued" total
-    (Obs.Histogram.count (stage "enqueue"));
-  Alcotest.(check int) "every datagram parsed" total
-    (Obs.Histogram.count (stage "parse"));
-  Alcotest.(check int) "every segment demultiplexed" total
-    (Obs.Histogram.count (stage "demux"));
-  Alcotest.(check int) "every segment ran the state machine" total
-    (Obs.Histogram.count (stage "state"));
+  (* The migrating run's 16-datagram rings make flows move mid-trace,
+     and a held datagram counts in every stage too, once. *)
+  let migrating = workload ~clients:40 ~requests:6 ~close_after:true () in
+  List.iter
+    (fun (label, trace, r) ->
+      check_no_violations label r;
+      let total = Array.length trace.Sim.Segment_workload.datagrams in
+      let stage name =
+        match List.assoc_opt name r.Parallel.Smp.stages with
+        | Some h -> h
+        | None -> Alcotest.failf "%s: missing stage %s" label name
+      in
+      List.iter
+        (fun (name, what) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: every %s" label what)
+            total
+            (Obs.Histogram.count (stage name)))
+        [ ("steer", "datagram steered"); ("enqueue", "datagram enqueued");
+          ("parse", "datagram parsed"); ("demux", "segment demultiplexed");
+          ("state", "segment ran the state machine") ])
+    [ ("stages", trace, smp ~stages:true 2 trace);
+      ( "migrating stages", migrating,
+        smp ~stages:true ~ring_capacity:16 ~migrate:true 3 migrating ) ];
   (* An un-instrumented run records nothing. *)
   let bare = smp 2 trace in
   Alcotest.(check int) "stages off by default" 0
@@ -513,6 +581,8 @@ let () =
           Alcotest.test_case "two-slot rings d1 = d3" `Quick
             test_migrate_backpressure;
           Alcotest.test_case "fixed target" `Quick test_migrate_fixed_target;
+          Alcotest.test_case "reset before its Flush" `Quick
+            test_migrate_reset_before_flush;
           Alcotest.test_case "pinned corpus oracle" `Quick
             test_migrate_corpus_oracle ] );
       ( "pressure",

@@ -843,6 +843,66 @@ let test_stack_overload_tiers () =
   Alcotest.(check int) "recovered" 2 (Tcpcore.Stack.connection_count stack);
   Alcotest.(check int) "drops sum" 4 (Tcpcore.Stack.drops_total stack)
 
+let test_stack_drop_codes () =
+  (* Each drop reason, triggered once: exactly its counter moves, and
+     the one [Drop] event traced with it carries a code that decodes
+     back to it. *)
+  let server, client = make_pair () in
+  let tier = ref Tcpcore.Stack.Normal in
+  Tcpcore.Stack.set_overload_probe server (fun () -> !tier);
+  Tcpcore.Stack.listen server ~port:8888 ~on_data:(fun _ _ _ ->
+      failwith "on_data");
+  let conn = Tcpcore.Stack.connect client ~local_port:4000 ~remote:server_ep in
+  pump server client;
+  let tracer = Obs.Trace.create ~capacity:256 () in
+  Tcpcore.Stack.set_tracer server tracer;
+  let segment ?(dst = server_ep) ~port ~flags () =
+    Packet.Segment.to_bytes
+      (Packet.Segment.make ~src:(client_ep port) ~dst ~flags ~seq:7l
+         ~ack_number:9l ())
+  in
+  let data =
+    Tcpcore.Stack.send client conn "boom";
+    match Tcpcore.Stack.poll_output client with
+    | [ seg ] -> Packet.Segment.to_bytes seg
+    | _ -> Alcotest.fail "expected one data segment"
+  in
+  List.iter
+    (fun (reason, at, datagram) ->
+      tier := at;
+      let before = Tcpcore.Stack.drop_counts server in
+      Obs.Trace.clear tracer;
+      ignore (Tcpcore.Stack.handle_bytes server datagram);
+      let moved =
+        List.filter_map
+          (fun ((name, n), (_, m)) ->
+            if m <> n then Some (name, m - n) else None)
+          (List.combine before (Tcpcore.Stack.drop_counts server))
+      in
+      Alcotest.(check (list (pair string int)))
+        (reason ^ ": its counter moved") [ (reason, 1) ] moved;
+      Alcotest.(check (list (option string)))
+        (reason ^ ": traced code decodes to it") [ Some reason ]
+        (List.filter_map
+           (fun (e : Obs.Trace.record) ->
+             if e.kind = Obs.Trace.Drop then
+               Some (Tcpcore.Stack.drop_reason_of_code e.a)
+             else None)
+           (Obs.Trace.to_list tracer)))
+    [ ("parse-error", Tcpcore.Stack.Normal, Bytes.create 3);
+      ( "wrong-destination", Tcpcore.Stack.Normal,
+        segment ~dst:(Packet.Flow.endpoint (addr 172 16 0 9) 8888) ~port:5000
+          ~flags:Packet.Tcp_header.flag_syn () );
+      ("handler-error", Tcpcore.Stack.Normal, data);
+      ( "overload-shed-new-flow", Tcpcore.Stack.Shed_new_flows,
+        segment ~port:5001 ~flags:Packet.Tcp_header.flag_syn () );
+      ( "overload-drop-batch", Tcpcore.Stack.Drop_batches,
+        segment ~port:5002 ~flags:Packet.Tcp_header.flag_ack () );
+      ("overload-reject", Tcpcore.Stack.Reject, Bytes.create 3) ];
+  Alcotest.(check int) "every reason triggered once"
+    (List.length Tcpcore.Stack.drop_reasons)
+    (Tcpcore.Stack.drops_total server)
+
 let test_stack_overload_probe_once () =
   (* The tier is read once per datagram.  A probe that flips between
      Normal and Reject on every call (a dispatcher domain moving the
@@ -1232,6 +1292,8 @@ let () =
             test_stack_rto_jitter_off_is_doubling;
           Alcotest.test_case "overload tiers" `Quick
             test_stack_overload_tiers;
+          Alcotest.test_case "drop codes decode to their reason" `Quick
+            test_stack_drop_codes;
           Alcotest.test_case "overload probe read once per datagram" `Quick
             test_stack_overload_probe_once;
           Alcotest.test_case "fuzzed bytes never raise" `Quick
