@@ -1621,23 +1621,21 @@ let e35 =
    the lookup; here each domain owns a complete TCP stack — connection
    table, timer wheel, demux table — and a dispatcher steers raw
    datagrams by flow, so the full path (parse -> demux -> state
-   machine) runs without a single shared mutable word.  Three passes:
-   the domain ladder for delivered packets/sec, an instrumented run
-   for the per-stage latency breakdown (steer and enqueue on the
-   dispatcher, parse/demux/state on the owning core), and a migration
-   run — every accepted connection handed off the listener core —
-   gated on exact conservation.  Throughput rows are recorded at every
-   rung regardless of the host; the strict 8-domain > 1-domain bar is
-   only enforced where 8 hardware threads exist, because on fewer
-   cores the ladder measures time-slicing, not scaling. *)
+   machine) runs without a single shared mutable word.  Two passes:
+   the domain ladder for delivered packets/sec, and a migration run —
+   every accepted connection handed off the listener core — gated on
+   exact conservation.  Neither times a stage: rxbench's traced
+   smp-oltp run is the per-stage account (EXPERIMENTS.md E36).
+   Throughput rows are recorded at every rung regardless of the host;
+   the strict 8-domain > 1-domain bar is only enforced where 8
+   hardware threads exist, because on fewer cores the ladder measures
+   time-slicing, not scaling. *)
 
 let e36_domains = [ 1; 2; 4; 8 ]
-let e36_stage_names = [ "steer"; "enqueue"; "parse"; "demux"; "state" ]
 let e36_server_addr = Sim.Topology.server.Packet.Flow.addr
 
 type e36_result = {
   ladder : (int * Parallel.Smp.result) list;
-  instrumented : Parallel.Smp.result;
   migrated : Parallel.Smp.result;
 }
 
@@ -1650,20 +1648,13 @@ let e36_run ~smoke =
       .Sim.Segment_workload.datagrams
   in
   let run config = Parallel.Smp.run config datagrams in
-  (* The scaling ladder: chain-affine steering, no migration, stage
-     clocks off so the rate is the pipeline's own. *)
+  (* The scaling ladder: chain-affine steering, no migration. *)
   let ladder =
     List.map
       (fun domains ->
         (domains,
          run (Parallel.Smp.config ~domains ~local_addr:e36_server_addr ())))
       e36_domains
-  in
-  (* The instrumented pass: stage histograms on, 4 domains. *)
-  let instrumented =
-    run
-      (Parallel.Smp.config ~stages:true ~domains:4
-         ~local_addr:e36_server_addr ())
   in
   (* The migration pass: listener core accepts, every connection
      migrates, the dispatcher holds each flow while it moves;
@@ -1674,10 +1665,7 @@ let e36_run ~smoke =
          ~demux:(Demux.Registry.Conn_id { capacity = 65536 })
          ~migrate:true ~domains:4 ~local_addr:e36_server_addr ())
   in
-  { ladder; instrumented; migrated }
-
-let e36_stage r name =
-  List.assoc name r.instrumented.Parallel.Smp.stages
+  { ladder; migrated }
 
 let e36_gate ~smoke:_ r =
   let conservation label (result : Parallel.Smp.result) =
@@ -1688,23 +1676,13 @@ let e36_gate ~smoke:_ r =
           (Printf.sprintf "E36 BROKEN: %s violates conservation:" label
           :: violations) ]
   in
-  let total = r.instrumented.Parallel.Smp.total in
   let rate domains = (List.assoc domains r.ladder).Parallel.Smp.packets_per_s in
   let threads = Domain.recommended_domain_count () in
   List.concat_map
     (fun (d, result) ->
       conservation (Printf.sprintf "ladder at %d domains" d) result)
     r.ladder
-  @ conservation "instrumented run" r.instrumented
   @ conservation "migration run" r.migrated
-  (* Stage coverage: the breakdown must have seen every datagram, or
-     the latency story is dark. *)
-  @ List.concat_map
-      (fun name ->
-        let seen = Obs.Histogram.count (e36_stage r name) in
-        failing (seen <> total) "E36 BROKEN: stage %s saw %d of %d datagrams"
-          name seen total)
-      e36_stage_names
   @ failing (r.migrated.Parallel.Smp.handoffs = 0)
       "E36 BROKEN: migration run performed no handoffs"
   (* The scaling bar, where the hardware can express it. *)
@@ -1726,15 +1704,6 @@ let e36 =
                    fun (result : Parallel.Smp.result) ->
                      result.Parallel.Smp.packets_per_s) ])
             e36_domains
-         @ List.concat_map
-             (fun name ->
-               point
-                 (fun r -> e36_stage r name)
-                 [ (Printf.sprintf "smp.stage.%s.p50_ns" name, "ns",
-                    fun h -> float_of_int (Obs.Histogram.p50 h));
-                   (Printf.sprintf "smp.stage.%s.p99_ns" name, "ns",
-                    fun h -> float_of_int (Obs.Histogram.p99 h)) ])
-             e36_stage_names
          @ point
              (fun r -> r.migrated)
              [ ("smp.migrate.handoffs", "flows",
@@ -1764,15 +1733,6 @@ let e36 =
         row "scaling bar skipped (%d hardware threads < 8); rates \
              recorded, not enforced\n"
           threads;
-      row "per-stage latency (4 domains, every datagram):\n";
-      List.iter
-        (fun name ->
-          match List.assoc_opt name r.instrumented.Parallel.Smp.stages with
-          | Some h ->
-            row "  %-8s p50 %6d ns   p99 %8d ns\n" name
-              (Obs.Histogram.p50 h) (Obs.Histogram.p99 h)
-          | None -> ())
-        e36_stage_names;
       row
         "migration: %d handoffs, %d datagrams held, %d flushes, \
          conservation exact\n"
@@ -1842,10 +1802,9 @@ let histogram_records ~id snapshot =
     snapshot
 
 (* Measure one experiment once, print it when [print], read every
-   record it declares, then apply its gate; return its records.  A
-   declared record the run did not produce fails the run like a gate
-   does.  This is the only place the bench reports a failed bar: on
-   stderr, then exit 1. *)
+   record it declares, then apply its gate; return its records and
+   its failed bars.  A declared record the run did not produce fails
+   the run like a gate does. *)
 let run_experiment ~smoke ~print (E e) =
   let result = e.run ~smoke in
   if print then e.print result;
@@ -1863,23 +1822,23 @@ let run_experiment ~smoke ~print (E e) =
           Either.Left (histogram_records ~id (snapshot result)))
       (e.records ~smoke)
   in
-  (match if missing = [] then e.gate ~smoke result else missing with
-  | [] -> ()
-  | failures ->
-    List.iter prerr_endline failures;
-    exit 1);
-  List.concat records
+  (List.concat records, if missing = [] then e.gate ~smoke result else missing)
 
-let write_records path records =
+(* The records go out with the run's failed bars, so a failing run
+   still reaches --check and the archive, which refuse it. *)
+let write_records path records failures =
   Obs.Json.write_file path
     (Obs.Json.Obj
        [ ("schema", Obs.Json.String "tcpdemux-bench/1");
-         ("records", Obs.Json.List records) ]);
-  Printf.printf "wrote %d benchmark records to %s\n" (List.length records) path
+         ("records", Obs.Json.List records);
+         ("failures",
+          Obs.Json.List (List.map (fun f -> Obs.Json.String f) failures)) ]);
+  Printf.printf "wrote %d benchmark records (%d failed bars) to %s\n"
+    (List.length records) (List.length failures) path
 
-(* Schema sanity for --check: fail loudly (exit 1) on anything a
-   regression dashboard could not ingest, or on a missing record the
-   table declares. *)
+(* Schema sanity for --check: fail loudly (exit 1) on a run that
+   failed a bar, on anything a regression dashboard could not ingest,
+   or on a missing record the table declares. *)
 let check_records path =
   let fail message =
     Printf.eprintf "%s: %s\n" path message;
@@ -1894,6 +1853,14 @@ let check_records path =
     | Some other ->
       fail (Printf.sprintf "schema %S, want tcpdemux-bench/1" other)
     | None -> fail "missing schema field");
+    (match field "failures" json Obs.Json.to_list_opt with
+    | Some [] -> ()
+    | Some failures ->
+      fail
+        (String.concat "\n"
+           ("the run failed these bars:"
+           :: List.filter_map Obs.Json.to_string_opt failures))
+    | None -> fail "failures is not a list");
     (match field "records" json Obs.Json.to_list_opt with
     | None -> fail "records is not a list"
     | Some [] -> fail "records is empty"
@@ -1950,8 +1917,8 @@ let check_records path =
         fail "E36 migration conservation violated (smp.migrate.violations > 0)"
       | Some _ | None -> ());
       Printf.printf
-        "%s: %d records (all %d declared present, migration conservation \
-         ok), schema ok\n"
+        "%s: %d records (all %d declared present, no failed bar, \
+         migration conservation ok), schema ok\n"
         path (List.length items) (List.length declared))
 
 (* The differential-check and chaos gates: --check refuses to bless a
@@ -2182,12 +2149,13 @@ let usage () =
     \       bench --check FILE\n\
      \  --smoke      small populations and windows (CI); without --eNN,\n\
      \               runs only the experiments that declare records\n\
-     \  --json FILE  write tcpdemux-bench/1 records to FILE\n\
+     \  --json FILE  write tcpdemux-bench/1 records, and the bars the run\n\
+     \               failed, to FILE\n\
      \  --eNN        run only experiment ENN (repeatable; e.g. --e29),\n\
      \               full size unless --smoke, no microbenchmarks\n\
-     \  --check FILE validate a records file (schema and every declared\n\
-     \               record) plus the passing check.json and chaos.json\n\
-     \               reports in FILE's directory, and exit";
+     \  --check FILE validate a records file (schema, every declared\n\
+     \               record, no failed bar) plus the passing check.json\n\
+     \               and chaos.json reports in FILE's directory, and exit";
   exit 2
 
 let () =
@@ -2224,9 +2192,18 @@ let () =
       | [] -> experiments
       | chosen -> chosen
     in
-    let records =
-      List.concat_map (run_experiment ~smoke ~print:(not smoke)) entries
+    let records, failures =
+      List.split (List.map (run_experiment ~smoke ~print:(not smoke)) entries)
     in
-    Option.iter (fun path -> write_records path records) !json;
+    let failures = List.concat failures in
+    Option.iter
+      (fun path -> write_records path (List.concat records) failures)
+      !json;
+    (* The only place the bench reports a failed bar: every one, on
+       stderr, after every selected experiment has run. *)
+    if failures <> [] then begin
+      List.iter prerr_endline failures;
+      exit 1
+    end;
     (match !selected with [] -> run_bechamel ~smoke () | _ :: _ -> ());
     print_endline "\ndone."

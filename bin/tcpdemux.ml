@@ -709,7 +709,7 @@ let run_smp ~domains ~migrate ~smoke ~seed obs_json =
     (fun d ->
       let r =
         Parallel.Smp.run
-          (Parallel.Smp.config ?demux ~migrate ~stages:true ~domains:d
+          (Parallel.Smp.config ?demux ~migrate ~domains:d
              ~local_addr:Sim.Topology.server.Packet.Flow.addr ())
           trace.Sim.Segment_workload.datagrams
       in
@@ -920,10 +920,11 @@ let parallel_cmd =
              lookup-throughput targets: one complete TCP stack \
              (connection table, timer wheel, demux table) per domain in \
              --domains, fed by a dispatcher steering a deterministic \
-             segment workload; prints packets/sec and the per-stage \
-             latency breakdown, and fails if handoff conservation is \
-             violated.  With --obs-json, smp.dN.* counters and stage \
-             histograms land in the snapshot.")
+             segment workload; prints packets/sec and each domain's \
+             ledger, and fails if handoff conservation is violated.  \
+             With --obs-json, each run's counters, rate and elapsed \
+             time land in the snapshot under smp.dN.* (N the run's \
+             domain count).")
   in
   let migrate =
     Arg.(

@@ -10,7 +10,6 @@ type config = {
   pressure : Pressure.config option;
   on_pressure : Pressure.t array -> unit;
   stall : (int * int) option;
-  stages : bool;
 }
 
 let config ?(ring_capacity = 1024)
@@ -19,8 +18,7 @@ let config ?(ring_capacity = 1024)
         { chains = Demux.Sequent.default_chains;
           hasher = Hashing.Hashers.multiplicative })
     ?(migrate = false) ?migrate_target ?(on_data = fun _ _ _ -> ()) ?pressure
-    ?(on_pressure = fun _ -> ()) ?stall ?(stages = false) ~domains ~local_addr
-    () =
+    ?(on_pressure = fun _ -> ()) ?stall ~domains ~local_addr () =
   if domains <= 0 then invalid_arg "Smp.config: domains <= 0";
   if ring_capacity <= 0 then invalid_arg "Smp.config: ring_capacity <= 0";
   (match migrate_target with
@@ -36,7 +34,7 @@ let config ?(ring_capacity = 1024)
   | Some (_, ns) when ns < 0 -> invalid_arg "Smp.config: negative stall"
   | _ -> ());
   { domains; ring_capacity; demux; migrate; migrate_target; local_addr;
-    on_data; pressure; on_pressure; stall; stages }
+    on_data; pressure; on_pressure; stall }
 
 (* Every worker's listener; the traffic generators' server port. *)
 let listen_port = 8888
@@ -84,7 +82,6 @@ type result = {
   unreleased : int;
   elapsed_s : float;
   packets_per_s : float;
-  stages : (string * Obs.Histogram.t) list;
 }
 
 (* Everything a worker pops off its one ring, the dispatcher its only
@@ -118,7 +115,7 @@ type route = Routed of int | Held of bytes Queue.t
    after each message it has finished, control sends included, adds
    the datagrams it carried to [finished] (one for a [Flush]). *)
 let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
-    ~stage_parse ~stage_demux ~stage_state () =
+    () =
   let stack =
     Tcpcore.Stack.create ~demux:cfg.demux
       ~iss:Tcpcore.Stack.deterministic_iss ~local_addr:cfg.local_addr ()
@@ -128,9 +125,6 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
   | Some p ->
     Tcpcore.Stack.set_overload_probe stack (fun () -> Pressure.tier p)
   | None -> ());
-  if cfg.stages then
-    Tcpcore.Stack.set_stage_histograms stack ~parse:stage_parse
-      ~demux:stage_demux ~state:stage_state;
   let processed = ref 0
   and adopted = ref 0
   and migrated_out = ref 0
@@ -280,16 +274,6 @@ let run (cfg : config) datagrams =
   let pressure =
     Array.init d (fun k -> Option.map (fun cs -> cs.(k)) controllers)
   in
-  let mk_h () = if cfg.stages then Some (Obs.Histogram.create ()) else None in
-  let parse_h = Array.init d (fun _ -> mk_h ())
-  and demux_h = Array.init d (fun _ -> mk_h ())
-  and state_h = Array.init d (fun _ -> mk_h ()) in
-  let steer_h = mk_h () and enqueue_h = mk_h () in
-  let record h t0 =
-    match h with
-    | Some h -> Obs.Histogram.record h (Obs.Clock.now_ns () - t0)
-    | None -> ()
-  in
   let started = Obs.Clock.now_ns () in
   let workers =
     Array.init d (fun k ->
@@ -300,8 +284,7 @@ let run (cfg : config) datagrams =
                 (match cfg.stall with
                 | Some (i, ns) when i = k -> ns
                 | _ -> 0)
-              ~stage_parse:parse_h.(k) ~stage_demux:demux_h.(k)
-              ~stage_state:state_h.(k) ()))
+              ()))
   in
   (* Dispatcher state.  The route map is private to this domain, keyed
      by flow words, and holds all handoff state.  [relay] holds control
@@ -424,12 +407,8 @@ let run (cfg : config) datagrams =
       relay_all ()
     end;
     let bytes = datagrams.(i) in
-    let t0 = if cfg.stages then Obs.Clock.now_ns () else 0 in
     let w = steer bytes in
-    record steer_h t0;
-    let e0 = if cfg.stages then Obs.Clock.now_ns () else 0 in
-    if w >= 0 then stage w bytes;
-    record enqueue_h e0
+    if w >= 0 then stage w bytes
   done;
   for w = 0 to d - 1 do
     Dispatcher.flush staging w
@@ -482,17 +461,6 @@ let run (cfg : config) datagrams =
       (fun a b -> Packet.Flow.compare a.flow b.flow)
       (Array.fold_left (fun acc (_, cs) -> List.rev_append cs acc) [] summaries)
   in
-  let stages =
-    match (steer_h, enqueue_h) with
-    | Some steer, Some enqueue ->
-      let merged arr =
-        Obs.Histogram.merge_all
-          (List.filter_map Fun.id (Array.to_list arr))
-      in
-      [ ("steer", steer); ("enqueue", enqueue); ("parse", merged parse_h);
-        ("demux", merged demux_h); ("state", merged state_h) ]
-    | _ -> []
-  in
   { domains = d; total; per_domain;
     merged_drops =
       merge_counts (Array.to_list (Array.map (fun s -> s.drops) per_domain));
@@ -508,8 +476,7 @@ let run (cfg : config) datagrams =
         route 0;
     elapsed_s;
     packets_per_s =
-      (if elapsed_s > 0.0 then float_of_int delivered /. elapsed_s else 0.0);
-    stages }
+      (if elapsed_s > 0.0 then float_of_int delivered /. elapsed_s else 0.0) }
 
 let violations (r : result) =
   let v = ref [] in
@@ -564,16 +531,7 @@ let register_obs ?(prefix = "smp") (r : result) obs =
       counter (dn "adopted") "connections adopted" dr.adopted;
       counter (dn "connections") "resident connections at end"
         dr.connections)
-    r.per_domain;
-  List.iter
-    (fun (stage, h) ->
-      let into =
-        Obs.Registry.histogram obs ~units:"ns"
-          ~help:(stage ^ " stage latency")
-          (name ("stage." ^ stage))
-      in
-      Obs.Histogram.merge_into ~into h)
-    r.stages
+    r.per_domain
 
 let pp ppf (r : result) =
   Format.fprintf ppf
@@ -588,11 +546,4 @@ let pp ppf (r : result) =
         (match dr.tier with
         | Some t -> Printf.sprintf " tier %s" t
         | None -> ""))
-    r.per_domain;
-  List.iter
-    (fun (stage, h) ->
-      if not (Obs.Histogram.is_empty h) then
-        Format.fprintf ppf "@,  stage %-7s p50 %6d ns  p99 %7d ns  (%d)"
-          stage (Obs.Histogram.p50 h) (Obs.Histogram.p99 h)
-          (Obs.Histogram.count h))
-    r.stages
+    r.per_domain

@@ -110,9 +110,6 @@ type config = {
   stall : (int * int) option;
       (** [(domain, ns)]: busy-wait [ns] per datagram on one worker,
           simulating a slow core for degradation tests. *)
-  stages : bool;
-      (** Record per-stage latency histograms (see {!result.stages}).
-          Off by default: the hot path then never reads the clock. *)
 }
 
 val config :
@@ -124,14 +121,13 @@ val config :
   ?pressure:Pressure.config ->
   ?on_pressure:(Pressure.t array -> unit) ->
   ?stall:int * int ->
-  ?stages:bool ->
   domains:int ->
   local_addr:Packet.Ipv4.addr ->
   unit ->
   config
 (** Defaults: ring capacity 1024, Sequent with
     {!Demux.Sequent.default_chains} chains (the stack's own default),
-    no migration, no-op [on_data], no pressure, no stall, stages off.
+    no migration, no-op [on_data], no pressure, no stall.
     @raise Invalid_argument on non-positive domains / capacity,
     a stall or migrate target outside [0, domains), or
     [migrate_target] without [migrate]. *)
@@ -186,11 +182,12 @@ type result = {
       (** Flows still held at shutdown: 0 unless the handoff protocol
           is broken. *)
   elapsed_s : float;
+      (** Wall clock from before the first spawn to after the last
+          join, the run's only clock reads besides [stall]'s
+          busy-wait: no datagram is timed.  The per-stage costs of
+          this path are rxbench's traced smp-oltp run
+          ([bench/rx]). *)
   packets_per_s : float;              (** Delivered datagrams / s. *)
-  stages : (string * Obs.Histogram.t) list;
-      (** With [stages]: [parse], [steer], [enqueue], [demux], [state]
-          latency histograms in nanoseconds, worker-side ones merged
-          across domains.  Empty otherwise. *)
 }
 
 val steer : config -> bytes -> int
@@ -218,7 +215,7 @@ val violations : result -> string list
     [Flush] was answered, and no flow is held at shutdown. *)
 
 val register_obs : ?prefix:string -> result -> Obs.Registry.t -> unit
-(** Register the run's counters (totals and per-domain) and stage
-    histograms under ["<prefix>."] (default ["smp"]). *)
+(** Register the run's counters (totals and per-domain), rate and
+    elapsed time under ["<prefix>."] (default ["smp"]). *)
 
 val pp : Format.formatter -> result -> unit

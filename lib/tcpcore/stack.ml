@@ -72,11 +72,6 @@ and t = {
   mutable next_iss : int32;
   iss_for : (Packet.Flow.t -> int32) option;
   mutable on_established : (t -> connection -> unit) option;
-  (* Per-stage latency histograms (parse / demux / state), off by
-     default: the receive path reads the clock only when attached. *)
-  mutable stage_parse : Obs.Histogram.t option;
-  mutable stage_demux : Obs.Histogram.t option;
-  mutable stage_state : Obs.Histogram.t option;
   mutable segments_sent : int;
   mutable rsts_sent : int;
   mutable retransmissions : int;
@@ -114,7 +109,6 @@ let create ?(demux =
   { local_addr; tracer = Obs.Trace.disabled;
     table = Conn_table.create demux; outbox = [];
     next_iss = 1000l; iss_for = iss; on_established = None;
-    stage_parse = None; stage_demux = None; stage_state = None;
     segments_sent = 0; rsts_sent = 0; retransmissions = 0;
     drops = Array.make (List.length all_drops) 0;
     time_wait_timeout; retransmit_timeout; max_retransmits;
@@ -125,11 +119,6 @@ let create ?(demux =
 
 let set_overload_probe t probe = t.overload_probe <- probe
 let set_on_established t hook = t.on_established <- hook
-
-let set_stage_histograms t ~parse ~demux ~state =
-  t.stage_parse <- parse;
-  t.stage_demux <- demux;
-  t.stage_state <- state
 
 let local_addr t = t.local_addr
 
@@ -630,20 +619,7 @@ let handle_segment_at t tier (segment : Packet.Segment.t) =
     let flow = Packet.Segment.flow segment in
     let kind = Demux.Types.kind_of_segment segment in
     let payload_len = String.length segment.Packet.Segment.payload in
-    let timing = t.stage_demux <> None || t.stage_state <> None in
-    let demux_t0 = if timing then Obs.Clock.now_ns () else 0 in
-    let result = Conn_table.lookup t.table ~kind flow in
-    let state_t0 =
-      if not timing then 0
-      else begin
-        let now = Obs.Clock.now_ns () in
-        (match t.stage_demux with
-        | Some h -> Obs.Histogram.record h (now - demux_t0)
-        | None -> ());
-        now
-      end
-    in
-    (match result with
+    match Conn_table.lookup t.table ~kind flow with
     | Conn_table.Connection pcb ->
       let conn = pcb.Demux.Pcb.data in
       handle_connection t conn segment;
@@ -659,10 +635,7 @@ let handle_segment_at t tier (segment : Packet.Segment.t) =
       if tier = Drop_batches then note_overload_drop t Drop_batches payload_len
       else if not flags.Packet.Tcp_header.rst then
         emit_rst t ~flow ~seq:0l
-          ~ack_number:(Int32.add tcp.Packet.Tcp_header.seq 1l));
-    match t.stage_state with
-    | Some h -> Obs.Histogram.record h (Obs.Clock.now_ns () - state_t0)
-    | None -> ()
+          ~ack_number:(Int32.add tcp.Packet.Tcp_header.seq 1l)
 
 let handle_segment t segment =
   handle_segment_at t (t.overload_probe ()) segment
@@ -677,14 +650,7 @@ let handle_bytes t buf =
     note_overload_drop t Reject (Bytes.length buf);
     Error "stack: overloaded; datagram rejected"
   | (Normal | Shed_new_flows | Drop_batches) as tier -> (
-  let parse_t0 =
-    match t.stage_parse with None -> 0 | Some _ -> Obs.Clock.now_ns ()
-  in
-  let parsed = Packet.Segment.parse buf ~off:0 in
-  (match t.stage_parse with
-  | Some h -> Obs.Histogram.record h (Obs.Clock.now_ns () - parse_t0)
-  | None -> ());
-  match parsed with
+  match Packet.Segment.parse buf ~off:0 with
   | Error reason ->
     note_drop t Parse_error (Bytes.length buf);
     Error reason
@@ -705,7 +671,18 @@ let handle_bytes t buf =
     end)
 
 let drop_reasons = List.map drop_name all_drops
-let drop_reason_of_code code = List.nth_opt drop_reasons code
+
+(* Codes come back from trace payloads, which may be any integer. *)
+let drop_reason_of_code code =
+  Option.map drop_name
+    (match code with
+    | 0 -> Some Parse_error
+    | 1 -> Some Wrong_destination
+    | 2 -> Some Handler_error
+    | 3 -> Some Overload_shed_new_flow
+    | 4 -> Some Overload_drop_batch
+    | 5 -> Some Overload_reject
+    | _ -> None)
 
 let drop_counts t =
   List.map (fun r -> (drop_name r, t.drops.(drop_code r))) all_drops

@@ -12,7 +12,9 @@
 
     The stack is push-driven and owns no I/O: callers feed segments in
     with {!handle_segment} / {!handle_bytes} and drain replies with
-    {!poll_output}. *)
+    {!poll_output}.  It reads no clock: time enters only through
+    {!advance_clock}, and the per-layer cost of its receive path is
+    measured from outside, by rxbench's traced run ([bench/rx]). *)
 
 type t
 
@@ -168,20 +170,8 @@ val set_overload_probe : t -> (unit -> overload_tier) -> unit
     under its tier's reason and traced as a [Drop] event. *)
 
 val drop_reason_of_code : int -> string option
-(** Decode a traced [Drop] event's payload [a] back to its reason. *)
-
-val set_stage_histograms :
-  t ->
-  parse:Obs.Histogram.t option ->
-  demux:Obs.Histogram.t option ->
-  state:Obs.Histogram.t option ->
-  unit
-(** Attach per-stage latency histograms (nanoseconds): [parse] times
-    {!Packet.Segment.parse} inside {!handle_bytes}, [demux] the
-    metered PCB lookup inside {!handle_segment}, [state] the rest of
-    segment processing (state machine + reply emission).  All three
-    default to detached, in which case the receive path never reads
-    the clock. *)
+(** Decode a traced [Drop] event's payload [a] back to its reason;
+    [None] for any other integer, as a damaged trace may carry. *)
 
 val set_tracer : t -> Obs.Trace.t -> unit
 (** Attach a tracer to both the stack ([Drop] events, payload: reason
