@@ -595,8 +595,8 @@ let e29_measure ~trials ~lookups n =
   let flat = Demux.Flat_table.create ~initial_capacity:n () in
   Array.iteri
     (fun id f ->
-      Demux.Flat_table.replace flat ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f)
+      Demux.Flat_table.replace flat ~w0:(Packet.Flow.w0 f)
+        ~w1:(Packet.Flow.w1 f)
         (Demux.Pcb.make ~id ~flow:f ()))
     population;
   let run_chained count =
@@ -608,8 +608,8 @@ let e29_measure ~trials ~lookups n =
     for k = 0 to count - 1 do
       let f = population.(order.(k)) in
       ignore
-        (Demux.Flat_table.find flat ~w0:(Demux.Flow_key.w0_of_flow f)
-           ~w1:(Demux.Flow_key.w1_of_flow f))
+        (Demux.Flat_table.find flat ~w0:(Packet.Flow.w0 f)
+           ~w1:(Packet.Flow.w1 f))
     done
   in
   (* Warm both tables (fault in code paths and caches) before timing. *)
@@ -869,7 +869,7 @@ let e33_read_path ~smoke =
   E.load t
     (Array.mapi
        (fun i f ->
-         (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f, i))
+         (Packet.Flow.w0 f, Packet.Flow.w1 f, i))
        flows);
   let rng = Numerics.Rng.create ~seed:bench_seed in
   let order =
@@ -881,8 +881,7 @@ let e33_read_path ~smoke =
     for k = 0 to count - 1 do
       let f = flows.(order.(k)) in
       ignore
-        (E.mem t ~w0:(Demux.Flow_key.w0_of_flow f)
-           ~w1:(Demux.Flow_key.w1_of_flow f))
+        (E.mem t ~w0:(Packet.Flow.w0 f) ~w1:(Packet.Flow.w1 f))
     done
   in
   (* Warm: the one-time reader registration happens here, before the

@@ -42,15 +42,7 @@ let colliding_candidates size =
          { chains = Demux.Sequent.default_chains;
            hasher = Hashing.Hashers.multiplicative })
   in
-  let rec go acc n i =
-    if n = size then List.rev acc
-    else
-      let flow = Sim.Topology.flow_of_client i in
-      if Hashing.Hashers.bucket_flow hasher ~buckets:chains flow = 0 then
-        go (flow :: acc) (n + 1) (i + 1)
-      else go acc n (i + 1)
-  in
-  go [] 0 0
+  Sim.Attack_workload.colliding_flows ~hasher ~chains ~count:size
 
 let boundary_candidates () =
   let addr octets =

@@ -75,13 +75,11 @@ end
 let of_packed (type a) ~name (module M : PACKED with type t = a) (table : a) =
   (* Payloads live in the table's int value lane (no Pcb box).  Flows
      for [contents] are reconstructed from the stored words
-     ([Flow_key.to_flow] is the packing's inverse), so this adapter
+     ([Packet.Flow.of_words] is the packing's inverse), so this adapter
      also exercises the round-trip the boundary qcheck in
-     test_demux.ml pins. *)
+     test_packet.ml pins. *)
   let stats = Demux.Lookup_stats.create () in
-  let words flow =
-    (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
-  in
+  let words flow = (Packet.Flow.w0 flow, Packet.Flow.w1 flow) in
   { name;
     insert =
       (fun flow v ->
@@ -116,9 +114,7 @@ let of_packed (type a) ~name (module M : PACKED with type t = a) (table : a) =
         let acc = ref [] in
         M.iter
           (fun ~w0 ~w1 v ->
-            acc :=
-              (Demux.Flow_key.to_flow (Demux.Flow_key.make ~w0 ~w1), v)
-              :: !acc)
+            acc := (Packet.Flow.of_words ~w0 ~w1, v) :: !acc)
           table;
         sorted_contents !acc);
     guard = None }
@@ -167,9 +163,7 @@ let flat_registry () : int Demux.Registry.t =
   in
   let stats = Demux.Lookup_stats.create () in
   let next_id = ref 0 in
-  let words flow =
-    (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
-  in
+  let words flow = (Packet.Flow.w0 flow, Packet.Flow.w1 flow) in
   { name = "flat-table";
     insert =
       (fun flow v ->

@@ -53,7 +53,7 @@ val of_packed : name:string -> (module PACKED with type t = 'a) -> 'a -> t
 (** A demultiplexer over a bare index: one probe charged per lookup,
     payloads stored directly in the table's int value lane.
     [contents] reconstructs each flow from its packed words, so every
-    differential run also exercises the {!Demux.Flow_key}
+    differential run also exercises the {!Packet.Flow.of_words}
     round-trip.  Pass a fresh table at minimum capacity, so collision
     clusters and resize boundaries come early. *)
 

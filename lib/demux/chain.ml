@@ -62,7 +62,7 @@ let push_front t pcb =
   let slot = t.words.(slot_base t + i) in
   let flow = pcb.Pcb.flow in
   let node =
-    { pcb; w0 = Flow_key.w0_of_flow flow; w1 = Flow_key.w1_of_flow flow; slot }
+    { pcb; w0 = Packet.Flow.w0 flow; w1 = Packet.Flow.w1 flow; slot }
   in
   t.words.(2 * i) <- node.w0;
   t.words.((2 * i) + 1) <- node.w1;

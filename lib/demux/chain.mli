@@ -10,13 +10,13 @@
     are {!Sequent} stores of their own, so {!Sequent} creates every
     chain.
 
-    {b Layout.}  A chain keeps its PCBs' flows as the two {!Flow_key}
-    words, computed once by {!push_front}, in chain order in one
-    [int array], which also holds each entry's slab slot.  The nodes
-    themselves sit in a slab, each in a slot that never moves while it
-    is linked.  Queries arrive as the same two words ([~w0 ~w1], from
-    {!Flow_key.w0_of_flow}/{!Flow_key.w1_of_flow}, computed once per
-    lookup), so {!scan} compares a PCB with two int loads from
+    {b Layout.}  A chain keeps its PCBs' flows as their two packed
+    {!Packet.Flow} words, computed once by {!push_front}, in chain
+    order in one [int array], which also holds each entry's slab slot.
+    The nodes themselves sit in a slab, each in a slot that never moves
+    while it is linked.  Queries arrive as the same two words
+    ([~w0 ~w1], from {!Packet.Flow.w0}/{!Packet.Flow.w1}, computed once
+    per lookup), so {!scan} compares a PCB with two int loads from
     contiguous memory: it never touches a node until it has found one.
     The scan charges its examinations, one per PCB compared, through
     the caller's {!Lookup_stats.t} once, at the end of the walk.

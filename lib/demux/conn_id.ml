@@ -15,7 +15,7 @@ let create ?(capacity = 65536) () =
     population = 0 }
 
 let insert t flow data =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   if Packed_table.Heap.mem t.ids ~w0 ~w1 then
     invalid_arg "Conn_id.insert: duplicate flow";
   match t.free with
@@ -30,8 +30,8 @@ let insert t flow data =
     pcb
 
 let connection_id t flow =
-  Packed_table.Heap.find_opt t.ids ~w0:(Flow_key.w0_of_flow flow)
-    ~w1:(Flow_key.w1_of_flow flow)
+  Packed_table.Heap.find_opt t.ids ~w0:(Packet.Flow.w0 flow)
+    ~w1:(Packet.Flow.w1 flow)
 
 let lookup_by_id t ?kind:_ id =
   Lookup_stats.begin_lookup t.stats;
@@ -51,7 +51,7 @@ let lookup_by_id t ?kind:_ id =
   end
 
 let remove t flow =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   match Packed_table.Heap.find t.ids ~w0 ~w1 with
   | exception Not_found -> None
   | id ->
@@ -67,8 +67,8 @@ let lookup t ?kind flow =
   (* The ID travels in the packet header; translating flow -> ID here
      stands in for reading those header bits and is not charged. *)
   match
-    Packed_table.Heap.find t.ids ~w0:(Flow_key.w0_of_flow flow)
-      ~w1:(Flow_key.w1_of_flow flow)
+    Packed_table.Heap.find t.ids ~w0:(Packet.Flow.w0 flow)
+      ~w1:(Packet.Flow.w1 flow)
   with
   | id -> lookup_by_id t ?kind id
   | exception Not_found ->

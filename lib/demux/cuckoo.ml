@@ -42,7 +42,7 @@ let alloc_slot t =
     id
 
 let insert t flow data =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   if Table.mem t.table ~w0 ~w1 then invalid_arg "Cuckoo.insert: duplicate flow";
   let id = alloc_slot t in
   let pcb = Pcb.make ~id ~flow data in
@@ -52,7 +52,7 @@ let insert t flow data =
   pcb
 
 let lookup t ?kind:_ flow =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   Lookup_stats.begin_lookup t.stats;
   match Table.find t.table ~w0 ~w1 with
   | id ->
@@ -70,7 +70,7 @@ let lookup t ?kind:_ flow =
     None
 
 let remove t flow =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   match Table.find_opt t.table ~w0 ~w1 with
   | None -> None
   | Some id ->

@@ -12,7 +12,7 @@ let dead_tag = Storage.dead_tag
 let min_buckets = 2
 let max_grow_retries = 3
 
-let default_hash1 = Flow_key.hash_words
+let default_hash1 = Hashing.Hashers.(hash_words multiplicative)
 
 (* Independent secondary hash: distinct odd multipliers over the raw
    packed words (not the 32-bit fold the multiplicative primary

@@ -11,8 +11,8 @@
       contiguous — the per-bucket {e tag vector}.  A lookup scans
       those eight bytes first and touches key words only on a tag
       match.
-    - {b Two hashes}: the primary is {!Flow_key.hash_words}
-      (Hashing's multiplicative scheme over the packed words); the
+    - {b Two hashes}: the primary is {!default_hash1} (Hashing's
+      multiplicative scheme over the packed words); the
       secondary is an independent pure-int mixer over the same words.
       A key lives in bucket [h1 land mask] or [h2 land mask], never
       anywhere else.
@@ -55,8 +55,9 @@ val bfs_budget : int
     also bounds the displacement-chain length. *)
 
 val default_hash1 : int -> int -> int
-(** {!Flow_key.hash_words} — the same multiplicative hash every other
-    backend and the parallel dispatcher use. *)
+(** [Hashing.Hashers.(hash_words multiplicative)] — the same
+    multiplicative hash every other backend and the parallel
+    dispatcher use. *)
 
 val default_hash2 : int -> int -> int
 (** Independent pure-int mixer over the packed words (distinct odd

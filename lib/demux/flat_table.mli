@@ -4,7 +4,7 @@
     A cache-friendly replacement for the [Hashtbl]-backed
     {!Flow_table}, and a thin facade over the Robin-Hood engine
     {!Packed_table.Heap}: the engine maps each key's two packed
-    {!Flow_key} words to an int handle, and the handle names a cell of
+    {!Packet.Flow} words to an int handle, and the handle names a cell of
     a value slab.  Probing, displacement, backward-shift deletes and
     both growth policies ({!resize}) are the engine's; see
     {!Packed_table} and DESIGN.md sections 10 and 12.

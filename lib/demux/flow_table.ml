@@ -7,5 +7,5 @@ include Hashtbl.Make (struct
      fresh 12-byte string per call. *)
   let hash flow =
     Hashtbl.hash
-      ((Flow_key.w0_of_flow flow * 0x9E3779B1) lxor Flow_key.w1_of_flow flow)
+      ((Packet.Flow.w0 flow * 0x9E3779B1) lxor Packet.Flow.w1 flow)
 end)

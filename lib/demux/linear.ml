@@ -6,5 +6,5 @@ let lookup t ?kind:_ flow =
   let stats = stats t in
   Lookup_stats.begin_lookup stats;
   finish t ~hit_cache:false
-    (Chain.scan (home t flow).chain ~stats ~w0:(Flow_key.w0_of_flow flow)
-       ~w1:(Flow_key.w1_of_flow flow))
+    (Chain.scan (home t flow).chain ~stats ~w0:(Packet.Flow.w0 flow)
+       ~w1:(Packet.Flow.w1 flow))

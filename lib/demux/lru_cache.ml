@@ -35,7 +35,7 @@ let remove t flow =
 let lookup t ?kind:_ flow =
   let stats = Sequent.stats t.store in
   Lookup_stats.begin_lookup stats;
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   match Chain.scan (cache_chain t) ~stats ~w0 ~w1 with
   | Some cache_node ->
     Chain.move_to_front (cache_chain t) cache_node;

@@ -7,8 +7,7 @@ let lookup t ?kind:_ flow =
   Lookup_stats.begin_lookup stats;
   let chain = (home t flow).chain in
   match
-    Chain.scan chain ~stats ~w0:(Flow_key.w0_of_flow flow)
-      ~w1:(Flow_key.w1_of_flow flow)
+    Chain.scan chain ~stats ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow)
   with
   | Some node as found ->
     Chain.move_to_front chain node;

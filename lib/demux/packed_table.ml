@@ -109,7 +109,7 @@ module type ENGINE = sig
   module Region : REGION
 end
 
-let default_hash = Flow_key.hash_words
+let default_hash = Hashing.Hashers.(hash_words multiplicative)
 let min_capacity = 8
 let dead_tag = Storage.dead_tag
 

@@ -1,13 +1,13 @@
 (** The Robin-Hood engine: the one open-addressing index every flat
     flow table in the repository runs on.
 
-    Keys are the two packed words of {!Flow_key}, stored inline in
-    struct-of-arrays slots with a one-byte tag per slot that rejects
-    almost every non-matching probe on a single byte compare before
-    the key words are touched.  Collisions use Robin-Hood displacement
-    (bounded probe variance, early lookup termination); deletion is
-    backward-shift, so the live region is tombstone-free and probe
-    lengths do not rot under churn.  Capacity is a power of two and
+    Keys are the two packed words of {!Packet.Flow.w0}/{!Packet.Flow.w1},
+    stored inline in struct-of-arrays slots with a one-byte tag per
+    slot that rejects almost every non-matching probe on a single byte
+    compare before the key words are touched.  Collisions use
+    Robin-Hood displacement (bounded probe variance, early lookup
+    termination); deletion is backward-shift, so the live region is
+    tombstone-free and probe lengths do not rot under churn.  Capacity is a power of two and
     grows at 7/8 load, either by the two-region incremental drain
     (frozen old region, dead-marking, bounded per-mutation migration:
     EXPERIMENTS.md E31, DESIGN.md section 12) or by a stop-the-world
@@ -62,8 +62,9 @@ module type S = sig
   val create :
     ?hash:(int -> int -> int) -> ?initial_capacity:int -> ?resize:resize ->
     unit -> t
-  (** [hash] defaults to {!Flow_key.hash_words}; override only in
-      tests (it must be fixed for the table's lifetime).
+  (** [hash] defaults to [Hashing.Hashers.(hash_words multiplicative)];
+      override only in tests (it must be fixed for the table's
+      lifetime).
       [initial_capacity] is rounded up to a power of two, minimum 8.
       [resize] (default {!Incremental}) is fixed for the table's
       lifetime.

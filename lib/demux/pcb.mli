@@ -17,7 +17,7 @@ val make : id:int -> flow:Packet.Flow.t -> 'a -> 'a t
 val matches : 'a t -> Packet.Flow.t -> bool
 (** Full 96-bit comparison of the PCB's boxed flow.  The reference
     comparison: {!Chain.scan} and {!Chain.matches} compare the packed
-    {!Flow_key} words a chain keeps for each PCB instead, and the
+    {!Packet.Flow} words a chain keeps for each PCB instead, and the
     tests check them against this. *)
 
 val pp : Format.formatter -> 'a t -> unit

@@ -27,21 +27,24 @@ let create ?(chains = default_chains) ?(hasher = Hashing.Hashers.multiplicative)
 
 let chains t = Array.length t.buckets
 
-(* Allocation-free: hashes the flow's fields directly instead of
-   serialising a fresh 12-byte key per packet. *)
-let bucket_index t flow =
-  Hashing.Hashers.bucket_flow t.hasher ~buckets:(Array.length t.buckets) flow
+(* Allocation-free: hashes the packed words instead of serialising a
+   fresh 12-byte key per packet. *)
+let home_words t ~w0 ~w1 =
+  t.buckets.(Hashing.Hashers.bucket_words t.hasher
+               ~buckets:(Array.length t.buckets) w0 w1)
 
-let home t flow = t.buckets.(bucket_index t flow)
+let home t flow =
+  home_words t ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow)
+
 let bucket t i = t.buckets.(i)
 
 (* Push [pcb] onto the head of its home chain and (re)index it. *)
 let link t pcb ~w0 ~w1 =
   Flat_table.replace t.index ~w0 ~w1
-    (Chain.push_front (home t pcb.Pcb.flow).chain pcb)
+    (Chain.push_front (home_words t ~w0 ~w1).chain pcb)
 
 let insert t flow data =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   if Flat_table.mem t.index ~w0 ~w1 then
     invalid_arg "Sequent.insert: duplicate flow";
   let pcb = Pcb.make ~id:t.next_id ~flow data in
@@ -58,17 +61,16 @@ let grow t =
       Chain.iter
         (fun pcb ->
           let flow = pcb.Pcb.flow in
-          link t pcb ~w0:(Flow_key.w0_of_flow flow)
-            ~w1:(Flow_key.w1_of_flow flow))
+          link t pcb ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow))
         bucket.chain)
     old
 
 let remove t flow =
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   match Flat_table.find_opt t.index ~w0 ~w1 with
   | None -> None
   | Some node ->
-    let bucket = home t flow in
+    let bucket = home_words t ~w0 ~w1 in
     (match bucket.cache with
     | Some cached when cached == node -> bucket.cache <- None
     | Some _ | None -> ());
@@ -104,8 +106,8 @@ let scan_chain t bucket ~w0 ~w1 =
 
 let lookup_pcb t flow =
   Lookup_stats.begin_lookup t.stats;
-  let bucket = t.buckets.(bucket_index t flow) in
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
+  let bucket = home_words t ~w0 ~w1 in
   match bucket.cache with
   | Some node ->
     Lookup_stats.examine t.stats;
@@ -122,13 +124,12 @@ let lookup t ?kind:_ flow =
   | exception Not_found -> None
 
 let mem t flow =
-  Flat_table.mem t.index ~w0:(Flow_key.w0_of_flow flow)
-    ~w1:(Flow_key.w1_of_flow flow)
+  Flat_table.mem t.index ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow)
 
 (* The index's own option cell: allocation-free. *)
 let find t flow =
-  Flat_table.find_opt t.index ~w0:(Flow_key.w0_of_flow flow)
-    ~w1:(Flow_key.w1_of_flow flow)
+  Flat_table.find_opt t.index ~w0:(Packet.Flow.w0 flow)
+    ~w1:(Packet.Flow.w1 flow)
 
 (* No policy over this store reads transmit order but SR-cache's. *)
 let note_send _ _ = ()

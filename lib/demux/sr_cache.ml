@@ -35,7 +35,7 @@ let refill t list ~hit_cache found =
 let lookup t ?(kind = Types.Data) flow =
   let stats = Sequent.stats t.store in
   Lookup_stats.begin_lookup stats;
-  let w0 = Flow_key.w0_of_flow flow and w1 = Flow_key.w1_of_flow flow in
+  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   let list = list t in
   let first, second =
     match kind with

@@ -1,7 +1,7 @@
 (** Slot storage backends for packed flow tables.
 
     A {!S} value is the raw storage of one open-addressing region:
-    per-slot tag bytes, stored hashes, the two packed {!Flow_key}
+    per-slot tag bytes, stored hashes, the two packed {!Packet.Flow}
     words, and one integer value lane — the struct-of-arrays layout the
     Robin-Hood engine ({!Packed_table}) probes, so that one engine runs
     over two physical layouts (and {!Cuckoo_table} over the same two):
@@ -19,13 +19,13 @@
       section 14).
 
     Both lanes hold only immediates (the packed key words are ints by
-    construction, {!Flow_key}), so neither backend's stores go through
+    construction, {!Packet.Flow.word}), so neither backend's stores go through
     the GC write barrier — [caml_modify] is never called on the hot
     path, heap or off-heap.
 
     All slot accessors are unchecked for speed: callers index with
     [h land mask t], which is in bounds by construction.  Requires a
-    63-bit-int platform (guarded at startup by {!Flow_key}). *)
+    63-bit-int platform (guarded at startup by {!Packet.Flow}). *)
 
 val dead_tag : int
 (** The reserved tag byte (255) shared by {!S.scrub} and

@@ -81,8 +81,8 @@ module Make (F : Demux.Packed_table.FAULT) (St : Demux.Storage.S) = struct
 
   let backend = St.backend
 
-  let create ?(hash = Demux.Flow_key.hash_words) ?(initial_capacity = 0)
-      ?max_readers () =
+  let create ?(hash = Hashing.Hashers.(hash_words multiplicative))
+      ?(initial_capacity = 0) ?max_readers () =
     let capacity =
       Demux.Packed_table.region_capacity ~who:"Epoch.Packed" initial_capacity
     in
@@ -156,8 +156,7 @@ module Make (F : Demux.Packed_table.FAULT) (St : Demux.Storage.S) = struct
 
   let find_flow t flow =
     find_opt t
-      ~w0:(Demux.Flow_key.w0_of_flow flow)
-      ~w1:(Demux.Flow_key.w1_of_flow flow)
+      ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow)
 
   let lookup_batch_hashed t flows ~hash_at =
     let n = Array.length flows in
@@ -170,8 +169,8 @@ module Make (F : Demux.Packed_table.FAULT) (St : Demux.Storage.S) = struct
       let found = ref 0 in
       for i = 0 to n - 1 do
         let flow = flows.(i) in
-        let w0 = Demux.Flow_key.w0_of_flow flow in
-        let w1 = Demux.Flow_key.w1_of_flow flow in
+        let w0 = Packet.Flow.w0 flow in
+        let w1 = Packet.Flow.w1 flow in
         Demux.Lookup_stats.begin_lookup reader.stats;
         Demux.Lookup_stats.examine reader.stats;
         let hit = Region.find r (hash_at t i w0 w1) ~w0 ~w1 >= 0 in

@@ -39,9 +39,10 @@ module type S = sig
   val create :
     ?hash:(int -> int -> int) -> ?initial_capacity:int ->
     ?max_readers:int -> unit -> t
-  (** Defaults: {!Demux.Flow_key.hash_words}, the 8-slot minimum
-      capacity, 64 reader slots.  [hash] must match whatever full hash
-      a batched caller supplies to {!lookup_batch_keyed}.
+  (** Defaults: [Hashing.Hashers.(hash_words multiplicative)], the
+      8-slot minimum capacity, 64 reader slots.  [hash] must match
+      whatever full hash a batched caller supplies to
+      {!lookup_batch_keyed}.
       @raise Invalid_argument if [initial_capacity < 0] or
       [max_readers <= 0]. *)
 

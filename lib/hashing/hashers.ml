@@ -1,15 +1,11 @@
 type t = {
   name : string;
   run : bytes -> int;
-  (* Allocation-free specialisation over a flow's fields, for hashers
-     whose byte-serial definition folds cleanly over the 96-bit key.
-     Must agree exactly with [run (Flow.to_key_bytes flow)] (asserted
-     by a qcheck property in test_hashing.ml). *)
-  run_flow : (Packet.Flow.t -> int) option;
-  (* Same specialisation over the packed key words of
-     [Demux.Flow_key]: w0 = local addr lsl 16 lor local port,
-     w1 = remote addr lsl 16 lor remote port.  Must agree exactly with
-     [run] over the corresponding 12-byte key. *)
+  (* Allocation-free specialisation over the packed key words of
+     [Packet.Flow.w0]/[w1], for hashers whose byte-serial definition
+     folds cleanly over the 96-bit key.  Must agree exactly with [run]
+     over the corresponding 12-byte key (asserted by a qcheck property
+     in test_hashing.ml). *)
   run_words : (int -> int -> int) option;
 }
 
@@ -20,48 +16,25 @@ let bucket t ~buckets key =
   if buckets <= 0 then invalid_arg "Hashers.bucket: buckets <= 0";
   hash t key mod buckets
 
-let hash_flow t flow =
-  match t.run_flow with
-  | Some run -> run flow
-  | None -> hash t (Packet.Flow.to_key_bytes flow)
-
-let bucket_flow t ~buckets flow =
-  if buckets <= 0 then invalid_arg "Hashers.bucket_flow: buckets <= 0";
-  hash_flow t flow mod buckets
-
-(* The canonical 12-byte key carrying the packed words, for hashers
-   whose byte-serial definition has no word-folded shortcut. *)
-let bytes_of_words w0 w1 =
-  let buf = Bytes.create 12 in
-  Bytes.set_int32_be buf 0 (Int32.of_int (w0 lsr 16));
-  Bytes.set_int32_be buf 4 (Int32.of_int (w1 lsr 16));
-  Bytes.set_uint16_be buf 8 (w0 land 0xFFFF);
-  Bytes.set_uint16_be buf 10 (w1 land 0xFFFF);
-  buf
-
 let hash_words t w0 w1 =
   match t.run_words with
   | Some run -> run w0 w1
-  | None -> hash t (bytes_of_words w0 w1)
+  | None -> hash t (Packet.Flow.key_bytes_of_words ~w0 ~w1)
 
 let bucket_words t ~buckets w0 w1 =
   if buckets <= 0 then invalid_arg "Hashers.bucket_words: buckets <= 0";
   hash_words t w0 w1 mod buckets
 
-(* [fold32 (Flow.to_key_bytes flow)] without the 12-byte allocation:
-   the key's three big-endian 32-bit words are (local addr), (remote
-   addr), (local port << 16 | remote port).  Pure int arithmetic on
-   purpose — boxed [Int32] intermediates would allocate on the
-   per-packet receive path (the zero-allocation bar of DESIGN.md
-   section 10). *)
-let addr_int a = Int32.to_int (Packet.Ipv4.addr_to_int32 a) land 0xFFFFFFFF
+let hash_flow t flow = hash_words t (Packet.Flow.w0 flow) (Packet.Flow.w1 flow)
 
-let fold32_flow (flow : Packet.Flow.t) =
-  addr_int flow.Packet.Flow.local.Packet.Flow.addr
-  lxor addr_int flow.Packet.Flow.remote.Packet.Flow.addr
-  lxor ((flow.Packet.Flow.local.Packet.Flow.port lsl 16)
-       lor flow.Packet.Flow.remote.Packet.Flow.port)
+let bucket_flow t ~buckets flow =
+  bucket_words t ~buckets (Packet.Flow.w0 flow) (Packet.Flow.w1 flow)
 
+(* [fold32] of the canonical key: its three big-endian 32-bit words
+   are (local addr), (remote addr), (local port << 16 | remote port).
+   Pure int arithmetic on purpose — boxed [Int32] intermediates would
+   allocate on the per-packet receive path (the zero-allocation bar of
+   DESIGN.md section 10). *)
 let fold32_words w0 w1 =
   (w0 lsr 16) lxor (w1 lsr 16)
   lxor (((w0 land 0xFFFF) lsl 16) lor (w1 land 0xFFFF))
@@ -77,19 +50,9 @@ let fold_words16 key combine init =
   if !i < len then acc := combine !acc (Bytes.get_uint8 key !i);
   !acc
 
-(* The 16-bit words of the flow key, in order. *)
-let fold_words16_flow (flow : Packet.Flow.t) combine init =
-  let local = addr_int flow.Packet.Flow.local.Packet.Flow.addr in
-  let remote = addr_int flow.Packet.Flow.remote.Packet.Flow.addr in
-  let acc = combine init ((local lsr 16) land 0xFFFF) in
-  let acc = combine acc (local land 0xFFFF) in
-  let acc = combine acc ((remote lsr 16) land 0xFFFF) in
-  let acc = combine acc (remote land 0xFFFF) in
-  let acc = combine acc flow.Packet.Flow.local.Packet.Flow.port in
-  combine acc flow.Packet.Flow.remote.Packet.Flow.port
-
-(* Same words, from the packed representation: the canonical key-byte
-   order is local addr, remote addr, local port, remote port. *)
+(* The 16-bit words of the canonical key, from the packed words: the
+   key-byte order is local addr, remote addr, local port, remote
+   port. *)
 let fold_words16_words w0 w1 combine init =
   let acc = combine init (w0 lsr 32) in
   let acc = combine acc ((w0 lsr 16) land 0xFFFF) in
@@ -100,13 +63,11 @@ let fold_words16_words w0 w1 combine init =
 
 let xor_fold =
   { name = "xor-fold"; run = (fun k -> fold_words16 k ( lxor ) 0);
-    run_flow = Some (fun flow -> fold_words16_flow flow ( lxor ) 0);
     run_words = Some (fun w0 w1 -> fold_words16_words w0 w1 ( lxor ) 0) }
 
 let add_fold =
   let step a w = (a + w) land 0x3FFFFFFF in
   { name = "add-fold"; run = (fun k -> fold_words16 k step 0);
-    run_flow = Some (fun flow -> fold_words16_flow flow step 0);
     run_words = Some (fun w0 w1 -> fold_words16_words w0 w1 step 0) }
 
 let fold32 key =
@@ -142,12 +103,11 @@ let multiplicative =
         (* Take the high 30 bits: multiplicative hashing concentrates
            its mixing in the high half of the product. *)
         Int32.to_int (Int32.shift_right_logical product 2));
-    run_flow = Some (fun flow -> multiply_golden (fold32_flow flow));
     run_words = Some (fun w0 w1 -> multiply_golden (fold32_words w0 w1)) }
 
 let fnv1a =
   let offset_basis = 0xCBF29CE484222325L and prime = 0x100000001B3L in
-  { name = "fnv1a"; run_flow = None; run_words = None;
+  { name = "fnv1a"; run_words = None;
     run =
       (fun k ->
         let h = ref offset_basis in
@@ -159,7 +119,7 @@ let fnv1a =
         Int64.to_int (Int64.shift_right_logical !h 2)) }
 
 let jenkins_oaat =
-  { name = "jenkins-oaat"; run_flow = None; run_words = None;
+  { name = "jenkins-oaat"; run_words = None;
     run =
       (fun k ->
         let h = ref 0l in
@@ -198,7 +158,7 @@ let crc32_digest ?(initial = 0l) key =
   Int32.logxor !crc 0xFFFFFFFFl
 
 let crc32 =
-  { name = "crc32"; run_flow = None; run_words = None;
+  { name = "crc32"; run_words = None;
     run = (fun k -> Int32.to_int (Int32.shift_right_logical (crc32_digest k) 2)) }
 
 let crc16_ccitt_table =
@@ -212,7 +172,7 @@ let crc16_ccitt_table =
          !c))
 
 let crc16_ccitt =
-  { name = "crc16-ccitt"; run_flow = None; run_words = None;
+  { name = "crc16-ccitt"; run_words = None;
     run =
       (fun k ->
         let table = Lazy.force crc16_ccitt_table in
@@ -246,7 +206,7 @@ let pearson_table =
      table)
 
 let pearson =
-  { name = "pearson"; run_flow = None; run_words = None;
+  { name = "pearson"; run_words = None;
     run =
       (fun k ->
         let table = Lazy.force pearson_table in

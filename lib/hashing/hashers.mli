@@ -20,30 +20,25 @@ val bucket : t -> buckets:int -> bytes -> int
 (** [bucket t ~buckets key] is [hash t key mod buckets].
     @raise Invalid_argument if [buckets <= 0]. *)
 
-val hash_flow : t -> Packet.Flow.t -> int
-(** Hash a flow's canonical 96-bit key.  Equal to
-    [hash t (Packet.Flow.to_key_bytes flow)], but hashers whose
-    definition folds cleanly over the key's words (xor-fold, add-fold,
-    multiplicative) compute it straight from the flow's fields without
-    building the 12-byte key — the receive path of the parallel
-    demultiplexers calls this per packet, so it must not allocate. *)
-
-val bucket_flow : t -> buckets:int -> Packet.Flow.t -> int
-(** [bucket_flow t ~buckets flow] is [hash_flow t flow mod buckets]
-    (allocation-free where {!hash_flow} is).
-    @raise Invalid_argument if [buckets <= 0]. *)
-
 val hash_words : t -> int -> int -> int
-(** [hash_words t w0 w1] hashes a flow key packed as two immediate
-    ints in the convention of [Demux.Flow_key]:
-    [w0 = local addr lsl 16 lor local port] and
-    [w1 = remote addr lsl 16 lor remote port] (48 significant bits
-    each).  Equal to [hash t key] for the corresponding canonical
-    12-byte key; allocation-free for the word-folding hashers
-    (xor-fold, add-fold, multiplicative). *)
+(** [hash_words t w0 w1] hashes a flow key packed as the two
+    immediate words of {!Packet.Flow.w0}/{!Packet.Flow.w1}.  Equal to
+    [hash t (Packet.Flow.key_bytes_of_words ~w0 ~w1)]; hashers whose
+    definition folds cleanly over the key's words (xor-fold, add-fold,
+    multiplicative) compute it without building the 12-byte key, so
+    they do not allocate. *)
 
 val bucket_words : t -> buckets:int -> int -> int -> int
 (** [bucket_words t ~buckets w0 w1] is [hash_words t w0 w1 mod buckets].
+    @raise Invalid_argument if [buckets <= 0]. *)
+
+val hash_flow : t -> Packet.Flow.t -> int
+(** [hash_words] over the flow's words: equal to
+    [hash t (Packet.Flow.to_key_bytes flow)], and allocation-free
+    where {!hash_words} is. *)
+
+val bucket_flow : t -> buckets:int -> Packet.Flow.t -> int
+(** [bucket_words] over the flow's words.
     @raise Invalid_argument if [buckets <= 0]. *)
 
 val xor_fold : t

@@ -32,7 +32,41 @@ val reverse : t -> t
 val to_key_bytes : t -> bytes
 (** The canonical 12-byte (96-bit) wire-order key: local addr, remote
     addr, local port, remote port.  This is the byte string the
-    {!Hashing} functions consume. *)
+    {!Hashing} functions consume; it is {!key_bytes_of_words} of the
+    flow's {!w0} and {!w1}. *)
+
+(** {2 Packed words}
+
+    The same key as two immediate ints, one per endpoint:
+
+    {v
+      w0 = local  addr (32 bits) lsl 16  lor  local  port (16 bits)
+      w1 = remote addr (32 bits) lsl 16  lor  remote port (16 bits)
+    v}
+
+    Every table in [Demux] keys on these words, and hashing them is
+    bit-identical to hashing {!to_key_bytes} (asserted by qcheck in
+    test_hashing.ml).  Each word has 48 significant bits, so this
+    module refuses to load where [Sys.int_size < 63] (32-bit,
+    js_of_ocaml): it raises [Failure] at startup rather than truncate
+    addresses.  {!Segment.peek_w0}/{!Segment.peek_w1} read the same
+    words straight from a datagram. *)
+
+val word : Ipv4.addr -> int -> int
+(** [word addr port] packs one endpoint.  Allocation-free. *)
+
+val w0 : t -> int
+(** The local endpoint's word.  Allocation-free. *)
+
+val w1 : t -> int
+(** The remote endpoint's word.  Allocation-free. *)
+
+val of_words : w0:int -> w1:int -> t
+(** The flow whose words are [w0] and [w1]; inverts {!w0}/{!w1}.
+    Bits above 48 must be zero. *)
+
+val key_bytes_of_words : w0:int -> w1:int -> bytes
+(** [to_key_bytes (of_words ~w0 ~w1)] without building the flow. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -42,7 +42,7 @@ val peek_flow : bytes -> off:int -> (Flow.t, string) result
 
     The same peek without building a {!Flow.t}: {!peek_tcp} makes
     {!peek_flow}'s header checks, and {!peek_w0}/{!peek_w1} then read
-    the key as the two packed immediate words of [Demux.Flow_key]
+    the key as the two packed immediate words of {!Flow.w0}/{!Flow.w1}
     ([w0 = local addr lsl 16 lor local port], [w1] the same for the
     remote endpoint).  None of the three allocates. *)
 

@@ -339,9 +339,7 @@ let run (cfg : config) datagrams =
     Dispatcher.flush staging k;
     Ring.push ?spin rings.(k) m
   in
-  let words flow =
-    (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow)
-  in
+  let words flow = (Packet.Flow.w0 flow, Packet.Flow.w1 flow) in
   let hold_of ~w0 ~w1 =
     match Demux.Flat_table.find_opt route ~w0 ~w1 with
     | Some (Held q) -> Some q

@@ -26,8 +26,8 @@ let pressure t = t.pressure
 
 let chains t = Array.length t.stripes
 
-(* [bucket_flow] hashes straight from the flow's fields: the receive
-   path must not allocate a 12-byte key per packet. *)
+(* [bucket_flow] hashes the flow's packed words: the receive path must
+   not allocate a 12-byte key per packet. *)
 let stripe_index t flow =
   Hashing.Hashers.bucket_flow t.hasher ~buckets:(Array.length t.stripes) flow
 

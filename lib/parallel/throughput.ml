@@ -154,15 +154,13 @@ let table target flows =
     let d = E.create () in
     E.load d
       (Array.mapi
-         (fun i flow ->
-           (Demux.Flow_key.w0_of_flow flow, Demux.Flow_key.w1_of_flow flow, i))
+         (fun i flow -> (Packet.Flow.w0 flow, Packet.Flow.w1 flow, i))
          flows);
     (* Lookups go through [mem]: [find_flow] boxes an [int option] per
        call, which E33's zero-allocation read-path gate would see. *)
     { lookup =
         (fun flow ->
-          E.mem d ~w0:(Demux.Flow_key.w0_of_flow flow)
-            ~w1:(Demux.Flow_key.w1_of_flow flow));
+          E.mem d ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow));
       lookup_batch = (fun batch -> E.lookup_batch d batch);
       lookup_batch_keyed =
         (fun batch ~hashes -> E.lookup_batch_keyed d batch ~hashes);

@@ -72,8 +72,7 @@ let cuckoo_colliding_flows ~buckets ~count =
                  of two >= 2";
   let mask = buckets - 1 in
   let bucket_pair flow =
-    let w0 = Demux.Flow_key.w0_of_flow flow
-    and w1 = Demux.Flow_key.w1_of_flow flow in
+    let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
     ( Demux.Cuckoo_table.default_hash1 w0 w1 land mask,
       Demux.Cuckoo_table.default_hash2 w0 w1 land mask )
   in

@@ -2,7 +2,7 @@
    listener on the receive path allocates no constructor:
 
      wildcard (port only)  : port                      (bits 0-15)
-     specific (addr, port) : 1 lsl 48 | addr lsl 16 | port
+     specific (addr, port) : 1 lsl 48 | Packet.Flow.word addr port
 
    The bit-48 discriminant keeps the two namespaces disjoint; 49
    significant bits fit an OCaml immediate int. *)
@@ -18,10 +18,7 @@ let create spec =
 
 let demux t = t.demux
 
-let specific_binding addr port =
-  (1 lsl 48)
-  lor ((Int32.to_int (Packet.Ipv4.addr_to_int32 addr) land 0xFFFFFFFF) lsl 16)
-  lor port
+let specific_binding addr port = (1 lsl 48) lor Packet.Flow.word addr port
 
 let binding_of ?addr port =
   match addr with

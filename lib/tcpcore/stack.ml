@@ -138,20 +138,11 @@ let fresh_iss t flow =
    same flows in any interleaving produce bit-identical sequence
    state — the property the cross-core lockstep tests pin. *)
 let deterministic_iss flow =
-  let word (ep : Packet.Flow.endpoint) =
-    ((Int32.to_int (Packet.Ipv4.addr_to_int32 ep.Packet.Flow.addr)
-      land 0xFFFFFFFF)
-     lsl 16)
-    lor ep.Packet.Flow.port
-  in
   let mix h v =
     let h = (h lxor v) * 0x9E3779B1 in
     h lxor (h lsr 29)
   in
-  let h =
-    mix (mix 0x69737321 (word flow.Packet.Flow.local))
-      (word flow.Packet.Flow.remote)
-  in
+  let h = mix (mix 0x69737321 (Packet.Flow.w0 flow)) (Packet.Flow.w1 flow) in
   Int32.of_int (h land 0x3FFFFFFF)
 
 let transmit t segment flow =
@@ -674,15 +665,9 @@ let drop_reasons = List.map drop_name all_drops
 
 (* Codes come back from trace payloads, which may be any integer. *)
 let drop_reason_of_code code =
-  Option.map drop_name
-    (match code with
-    | 0 -> Some Parse_error
-    | 1 -> Some Wrong_destination
-    | 2 -> Some Handler_error
-    | 3 -> Some Overload_shed_new_flow
-    | 4 -> Some Overload_drop_batch
-    | 5 -> Some Overload_reject
-    | _ -> None)
+  List.find_map
+    (fun r -> if drop_code r = code then Some (drop_name r) else None)
+    all_drops
 
 let drop_counts t =
   List.map (fun r -> (drop_name r, t.drops.(drop_code r))) all_drops

@@ -13,12 +13,7 @@ let op kind flow = { Check.Op.kind; flow }
    Check.Plant.Table's delete hook skips. *)
 let robin_hood () =
   let mask = 7 in
-  let home flow =
-    Demux.Flow_key.hash_words
-      (Demux.Flow_key.w0_of_flow flow)
-      (Demux.Flow_key.w1_of_flow flow)
-    land mask
-  in
+  let home flow = Hashing.Hashers.(hash_flow multiplicative) flow land mask in
   let rec collect acc slot i =
     if List.length acc = 5 then List.rev acc
     else
@@ -194,8 +189,7 @@ let offheap_churn () =
 let cuckoo_kick () =
   let mask = 15 in
   let hashes flow =
-    let w0 = Demux.Flow_key.w0_of_flow flow
-    and w1 = Demux.Flow_key.w1_of_flow flow in
+    let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
     (Demux.Cuckoo_table.default_hash1 w0 w1,
      Demux.Cuckoo_table.default_hash2 w0 w1)
   in

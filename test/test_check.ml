@@ -208,12 +208,7 @@ let test_corpus_robin_hood_is_a_cluster () =
     |> List.map (fun (o : Check.Op.op) -> o.Check.Op.flow)
   in
   Alcotest.(check int) "five colliding flows" 5 (List.length inserts);
-  let home f =
-    Demux.Flow_key.hash_words
-      (Demux.Flow_key.w0_of_flow f)
-      (Demux.Flow_key.w1_of_flow f)
-    land 7
-  in
+  let home f = Hashing.Hashers.(hash_flow multiplicative) f land 7 in
   match inserts with
   | first :: rest ->
     List.iter
@@ -266,8 +261,8 @@ let test_corpus_cuckoo_kick_crosses_stash () =
   let table = C.create () in
   Array.iter
     (fun (o : Check.Op.op) ->
-      let w0 = Demux.Flow_key.w0_of_flow o.Check.Op.flow
-      and w1 = Demux.Flow_key.w1_of_flow o.Check.Op.flow in
+      let w0 = Packet.Flow.w0 o.Check.Op.flow
+      and w1 = Packet.Flow.w1 o.Check.Op.flow in
       let h2 = Demux.Cuckoo_table.default_hash2 w0 w1 in
       Alcotest.(check int) "primary bucket pinned" 0
         (Demux.Cuckoo_table.default_hash1 w0 w1 land 15);
@@ -416,9 +411,7 @@ let test_guarded_eviction_during_resize () =
   let config = Demux.Guarded.config ~max_chain:30 ~max_total:30 ~chains:4 () in
   let guard = Demux.Guarded.create config in
   let table : int Demux.Flat_table.t = Demux.Flat_table.create () in
-  let words f =
-    (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
-  in
+  let words f = (Packet.Flow.w0 f, Packet.Flow.w1 f) in
   let evictions = ref 0 and overlapped = ref 0 in
   for i = 0 to 44 do
     let f = flow i in
@@ -617,8 +610,8 @@ let test_batch_accounting_equals_scalar () =
 module E = Epoch.Packed.Heap
 
 let apply_epoch table (o : Check.Op.op) index =
-  let w0 = Demux.Flow_key.w0_of_flow o.Check.Op.flow
-  and w1 = Demux.Flow_key.w1_of_flow o.Check.Op.flow in
+  let w0 = Packet.Flow.w0 o.Check.Op.flow
+  and w1 = Packet.Flow.w1 o.Check.Op.flow in
   match o.Check.Op.kind with
   | Check.Op.Insert ->
     E.replace table ~w0 ~w1 index;

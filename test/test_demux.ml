@@ -1009,8 +1009,8 @@ let test_chain_scan_counts () =
   Demux.Lookup_stats.begin_lookup stats;
   (* List is 2,1,0 — finding 0 examines 3 PCBs. *)
   (match
-     Demux.Chain.scan chain ~stats ~w0:(Demux.Flow_key.w0_of_flow (flow 0))
-       ~w1:(Demux.Flow_key.w1_of_flow (flow 0))
+     Demux.Chain.scan chain ~stats ~w0:(Packet.Flow.w0 (flow 0))
+       ~w1:(Packet.Flow.w1 (flow 0))
    with
   | Some node -> Alcotest.(check int) "found 0" 0 (Demux.Chain.pcb node).Demux.Pcb.id
   | None -> Alcotest.fail "scan failed");
@@ -1159,91 +1159,6 @@ let prop_merge_snapshots_with_histograms =
          = Obs.Histogram.summary whole_histogram)
 
 (* ------------------------------------------------------------------ *)
-(* Flow_key: packed immediate keys                                     *)
-
-(* Random flows over the {e full} 32-bit address space — including
-   addresses whose Int32 representation is negative, the case the
-   unsigned packing must mask correctly. *)
-let gen_flow_full_range =
-  let open QCheck.Gen in
-  let word16 = int_bound 0xFFFF in
-  let endpoint =
-    map3
-      (fun hi lo port ->
-        Packet.Flow.endpoint
-          (Packet.Ipv4.addr_of_int32 (Int32.of_int ((hi lsl 16) lor lo)))
-          port)
-      word16 word16 word16
-  in
-  map2
-    (fun local remote -> Packet.Flow.v ~local ~remote)
-    endpoint endpoint
-
-let arbitrary_flow =
-  QCheck.make ~print:Packet.Flow.to_string gen_flow_full_range
-
-let arbitrary_flow_pair =
-  QCheck.make
-    ~print:(fun (a, b) ->
-      Packet.Flow.to_string a ^ " / " ^ Packet.Flow.to_string b)
-    QCheck.Gen.(pair gen_flow_full_range gen_flow_full_range)
-
-let prop_flow_key_round_trip =
-  QCheck.Test.make ~count:500 ~name:"flow_key round-trips and hashes like bytes"
-    arbitrary_flow (fun f ->
-      let k = Demux.Flow_key.of_flow f in
-      Packet.Flow.equal f (Demux.Flow_key.to_flow k)
-      && Demux.Flow_key.w0 k = Demux.Flow_key.w0_of_flow f
-      && Demux.Flow_key.w1 k = Demux.Flow_key.w1_of_flow f
-      && Demux.Flow_key.hash k
-         = Hashing.Hashers.hash Hashing.Hashers.multiplicative
-             (Packet.Flow.to_key_bytes f)
-      && Demux.Flow_key.hash_words (Demux.Flow_key.w0 k) (Demux.Flow_key.w1 k)
-         = Demux.Flow_key.hash k)
-
-let prop_flow_key_equality_agrees =
-  QCheck.Test.make ~count:500 ~name:"flow_key equal/compare agree with Flow.equal"
-    arbitrary_flow_pair (fun (a, b) ->
-      let ka = Demux.Flow_key.of_flow a and kb = Demux.Flow_key.of_flow b in
-      Demux.Flow_key.equal ka kb = Packet.Flow.equal a b
-      && (Demux.Flow_key.compare ka kb = 0) = Packet.Flow.equal a b
-      && Demux.Flow_key.equal_words ka ~w0:(Demux.Flow_key.w0 kb)
-           ~w1:(Demux.Flow_key.w1 kb)
-         = Packet.Flow.equal a b)
-
-(* Companion to Flow_key's 63-bit startup guard: the extreme corners
-   of the 4-tuple space — 0.0.0.0 and 255.255.255.255, ports 0 and
-   65535 — must round-trip through the packed words, and the words
-   themselves must stay non-negative OCaml immediates.  The all-ones
-   address with port 65535 is the pattern that would spill into the
-   sign bit if the 48-bit layout were off by one. *)
-let gen_flow_boundary =
-  let open QCheck.Gen in
-  let addr =
-    oneofl [ 0l; 0xFFFFFFFFl; 0x7FFFFFFFl; 0x80000000l; 1l; 0xFFFFFFFEl ]
-  in
-  let port = oneofl [ 0; 1; 32767; 32768; 65534; 65535 ] in
-  let endpoint =
-    map2
-      (fun a p -> Packet.Flow.endpoint (Packet.Ipv4.addr_of_int32 a) p)
-      addr port
-  in
-  map2 (fun local remote -> Packet.Flow.v ~local ~remote) endpoint endpoint
-
-let prop_flow_key_boundary_round_trip =
-  QCheck.Test.make ~count:300
-    ~name:"flow_key round-trips at the 4-tuple boundary corners"
-    (QCheck.make ~print:Packet.Flow.to_string gen_flow_boundary)
-    (fun f ->
-      let k = Demux.Flow_key.of_flow f in
-      let w0 = Demux.Flow_key.w0 k and w1 = Demux.Flow_key.w1 k in
-      w0 >= 0 && w1 >= 0
-      && Packet.Flow.equal f (Demux.Flow_key.to_flow k)
-      && Packet.Flow.equal f
-           (Demux.Flow_key.to_flow (Demux.Flow_key.make ~w0 ~w1))
-      && Demux.Flow_key.hash_words w0 w1 = Demux.Flow_key.hash k)
-
-(* ------------------------------------------------------------------ *)
 (* Keyed chain scan vs a reference walk over the boxed flows           *)
 
 (* [f] with one bit flipped in exactly one of its four fields: the near
@@ -1268,7 +1183,7 @@ let flip_one_field (f : Packet.Flow.t) field bit =
    resident flow, or drawn afresh. *)
 let gen_chain_and_query =
   let open QCheck.Gen in
-  let fresh = oneof [ gen_flow_boundary; gen_flow_full_range ] in
+  let fresh = oneof [ Flow_gen.boundary; Flow_gen.full_range ] in
   list_size (int_range 0 24) fresh >>= fun flows ->
   let query =
     match flows with
@@ -1297,8 +1212,7 @@ let prop_chain_scan_matches_reference =
             Demux.Chain.push_front chain (Demux.Pcb.make ~id ~flow ()))
           flows
       in
-      let w0 = Demux.Flow_key.w0_of_flow query
-      and w1 = Demux.Flow_key.w1_of_flow query in
+      let w0 = Packet.Flow.w0 query and w1 = Packet.Flow.w1 query in
       (* Reference: the first PCB from the head whose boxed flow is
          [Flow.equal] to the query, charging every PCB compared. *)
       let rec walk examined = function
@@ -1420,8 +1334,7 @@ let prop_chain_model =
           Demux.Lookup_stats.begin_lookup stats;
           let found =
             Demux.Chain.scan chains.(c) ~stats
-              ~w0:(Demux.Flow_key.w0_of_flow query)
-              ~w1:(Demux.Flow_key.w1_of_flow query)
+              ~w0:(Packet.Flow.w0 query) ~w1:(Packet.Flow.w1 query)
           in
           Demux.Lookup_stats.end_lookup stats ~hit_cache:false
             ~found:(Option.is_some found);
@@ -1489,7 +1402,7 @@ let flat_table_model_agreement ?hash ~resize ops =
   let model = Hashtbl.create 16 in
   let words i =
     let f = flow i in
-    (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+    (Packet.Flow.w0 f, Packet.Flow.w1 f)
   in
   (* Every insert binds a fresh value, so an overwrite that lost its
      value, or two keys sharing one slab cell, shows up. *)
@@ -1559,7 +1472,7 @@ let cuckoo_model_agreement (module T : Demux.Cuckoo_table.S) ?hash1 ?hash2 ()
   let model = Hashtbl.create 16 in
   let words i =
     let f = flow i in
-    (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+    (Packet.Flow.w0 f, Packet.Flow.w1 f)
   in
   List.for_all
     (fun op ->
@@ -1650,7 +1563,7 @@ let test_cuckoo_kick_chain_into_stash () =
   let table = T.create ~hash1:(fun _ _ -> 0) ~hash2:(fun _ _ -> 1) () in
   let words i =
     let f = flow i in
-    (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+    (Packet.Flow.w0 f, Packet.Flow.w1 f)
   in
   for i = 0 to 19 do
     let w0, w1 = words i in
@@ -1685,7 +1598,7 @@ let test_cuckoo_degenerate_overflow_raises () =
   let table = T.create ~hash1:(fun _ _ -> 0) ~hash2:(fun _ _ -> 1) () in
   let words i =
     let f = flow i in
-    (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+    (Packet.Flow.w0 f, Packet.Flow.w1 f)
   in
   let raised = ref None in
   (try
@@ -1707,8 +1620,7 @@ let test_cuckoo_filter_short_circuits_misses () =
   let population = Sim.Topology.flows 64 in
   Array.iteri
     (fun i f ->
-      T.replace table ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f) i)
+      T.replace table ~w0:(Packet.Flow.w0 f) ~w1:(Packet.Flow.w1 f) i)
     population;
   (* At 64 keys over >= 16 buckets no bucket can have overflowed
      (load is far below one bucket's 8 slots on average), so every
@@ -1719,8 +1631,7 @@ let test_cuckoo_filter_short_circuits_misses () =
   for i = 1024 to 2047 do
     let f = absent.(i) in
     let p =
-      T.probe_count table ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f)
+      T.probe_count table ~w0:(Packet.Flow.w0 f) ~w1:(Packet.Flow.w1 f)
     in
     if p > !worst then worst := p
   done;
@@ -1734,8 +1645,8 @@ let test_flat_table_grows () =
   let n = 1_000 in
   for i = 0 to n - 1 do
     let f = flow i in
-    Demux.Flat_table.replace table ~w0:(Demux.Flow_key.w0_of_flow f)
-      ~w1:(Demux.Flow_key.w1_of_flow f) i
+    Demux.Flat_table.replace table ~w0:(Packet.Flow.w0 f)
+      ~w1:(Packet.Flow.w1 f) i
   done;
   Alcotest.(check int) "all present" n (Demux.Flat_table.length table);
   Alcotest.(check bool) "stayed under 7/8 load" true
@@ -1745,8 +1656,8 @@ let test_flat_table_grows () =
     Alcotest.(check int)
       (Printf.sprintf "entry %d survived the growth" i)
       i
-      (Demux.Flat_table.find table ~w0:(Demux.Flow_key.w0_of_flow f)
-         ~w1:(Demux.Flow_key.w1_of_flow f))
+      (Demux.Flat_table.find table ~w0:(Packet.Flow.w0 f)
+         ~w1:(Packet.Flow.w1 f))
   done;
   (* Robin Hood keeps probe sequences short even at 1000 entries. *)
   Alcotest.(check bool) "probe lengths bounded" true
@@ -1759,7 +1670,7 @@ let test_flat_table_grows () =
 
 let flat_words i =
   let f = flow i in
-  (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+  (Packet.Flow.w0 f, Packet.Flow.w1 f)
 
 let test_flat_table_no_resurrection () =
   (* Regression for the tombstone drain: once a migration starts the
@@ -2027,8 +1938,8 @@ let test_chain_zero_alloc () =
   let scan f =
     Demux.Lookup_stats.begin_lookup stats;
     let found =
-      Demux.Chain.scan chain ~stats ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f)
+      Demux.Chain.scan chain ~stats ~w0:(Packet.Flow.w0 f)
+        ~w1:(Packet.Flow.w1 f)
     in
     Demux.Lookup_stats.end_lookup stats ~hit_cache:false
       ~found:(Option.is_some found)
@@ -2117,11 +2028,11 @@ let test_flat_table_find_zero_alloc () =
   let population = Sim.Topology.flows 256 in
   Array.iteri
     (fun i f ->
-      Demux.Flat_table.replace table ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f) i)
+      Demux.Flat_table.replace table ~w0:(Packet.Flow.w0 f)
+        ~w1:(Packet.Flow.w1 f) i)
     population;
-  let w0 = Demux.Flow_key.w0_of_flow population.(17)
-  and w1 = Demux.Flow_key.w1_of_flow population.(17) in
+  let w0 = Packet.Flow.w0 population.(17)
+  and w1 = Packet.Flow.w1 population.(17) in
   ignore (Demux.Flat_table.find table ~w0 ~w1);
   ignore (Demux.Flat_table.find_opt table ~w0 ~w1);
   (* [find_opt] is what Sr_cache.note_send calls once per sent
@@ -2144,11 +2055,10 @@ let cuckoo_find_zero_alloc (module T : Demux.Cuckoo_table.S) () =
   let population = Sim.Topology.flows 256 in
   Array.iteri
     (fun i f ->
-      T.replace table ~w0:(Demux.Flow_key.w0_of_flow f)
-        ~w1:(Demux.Flow_key.w1_of_flow f) i)
+      T.replace table ~w0:(Packet.Flow.w0 f) ~w1:(Packet.Flow.w1 f) i)
     population;
-  let w0 = Demux.Flow_key.w0_of_flow population.(17)
-  and w1 = Demux.Flow_key.w1_of_flow population.(17) in
+  let w0 = Packet.Flow.w0 population.(17)
+  and w1 = Packet.Flow.w1 population.(17) in
   ignore (T.find table ~w0 ~w1);
   let delta =
     measure_minor_words 10_000 (fun () -> ignore (T.find table ~w0 ~w1))
@@ -2161,8 +2071,7 @@ let cuckoo_find_zero_alloc (module T : Demux.Cuckoo_table.S) () =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     (prop_lookup_count_invariant :: prop_merge_snapshots_with_histograms
-     :: prop_flow_key_round_trip :: prop_flow_key_equality_agrees
-     :: prop_flow_key_boundary_round_trip :: prop_chain_scan_matches_reference
+     :: prop_chain_scan_matches_reference
      :: prop_chain_model
      :: prop_flat_table_model :: prop_flat_table_model_degenerate_hash
      :: prop_cuckoo_model :: prop_cuckoo_model_degenerate_primary

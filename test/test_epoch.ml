@@ -173,7 +173,7 @@ let qcheck_reclaim_never_frees_visible =
 
 module E = Epoch.Packed.Heap
 
-let words f = (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+let words f = (Packet.Flow.w0 f, Packet.Flow.w1 f)
 
 let test_table_view_outlives_publishes () =
   let t = E.create () in

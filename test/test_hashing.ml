@@ -94,7 +94,7 @@ let test_deterministic () =
 let test_flow_fast_path_matches_bytes () =
   (* The allocation-free flow hash must be bit-identical to hashing
      the flow's 12-byte key, for every hasher — with or without a
-     direct [run_flow] path — and [bucket_flow] must agree with
+     word-folded definition — and [bucket_flow] must agree with
      [bucket] over the key bytes. *)
   let flows = Sim.Topology.flows 500 in
   List.iter
@@ -118,7 +118,7 @@ let test_flow_fast_path_matches_bytes () =
 
 let test_words_fast_path_matches_bytes () =
   (* Same bit-identity bar for the packed-word entry points: hashing
-     the two [Flow_key] words must equal hashing the canonical
+     the two [Packet.Flow] words must equal hashing the canonical
      12-byte key, for every hasher — whether it has a direct
      [run_words] path or falls back to serialising the words. *)
   let flows = Sim.Topology.flows 500 in
@@ -126,8 +126,7 @@ let test_words_fast_path_matches_bytes () =
     (fun hasher ->
       Array.iter
         (fun flow ->
-          let w0 = Demux.Flow_key.w0_of_flow flow
-          and w1 = Demux.Flow_key.w1_of_flow flow in
+          let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
           Alcotest.(check int)
             (Hashing.Hashers.name hasher ^ " words = bytes")
             (Hashing.Hashers.hash hasher (Packet.Flow.to_key_bytes flow))
@@ -139,6 +138,36 @@ let test_words_fast_path_matches_bytes () =
             (Hashing.Hashers.bucket_words hasher ~buckets:19 w0 w1))
         flows)
     Hashing.Hashers.all
+
+(* [Gc.minor_words] delta across [iterations] calls; the counter is
+   read unboxed, so a path that allocates nothing reads exactly 0. *)
+let minor_words iterations f =
+  let before = Gc.minor_words () in
+  for _ = 1 to iterations do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+let test_flow_hash_zero_alloc () =
+  (* The packing helpers and the word-folded hashes sit on the
+     per-packet receive path: a single boxed intermediate would read
+     10k words here. *)
+  let flow = Sim.Topology.flow_of_client 17 in
+  let check what f =
+    f ();
+    Alcotest.(check (float 0.0)) (what ^ " allocates nothing") 0.0
+      (minor_words 10_000 f)
+  in
+  check "Flow.w0" (fun () -> ignore (Packet.Flow.w0 flow));
+  check "Flow.w1" (fun () -> ignore (Packet.Flow.w1 flow));
+  List.iter
+    (fun hasher ->
+      let name = Hashing.Hashers.name hasher in
+      check (name ^ " hash_flow") (fun () ->
+          ignore (Hashing.Hashers.hash_flow hasher flow));
+      check (name ^ " bucket_flow") (fun () ->
+          ignore (Hashing.Hashers.bucket_flow hasher ~buckets:19 flow)))
+    Hashing.Hashers.[ xor_fold; add_fold; multiplicative ]
 
 let test_bucket_range_and_validation () =
   let k = key "any key" in
@@ -284,6 +313,23 @@ let prop_hash_deterministic =
           = Hashing.Hashers.hash hasher (Bytes.copy k))
         Hashing.Hashers.all)
 
+(* The bit-identity bar over the full address space, where an
+   address's [Int32] may be negative, and at its corners. *)
+let prop_flow_hashes_match_key_bytes =
+  QCheck.Test.make ~count:500 ~name:"flow and word hashes = key bytes"
+    (QCheck.make ~print:Packet.Flow.to_string
+       QCheck.Gen.(oneof [ Flow_gen.boundary; Flow_gen.full_range ]))
+    (fun flow ->
+      let key = Packet.Flow.to_key_bytes flow in
+      List.for_all
+        (fun hasher ->
+          let expected = Hashing.Hashers.hash hasher key in
+          Hashing.Hashers.hash_flow hasher flow = expected
+          && Hashing.Hashers.hash_words hasher (Packet.Flow.w0 flow)
+               (Packet.Flow.w1 flow)
+             = expected)
+        Hashing.Hashers.all)
+
 let prop_search_cost_at_least_ideal =
   QCheck.Test.make ~count:200
     ~name:"uneven chains never beat the even-split scan cost"
@@ -298,7 +344,7 @@ let prop_search_cost_at_least_ideal =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_bucket_in_range; prop_hash_deterministic;
-      prop_search_cost_at_least_ideal ]
+      prop_flow_hashes_match_key_bytes; prop_search_cost_at_least_ideal ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -320,6 +366,8 @@ let () =
             test_flow_fast_path_matches_bytes;
           Alcotest.test_case "packed words = key bytes" `Quick
             test_words_fast_path_matches_bytes;
+          Alcotest.test_case "flow hashes allocate nothing" `Quick
+            test_flow_hash_zero_alloc;
           Alcotest.test_case "bucket range" `Quick test_bucket_range_and_validation;
           Alcotest.test_case "of_name" `Quick test_of_name;
           Alcotest.test_case "spreads real flows" `Quick test_spreads_real_flows ] );

@@ -14,7 +14,7 @@ let flow i = Sim.Topology.flow_of_client i
 
 let words i =
   let f = flow i in
-  (Demux.Flow_key.w0_of_flow f, Demux.Flow_key.w1_of_flow f)
+  (Packet.Flow.w0 f, Packet.Flow.w1 f)
 
 (* ------------------------------------------------------------------ *)
 (* Storage: the slot-buffer contract both backends must meet           *)

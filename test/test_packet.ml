@@ -799,8 +799,48 @@ let prop_segment_parse_total_on_mutated_valid =
         flips;
       no_exception (fun () -> Packet.Segment.parse wire ~off:0))
 
+(* The packed words are the key: [of_words] inverts them, so equal
+   words mean equal flows. *)
+let prop_flow_words_round_trip =
+  QCheck.Test.make ~count:500 ~name:"Flow.of_words inverts w0/w1"
+    (QCheck.make ~print:Packet.Flow.to_string Flow_gen.full_range)
+    (fun f ->
+      Packet.Flow.equal f
+        (Packet.Flow.of_words ~w0:(Packet.Flow.w0 f) ~w1:(Packet.Flow.w1 f)))
+
+let prop_flow_words_equality =
+  QCheck.Test.make ~count:500 ~name:"Flow words equal iff flows equal"
+    (QCheck.make
+       ~print:(fun (a, b) ->
+         Packet.Flow.to_string a ^ " / " ^ Packet.Flow.to_string b)
+       QCheck.Gen.(pair Flow_gen.full_range Flow_gen.full_range))
+    (fun (a, b) ->
+      (Packet.Flow.w0 a = Packet.Flow.w0 b && Packet.Flow.w1 a = Packet.Flow.w1 b)
+      = Packet.Flow.equal a b)
+
+(* The 12-byte key written field by field, without the words. *)
+let reference_key_bytes (f : Packet.Flow.t) =
+  let buf = Bytes.create 12 in
+  Bytes.set_int32_be buf 0 (Packet.Ipv4.addr_to_int32 f.local.addr);
+  Bytes.set_int32_be buf 4 (Packet.Ipv4.addr_to_int32 f.remote.addr);
+  Bytes.set_uint16_be buf 8 f.local.port;
+  Bytes.set_uint16_be buf 10 f.remote.port;
+  buf
+
+(* Companion to Flow's 63-bit startup guard: at the corners of the
+   4-tuple space the words stay non-negative immediates, round-trip,
+   and encode the key bytes the fields do. *)
+let prop_flow_words_corners =
+  QCheck.Test.make ~count:300 ~name:"Flow words round-trip at corners"
+    (QCheck.make ~print:Packet.Flow.to_string Flow_gen.boundary)
+    (fun f ->
+      let w0 = Packet.Flow.w0 f and w1 = Packet.Flow.w1 f in
+      w0 >= 0 && w1 >= 0
+      && Packet.Flow.equal f (Packet.Flow.of_words ~w0 ~w1)
+      && Bytes.equal (Packet.Flow.to_key_bytes f) (reference_key_bytes f))
+
 (* The in-place read accepts exactly what [peek_flow] accepts, and
-   reads the same key as [Demux.Flow_key]'s packed words. *)
+   reads the same key as [Flow.w0]/[Flow.w1]. *)
 let prop_peek_words_match_peek_flow =
   QCheck.Test.make ~count:1000
     ~name:"Segment.peek_tcp and peek_w0/w1 agree with peek_flow"
@@ -818,10 +858,8 @@ let prop_peek_words_match_peek_flow =
       | Error _ -> tcp < 0
       | Ok flow ->
         tcp >= 0
-        && Packet.Segment.peek_w0 wire ~off:0 ~tcp
-           = Demux.Flow_key.w0_of_flow flow
-        && Packet.Segment.peek_w1 wire ~off:0 ~tcp
-           = Demux.Flow_key.w1_of_flow flow)
+        && Packet.Segment.peek_w0 wire ~off:0 ~tcp = Packet.Flow.w0 flow
+        && Packet.Segment.peek_w1 wire ~off:0 ~tcp = Packet.Flow.w1 flow)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -829,7 +867,8 @@ let qcheck_cases =
       prop_flow_key_injective_on_reverse; prop_ipv4_parse_total;
       prop_ipv6_parse_total; prop_tcp_parse_total; prop_segment_parse_total;
       prop_peek_flow_total; prop_segment_parse_total_on_mutated_valid;
-      prop_peek_words_match_peek_flow ]
+      prop_flow_words_round_trip; prop_flow_words_equality;
+      prop_flow_words_corners; prop_peek_words_match_peek_flow ]
 
 (* ------------------------------------------------------------------ *)
 

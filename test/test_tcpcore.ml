@@ -148,6 +148,39 @@ let test_conn_table_lookup_priority () =
   | Tcpcore.Conn_table.No_match -> ()
   | _ -> Alcotest.fail "expected no match")
 
+(* Words per warm lookup through the stack's default demultiplexer.
+   A hit allocates the registry's [Some pcb] and the [Connection]
+   (2 + 2).  A listener fallback allocates the [Some addr] it passes
+   to [listener], the listener table's [Some] and the [Listener]
+   (2 + 2 + 2).  A packing helper that boxed an endpoint or a word on
+   this path would push either count past its bound. *)
+let test_conn_table_lookup_words () =
+  let table =
+    Tcpcore.Conn_table.create
+      (Demux.Registry.Sequent
+         { chains = 19; hasher = Hashing.Hashers.multiplicative })
+  in
+  Tcpcore.Conn_table.listen table ~port:8888 ();
+  for port = 5000 to 5099 do
+    ignore (Tcpcore.Conn_table.add_connection table (flow port) ())
+  done;
+  let check what ~bound target =
+    let lookup () =
+      ignore (Tcpcore.Conn_table.lookup table ~kind:Demux.Types.Data target)
+    in
+    lookup ();
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      lookup ()
+    done;
+    let words = (Gc.minor_words () -. before) /. 10_000.0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.2f words (at most %.0f)" what words bound)
+      true (words <= bound)
+  in
+  check "hit" ~bound:4.0 (flow 5050);
+  check "listener fallback" ~bound:6.0 (flow 6000)
+
 let test_conn_table_listen_validation () =
   let table = Tcpcore.Conn_table.create Demux.Registry.Bsd in
   Tcpcore.Conn_table.listen table ~port:80 ();
@@ -1270,6 +1303,8 @@ let () =
           Alcotest.test_case "valid_events" `Quick test_valid_events_consistency ] );
       ( "conn-table",
         [ Alcotest.test_case "lookup priority" `Quick test_conn_table_lookup_priority;
+          Alcotest.test_case "warm lookup words" `Quick
+            test_conn_table_lookup_words;
           Alcotest.test_case "listen validation" `Quick test_conn_table_listen_validation;
           Alcotest.test_case "wildcard vs specific" `Quick
             test_conn_table_wildcard_vs_specific;
