@@ -1,18 +1,13 @@
 (* Benchmark harness: regenerates every table and figure of McKenney &
    Dove (1992) — experiment ids E1-E18 from DESIGN.md — and the
-   extensions E19-E36, then runs bechamel wall-clock microbenchmarks of
-   the same code paths.
+   extensions E19-E37.
 
-   Two layers on purpose:
-   - the {e reproduction} layer is one table of experiments
-     ([experiments] below).  Each entry measures once, prints
-     paper-value vs our-value rows so EXPERIMENTS.md can be filled
-     mechanically, gates its acceptance bars, and declares its
-     tcpdemux-bench/1 records;
-   - the {e bechamel} layer has one Test.make per experiment (timing
-     its regeneration) plus lookup/hash throughput groups, wall-clock
-     being the secondary check the paper's PCBs-examined metric stands
-     in for. *)
+   The harness is one table of experiments ([experiments] below).
+   Each entry measures once, prints paper-value vs our-value rows so
+   EXPERIMENTS.md can be filled mechanically, gates its acceptance
+   bars, and declares its tcpdemux-bench/1 records.  Every warm lookup
+   the bench times goes through [measure_lookups]; E37 puts the
+   paper's PCBs-examined metric beside the time it stands in for. *)
 
 let section title =
   Printf.printf "\n==== %s ====\n\n" title
@@ -72,11 +67,9 @@ let failing cond fmt =
 
 let default_params = Analysis.Tpca_params.default
 
-let e1_figure4 () = [ Analysis.Comparison.figure4 () ]
-
 let e1 =
   experiment "E1"
-    (fun ~smoke:_ -> e1_figure4 ())
+    (fun ~smoke:_ -> [ Analysis.Comparison.figure4 () ])
     (fun series ->
       section "E1 / Figure 4: N(T) for 2,000 TPC/A users";
       Report.Ascii_plot.print ~title:"Figure 4" series;
@@ -86,14 +79,10 @@ let e1 =
         (Analysis.Mtf_model.expected_preceding p 10.0)
         (Analysis.Mtf_model.expected_preceding p 50.0))
 
-let e2_e3 () =
-  ( Analysis.Bsd_model.cost default_params,
-    Analysis.Bsd_model.train_probability default_params )
-
 let e2 =
   experiment "E2"
     ~records:(always [ Metric ("analysis.bsd.cost", "pcbs", Fun.id) ])
-    (fun ~smoke:_ -> fst (e2_e3 ()))
+    (fun ~smoke:_ -> Analysis.Bsd_model.cost default_params)
     (fun cost ->
       section "E2: BSD expected PCBs searched (Section 3.1, Eq 1)";
       row "E2 BSD expected PCBs searched : paper 1001    ours %.1f\n" cost)
@@ -101,19 +90,17 @@ let e2 =
 let e3 =
   experiment "E3"
     ~records:(always [ Metric ("analysis.bsd.train_probability", "", Fun.id) ])
-    (fun ~smoke:_ -> snd (e2_e3 ()))
+    (fun ~smoke:_ -> Analysis.Bsd_model.train_probability default_params)
     (fun train ->
       section "E3: BSD packet-train probability (Section 3.1)";
       row "E3 packet-train probability   : paper 1.9e-35 ours %.3g\n" train)
-
-let e4_e6 () =
-  Analysis.Comparison.mtf_response_time_table [ 0.2; 0.5; 1.0; 2.0 ]
 
 (* E4, E5 and E6 are the entry, ack and overall columns of one model
    table over the response time R. *)
 let e4_e6_column id title ~paper column =
   experiment id
-    (fun ~smoke:_ -> e4_e6 ())
+    (fun ~smoke:_ ->
+      Analysis.Comparison.mtf_response_time_table [ 0.2; 0.5; 1.0; 2.0 ])
     (fun rows ->
       section (Printf.sprintf "%s: move-to-front %s (Section 3.2)" id title);
       row "%-6s %18s\n" "R" "paper/ours";
@@ -134,19 +121,17 @@ let e6 =
   e4_e6_column "E6" "overall cost" ~paper:[ 549; 618; 724; 904 ]
     (fun (_, _, _, overall) -> overall)
 
-let e7_rows () =
-  List.map
-    (fun rtt ->
-      (rtt, Analysis.Srcache_model.overall_cost
-              (Analysis.Tpca_params.v ~users:2000 ~rtt ())))
-    [ 0.001; 0.010; 0.100 ]
-
 let e7 =
   (* The record is the paper's operating point, D = 1 ms. *)
   experiment "E7"
     ~records:
       (always [ Metric ("analysis.sr-cache.cost", "pcbs", List.assoc 0.001) ])
-    (fun ~smoke:_ -> e7_rows ())
+    (fun ~smoke:_ ->
+      List.map
+        (fun rtt ->
+          (rtt, Analysis.Srcache_model.overall_cost
+                  (Analysis.Tpca_params.v ~users:2000 ~rtt ())))
+        [ 0.001; 0.010; 0.100 ])
     (fun rows ->
       section "E7: send/receive cache overall cost (Section 3.3, Eq 17)";
       row "%-8s %18s\n" "D" "paper/ours";
@@ -156,19 +141,17 @@ let e7 =
             ours)
         [ 667; 993; 1002 ] rows)
 
-let e8_e11 () =
-  let p = default_params in
-  ( Analysis.Sequent_model.hit_rate p ~chains:19,
-    Analysis.Sequent_model.quiet_probability p ~chains:19,
-    Analysis.Sequent_model.quiet_probability p ~chains:51,
-    Analysis.Sequent_model.cost p ~chains:19,
-    Analysis.Sequent_model.cost_naive p ~chains:19,
-    Analysis.Sequent_model.cost p ~chains:100 )
-
 (* E8-E11 each print one row of the Sequent model's numbers. *)
 let e8_e11_row ?records id print_row =
   experiment id ?records
-    (fun ~smoke:_ -> e8_e11 ())
+    (fun ~smoke:_ ->
+      let p = default_params in
+      ( Analysis.Sequent_model.hit_rate p ~chains:19,
+        Analysis.Sequent_model.quiet_probability p ~chains:19,
+        Analysis.Sequent_model.quiet_probability p ~chains:51,
+        Analysis.Sequent_model.cost p ~chains:19,
+        Analysis.Sequent_model.cost_naive p ~chains:19,
+        Analysis.Sequent_model.cost p ~chains:100 ))
     (fun values ->
       section (id ^ ": Sequent hashed chains (Section 3.4)");
       print_row values)
@@ -202,19 +185,16 @@ let e11 =
     (fun (_, _, _, _, _, cost100) ->
       row "E11 cost at H=100          : paper <9  ours %.2f\n" cost100)
 
-let e12_figure13 () = Analysis.Comparison.figure13 ()
-let e13_figure14 () = Analysis.Comparison.figure14 ()
-
 let e12 =
   experiment "E12"
-    (fun ~smoke:_ -> e12_figure13 ())
+    (fun ~smoke:_ -> Analysis.Comparison.figure13 ())
     (fun series ->
       section "E12 / Figure 13: algorithm comparison, 0-10,000 connections";
       Report.Ascii_plot.print ~title:"Figure 13" series)
 
 let e13 =
   experiment "E13"
-    (fun ~smoke:_ -> e13_figure14 ())
+    (fun ~smoke:_ -> Analysis.Comparison.figure14 ())
     (fun series ->
       section "E13 / Figure 14: detail, 0-1,000 connections";
       Report.Ascii_plot.print ~title:"Figure 14" series)
@@ -494,26 +474,31 @@ let e25 =
          credits when dismissing move-to-front.\n"
         (Analysis.Bsd_model.cost validation_params))
 
-(* Best-of-[trials] ns per lookup and minor words per lookup for
-   [run lookups], which performs [lookups] warm lookups.  Minimum over
-   trials on both metrics: the floor is the signal, everything above
-   it is scheduler noise (ns) or measurement-harness boxing (words).
-   Every warm-lookup allocation figure in the bench comes from here. *)
-let measure_lookups ~trials ~lookups run =
-  let best_ns = ref infinity and best_words = ref infinity in
+(* Best-of-[trials] [(ns, minor words)] per lookup for each side, in
+   order; a side [run] performs [run lookups] warm lookups.  Each trial
+   times every side in turn, so the sides meet the same host noise.
+   Each side keeps its minimum on both metrics: the floor is the
+   signal, everything above it is scheduler noise (ns) or
+   measurement-harness boxing (words).  Every warm lookup the bench
+   times, and every warm-lookup allocation figure, comes from here. *)
+let measure_lookups ~trials ~lookups sides =
+  let best_ns = Array.make (List.length sides) infinity
+  and best_words = Array.make (List.length sides) infinity in
+  let per = float_of_int lookups in
   for _ = 1 to trials do
-    let words_before = Gc.minor_words () in
-    let t0 = Obs.Clock.now_ns () in
-    run lookups;
-    let t1 = Obs.Clock.now_ns () in
-    let words_after = Gc.minor_words () in
-    let per = float_of_int lookups in
-    let ns = float_of_int (t1 - t0) /. per in
-    if ns < !best_ns then best_ns := ns;
-    let words = (words_after -. words_before) /. per in
-    if words < !best_words then best_words := words
+    List.iteri
+      (fun j run ->
+        let words_before = Gc.minor_words () in
+        let t0 = Obs.Clock.now_ns () in
+        run lookups;
+        let t1 = Obs.Clock.now_ns () in
+        let words_after = Gc.minor_words () in
+        best_ns.(j) <- Float.min best_ns.(j) (float_of_int (t1 - t0) /. per);
+        best_words.(j) <-
+          Float.min best_words.(j) ((words_after -. words_before) /. per))
+      sides
   done;
-  (!best_ns, !best_words)
+  List.mapi (fun j _ -> (best_ns.(j), best_words.(j))) sides
 
 (* Distinct per-index keys for the table experiments (E31, E34, E35),
    synthesized directly as packed words: w0 carries the index, w1 is a
@@ -615,9 +600,10 @@ let e29_measure ~trials ~lookups n =
   (* Warm both tables (fault in code paths and caches) before timing. *)
   run_chained (min lookups 1_000);
   run_flat (min lookups 1_000);
-  let chained_ns, chained_words = measure_lookups ~trials ~lookups run_chained in
-  let flat_ns, flat_words = measure_lookups ~trials ~lookups run_flat in
-  { n; chained_ns; chained_words; flat_ns; flat_words }
+  match measure_lookups ~trials ~lookups [ run_chained; run_flat ] with
+  | [ (chained_ns, chained_words); (flat_ns, flat_words) ] ->
+    { n; chained_ns; chained_words; flat_ns; flat_words }
+  | _ -> assert false
 
 (* The tentpole's acceptance bar: the flat table must not lose to the
    chained baseline on time or allocation.  Allocation gets a hair of
@@ -888,7 +874,7 @@ let e33_read_path ~smoke =
      counters are read. *)
   run 1_000;
   let locks_before = E.lock_acquisitions t in
-  let _, words = measure_lookups ~trials:1 ~lookups run in
+  let words = snd (List.hd (measure_lookups ~trials:1 ~lookups [ run ])) in
   (E.lock_acquisitions t - locks_before, words)
 
 let e33_gate ~smoke:_ (results, (mutex_delta, words_per_lookup)) =
@@ -1083,7 +1069,7 @@ let e34_measure (module M : Demux.Packed_table.S) ~total ~plateau =
       done
     in
     run 1_000;
-    snd (measure_lookups ~trials:1 ~lookups:200_000 run)
+    snd (List.hd (measure_lookups ~trials:1 ~lookups:200_000 [ run ]))
   in
   (* The cycle-completion stall: what any caller of [Gc.full_major]
      (compaction, a checkpoint, heap diagnostics) pays while the table
@@ -1389,12 +1375,10 @@ let e35_queries ~profile ~n ~seed =
 
 (* One (profile, population) pair of cells.  Each side is [(algo,
    mem, probe)]: an untimed probe census of each table over the
-   distinct query pool, a warm pass of each, then [trials] rounds
-   that time every side in turn over [lookups] mask-cycled membership
-   tests, each side keeping its best.  Interleaving the sides' trials
-   exposes them to the same host noise, and every side pays the same
-   closure call, so the comparison is probe work only.  Returns
-   [(ns, mean probes, max probes)] per side, in order. *)
+   distinct query pool, a warm pass of each, then [measure_lookups]
+   over [lookups] mask-cycled membership tests per side.  Every side
+   pays the same closure call, so the comparison is probe work only.
+   Returns [(ns, mean probes, max probes)] per side, in order. *)
 let e35_measure_cells sides ~qw0 ~qw1 ~lookups ~trials =
   let census (_, _, probe) =
     let sum = ref 0 and max_probes = ref 0 in
@@ -1405,30 +1389,20 @@ let e35_measure_cells sides ~qw0 ~qw1 ~lookups ~trials =
     done;
     (float_of_int !sum /. float_of_int e35_qlen, !max_probes)
   in
-  let timed mem =
-    let t0 = Obs.Clock.now_ns () in
-    for k = 0 to lookups - 1 do
+  let run (_, mem, _) count =
+    for k = 0 to count - 1 do
       let i = k land (e35_qlen - 1) in
       ignore
         (mem ~w0:(Array.unsafe_get qw0 i) ~w1:(Array.unsafe_get qw1 i))
-    done;
-    let t1 = Obs.Clock.now_ns () in
-    float_of_int (t1 - t0) /. float_of_int lookups
+    done
   in
   let probes = List.map census sides in
-  List.iter
-    (fun (_, mem, _) ->
-      for k = 0 to e35_qlen - 1 do
-        ignore (mem ~w0:qw0.(k) ~w1:qw1.(k))
-      done)
-    sides;
-  let best = Array.make (List.length sides) infinity in
-  for _ = 1 to trials do
-    List.iteri
-      (fun j (_, mem, _) -> best.(j) <- Float.min best.(j) (timed mem))
-      sides
-  done;
-  List.mapi (fun j (mean, max_probes) -> (best.(j), mean, max_probes)) probes
+  let runs = List.map run sides in
+  List.iter (fun run -> run e35_qlen) runs;
+  List.map2
+    (fun (ns, _) (mean, max_probes) -> (ns, mean, max_probes))
+    (measure_lookups ~trials ~lookups runs)
+    probes
 
 let e35_cells ~smoke =
   let lookups = if smoke then 100_000 else 2_000_000 in
@@ -1519,7 +1493,7 @@ let e35_warm_words (module M : Demux.Cuckoo_table.S) =
     done
   in
   run 1_000;
-  snd (measure_lookups ~trials:1 ~lookups:200_000 run)
+  snd (List.hd (measure_lookups ~trials:1 ~lookups:200_000 [ run ]))
 
 let e35_cell rows ~algo ~profile ~n =
   List.find
@@ -1745,6 +1719,117 @@ let e36 =
          message-passing handoff with exact segment accounting, not a\n\
          shared structure.\n")
 
+(* E37: PCBs examined in nanoseconds.  The paper's figure of merit
+   stands in for time; E37 records the two side by side for the
+   registry's algorithms on one workload: 2,000 established flows (the
+   paper's TPC/A population) looked up in one seeded uniform order.
+   Each row counts PCBs examined over an untimed census of the
+   freshly built table, which is also its warm pass, then every row's
+   lookups are timed by [measure_lookups], their trials interleaved.
+   Two more Sequent-19 rows price the lookup's observability: the
+   examined-count histogram, and an enabled tracer. *)
+
+let e37_population = 2_000
+
+(* [(row, spec, attach)]: [attach] hooks observability onto the row's
+   lookup stats before the census. *)
+let e37_rows =
+  let hasher = Hashing.Hashers.multiplicative in
+  let sequent_19 = Demux.Registry.Sequent { chains = 19; hasher } in
+  List.map
+    (fun spec -> (Demux.Registry.spec_name spec, spec, ignore))
+    Demux.Registry.
+      [ Linear; Bsd; Mtf; Sr_cache; sequent_19;
+        Sequent { chains = 100; hasher }; Hashed_mtf { chains = 19; hasher };
+        Conn_id { capacity = 2048 }; Resizing_hash; Splay ]
+  @ [ ( "sequent-19+histogram", sequent_19,
+        fun stats ->
+          Demux.Lookup_stats.set_histogram stats
+            (Some (Obs.Histogram.create ())) );
+      ( "sequent-19+trace", sequent_19,
+        fun stats ->
+          Demux.Lookup_stats.set_tracer stats
+            (Obs.Trace.create ~capacity:4096 ()) ) ]
+
+type e37_row = {
+  e37_name : string;
+  e37_pcbs : float;  (* PCBs examined per census lookup *)
+  e37_ns : float;
+  e37_words : float;
+}
+
+let e37_run ~smoke =
+  let census = if smoke then 5_000 else 50_000 in
+  let lookups = if smoke then 10_000 else 50_000 in
+  let trials = if smoke then 2 else 3 in
+  let flows = Sim.Topology.flows e37_population in
+  let rng = Numerics.Rng.create ~seed:bench_seed in
+  let order =
+    Array.init (max census lookups) (fun _ ->
+        Numerics.Rng.int rng ~bound:e37_population)
+  in
+  let tables =
+    List.map
+      (fun (name, spec, attach) ->
+        let demux = Demux.Registry.create spec in
+        Array.iter
+          (fun flow -> ignore (demux.Demux.Registry.insert flow ()))
+          flows;
+        let stats = demux.Demux.Registry.stats in
+        attach stats;
+        let run count =
+          for k = 0 to count - 1 do
+            ignore (demux.Demux.Registry.lookup flows.(order.(k)))
+          done
+        in
+        Demux.Lookup_stats.reset stats;
+        run census;
+        ( name,
+          Demux.Lookup_stats.mean_examined (Demux.Lookup_stats.snapshot stats),
+          run ))
+      e37_rows
+  in
+  let timed =
+    measure_lookups ~trials ~lookups (List.map (fun (_, _, run) -> run) tables)
+  in
+  List.map2
+    (fun (name, pcbs, _) (ns, words) ->
+      { e37_name = name; e37_pcbs = pcbs; e37_ns = ns; e37_words = words })
+    tables timed
+
+let e37 =
+  experiment "E37"
+    ~records:
+      (always
+         (List.concat_map
+            (fun (name, _, _) ->
+              let metric = Printf.sprintf "demux.e37.%s.%s" name in
+              point
+                (List.find (fun r -> r.e37_name = name))
+                [ (metric "pcbs_examined_per_lookup", "pcbs",
+                   fun r -> r.e37_pcbs);
+                  (metric "ns_per_lookup", "ns", fun r -> r.e37_ns);
+                  (metric "minor_words_per_lookup", "words",
+                   fun r -> r.e37_words) ])
+            e37_rows))
+    e37_run
+    (fun rows ->
+      section "E37 (extension): PCBs examined in nanoseconds, N = 2,000";
+      row "%-22s %12s %10s %10s\n" "algorithm" "PCBs/lookup" "ns/lookup"
+        "words";
+      List.iter
+        (fun r ->
+          row "%-22s %12.2f %10.1f %10.2f\n" r.e37_name r.e37_pcbs r.e37_ns
+            r.e37_words)
+        rows;
+      row
+        "Paper, no locality: BSD %.0f PCBs (Eq 1), Sequent-19 %.1f\n\
+         (Eq 19).  An order-of-magnitude PCB gap is an order-of-magnitude\n\
+         time gap, but not a proportional one: every lookup also pays a\n\
+         fixed cost that the count does not see.\n"
+        (Analysis.Bsd_model.cost default_params)
+        (Analysis.Sequent_model.cost_naive default_params ~chains:19))
+
 let hash_ablation =
   experiment "ablation"
     (fun ~smoke:_ ->
@@ -1772,7 +1857,7 @@ let hash_ablation =
 let experiments =
   [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14;
     e15; e16; e17; e18; e19; e20; e21; e22; e23; e24; e25; e28; e29;
-    e31; e33; e34; e35; e36; hash_ablation ]
+    e31; e33; e34; e35; e36; e37; hash_ablation ]
 
 let declares_records ~smoke (E e) =
   match e.records ~smoke with [] -> false | _ :: _ -> true
@@ -1935,212 +2020,6 @@ let check_report ~schema ~command validate path =
     exit 1
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel layer                                                      *)
-
-open Bechamel
-open Toolkit
-
-let lookup_test spec =
-  (* Steady-state OLTP lookup: 2,000 established connections, lookups
-     arriving user-by-user in a fixed pseudo-random order. *)
-  let demux = Demux.Registry.create spec in
-  let flows = Sim.Topology.flows 2000 in
-  Array.iter (fun flow -> ignore (demux.Demux.Registry.insert flow ())) flows;
-  let order = Array.init 65536 (fun _ -> 0) in
-  let rng = Numerics.Rng.create ~seed:9 in
-  Array.iteri (fun i _ -> order.(i) <- Numerics.Rng.int rng ~bound:2000) order;
-  let cursor = ref 0 in
-  Test.make
-    ~name:(Demux.Registry.spec_name spec)
-    (Staged.stage (fun () ->
-         let i = !cursor in
-         cursor := (i + 1) land 65535;
-         ignore (demux.Demux.Registry.lookup flows.(order.(i)))))
-
-let churn_test spec =
-  (* Connection lifecycle cost: insert a fresh flow, look it up twice,
-     remove it — over a table already holding 1000 stable flows. *)
-  let demux = Demux.Registry.create spec in
-  let stable = Sim.Topology.flows 1000 in
-  Array.iter (fun flow -> ignore (demux.Demux.Registry.insert flow ())) stable;
-  let cursor = ref 1000 in
-  Test.make
-    ~name:(Demux.Registry.spec_name spec)
-    (Staged.stage (fun () ->
-         let flow = Sim.Topology.flow_of_client !cursor in
-         cursor := 1000 + ((!cursor - 999) mod 60000);
-         ignore (demux.Demux.Registry.insert flow ());
-         ignore (demux.Demux.Registry.lookup flow);
-         ignore (demux.Demux.Registry.lookup flow);
-         ignore (demux.Demux.Registry.remove flow)))
-
-let churn_tests =
-  Test.make_grouped ~name:"churn"
-    (List.map churn_test
-       Demux.Registry.
-         [ Bsd; Mtf;
-           Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative };
-           Conn_id { capacity = 65536 }; Resizing_hash; Splay ])
-
-let hash_test hasher =
-  let key = Packet.Flow.to_key_bytes (Sim.Topology.flow_of_client 123) in
-  Test.make
-    ~name:(Hashing.Hashers.name hasher)
-    (Staged.stage (fun () -> ignore (Hashing.Hashers.hash hasher key)))
-
-let wire_test () =
-  (* Parse + demultiplex a realistic 52-byte query segment. *)
-  let demux =
-    Demux.Registry.create
-      (Demux.Registry.Sequent
-         { chains = 19; hasher = Hashing.Hashers.multiplicative })
-  in
-  let flows = Sim.Topology.flows 2000 in
-  Array.iter (fun flow -> ignore (demux.Demux.Registry.insert flow ())) flows;
-  let flow = flows.(777) in
-  let wire =
-    Packet.Segment.to_bytes
-      (Packet.Segment.make ~src:flow.Packet.Flow.remote
-         ~dst:flow.Packet.Flow.local ~flags:Packet.Tcp_header.flag_psh_ack
-         ~payload:"BEGIN TXN 42" ())
-  in
-  Test.make ~name:"parse+lookup"
-    (Staged.stage (fun () ->
-         match Packet.Segment.parse wire ~off:0 with
-         | Ok segment ->
-           ignore (demux.Demux.Registry.lookup (Packet.Segment.flow segment))
-         | Error message -> failwith message))
-
-let regen_tests =
-  (* One Test.make per table/figure: how long regenerating each
-     experiment's data takes. *)
-  Test.make_grouped ~name:"regen"
-    [ Test.make ~name:"E1-fig4" (Staged.stage (fun () -> ignore (e1_figure4 ())));
-      Test.make ~name:"E2-E3-bsd" (Staged.stage (fun () -> ignore (e2_e3 ())));
-      Test.make ~name:"E4-E6-mtf" (Staged.stage (fun () -> ignore (e4_e6 ())));
-      Test.make ~name:"E7-srcache" (Staged.stage (fun () -> ignore (e7_rows ())));
-      Test.make ~name:"E8-E11-sequent"
-        (Staged.stage (fun () -> ignore (e8_e11 ())));
-      Test.make ~name:"E12-fig13"
-        (Staged.stage (fun () -> ignore (e12_figure13 ())));
-      Test.make ~name:"E13-fig14"
-        (Staged.stage (fun () -> ignore (e13_figure14 ()))) ]
-
-let lookup_tests =
-  Test.make_grouped ~name:"lookup"
-    (List.map lookup_test
-       Demux.Registry.
-         [ Linear; Bsd; Mtf; Sr_cache;
-           Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative };
-           Sequent { chains = 100; hasher = Hashing.Hashers.multiplicative };
-           Hashed_mtf { chains = 19; hasher = Hashing.Hashers.multiplicative };
-           Conn_id { capacity = 2048 }; Resizing_hash; Splay ])
-
-let hash_tests =
-  Test.make_grouped ~name:"hash" (List.map hash_test Hashing.Hashers.all)
-
-(* Observability overhead: the acceptance bar is that a sequent-19
-   lookup with the examined-count histogram attached stays well under
-   2x the bare lookup, and that a disabled tracer is free. *)
-let obs_lookup_test ~name ~with_histogram =
-  let demux =
-    Demux.Registry.create
-      (Demux.Registry.Sequent
-         { chains = 19; hasher = Hashing.Hashers.multiplicative })
-  in
-  let flows = Sim.Topology.flows 2000 in
-  Array.iter (fun flow -> ignore (demux.Demux.Registry.insert flow ())) flows;
-  if with_histogram then
-    Demux.Lookup_stats.set_histogram demux.Demux.Registry.stats
-      (Some (Obs.Histogram.create ()));
-  let order = Array.init 65536 (fun _ -> 0) in
-  let rng = Numerics.Rng.create ~seed:9 in
-  Array.iteri (fun i _ -> order.(i) <- Numerics.Rng.int rng ~bound:2000) order;
-  let cursor = ref 0 in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         let i = !cursor in
-         cursor := (i + 1) land 65535;
-         ignore (demux.Demux.Registry.lookup flows.(order.(i)))))
-
-let obs_tests =
-  let histogram = Obs.Histogram.create () in
-  let ring = Obs.Trace.create ~capacity:4096 () in
-  Test.make_grouped ~name:"obs"
-    [ obs_lookup_test ~name:"sequent-19-bare" ~with_histogram:false;
-      obs_lookup_test ~name:"sequent-19+histogram" ~with_histogram:true;
-      Test.make ~name:"histogram-record"
-        (Staged.stage (fun () -> Obs.Histogram.record histogram 17));
-      Test.make ~name:"trace-disabled"
-        (Staged.stage (fun () ->
-             Obs.Trace.record Obs.Trace.disabled Obs.Trace.Cache_hit 1 2));
-      Test.make ~name:"trace-enabled"
-        (Staged.stage (fun () ->
-             Obs.Trace.record ring Obs.Trace.Cache_hit 1 2)) ]
-
-(* Batched-pipeline hot pieces, single-domain so bechamel sees the
-   per-call cost: 64 per-packet lookups vs one 64-flow lookup_batch
-   over the same striped table, and a ring push+pop round trip. *)
-let batch_tests =
-  let striped = Parallel.Striped.create ~chains:19 () in
-  let flows = Sim.Topology.flows 2000 in
-  Array.iter (fun flow -> ignore (Parallel.Striped.insert striped flow ())) flows;
-  let rng = Numerics.Rng.create ~seed:9 in
-  let burst =
-    Array.init 64 (fun _ -> flows.(Numerics.Rng.int rng ~bound:2000))
-  in
-  let ring = Parallel.Ring.create ~capacity:8 in
-  Test.make_grouped ~name:"batch"
-    [ Test.make ~name:"striped-lookup-x64"
-        (Staged.stage (fun () ->
-             Array.iter
-               (fun flow -> ignore (Parallel.Striped.lookup striped flow))
-               burst));
-      Test.make ~name:"striped-lookup_batch-64"
-        (Staged.stage (fun () ->
-             ignore (Parallel.Striped.lookup_batch striped burst)));
-      Test.make ~name:"ring-push+pop"
-        (Staged.stage (fun () ->
-             ignore (Parallel.Ring.try_push ring burst);
-             ignore (Parallel.Ring.try_pop ring))) ]
-
-let run_bechamel ~smoke () =
-  section "bechamel wall-clock microbenchmarks";
-  let tests =
-    Test.make_grouped ~name:"tcpdemux"
-      (if smoke then [ obs_tests; batch_tests ]
-       else
-         [ lookup_tests; churn_tests; hash_tests; wire_test (); regen_tests;
-           obs_tests; batch_tests ])
-  in
-  let cfg =
-    if smoke then Benchmark.cfg ~limit:500 ~quota:(Time.second 0.05) ~kde:None ()
-    else Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> String.compare a b) rows in
-  row "%-40s %14s %8s\n" "benchmark" "ns/op" "r^2";
-  List.iter
-    (fun (name, result) ->
-      let nanoseconds =
-        match Analyze.OLS.estimates result with
-        | Some [ estimate ] -> Printf.sprintf "%14.1f" estimate
-        | Some _ | None -> Printf.sprintf "%14s" "-"
-      in
-      let r2 =
-        match Analyze.OLS.r_square result with
-        | Some r -> Printf.sprintf "%8.4f" r
-        | None -> Printf.sprintf "%8s" "-"
-      in
-      row "%-40s %s %s\n" name nanoseconds r2)
-    rows
-
-(* ------------------------------------------------------------------ *)
 
 let usage () =
   prerr_endline
@@ -2151,7 +2030,7 @@ let usage () =
      \  --json FILE  write tcpdemux-bench/1 records, and the bars the run\n\
      \               failed, to FILE\n\
      \  --eNN        run only experiment ENN (repeatable; e.g. --e29),\n\
-     \               full size unless --smoke, no microbenchmarks\n\
+     \               full size unless --smoke\n\
      \  --check FILE validate a records file (schema, every declared\n\
      \               record, no failed bar) plus the passing check.json\n\
      \               and chaos.json reports in FILE's directory, and exit";
@@ -2204,5 +2083,4 @@ let () =
       List.iter prerr_endline failures;
       exit 1
     end;
-    (match !selected with [] -> run_bechamel ~smoke () | _ :: _ -> ());
     print_endline "\ndone."

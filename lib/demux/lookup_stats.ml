@@ -40,8 +40,6 @@ let set_series_histograms t ~hit ~miss =
   t.hit_histogram <- hit;
   t.miss_histogram <- miss
 
-let hit_histogram t = t.hit_histogram
-let miss_histogram t = t.miss_histogram
 let set_tracer t tracer = t.tracer <- tracer
 let tracer t = t.tracer
 

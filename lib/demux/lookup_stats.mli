@@ -62,9 +62,6 @@ val set_series_histograms :
     (EXPERIMENTS.md E35) — this makes them directly attributable
     instead of inferred from mixed percentiles. *)
 
-val hit_histogram : t -> Obs.Histogram.t option
-val miss_histogram : t -> Obs.Histogram.t option
-
 val set_tracer : t -> Obs.Trace.t -> unit
 (** Attach a tracer; lookups emit [Lookup_begin] / [Lookup_end]
     (payload: examined count; flag bits: found, cache hit) plus

@@ -41,8 +41,6 @@ let scenario_name = function
 let scenario_of_name s =
   List.find_opt (fun scenario -> scenario_name scenario = s) all
 
-let pp_scenario ppf s = Format.pp_print_string ppf (scenario_name s)
-
 type op_kind = Insert | Lookup | Remove
 
 type op = { kind : op_kind; flow : Packet.Flow.t; payload : int }

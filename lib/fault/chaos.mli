@@ -36,7 +36,6 @@ val scenario_name : scenario -> string
     ["burst-arrival"], ["mid-run-growth"]. *)
 
 val scenario_of_name : string -> scenario option
-val pp_scenario : Format.formatter -> scenario -> unit
 
 type op_kind = Insert | Lookup | Remove
 

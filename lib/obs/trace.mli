@@ -1,11 +1,13 @@
 (** Fixed-capacity ring buffer of typed hot-path events.
 
     A tracer either wraps a preallocated ring (struct-of-arrays:
-    timestamps, kinds, two integer payloads — no per-event allocation)
-    or is {!disabled}, in which case {!record} is a single pattern
-    match on an immediate value: leaving trace calls in a packet hot
-    path costs nothing measurable when tracing is off, which is the
-    point — see the [obs] bechamel group in [bench/].
+    timestamps, kinds, two integer payloads) or is {!disabled}, in
+    which case {!record} is a single pattern match on an immediate
+    value: leaving trace calls in a packet hot path costs nothing
+    measurable when tracing is off, which is the point.  An enabled
+    tracer allocates one thing per event: the 2-word float its
+    {!Clock.t} returns.  A Sequent-19 lookup records three events, so
+    tracing adds 6 minor words to it (bench E37).
 
     Tracers are single-domain by design; parallel code creates one per
     domain (distinguished by [id]) and {!dump}s them into one file as
@@ -76,7 +78,7 @@ val set_clock : t -> Clock.t -> unit
 val record : t -> kind -> int -> int -> unit
 (** [record t kind a b]: append one event (overwriting the oldest when
     full).  All arguments are immediates; the disabled path does not
-    allocate. *)
+    allocate, the enabled one allocates its timestamp's float. *)
 
 val length : t -> int
 (** Events currently held (≤ capacity). *)

@@ -9,7 +9,6 @@ type config = {
     Tcpcore.Stack.t -> Tcpcore.Stack.connection -> string -> unit;
   pressure : Pressure.config option;
   on_pressure : Pressure.t array -> unit;
-  stall : (int * int) option;
 }
 
 let config ?(ring_capacity = 1024)
@@ -18,7 +17,7 @@ let config ?(ring_capacity = 1024)
         { chains = Demux.Sequent.default_chains;
           hasher = Hashing.Hashers.multiplicative })
     ?(migrate = false) ?migrate_target ?(on_data = fun _ _ _ -> ()) ?pressure
-    ?(on_pressure = fun _ -> ()) ?stall ~domains ~local_addr () =
+    ?(on_pressure = fun _ -> ()) ~domains ~local_addr () =
   if domains <= 0 then invalid_arg "Smp.config: domains <= 0";
   if ring_capacity <= 0 then invalid_arg "Smp.config: ring_capacity <= 0";
   (match migrate_target with
@@ -28,13 +27,8 @@ let config ?(ring_capacity = 1024)
   | Some t when t < 0 || t >= domains ->
     invalid_arg "Smp.config: migrate_target outside [0, domains)"
   | _ -> ());
-  (match stall with
-  | Some (i, _) when i < 0 || i >= domains ->
-    invalid_arg "Smp.config: stall domain outside [0, domains)"
-  | Some (_, ns) when ns < 0 -> invalid_arg "Smp.config: negative stall"
-  | _ -> ());
   { domains; ring_capacity; demux; migrate; migrate_target; local_addr;
-    on_data; pressure; on_pressure; stall }
+    on_data; pressure; on_pressure }
 
 (* Every worker's listener; the traffic generators' server port. *)
 let listen_port = 8888
@@ -114,8 +108,7 @@ type route = Routed of int | Held of bytes Queue.t
    fill.  The listener core of a migrating run sends over [ctrl], and
    after each message it has finished, control sends included, adds
    the datagrams it carried to [finished] (one for a [Flush]). *)
-let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
-    () =
+let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure () =
   let stack =
     Tcpcore.Stack.create ~demux:cfg.demux
       ~iss:Tcpcore.Stack.deterministic_iss ~local_addr:cfg.local_addr ()
@@ -133,14 +126,6 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
   and tx = ref 0 in
   let drain_tx () =
     tx := !tx + List.length (Tcpcore.Stack.poll_output stack)
-  in
-  let stall () =
-    if stall_ns > 0 then begin
-      let until = Obs.Clock.now_ns () + stall_ns in
-      while Obs.Clock.now_ns () < until do
-        Domain.cpu_relax ()
-      done
-    end
   in
   let listener = cfg.migrate && index = 0 in
   let pending_migration = Queue.create () in
@@ -177,7 +162,6 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure ~stall_ns
   in
   let feed bytes =
     incr processed;
-    stall ();
     ignore (Tcpcore.Stack.handle_bytes stack bytes);
     if listener then process_migrations ();
     drain_tx ()
@@ -279,12 +263,7 @@ let run (cfg : config) datagrams =
     Array.init d (fun k ->
         Domain.spawn (fun () ->
             worker cfg ~index:k ~ring:rings.(k) ~ctrl ~finished
-              ~pressure:pressure.(k)
-              ~stall_ns:
-                (match cfg.stall with
-                | Some (i, ns) when i = k -> ns
-                | _ -> 0)
-              ()))
+              ~pressure:pressure.(k) ()))
   in
   (* Dispatcher state.  The route map is private to this domain, keyed
      by flow words, and holds all handoff state.  [relay] holds control

@@ -107,9 +107,6 @@ type config = {
   on_pressure : Pressure.t array -> unit;
       (** Observation hook handed the per-domain controllers before
           the run starts — tests use it to {!Pressure.force} tiers. *)
-  stall : (int * int) option;
-      (** [(domain, ns)]: busy-wait [ns] per datagram on one worker,
-          simulating a slow core for degradation tests. *)
 }
 
 val config :
@@ -120,17 +117,16 @@ val config :
   ?on_data:(Tcpcore.Stack.t -> Tcpcore.Stack.connection -> string -> unit) ->
   ?pressure:Pressure.config ->
   ?on_pressure:(Pressure.t array -> unit) ->
-  ?stall:int * int ->
   domains:int ->
   local_addr:Packet.Ipv4.addr ->
   unit ->
   config
 (** Defaults: ring capacity 1024, Sequent with
     {!Demux.Sequent.default_chains} chains (the stack's own default),
-    no migration, no-op [on_data], no pressure, no stall.
+    no migration, no-op [on_data], no pressure.
     @raise Invalid_argument on non-positive domains / capacity,
-    a stall or migrate target outside [0, domains), or
-    [migrate_target] without [migrate]. *)
+    a migrate target outside [0, domains), or [migrate_target]
+    without [migrate]. *)
 
 type conn_summary = {
   flow : Packet.Flow.t;
@@ -183,10 +179,9 @@ type result = {
           is broken. *)
   elapsed_s : float;
       (** Wall clock from before the first spawn to after the last
-          join, the run's only clock reads besides [stall]'s
-          busy-wait: no datagram is timed.  The per-stage costs of
-          this path are rxbench's traced smp-oltp run
-          ([bench/rx]). *)
+          join, the run's only clock reads: no datagram is timed.
+          The per-stage costs of this path are rxbench's traced
+          smp-oltp run ([bench/rx]). *)
   packets_per_s : float;              (** Delivered datagrams / s. *)
 }
 

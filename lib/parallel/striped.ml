@@ -9,7 +9,7 @@ type 'a t = {
   stripes : 'a stripe array;
   hasher : Hashing.Hashers.t;
   population : int Atomic.t;
-  mutable pressure : Pressure.t option;
+  pressure : Pressure.t option;
 }
 
 let create ?(chains = Demux.Sequent.default_chains)
@@ -20,9 +20,6 @@ let create ?(chains = Demux.Sequent.default_chains)
           { mutex = Mutex.create ();
             store = Demux.Sequent.create ~chains:1 () });
     hasher; population = Atomic.make 0; pressure }
-
-let set_pressure t p = t.pressure <- Some p
-let pressure t = t.pressure
 
 let chains t = Array.length t.stripes
 

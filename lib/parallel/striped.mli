@@ -37,18 +37,13 @@ val create :
   ?chains:int -> ?hasher:Hashing.Hashers.t -> ?pressure:Pressure.t ->
   unit -> 'a t
 (** Defaults: 19 chains, multiplicative hashing (matching
-    {!Demux.Sequent.create}), no overload controller.
+    {!Demux.Sequent.create}), no overload controller.  With
+    [pressure], every store insert's latency feeds
+    {!Pressure.note_insert_ns}, and {!try_insert} sheds new flows at
+    {!Pressure.Shed_new_flows} or worse.
     @raise Invalid_argument if [chains <= 0]. *)
 
 val chains : 'a t -> int
-
-val set_pressure : 'a t -> Pressure.t -> unit
-(** Attach (or replace) the overload controller after creation.  With
-    one attached, every store insert's latency feeds
-    {!Pressure.note_insert_ns}, and {!try_insert} sheds new flows at
-    {!Pressure.Shed_new_flows} or worse. *)
-
-val pressure : 'a t -> Pressure.t option
 
 val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Demux.Pcb.t
 (** @raise Invalid_argument if the flow is already present.  Never

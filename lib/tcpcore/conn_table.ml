@@ -34,14 +34,20 @@ let listen ?addr t ~port listener =
 
 let unlisten ?addr t ~port = Hashtbl.remove t.listeners (binding_of ?addr port)
 
+(* The specific binding, then the wildcard one; raises [Not_found].
+   [Hashtbl.find] answers without an option, so a probe allocates
+   nothing. *)
+let find_listener t addr port =
+  match Hashtbl.find t.listeners (specific_binding addr port) with
+  | listener -> listener
+  | exception Not_found -> Hashtbl.find t.listeners port
+
 let listener ?addr t ~port =
-  let specific =
-    match addr with
-    | Some addr -> Hashtbl.find_opt t.listeners (specific_binding addr port)
-    | None -> None
-  in
-  match specific with
-  | Some _ as found -> found
+  match addr with
+  | Some addr -> (
+    match find_listener t addr port with
+    | listener -> Some listener
+    | exception Not_found -> None)
   | None -> Hashtbl.find_opt t.listeners port
 
 let add_connection t flow conn = t.demux.Demux.Registry.insert flow conn
@@ -72,11 +78,9 @@ let lookup t ~kind flow =
   | Some pcb -> Connection pcb
   | None -> (
     let local = flow.Packet.Flow.local in
-    match
-      listener ~addr:local.Packet.Flow.addr t ~port:local.Packet.Flow.port
-    with
-    | Some listener -> Listener listener
-    | None -> No_match)
+    match find_listener t local.Packet.Flow.addr local.Packet.Flow.port with
+    | listener -> Listener listener
+    | exception Not_found -> No_match)
 
 let note_send t flow = t.demux.Demux.Registry.note_send flow
 let connections t = t.demux.Demux.Registry.length ()

@@ -48,7 +48,8 @@ val lookup :
 (** Full receive-path lookup: 4-tuple first (metered by the demux
     algorithm), then address-specific listener, then wildcard
     listener.  [kind] is a plain argument, so a call allocates no
-    option for it. *)
+    option for it, and a listener fallback allocates only its
+    [Listener]. *)
 
 val note_send : ('conn, 'listener) t -> Packet.Flow.t -> unit
 val connections : ('conn, 'listener) t -> int

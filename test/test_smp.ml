@@ -12,11 +12,11 @@ let workload ?(clients = 48) ?(requests = 5) ?(close_after = false)
     (Sim.Segment_workload.config ~clients ~requests_per_client:requests
        ~close_after ~interleave ())
 
-let smp ?ring_capacity ?demux ?migrate ?migrate_target ?pressure
-    ?on_pressure ?stall domains trace =
+let smp ?ring_capacity ?demux ?migrate ?migrate_target ?on_data ?pressure
+    ?on_pressure domains trace =
   Parallel.Smp.run
     (Parallel.Smp.config ?ring_capacity ?demux ?migrate ?migrate_target
-       ?pressure ?on_pressure ?stall ~domains
+       ?on_data ?pressure ?on_pressure ~domains
        ~local_addr:server.Packet.Flow.addr ())
     trace.Sim.Segment_workload.datagrams
 
@@ -410,19 +410,39 @@ let test_pressure_control_never_shed () =
     (d2.Parallel.Smp.rejected > 0)
 
 let test_pressure_organic_stall () =
-  (* A genuinely slow core: its ring stays hot, its controller trips
-     Shed_new_flows on its own observations, and the ledger still
-     reconciles exactly. *)
+  (* A genuinely slow core: the application busy-waits 400 us on every
+     delivery to a flow whose chain-affine core is 1, so that core's
+     ring stays hot, its controller trips Shed_new_flows on its own
+     observations, and the ledger still reconciles exactly. *)
   let trace =
     workload ~clients:45 ~requests:4
       ~interleave:Sim.Segment_workload.Round_robin ()
   in
+  let domains = 3 in
+  let chains, hasher =
+    Demux.Registry.chain_geometry
+      (Parallel.Smp.config ~domains ~local_addr:server.Packet.Flow.addr ())
+        .Parallel.Smp.demux
+  in
+  let on_data _ (conn : Tcpcore.Stack.connection) _ =
+    let core =
+      Hashing.Hashers.bucket_flow hasher ~buckets:chains
+        conn.Tcpcore.Stack.flow
+      mod domains
+    in
+    if core = 1 then begin
+      let until = Obs.Clock.now_ns () + 400_000 in
+      while Obs.Clock.now_ns () < until do
+        Domain.cpu_relax ()
+      done
+    end
+  in
   let r =
-    smp ~ring_capacity:16
+    smp ~ring_capacity:16 ~on_data
       ~pressure:
         (Parallel.Pressure.config ~ring_high_pct:75 ~ring_low_pct:25 ~trip:4
            ~hold:1000 ())
-      ~stall:(1, 400_000) 3 trace
+      domains trace
   in
   check_no_violations "organic stall" r;
   let d1 = r.Parallel.Smp.per_domain.(1) in
