@@ -164,6 +164,15 @@ let flat_registry () : int Demux.Registry.t =
   let stats = Demux.Lookup_stats.create () in
   let next_id = ref 0 in
   let words flow = (Packet.Flow.w0 flow, Packet.Flow.w1 flow) in
+  let lookup ?kind:_ flow =
+    let w0, w1 = words flow in
+    Demux.Lookup_stats.begin_lookup stats;
+    Demux.Lookup_stats.examine stats;
+    let result = Demux.Flat_table.find_opt table ~w0 ~w1 in
+    Demux.Lookup_stats.end_lookup stats ~hit_cache:false
+      ~found:(result <> None);
+    result
+  in
   { name = "flat-table";
     insert =
       (fun flow v ->
@@ -184,15 +193,8 @@ let flat_registry () : int Demux.Registry.t =
           Demux.Flat_table.remove table ~w0 ~w1;
           Demux.Lookup_stats.note_remove stats;
           removed);
-    lookup =
-      (fun ?kind:_ flow ->
-        let w0, w1 = words flow in
-        Demux.Lookup_stats.begin_lookup stats;
-        Demux.Lookup_stats.examine stats;
-        let result = Demux.Flat_table.find_opt table ~w0 ~w1 in
-        Demux.Lookup_stats.end_lookup stats ~hit_cache:false
-          ~found:(result <> None);
-        result);
+    lookup;
+    lookup_words = Demux.Registry.lookup_words_of lookup;
     note_send = (fun _ -> ());
     stats;
     length = (fun () -> Demux.Flat_table.length table);

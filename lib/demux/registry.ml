@@ -100,11 +100,28 @@ type 'a t = {
   insert : Packet.Flow.t -> 'a -> 'a Pcb.t;
   remove : Packet.Flow.t -> 'a Pcb.t option;
   lookup : ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option;
+  lookup_words : Types.packet_kind -> w0:int -> w1:int -> 'a Pcb.t;
   note_send : Packet.Flow.t -> unit;
   stats : Lookup_stats.t;
   length : unit -> int;
   iter : ('a Pcb.t -> unit) -> unit;
 }
+
+(* [lookup] takes [kind] as an optional argument; handing it one of
+   these preallocated cells keeps a words lookup from boxing a
+   [Some kind] per call. *)
+let some_data = Some Types.Data
+let some_pure_ack = Some Types.Pure_ack
+
+let lookup_words_of
+    (lookup : ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option)
+    kind ~w0 ~w1 =
+  let kind =
+    match kind with Types.Data -> some_data | Types.Pure_ack -> some_pure_ack
+  in
+  match lookup ?kind (Packet.Flow.of_words ~w0 ~w1) with
+  | Some pcb -> pcb
+  | None -> raise Not_found
 
 (* Chain geometry the guard must mirror so its shadow chains agree
    with the guarded algorithm's real ones; list-shaped tables are one
@@ -128,6 +145,13 @@ let guard_config = function
 let guard config inner =
   let g = Guarded.create config in
   let stats = inner.stats in
+  let lookup ?kind flow =
+    match inner.lookup ?kind flow with
+    | Some _ as found ->
+      Guarded.note_touched g flow;
+      found
+    | None -> None
+  in
   let evict flow =
     match inner.remove flow with
     | Some _ -> Lookup_stats.note_eviction stats
@@ -154,13 +178,8 @@ let guard config inner =
           Guarded.note_removed g flow;
           removed
         | None -> None);
-    lookup =
-      (fun ?kind flow ->
-        match inner.lookup ?kind flow with
-        | Some _ as found ->
-          Guarded.note_touched g flow;
-          found
-        | None -> None);
+    lookup;
+    lookup_words = lookup_words_of lookup;
     note_send = inner.note_send;
     stats;
     length = inner.length;
@@ -169,8 +188,9 @@ let guard config inner =
 (* Erase one table behind the record of closures. *)
 module Erase (D : Types.TABLE) = struct
   let make name d =
-    { name; insert = D.insert d; remove = D.remove d;
-      lookup = (fun ?kind flow -> D.lookup d ?kind flow);
+    let lookup ?kind flow = D.lookup d ?kind flow in
+    { name; insert = D.insert d; remove = D.remove d; lookup;
+      lookup_words = lookup_words_of lookup;
       note_send = D.note_send d; stats = D.stats d;
       length = (fun () -> D.length d); iter = (fun f -> D.iter f d) }
 end
@@ -185,14 +205,19 @@ module Splay_e = Erase (Splay)
 module Lru_cache_e = Erase (Lru_cache)
 module Cuckoo_e = Erase (Cuckoo)
 
+(* Sequent's store answers the words itself, allocating nothing. *)
+let sequent name d =
+  { (Sequent_e.make name d) with
+    lookup_words = (fun _ ~w0 ~w1 -> Sequent.lookup_words d ~w0 ~w1) }
+
 let rec create spec =
   let n = spec_name spec in
   match spec with
   | Linear -> Linear_e.make n (Linear.create ())
-  | Bsd -> Sequent_e.make n (Sequent.create ~chains:1 ())
+  | Bsd -> sequent n (Sequent.create ~chains:1 ())
   | Mtf -> Mtf_e.make n (Mtf.create ())
   | Sr_cache -> Sr_cache_e.make n (Sr_cache.create ())
-  | Sequent { chains; hasher } -> Sequent_e.make n (Sequent.create ~chains ~hasher ())
+  | Sequent { chains; hasher } -> sequent n (Sequent.create ~chains ~hasher ())
   | Hashed_mtf { chains; hasher } -> Mtf_e.make n (Mtf.create ~chains ~hasher ())
   | Conn_id { capacity } -> Conn_id_e.make n (Conn_id.create ~capacity ())
   | Resizing_hash -> Resizing_hash_e.make n (Resizing_hash.create ())

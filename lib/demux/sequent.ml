@@ -92,7 +92,7 @@ let finish t ~hit_cache = function
    helper in another module would be a real call there. *)
 
 (* Cache missed (or was cold): scan the chain.  Shared miss
-   continuation for [lookup_pcb]. *)
+   continuation for [lookup_words]. *)
 let scan_chain t bucket ~w0 ~w1 =
   match Chain.scan bucket.chain ~stats:t.stats ~w0 ~w1 with
   | Some node as found ->
@@ -104,9 +104,8 @@ let scan_chain t bucket ~w0 ~w1 =
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
     raise Not_found
 
-let lookup_pcb t flow =
+let lookup_words t ~w0 ~w1 =
   Lookup_stats.begin_lookup t.stats;
-  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   let bucket = home_words t ~w0 ~w1 in
   match bucket.cache with
   | Some node ->
@@ -117,6 +116,9 @@ let lookup_pcb t flow =
     end
     else scan_chain t bucket ~w0 ~w1
   | None -> scan_chain t bucket ~w0 ~w1
+
+let lookup_pcb t flow =
+  lookup_words t ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow)
 
 let lookup t ?kind:_ flow =
   match lookup_pcb t flow with

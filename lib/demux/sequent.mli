@@ -41,6 +41,12 @@ val lookup_pcb : 'a t -> Packet.Flow.t -> 'a Pcb.t
     which is why the hot receive path prefers it.  Accounting is
     identical to {!lookup}. *)
 
+val lookup_words : 'a t -> w0:int -> w1:int -> 'a Pcb.t
+(** {!lookup_pcb} of the flow whose packed words ({!Packet.Flow.w0},
+    {!Packet.Flow.w1}) are [w0] and [w1], for a receive path that reads
+    the words in place and builds no {!Packet.Flow.t}.  Allocates
+    nothing, hit or miss. *)
+
 val chains : 'a t -> int
 (** [H], the current chain count. *)
 

@@ -1,14 +1,13 @@
 type packet_kind = Data | Pure_ack
 
+(* ACK set; SYN and FIN clear (bits 0x10, 0x02, 0x01). *)
+let kind_of_flags ~flags ~payload_length =
+  if payload_length = 0 && flags land 0x13 = 0x10 then Pure_ack else Data
+
 let kind_of_segment (segment : Packet.Segment.t) =
-  let flags = segment.tcp.Packet.Tcp_header.flags in
-  if
-    String.length segment.payload = 0
-    && flags.Packet.Tcp_header.ack
-    && (not flags.Packet.Tcp_header.syn)
-    && not flags.Packet.Tcp_header.fin
-  then Pure_ack
-  else Data
+  kind_of_flags
+    ~flags:(Packet.Tcp_header.flags_to_int segment.tcp.Packet.Tcp_header.flags)
+    ~payload_length:(String.length segment.payload)
 
 module type TABLE = sig
   type 'a t

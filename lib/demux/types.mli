@@ -6,10 +6,14 @@ type packet_kind = Data | Pure_ack
     probed first for data segments and its send-side cache first for
     pure acknowledgements (paper footnote 5). *)
 
-val kind_of_segment : Packet.Segment.t -> packet_kind
+val kind_of_flags : flags:int -> payload_length:int -> packet_kind
 (** [Pure_ack] for an ACK carrying no payload, SYN or FIN; [Data] for
-    everything else.  The one classification every receive path hands
-    its demultiplexer. *)
+    everything else.  [flags] is the flags byte as
+    {!Packet.Tcp_header.flags_to_int} encodes it.  The one
+    classification every receive path hands its demultiplexer. *)
+
+val kind_of_segment : Packet.Segment.t -> packet_kind
+(** {!kind_of_flags} of a parsed segment. *)
 
 (** What every demultiplexer offers.  Each algorithm's interface
     includes it, and {!Registry} erases any of them to one record of

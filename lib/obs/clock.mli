@@ -25,6 +25,13 @@ val monotonic : unit -> t
     right source for latency measurement and tracer timestamps that
     must order correctly. *)
 
+val store : t -> float array -> int -> unit
+(** [store t times i] writes {!now}[ t] into [times.(i)].  For the
+    {!wall}, {!monotonic}, {!fixed} and virtual ({!read}) clocks it
+    allocates nothing, as {!now}'s boxed float would; an {!of_fun}
+    clock stores what its function returns, boxed or not.
+    @raise Invalid_argument if [i] is outside [times]. *)
+
 val now_ns : unit -> int
 (** One raw monotonic reading in integer nanoseconds — the hot-path
     form of {!monotonic} for interval timing ([stop - start] is always

@@ -91,7 +91,7 @@ let record t kind a b =
   | Disabled -> ()
   | Enabled r ->
     let i = r.head in
-    r.times.(i) <- Clock.now r.clock;
+    Clock.store r.clock r.times i;
     Bytes.unsafe_set r.kinds i (Char.unsafe_chr (kind_code kind));
     r.pa.(i) <- a;
     r.pb.(i) <- b;

@@ -5,9 +5,9 @@
     which case {!record} is a single pattern match on an immediate
     value: leaving trace calls in a packet hot path costs nothing
     measurable when tracing is off, which is the point.  An enabled
-    tracer allocates one thing per event: the 2-word float its
-    {!Clock.t} returns.  A Sequent-19 lookup records three events, so
-    tracing adds 6 minor words to it (bench E37).
+    tracer stores each timestamp with {!Clock.store}, so with a
+    wall, monotonic, fixed or virtual clock it allocates nothing per
+    event either (an {!Clock.of_fun} clock may box its float).
 
     Tracers are single-domain by design; parallel code creates one per
     domain (distinguished by [id]) and {!dump}s them into one file as

@@ -78,6 +78,89 @@ let peek_flow buf ~off =
   else if tcp = not_tcp then Error "segment: not TCP"
   else Error "segment: truncated datagram"
 
+(* [check] makes every check [parse] makes, in place.  Its own
+   rejections continue the codes above. *)
+let bad_checksum = -5
+let bad_length = -6
+let fragmented = -7
+let bad_data_offset = -8
+let bad_options = -9
+
+(* The option walk of [Tcp_header.parse]: a kind-0 byte ends the
+   list, a kind-1 byte is one byte long, and every other option needs
+   a length byte of at least 2 that keeps it inside [stop]. *)
+let rec options_ok buf i ~stop =
+  if i >= stop then true
+  else
+    match Bytes.get_uint8 buf i with
+    | 0 -> true
+    | 1 -> options_ok buf (i + 1) ~stop
+    | _ ->
+      i + 1 < stop
+      &&
+      let olen = Bytes.get_uint8 buf (i + 1) in
+      olen >= 2 && i + olen <= stop && options_ok buf (i + olen) ~stop
+
+(* The TCP header's length in bytes, options included. *)
+let data_offset buf ~tcp = (Bytes.get_uint8 buf (tcp + 12) lsr 4) * 4
+
+let check buf ~off =
+  let len = Bytes.length buf in
+  if off < 0 || off > len - Ipv4.header_length then truncated
+  else
+    let first = Bytes.get_uint8 buf off in
+    let hlen = (first land 0xF) * 4 in
+    if first lsr 4 <> 4 then bad_version
+    else if hlen < Ipv4.header_length then short_header
+    else if off + hlen > len then truncated
+    else if not (Checksum.verify buf ~off ~len:hlen) then bad_checksum
+    else
+      let total = Bytes.get_uint16_be buf (off + 2) in
+      if total < hlen || off + total > len then bad_length
+      else if Bytes.get_uint8 buf (off + 9) <> 6 then not_tcp
+      (* more-fragments bit and fragment offset *)
+      else if Bytes.get_uint16_be buf (off + 6) land 0x3FFF <> 0 then fragmented
+      else
+        let tcp = off + hlen and tcp_len = total - hlen in
+        if tcp_len < 20 then truncated
+        else
+          let data_offset = data_offset buf ~tcp in
+          if data_offset < 20 || data_offset > tcp_len then bad_data_offset
+          else
+            (* [Ipv4.pseudo_header_sum], summed from the bytes; added to
+               the plain sum rather than passed as [~initial], which
+               would box it. *)
+            let pseudo =
+              Bytes.get_uint16_be buf (off + 12)
+              + Bytes.get_uint16_be buf (off + 14)
+              + Bytes.get_uint16_be buf (off + 16)
+              + Bytes.get_uint16_be buf (off + 18)
+              + 6 + tcp_len
+            in
+            if
+              Checksum.finish
+                (Checksum.ones_complement_sum buf ~off:tcp ~len:tcp_len
+                + pseudo)
+              <> 0
+            then bad_checksum
+            else if not (options_ok buf (tcp + 20) ~stop:(tcp + data_offset))
+            then bad_options
+            else tcp
+
+(* The six flags [Tcp_header.flags] models; the two bits above them
+   (ECE, CWR) are dropped, as [parse] drops them. *)
+let flags buf ~tcp = Bytes.get_uint8 buf (tcp + 13) land 0x3F
+
+let u32 buf i =
+  (Bytes.get_uint16_be buf i lsl 16) lor Bytes.get_uint16_be buf (i + 2)
+
+let seq buf ~tcp = u32 buf (tcp + 4)
+let ack_number buf ~tcp = u32 buf (tcp + 8)
+let payload_off buf ~tcp = tcp + data_offset buf ~tcp
+
+let payload_length buf ~off ~tcp =
+  off + Bytes.get_uint16_be buf (off + 2) - payload_off buf ~tcp
+
 let parse ?(verify_checksum = true) buf ~off =
   match Ipv4.parse buf ~off with
   | Error _ as e -> e

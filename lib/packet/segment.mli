@@ -61,4 +61,45 @@ val peek_w1 : bytes -> off:int -> tcp:int -> int
 (** The remote endpoint — the datagram's source — as {!peek_w0}
     packs the local one. *)
 
+(** {2 In-place validation}
+
+    {!parse}'s checks without its records: {!check} validates a
+    datagram where it lies, and the readers below then take its header
+    fields as immediate ints.  None of them allocates, so a receive
+    path can go from bytes to the flow words, flags and sequence
+    numbers without building an {!Ipv4.t}, a {!Tcp_header.t} or a
+    {!Flow.t}. *)
+
+val check : bytes -> off:int -> int
+(** The absolute offset of the TCP header of the datagram at [off]
+    when [parse buf ~off] would accept it, a negative number when it
+    would reject it.  It makes every check {!parse} makes: for IPv4
+    the version, the IHL, the header checksum, the total length against
+    the header and the buffer, fragments and the protocol; for TCP the
+    data offset, the option walk and the checksum, its pseudo-header
+    summed from the bytes.  Take {!parse}'s error string for a
+    rejected datagram. *)
+
+(** The readers take {!check}'s non-negative answer as [tcp] (and the
+    datagram's offset as [off]); {!peek_w0}/{!peek_w1} read its flow
+    words.  On a buffer {!check} did not accept they may raise
+    [Invalid_argument]. *)
+
+val flags : bytes -> tcp:int -> int
+(** The flags, as {!Tcp_header.flags_to_int} encodes {!parse}'s
+    [tcp.flags]: the flags byte's low six bits. *)
+
+val seq : bytes -> tcp:int -> int
+(** The sequence number as an int in [[0, 2^32)]. *)
+
+val ack_number : bytes -> tcp:int -> int
+(** The acknowledgement number as an int in [[0, 2^32)]. *)
+
+val payload_off : bytes -> tcp:int -> int
+(** The absolute offset of the payload: past the TCP options. *)
+
+val payload_length : bytes -> off:int -> tcp:int -> int
+(** The payload's length in bytes: what {!parse} copies into
+    [payload]. *)
+
 val pp : Format.formatter -> t -> unit

@@ -17,6 +17,12 @@ val flag_syn_ack : flags
 val flag_fin_ack : flags
 val flag_psh_ack : flags
 val flag_rst : flags
+
+val flags_to_int : flags -> int
+(** The wire's flags byte: FIN [0x01], SYN [0x02], RST [0x04], PSH
+    [0x08], ACK [0x10], URG [0x20]; {!Segment.flags} reads the same
+    byte in place. *)
+
 val pp_flags : Format.formatter -> flags -> unit
 
 type option_ =

@@ -18,11 +18,11 @@ let create spec =
 
 let demux t = t.demux
 
-let specific_binding addr port = (1 lsl 48) lor Packet.Flow.word addr port
+let specific_binding word = (1 lsl 48) lor word
 
 let binding_of ?addr port =
   match addr with
-  | Some addr -> specific_binding addr port
+  | Some addr -> specific_binding (Packet.Flow.word addr port)
   | None -> port
 
 let listen ?addr t ~port listener =
@@ -34,18 +34,18 @@ let listen ?addr t ~port listener =
 
 let unlisten ?addr t ~port = Hashtbl.remove t.listeners (binding_of ?addr port)
 
-(* The specific binding, then the wildcard one; raises [Not_found].
-   [Hashtbl.find] answers without an option, so a probe allocates
-   nothing. *)
-let find_listener t addr port =
-  match Hashtbl.find t.listeners (specific_binding addr port) with
+(* The specific binding of the local endpoint word [w0], then the
+   wildcard one on its port; raises [Not_found].  [Hashtbl.find]
+   answers without an option, so a probe allocates nothing. *)
+let find_listener t ~w0 =
+  match Hashtbl.find t.listeners (specific_binding w0) with
   | listener -> listener
-  | exception Not_found -> Hashtbl.find t.listeners port
+  | exception Not_found -> Hashtbl.find t.listeners (w0 land 0xFFFF)
 
 let listener ?addr t ~port =
   match addr with
   | Some addr -> (
-    match find_listener t addr port with
+    match find_listener t ~w0:(Packet.Flow.word addr port) with
     | listener -> Some listener
     | exception Not_found -> None)
   | None -> Hashtbl.find_opt t.listeners port
@@ -62,23 +62,14 @@ type ('conn, 'listener) result =
   | Listener of 'listener
   | No_match
 
-(* The registry takes [kind] as an optional argument; handing it one of
-   these preallocated cells keeps the receive path from boxing a
-   [Some kind] per datagram. *)
-let some_data = Some Demux.Types.Data
-let some_pure_ack = Some Demux.Types.Pure_ack
-
 let lookup t ~kind flow =
-  let kind =
-    match kind with
-    | Demux.Types.Data -> some_data
-    | Demux.Types.Pure_ack -> some_pure_ack
-  in
-  match t.demux.Demux.Registry.lookup ?kind flow with
-  | Some pcb -> Connection pcb
-  | None -> (
-    let local = flow.Packet.Flow.local in
-    match find_listener t local.Packet.Flow.addr local.Packet.Flow.port with
+  let w0 = Packet.Flow.w0 flow in
+  match
+    t.demux.Demux.Registry.lookup_words kind ~w0 ~w1:(Packet.Flow.w1 flow)
+  with
+  | pcb -> Connection pcb
+  | exception Not_found -> (
+    match find_listener t ~w0 with
     | listener -> Listener listener
     | exception Not_found -> No_match)
 

@@ -46,10 +46,21 @@ val lookup :
   ('conn, 'listener) t -> kind:Demux.Types.packet_kind -> Packet.Flow.t ->
   ('conn, 'listener) result
 (** Full receive-path lookup: 4-tuple first (metered by the demux
-    algorithm), then address-specific listener, then wildcard
-    listener.  [kind] is a plain argument, so a call allocates no
-    option for it, and a listener fallback allocates only its
-    [Listener]. *)
+    algorithm's {!Demux.Registry.t.lookup_words}), then
+    address-specific listener, then wildcard listener
+    ({!find_listener}).  [kind] is a plain argument, so a call
+    allocates no option for it; with the ["sequent-H"] or ["bsd"]
+    demultiplexer a hit allocates only its [Connection] and a listener
+    fallback only its [Listener].  A receive path that reads a
+    datagram's flow words in place takes the same two steps itself,
+    without the result constructor. *)
+
+val find_listener : ('conn, 'listener) t -> w0:int -> 'listener
+(** The listener an inbound SYN to the local endpoint whose packed
+    word ({!Packet.Flow.w0}) is [w0] would reach: the address-specific
+    binding, else the wildcard one on its port.  Unmetered and
+    allocation-free.
+    @raise Not_found if neither is bound. *)
 
 val note_send : ('conn, 'listener) t -> Packet.Flow.t -> unit
 val connections : ('conn, 'listener) t -> int

@@ -14,7 +14,23 @@
     with {!handle_segment} / {!handle_bytes} and drain replies with
     {!poll_output}.  It reads no clock: time enters only through
     {!advance_clock}, and the per-layer cost of its receive path is
-    measured from outside, by rxbench's traced run ([bench/rx]). *)
+    measured from outside, by rxbench's traced run ([bench/rx]).
+
+    {b The receive path.}  Both entry points feed one receive core
+    that takes a segment's fields as immediate ints: its packed flow
+    words ({!Packet.Flow.w0}/{!Packet.Flow.w1}), flags byte, sequence
+    and acknowledgement numbers, and payload.  {!handle_bytes} reads
+    them where they lie in the datagram, after
+    {!Packet.Segment.check}; {!handle_segment} reads them from its
+    record.  Either way a segment costs exactly one metered lookup
+    ({!Demux.Registry.t.lookup_words}), and no [Ipv4.t],
+    [Tcp_header.t], flags record or [Flow.t] is built on the way to
+    the state machine: a flow is made only for a new connection or an
+    RST.  Pure ACKs are sent from the connection's [template], without
+    {!Packet.Segment.make}.  With the default demultiplexer, a warm
+    duplicate pure ACK through {!handle_bytes} and {!poll_output}
+    allocates nothing, and an in-sequence data segment allocates its
+    payload copy, its [rcv_nxt] box and its ACK. *)
 
 type t
 
@@ -26,6 +42,9 @@ type listener
 
 type connection = {
   flow : Packet.Flow.t;
+  template : Packet.Ipv4.t;
+      (** The IPv4 header of the connection's pure ACKs, made once
+          when the connection is (4.3BSD's [t_template]). *)
   mutable state : State.t;
   mutable snd_nxt : int32;   (** Next sequence number we will send. *)
   mutable rcv_nxt : int32;   (** Next sequence number we expect. *)
@@ -123,13 +142,21 @@ val close : t -> connection -> unit
 
 val handle_segment : t -> Packet.Segment.t -> unit
 (** Process one received segment: demultiplex (metered), advance the
-    state machine, queue any replies. *)
+    state machine, queue any replies.  The receive core reads the
+    segment's fields from the record; the destination address is not
+    checked. *)
 
 val handle_bytes : t -> bytes -> (unit, string) result
-(** Parse a raw datagram (checksums verified) and process it.  Never
+(** Validate a raw datagram in place ({!Packet.Segment.check}: both
+    checksums and every check {!Packet.Segment.parse} makes) and
+    process it, reading its header fields where they lie and copying
+    only a non-empty payload.  A datagram the check rejects goes
+    through {!Packet.Segment.parse} for its error string.  Never
     raises, whatever the bytes: malformed input, datagrams for other
     hosts, and segments whose processing fails are shed, counted under
-    a named counter ({!drop_counts}), and reported as [Error]. *)
+    a named counter ({!drop_counts}), and reported as [Error]; it
+    behaves as [Segment.parse] followed by a destination check and
+    {!handle_segment}. *)
 
 val drop_counts : t -> (string * int) list
 (** Segments and datagrams shed since creation, by reason:
@@ -189,7 +216,8 @@ val register_obs : ?prefix:string -> t -> Obs.Registry.t -> unit
 
 val poll_output : t -> Packet.Segment.t list
 (** Drain queued outbound segments, oldest first.  Transmit-side demux
-    bookkeeping ({!Demux.Registry.t.note_send}) has already run. *)
+    bookkeeping ({!Demux.Registry.t.note_send}) has already run.  A
+    one-segment outbox is returned as it is, without a copy. *)
 
 val expire_time_wait : t -> connection -> unit
 (** Fire the 2MSL timer by hand: a [Time_wait] connection is removed.

@@ -290,6 +290,95 @@ let test_golden_accounting () =
     golden_shedding
 
 (* ------------------------------------------------------------------ *)
+(* Lookups on packed words                                             *)
+
+(* [lookup_words] is [lookup] on the flow's packed words: the same PCB
+   or the same miss, and the same ledger, for every spec.  The small
+   guard sheds, and its lookups refresh its LRU order, so both sides
+   must also evict alike. *)
+let test_lookup_words_equals_lookup () =
+  let shedding =
+    Demux.Registry.Guarded
+      { spec = Sequent { chains = 4; hasher = Hashing.Hashers.multiplicative };
+        max_chain = 6; max_total = 20 }
+  in
+  List.iter
+    (fun spec ->
+      let by_flow = Demux.Registry.create spec
+      and by_words = Demux.Registry.create spec in
+      let name = by_flow.Demux.Registry.name in
+      let rng = Numerics.Rng.create ~seed:11 in
+      let id = Option.map (fun pcb -> pcb.Demux.Pcb.id) in
+      for step = 1 to 3_000 do
+        let f = flow (Numerics.Rng.int rng ~bound:60) in
+        match Numerics.Rng.int rng ~bound:8 with
+        | 0 ->
+          let insert (d : unit Demux.Registry.t) =
+            match d.Demux.Registry.insert f () with
+            | _ -> true
+            | exception Invalid_argument _ -> false
+          in
+          Alcotest.(check bool) (name ^ ": insert") (insert by_flow)
+            (insert by_words)
+        | 1 ->
+          Alcotest.(check (option int)) (name ^ ": remove")
+            (id (by_flow.Demux.Registry.remove f))
+            (id (by_words.Demux.Registry.remove f))
+        | _ ->
+          let kind =
+            if step land 1 = 0 then Demux.Types.Data else Demux.Types.Pure_ack
+          in
+          let words =
+            match
+              by_words.Demux.Registry.lookup_words kind ~w0:(Packet.Flow.w0 f)
+                ~w1:(Packet.Flow.w1 f)
+            with
+            | pcb -> Some pcb.Demux.Pcb.id
+            | exception Not_found -> None
+          in
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: lookup %d" name step)
+            (id (by_flow.Demux.Registry.lookup ~kind f))
+            words
+      done;
+      Alcotest.(check bool) (name ^ ": same ledger") true
+        (Demux.Lookup_stats.snapshot by_flow.Demux.Registry.stats
+        = Demux.Lookup_stats.snapshot by_words.Demux.Registry.stats))
+    (all_specs @ [ Demux.Registry.Cuckoo; shedding ])
+
+(* Sequent's store answers a words lookup without an option, a flow
+   or a box, hit or miss. *)
+let test_lookup_words_allocates_nothing () =
+  List.iter
+    (fun spec ->
+      let demux = Demux.Registry.create spec in
+      List.iter
+        (fun f -> ignore (demux.Demux.Registry.insert f ()))
+        (flows 200);
+      List.iter
+        (fun (what, f) ->
+          let w0 = Packet.Flow.w0 f and w1 = Packet.Flow.w1 f in
+          let lookup () =
+            match
+              demux.Demux.Registry.lookup_words Demux.Types.Data ~w0 ~w1
+            with
+            | pcb -> ignore (Sys.opaque_identity pcb)
+            | exception Not_found -> ()
+          in
+          lookup ();
+          let before = Gc.minor_words () in
+          for _ = 1 to 10_000 do
+            lookup ()
+          done;
+          Alcotest.(check (float 0.0))
+            (Printf.sprintf "%s %s: words" demux.Demux.Registry.name what)
+            0.0
+            (Gc.minor_words () -. before))
+        [ ("hit", flow 123); ("miss", flow 999) ])
+    Demux.Registry.
+      [ Bsd; Sequent { chains = 19; hasher = Hashing.Hashers.multiplicative } ]
+
+(* ------------------------------------------------------------------ *)
 (* Linear: cost = scan position from the head                          *)
 
 let test_linear_cost_is_position () =
@@ -2133,6 +2222,10 @@ let () =
           Alcotest.test_case "remove rejoins" `Quick test_splay_remove_rejoins ] );
       ( "registry",
         [ Alcotest.test_case "spec_of_string" `Quick test_spec_of_string;
+          Alcotest.test_case "lookup_words = lookup" `Quick
+            test_lookup_words_equals_lookup;
+          Alcotest.test_case "words lookup allocates nothing" `Quick
+            test_lookup_words_allocates_nothing;
           QCheck_alcotest.to_alcotest prop_spec_name_round_trip ] );
       ( "guarded",
         [ Alcotest.test_case "caps chain length" `Quick test_guarded_caps_chain;

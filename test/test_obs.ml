@@ -305,6 +305,31 @@ let test_trace_ring_wrap () =
   Alcotest.(check (list (float 0.0))) "virtual timestamps"
     [ 7.0; 8.0; 9.0; 10.0 ] times
 
+(* An enabled tracer stamps each event through [Clock.store]: with a
+   built-in clock no event allocates, where a boxed [Clock.now] would
+   cost 2 words each.  The stamps must still be the clock's readings. *)
+let test_trace_enabled_allocates_nothing () =
+  let virtual_ = Obs.Clock.create_virtual ~start:5.0 () in
+  List.iter
+    (fun (name, clock) ->
+      let t = Obs.Trace.create ~clock ~capacity:1024 () in
+      Obs.Trace.record t Obs.Trace.Lookup_begin 0 0;
+      let before = Gc.minor_words () in
+      for i = 1 to 10_000 do
+        Obs.Trace.record t Obs.Trace.Lookup_end i 1
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.0)) (name ^ ": words over 10,000 events") 0.0
+        words;
+      let first = Obs.Clock.now clock in
+      Obs.Trace.record t Obs.Trace.Cache_hit 0 0;
+      let last = List.nth (Obs.Trace.to_list t) (Obs.Trace.length t - 1) in
+      Alcotest.(check bool) (name ^ ": stamp is a clock reading") true
+        (last.Obs.Trace.time >= first
+        && last.Obs.Trace.time <= Obs.Clock.now clock))
+    [ ("wall", Obs.Clock.wall ()); ("monotonic", Obs.Clock.monotonic ());
+      ("virtual", Obs.Clock.read virtual_); ("fixed", Obs.Clock.fixed 2.5) ]
+
 let test_trace_kind_codes_round_trip () =
   List.iter
     (fun kind ->
@@ -584,6 +609,8 @@ let () =
       ( "trace",
         [ Alcotest.test_case "disabled no-op" `Quick test_trace_disabled_is_noop;
           Alcotest.test_case "ring wrap" `Quick test_trace_ring_wrap;
+          Alcotest.test_case "enabled allocates nothing" `Quick
+            test_trace_enabled_allocates_nothing;
           Alcotest.test_case "kind codes" `Quick
             test_trace_kind_codes_round_trip;
           Alcotest.test_case "binary round trip" `Quick

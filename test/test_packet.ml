@@ -861,6 +861,199 @@ let prop_peek_words_match_peek_flow =
         && Packet.Segment.peek_w0 wire ~off:0 ~tcp = Packet.Flow.w0 flow
         && Packet.Segment.peek_w1 wire ~off:0 ~tcp = Packet.Flow.w1 flow)
 
+(* [Segment.check] against [Segment.parse]: the same verdict on any
+   bytes at any offset, and on acceptance the in-place readers give
+   the parsed record's fields. *)
+let check_agrees_with_parse buf ~off =
+  let tcp = Packet.Segment.check buf ~off in
+  match Packet.Segment.parse buf ~off with
+  | Error _ -> tcp < 0
+  | Ok s ->
+    let u32 x = Int32.to_int x land 0xFFFFFFFF in
+    let flow = Packet.Segment.flow s and h = s.Packet.Segment.tcp in
+    tcp >= 0
+    && Packet.Segment.peek_w0 buf ~off ~tcp = Packet.Flow.w0 flow
+    && Packet.Segment.peek_w1 buf ~off ~tcp = Packet.Flow.w1 flow
+    && Packet.Segment.flags buf ~tcp
+       = Packet.Tcp_header.flags_to_int h.Packet.Tcp_header.flags
+    && Packet.Segment.seq buf ~tcp = u32 h.Packet.Tcp_header.seq
+    && Packet.Segment.ack_number buf ~tcp = u32 h.Packet.Tcp_header.ack_number
+    && Bytes.sub_string buf
+         (Packet.Segment.payload_off buf ~tcp)
+         (Packet.Segment.payload_length buf ~off ~tcp)
+       = s.Packet.Segment.payload
+
+(* Rewrite the checksum of the TCP segment in the datagram at [off]
+   so that only the field under test can make [parse] reject it. *)
+let refix_tcp_checksum buf ~off =
+  let hlen = (Bytes.get_uint8 buf off land 0xF) * 4 in
+  let tcp = off + hlen
+  and tcp_len = Bytes.get_uint16_be buf (off + 2) - hlen in
+  if tcp_len >= 18 && tcp + tcp_len <= Bytes.length buf then begin
+    let pseudo =
+      Bytes.get_uint16_be buf (off + 12) + Bytes.get_uint16_be buf (off + 14)
+      + Bytes.get_uint16_be buf (off + 16) + Bytes.get_uint16_be buf (off + 18)
+      + 6 + tcp_len
+    in
+    Bytes.set_uint16_be buf (tcp + 16) 0;
+    Bytes.set_uint16_be buf (tcp + 16)
+      (Packet.Checksum.compute ~initial:pseudo buf ~off:tcp ~len:tcp_len)
+  end
+
+(* IP options: [words] 4-byte words of [filler] after the fixed
+   header, with the IHL, total length and header checksum updated. *)
+let with_ip_options wire ~words ~filler =
+  let extra = 4 * words in
+  let buf = Bytes.make (Bytes.length wire + extra) '\000' in
+  Bytes.blit wire 0 buf 0 20;
+  Bytes.blit_string (String.sub filler 0 extra) 0 buf 20 extra;
+  Bytes.blit wire 20 buf (20 + extra) (Bytes.length wire - 20);
+  Bytes.set_uint8 buf 0 (0x40 lor (5 + words));
+  Bytes.set_uint16_be buf 2 (Bytes.length buf);
+  Bytes.set_uint16_be buf 10 0;
+  Bytes.set_uint16_be buf 10
+    (Packet.Checksum.compute buf ~off:0 ~len:(20 + extra));
+  buf
+
+let arbitrary_tcp_option =
+  QCheck.Gen.(
+    oneof
+      [ map (fun v -> Packet.Tcp_header.Mss v) (int_bound 0xFFFF);
+        map (fun v -> Packet.Tcp_header.Window_scale v) (int_bound 14);
+        return Packet.Tcp_header.Sack_permitted;
+        map2
+          (fun value echo ->
+            Packet.Tcp_header.Timestamps
+              { value = Int32.of_int value; echo = Int32.of_int echo })
+          nat nat;
+        return Packet.Tcp_header.Nop;
+        map2
+          (fun kind payload -> Packet.Tcp_header.Unknown { kind; payload })
+          (int_range 2 255)
+          (string_size (int_bound 6)) ])
+
+(* The longest prefix of [options] that fits the 40-byte limit. *)
+let fitting options =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | o :: rest ->
+      let acc' = o :: acc in
+      if Packet.Tcp_header.options_length acc' > 40 then List.rev acc
+      else go acc' rest
+  in
+  go [] options
+
+type mangle =
+  | Intact
+  | Option_bytes of string  (* the option area overwritten *)
+  | Offset_byte of int  (* data offset and reserved bits rewritten *)
+  | Ip_word of int * int  (* the IPv4 header word at an offset rewritten *)
+  | Flips of (int * int) list  (* bytes overwritten, checksums stale *)
+
+(* A valid datagram with random flags, options and payload, maybe IP
+   options, then one mangling, behind a 0-3 byte prefix. *)
+let arbitrary_datagram_at =
+  let gen =
+    QCheck.Gen.(
+      pair arbitrary_endpoint arbitrary_endpoint >>= fun (src, dst) ->
+      pair nat nat >>= fun (seq, ack) ->
+      int_bound 0xFF >>= fun flag_bits ->
+      list_size (int_bound 12) arbitrary_tcp_option >>= fun options ->
+      string_size (int_bound 80) >>= fun payload ->
+      frequency [ (3, return 0); (1, int_range 1 10) ] >>= fun ip_words ->
+      string_size (return 40) >>= fun filler ->
+      frequency
+        [ (2, return Intact);
+          (2, map (fun s -> Option_bytes s) (string_size (return 40)));
+          (1, map (fun b -> Offset_byte b) (int_bound 0xFF));
+          (1,
+           map2
+             (fun at v -> Ip_word (at, v))
+             (oneofl [ 0; 2; 6; 8 ])
+             (frequency
+                [ (1, int_bound 0xFFFF);
+                  (1, oneofl [ 0x0001; 0x2000; 0x4000; 0x4506; 0x4511 ]) ]));
+          (1,
+           map
+             (fun l -> Flips l)
+             (list_size (int_range 1 4) (pair nat (int_bound 0xFF)))) ]
+      >>= fun mangle ->
+      int_range 0 3 >|= fun prefix ->
+      let flags =
+        { Packet.Tcp_header.fin = flag_bits land 0x01 <> 0;
+          syn = flag_bits land 0x02 <> 0; rst = flag_bits land 0x04 <> 0;
+          psh = flag_bits land 0x08 <> 0; ack = flag_bits land 0x10 <> 0;
+          urg = flag_bits land 0x20 <> 0 }
+      in
+      let wire =
+        Packet.Segment.to_bytes
+          (Packet.Segment.make ~seq:(Int32.of_int seq)
+             ~ack_number:(Int32.of_int ack) ~flags ~options:(fitting options)
+             ~payload ~src ~dst ())
+      in
+      let wire =
+        if ip_words = 0 then wire
+        else with_ip_options wire ~words:ip_words ~filler
+      in
+      let tcp = (Bytes.get_uint8 wire 0 land 0xF) * 4 in
+      (match mangle with
+      | Intact -> ()
+      | Option_bytes s ->
+        let data_offset = (Bytes.get_uint8 wire (tcp + 12) lsr 4) * 4 in
+        Bytes.blit_string s 0 wire (tcp + 20) (data_offset - 20);
+        refix_tcp_checksum wire ~off:0
+      | Offset_byte b ->
+        Bytes.set_uint8 wire (tcp + 12) b;
+        refix_tcp_checksum wire ~off:0
+      | Ip_word (at, v) ->
+        (* Version and IHL, total length, fragment field, or TTL and
+           protocol, with both checksums made right again. *)
+        Bytes.set_uint16_be wire at v;
+        Bytes.set_uint16_be wire 10 0;
+        let hlen =
+          min ((Bytes.get_uint8 wire 0 land 0xF) * 4) (Bytes.length wire)
+        in
+        Bytes.set_uint16_be wire 10
+          (Packet.Checksum.compute wire ~off:0 ~len:hlen);
+        refix_tcp_checksum wire ~off:0
+      | Flips flips ->
+        List.iter
+          (fun (i, v) -> Bytes.set_uint8 wire (i mod Bytes.length wire) v)
+          flips);
+      (Bytes.cat (Bytes.make prefix '\xAB') wire, prefix))
+  in
+  QCheck.make gen ~print:(fun (bytes, off) ->
+      Printf.sprintf "off=%d %S" off (Bytes.to_string bytes))
+
+let prop_check_on_garbage =
+  QCheck.Test.make ~count:1000
+    ~name:"Segment.check agrees with parse on garbage"
+    arbitrary_garbage_at (fun (bytes, off) ->
+      check_agrees_with_parse bytes ~off)
+
+let prop_check_on_datagrams =
+  QCheck.Test.make ~count:3000
+    ~name:"Segment.check agrees with parse on (malformed) datagrams"
+    arbitrary_datagram_at (fun (bytes, off) ->
+      check_agrees_with_parse bytes ~off)
+
+(* What the fault injector's corruption, truncation and tuple flips
+   make of valid datagrams. *)
+let prop_check_on_injected_faults =
+  QCheck.Test.make ~count:300
+    ~name:"Segment.check agrees with parse on injected faults"
+    QCheck.(
+      pair small_nat (list_of_size (Gen.int_range 1 10) arbitrary_segment))
+    (fun (seed, segments) ->
+      let injector =
+        Fault.Injector.create ~seed
+          (Fault.Plan.v ~corrupt:0.4 ~truncate:0.3 ~tuple_flip:0.4 ())
+      in
+      List.for_all
+        (fun d -> check_agrees_with_parse d ~off:0)
+        (Fault.Injector.feed_all injector
+           (List.map Packet.Segment.to_bytes segments)))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_checksum_matches_reference; prop_segment_roundtrip;
@@ -868,7 +1061,9 @@ let qcheck_cases =
       prop_ipv6_parse_total; prop_tcp_parse_total; prop_segment_parse_total;
       prop_peek_flow_total; prop_segment_parse_total_on_mutated_valid;
       prop_flow_words_round_trip; prop_flow_words_equality;
-      prop_flow_words_corners; prop_peek_words_match_peek_flow ]
+      prop_flow_words_corners; prop_peek_words_match_peek_flow;
+      prop_check_on_garbage; prop_check_on_datagrams;
+      prop_check_on_injected_faults ]
 
 (* ------------------------------------------------------------------ *)
 
