@@ -43,7 +43,7 @@ let drop_name = function
 
 type connection = {
   flow : Packet.Flow.t;
-  template : Packet.Ipv4.t;  (* the IPv4 header of its pure ACKs *)
+  template : Packet.Ipv4.t;  (* the IPv4 header of its payload-less segments *)
   mutable state : State.t;
   mutable snd_nxt : int32;
   mutable rcv_nxt : int32;
@@ -59,11 +59,6 @@ type connection = {
 }
 
 and listener = { on_data : t -> connection -> string -> unit }
-
-and timer_event =
-  | Reap_time_wait of connection
-  | Retransmit of connection * int32 * int  (* attempt number, from 1 *)
-  | Delayed_ack of connection
 
 and t = {
   local_addr : Packet.Ipv4.addr;
@@ -85,7 +80,7 @@ and t = {
   delayed_acks : bool;
   delayed_ack_timeout : float;
   mutable overload_probe : unit -> overload_tier;
-  wheel : timer_event Timer_wheel.t;
+  wheel : connection Timer_wheel.t;  (* argument: see [retransmit_timer] *)
   mutable time_wait_pending : int;  (* connections whose 2MSL timer is armed *)
 }
 
@@ -106,6 +101,12 @@ let syn_bit = 0x02
 let rst_bit = 0x04
 let ack_bit = 0x10
 
+(* A 1/64-s tick keeps a slot to the SYN-ACKs of a few milliseconds,
+   so a jittered retransmission walks back past few of them; 256 slots
+   cover 4 s, and later deadlines (TIME-WAIT, long backoffs) sit at
+   their slot's tail. *)
+let wheel_tick = 1.0 /. 64.0
+
 let create ?(demux =
              Demux.Registry.Sequent
                { chains = Demux.Sequent.default_chains;
@@ -113,12 +114,13 @@ let create ?(demux =
     ?(time_wait_timeout = 60.0) ?(retransmit_timeout = 1.0)
     ?(max_retransmits = 12) ?(rto_jitter = true) ?(rto_seed = 0x52544f)
     ?(delayed_acks = false) ?(delayed_ack_timeout = 0.2) ?iss ~local_addr () =
-  if time_wait_timeout <= 0.0 then
-    invalid_arg "Stack.create: time_wait_timeout <= 0";
-  if retransmit_timeout <= 0.0 then
-    invalid_arg "Stack.create: retransmit_timeout <= 0";
-  if delayed_ack_timeout <= 0.0 then
-    invalid_arg "Stack.create: delayed_ack_timeout <= 0";
+  let check name timeout =
+    if not (timeout > 0.0 && Float.is_finite timeout) then
+      invalid_arg ("Stack.create: " ^ name ^ " is not positive and finite")
+  in
+  check "time_wait_timeout" time_wait_timeout;
+  check "retransmit_timeout" retransmit_timeout;
+  check "delayed_ack_timeout" delayed_ack_timeout;
   { local_addr; tracer = Obs.Trace.disabled;
     table = Conn_table.create demux; outbox = [];
     next_iss = 1000l; iss_for = iss; on_established = None;
@@ -128,7 +130,7 @@ let create ?(demux =
     rto_jitter; rto_rng = Numerics.Rng.create ~seed:rto_seed;
     delayed_acks; delayed_ack_timeout;
     overload_probe = (fun () -> Normal);
-    wheel = Timer_wheel.create ~tick:0.25 (); time_wait_pending = 0 }
+    wheel = Timer_wheel.create ~tick:wheel_tick (); time_wait_pending = 0 }
 
 let set_overload_probe t probe = t.overload_probe <- probe
 let set_on_established t hook = t.on_established <- hook
@@ -163,14 +165,6 @@ let transmit t segment flow =
   t.segments_sent <- t.segments_sent + 1;
   Conn_table.note_send t.table flow
 
-let emit t ?(payload = "") ~flow ~flags ~seq ~ack_number () =
-  let segment =
-    Packet.Segment.make ~seq ~ack_number ~flags ~payload
-      ~src:flow.Packet.Flow.local ~dst:flow.Packet.Flow.remote ()
-  in
-  transmit t segment flow;
-  segment
-
 (* Exponential RTO backoff: attempt [n] waits [2^(n-1)] base timeouts,
    capped at 64x (RFC 6298's doubling with BSD's traditional cap), so
    a peer that never acknowledges — or an induced-loss fault plan —
@@ -185,20 +179,60 @@ let emit t ?(payload = "") ~flow ~flags ~seq ~ack_number () =
    grows exponentially.  Draws come from the stack's own seeded
    generator, so a given stack's delay sequence is reproducible. *)
 let rto_for_attempt t attempt =
-  let capped = t.retransmit_timeout *. Float.of_int (1 lsl min 6 (attempt - 1)) in
-  if (not t.rto_jitter) || attempt <= 1 then capped
+  if attempt <= 1 then t.retransmit_timeout
   else
-    t.retransmit_timeout
-    +. (Numerics.Rng.float t.rto_rng *. (capped -. t.retransmit_timeout))
+    let capped =
+      t.retransmit_timeout *. Float.of_int (1 lsl min 6 (attempt - 1))
+    in
+    if not t.rto_jitter then capped
+    else
+      t.retransmit_timeout
+      +. (Numerics.Rng.float t.rto_rng *. (capped -. t.retransmit_timeout))
 
-(* Queue a sequence-space-consuming segment (SYN, FIN or data) for
-   retransmission and arm its RTO timer. *)
+(* A timer's payload is its connection, and its argument says what to
+   do: the low two bits are the kind, and a retransmission carries the
+   segment's sequence number (32 bits) and its attempt above them. *)
+let reap_timer = 0
+let delayed_ack_timer = 1
+let retransmit_kind = 2
+let retransmit_timer ~seq ~attempt =
+  (attempt lsl 34) lor (seq lsl 2) lor retransmit_kind
+
+(* The IPv4 header [Segment.make] gives a payload-less segment on
+   [flow]: an option-free 20-byte TCP header and no payload.  Each
+   connection makes it once (4.3BSD's [t_template]). *)
+let header_template flow =
+  Packet.Ipv4.make ~src:flow.Packet.Flow.local.Packet.Flow.addr
+    ~dst:flow.Packet.Flow.remote.Packet.Flow.addr ~protocol:Packet.Ipv4.Tcp
+    ~payload_length:20 ()
+
+(* The segment [Segment.make] would build with no payload, without its
+   optional arguments: the header record carries [Tcp_header.make]'s
+   defaults on the connection's template. *)
+let header_segment conn ~flags ~seq ~ack_number =
+  let flow = conn.flow in
+  { Packet.Segment.ip = conn.template;
+    tcp =
+      { Packet.Tcp_header.src_port = flow.Packet.Flow.local.Packet.Flow.port;
+        dst_port = flow.Packet.Flow.remote.Packet.Flow.port; seq; ack_number;
+        flags; window = 65535; urgent = 0; options = [] };
+    payload = "" }
+
+(* Send a sequence-space-consuming segment (SYN, FIN or data), queue
+   it for retransmission and arm its RTO timer. *)
 let emit_reliable t conn ?payload ~flags ~seq ~ack_number () =
-  let segment = emit t ?payload ~flow:conn.flow ~flags ~seq ~ack_number () in
+  let segment =
+    match payload with
+    | None -> header_segment conn ~flags ~seq ~ack_number
+    | Some payload ->
+      Packet.Segment.make ~seq ~ack_number ~flags ~payload
+        ~src:conn.flow.Packet.Flow.local ~dst:conn.flow.Packet.Flow.remote ()
+  in
+  transmit t segment conn.flow;
   conn.unacked <- conn.unacked @ [ (seq, segment) ];
   ignore
-    (Timer_wheel.schedule t.wheel ~delay:(rto_for_attempt t 1)
-       (Retransmit (conn, seq, 1)))
+    (Timer_wheel.schedule t.wheel ~delay:(rto_for_attempt t 1) conn
+       (retransmit_timer ~seq:(u32 seq) ~attempt:1))
 
 let emit_rst t ~flow ~seq ~ack_number =
   (* No PCB exists for this flow, so no transmit-side bookkeeping. *)
@@ -210,28 +244,13 @@ let emit_rst t ~flow ~seq ~ack_number =
   t.segments_sent <- t.segments_sent + 1;
   t.rsts_sent <- t.rsts_sent + 1
 
-(* The IPv4 header [Segment.make] gives a pure ACK on [flow]: an
-   option-free 20-byte TCP header and no payload.  Each connection
-   makes it once (4.3BSD's [t_template]). *)
-let ack_template flow =
-  Packet.Ipv4.make ~src:flow.Packet.Flow.local.Packet.Flow.addr
-    ~dst:flow.Packet.Flow.remote.Packet.Flow.addr ~protocol:Packet.Ipv4.Tcp
-    ~payload_length:20 ()
-
-(* The segment [emit] would build, without [Segment.make]'s optional
-   arguments: the header record carries [Tcp_header.make]'s defaults
-   and the connection's own sequence boxes. *)
+(* A pure ACK carries the connection's own sequence boxes. *)
 let ack_now t conn =
   conn.ack_pending <- false;
-  let flow = conn.flow in
-  let tcp =
-    { Packet.Tcp_header.src_port = flow.Packet.Flow.local.Packet.Flow.port;
-      dst_port = flow.Packet.Flow.remote.Packet.Flow.port;
-      seq = conn.snd_nxt; ack_number = conn.rcv_nxt;
-      flags = Packet.Tcp_header.flag_ack; window = 65535; urgent = 0;
-      options = [] }
-  in
-  transmit t { Packet.Segment.ip = conn.template; tcp; payload = "" } flow
+  transmit t
+    (header_segment conn ~flags:Packet.Tcp_header.flag_ack ~seq:conn.snd_nxt
+       ~ack_number:conn.rcv_nxt)
+    conn.flow
 
 (* RFC 1122 delayed acknowledgement: ack every second data segment, or
    after delayed_ack_timeout, whichever comes first.  Sending data
@@ -243,8 +262,8 @@ let ack_data t conn =
   else begin
     conn.ack_pending <- true;
     ignore
-      (Timer_wheel.schedule t.wheel ~delay:t.delayed_ack_timeout
-         (Delayed_ack conn))
+      (Timer_wheel.schedule t.wheel ~delay:t.delayed_ack_timeout conn
+         delayed_ack_timer)
   end
 
 let listen t ~port ~on_data = Conn_table.listen t.table ~port { on_data }
@@ -254,7 +273,7 @@ let connect t ~local_port ~remote =
   let flow = Packet.Flow.v ~local ~remote in
   let iss = fresh_iss t flow in
   let conn =
-    { flow; template = ack_template flow; state = State.Syn_sent;
+    { flow; template = header_template flow; state = State.Syn_sent;
       snd_nxt = Int32.add iss 1l;
       rcv_nxt = 0l; snd_una = iss; bytes_in = 0; bytes_out = 0; unacked = [];
       ack_pending = false;
@@ -317,8 +336,8 @@ let maybe_arm_time_wait t conn =
   | None when State.equal conn.state State.Time_wait ->
     conn.time_wait_timer <-
       Some
-        (Timer_wheel.schedule t.wheel ~delay:t.time_wait_timeout
-           (Reap_time_wait conn));
+        (Timer_wheel.schedule t.wheel ~delay:t.time_wait_timeout conn
+           reap_timer);
     t.time_wait_pending <- t.time_wait_pending + 1
   | Some _ | None -> ()
 
@@ -366,13 +385,13 @@ let adopt_connection t conn =
   List.iter
     (fun (seq, _) ->
       ignore
-        (Timer_wheel.schedule t.wheel ~delay:(rto_for_attempt t 1)
-           (Retransmit (conn, seq, 1))))
+        (Timer_wheel.schedule t.wheel ~delay:(rto_for_attempt t 1) conn
+           (retransmit_timer ~seq:(u32 seq) ~attempt:1)))
     conn.unacked;
   if conn.ack_pending then
     ignore
-      (Timer_wheel.schedule t.wheel ~delay:t.delayed_ack_timeout
-         (Delayed_ack conn))
+      (Timer_wheel.schedule t.wheel ~delay:t.delayed_ack_timeout conn
+         delayed_ack_timer)
 
 (* Retransmission bookkeeping.  An arriving ACK advances snd_una and
    releases fully acknowledged segments from the queue; an expired RTO
@@ -402,50 +421,64 @@ let note_ack conn ack =
     conn.unacked <- unacked_after ack conn.unacked
   end
 
-let handle_retransmit t conn seq attempt =
+(* The queued segment that starts at [seq]. *)
+let rec unacked_segment seq = function
+  | [] -> raise Not_found
+  | (first, segment) :: rest ->
+    if u32 first = seq then segment else unacked_segment seq rest
+
+let handle_retransmit t conn ~seq ~attempt =
   if
     (not (State.equal conn.state State.Closed))
-    && List.mem_assoc seq conn.unacked
     && attempt <= t.max_retransmits
     && t.retransmissions < t.max_retransmits * 64
     (* circuit breaker against pathological never-acked loops *)
-  then begin
-    let segment = List.assoc seq conn.unacked in
-    Log.debug (fun m ->
-        m "retransmit seq=%ld attempt=%d on %s" seq attempt
-          (Packet.Flow.to_string conn.flow));
-    t.retransmissions <- t.retransmissions + 1;
-    transmit t segment conn.flow;
-    ignore
-      (Timer_wheel.schedule t.wheel
-         ~delay:(rto_for_attempt t (attempt + 1))
-         (Retransmit (conn, seq, attempt + 1)));
-    true
-  end
+  then
+    match unacked_segment seq conn.unacked with
+    | exception Not_found -> false
+    | segment ->
+      Log.debug (fun m ->
+          m "retransmit seq=%d attempt=%d on %s" seq attempt
+            (Packet.Flow.to_string conn.flow));
+      t.retransmissions <- t.retransmissions + 1;
+      transmit t segment conn.flow;
+      ignore
+        (Timer_wheel.schedule t.wheel
+           ~delay:(rto_for_attempt t (attempt + 1))
+           conn
+           (retransmit_timer ~seq ~attempt:(attempt + 1)));
+      true
   else false
 
+(* Whether a fired timer acted; one made moot by a later ack or close
+   does nothing. *)
+let on_timer t conn arg =
+  let kind = arg land 3 in
+  if kind = reap_timer then begin
+    time_wait_done t conn;
+    State.equal conn.state State.Time_wait
+    && begin
+         drop_connection t conn;
+         true
+       end
+  end
+  else if kind = delayed_ack_timer then
+    conn.ack_pending
+    && (not (State.equal conn.state State.Closed))
+    && begin
+         ack_now t conn;
+         true
+       end
+  else
+    handle_retransmit t conn
+      ~seq:((arg lsr 2) land 0xFFFF_FFFF)
+      ~attempt:(arg lsr 34)
+
 let advance_clock t ~now =
-  let fired = Timer_wheel.advance t.wheel ~now in
-  List.fold_left
-    (fun actions (_, event) ->
-      match event with
-      | Reap_time_wait conn ->
-        time_wait_done t conn;
-        if State.equal conn.state State.Time_wait then begin
-          drop_connection t conn;
-          actions + 1
-        end
-        else actions
-      | Retransmit (conn, seq, attempt) ->
-        if handle_retransmit t conn seq attempt then actions + 1 else actions
-      | Delayed_ack conn ->
-        if conn.ack_pending && not (State.equal conn.state State.Closed)
-        then begin
-          ack_now t conn;
-          actions + 1
-        end
-        else actions)
-    0 fired
+  let actions = ref 0 in
+  Timer_wheel.advance t.wheel ~now ~fire:(fun conn arg ->
+      if on_timer t conn arg then incr actions);
+  !actions
 
 let pending_time_wait t = t.time_wait_pending
 
@@ -577,9 +610,10 @@ let handle_connection t conn ~flags ~seq ~ack ~payload =
         (* Simultaneous open. *)
         conn.rcv_nxt <- Int32.of_int (seq + 1);
         ignore (apply_transition conn State.Rcv_syn);
-        ignore
-          (emit t ~flow:conn.flow ~flags:Packet.Tcp_header.flag_syn_ack
-             ~seq:(Int32.sub conn.snd_nxt 1l) ~ack_number:conn.rcv_nxt ())
+        transmit t
+          (header_segment conn ~flags:Packet.Tcp_header.flag_syn_ack
+             ~seq:(Int32.sub conn.snd_nxt 1l) ~ack_number:conn.rcv_nxt)
+          conn.flow
       end
     | State.Syn_received ->
       if acks_all_sent conn ~flags ~ack then begin
@@ -604,7 +638,7 @@ let accept t listener ~w0 ~w1 ~seq =
   let flow = Packet.Flow.of_words ~w0 ~w1 in
   let iss = fresh_iss t flow in
   let conn =
-    { flow; template = ack_template flow; state = State.Syn_received;
+    { flow; template = header_template flow; state = State.Syn_received;
       snd_nxt = Int32.add iss 1l; rcv_nxt = Int32.of_int (seq + 1);
       snd_una = iss; bytes_in = 0; bytes_out = 0; unacked = [];
       ack_pending = false; listener = Some listener; time_wait_timer = None }
@@ -773,4 +807,21 @@ let register_obs ?(prefix = "stack") t obs =
     ~help:"TIME-WAIT connections awaiting reaping"
     ~name:(name "time_wait_pending")
     (fun () -> float_of_int (pending_time_wait t));
+  Obs.Registry.register_gauge obs
+    ~help:"2MSL, RTO and delayed-ACK timers not yet fired or cancelled"
+    ~name:(name "timer.pending")
+    (fun () -> float_of_int (Timer_wheel.pending t.wheel));
+  Obs.Registry.register_counter obs ~help:"timers scheduled on the wheel"
+    ~name:(name "timer.scheduled") (fun () -> Timer_wheel.scheduled t.wheel);
+  Obs.Registry.register_counter obs
+    ~help:"timers fired by advance_clock, moot ones included"
+    ~name:(name "timer.fired") (fun () -> Timer_wheel.fired t.wheel);
+  Obs.Registry.register_counter obs
+    ~help:"slot heads advance_clock read: one per fired timer, one per \
+           non-empty slot whose head was not due"
+    ~name:(name "timer.visited") (fun () -> Timer_wheel.visited t.wheel);
+  Obs.Registry.register_counter obs
+    ~help:"entries scheduled timers walked back past from their slot's tail"
+    ~name:(name "timer.insert_steps")
+    (fun () -> Timer_wheel.insert_steps t.wheel);
   Demux.Registry.observe ~prefix:(name "demux") obs (Conn_table.demux t.table)

@@ -26,11 +26,24 @@
     ({!Demux.Registry.t.lookup_words}), and no [Ipv4.t],
     [Tcp_header.t], flags record or [Flow.t] is built on the way to
     the state machine: a flow is made only for a new connection or an
-    RST.  Pure ACKs are sent from the connection's [template], without
-    {!Packet.Segment.make}.  With the default demultiplexer, a warm
-    duplicate pure ACK through {!handle_bytes} and {!poll_output}
-    allocates nothing, and an in-sequence data segment allocates its
-    payload copy, its [rcv_nxt] box and its ACK. *)
+    RST.  Payload-less segments (pure ACKs, SYNs, SYN-ACKs and FINs)
+    are built on the connection's [template], without
+    {!Packet.Segment.make}, with the same bytes.  With the default
+    demultiplexer, a warm duplicate pure ACK through {!handle_bytes}
+    and {!poll_output} allocates nothing, and an in-sequence data
+    segment allocates its payload copy, its [rcv_nxt] box and its ACK.
+    A warm accepted SYN allocates about 93 words: its connection, flow,
+    template, PCB and table entry, and its SYN-ACK with the SYN-ACK's
+    queue and outbox cells.
+
+    {b Timers.}  One {!Timer_wheel} with a 1/64-s tick and 256 slots
+    holds every 2MSL, RTO and delayed-ACK timer.  A timer's payload is
+    its connection, and its argument is an int that packs the timer's
+    kind and, for a retransmission, the segment's sequence number and
+    attempt, so arming, cancelling and firing one allocate nothing.
+    {!advance_clock} fires due timers in (deadline, scheduling order);
+    what a firing arms waits for the next call.  The wheel's arrays
+    are made at the first timer, not by {!create}. *)
 
 type t
 
@@ -43,8 +56,9 @@ type listener
 type connection = {
   flow : Packet.Flow.t;
   template : Packet.Ipv4.t;
-      (** The IPv4 header of the connection's pure ACKs, made once
-          when the connection is (4.3BSD's [t_template]). *)
+      (** The IPv4 header of the connection's payload-less segments
+          (ACK, SYN, SYN-ACK, FIN), made once when the connection is
+          (4.3BSD's [t_template]). *)
   mutable state : State.t;
   mutable snd_nxt : int32;   (** Next sequence number we will send. *)
   mutable rcv_nxt : int32;   (** Next sequence number we expect. *)
@@ -93,7 +107,8 @@ val create :
     [iss] overrides initial-sequence-number assignment with a per-flow
     function (see {!deterministic_iss}); by default each open draws
     from a per-stack counter, which makes ISS depend on accept order.
-    @raise Invalid_argument on non-positive timeouts. *)
+    @raise Invalid_argument on a timeout that is not positive and
+    finite. *)
 
 val deterministic_iss : Packet.Flow.t -> int32
 (** A fixed mix of the 4-tuple (RFC 6528 minus the secret and clock):
@@ -210,9 +225,12 @@ val register_obs : ?prefix:string -> t -> Obs.Registry.t -> unit
 (** Register the stack's accounting into an observability registry
     under ["<prefix>."] (default ["stack"]): per-reason and total drop
     counters, [segments_sent] / [rsts_sent] / [retransmissions],
-    connection-population gauges, and — via {!Demux.Registry.observe}
-    under ["<prefix>.demux"] — the demultiplexer's lookup counters and
-    examined-count histogram. *)
+    connection-population gauges, the timer wheel's [timer.pending]
+    gauge and [timer.scheduled] / [timer.fired] / [timer.visited] /
+    [timer.insert_steps] counters ({!Timer_wheel.visited} and
+    {!Timer_wheel.insert_steps} say what the last two count), and —
+    via {!Demux.Registry.observe} under ["<prefix>.demux"] — the
+    demultiplexer's lookup counters and examined-count histogram. *)
 
 val poll_output : t -> Packet.Segment.t list
 (** Drain queued outbound segments, oldest first.  Transmit-side demux
@@ -229,10 +247,11 @@ val advance_clock : t -> now:float -> int
     unacknowledged SYN/FIN/data segments whose RTO has elapsed are
     retransmitted (and re-armed with exponentially longer timeouts,
     up to [max_retransmits] attempts).  Returns the number of effective
-    actions (reaps + retransmissions); timers made moot by later acks
-    fire silently.  The caller owns the clock (wall time, simulated
-    time, ...); time starts at 0.
-    @raise Invalid_argument if [now] moves backwards. *)
+    actions (reaps + retransmissions + delayed ACKs); timers made moot
+    by later acks fire silently.  The caller owns the clock (wall time,
+    simulated time, ...); time starts at 0.
+    @raise Invalid_argument if [now] moves backwards or is infinite, or
+    if its tick index does not fit in an int. *)
 
 val pending_time_wait : t -> int
 (** TIME-WAIT connections whose 2MSL timer is armed: those awaiting

@@ -244,125 +244,160 @@ let test_conn_table_remove () =
 (* ------------------------------------------------------------------ *)
 (* Timer wheel                                                         *)
 
+module W = Tcpcore.Timer_wheel
+
+(* The payloads one advance fires, in order. *)
+let advance_list wheel ~now =
+  let fired = ref [] in
+  W.advance wheel ~now ~fire:(fun payload _ -> fired := payload :: !fired);
+  List.rev !fired
+
 let test_wheel_fires_in_order () =
-  let wheel = Tcpcore.Timer_wheel.create ~tick:1.0 () in
-  ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:5.0 "b");
-  ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:2.0 "a");
-  ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:9.0 "c");
-  Alcotest.(check int) "pending" 3 (Tcpcore.Timer_wheel.pending wheel);
-  let fired = Tcpcore.Timer_wheel.advance wheel ~now:6.0 in
-  Alcotest.(check (list string)) "a then b" [ "a"; "b" ] (List.map snd fired);
-  Alcotest.(check int) "one left" 1 (Tcpcore.Timer_wheel.pending wheel);
-  let fired = Tcpcore.Timer_wheel.advance wheel ~now:100.0 in
-  Alcotest.(check (list string)) "c" [ "c" ] (List.map snd fired)
+  let wheel = W.create ~tick:1.0 () in
+  ignore (W.schedule wheel ~delay:5.0 "b" 0);
+  ignore (W.schedule wheel ~delay:2.0 "a" 0);
+  ignore (W.schedule wheel ~delay:9.0 "c" 0);
+  Alcotest.(check int) "pending" 3 (W.pending wheel);
+  let fired = advance_list wheel ~now:6.0 in
+  Alcotest.(check (list string)) "a then b" [ "a"; "b" ] fired;
+  Alcotest.(check int) "one left" 1 (W.pending wheel);
+  let fired = advance_list wheel ~now:100.0 in
+  Alcotest.(check (list string)) "c" [ "c" ] fired
 
 let test_wheel_cancel () =
-  let wheel = Tcpcore.Timer_wheel.create ~tick:0.5 () in
-  let t1 = Tcpcore.Timer_wheel.schedule wheel ~delay:1.0 1 in
-  let _t2 = Tcpcore.Timer_wheel.schedule wheel ~delay:1.0 2 in
-  Alcotest.(check bool) "cancelled" true (Tcpcore.Timer_wheel.cancel wheel t1);
-  Alcotest.(check bool) "double cancel" false (Tcpcore.Timer_wheel.cancel wheel t1);
-  let fired = Tcpcore.Timer_wheel.advance wheel ~now:2.0 in
-  Alcotest.(check (list int)) "only t2" [ 2 ] (List.map snd fired)
+  let wheel = W.create ~tick:0.5 () in
+  let t1 = W.schedule wheel ~delay:1.0 1 0 in
+  let _t2 = W.schedule wheel ~delay:1.0 2 0 in
+  Alcotest.(check bool) "cancelled" true (W.cancel wheel t1);
+  Alcotest.(check bool) "double cancel" false (W.cancel wheel t1);
+  let fired = advance_list wheel ~now:2.0 in
+  Alcotest.(check (list int)) "only t2" [ 2 ] fired
 
 let test_wheel_wraparound () =
   (* Deadlines several revolutions out must not fire early. *)
-  let wheel = Tcpcore.Timer_wheel.create ~slot_count:8 ~tick:1.0 () in
-  ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:100.0 "far");
-  ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:3.0 "near");
-  let fired = Tcpcore.Timer_wheel.advance wheel ~now:50.0 in
-  Alcotest.(check (list string)) "only near" [ "near" ] (List.map snd fired);
-  let fired = Tcpcore.Timer_wheel.advance wheel ~now:101.0 in
-  Alcotest.(check (list string)) "far eventually" [ "far" ] (List.map snd fired)
+  let wheel = W.create ~slot_count:8 ~tick:1.0 () in
+  ignore (W.schedule wheel ~delay:100.0 "far" 0);
+  ignore (W.schedule wheel ~delay:3.0 "near" 0);
+  let fired = advance_list wheel ~now:50.0 in
+  Alcotest.(check (list string)) "only near" [ "near" ] fired;
+  let fired = advance_list wheel ~now:101.0 in
+  Alcotest.(check (list string)) "far eventually" [ "far" ] fired
 
 let test_wheel_many_small_steps () =
   (* Advancing in sub-tick steps must still fire everything exactly
      once. *)
-  let wheel = Tcpcore.Timer_wheel.create ~slot_count:16 ~tick:1.0 () in
+  let wheel = W.create ~slot_count:16 ~tick:1.0 () in
   for i = 1 to 50 do
-    ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:(float_of_int i /. 3.0) i)
+    ignore (W.schedule wheel ~delay:(float_of_int i /. 3.0) i 0)
   done;
   let fired = ref 0 in
   let clock = ref 0.0 in
   while !clock < 20.0 do
     clock := !clock +. 0.1;
-    fired := !fired + List.length (Tcpcore.Timer_wheel.advance wheel ~now:!clock)
+    fired := !fired + List.length (advance_list wheel ~now:!clock)
   done;
   Alcotest.(check int) "all fired once" 50 !fired;
-  Alcotest.(check int) "none pending" 0 (Tcpcore.Timer_wheel.pending wheel)
+  Alcotest.(check int) "none pending" 0 (W.pending wheel)
 
 let test_wheel_full_revolution () =
   (* Regression: an advance of exactly one revolution must cover every
      slot once — the old step bound visited [slot_count + 1] slots,
      re-scanning the starting slot.  Entries in every slot, including
      both endpoints of the sweep, fire exactly once. *)
-  let wheel = Tcpcore.Timer_wheel.create ~slot_count:8 ~tick:1.0 () in
+  let wheel = W.create ~slot_count:8 ~tick:1.0 () in
   for i = 0 to 7 do
-    ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:(float_of_int i) i)
+    ignore (W.schedule wheel ~delay:(float_of_int i) i 0)
   done;
-  let fired = Tcpcore.Timer_wheel.advance wheel ~now:8.0 in
+  let fired = advance_list wheel ~now:8.0 in
   Alcotest.(check (list int)) "all 8 fire, each once" [ 0; 1; 2; 3; 4; 5; 6; 7 ]
-    (List.map snd fired);
-  Alcotest.(check int) "none pending" 0 (Tcpcore.Timer_wheel.pending wheel)
+    fired;
+  Alcotest.(check int) "none pending" 0 (W.pending wheel)
 
 let test_wheel_multi_revolution_delay () =
   (* A delay of more than one revolution must survive intermediate
      full-revolution advances and fire only when its deadline passes. *)
-  let wheel = Tcpcore.Timer_wheel.create ~slot_count:8 ~tick:1.0 () in
-  ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:20.0 "late");
+  let wheel = W.create ~slot_count:8 ~tick:1.0 () in
+  ignore (W.schedule wheel ~delay:20.0 "late" 0);
   Alcotest.(check (list string)) "revolution 1: nothing" []
-    (List.map snd (Tcpcore.Timer_wheel.advance wheel ~now:8.0));
+    (advance_list wheel ~now:8.0);
   Alcotest.(check (list string)) "revolution 2: nothing" []
-    (List.map snd (Tcpcore.Timer_wheel.advance wheel ~now:16.0));
-  Alcotest.(check int) "still pending" 1 (Tcpcore.Timer_wheel.pending wheel);
+    (advance_list wheel ~now:16.0);
+  Alcotest.(check int) "still pending" 1 (W.pending wheel);
   Alcotest.(check (list string)) "fires in revolution 3" [ "late" ]
-    (List.map snd (Tcpcore.Timer_wheel.advance wheel ~now:20.0));
-  Alcotest.(check int) "none pending" 0 (Tcpcore.Timer_wheel.pending wheel)
+    (advance_list wheel ~now:20.0);
+  Alcotest.(check int) "none pending" 0 (W.pending wheel)
 
 let test_wheel_boundary_landing () =
   (* The sweep is endpoint-inclusive: a deadline exactly on the slot
      boundary the advance lands on fires in that same advance, not the
      next one. *)
-  let wheel = Tcpcore.Timer_wheel.create ~slot_count:16 ~tick:0.5 () in
-  ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:3.0 "edge");
+  let wheel = W.create ~slot_count:16 ~tick:0.5 () in
+  ignore (W.schedule wheel ~delay:3.0 "edge" 0);
   Alcotest.(check (list string)) "fires on the boundary" [ "edge" ]
-    (List.map snd (Tcpcore.Timer_wheel.advance wheel ~now:3.0));
+    (advance_list wheel ~now:3.0);
   (* And again when the advance starts on a boundary too. *)
-  ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:1.5 "next");
+  ignore (W.schedule wheel ~delay:1.5 "next" 0);
   Alcotest.(check (list string)) "boundary to boundary" [ "next" ]
-    (List.map snd (Tcpcore.Timer_wheel.advance wheel ~now:4.5))
+    (advance_list wheel ~now:4.5)
 
 let test_wheel_validation () =
-  let wheel = Tcpcore.Timer_wheel.create ~tick:1.0 () in
-  ignore (Tcpcore.Timer_wheel.advance wheel ~now:5.0);
+  let wheel = W.create ~tick:1.0 () in
+  W.advance wheel ~now:5.0 ~fire:(fun () _ -> ());
   Alcotest.check_raises "backwards"
     (Invalid_argument "Timer_wheel.advance: clock cannot move backwards")
-    (fun () -> ignore (Tcpcore.Timer_wheel.advance wheel ~now:1.0));
+    (fun () -> W.advance wheel ~now:1.0 ~fire:(fun () _ -> ()));
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Timer_wheel.schedule: negative or NaN delay") (fun () ->
-      ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:(-1.0) ()));
+      ignore (W.schedule wheel ~delay:(-1.0) () 0));
   Alcotest.check_raises "bad tick"
     (Invalid_argument "Timer_wheel.create: tick <= 0") (fun () ->
-      ignore (Tcpcore.Timer_wheel.create ~tick:0.0 () : unit Tcpcore.Timer_wheel.t))
+      ignore (W.create ~tick:0.0 () : unit W.t))
+
+(* Times the wheel cannot place are refused, and a refused advance
+   leaves the wheel working: its clock does not move, and a due timer
+   still fires. *)
+let test_wheel_unplaceable_times () =
+  let refuses what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let wheel = W.create ~tick:0.25 () in
+  ignore (W.schedule wheel ~delay:1.0 "due" 0);
+  refuses "advance to infinity" (fun () ->
+      W.advance wheel ~now:Float.infinity ~fire:(fun _ _ -> ()));
+  (* 4.6e18 / 0.25 is past max_int: its tick index overflows. *)
+  refuses "advance past the last tick index" (fun () ->
+      W.advance wheel ~now:4.6e18 ~fire:(fun _ _ -> ()));
+  refuses "infinite delay" (fun () ->
+      ignore (W.schedule wheel ~delay:Float.infinity "never" 0));
+  refuses "delay past the last tick index" (fun () ->
+      ignore (W.schedule wheel ~delay:4.6e18 "never" 0));
+  Alcotest.(check (float 0.0)) "clock unmoved" 0.0 (W.now wheel);
+  Alcotest.(check int) "only the due timer pending" 1 (W.pending wheel);
+  Alcotest.(check (list string)) "the due timer still fires" [ "due" ]
+    (advance_list wheel ~now:2.0);
+  (* A far but placeable time still works. *)
+  Alcotest.(check (list string)) "a far advance" []
+    (advance_list wheel ~now:1e18)
 
 let test_wheel_ownership () =
   (* A wheel belongs to the first domain that schedules, cancels or
      advances on it: a mis-steered timer operation from another domain
      must raise instead of racing the owner's slot lists. *)
-  let wheel = Tcpcore.Timer_wheel.create ~tick:1.0 () in
-  Alcotest.(check bool) "unclaimed at creation" true
-    (Tcpcore.Timer_wheel.owner wheel = None);
-  ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:1.0 "mine");
+  let wheel = W.create ~tick:1.0 () in
+  Alcotest.(check bool) "unclaimed at creation" true (W.owner wheel = None);
+  ignore (W.schedule wheel ~delay:1.0 "mine" 0);
   let self = (Domain.self () :> int) in
   Alcotest.(check bool) "claimed by first use" true
-    (Tcpcore.Timer_wheel.owner wheel = Some self);
+    (W.owner wheel = Some self);
   (* Same-domain use stays fine. *)
-  ignore (Tcpcore.Timer_wheel.advance wheel ~now:0.5);
+  ignore (advance_list wheel ~now:0.5);
   let raised =
     Domain.join
       (Domain.spawn (fun () ->
            try
-             ignore (Tcpcore.Timer_wheel.advance wheel ~now:2.0);
+             ignore (advance_list wheel ~now:2.0);
              None
            with Invalid_argument msg -> Some msg))
   in
@@ -373,109 +408,260 @@ let test_wheel_ownership () =
       && String.sub msg 0 24 = "Timer_wheel.advance: whe")
   | None -> Alcotest.fail "cross-domain advance did not raise");
   (* The owner is unaffected by the stranger's failed call. *)
-  Alcotest.(check int) "still one pending" 1
-    (Tcpcore.Timer_wheel.pending wheel);
+  Alcotest.(check int) "still one pending" 1 (W.pending wheel);
   Alcotest.(check (list string)) "owner still advances" [ "mine" ]
-    (List.map snd (Tcpcore.Timer_wheel.advance wheel ~now:2.0))
+    (advance_list wheel ~now:2.0)
 
 let test_wheel_owned_by_spawning_domain () =
   (* A wheel first used inside a spawned domain belongs there — the
      per-core stack pattern (Parallel.Smp creates each stack inside
      its worker domain). *)
-  let wheel = Tcpcore.Timer_wheel.create ~tick:1.0 () in
+  let wheel = W.create ~tick:1.0 () in
   let worker_id, timer =
     Domain.join
       (Domain.spawn (fun () ->
-           let timer = Tcpcore.Timer_wheel.schedule wheel ~delay:1.0 () in
+           let timer = W.schedule wheel ~delay:1.0 () 0 in
            ((Domain.self () :> int), timer)))
   in
   Alcotest.(check bool) "owned by the worker" true
-    (Tcpcore.Timer_wheel.owner wheel = Some worker_id);
+    (W.owner wheel = Some worker_id);
   Alcotest.check_raises "main domain is now a stranger"
     (Invalid_argument
        (Printf.sprintf
           "Timer_wheel.cancel: wheel is owned by domain %d but was called \
            from domain %d (mis-steered timer)" worker_id
           ((Domain.self () :> int))))
-    (fun () -> ignore (Tcpcore.Timer_wheel.cancel wheel timer))
+    (fun () -> ignore (W.cancel wheel timer))
+
+(* A handle names one scheduling: after its entry is released and
+   reused, the old handle cancels nothing. *)
+let test_wheel_stale_handles () =
+  let wheel = W.create ~tick:1.0 () in
+  let fired = W.schedule wheel ~delay:1.0 "fired" 0 in
+  Alcotest.(check (list string)) "fires" [ "fired" ]
+    (advance_list wheel ~now:1.0);
+  let reused = W.schedule wheel ~delay:1.0 "reused" 0 in
+  Alcotest.(check bool) "a fired timer's handle" false (W.cancel wheel fired);
+  Alcotest.(check int) "the reuse is still pending" 1 (W.pending wheel);
+  Alcotest.(check bool) "the reuse's own handle" true (W.cancel wheel reused);
+  Alcotest.(check bool) "twice" false (W.cancel wheel reused);
+  Alcotest.(check int) "none pending" 0 (W.pending wheel)
+
+(* [fire] runs inside the advance: what it schedules, even at delay 0,
+   waits for the next advance, and what it cancels does not fire. *)
+let test_wheel_fire_reenters () =
+  let wheel = W.create ~slot_count:8 ~tick:1.0 () in
+  let log = ref [] in
+  let later = ref None in
+  let rec fire name _ =
+    log := name :: !log;
+    match name with
+    | "first" ->
+      ignore (W.schedule wheel ~delay:0.0 "rescheduled" 0);
+      Option.iter
+        (fun timer ->
+          Alcotest.(check bool) "cancel a due timer" true
+            (W.cancel wheel timer))
+        !later
+    | "rescheduled" ->
+      Alcotest.check_raises "no nested advance"
+        (Invalid_argument "Timer_wheel.advance: called from fire") (fun () ->
+          W.advance wheel ~now:3.0 ~fire)
+    | _ -> ()
+  in
+  ignore (W.schedule wheel ~delay:1.0 "first" 0);
+  later := Some (W.schedule wheel ~delay:2.0 "cancelled" 0);
+  ignore (W.schedule wheel ~delay:2.0 "kept" 0);
+  W.advance wheel ~now:2.0 ~fire;
+  Alcotest.(check (list string)) "first, then the kept one" [ "first"; "kept" ]
+    (List.rev !log);
+  Alcotest.(check int) "the delay-0 timer waits" 1 (W.pending wheel);
+  log := [];
+  W.advance wheel ~now:2.0 ~fire;
+  Alcotest.(check (list string)) "and fires on the next advance"
+    [ "rescheduled" ] (List.rev !log);
+  Alcotest.(check int) "none pending" 0 (W.pending wheel)
+
+(* An exception from [fire] leaves the due timers it did not reach
+   pending, and the next advance fires them first, even at the same
+   time. *)
+let test_wheel_fire_raises () =
+  let wheel = W.create ~slot_count:8 ~tick:1.0 () in
+  List.iter
+    (fun (name, delay) -> ignore (W.schedule wheel ~delay name 0))
+    [ ("a", 1.0); ("b", 2.0); ("c", 3.0); ("d", 30.0) ];
+  let log = ref [] in
+  let fire name _ =
+    log := name :: !log;
+    if name = "b" then failwith "b"
+  in
+  Alcotest.check_raises "fire's exception propagates" (Failure "b") (fun () ->
+      W.advance wheel ~now:20.0 ~fire);
+  Alcotest.(check (list string)) "a, then b raised" [ "a"; "b" ]
+    (List.rev !log);
+  Alcotest.(check int) "c and d pending" 2 (W.pending wheel);
+  Alcotest.(check (list string)) "c fires next" [ "c" ]
+    (advance_list wheel ~now:20.0);
+  Alcotest.(check (list string)) "then d" [ "d" ] (advance_list wheel ~now:30.0)
+
+(* Warm, with a constant delay, a schedule, a cancel and a fire
+   allocate nothing: the entries live in arrays that stopped growing,
+   and the handle and argument are ints. *)
+let test_wheel_warm_words () =
+  let wheel = W.create ~tick:(1.0 /. 64.0) () in
+  let fired = ref 0 in
+  let fire _ arg = fired := !fired + arg in
+  let rounds = 10_000 in
+  (* Boxed once, before the measurement. *)
+  let nows = List.init (rounds + 100) (fun i -> 0.01 *. float_of_int i) in
+  let round now =
+    ignore (W.schedule wheel ~delay:0.5 "kept" 1);
+    ignore (W.cancel wheel (W.schedule wheel ~delay:0.5 "cancelled" 0));
+    W.advance wheel ~now ~fire
+  in
+  let rec run k = function
+    | now :: rest when k > 0 ->
+      round now;
+      run (k - 1) rest
+    | rest -> rest
+  in
+  let rest = run 100 nows in
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (run rounds rest));
+  let words = (Gc.minor_words () -. before) /. float_of_int rounds in
+  Alcotest.(check (float 0.0)) "words per schedule + cancel + fire" 0.0 words;
+  Alcotest.(check bool) "timers fired" true (!fired > rounds / 2)
 
 let prop_wheel_fires_everything =
   QCheck.Test.make ~count:200 ~name:"wheel fires every uncancelled timer once"
     QCheck.(list_of_size (Gen.int_range 1 100) (float_range 0.0 500.0))
     (fun delays ->
-      let wheel = Tcpcore.Timer_wheel.create ~slot_count:32 ~tick:2.0 () in
-      List.iter (fun d -> ignore (Tcpcore.Timer_wheel.schedule wheel ~delay:d ())) delays;
-      let fired = Tcpcore.Timer_wheel.advance wheel ~now:1000.0 in
-      List.length fired = List.length delays
-      && Tcpcore.Timer_wheel.pending wheel = 0)
+      let wheel = W.create ~slot_count:32 ~tick:2.0 () in
+      List.iter (fun d -> ignore (W.schedule wheel ~delay:d () 0)) delays;
+      let fired = advance_list wheel ~now:1000.0 in
+      List.length fired = List.length delays && W.pending wheel = 0)
 
 (* The wheel against a list model: an advance fires every pending
    timer whose deadline the clock has reached, in (deadline, scheduling
    order); a cancel succeeds only on a pending timer, so cancelling
-   after the timer fired or a second time returns false. *)
-type wheel_op = Schedule of float | Cancel of int | Advance of float
+   after the timer fired or a second time returns false.  With
+   [reenter], a fired timer may itself schedule (delay 0 included) or
+   cancel: what it schedules waits for the next advance, and a due
+   timer it cancels does not fire. *)
+type wheel_op =
+  | Schedule of float * wheel_reentry
+  | Cancel of int
+  | Advance of float
 
-let print_wheel_op = function
-  | Schedule delay -> Printf.sprintf "schedule %g" delay
+and wheel_reentry = Nothing | Then_schedule of float | Then_cancel of int
+
+let print_wheel_op op =
+  let reentry = function
+    | Nothing -> ""
+    | Then_schedule delay -> Printf.sprintf ", fire schedules %g" delay
+    | Then_cancel i -> Printf.sprintf ", fire cancels #%d" i
+  in
+  match op with
+  | Schedule (delay, then_) ->
+    Printf.sprintf "schedule %g%s" delay (reentry then_)
   | Cancel i -> Printf.sprintf "cancel #%d" i
   | Advance step -> Printf.sprintf "advance +%g" step
 
-let prop_wheel_matches_model =
+let wheel_model_test ~name ~count ~reenter =
+  let delays =
+    QCheck.Gen.(
+      (* Whole delays make deadline ties; 40 ticks wrap the 8-slot
+         wheel several times. *)
+      oneof [ float_range 0.0 40.0; map float_of_int (int_range 0 12) ])
+  in
+  let reentry =
+    if not reenter then QCheck.Gen.return Nothing
+    else
+      QCheck.Gen.(
+        frequency
+          [ (2, return Nothing);
+            (1, map (fun d -> Then_schedule d) (oneof [ return 0.0; delays ]));
+            (1, map (fun i -> Then_cancel i) (int_bound 1000)) ])
+  in
   let op =
     QCheck.Gen.(
       frequency
-        [ ( 4,
-            (* Whole delays make deadline ties; 40 ticks wrap the
-               8-slot wheel several times. *)
-            map
-              (fun delay -> Schedule delay)
-              (oneof
-                 [ float_range 0.0 40.0; map float_of_int (int_range 0 12) ]) );
+        [ (4, map2 (fun d r -> Schedule (d, r)) delays reentry);
           (2, map (fun i -> Cancel i) (int_bound 1000));
           (3, map (fun step -> Advance step) (float_range 0.0 12.0)) ])
   in
-  QCheck.Test.make ~count:300
-    ~name:"wheel agrees with a list model under schedule, cancel, advance"
+  QCheck.Test.make ~count ~name
     (QCheck.make
        ~print:(QCheck.Print.list print_wheel_op)
        QCheck.Gen.(list_size (int_range 1 80) op))
     (fun ops ->
-      let module W = Tcpcore.Timer_wheel in
       let wheel = W.create ~slot_count:8 ~tick:1.0 () in
-      (* Timer [id]'s handle, and the deadlines of the pending ones. *)
-      let handles = Hashtbl.create 16 and model = Hashtbl.create 16 in
-      let scheduled = ref 0 and clock = ref 0.0 in
+      (* Timer [id]'s handle and what its firing does, and the
+         deadlines of the pending ones. *)
+      let handles = Hashtbl.create 16 and reentries = Hashtbl.create 16 in
+      let model = Hashtbl.create 16 in
+      let scheduled = ref 0 and clock = ref 0.0 and agrees = ref true in
+      let schedule delay then_ =
+        let id = !scheduled in
+        Hashtbl.replace handles id (W.schedule wheel ~delay id 0);
+        Hashtbl.replace reentries id then_;
+        Hashtbl.replace model id (!clock +. delay);
+        incr scheduled
+      in
+      let cancel i =
+        if !scheduled > 0 then begin
+          let id = i mod !scheduled in
+          let was_pending = Hashtbl.mem model id in
+          Hashtbl.remove model id;
+          if W.cancel wheel (Hashtbl.find handles id) <> was_pending then
+            agrees := false
+        end
+      in
       List.for_all
         (fun op ->
-          let agrees =
-            match op with
-            | Schedule delay ->
-              let id = !scheduled in
-              Hashtbl.replace handles id (W.schedule wheel ~delay id);
-              Hashtbl.replace model id (!clock +. delay);
-              incr scheduled;
-              true
-            | Cancel i ->
-              !scheduled = 0
-              ||
-              let id = i mod !scheduled in
-              let was_pending = Hashtbl.mem model id in
-              Hashtbl.remove model id;
-              W.cancel wheel (Hashtbl.find handles id) = was_pending
-            | Advance step ->
-              clock := !clock +. step;
-              let due =
-                Hashtbl.fold
-                  (fun id deadline acc ->
-                    if deadline <= !clock then (deadline, id) :: acc else acc)
-                  model []
-                |> List.sort compare
-              in
-              List.iter (fun (_, id) -> Hashtbl.remove model id) due;
-              W.advance wheel ~now:!clock = due
-          in
-          agrees && W.pending wheel = Hashtbl.length model)
+          (match op with
+          | Schedule (delay, then_) -> schedule delay then_
+          | Cancel i -> cancel i
+          | Advance step ->
+            clock := !clock +. step;
+            (* Due when the advance starts: later schedules wait. *)
+            let due =
+              ref
+                (Hashtbl.fold
+                   (fun id deadline acc ->
+                     if deadline <= !clock then (deadline, id) :: acc else acc)
+                   model []
+                |> List.sort compare)
+            in
+            (* The next due timer a fire has not cancelled. *)
+            let rec next_due () =
+              match !due with
+              | (_, id) :: rest when not (Hashtbl.mem model id) ->
+                due := rest;
+                next_due ()
+              | next -> next
+            in
+            W.advance wheel ~now:!clock ~fire:(fun id _ ->
+                match next_due () with
+                | (_, expected) :: rest when expected = id ->
+                  due := rest;
+                  Hashtbl.remove model id;
+                  (match Hashtbl.find reentries id with
+                  | Nothing -> ()
+                  | Then_schedule delay -> schedule delay Nothing
+                  | Then_cancel i -> cancel i)
+                | _ -> agrees := false);
+            if next_due () <> [] then agrees := false);
+          !agrees && W.pending wheel = Hashtbl.length model)
         ops)
+
+let prop_wheel_matches_model =
+  wheel_model_test ~count:300 ~reenter:false
+    ~name:"wheel agrees with a list model under schedule, cancel, advance"
+
+let prop_wheel_reentrant_model =
+  wheel_model_test ~count:500 ~reenter:true
+    ~name:"wheel agrees with a list model when fire schedules and cancels"
 
 (* ------------------------------------------------------------------ *)
 (* Stack: full segment exchanges between two instances                 *)
@@ -745,6 +931,104 @@ let test_stack_warm_receive_words () =
     (Printf.sprintf "pure ACK advancing snd_una: %.2f words (at most 8)"
        ack_words)
     true (ack_words <= 8.0)
+
+(* Minor words a warm accepted SYN costs through [handle_bytes] and
+   [poll_output]: the connection, its flow, template, PCB and table
+   entry, the SYN-ACK on the connection's template, its retransmission
+   queue entry and outbox cell.  Its RTO timer allocates nothing. *)
+let test_stack_accepted_syn_words () =
+  let server = Tcpcore.Stack.create ~local_addr:server_addr () in
+  Tcpcore.Stack.listen server ~port:8888 ~on_data:(fun _ _ _ -> ());
+  let syns =
+    Array.init 4_000 (fun k ->
+        Packet.Segment.to_bytes
+          (Packet.Segment.make ~seq:(Int32.of_int (7 * k))
+             ~flags:Packet.Tcp_header.flag_syn
+             ~src:(Packet.Flow.endpoint (addr 10 1 (k lsr 8) (k land 255)) 4000)
+             ~dst:server_ep ()))
+  in
+  let accept d =
+    (match Tcpcore.Stack.handle_bytes server d with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    ignore (Sys.opaque_identity (Tcpcore.Stack.poll_output server))
+  in
+  let warm = 2_000 in
+  for i = 0 to warm - 1 do
+    accept syns.(i)
+  done;
+  let before = Gc.minor_words () in
+  for i = warm to Array.length syns - 1 do
+    accept syns.(i)
+  done;
+  let words =
+    (Gc.minor_words () -. before) /. float_of_int (Array.length syns - warm)
+  in
+  Alcotest.(check int) "every SYN accepted" (Array.length syns)
+    (Tcpcore.Stack.connection_count server);
+  Alcotest.(check bool)
+    (Printf.sprintf "accepted SYN: %.2f words (at most 95)" words)
+    true (words <= 95.0)
+
+(* SYN, SYN-ACK and FIN|ACK are built on the connection's template:
+   their bytes are those [Segment.make] gives for the same fields. *)
+let test_stack_template_segments () =
+  let server, client = make_pair () in
+  Tcpcore.Stack.listen server ~port:8888 ~on_data:(fun _ _ _ -> ());
+  let only st =
+    match Tcpcore.Stack.poll_output st with
+    | [ segment ] -> segment
+    | out -> Alcotest.failf "expected one segment, got %d" (List.length out)
+  in
+  let same_bytes what (segment : Packet.Segment.t) =
+    let tcp = segment.Packet.Segment.tcp and ip = segment.Packet.Segment.ip in
+    let endpoint = Packet.Flow.endpoint in
+    let made =
+      Packet.Segment.make ~seq:tcp.Packet.Tcp_header.seq
+        ~ack_number:tcp.Packet.Tcp_header.ack_number
+        ~flags:tcp.Packet.Tcp_header.flags
+        ~src:(endpoint ip.Packet.Ipv4.src tcp.Packet.Tcp_header.src_port)
+        ~dst:(endpoint ip.Packet.Ipv4.dst tcp.Packet.Tcp_header.dst_port)
+        ()
+    in
+    Alcotest.(check string) (what ^ ": bytes")
+      (Bytes.to_string (Packet.Segment.to_bytes made))
+      (Bytes.to_string (Packet.Segment.to_bytes segment));
+    Alcotest.(check bool) (what ^ ": record") true (made = segment);
+    Tcpcore.Stack.handle_segment
+      (if Packet.Ipv4.equal_addr ip.Packet.Ipv4.dst server_addr then server
+       else client)
+      segment
+  in
+  let conn = Tcpcore.Stack.connect client ~local_port:4000 ~remote:server_ep in
+  same_bytes "SYN" (only client);
+  same_bytes "SYN-ACK" (only server);
+  ignore (only client) (* the handshake ACK *);
+  Tcpcore.Stack.close client conn;
+  same_bytes "FIN|ACK" (only client)
+
+let test_stack_rejects_unplaceable_timeouts () =
+  List.iter
+    (fun (what, create) ->
+      match create () with
+      | (_ : Tcpcore.Stack.t) -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ())
+    [ ( "infinite RTO",
+        fun () ->
+          Tcpcore.Stack.create ~retransmit_timeout:Float.infinity
+            ~local_addr:server_addr () );
+      ( "NaN RTO",
+        fun () ->
+          Tcpcore.Stack.create ~retransmit_timeout:Float.nan
+            ~local_addr:server_addr () );
+      ( "infinite 2MSL",
+        fun () ->
+          Tcpcore.Stack.create ~time_wait_timeout:Float.infinity
+            ~local_addr:server_addr () );
+      ( "infinite delayed-ACK timeout",
+        fun () ->
+          Tcpcore.Stack.create ~delayed_ack_timeout:Float.infinity
+            ~local_addr:server_addr () ) ]
 
 let test_stack_demux_metering () =
   (* The receive path is metered: handshake + 2 data segments from an
@@ -1379,7 +1663,8 @@ let prop_stack_survives_arbitrary_segments =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_transitions_closed_world; prop_wheel_fires_everything;
-      prop_wheel_matches_model; prop_stack_survives_arbitrary_segments ]
+      prop_wheel_matches_model; prop_wheel_reentrant_model;
+      prop_stack_survives_arbitrary_segments ]
 
 (* ------------------------------------------------------------------ *)
 (* The in-place receive path against the record path                  *)
@@ -1543,6 +1828,57 @@ let receive_path_case (name, trace) =
         (check_receive_paths (name ^ " through faults") (Array.of_list faulted)
         > 0))
 
+(* The wheel's counters, read through [register_obs] after a
+   synflood-shaped replay whose clock then runs on in rxbench's steps
+   through every SYN-ACK's retransmissions: an advance reads about one
+   slot head per fired timer, and an insert walks back past few
+   entries. *)
+let test_stack_timer_obs () =
+  let st, _ = rx_server () in
+  let obs = Obs.Registry.create () in
+  Tcpcore.Stack.register_obs ~prefix:"rx" st obs;
+  let advance now =
+    ignore (Tcpcore.Stack.advance_clock st ~now);
+    ignore (Tcpcore.Stack.poll_output st)
+  in
+  let ds = rx_synflood () in
+  Array.iteri
+    (fun i d ->
+      ignore (Tcpcore.Stack.handle_bytes st d);
+      ignore (Tcpcore.Stack.poll_output st);
+      if (i + 1) land 255 = 0 then advance (float_of_int i *. 1e-4))
+    ds;
+  for step = Array.length ds / 256 to 4_000 do
+    advance (float_of_int step *. 0.0256)
+  done;
+  let metrics = Obs.Registry.snapshot obs in
+  let value name =
+    match Obs.Registry.find metrics ("rx.timer." ^ name) with
+    | Some { Obs.Registry.data = Obs.Registry.Counter n; help; _ } ->
+      Alcotest.(check bool) (name ^ " has help") true (help <> "");
+      n
+    | Some { Obs.Registry.data = Obs.Registry.Gauge g; help; _ } ->
+      Alcotest.(check bool) (name ^ " has help") true (help <> "");
+      int_of_float g
+    | Some _ | None -> Alcotest.failf "no timer.%s" name
+  in
+  let scheduled = value "scheduled" and fired = value "fired"
+  and visited = value "visited" and steps = value "insert_steps"
+  and pending = value "pending" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d timers fired" fired)
+    true (fired > 1_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "visited %d <= 2 x fired %d" visited fired)
+    true
+    (visited <= 2 * fired);
+  Alcotest.(check bool)
+    (Printf.sprintf "insert steps %d <= 4 x scheduled %d" steps scheduled)
+    true
+    (steps <= 4 * scheduled);
+  Alcotest.(check int) "scheduled = fired + pending (nothing cancelled)"
+    scheduled (fired + pending)
+
 let receive_path_cases =
   List.map receive_path_case
     [ ( "oltp",
@@ -1590,6 +1926,13 @@ let () =
           Alcotest.test_case "demux metering" `Quick test_stack_demux_metering;
           Alcotest.test_case "warm receive words" `Quick
             test_stack_warm_receive_words;
+          Alcotest.test_case "accepted SYN words" `Quick
+            test_stack_accepted_syn_words;
+          Alcotest.test_case "SYN, SYN-ACK and FIN on the template" `Quick
+            test_stack_template_segments;
+          Alcotest.test_case "unplaceable timeouts" `Quick
+            test_stack_rejects_unplaceable_timeouts;
+          Alcotest.test_case "timer counters" `Quick test_stack_timer_obs;
           Alcotest.test_case "TIME-WAIT reaping" `Quick test_stack_time_wait_reaping;
           Alcotest.test_case "retransmission recovers loss" `Quick
             test_stack_retransmission_recovers_loss;
@@ -1634,6 +1977,12 @@ let () =
           Alcotest.test_case "boundary landing" `Quick
             test_wheel_boundary_landing;
           Alcotest.test_case "validation" `Quick test_wheel_validation;
+          Alcotest.test_case "unplaceable times" `Quick
+            test_wheel_unplaceable_times;
+          Alcotest.test_case "stale handles" `Quick test_wheel_stale_handles;
+          Alcotest.test_case "fire reenters" `Quick test_wheel_fire_reenters;
+          Alcotest.test_case "fire raises" `Quick test_wheel_fire_raises;
+          Alcotest.test_case "warm words" `Quick test_wheel_warm_words;
           Alcotest.test_case "domain ownership" `Quick test_wheel_ownership;
           Alcotest.test_case "ownership follows first use" `Quick
             test_wheel_owned_by_spawning_domain ] );
