@@ -14,9 +14,8 @@
     - At [H] chains it is the hashed MTF Section 3.5 weighs and
       rejects: its best case is a factor-of-two win over plain
       chains, while merely raising [H] from 19 to 100 wins a factor of
-      five.  The paper gives no equation; {!Analysis.Hashed_mtf_model}
-      estimates it as Equation 6 at [N/H] users per chain, and
-      experiment E17 measures the trade. *)
+      five.  The paper gives no equation; experiment E17 simulates
+      the trade and gates both halves of the claim. *)
 
 type 'a t
 

@@ -51,7 +51,7 @@ val add_fold : t
 val multiplicative : t
 (** Knuth multiplicative hashing: fold to 32 bits, multiply by
     2654435761 (the golden-ratio constant), take the high bits.
-    Caveat (asserted in the IPv6 test suite): the 32-bit XOR pre-fold
+    Caveat (asserted in test_hashing's "flow-keys"): the 32-bit XOR pre-fold
     can cancel correlated words in wider keys — on structured 36-byte
     IPv6 tuples it collapses like {!xor_fold}; prefer a byte-serial
     hash there. *)

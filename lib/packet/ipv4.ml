@@ -36,34 +36,15 @@ let pp_addr ppf addr = Format.pp_print_string ppf (addr_to_string addr)
 let equal_addr = Int32.equal
 let compare_addr = Int32.compare
 
-type protocol = Tcp | Udp | Icmp | Other of int
-
-let protocol_to_int = function
-  | Icmp -> 1
-  | Tcp -> 6
-  | Udp -> 17
-  | Other p -> p
-
-let protocol_of_int = function
-  | 1 -> Icmp
-  | 6 -> Tcp
-  | 17 -> Udp
-  | p -> Other p
-
-let pp_protocol ppf = function
-  | Tcp -> Format.pp_print_string ppf "tcp"
-  | Udp -> Format.pp_print_string ppf "udp"
-  | Icmp -> Format.pp_print_string ppf "icmp"
-  | Other p -> Format.fprintf ppf "proto-%d" p
+(* The IPv4 protocol number of TCP: the only payload this library
+   carries. *)
+let tcp = 6
 
 type t = {
   tos : int;
   identification : int;
   dont_fragment : bool;
-  more_fragments : bool;
-  fragment_offset : int;
   ttl : int;
-  protocol : protocol;
   src : addr;
   dst : addr;
   payload_length : int;
@@ -72,15 +53,14 @@ type t = {
 let header_length = 20
 
 let make ?(tos = 0) ?(identification = 0) ?(dont_fragment = true) ?(ttl = 64)
-    ~src ~dst ~protocol ~payload_length () =
+    ~src ~dst ~payload_length () =
   if tos < 0 || tos > 0xFF then invalid_arg "Ipv4.make: tos out of range";
   if identification < 0 || identification > 0xFFFF then
     invalid_arg "Ipv4.make: identification out of range";
   if ttl < 0 || ttl > 0xFF then invalid_arg "Ipv4.make: ttl out of range";
   if payload_length < 0 || payload_length + header_length > 0xFFFF then
     invalid_arg "Ipv4.make: payload_length out of range";
-  { tos; identification; dont_fragment; more_fragments = false;
-    fragment_offset = 0; ttl; protocol; src; dst; payload_length }
+  { tos; identification; dont_fragment; ttl; src; dst; payload_length }
 
 let serialize t buf ~off =
   if off < 0 || off + header_length > Bytes.length buf then
@@ -89,61 +69,22 @@ let serialize t buf ~off =
   Bytes.set_uint8 buf (off + 1) t.tos;
   Bytes.set_uint16_be buf (off + 2) (header_length + t.payload_length);
   Bytes.set_uint16_be buf (off + 4) t.identification;
-  let flags =
-    (if t.dont_fragment then 0x4000 else 0)
-    lor (if t.more_fragments then 0x2000 else 0)
-    lor (t.fragment_offset land 0x1FFF)
-  in
-  Bytes.set_uint16_be buf (off + 6) flags;
+  (* DF, or nothing: never a fragment. *)
+  Bytes.set_uint16_be buf (off + 6) (if t.dont_fragment then 0x4000 else 0);
   Bytes.set_uint8 buf (off + 8) t.ttl;
-  Bytes.set_uint8 buf (off + 9) (protocol_to_int t.protocol);
+  Bytes.set_uint8 buf (off + 9) tcp;
   Bytes.set_uint16_be buf (off + 10) 0 (* checksum placeholder *);
   Bytes.set_int32_be buf (off + 12) t.src;
   Bytes.set_int32_be buf (off + 16) t.dst;
   let csum = Checksum.compute buf ~off ~len:header_length in
   Bytes.set_uint16_be buf (off + 10) csum
 
-let parse buf ~off =
-  let len = Bytes.length buf in
-  if off < 0 || off > len - header_length then Error "ipv4: truncated header"
-  else
-    let vi = Bytes.get_uint8 buf off in
-    let version = vi lsr 4 and ihl = vi land 0xF in
-    if version <> 4 then Error (Printf.sprintf "ipv4: bad version %d" version)
-    else if ihl < 5 then Error (Printf.sprintf "ipv4: bad IHL %d" ihl)
-    else
-      let hlen = ihl * 4 in
-      if off + hlen > len then Error "ipv4: truncated options"
-      else if not (Checksum.verify buf ~off ~len:hlen) then
-        Error "ipv4: header checksum mismatch"
-      else
-        let total = Bytes.get_uint16_be buf (off + 2) in
-        if total < hlen then Error "ipv4: total length below header length"
-        else if off + total > len then Error "ipv4: truncated payload"
-        else
-          let flags = Bytes.get_uint16_be buf (off + 6) in
-          let t =
-            { tos = Bytes.get_uint8 buf (off + 1);
-              identification = Bytes.get_uint16_be buf (off + 4);
-              dont_fragment = flags land 0x4000 <> 0;
-              more_fragments = flags land 0x2000 <> 0;
-              fragment_offset = flags land 0x1FFF;
-              ttl = Bytes.get_uint8 buf (off + 8);
-              protocol = protocol_of_int (Bytes.get_uint8 buf (off + 9));
-              src = Bytes.get_int32_be buf (off + 12);
-              dst = Bytes.get_int32_be buf (off + 16);
-              payload_length = total - hlen }
-          in
-          Ok (t, off + hlen)
-
 let pseudo_header_sum t =
   let hi32 a = Int32.to_int (Int32.shift_right_logical a 16) in
   let lo32 a = Int32.to_int (Int32.logand a 0xFFFFl) in
-  hi32 t.src + lo32 t.src + hi32 t.dst + lo32 t.dst
-  + protocol_to_int t.protocol + t.payload_length
+  hi32 t.src + lo32 t.src + hi32 t.dst + lo32 t.dst + tcp + t.payload_length
 
 let pp ppf t =
-  Format.fprintf ppf "@[<h>%a > %a %a ttl=%d len=%d id=%d%s@]" pp_addr t.src
-    pp_addr t.dst pp_protocol t.protocol t.ttl t.payload_length
-    t.identification
+  Format.fprintf ppf "@[<h>%a > %a tcp ttl=%d len=%d id=%d%s@]" pp_addr t.src
+    pp_addr t.dst t.ttl t.payload_length t.identification
     (if t.dont_fragment then " DF" else "")

@@ -26,50 +26,41 @@ val compare_addr : addr -> addr -> int
 
 (** {1 Header} *)
 
-type protocol = Tcp | Udp | Icmp | Other of int
-
-val protocol_to_int : protocol -> int
-val protocol_of_int : int -> protocol
-val pp_protocol : Format.formatter -> protocol -> unit
-
 type t = {
   tos : int;                (** Type of service. *)
   identification : int;     (** Fragment identification. *)
   dont_fragment : bool;
-  more_fragments : bool;
-  fragment_offset : int;    (** In 8-byte units. *)
   ttl : int;
-  protocol : protocol;
   src : addr;
   dst : addr;
-  payload_length : int;     (** Bytes following the (option-free) header. *)
+  payload_length : int;     (** Bytes following the header and its options. *)
 }
-(** A parsed IPv4 header.  We do not model IP options: no 1992 TCP
-    fast path did either (options forced the slow path), and the
-    demultiplexing question is unaffected. *)
+(** The IPv4 header of a TCP datagram that is not a fragment: the only
+    kind {!Segment.parse} accepts, so the protocol (6), the
+    more-fragments bit and the fragment offset (0) are not fields.  We
+    do not model IP options: no 1992 TCP fast path did either (options
+    forced the slow path), and the demultiplexing question is
+    unaffected.  {!Segment.parse} skips a received header's options. *)
 
 val header_length : int
 (** Serialized size: 20 bytes (IHL = 5, no options). *)
 
 val make :
   ?tos:int -> ?identification:int -> ?dont_fragment:bool -> ?ttl:int ->
-  src:addr -> dst:addr -> protocol:protocol -> payload_length:int -> unit -> t
-(** Header for an unfragmented datagram.  Defaults: [tos = 0],
+  src:addr -> dst:addr -> payload_length:int -> unit -> t
+(** Header for an unfragmented TCP datagram.  Defaults: [tos = 0],
     [identification = 0], [dont_fragment = true], [ttl = 64].
     @raise Invalid_argument if a field is out of range. *)
 
 val serialize : t -> bytes -> off:int -> unit
-(** Write 20 bytes at [off], computing the header checksum.
+(** Write 20 bytes at [off], protocol 6, computing the header
+    checksum.  Headers are read back by {!Segment.parse}, which
+    validates them with {!Segment.check}.
     @raise Invalid_argument if the buffer is too small. *)
-
-val parse : bytes -> off:int -> (t * int, string) result
-(** Parse a header at [off]; on success returns the header and the
-    offset of the payload.  Rejects bad version, truncated buffers,
-    IHL < 5 and checksum mismatch.  Headers with options are accepted
-    (options skipped). *)
 
 val pseudo_header_sum : t -> int
 (** One's-complement sum of the TCP pseudo-header (src, dst, protocol,
     TCP length) for this datagram, to seed the TCP checksum. *)
 
 val pp : Format.formatter -> t -> unit
+(** [src > dst tcp ttl=.. len=.. id=..], and [DF] when set. *)

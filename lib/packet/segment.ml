@@ -9,7 +9,7 @@ let make ?seq ?ack_number ?flags ?window ?options ?(payload = "") ?ttl
   let tcp_len = Tcp_header.header_length tcp + String.length payload in
   let ip =
     Ipv4.make ?ttl ?identification ~src:src.Flow.addr ~dst:dst.Flow.addr
-      ~protocol:Ipv4.Tcp ~payload_length:tcp_len ()
+      ~payload_length:tcp_len ()
   in
   { ip; tcp; payload }
 
@@ -66,45 +66,51 @@ let peek_w1 buf ~off ~tcp = word buf ~addr:(off + 12) ~port:tcp
 let peek_flow buf ~off =
   let tcp = peek_tcp buf ~off in
   if tcp >= 0 then
-    let endpoint ~addr ~port =
-      { Flow.addr = Ipv4.addr_of_int32 (Bytes.get_int32_be buf addr);
-        port = Bytes.get_uint16_be buf port }
-    in
-    Ok
-      { Flow.local = endpoint ~addr:(off + 16) ~port:(tcp + 2);
-        remote = endpoint ~addr:(off + 12) ~port:tcp }
+    Ok (Flow.of_words ~w0:(peek_w0 buf ~off ~tcp) ~w1:(peek_w1 buf ~off ~tcp))
   else if tcp = bad_version then Error "ipv4: bad version"
   else if tcp = short_header then Error "ipv4: header too short"
   else if tcp = not_tcp then Error "segment: not TCP"
   else Error "segment: truncated datagram"
 
-(* [check] makes every check [parse] makes, in place.  Its own
-   rejections continue the codes above. *)
-let bad_checksum = -5
-let bad_length = -6
-let fragmented = -7
-let bad_data_offset = -8
-let bad_options = -9
+(* [check] makes every check, in place, and answers one code per error:
+   the four above ([truncated] for a buffer too short for the fixed
+   IPv4 header, [short_header] for an IHL below 5) and these, numbered
+   in the order it looks for them. *)
+let truncated_options = -5
+let bad_header_checksum = -6
+let short_total = -7
+let truncated_payload = -8
+let fragmented = -9
+let truncated_tcp = -10
+let short_data_offset = -11
+let long_data_offset = -12
+let bad_tcp_checksum = -13
+let truncated_option = -14
+let bad_option_length = -15
 
-(* The option walk of [Tcp_header.parse]: a kind-0 byte ends the
-   list, a kind-1 byte is one byte long, and every other option needs
-   a length byte of at least 2 that keeps it inside [stop]. *)
-let rec options_ok buf i ~stop =
-  if i >= stop then true
+(* The option walk: a kind-0 byte ends the list, a kind-1 byte is one
+   byte long, and every other option needs a length byte of at least 2
+   that keeps it inside [stop].  0 when the block is well formed. *)
+let rec option_walk buf i ~stop =
+  if i >= stop then 0
   else
     match Bytes.get_uint8 buf i with
-    | 0 -> true
-    | 1 -> options_ok buf (i + 1) ~stop
+    | 0 -> 0
+    | 1 -> option_walk buf (i + 1) ~stop
     | _ ->
-      i + 1 < stop
-      &&
-      let olen = Bytes.get_uint8 buf (i + 1) in
-      olen >= 2 && i + olen <= stop && options_ok buf (i + olen) ~stop
+      if i + 1 >= stop then truncated_option
+      else
+        let olen = Bytes.get_uint8 buf (i + 1) in
+        if olen < 2 || i + olen > stop then bad_option_length
+        else option_walk buf (i + olen) ~stop
 
 (* The TCP header's length in bytes, options included. *)
 let data_offset buf ~tcp = (Bytes.get_uint8 buf (tcp + 12) lsr 4) * 4
 
-let check buf ~off =
+(* The one validation pass, [check] with the TCP checksum optional.
+   Inlined into [check] with [verify] true, so the shipped path tests
+   no flag, and into [parse]. *)
+let[@inline] validate buf ~off ~verify =
   let len = Bytes.length buf in
   if off < 0 || off > len - Ipv4.header_length then truncated
   else
@@ -112,21 +118,25 @@ let check buf ~off =
     let hlen = (first land 0xF) * 4 in
     if first lsr 4 <> 4 then bad_version
     else if hlen < Ipv4.header_length then short_header
-    else if off + hlen > len then truncated
-    else if not (Checksum.verify buf ~off ~len:hlen) then bad_checksum
+    else if off + hlen > len then truncated_options
+    else if not (Checksum.verify buf ~off ~len:hlen) then bad_header_checksum
     else
       let total = Bytes.get_uint16_be buf (off + 2) in
-      if total < hlen || off + total > len then bad_length
+      if total < hlen then short_total
+      else if off + total > len then truncated_payload
       else if Bytes.get_uint8 buf (off + 9) <> 6 then not_tcp
       (* more-fragments bit and fragment offset *)
       else if Bytes.get_uint16_be buf (off + 6) land 0x3FFF <> 0 then fragmented
       else
         let tcp = off + hlen and tcp_len = total - hlen in
-        if tcp_len < 20 then truncated
+        if tcp_len < 20 then truncated_tcp
         else
           let data_offset = data_offset buf ~tcp in
-          if data_offset < 20 || data_offset > tcp_len then bad_data_offset
-          else
+          if data_offset < 20 then short_data_offset
+          else if data_offset > tcp_len then long_data_offset
+          else if
+            verify
+            &&
             (* [Ipv4.pseudo_header_sum], summed from the bytes; added to
                the plain sum rather than passed as [~initial], which
                would box it. *)
@@ -137,15 +147,39 @@ let check buf ~off =
               + Bytes.get_uint16_be buf (off + 18)
               + 6 + tcp_len
             in
-            if
-              Checksum.finish
-                (Checksum.ones_complement_sum buf ~off:tcp ~len:tcp_len
-                + pseudo)
-              <> 0
-            then bad_checksum
-            else if not (options_ok buf (tcp + 20) ~stop:(tcp + data_offset))
-            then bad_options
-            else tcp
+            Checksum.finish
+              (Checksum.ones_complement_sum buf ~off:tcp ~len:tcp_len + pseudo)
+            <> 0
+          then bad_tcp_checksum
+          else
+            let walk = option_walk buf (tcp + 20) ~stop:(tcp + data_offset) in
+            if walk < 0 then walk else tcp
+
+let check buf ~off = validate buf ~off ~verify:true
+
+(* The error string of each code, as the record parsers this pass
+   replaced named it.  The version and the IHL come from strings made
+   once, so naming a rejection allocates nothing. *)
+let bad_versions = Array.init 16 (Printf.sprintf "ipv4: bad version %d")
+let bad_ihls = Array.init 5 (Printf.sprintf "ipv4: bad IHL %d")
+
+let reason buf ~off code =
+  if code = truncated then "ipv4: truncated header"
+  else if code = bad_version then bad_versions.(Bytes.get_uint8 buf off lsr 4)
+  else if code = short_header then bad_ihls.(Bytes.get_uint8 buf off land 0xF)
+  else if code = truncated_options then "ipv4: truncated options"
+  else if code = bad_header_checksum then "ipv4: header checksum mismatch"
+  else if code = short_total then "ipv4: total length below header length"
+  else if code = truncated_payload then "ipv4: truncated payload"
+  else if code = not_tcp then "segment: not TCP"
+  else if code = fragmented then "segment: fragmented datagram"
+  else if code = truncated_tcp then "tcp: truncated header"
+  else if code = short_data_offset then "tcp: data offset below 20"
+  else if code = long_data_offset then "tcp: data offset beyond segment"
+  else if code = bad_tcp_checksum then "tcp: checksum mismatch"
+  else if code = truncated_option then "tcp: truncated option"
+  else if code = bad_option_length then "tcp: bad option length"
+  else invalid_arg "Segment.reason: not a rejection code"
 
 (* The six flags [Tcp_header.flags] models; the two bits above them
    (ECE, CWR) are dropped, as [parse] drops them. *)
@@ -161,24 +195,57 @@ let payload_off buf ~tcp = tcp + data_offset buf ~tcp
 let payload_length buf ~off ~tcp =
   off + Bytes.get_uint16_be buf (off + 2) - payload_off buf ~tcp
 
-let parse ?(verify_checksum = true) buf ~off =
-  match Ipv4.parse buf ~off with
-  | Error _ as e -> e
-  | Ok (ip, tcp_off) ->
-    if ip.Ipv4.protocol <> Ipv4.Tcp then Error "segment: not TCP"
-    else if ip.Ipv4.more_fragments || ip.Ipv4.fragment_offset <> 0 then
-      Error "segment: fragmented datagram"
-    else
-      let pseudo_sum =
-        if verify_checksum then Some (Ipv4.pseudo_header_sum ip) else None
+(* The options of a block the walk accepted, decoded where they lie;
+   its rules hold, so nothing is checked again. *)
+let rec read_options buf i ~stop acc =
+  if i >= stop then List.rev acc
+  else
+    match Bytes.get_uint8 buf i with
+    | 0 -> List.rev acc
+    | 1 -> read_options buf (i + 1) ~stop (Tcp_header.Nop :: acc)
+    | kind ->
+      let olen = Bytes.get_uint8 buf (i + 1) in
+      let option : Tcp_header.option_ =
+        match (kind, olen) with
+        | 2, 4 -> Mss (Bytes.get_uint16_be buf (i + 2))
+        | 3, 3 -> Window_scale (Bytes.get_uint8 buf (i + 2))
+        | 4, 2 -> Sack_permitted
+        | 8, 10 ->
+          Timestamps
+            { value = Bytes.get_int32_be buf (i + 2);
+              echo = Bytes.get_int32_be buf (i + 6) }
+        | _ ->
+          Unknown { kind; payload = Bytes.sub_string buf (i + 2) (olen - 2) }
       in
-      let tcp_len = ip.Ipv4.payload_length in
-      (match Tcp_header.parse ?pseudo_sum ~len:tcp_len buf ~off:tcp_off with
-      | Error _ as e -> e
-      | Ok (tcp, payload_off) ->
-        let payload_len = tcp_off + tcp_len - payload_off in
-        let payload = Bytes.sub_string buf payload_off payload_len in
-        Ok { ip; tcp; payload })
+      read_options buf (i + olen) ~stop (option :: acc)
+
+let parse ?(verify_checksum = true) buf ~off =
+  let tcp = validate buf ~off ~verify:verify_checksum in
+  if tcp < 0 then Error (reason buf ~off tcp)
+  else
+    let payload_off = payload_off buf ~tcp in
+    let ip =
+      { Ipv4.tos = Bytes.get_uint8 buf (off + 1);
+        identification = Bytes.get_uint16_be buf (off + 4);
+        dont_fragment = Bytes.get_uint8 buf (off + 6) land 0x40 <> 0;
+        ttl = Bytes.get_uint8 buf (off + 8);
+        src = Ipv4.addr_of_int32 (Bytes.get_int32_be buf (off + 12));
+        dst = Ipv4.addr_of_int32 (Bytes.get_int32_be buf (off + 16));
+        payload_length = off + Bytes.get_uint16_be buf (off + 2) - tcp }
+    and header =
+      { Tcp_header.src_port = Bytes.get_uint16_be buf tcp;
+        dst_port = Bytes.get_uint16_be buf (tcp + 2);
+        seq = Bytes.get_int32_be buf (tcp + 4);
+        ack_number = Bytes.get_int32_be buf (tcp + 8);
+        flags = Tcp_header.flags_of_int (flags buf ~tcp);
+        window = Bytes.get_uint16_be buf (tcp + 14);
+        urgent = Bytes.get_uint16_be buf (tcp + 18);
+        options = read_options buf (tcp + 20) ~stop:payload_off [] }
+    in
+    Ok
+      { ip; tcp = header;
+        payload =
+          Bytes.sub_string buf payload_off (payload_length buf ~off ~tcp) }
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%a@,%a payload=%d bytes@]" Ipv4.pp t.ip

@@ -25,9 +25,11 @@ val write : t -> bytes -> off:int -> int
     @raise Invalid_argument if the buffer is too small. *)
 
 val parse : ?verify_checksum:bool -> bytes -> off:int -> (t, string) result
-(** Parse an IPv4+TCP datagram.  With [verify_checksum] (default true)
-    both checksums must be valid.  Rejects non-TCP protocols and
-    fragments. *)
+(** Parse an IPv4+TCP datagram: {!check}'s one validation pass, then
+    the records and the payload read where they lie, the options
+    decoded without a second walk.  [verify_checksum] (default true)
+    switches the TCP checksum alone; the IPv4 header checksum is always
+    verified.  A rejection's error is {!reason}'s string. *)
 
 val peek_flow : bytes -> off:int -> (Flow.t, string) result
 (** The demultiplexing key of the datagram at [off], read straight
@@ -63,22 +65,32 @@ val peek_w1 : bytes -> off:int -> tcp:int -> int
 
 (** {2 In-place validation}
 
-    {!parse}'s checks without its records: {!check} validates a
-    datagram where it lies, and the readers below then take its header
-    fields as immediate ints.  None of them allocates, so a receive
-    path can go from bytes to the flow words, flags and sequence
-    numbers without building an {!Ipv4.t}, a {!Tcp_header.t} or a
-    {!Flow.t}. *)
+    The one validation pass: {!check} validates a datagram where it
+    lies, {!parse} builds its records on the same pass, and the readers
+    below then take its header fields as immediate ints.  None of
+    {!check}, {!reason} and the readers allocates, so a receive path
+    can go from bytes to the flow words, flags and sequence numbers, or
+    to the name of a rejection, without building an {!Ipv4.t}, a
+    {!Tcp_header.t} or a {!Flow.t}. *)
 
 val check : bytes -> off:int -> int
 (** The absolute offset of the TCP header of the datagram at [off]
-    when [parse buf ~off] would accept it, a negative number when it
-    would reject it.  It makes every check {!parse} makes: for IPv4
-    the version, the IHL, the header checksum, the total length against
-    the header and the buffer, fragments and the protocol; for TCP the
-    data offset, the option walk and the checksum, its pseudo-header
-    summed from the bytes.  Take {!parse}'s error string for a
-    rejected datagram. *)
+    when it is valid, a negative code when it is not.  The checks, in
+    order, each with its own code: for IPv4 a truncated header, the
+    version, the IHL, truncated options, the header checksum, a total
+    length below the header length, a truncated payload; then the
+    protocol (TCP) and fragments (the more-fragments bit and the
+    offset); for TCP a truncated header, a data offset below 20 or
+    beyond the segment, the checksum (its pseudo-header summed from
+    the bytes), a truncated option and a bad option length. *)
+
+val reason : bytes -> off:int -> int -> string
+(** [reason buf ~off code] names {!check}'s rejection [code] of the
+    datagram at [off]: ["ipv4: bad version 6"], ["tcp: checksum
+    mismatch"] and so on, a string per code (the version and IHL ones
+    read the header byte).  Every string is made once, so the answer
+    allocates nothing.
+    @raise Invalid_argument if [code] is not a code {!check} answers. *)
 
 (** The readers take {!check}'s non-negative answer as [tcp] (and the
     datagram's offset as [off]); {!peek_w0}/{!peek_w1} read its flow

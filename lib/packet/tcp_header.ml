@@ -132,7 +132,7 @@ let write_option buf off = function
     Bytes.blit_string payload 0 buf (off + 2) (String.length payload);
     off + 2 + String.length payload
 
-let serialize t ?pseudo_sum ?(payload = "") buf ~off =
+let serialize t ~pseudo_sum ?(payload = "") buf ~off =
   let hlen = header_length t in
   let total = hlen + String.length payload in
   if off < 0 || off + total > Bytes.length buf then
@@ -154,74 +154,9 @@ let serialize t ?pseudo_sum ?(payload = "") buf ~off =
     Bytes.set_uint8 buf i 0
   done;
   Bytes.blit_string payload 0 buf (off + hlen) (String.length payload);
-  (match pseudo_sum with
-  | None -> ()
-  | Some initial ->
-    let csum = Checksum.compute ~initial buf ~off ~len:total in
-    Bytes.set_uint16_be buf (off + 16) csum);
+  Bytes.set_uint16_be buf (off + 16)
+    (Checksum.compute ~initial:pseudo_sum buf ~off ~len:total);
   total
-
-let parse_options buf ~off ~stop =
-  let rec loop acc off =
-    if off >= stop then Ok (List.rev acc)
-    else
-      match Bytes.get_uint8 buf off with
-      | 0 -> Ok (List.rev acc) (* end of option list *)
-      | 1 -> loop (Nop :: acc) (off + 1)
-      | kind ->
-        if off + 1 >= stop then Error "tcp: truncated option"
-        else
-          let olen = Bytes.get_uint8 buf (off + 1) in
-          if olen < 2 || off + olen > stop then Error "tcp: bad option length"
-          else
-            let opt =
-              match (kind, olen) with
-              | 2, 4 -> Mss (Bytes.get_uint16_be buf (off + 2))
-              | 3, 3 -> Window_scale (Bytes.get_uint8 buf (off + 2))
-              | 4, 2 -> Sack_permitted
-              | 8, 10 ->
-                Timestamps
-                  { value = Bytes.get_int32_be buf (off + 2);
-                    echo = Bytes.get_int32_be buf (off + 6) }
-              | _ ->
-                Unknown
-                  { kind; payload = Bytes.sub_string buf (off + 2) (olen - 2) }
-            in
-            loop (opt :: acc) (off + olen)
-  in
-  loop [] off
-
-let parse ?pseudo_sum ?len buf ~off =
-  let buf_len = Bytes.length buf in
-  let len = match len with Some l -> l | None -> buf_len - off in
-  if off < 0 || len < 0 || len > buf_len - off then Error "tcp: bad region"
-  else if len < 20 then Error "tcp: truncated header"
-  else
-    let data_offset = (Bytes.get_uint8 buf (off + 12) lsr 4) * 4 in
-    if data_offset < 20 then Error "tcp: data offset below 20"
-    else if data_offset > len then Error "tcp: data offset beyond segment"
-    else
-      let checksum_ok =
-        match pseudo_sum with
-        | None -> true
-        | Some initial -> Checksum.verify ~initial buf ~off ~len
-      in
-      if not checksum_ok then Error "tcp: checksum mismatch"
-      else
-        match parse_options buf ~off:(off + 20) ~stop:(off + data_offset) with
-        | Error _ as e -> e
-        | Ok options ->
-          let t =
-            { src_port = Bytes.get_uint16_be buf off;
-              dst_port = Bytes.get_uint16_be buf (off + 2);
-              seq = Bytes.get_int32_be buf (off + 4);
-              ack_number = Bytes.get_int32_be buf (off + 8);
-              flags = flags_of_int (Bytes.get_uint8 buf (off + 13));
-              window = Bytes.get_uint16_be buf (off + 14);
-              urgent = Bytes.get_uint16_be buf (off + 18);
-              options }
-          in
-          Ok (t, off + data_offset)
 
 let pp ppf t =
   Format.fprintf ppf "@[<h>%d > %d flags=%a seq=%ld ack=%ld win=%d" t.src_port

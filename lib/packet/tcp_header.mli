@@ -23,6 +23,9 @@ val flags_to_int : flags -> int
     [0x08], ACK [0x10], URG [0x20]; {!Segment.flags} reads the same
     byte in place. *)
 
+val flags_of_int : int -> flags
+(** The flags of a flags byte; the bits above URG are dropped. *)
+
 val pp_flags : Format.formatter -> flags -> unit
 
 type option_ =
@@ -61,20 +64,13 @@ val options_length : option_ list -> int
 val header_length : t -> int
 (** 20 bytes plus padded options. *)
 
-val serialize : t -> ?pseudo_sum:int -> ?payload:string -> bytes -> off:int -> int
+val serialize :
+  t -> pseudo_sum:int -> ?payload:string -> bytes -> off:int -> int
 (** [serialize t ~pseudo_sum ~payload buf ~off] writes the header then
-    [payload] at [off] and returns the number of bytes written.  When
-    [pseudo_sum] (from {!Ipv4.pseudo_header_sum}) is given the TCP
-    checksum is computed over header, payload and pseudo-header;
-    otherwise the checksum field is left zero.
+    [payload] at [off], with the TCP checksum computed over header,
+    payload and the pseudo-header whose sum is [pseudo_sum] (from
+    {!Ipv4.pseudo_header_sum}), and returns the number of bytes
+    written.  Headers are read back by {!Segment.parse}.
     @raise Invalid_argument if the buffer is too small. *)
-
-val parse :
-  ?pseudo_sum:int -> ?len:int -> bytes -> off:int ->
-  (t * int, string) result
-(** Parse a header at [off] within a segment of [len] bytes (default:
-    to the end of the buffer); returns the header and payload offset.
-    When [pseudo_sum] is given the checksum is verified and mismatches
-    are rejected. *)
 
 val pp : Format.formatter -> t -> unit

@@ -107,6 +107,10 @@ let ack_bit = 0x10
    their slot's tail. *)
 let wheel_tick = 1.0 /. 64.0
 
+(* Each unanswered retransmission doubles the RTO, up to
+   [1 lsl max_backoff] base timeouts. *)
+let max_backoff = 6
+
 let create ?(demux =
              Demux.Registry.Sequent
                { chains = Demux.Sequent.default_chains;
@@ -114,13 +118,20 @@ let create ?(demux =
     ?(time_wait_timeout = 60.0) ?(retransmit_timeout = 1.0)
     ?(max_retransmits = 12) ?(rto_jitter = true) ?(rto_seed = 0x52544f)
     ?(delayed_acks = false) ?(delayed_ack_timeout = 0.2) ?iss ~local_addr () =
-  let check name timeout =
+  let wheel = Timer_wheel.create ~tick:wheel_tick () in
+  (* [longest] is the longest delay the timeout arms: a timer armed at
+     clock 0 must fit the wheel. *)
+  let check name timeout ~longest =
     if not (timeout > 0.0 && Float.is_finite timeout) then
-      invalid_arg ("Stack.create: " ^ name ^ " is not positive and finite")
+      invalid_arg ("Stack.create: " ^ name ^ " is not positive and finite");
+    if not (Timer_wheel.placeable wheel longest) then
+      invalid_arg
+        ("Stack.create: " ^ name ^ " is beyond the timer wheel's range")
   in
-  check "time_wait_timeout" time_wait_timeout;
-  check "retransmit_timeout" retransmit_timeout;
-  check "delayed_ack_timeout" delayed_ack_timeout;
+  check "time_wait_timeout" time_wait_timeout ~longest:time_wait_timeout;
+  check "retransmit_timeout" retransmit_timeout
+    ~longest:(Float.of_int (1 lsl max_backoff) *. retransmit_timeout);
+  check "delayed_ack_timeout" delayed_ack_timeout ~longest:delayed_ack_timeout;
   { local_addr; tracer = Obs.Trace.disabled;
     table = Conn_table.create demux; outbox = [];
     next_iss = 1000l; iss_for = iss; on_established = None;
@@ -130,7 +141,7 @@ let create ?(demux =
     rto_jitter; rto_rng = Numerics.Rng.create ~seed:rto_seed;
     delayed_acks; delayed_ack_timeout;
     overload_probe = (fun () -> Normal);
-    wheel = Timer_wheel.create ~tick:wheel_tick (); time_wait_pending = 0 }
+    wheel; time_wait_pending = 0 }
 
 let set_overload_probe t probe = t.overload_probe <- probe
 let set_on_established t hook = t.on_established <- hook
@@ -182,7 +193,7 @@ let rto_for_attempt t attempt =
   if attempt <= 1 then t.retransmit_timeout
   else
     let capped =
-      t.retransmit_timeout *. Float.of_int (1 lsl min 6 (attempt - 1))
+      t.retransmit_timeout *. Float.of_int (1 lsl min max_backoff (attempt - 1))
     in
     if not t.rto_jitter then capped
     else
@@ -203,8 +214,7 @@ let retransmit_timer ~seq ~attempt =
    connection makes it once (4.3BSD's [t_template]). *)
 let header_template flow =
   Packet.Ipv4.make ~src:flow.Packet.Flow.local.Packet.Flow.addr
-    ~dst:flow.Packet.Flow.remote.Packet.Flow.addr ~protocol:Packet.Ipv4.Tcp
-    ~payload_length:20 ()
+    ~dst:flow.Packet.Flow.remote.Packet.Flow.addr ~payload_length:20 ()
 
 (* The segment [Segment.make] would build with no payload, without its
    optional arguments: the header record carries [Tcp_header.make]'s
@@ -753,13 +763,8 @@ let handle_bytes t buf =
                 (Printexc.to_string exn));
           Error ("stack: segment handler failed: " ^ Printexc.to_string exn)
     else begin
-      (* [parse] names what [check] rejected: the two accept the same
-         datagrams, as a property test pins. *)
       note_drop t Parse_error (Bytes.length buf);
-      Error
-        (match Packet.Segment.parse buf ~off:0 with
-        | Error reason -> reason
-        | Ok _ -> "segment: rejected in place")
+      Error (Packet.Segment.reason buf ~off:0 tcp)
     end)
 
 let drop_reasons = List.map drop_name all_drops

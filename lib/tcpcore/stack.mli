@@ -108,7 +108,14 @@ val create :
     function (see {!deterministic_iss}); by default each open draws
     from a per-stack counter, which makes ISS depend on accept order.
     @raise Invalid_argument on a timeout that is not positive and
-    finite. *)
+    finite, or whose longest delay lies beyond the timer wheel's range
+    from clock 0 ({!Timer_wheel.placeable}: about 7.2e16 s at the
+    1/64-s tick).  The longest delays are 64 × [retransmit_timeout],
+    [time_wait_timeout] and [delayed_ack_timeout].  A clock advanced to
+    within that delay of the range's end cannot arm them: there
+    {!handle_bytes} sheds a segment that arms a timer as a
+    ["handler-error"], a SYN to a listener after its connection was
+    added and its SYN-ACK queued. *)
 
 val deterministic_iss : Packet.Flow.t -> int32
 (** A fixed mix of the 4-tuple (RFC 6528 minus the secret and clock):
@@ -165,13 +172,13 @@ val handle_bytes : t -> bytes -> (unit, string) result
 (** Validate a raw datagram in place ({!Packet.Segment.check}: both
     checksums and every check {!Packet.Segment.parse} makes) and
     process it, reading its header fields where they lie and copying
-    only a non-empty payload.  A datagram the check rejects goes
-    through {!Packet.Segment.parse} for its error string.  Never
-    raises, whatever the bytes: malformed input, datagrams for other
-    hosts, and segments whose processing fails are shed, counted under
-    a named counter ({!drop_counts}), and reported as [Error]; it
-    behaves as [Segment.parse] followed by a destination check and
-    {!handle_segment}. *)
+    only a non-empty payload.  A datagram the check rejects is named by
+    {!Packet.Segment.reason}, without parsing: its [Error] is the only
+    allocation.  Never raises, whatever the bytes: malformed input,
+    datagrams for other hosts, and segments whose processing fails are
+    shed, counted under a named counter ({!drop_counts}), and reported
+    as [Error]; it behaves as [Segment.parse] followed by a destination
+    check and {!handle_segment}. *)
 
 val drop_counts : t -> (string * int) list
 (** Segments and datagrams shed since creation, by reason:

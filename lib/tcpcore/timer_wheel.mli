@@ -54,6 +54,12 @@ val create : ?slot_count:int -> tick:float -> unit -> 'a t
 (** A wheel starting at time 0.  Defaults: 256 slots.
     @raise Invalid_argument if [tick <= 0] or [slot_count <= 0]. *)
 
+val placeable : 'a t -> float -> bool
+(** Whether a time in seconds has a tick index that fits in an int, as
+    every deadline {!schedule} accepts and every clock {!advance}
+    accepts must: with [tick] seconds a tick, times below
+    [2^62 * tick] (NaN and infinity are not placeable). *)
+
 val now : 'a t -> float
 (** The wheel's clock: the last time passed to {!advance}. *)
 

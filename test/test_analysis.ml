@@ -394,23 +394,6 @@ let test_sweep_2d () =
     Alcotest.(check bool) "more users dearer" true (c > a && d > b)
   | _ -> Alcotest.fail "unexpected grid layout"
 
-let test_hashed_mtf_estimate () =
-  (* The paper's factor-of-two bound: plain chains over the estimate
-     stays below 2; and going 19 -> 100 chains beats the combination. *)
-  let p = default in
-  let bound = Analysis.Hashed_mtf_model.improvement_bound p ~chains:19 in
-  Alcotest.(check bool)
-    (Printf.sprintf "combination wins at most ~2x (%.2f)" bound)
-    true
-    (bound > 1.0 && bound < 2.2);
-  let more_chains = Analysis.Sequent_model.cost p ~chains:100 in
-  let combination = Analysis.Hashed_mtf_model.cost_estimate p ~chains:19 in
-  Alcotest.(check bool)
-    (Printf.sprintf "100 chains (%.1f) beat hashed-mtf-19 (%.1f)" more_chains
-       combination)
-    true
-    (more_chains < combination)
-
 (* ------------------------------------------------------------------ *)
 (* LRU-K cache model (E24)                                             *)
 
@@ -552,9 +535,7 @@ let () =
           Alcotest.test_case "SR rejoins BSD" `Quick test_sr_rejoins_bsd;
           Alcotest.test_case "MTF/SR crossover" `Quick test_mtf_sr_crossover;
           Alcotest.test_case "gradients" `Quick test_gradients;
-          Alcotest.test_case "2D sweep" `Quick test_sweep_2d;
-          Alcotest.test_case "hashed-mtf estimate" `Quick
-            test_hashed_mtf_estimate ] );
+          Alcotest.test_case "2D sweep" `Quick test_sweep_2d ] );
       ( "lru-model",
         [ Alcotest.test_case "K=1 matches BSD" `Quick test_lru_model_k1_matches_bsd;
           Alcotest.test_case "crossover at lambda" `Quick test_lru_model_crossover;

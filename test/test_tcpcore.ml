@@ -932,6 +932,38 @@ let test_stack_warm_receive_words () =
        ack_words)
     true (ack_words <= 8.0)
 
+(* A rejected datagram is named from [Segment.reason]'s strings, not
+   parsed: its [Error] is the only allocation. *)
+let test_stack_rejected_words () =
+  let server = Tcpcore.Stack.create ~local_addr:server_addr () in
+  let wire () =
+    Packet.Segment.to_bytes
+      (Packet.Segment.make ~payload:"query" ~flags:Packet.Tcp_header.flag_psh_ack
+         ~src:(client_ep 4242) ~dst:server_ep ())
+  in
+  let bad_checksum = wire () and bad_version = wire () in
+  Bytes.set_uint8 bad_checksum 44 (Bytes.get_uint8 bad_checksum 44 lxor 1);
+  Bytes.set_uint8 bad_version 0 0x65;
+  List.iter
+    (fun (name, d, reason) ->
+      let handle () =
+        match Tcpcore.Stack.handle_bytes server d with
+        | Ok () -> Alcotest.failf "%s: accepted" name
+        | Error e -> Sys.opaque_identity e
+      in
+      Alcotest.(check string) name reason (handle ());
+      let n = 1_000 in
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (handle ())
+      done;
+      let words = (Gc.minor_words () -. before) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f words (at most 2)" name words)
+        true (words <= 2.0))
+    [ ("bad TCP checksum", bad_checksum, "tcp: checksum mismatch");
+      ("bad version", bad_version, "ipv4: bad version 6") ]
+
 (* Minor words a warm accepted SYN costs through [handle_bytes] and
    [poll_output]: the connection, its flow, template, PCB and table
    entry, the SYN-ACK on the connection's template, its retransmission
@@ -1028,7 +1060,41 @@ let test_stack_rejects_unplaceable_timeouts () =
       ( "infinite delayed-ACK timeout",
         fun () ->
           Tcpcore.Stack.create ~delayed_ack_timeout:Float.infinity
-            ~local_addr:server_addr () ) ]
+            ~local_addr:server_addr () );
+      (* The wheel places deadlines below 2^62 ticks of 1/64 s, about
+         7.2e16 s: the first SYN-ACK timer of a 1e17-s RTO does not
+         fit, and a 2e15-s RTO's 64-fold backoff does not. *)
+      ( "RTO beyond the wheel",
+        fun () ->
+          Tcpcore.Stack.create ~retransmit_timeout:1e17
+            ~local_addr:server_addr () );
+      ( "RTO backoff beyond the wheel",
+        fun () ->
+          Tcpcore.Stack.create ~retransmit_timeout:2e15
+            ~local_addr:server_addr () );
+      ( "2MSL beyond the wheel",
+        fun () ->
+          Tcpcore.Stack.create ~time_wait_timeout:1e17
+            ~local_addr:server_addr () );
+      ( "delayed-ACK timeout beyond the wheel",
+        fun () ->
+          Tcpcore.Stack.create ~delayed_ack_timeout:1e17
+            ~local_addr:server_addr () ) ];
+  (* Just inside the range, a SYN arms its SYN-ACK's timer. *)
+  let server =
+    Tcpcore.Stack.create ~retransmit_timeout:1e15 ~time_wait_timeout:7e16
+      ~local_addr:server_addr ()
+  in
+  Tcpcore.Stack.listen server ~port:8888 ~on_data:(fun _ _ _ -> ());
+  match
+    Tcpcore.Stack.handle_bytes server
+      (Packet.Segment.to_bytes
+         (Packet.Segment.make ~src:(client_ep 5000) ~dst:server_ep
+            ~flags:Packet.Tcp_header.flag_syn ()))
+  with
+  | Ok () ->
+    Alcotest.(check int) "accepted" 1 (Tcpcore.Stack.connection_count server)
+  | Error e -> Alcotest.failf "SYN at a 1e15-s RTO: %s" e
 
 let test_stack_demux_metering () =
   (* The receive path is metered: handshake + 2 data segments from an
@@ -1926,6 +1992,8 @@ let () =
           Alcotest.test_case "demux metering" `Quick test_stack_demux_metering;
           Alcotest.test_case "warm receive words" `Quick
             test_stack_warm_receive_words;
+          Alcotest.test_case "rejected datagram words" `Quick
+            test_stack_rejected_words;
           Alcotest.test_case "accepted SYN words" `Quick
             test_stack_accepted_syn_words;
           Alcotest.test_case "SYN, SYN-ACK and FIN on the template" `Quick
