@@ -740,17 +740,17 @@ let run_smp ~domains ~migrate ~smoke ~seed obs_json =
       `Ok ()
     with Sys_error message -> `Error (false, message))
 
-let run_parallel targets domains batches connections lookups pipeline smp
-    migrate smoke seed obs_json trace_file trace_capacity =
+let run_parallel targets domains batches connections lookups smp migrate smoke
+    seed obs_json trace_file trace_capacity =
   if List.exists (fun d -> d <= 0) domains then
     `Error (false, "--domains must all be positive")
   else if smp then run_smp ~domains ~migrate ~smoke ~seed obs_json
   else
   (* --smoke: a CI-sized run that still exercises every path — two
-     domains, per-packet vs a small batch, plus the ring pipeline. *)
-  let domains, batches, connections, lookups, pipeline =
-    if smoke then ([ 2 ], [ 1; 8 ], 200, 20_000, true)
-    else (domains, batches, connections, lookups, pipeline)
+     domains, per-packet vs a small batch. *)
+  let domains, batches, connections, lookups =
+    if smoke then ([ 2 ], [ 1; 8 ], 200, 20_000)
+    else (domains, batches, connections, lookups)
   in
   match parse_all Parallel.Throughput.target_of_name targets with
   | Error message -> `Error (false, message)
@@ -791,46 +791,6 @@ let run_parallel targets domains batches connections lookups pipeline smp
               r.Parallel.Throughput.batch Obs.Histogram.pp histogram
           | None -> ())
         results;
-      (* --pipeline: the Dispatcher over each target's table, fed one
-         pseudo-random packet stream over the same flow population;
-         workers demultiplex each batch through the table's keyed
-         batch lookup, reusing the shard-time hashes. *)
-      let pipeline_tracers = ref [] in
-      let flows = Parallel.Throughput.flows connections in
-      let rng = Parallel.Worker_rng.create seed in
-      let stream =
-        Array.init lookups (fun _ ->
-            flows.(Parallel.Worker_rng.int rng ~bound:connections))
-      in
-      let run_pipeline target =
-        Format.printf "@.pipeline: dispatcher -> SPSC rings -> %s workers@."
-          (Parallel.Throughput.target_name target);
-        let table = Parallel.Throughput.table target flows in
-        Option.iter table.Parallel.Throughput.observe obs;
-        List.iter
-          (fun workers ->
-            List.iter
-              (fun batch ->
-                let tracer =
-                  Option.map
-                    (fun _ ->
-                      Obs.Trace.create ~id:(1000 + workers)
-                        ~capacity:trace_capacity ())
-                    trace_file
-                in
-                Option.iter
-                  (fun t -> pipeline_tracers := t :: !pipeline_tracers)
-                  tracer;
-                Format.printf "%a@." Parallel.Dispatcher.pp
-                  (Parallel.Dispatcher.run ?obs ?tracer ~workers ~batch
-                     ~hash:Parallel.Throughput.hash
-                     ~consume:(fun _ ->
-                       table.Parallel.Throughput.lookup_batch_keyed)
-                     stream))
-              batches)
-          domains
-      in
-      if pipeline then List.iter run_pipeline targets;
       (try
          (match (obs_json, obs) with
          | Some path, Some obs ->
@@ -848,10 +808,7 @@ let run_parallel targets domains batches connections lookups pipeline smp
                    List.iter
                      (fun tracer -> Obs.Trace.dump tracer oc)
                      r.Parallel.Throughput.traces)
-                 results;
-               List.iter
-                 (fun tracer -> Obs.Trace.dump tracer oc)
-                 (List.rev !pipeline_tracers));
+                 results);
            Format.printf "wrote per-domain trace segments to %s@." path
          | None -> ());
          `Ok ()
@@ -874,7 +831,7 @@ let parallel_cmd =
              behind one global lock, e.g. coarse:bsd, coarse:sequent-19), \
              striped:sequent[-H] (one lock per chain), epoch (lock-free \
              reads over the epoch table; with --obs-json its epoch.table.* \
-             metrics land in the snapshot when the pipeline runs).")
+             metrics land in the snapshot too).")
   in
   let domains =
     Arg.(
@@ -901,15 +858,6 @@ let parallel_cmd =
             "Batch sizes to run; 1 is the per-packet baseline, larger \
              values demultiplex through lookup_batch (one mutex \
              acquisition per stripe per batch).")
-  in
-  let pipeline =
-    Arg.(
-      value & flag
-      & info [ "pipeline" ]
-          ~doc:
-            "Also run the dispatcher pipeline (flow-hash sharding into \
-             bounded SPSC rings feeding worker domains) over each \
-             target's table, for each (domains, batch) pair.")
   in
   let smp =
     Arg.(
@@ -941,8 +889,8 @@ let parallel_cmd =
       value & flag
       & info [ "smoke" ]
           ~doc:
-            "CI-sized run: 2 domains, batches 1 and 8, small counts, \
-             pipeline included.  Overrides --domains, --batch, \
+            "CI-sized run: 2 domains, batches 1 and 8, small counts.  \
+             Overrides --domains, --batch, \
              --connections, --lookups.  With --smp: domains 1 and 2 \
              over a small workload.")
   in
@@ -951,8 +899,7 @@ let parallel_cmd =
     Term.(
       ret
         (const run_parallel $ targets $ domains $ batches $ connections
-        $ lookups $ pipeline $ smp $ migrate
-        $ smoke $ seed_arg $ obs_json_arg $ trace_file_arg
+        $ lookups $ smp $ migrate $ smoke $ seed_arg $ obs_json_arg $ trace_file_arg
         $ trace_capacity_arg))
 
 (* ------------------------------------------------------------------ *)
@@ -1083,24 +1030,20 @@ let check_cmd =
         $ trace_capacity_arg))
 
 (* ------------------------------------------------------------------ *)
-(* chaos: fault scenarios over the parallel pipeline (lib/fault)       *)
+(* chaos: fault scenarios over the parallel path (lib/check/chaos.ml)  *)
 
 let run_chaos scenarios smoke seed workers ops json_path =
   let parse_scenarios = function
-    | [] -> Ok Fault.Chaos.all
+    | [] -> Ok Check.Chaos.all
     | names ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | name :: rest -> (
-          match Fault.Chaos.scenario_of_name name with
-          | Some s -> go (s :: acc) rest
-          | None ->
-            Error
+      parse_all
+        (fun name ->
+          Option.to_result (Check.Chaos.scenario_of_name name)
+            ~none:
               (Printf.sprintf "unknown scenario %S (have: %s)" name
                  (String.concat ", "
-                    (List.map Fault.Chaos.scenario_name Fault.Chaos.all))))
-      in
-      go [] names
+                    (List.map Check.Chaos.scenario_name Check.Chaos.all))))
+        names
   in
   match parse_scenarios scenarios with
   | Error message -> `Error (false, message)
@@ -1113,14 +1056,7 @@ let run_chaos scenarios smoke seed workers ops json_path =
                      %d%s@.@."
         (List.length scenarios) workers ops seed
         (if smoke then " (smoke)" else "");
-      let outcomes =
-        List.mapi
-          (fun i scenario ->
-            Check.Chaos.run_scenario ~workers ~ops ~seed:((seed * 31) + i)
-              scenario)
-          scenarios
-      in
-      let t = { Check.Chaos.seed; workers; ops; outcomes } in
+      let t = Check.Chaos.run ~workers ~ops ~scenarios ~seed () in
       Format.printf "@[<v>%a@]@." Check.Chaos.pp t;
       (match json_path with
       | Some path ->
@@ -1139,9 +1075,10 @@ let run_chaos scenarios smoke seed workers ops json_path =
 let chaos_cmd =
   let doc =
     "Run seeded fault scenarios (stalled consumer, slow worker, ring-full \
-     storm, bursty arrivals, mid-run table growth) against the parallel \
-     pipeline and replay-audit every one: contents, stats and shed \
-     accounting must match the reference oracle exactly."
+     storm, bursty arrivals, mid-run table growth) against worker domains \
+     sharing one striped table behind tiered rings, and replay-audit every \
+     one: contents, stats and shed accounting must match the reference \
+     oracle exactly."
   in
   let scenarios =
     Arg.(

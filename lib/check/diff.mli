@@ -61,7 +61,7 @@ val audit_contents_against :
   (unit, string) result
 (** Compare a table's residents ([contents] must be sorted by
     {!Packet.Flow.compare}, as {!Subject.t.contents} and
-    [Fault.Chaos.result.contents] both are) and its reported [length]
+    {!Chaos.result}'s [contents] both are) and its reported [length]
     against the oracle.  [Error what] names the first disagreement. *)
 
 val audit_snapshot :

@@ -31,7 +31,6 @@ module type S = sig
   val mem : t -> w0:int -> w1:int -> bool
   val find_flow : t -> Packet.Flow.t -> int option
   val lookup_batch : t -> Packet.Flow.t array -> int
-  val lookup_batch_keyed : t -> Packet.Flow.t array -> hashes:int array -> int
   val length : t -> int
   val iter : (w0:int -> w1:int -> int -> unit) -> t -> unit
 
@@ -158,7 +157,7 @@ module Make (F : Demux.Packed_table.FAULT) (St : Demux.Storage.S) = struct
     find_opt t
       ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow)
 
-  let lookup_batch_hashed t flows ~hash_at =
+  let lookup_batch t flows =
     let n = Array.length flows in
     if n = 0 then 0
     else begin
@@ -173,22 +172,13 @@ module Make (F : Demux.Packed_table.FAULT) (St : Demux.Storage.S) = struct
         let w1 = Packet.Flow.w1 flow in
         Demux.Lookup_stats.begin_lookup reader.stats;
         Demux.Lookup_stats.examine reader.stats;
-        let hit = Region.find r (hash_at t i w0 w1) ~w0 ~w1 >= 0 in
+        let hit = Region.find r (t.hash w0 w1) ~w0 ~w1 >= 0 in
         if hit then incr found;
         Demux.Lookup_stats.end_lookup reader.stats ~hit_cache:false ~found:hit
       done;
       Domain_slot.unpin reader.slot;
       !found
     end
-
-  let lookup_batch t flows =
-    lookup_batch_hashed t flows ~hash_at:(fun t _ w0 w1 -> t.hash w0 w1)
-
-  let lookup_batch_keyed t flows ~hashes =
-    if Array.length flows <> Array.length hashes then
-      invalid_arg "Epoch.Packed.lookup_batch_keyed: length mismatch";
-    lookup_batch_hashed t flows
-      ~hash_at:(fun _ i _ _ -> Array.unsafe_get hashes i)
 
   let length t = (Atomic.get t.published).count
 

@@ -40,9 +40,7 @@ module type S = sig
     ?hash:(int -> int -> int) -> ?initial_capacity:int ->
     ?max_readers:int -> unit -> t
   (** Defaults: [Hashing.Hashers.(hash_words multiplicative)], the
-      8-slot minimum capacity, 64 reader slots.  [hash] must match
-      whatever full hash a batched caller supplies to
-      {!lookup_batch_keyed}.
+      8-slot minimum capacity, 64 reader slots.
       @raise Invalid_argument if [initial_capacity < 0] or
       [max_readers <= 0]. *)
 
@@ -64,13 +62,6 @@ module type S = sig
       found.  Charges the same per-lookup accounting as {!find_opt}
       plus one {!Demux.Lookup_stats.note_batch}, mirroring
       {!Parallel.Striped.lookup_batch}. *)
-
-  val lookup_batch_keyed : t -> Packet.Flow.t array -> hashes:int array -> int
-  (** Like {!lookup_batch} with caller-supplied full hashes (computed
-      once upstream, e.g. by {!Parallel.Dispatcher} at shard time).
-      The hashes {b must} come from this table's [hash] on the flow's
-      key words — the default matches [Dispatcher]'s default hasher.
-      @raise Invalid_argument if the arrays differ in length. *)
 
   val length : t -> int
   (** Residents in the currently published region (one atomic load). *)

@@ -32,8 +32,8 @@
     - [Latency] — [a] = measured latency (unit chosen by the
       recorder; the CLI uses nanoseconds).
     - [Batch] — a batched operation was issued ([a] = batch size,
-      [b] = recorder-chosen tag: the parallel pipeline uses the worker
-      shard index). *)
+      [b] = recorder-chosen tag; {!Demux.Lookup_stats.note_batch}
+      records 0). *)
 type kind =
   | Lookup_begin
   | Lookup_end

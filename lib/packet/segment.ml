@@ -63,15 +63,6 @@ let word buf ~addr ~port =
 let peek_w0 buf ~off ~tcp = word buf ~addr:(off + 16) ~port:(tcp + 2)
 let peek_w1 buf ~off ~tcp = word buf ~addr:(off + 12) ~port:tcp
 
-let peek_flow buf ~off =
-  let tcp = peek_tcp buf ~off in
-  if tcp >= 0 then
-    Ok (Flow.of_words ~w0:(peek_w0 buf ~off ~tcp) ~w1:(peek_w1 buf ~off ~tcp))
-  else if tcp = bad_version then Error "ipv4: bad version"
-  else if tcp = short_header then Error "ipv4: header too short"
-  else if tcp = not_tcp then Error "segment: not TCP"
-  else Error "segment: truncated datagram"
-
 (* [check] makes every check, in place, and answers one code per error:
    the four above ([truncated] for a buffer too short for the fixed
    IPv4 header, [short_header] for an IHL below 5) and these, numbered
@@ -180,6 +171,12 @@ let reason buf ~off code =
   else if code = truncated_option then "tcp: truncated option"
   else if code = bad_option_length then "tcp: bad option length"
   else invalid_arg "Segment.reason: not a rejection code"
+
+let peek_flow buf ~off =
+  let tcp = peek_tcp buf ~off in
+  if tcp >= 0 then
+    Ok (Flow.of_words ~w0:(peek_w0 buf ~off ~tcp) ~w1:(peek_w1 buf ~off ~tcp))
+  else Error (reason buf ~off tcp)
 
 (* The six flags [Tcp_header.flags] models; the two bits above them
    (ECE, CWR) are dropped, as [parse] drops them. *)

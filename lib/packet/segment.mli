@@ -38,7 +38,8 @@ val peek_flow : bytes -> off:int -> (Flow.t, string) result
     steering layer performs before handing the datagram to the core
     that will {!parse} and validate it.  Rejects only what makes the
     4-tuple unreadable (an [off] outside the buffer, truncation, wrong
-    IP version, non-TCP). *)
+    IP version, an IHL below 5, non-TCP), named as {!check} names it:
+    the error is {!reason} of {!peek_tcp}'s code. *)
 
 (** {2 In-place flow words}
 

@@ -19,7 +19,7 @@
    The tier itself and every counter are atomics, so any domain may
    read [tier] on its hot path without a lock.  The streak state is
    guarded by a mutex.  Ring observations come once per offer: per
-   batch for [Dispatcher], but per datagram for [Smp]'s dispatcher,
+   batch for the chaos harness, but per datagram for [Smp]'s dispatcher,
    which with a controller attached pays a lock and an unlock per
    datagram.  Insert observations come once per insert. *)
 
@@ -189,36 +189,3 @@ let counters t =
   [ ("shed-new-flows", shed_flows t);
     ("drop-batches", dropped_batch_packets t);
     ("reject", rejected_packets t) ]
-
-let register_obs ?(prefix = "pressure") t obs =
-  let name suffix = prefix ^ "." ^ suffix in
-  Obs.Registry.register_gauge obs ~help:"current degradation tier (0..3)"
-    ~name:(name "tier")
-    (fun () -> float_of_int (Atomic.get t.cur));
-  Obs.Registry.register_counter obs
-    ~help:"load observations folded into the controller"
-    ~name:(name "observations")
-    (fun () -> observations t);
-  List.iter
-    (fun tr ->
-      Obs.Registry.register_counter obs
-        ~help:("transitions into tier " ^ tier_name tr)
-        ~name:(name ("transitions." ^ tier_name tr))
-        (fun () -> Atomic.get t.transitions.(tier_index tr)))
-    tiers;
-  Obs.Registry.register_counter obs
-    ~help:"new-flow inserts refused while shedding"
-    ~name:(name "shed_flows")
-    (fun () -> shed_flows t);
-  Obs.Registry.register_counter obs
-    ~help:"batches dropped whole at the drop-batches tier"
-    ~name:(name "dropped_batches")
-    (fun () -> dropped_batches t);
-  Obs.Registry.register_counter obs
-    ~help:"packets inside batches dropped at the drop-batches tier"
-    ~name:(name "dropped_batch_packets")
-    (fun () -> dropped_batch_packets t);
-  Obs.Registry.register_counter obs
-    ~help:"packets refused outright at the reject tier"
-    ~name:(name "rejected_packets")
-    (fun () -> rejected_packets t)

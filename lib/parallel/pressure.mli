@@ -117,7 +117,3 @@ val counters : t -> (string * int) list
 (** The three degradation counters keyed by the tier that caused them:
     [("shed-new-flows", flows); ("drop-batches", packets);
     ("reject", packets)]. *)
-
-val register_obs : ?prefix:string -> t -> Obs.Registry.t -> unit
-(** Register tier gauge, transition counters and degradation counters
-    under ["<prefix>."] (default ["pressure"]). *)

@@ -5,10 +5,10 @@
     neither side ever takes a lock — one atomic read and one atomic
     write per operation, and the bounded capacity is the pipeline's
     backpressure signal (a full ring means the worker is behind).
-    {!Dispatcher} feeds one ring per worker with batches;
-    {!Smp} feeds one ring per core with messages, and adds one control
-    ring whose only producer is the listener core and whose only
-    consumer is the dispatcher.
+    The chaos harness ([lib/check/chaos.ml]) feeds one ring per worker
+    with batches; {!Smp} feeds one ring per core with messages, and
+    adds one control ring whose only producer is the listener core and
+    whose only consumer is the dispatcher.
 
     Safety relies on the SPSC contract: concurrent {!try_push} or
     {!push} from two domains (or {!try_pop} or {!drain} from two) is a

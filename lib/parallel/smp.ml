@@ -290,7 +290,7 @@ let run (cfg : config) datagrams =
   let spin = if cfg.migrate then Some poll_ctrl else None in
   (* Every batch meets the tier policy whole, and every datagram in it
      is counted. *)
-  let ship w items _ fill =
+  let ship w items fill =
     match
       Dispatcher.offer ?pressure:pressure.(w) ?spin ~limit:slots rings.(w)
         (Batch (Array.sub items 0 fill)) ~packets:fill
@@ -308,8 +308,7 @@ let run (cfg : config) datagrams =
       Pressure.note_ring_depth p ~depth:(Ring.length rings.(w))
         ~capacity:slots
     | None -> ());
-    (* Each stack hashes its own lookups: no hash rides along. *)
-    Dispatcher.stage staging ~target:w ~hash:0 bytes
+    Dispatcher.stage staging ~target:w bytes
   in
   (* Runs between datagrams only, and ships ring k's partial batch
      before anything else goes onto ring k, so ring order is steering

@@ -1,18 +1,25 @@
 (** Shared-nothing per-core TCP stacks with flow steering.
 
-    The {!Dispatcher} pipeline demultiplexes pre-parsed flow keys
-    against a {e shared} table; this module replicates the entire
-    stack instead.  Each domain owns a private {!Tcpcore.Stack} — its
-    own connection table, demultiplexer and timing wheel — and the
-    dispatcher steers raw datagrams to the owning core with a
-    constant-time header peek, exactly as NIC receive-side scaling
-    would.  It stages each datagram for its core through
-    {!Dispatcher.staging}, and ships each core's datagrams as one ring
-    message of up to 32, through {!Dispatcher.offer}'s tier policy.
-    No mutable state is shared between domains: every cross-core
-    interaction travels over an SPSC {!Ring}, so the full receive
-    path — parse, steer, enqueue, demux, state machine — runs without
-    a single lock or shared write.
+    {!Striped}, {!Coarse} and [Epoch.Packed] share one table between
+    domains; this module replicates the entire stack instead.  Each
+    domain owns a private {!Tcpcore.Stack} — its own connection table
+    and demultiplexer — and the dispatcher steers raw datagrams to the
+    owning core with a constant-time header peek, exactly as NIC
+    receive-side scaling would.  It stages each datagram for its core
+    through {!Dispatcher.staging}, and ships each core's datagrams as
+    one ring message of up to 32, through {!Dispatcher.offer}'s tier
+    policy (the chaos harness in [lib/check/chaos.ml] runs on the same
+    two pieces).  No mutable state is shared between domains: every
+    cross-core interaction travels over an SPSC {!Ring}, so the full
+    receive path — parse, steer, enqueue, demux, state machine — runs
+    without a single lock or shared write.
+
+    {!run} never advances a stack's clock
+    ({!Tcpcore.Stack.advance_clock}): each stack's timing wheel holds
+    the timers its connections arm, but no RTO, TIME-WAIT or
+    delayed-ACK timer fires during a run, so nothing is retransmitted,
+    reaped or acknowledged late, and a connection's replies are exactly
+    those its datagrams trigger.
 
     {2 Steering}
 

@@ -30,9 +30,6 @@ let stripe_index t flow =
 
 let stripe_of_flow t flow = t.stripes.(stripe_index t flow)
 
-(* The full (un-reduced) flow hash, for callers that want to compute
-   it once and reuse it across pipeline stages (see
-   [lookup_batch_keyed] and [Dispatcher]). *)
 let hash_flow t flow = Hashing.Hashers.hash_flow t.hasher flow
 
 let with_stripe stripe f =
@@ -91,11 +88,12 @@ let lookup t ?kind:_ flow =
    the batch's indices by stripe (O(batch + chains), no comparisons),
    then each occupied stripe's mutex is taken once for all its
    packets, instead of once per packet. *)
-let group_indices ~chains ~stripe_of_index n =
+let group_by_stripe t flows =
+  let n = Array.length flows and chains = Array.length t.stripes in
   let stripe_of = Array.make n 0 in
   let first = Array.make (chains + 1) 0 in
   for i = 0 to n - 1 do
-    let s = stripe_of_index i in
+    let s = stripe_index t flows.(i) in
     stripe_of.(i) <- s;
     first.(s + 1) <- first.(s + 1) + 1
   done;
@@ -112,45 +110,28 @@ let group_indices ~chains ~stripe_of_index n =
   (* [order.(first.(s) .. first.(s+1) - 1)] are stripe [s]'s indices. *)
   (first, order)
 
-let group_by_stripe t flows =
-  group_indices ~chains:(Array.length t.stripes)
-    ~stripe_of_index:(fun i -> stripe_index t flows.(i))
-    (Array.length flows)
-
-let run_lookup_batch t flows (first, order) =
-  let found = ref 0 in
-  for s = 0 to Array.length t.stripes - 1 do
-    let lo = first.(s) and hi = first.(s + 1) in
-    if hi > lo then begin
-      let stripe = t.stripes.(s) in
-      with_stripe stripe (fun () ->
-          Demux.Lookup_stats.note_batch (Demux.Sequent.stats stripe.store)
-            ~size:(hi - lo);
-          for k = lo to hi - 1 do
-            match Demux.Sequent.lookup_pcb stripe.store flows.(order.(k)) with
-            | _ -> incr found
-            | exception Not_found -> ()
-          done)
-    end
-  done;
-  !found
-
 let lookup_batch t ?kind:_ flows =
   if Array.length flows = 0 then 0
-  else run_lookup_batch t flows (group_by_stripe t flows)
-
-let lookup_batch_keyed t ?kind:_ flows ~hashes =
-  let n = Array.length flows in
-  if n <> Array.length hashes then
-    invalid_arg "Striped.lookup_batch_keyed: flows/hashes length mismatch";
-  if n = 0 then 0
   else begin
-    (* The caller computed [hash_flow] once per packet (at dispatch);
-       reducing it mod chains here gives exactly [stripe_index], so
-       grouping skips re-hashing every flow. *)
-    let chains = Array.length t.stripes in
-    run_lookup_batch t flows
-      (group_indices ~chains ~stripe_of_index:(fun i -> hashes.(i) mod chains) n)
+    let first, order = group_by_stripe t flows in
+    let found = ref 0 in
+    for s = 0 to Array.length t.stripes - 1 do
+      let lo = first.(s) and hi = first.(s + 1) in
+      if hi > lo then begin
+        let stripe = t.stripes.(s) in
+        with_stripe stripe (fun () ->
+            Demux.Lookup_stats.note_batch (Demux.Sequent.stats stripe.store)
+              ~size:(hi - lo);
+            for k = lo to hi - 1 do
+              match
+                Demux.Sequent.lookup_pcb stripe.store flows.(order.(k))
+              with
+              | _ -> incr found
+              | exception Not_found -> ()
+            done)
+      end
+    done;
+    !found
   end
 
 let insert_batch t entries =

@@ -86,21 +86,9 @@ val lookup_batch :
     cache locality (packet trains) is preserved. *)
 
 val hash_flow : 'a t -> Packet.Flow.t -> int
-(** The table's full (un-reduced) hash of a flow — compute it once at
-    dispatch and reuse it across pipeline stages via
-    {!lookup_batch_keyed}.  Allocation-free for the word-folding
+(** The table's full (un-reduced) hash of a flow: its stripe is this
+    value mod {!chains}.  Allocation-free for the word-folding
     hashers. *)
-
-val lookup_batch_keyed :
-  'a t -> ?kind:Demux.Types.packet_kind -> Packet.Flow.t array ->
-  hashes:int array -> int
-(** Like {!lookup_batch}, but the caller supplies each flow's
-    {!hash_flow} value (computed once per packet upstream, e.g. by
-    {!Dispatcher} when sharding); grouping reduces them mod chains
-    instead of re-hashing every flow.  The hashes {e must} come from
-    {!hash_flow} on this table — a different hasher silently groups
-    wrong.  Accounting is identical to {!lookup_batch}.
-    @raise Invalid_argument if the arrays differ in length. *)
 
 val insert_batch :
   'a t -> (Packet.Flow.t * 'a) array -> 'a Demux.Pcb.t array

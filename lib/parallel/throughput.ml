@@ -123,12 +123,14 @@ let flows connections =
         ~local:(Packet.Flow.endpoint (Packet.Ipv4.addr_of_octets 192 168 1 1) 8888)
         ~remote:(Packet.Flow.endpoint addr (1024 + (i * 7 mod 60000))))
 
-let hash = Hashing.Hashers.(hash_flow multiplicative)
-
+(* A target's table, loaded with a flow population; every operation is
+   safe to call from any domain.  [lookup_batch] takes one lock per
+   stripe (one epoch pin for [Epoch]); [observe] registers the table's
+   own metrics, [epoch.table.*] for [Epoch] and nothing for the locked
+   targets. *)
 type table = {
   lookup : Packet.Flow.t -> bool;
   lookup_batch : Packet.Flow.t array -> int;
-  lookup_batch_keyed : Packet.Flow.t array -> hashes:int array -> int;
   observe : Obs.Registry.t -> unit;
 }
 
@@ -139,15 +141,12 @@ let table target flows =
     Array.iter (fun flow -> ignore (Coarse.insert d flow ())) flows;
     { lookup = (fun flow -> Coarse.lookup d flow <> None);
       lookup_batch = (fun batch -> Coarse.lookup_batch d batch);
-      lookup_batch_keyed = (fun batch ~hashes:_ -> Coarse.lookup_batch d batch);
       observe = ignore }
   | Striped chains ->
     let d = Striped.create ~chains () in
     Array.iter (fun flow -> ignore (Striped.insert d flow ())) flows;
     { lookup = (fun flow -> Striped.lookup d flow <> None);
       lookup_batch = (fun batch -> Striped.lookup_batch d batch);
-      lookup_batch_keyed =
-        (fun batch ~hashes -> Striped.lookup_batch_keyed d batch ~hashes);
       observe = ignore }
   | Epoch ->
     let module E = Epoch.Packed.Heap in
@@ -162,8 +161,6 @@ let table target flows =
         (fun flow ->
           E.mem d ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow));
       lookup_batch = (fun batch -> E.lookup_batch d batch);
-      lookup_batch_keyed =
-        (fun batch ~hashes -> E.lookup_batch_keyed d batch ~hashes);
       observe = (fun obs -> E.register_obs ~prefix:"epoch.table" obs d) }
 
 let run ?obs ?trace_capacity ?(connections = 2000)
@@ -175,7 +172,8 @@ let run ?obs ?trace_capacity ?(connections = 2000)
   if lookups_per_domain <= 0 then
     invalid_arg "Throughput.run: lookups_per_domain <= 0";
   let flows = flows connections in
-  let { lookup; lookup_batch; _ } = table target flows in
+  let { lookup; lookup_batch; observe } = table target flows in
+  Option.iter observe obs;
   (* One histogram per domain, merged after the join: recording stays
      allocation- and contention-free on the measurement path. *)
   let histograms =

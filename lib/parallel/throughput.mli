@@ -43,35 +43,6 @@ val target_of_name : string -> (target, string) result
     means 19 chains and ["epoch"] is accepted for ["epoch:table"].
     The error message lists the valid forms. *)
 
-val flows : int -> Packet.Flow.t array
-(** The synthetic flow population every target is loaded with: [n]
-    clients, each with its own remote address and port, talking to one
-    server endpoint. *)
-
-val hash : Packet.Flow.t -> int
-(** [Hashing.Hashers.(hash_flow multiplicative)]: the shard hash whose
-    values every table's [lookup_batch_keyed] accepts as [~hashes]
-    (pass it to {!Dispatcher.start}). *)
-
-(** A target's table, loaded with a flow population.  Every operation
-    is safe to call from any domain. *)
-type table = {
-  lookup : Packet.Flow.t -> bool;
-  lookup_batch : Packet.Flow.t array -> int;
-      (** Hits in the batch, under one lock acquisition per stripe
-          (one epoch pin for {!Epoch}). *)
-  lookup_batch_keyed : Packet.Flow.t array -> hashes:int array -> int;
-      (** {!lookup_batch} with each flow's {!hash} supplied, as the
-          {!Dispatcher} ships it. *)
-  observe : Obs.Registry.t -> unit;
-      (** Register the table's own metrics: [epoch.table.*] for
-          {!Epoch}, nothing for the locked targets. *)
-}
-
-val table : target -> Packet.Flow.t array -> table
-(** A fresh table of the target's kind holding [flows]; with {!Epoch},
-    flow [i] is bound to [i]. *)
-
 type result = {
   target : string;
   domains : int;
@@ -107,13 +78,20 @@ val run :
     instead of calling [lookup] per packet — same flow sequence, same
     total lookups, so the two modes are directly comparable.
 
+    Every target is loaded with the same synthetic population:
+    [connections] clients, each with its own remote address and port,
+    talking to one server endpoint.
+
     With [?obs], every lookup (or batch) is timed into a domain-local
     histogram (no cross-domain synchronisation); after the join the
     histograms are merged ({!Obs.Histogram.merge_into} is exact
     bucket-wise) and registered as
     ["parallel.<target>.d<domains>.b<batch>.lookup_ns"], and the
     clamp count accumulates into the owned
-    ["parallel.clock_went_backwards"] counter.  Timing costs two clock
+    ["parallel.clock_went_backwards"] counter.  The {!Epoch} target
+    also registers its table's own counters as [epoch.table.*]
+    ({!Epoch.Packed.S.register_obs}); a later run over the same
+    registry replaces them with its own table's.  Timing costs two clock
     reads per lookup (per batch when batched), so throughput numbers
     with [?obs] are not comparable to numbers without.
     @raise Invalid_argument if [domains], [batch], [connections] or

@@ -837,13 +837,13 @@ let test_report_rejects_failures () =
 (* Chaos replay audit                                                  *)
 
 let test_chaos_audit_all_scenarios () =
-  (* Small but real: every fault scenario through the parallel
-     pipeline, each run's worker logs replayed against the oracle.
-     Degradation may shed work; it may not corrupt state or lose
-     accounting — zero mismatches across the board. *)
+  (* Small but real: every fault scenario through the worker pool, each
+     run's worker logs replayed against the oracle.  Degradation may
+     shed work; it may not corrupt state or lose accounting — zero
+     mismatches across the board. *)
   let t = Check.Chaos.run ~workers:2 ~ops:4_000 ~seed:17 () in
   Alcotest.(check int) "every scenario ran"
-    (List.length Fault.Chaos.all)
+    (List.length Check.Chaos.all)
     (List.length t.Check.Chaos.outcomes);
   List.iter
     (fun (o : Check.Chaos.scenario_outcome) ->
@@ -853,15 +853,115 @@ let test_chaos_audit_all_scenarios () =
       | m :: _ ->
         Alcotest.fail
           (Format.asprintf "%s: %a"
-             (Fault.Chaos.scenario_name r.Fault.Chaos.scenario)
+             (Check.Chaos.scenario_name r.Check.Chaos.scenario)
              Check.Diff.pp_mismatch m));
       Alcotest.(check int)
-        (Fault.Chaos.scenario_name r.Fault.Chaos.scenario ^ " conservation")
-        r.Fault.Chaos.offered
-        (r.Fault.Chaos.delivered + r.Fault.Chaos.dropped_ops
-        + r.Fault.Chaos.rejected_ops))
+        (Check.Chaos.scenario_name r.Check.Chaos.scenario ^ " conservation")
+        r.Check.Chaos.offered
+        (r.Check.Chaos.delivered + r.Check.Chaos.dropped_ops
+        + r.Check.Chaos.rejected_ops))
     t.Check.Chaos.outcomes;
   Alcotest.(check bool) "audit passed" true (Check.Chaos.passed t)
+
+(* A recorded run, doctored one way per case: the audit must name each
+   fault, and pass the run as recorded.  At this size mid-run growth's
+   rings hold the whole script and its tiers never engage, so every op
+   is applied and the logged outcomes repeat run to run. *)
+let test_chaos_audit_catches_doctored_runs () =
+  let o =
+    Check.Chaos.run_scenario ~workers:2 ~ops:4_000 ~seed:29
+      Check.Chaos.Mid_run_growth
+  in
+  let r = o.Check.Chaos.result in
+  Alcotest.(check int) "the run as recorded audits clean" 0
+    (List.length o.Check.Chaos.mismatches);
+  (* The first event, in log order, that [pick] accepts. *)
+  let find pick =
+    let found = ref None in
+    Array.iteri
+      (fun w log ->
+        Array.iteri
+          (fun i (ev : Check.Chaos.event) ->
+            if !found = None && pick w ev then found := Some (w, i))
+          log)
+      r.Check.Chaos.logs;
+    match !found with
+    | Some at -> at
+    | None -> Alcotest.fail "no event to doctor in the recorded run"
+  in
+  let with_log w log =
+    let logs = Array.copy r.Check.Chaos.logs in
+    logs.(w) <- log;
+    logs
+  in
+  let without (w, i) =
+    let log = r.Check.Chaos.logs.(w) in
+    with_log w
+      (Array.append (Array.sub log 0 i)
+         (Array.sub log (i + 1) (Array.length log - i - 1)))
+  in
+  let lookup _ (ev : Check.Chaos.event) =
+    match ev.Check.Chaos.outcome with
+    | Check.Chaos.Found _ | Check.Chaos.Missed -> true
+    | _ -> false
+  in
+  let flags label expected doctored =
+    match Check.Chaos.audit doctored with
+    | [ m ] ->
+      let what = m.Check.Diff.what in
+      if
+        not
+          (String.length what >= String.length expected
+          && String.sub what 0 (String.length expected) = expected)
+      then Alcotest.failf "%s: flagged %S, want %S..." label what expected
+    | [] -> Alcotest.failf "%s: the audit passed a doctored run" label
+    | _ -> Alcotest.failf "%s: more than one mismatch" label
+  in
+  (* An applied lookup missing from its worker's log: the replay stays
+     consistent, and the logs no longer account for every op. *)
+  flags "event dropped from a log" "conservation:"
+    { r with Check.Chaos.logs = without (find lookup) };
+  (* The same event shed instead, by the producer alone. *)
+  flags "tier drop missing from the controller's ledger"
+    "ledgers disagree: producer dropped"
+    { r with
+      Check.Chaos.logs = without (find lookup);
+      dropped_ops = r.Check.Chaos.dropped_ops + 1 };
+  (* A lookup that saw another op's payload. *)
+  let w, i =
+    find (fun _ (ev : Check.Chaos.event) ->
+        match ev.Check.Chaos.outcome with
+        | Check.Chaos.Found _ -> true
+        | _ -> false)
+  in
+  let log = Array.copy r.Check.Chaos.logs.(w) in
+  (match log.(i) with
+  | { Check.Chaos.outcome = Check.Chaos.Found v; op } ->
+    log.(i) <- { Check.Chaos.op; outcome = Check.Chaos.Found (v + 1) }
+  | _ -> assert false);
+  flags "stale payload" "lookup of"
+    { r with Check.Chaos.logs = with_log w log };
+  (* The last op of a flow that worker 0 applied more than once, moved
+     to the end of worker 1's log.  Replayed in log order, the flow's
+     ops still run in their order, so only the ownership check can see
+     it. *)
+  let flow_of (ev : Check.Chaos.event) = ev.Check.Chaos.op.Check.Chaos.flow in
+  let ops_of flow =
+    List.filter
+      (fun k -> Packet.Flow.equal (flow_of r.Check.Chaos.logs.(0).(k)) flow)
+      (List.init (Array.length r.Check.Chaos.logs.(0)) Fun.id)
+  in
+  let _, i =
+    find (fun w ev -> w = 0 && List.length (ops_of (flow_of ev)) > 1)
+  in
+  let flow = flow_of r.Check.Chaos.logs.(0).(i) in
+  let last = List.fold_left max i (ops_of flow) in
+  let logs = without (0, last) in
+  logs.(1) <- Array.append logs.(1) [| r.Check.Chaos.logs.(0).(last) |];
+  flags "one flow split across two workers"
+    (Printf.sprintf "ops on %s applied by workers 0 and 1"
+       (Packet.Flow.to_string flow))
+    { r with Check.Chaos.logs }
 
 let test_chaos_report_round_trip () =
   let t = Check.Chaos.run ~workers:2 ~ops:2_000 ~seed:23 () in
@@ -925,6 +1025,8 @@ let () =
             test_corpus_epoch_reclaim ] );
       ( "chaos",
         [ quick "every scenario audits clean" test_chaos_audit_all_scenarios;
+          quick "audit catches doctored runs"
+            test_chaos_audit_catches_doctored_runs;
           quick "report write/validate round trip"
             test_chaos_report_round_trip ] );
       ( "xval",

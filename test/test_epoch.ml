@@ -3,8 +3,8 @@
    zero-mutex guarantees), and a 4-domain reader/writer stress across
    mid-run growth — the concurrent half of what Epoch_audit checks
    deterministically in lib/check.  The table under test is
-   Epoch.Packed.Heap, except that the stress and pipeline tests also
-   run over Epoch.Packed.Offheap, so a writer frees retired Bigarray
+   Epoch.Packed.Heap, except that the stress test also runs over
+   Epoch.Packed.Offheap, so a writer frees retired Bigarray
    regions while readers are pinned; test_offheap.ml covers the rest
    of the Offheap instance. *)
 
@@ -208,7 +208,8 @@ let test_table_view_outlives_publishes () =
   Alcotest.(check int) "backlog drains once unpinned" 0
     (E.pending t)
 
-let test_table_batch_accounting_equals_scalar () =
+let test_table_batch_accounting_equals_scalar (module E : Epoch.Packed.S) ()
+    =
   (* Mirror of the striped batch-accounting test: lookup_batch must
      charge exactly what the per-flow path charges, plus only the
      batch markers. *)
@@ -304,7 +305,7 @@ let test_warm_read_phase_takes_no_mutex () =
 
 let test_four_domain_stress_mid_run_growth (module E : Epoch.Packed.S) () =
   (* The concurrent half of the grace-period story, shaped like
-     [Fault.Chaos.Mid_run_growth]: an insert-heavy script over a large
+     [Check.Chaos.Mid_run_growth]: an insert-heavy script over a large
      distinct-flow population drives the table across every growth
      boundary while readers run.  One writer domain inserts flows
      [0..2047] (payload = index) and removes every 16th along the way;
@@ -382,46 +383,6 @@ let test_four_domain_stress_mid_run_growth (module E : Epoch.Packed.S) () =
     (Epoch.Core.reclamations core)
 
 (* ------------------------------------------------------------------ *)
-(* Dispatcher over the epoch table                                     *)
-
-let test_dispatcher_over_epoch_table (module E : Epoch.Packed.S) () =
-  (* The pipeline integration: shard-time hashes feed
-     [lookup_batch_keyed] directly ([Throughput.hash] is the table's
-     default hash), and the lossless run conserves every packet. *)
-  let population = Array.init 200 flow in
-  let t = E.create () in
-  E.load t
-    (Array.mapi
-       (fun i f ->
-         let w0, w1 = words f in
-         (w0, w1, i))
-       population);
-  let rng = Numerics.Rng.create ~seed:3 in
-  let stream =
-    Array.init 5_000 (fun _ -> flow (Numerics.Rng.int rng ~bound:250))
-  in
-  let expected_found =
-    Array.fold_left
-      (fun n f -> if E.find_flow t f <> None then n + 1 else n)
-      0 stream
-  in
-  let result =
-    Parallel.Dispatcher.run ~workers:3 ~batch:16
-      ~hash:Parallel.Throughput.hash
-      ~consume:(fun _ batch ~hashes -> E.lookup_batch_keyed t batch ~hashes)
-      stream
-  in
-  Alcotest.(check int) "all packets offered" 5_000
-    result.Parallel.Dispatcher.packets;
-  Alcotest.(check int) "all packets delivered" 5_000
-    (Array.fold_left ( + ) 0 result.Parallel.Dispatcher.per_worker_packets);
-  Alcotest.(check int) "found matches sequential" expected_found
-    result.Parallel.Dispatcher.found;
-  Alcotest.(check int) "lossless" 0 (Parallel.Dispatcher.lost_packets result);
-  E.quiesce t;
-  Alcotest.(check int) "drained after the run" 0 (E.pending t)
-
-(* ------------------------------------------------------------------ *)
 (* Observability                                                       *)
 
 let test_register_obs () =
@@ -472,7 +433,11 @@ let () =
         [ quick "pinned view outlives publishes"
             test_table_view_outlives_publishes;
           quick "batch accounting equals scalar"
-            test_table_batch_accounting_equals_scalar ] );
+            (test_table_batch_accounting_equals_scalar
+               (module Epoch.Packed.Heap));
+          quick "batch accounting equals scalar (offheap)"
+            (test_table_batch_accounting_equals_scalar
+               (module Epoch.Packed.Offheap)) ] );
       ( "read-path",
         [ quick "warm lookup allocates zero minor words"
             test_warm_lookup_zero_alloc;
@@ -483,12 +448,6 @@ let () =
             (test_four_domain_stress_mid_run_growth (module Epoch.Packed.Heap));
           quick "4-domain readers across mid-run growth (offheap)"
             (test_four_domain_stress_mid_run_growth
-               (module Epoch.Packed.Offheap)) ] );
-      ( "pipeline",
-        [ quick "dispatcher over the epoch table"
-            (test_dispatcher_over_epoch_table (module Epoch.Packed.Heap));
-          quick "dispatcher over the epoch table (offheap)"
-            (test_dispatcher_over_epoch_table
                (module Epoch.Packed.Offheap)) ] );
       ( "obs",
         [ quick "registered metrics" test_register_obs ] ) ]

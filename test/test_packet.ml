@@ -758,13 +758,17 @@ let prop_segment_parse_total =
     arbitrary_garbage_at (fun (bytes, off) ->
       no_exception (fun () -> Packet.Segment.parse bytes ~off))
 
+(* A rejection is named as [check] names it: [reason] of [peek_tcp]'s
+   code. *)
 let prop_peek_flow_total =
   QCheck.Test.make ~count:1000
     ~name:"Segment.peek_flow never raises, rejects off outside the buffer"
     arbitrary_garbage_at (fun (bytes, off) ->
       match Packet.Segment.peek_flow bytes ~off with
       | Ok _ -> off >= 0 && off <= Bytes.length bytes
-      | Error _ -> true
+      | Error e ->
+        e
+        = Packet.Segment.reason bytes ~off (Packet.Segment.peek_tcp bytes ~off)
       | exception _ -> false)
 
 let prop_segment_parse_total_on_mutated_valid =
@@ -836,7 +840,7 @@ let prop_peek_words_match_peek_flow =
         flips;
       let tcp = Packet.Segment.peek_tcp wire ~off:0 in
       match Packet.Segment.peek_flow wire ~off:0 with
-      | Error _ -> tcp < 0
+      | Error e -> tcp < 0 && e = Packet.Segment.reason wire ~off:0 tcp
       | Ok flow ->
         tcp >= 0
         && Packet.Segment.peek_w0 wire ~off:0 ~tcp = Packet.Flow.w0 flow
@@ -994,7 +998,19 @@ let test_each_rejection_named () =
       cases
   in
   Alcotest.(check int) "one code per error" (List.length cases)
-    (List.length (List.sort_uniq compare codes))
+    (List.length (List.sort_uniq compare codes));
+  (* The steering peek refuses what hides the 4-tuple, under the same
+     names. *)
+  List.iter
+    (fun (want, wire) ->
+      Alcotest.(check string) (want ^ ": peek_flow") ("Error " ^ want)
+        (match Packet.Segment.peek_flow wire ~off:0 with
+        | Ok _ -> "Ok"
+        | Error e -> "Error " ^ e))
+    [ ("ipv4: truncated header", Bytes.sub (sample_wire ()) 0 10);
+      ("ipv4: bad version 6", edit (fun w -> Bytes.set_uint8 w 0 0x65));
+      ("ipv4: bad IHL 3", edit (fun w -> Bytes.set_uint8 w 0 0x43));
+      ("segment: not TCP", edit (header (fun w -> Bytes.set_uint8 w 9 17))) ]
 
 let arbitrary_tcp_option =
   QCheck.Gen.(

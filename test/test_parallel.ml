@@ -211,41 +211,6 @@ let test_lookup_batch_matches_per_packet () =
   Alcotest.(check int) "empty batch" 0
     (Parallel.Striped.lookup_batch batched [||])
 
-let test_lookup_batch_keyed_matches_unkeyed () =
-  (* Pre-hashed batches must group, find, and account exactly like the
-     self-hashing batch path, since the keyed path just reuses hashes
-     the dispatcher computed upstream. *)
-  let population = flows 300 in
-  let keyed = Parallel.Striped.create ~chains:19 () in
-  let plain = Parallel.Striped.create ~chains:19 () in
-  Array.iter
-    (fun f ->
-      ignore (Parallel.Striped.insert keyed f ());
-      ignore (Parallel.Striped.insert plain f ()))
-    population;
-  let rng = Numerics.Rng.create ~seed:12 in
-  let burst =
-    Array.init 256 (fun _ -> flow (Numerics.Rng.int rng ~bound:400))
-  in
-  let hashes = Array.map (Parallel.Striped.hash_flow keyed) burst in
-  let found_keyed = Parallel.Striped.lookup_batch_keyed keyed burst ~hashes in
-  let found_plain = Parallel.Striped.lookup_batch plain burst in
-  Alcotest.(check int) "same found count" found_plain found_keyed;
-  let sk = Parallel.Striped.stats keyed in
-  let sp = Parallel.Striped.stats plain in
-  Alcotest.(check int) "same lookups" sp.Demux.Lookup_stats.lookups
-    sk.Demux.Lookup_stats.lookups;
-  Alcotest.(check int) "same examined" sp.Demux.Lookup_stats.pcbs_examined
-    sk.Demux.Lookup_stats.pcbs_examined;
-  Alcotest.(check int) "same batches" sp.Demux.Lookup_stats.batches
-    sk.Demux.Lookup_stats.batches;
-  Alcotest.(check int) "empty batch" 0
-    (Parallel.Striped.lookup_batch_keyed keyed [||] ~hashes:[||]);
-  Alcotest.check_raises "length mismatch rejected"
-    (Invalid_argument "Striped.lookup_batch_keyed: flows/hashes length mismatch")
-    (fun () ->
-      ignore (Parallel.Striped.lookup_batch_keyed keyed burst ~hashes:[| 1 |]))
-
 let test_insert_batch () =
   let d = Parallel.Striped.create ~chains:7 () in
   let entries = Array.init 50 (fun i -> (flow i, i)) in
@@ -538,122 +503,94 @@ let test_pressure_force_and_counters () =
       ("reject", 1) ]
     (Parallel.Pressure.transitions p)
 
+(* The tier policy, offer by offer, on one domain: the ring is the
+   dispatcher's, and the test plays its consumer. *)
 let test_dispatcher_under_pressure () =
-  let population = flows 40 in
-  let stream = Array.concat (List.init 25 (fun _ -> population)) in
-  let total = Array.length stream in
-  (* Forced Reject: the producer refuses every batch before touching a
-     ring, so nothing is delivered and everything is accounted. *)
+  let offered =
+    Alcotest.testable
+      (fun ppf o ->
+        Format.pp_print_string ppf
+          (match o with
+          | Parallel.Dispatcher.Shipped -> "Shipped"
+          | Rejected -> "Rejected"
+          | Dropped -> "Dropped"))
+      ( = )
+  in
+  let offer ?pressure ?spin ?limit ring value =
+    Parallel.Dispatcher.offer ?pressure ?spin ?limit ring value ~packets:8
+  in
+  (* Forced Reject: the batch is refused before the ring is tried, and
+     charged to the controller; the ring is still sampled. *)
   let p = Parallel.Pressure.create () in
   Parallel.Pressure.force p Parallel.Pressure.Reject;
-  let result =
-    Parallel.Dispatcher.run ~pressure:p ~workers:3 ~batch:8
-      ~hash:Parallel.Throughput.hash
-      ~consume:(fun _ batch ~hashes:_ -> Array.length batch)
-      stream
-  in
-  Alcotest.(check int) "all packets offered" total
-    result.Parallel.Dispatcher.packets;
-  Alcotest.(check int) "nothing delivered at Reject" 0
-    (Array.fold_left ( + ) 0 result.Parallel.Dispatcher.per_worker_packets);
-  Alcotest.(check int) "every packet accounted as rejected" total
-    result.Parallel.Dispatcher.rejected_packets;
-  Alcotest.(check int) "controller ledger agrees" total
+  let ring = Parallel.Ring.create ~capacity:4 in
+  let observed = Parallel.Pressure.observations p in
+  Alcotest.check offered "refused at Reject" Parallel.Dispatcher.Rejected
+    (offer ~pressure:p ring 1);
+  Alcotest.check offered "refused again" Parallel.Dispatcher.Rejected
+    (offer ~pressure:p ring 2);
+  Alcotest.(check int) "nothing reached the ring" 0
+    (Parallel.Ring.length ring);
+  Alcotest.(check int) "note_rejected charged every packet" 16
     (Parallel.Pressure.rejected_packets p);
-  (* Forced Drop_batches with a tiny ring: whatever is not delivered
-     must be accounted as tier drops — offered = delivered + lost. *)
+  Alcotest.(check int) "every refusal sampled the ring" (observed + 2)
+    (Parallel.Pressure.observations p);
+  Alcotest.(check int) "nothing dropped" 0
+    (Parallel.Pressure.dropped_batch_packets p);
+  (* Forced Drop_batches: a batch ships while the ring has room and is
+     dropped once it is full, counted as one dropped batch. *)
   let p = Parallel.Pressure.create () in
   Parallel.Pressure.force p Parallel.Pressure.Drop_batches;
-  let result =
-    Parallel.Dispatcher.run ~pressure:p ~workers:2 ~batch:4 ~ring_capacity:1
-      ~hash:Parallel.Throughput.hash
-      ~consume:(fun _ batch ~hashes:_ -> Array.length batch)
-      stream
+  let ring = Parallel.Ring.create ~capacity:2 in
+  Alcotest.check offered "room: shipped" Parallel.Dispatcher.Shipped
+    (offer ~pressure:p ring 1);
+  Alcotest.check offered "room: shipped" Parallel.Dispatcher.Shipped
+    (offer ~pressure:p ring 2);
+  Alcotest.check offered "full ring: dropped" Parallel.Dispatcher.Dropped
+    (offer ~pressure:p ring 3);
+  Alcotest.(check int) "ring unchanged by the drop" 2
+    (Parallel.Ring.length ring);
+  Alcotest.(check int) "note_dropped_batch charged the batch" 8
+    (Parallel.Pressure.dropped_batch_packets p);
+  Alcotest.(check int) "one dropped batch" 1
+    (Parallel.Pressure.dropped_batches p);
+  Alcotest.(check int) "nothing refused" 0
+    (Parallel.Pressure.rejected_packets p);
+  (* [limit] makes the ring full early. *)
+  let ring = Parallel.Ring.create ~capacity:4 in
+  Alcotest.check offered "under the limit: shipped" Parallel.Dispatcher.Shipped
+    (offer ~pressure:p ~limit:1 ring 1);
+  Alcotest.check offered "at the limit: dropped" Parallel.Dispatcher.Dropped
+    (offer ~pressure:p ~limit:1 ring 2);
+  (* Normal: a full ring is backpressure.  The offer spins until the
+     consumer frees a slot, then ships; nothing is charged. *)
+  let p = Parallel.Pressure.create () in
+  Parallel.Pressure.force p Parallel.Pressure.Normal;
+  let ring = Parallel.Ring.create ~capacity:2 in
+  Alcotest.check offered "normal: shipped" Parallel.Dispatcher.Shipped
+    (offer ~pressure:p ring 1);
+  Alcotest.check offered "normal: shipped" Parallel.Dispatcher.Shipped
+    (offer ~pressure:p ring 2);
+  let popped = ref [] in
+  let spin () =
+    match Parallel.Ring.try_pop ring with
+    | Some v -> popped := v :: !popped
+    | None -> ()
   in
-  let delivered =
-    Array.fold_left ( + ) 0 result.Parallel.Dispatcher.per_worker_packets
-  in
-  Alcotest.(check int) "conservation: offered = delivered + lost" total
-    (delivered + Parallel.Dispatcher.lost_packets result);
-  Alcotest.(check int) "tier drops agree with the controller"
-    result.Parallel.Dispatcher.tier_dropped_packets
-    (Parallel.Pressure.dropped_batch_packets p)
-
-(* ------------------------------------------------------------------ *)
-(* Dispatcher pipeline                                                 *)
-
-let test_dispatcher_pipeline () =
-  let population = flows 200 in
-  let d = Parallel.Striped.create ~chains:19 () in
-  Array.iter (fun f -> ignore (Parallel.Striped.insert d f ())) population;
-  (* 5000 packets over 250 flows: 1/5 of the stream misses. *)
-  let rng = Numerics.Rng.create ~seed:3 in
-  let stream = Array.init 5_000 (fun _ -> flow (Numerics.Rng.int rng ~bound:250)) in
-  let expected_found =
-    Array.fold_left
-      (fun n f -> if Parallel.Striped.lookup d f <> None then n + 1 else n)
-      0 stream
-  in
-  let obs = Obs.Registry.create () in
-  let result =
-    Parallel.Dispatcher.run ~obs ~workers:3 ~batch:16
-      ~hash:(Parallel.Striped.hash_flow d)
-      ~consume:(fun _ batch ~hashes ->
-        Parallel.Striped.lookup_batch_keyed d batch ~hashes)
-      stream
-  in
-  Alcotest.(check int) "all packets offered" 5_000
-    result.Parallel.Dispatcher.packets;
-  Alcotest.(check int) "all packets delivered" 5_000
-    (Array.fold_left ( + ) 0 result.Parallel.Dispatcher.per_worker_packets);
-  Alcotest.(check int) "found matches sequential" expected_found
-    result.Parallel.Dispatcher.found;
-  Alcotest.(check int) "lossless by default" 0
-    (Parallel.Dispatcher.lost_packets result);
-  Alcotest.(check bool) "batches sized" true
-    (result.Parallel.Dispatcher.batches
-     >= 5_000 / 16 (* at least ceil per worker *));
-  (* The obs hooks registered and saw every push. *)
-  let metrics = Obs.Registry.snapshot obs in
-  (match Obs.Registry.find metrics "pipeline.batch_size" with
-  | Some { Obs.Registry.data = Obs.Registry.Histogram (summary, _); _ } ->
-    Alcotest.(check int) "one histogram sample per batch"
-      result.Parallel.Dispatcher.batches summary.Obs.Histogram.count
-  | _ -> Alcotest.fail "pipeline.batch_size missing");
-  (match Obs.Registry.find metrics "pipeline.backpressure_drops" with
-  | Some { Obs.Registry.data = Obs.Registry.Counter 0; _ } -> ()
-  | _ -> Alcotest.fail "pipeline.backpressure_drops missing or nonzero");
-  Alcotest.check_raises "workers 0"
-    (Invalid_argument "Dispatcher.start: workers <= 0") (fun () ->
-      ignore
-        (Parallel.Dispatcher.run ~workers:0 ~batch:1
-           ~hash:Parallel.Throughput.hash
-           ~consume:(fun _ _ ~hashes:_ -> 0)
-           stream))
-
-let test_dispatcher_sharding_is_by_flow () =
-  (* Every packet of one flow must land on the same worker: feed a
-     stream where each flow appears many times and check the per-worker
-     totals equal the sum over flows assigned to that worker. *)
-  let hasher = Hashing.Hashers.multiplicative in
-  let workers = 4 in
-  let population = flows 40 in
-  let repeats = 25 in
-  let stream = Array.concat (List.init repeats (fun _ -> population)) in
-  let expected = Array.make workers 0 in
-  Array.iter
-    (fun f ->
-      let w = Hashing.Hashers.bucket_flow hasher ~buckets:workers f in
-      expected.(w) <- expected.(w) + repeats)
-    population;
-  let result =
-    Parallel.Dispatcher.run ~workers ~batch:8
-      ~hash:(Hashing.Hashers.hash_flow hasher)
-      ~consume:(fun _ batch ~hashes:_ -> Array.length batch)
-      stream
-  in
-  Alcotest.(check (array int)) "per-worker counts follow the flow hash"
-    expected result.Parallel.Dispatcher.per_worker_packets
+  Alcotest.check offered "full ring at Normal: shipped after a pop"
+    Parallel.Dispatcher.Shipped
+    (offer ~pressure:p ~spin ring 3);
+  Alcotest.(check (list int)) "the consumer freed one slot" [ 1 ] !popped;
+  Alcotest.(check (list (option int))) "ring order kept"
+    [ Some 2; Some 3; None ]
+    (List.init 3 (fun _ -> Parallel.Ring.try_pop ring));
+  Alcotest.(check (list (pair string int))) "nothing charged at Normal"
+    [ ("shed-new-flows", 0); ("drop-batches", 0); ("reject", 0) ]
+    (Parallel.Pressure.counters p);
+  (* Without a controller every offer ships. *)
+  let ring = Parallel.Ring.create ~capacity:1 in
+  Alcotest.check offered "no controller: shipped" Parallel.Dispatcher.Shipped
+    (offer ring 1)
 
 (* ------------------------------------------------------------------ *)
 (* Throughput harness                                                  *)
@@ -767,15 +704,32 @@ let test_throughput_epoch_table () =
     (result.Parallel.Throughput.lookups_per_second > 0.0);
   Alcotest.(check int) "no backwards clock reads" 0
     result.Parallel.Throughput.clock_went_backwards;
-  (* Batched mode drives lookup_batch under one pin per batch. *)
+  (* Batched mode drives lookup_batch under one pin per batch; with
+     [obs], the run registers its table's own epoch.table.* counters
+     beside the latency histogram. *)
+  let obs = Obs.Registry.create () in
   let batched =
-    Parallel.Throughput.run ~connections:200 ~lookups_per_domain:10_000
+    Parallel.Throughput.run ~obs ~connections:200 ~lookups_per_domain:10_000
       ~batch:8 ~domains:2 Parallel.Throughput.Epoch
   in
   Alcotest.(check int) "batched total" 20_000
     batched.Parallel.Throughput.total_lookups;
   Alcotest.(check int) "batched: no backwards clock reads" 0
-    batched.Parallel.Throughput.clock_went_backwards
+    batched.Parallel.Throughput.clock_went_backwards;
+  let metrics = Obs.Registry.snapshot obs in
+  let counter name =
+    match Obs.Registry.find metrics name with
+    | Some { Obs.Registry.data = Obs.Registry.Counter n; _ } -> n
+    | _ -> Alcotest.fail ("missing counter " ^ name)
+  in
+  Alcotest.(check int) "epoch.table.lookups" 20_000
+    (counter "epoch.table.lookups");
+  Alcotest.(check int) "every lookup found" 20_000
+    (counter "epoch.table.found");
+  Alcotest.(check int) "epoch.table.batches" (2 * (10_000 / 8))
+    (counter "epoch.table.batches");
+  Alcotest.(check bool) "latency histogram registered" true
+    (Obs.Registry.find metrics "parallel.epoch:table.d2.b8.lookup_ns" <> None)
 
 let test_worker_rng () =
   let a = Parallel.Worker_rng.create 5 in
@@ -901,8 +855,6 @@ let () =
       ( "batched",
         [ Alcotest.test_case "lookup_batch = per-packet" `Quick
             test_lookup_batch_matches_per_packet;
-          Alcotest.test_case "keyed batch = unkeyed" `Quick
-            test_lookup_batch_keyed_matches_unkeyed;
           Alcotest.test_case "insert_batch" `Quick test_insert_batch;
           Alcotest.test_case "coarse batch" `Quick test_coarse_batch ] );
       ( "ring",
@@ -919,10 +871,6 @@ let () =
             test_pressure_force_and_counters;
           Alcotest.test_case "dispatcher under forced tiers" `Quick
             test_dispatcher_under_pressure ] );
-      ( "dispatcher",
-        [ Alcotest.test_case "pipeline" `Quick test_dispatcher_pipeline;
-          Alcotest.test_case "sharding by flow" `Quick
-            test_dispatcher_sharding_is_by_flow ] );
       ( "throughput",
         [ Alcotest.test_case "smoke" `Quick test_throughput_smoke;
           Alcotest.test_case "batched mode" `Quick test_throughput_batched;
