@@ -612,7 +612,10 @@ let e29_measure ~trials ~lookups n =
     population;
   let run_chained count =
     for k = 0 to count - 1 do
-      ignore (Demux.Sequent.lookup_pcb chained population.(order.(k)))
+      let f = population.(order.(k)) in
+      ignore
+        (Demux.Sequent.lookup chained Demux.Types.Data ~w0:(Packet.Flow.w0 f)
+           ~w1:(Packet.Flow.w1 f))
     done
   in
   let run_flat count =
@@ -1805,7 +1808,10 @@ let e37_run ~smoke =
         attach stats;
         let run count =
           for k = 0 to count - 1 do
-            ignore (demux.Demux.Registry.lookup flows.(order.(k)))
+            let f = flows.(order.(k)) in
+            ignore
+              (demux.Demux.Registry.lookup Demux.Types.Data
+                 ~w0:(Packet.Flow.w0 f) ~w1:(Packet.Flow.w1 f))
           done
         in
         Demux.Lookup_stats.reset stats;

@@ -33,15 +33,19 @@ let () =
     (String.length segment.Packet.Segment.payload);
 
   (* Receive path: parse (checksums verified), build the 96-bit flow
-     key, demultiplex. *)
+     key, demultiplex on its two packed words. *)
   (match Packet.Segment.parse wire ~off:0 with
   | Error message -> failwith message
   | Ok received -> (
     let flow = Packet.Segment.flow received in
     Format.printf "flow key: %a@." Packet.Flow.pp flow;
-    match demux.Demux.Registry.lookup flow with
-    | Some pcb -> Format.printf "matched %a@." Demux.Pcb.pp pcb
-    | None -> print_endline "no PCB (would send RST)"));
+    match
+      demux.Demux.Registry.lookup
+        (Demux.Types.kind_of_segment received)
+        ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow)
+    with
+    | pcb -> Format.printf "matched %a@." Demux.Pcb.pp pcb
+    | exception Not_found -> print_endline "no PCB (would send RST)"));
 
   (* The accounting every algorithm shares. *)
   Format.printf "@.%a@." Demux.Lookup_stats.pp_snapshot
@@ -49,6 +53,8 @@ let () =
 
   (* The same lookup again now hits the chain's one-entry cache. *)
   let flow2 = Packet.Flow.v ~local:server ~remote:(client 2) in
-  ignore (demux.Demux.Registry.lookup flow2);
+  ignore
+    (demux.Demux.Registry.lookup Demux.Types.Data ~w0:(Packet.Flow.w0 flow2)
+       ~w1:(Packet.Flow.w1 flow2));
   Format.printf "@.after a repeat lookup:@.%a@." Demux.Lookup_stats.pp_snapshot
     (Demux.Lookup_stats.snapshot demux.Demux.Registry.stats)

@@ -288,14 +288,23 @@ exception Stop of Diff.mismatch
 
 let flow_str = Packet.Flow.to_string
 
-(* [fail step fmt]: stop the audit at replay index [step]. *)
-let fail (r : result) step fmt =
+(* [fail r step op fmt]: stop the audit at replay index [step], on
+   [op], or at quiesce when [op] is [None]. *)
+let fail (r : result) step op fmt =
   Printf.ksprintf
     (fun what ->
-      raise
-        (Stop
-           { Diff.subject = scenario_name r.scenario; step; op = None; what }))
+      raise (Stop { Diff.subject = scenario_name r.scenario; step; op; what }))
     fmt
+
+(* A chaos op as the differential checker's op on the same flow. *)
+let diff_op { kind; flow; _ } =
+  let kind =
+    match kind with
+    | Insert -> Op.Insert
+    | Lookup -> Op.Lookup
+    | Remove -> Op.Remove
+  in
+  Some { Op.kind; flow }
 
 (* Each flow's ops come from one worker's log, or the replay below
    would interleave them in an order no worker saw. *)
@@ -312,7 +321,7 @@ let check_owners (r : result) =
           | None -> Hashtbl.add owner key w
           | Some first when first = w -> ()
           | Some first ->
-            fail r !step "ops on %s applied by workers %d and %d"
+            fail r !step (diff_op op) "ops on %s applied by workers %d and %d"
               (flow_str op.flow) first w)
         log)
     r.logs
@@ -324,9 +333,9 @@ let check_owners (r : result) =
 let replay (r : result) oracle (exp : Diff.counts) =
   let step = ref (-1) in
   Array.iter
-    (Array.iter (fun { op = { flow; payload; _ }; outcome } ->
+    (Array.iter (fun { op = { flow; payload; _ } as op; outcome } ->
          incr step;
-         let fail fmt = fail r !step fmt in
+         let fail fmt = fail r !step (diff_op op) fmt in
          match outcome with
          | Inserted ->
            if Oracle.mem oracle flow then
@@ -371,7 +380,7 @@ let replay (r : result) oracle (exp : Diff.counts) =
 
 let audit (r : result) =
   let applied = applied r.logs in
-  let quiesce fmt = fail r applied fmt in
+  let quiesce fmt = fail r applied None fmt in
   let oracle = Oracle.create () in
   let exp = Diff.counts () in
   try

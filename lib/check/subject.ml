@@ -26,7 +26,12 @@ let of_registry ?guard (demux : int Demux.Registry.t) =
       (fun flow -> Option.map pcb_pair (demux.Demux.Registry.remove flow));
     lookup =
       (fun ~kind flow ->
-        Option.map pcb_pair (demux.Demux.Registry.lookup ~kind flow));
+        match
+          demux.Demux.Registry.lookup kind ~w0:(Packet.Flow.w0 flow)
+            ~w1:(Packet.Flow.w1 flow)
+        with
+        | pcb -> Some (pcb_pair pcb)
+        | exception Not_found -> None);
     note_send = demux.Demux.Registry.note_send;
     stats = (fun () -> Demux.Lookup_stats.snapshot demux.Demux.Registry.stats);
     length = demux.Demux.Registry.length;
@@ -164,15 +169,6 @@ let flat_registry () : int Demux.Registry.t =
   let stats = Demux.Lookup_stats.create () in
   let next_id = ref 0 in
   let words flow = (Packet.Flow.w0 flow, Packet.Flow.w1 flow) in
-  let lookup ?kind:_ flow =
-    let w0, w1 = words flow in
-    Demux.Lookup_stats.begin_lookup stats;
-    Demux.Lookup_stats.examine stats;
-    let result = Demux.Flat_table.find_opt table ~w0 ~w1 in
-    Demux.Lookup_stats.end_lookup stats ~hit_cache:false
-      ~found:(result <> None);
-    result
-  in
   { name = "flat-table";
     insert =
       (fun flow v ->
@@ -193,8 +189,17 @@ let flat_registry () : int Demux.Registry.t =
           Demux.Flat_table.remove table ~w0 ~w1;
           Demux.Lookup_stats.note_remove stats;
           removed);
-    lookup;
-    lookup_words = Demux.Registry.lookup_words_of lookup;
+    lookup =
+      (fun _ ~w0 ~w1 ->
+        Demux.Lookup_stats.begin_lookup stats;
+        Demux.Lookup_stats.examine stats;
+        match Demux.Flat_table.find table ~w0 ~w1 with
+        | pcb ->
+          Demux.Lookup_stats.end_lookup stats ~hit_cache:false ~found:true;
+          pcb
+        | exception Not_found ->
+          Demux.Lookup_stats.end_lookup stats ~hit_cache:false ~found:false;
+          raise Not_found);
     note_send = (fun _ -> ());
     stats;
     length = (fun () -> Demux.Flat_table.length table);

@@ -6,7 +6,6 @@ type 'a t = {
   mutable population : int;
 }
 
-
 let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Conn_id.create: capacity <= 0";
   { slots = Array.make capacity None;
@@ -33,23 +32,6 @@ let connection_id t flow =
   Packed_table.Heap.find_opt t.ids ~w0:(Packet.Flow.w0 flow)
     ~w1:(Packet.Flow.w1 flow)
 
-let lookup_by_id t ?kind:_ id =
-  Lookup_stats.begin_lookup t.stats;
-  if id < 0 || id >= Array.length t.slots then begin
-    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-    None
-  end
-  else begin
-    Lookup_stats.examine t.stats;
-    match t.slots.(id) with
-    | Some _ as found ->
-      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-      found
-    | None ->
-      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-      None
-  end
-
 let remove t flow =
   let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   match Packed_table.Heap.find t.ids ~w0 ~w1 with
@@ -63,18 +45,23 @@ let remove t flow =
     Lookup_stats.note_remove t.stats;
     pcb
 
-let lookup t ?kind flow =
-  (* The ID travels in the packet header; translating flow -> ID here
-     stands in for reading those header bits and is not charged. *)
-  match
-    Packed_table.Heap.find t.ids ~w0:(Packet.Flow.w0 flow)
-      ~w1:(Packet.Flow.w1 flow)
-  with
-  | id -> lookup_by_id t ?kind id
+(* The ID travels in the packet header; translating the words to an ID
+   here stands in for reading those header bits and is not charged.
+   Indexing the slot array is the one examination. *)
+let lookup t _ ~w0 ~w1 =
+  Lookup_stats.begin_lookup t.stats;
+  match Packed_table.Heap.find t.ids ~w0 ~w1 with
+  | id -> (
+    Lookup_stats.examine t.stats;
+    (* The index and the slots move in lockstep. *)
+    match t.slots.(id) with
+    | Some pcb ->
+      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
+      pcb
+    | None -> assert false)
   | exception Not_found ->
-    Lookup_stats.begin_lookup t.stats;
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-    None
+    raise Not_found
 
 let note_send _ _ = ()
 

@@ -8,10 +8,10 @@
     module exists to quantify the gap (experiment E18).
 
     Connection IDs are assigned at {!insert} from a free list and
-    recycled on {!remove}.  {!lookup} by flow models the header
-    carrying the ID: it resolves the ID without charge (in the real
-    protocol the bits are in the packet) and charges exactly the one
-    direct array access. *)
+    recycled on {!remove}.  {!lookup} models the header carrying the
+    ID: it resolves the flow's words to the ID without charge (in the
+    real protocol the bits are in the packet) and charges exactly the
+    one direct array access. *)
 
 type 'a t
 
@@ -25,6 +25,3 @@ val create : ?capacity:int -> unit -> 'a t
 val connection_id : 'a t -> Packet.Flow.t -> int option
 (** The negotiated ID for a flow, as the peer would learn it during
     connection setup. *)
-
-val lookup_by_id : 'a t -> ?kind:Types.packet_kind -> int -> 'a Pcb.t option
-(** The real protocol's receive path: one examination. *)

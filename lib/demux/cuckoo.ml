@@ -51,23 +51,22 @@ let insert t flow data =
   Lookup_stats.note_insert t.stats;
   pcb
 
-let lookup t ?kind:_ flow =
-  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
+let lookup t _ ~w0 ~w1 =
   Lookup_stats.begin_lookup t.stats;
   match Table.find t.table ~w0 ~w1 with
-  | id ->
+  | id -> (
     Lookup_stats.charge t.stats (Table.last_probes t.table);
-    (* A hit hands back the slot's own option cell. *)
-    let found = t.slots.(id) in
     (* The table and the side store move in lockstep; a dangling
        index is a bug, not a miss. *)
-    assert (Option.is_some found);
-    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-    found
+    match t.slots.(id) with
+    | Some pcb ->
+      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
+      pcb
+    | None -> assert false)
   | exception Not_found ->
     Lookup_stats.charge t.stats (Table.last_probes t.table);
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-    None
+    raise Not_found
 
 let remove t flow =
   let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in

@@ -47,6 +47,10 @@ let tick t =
 
 let unlink t flow = ignore (Sequent.remove t.shadow flow)
 
+let home_chain t flow =
+  (Sequent.home t.shadow ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow))
+    .Sequent.chain
+
 (* The least recently touched flow across all shadow chains.  Each
    chain keeps recency order, so only the tails compete: O(chains). *)
 let global_lru t =
@@ -67,7 +71,7 @@ let global_lru t =
 let admit t flow =
   if Sequent.mem t.shadow flow then `Admit [] (* duplicate: inner decides *)
   else
-    let chain = (Sequent.home t.shadow flow).Sequent.chain in
+    let chain = home_chain t flow in
     let chain_full = Chain.length chain >= t.cfg.max_chain in
     let total_full = tracked t >= t.cfg.max_total in
     match t.cfg.policy with
@@ -96,6 +100,6 @@ let note_touched t flow =
   | None -> ()
   | Some node ->
     (Chain.pcb node).Pcb.data.tick <- tick t;
-    Chain.move_to_front (Sequent.home t.shadow flow).Sequent.chain node
+    Chain.move_to_front (home_chain t flow) node
 
 let note_removed t flow = unlink t flow

@@ -32,15 +32,14 @@ let remove t flow =
   ignore (Sequent.remove t.cache flow);
   Sequent.remove t.store flow
 
-let lookup t ?kind:_ flow =
+let lookup t _ ~w0 ~w1 =
   let stats = Sequent.stats t.store in
   Lookup_stats.begin_lookup stats;
-  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   match Chain.scan (cache_chain t) ~stats ~w0 ~w1 with
   | Some cache_node ->
     Chain.move_to_front (cache_chain t) cache_node;
-    let node = (Chain.pcb cache_node).Pcb.data in
-    Sequent.finish t.store ~hit_cache:true (Some node)
+    Lookup_stats.end_lookup stats ~hit_cache:true ~found:true;
+    Chain.pcb (Chain.pcb cache_node).Pcb.data
   | None -> (
     let list = (Sequent.bucket t.store 0).Sequent.chain in
     match Chain.scan list ~stats ~w0 ~w1 with

@@ -99,29 +99,12 @@ type 'a t = {
   name : string;
   insert : Packet.Flow.t -> 'a -> 'a Pcb.t;
   remove : Packet.Flow.t -> 'a Pcb.t option;
-  lookup : ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option;
-  lookup_words : Types.packet_kind -> w0:int -> w1:int -> 'a Pcb.t;
+  lookup : Types.packet_kind -> w0:int -> w1:int -> 'a Pcb.t;
   note_send : Packet.Flow.t -> unit;
   stats : Lookup_stats.t;
   length : unit -> int;
   iter : ('a Pcb.t -> unit) -> unit;
 }
-
-(* [lookup] takes [kind] as an optional argument; handing it one of
-   these preallocated cells keeps a words lookup from boxing a
-   [Some kind] per call. *)
-let some_data = Some Types.Data
-let some_pure_ack = Some Types.Pure_ack
-
-let lookup_words_of
-    (lookup : ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option)
-    kind ~w0 ~w1 =
-  let kind =
-    match kind with Types.Data -> some_data | Types.Pure_ack -> some_pure_ack
-  in
-  match lookup ?kind (Packet.Flow.of_words ~w0 ~w1) with
-  | Some pcb -> pcb
-  | None -> raise Not_found
 
 (* Chain geometry the guard must mirror so its shadow chains agree
    with the guarded algorithm's real ones; list-shaped tables are one
@@ -145,12 +128,10 @@ let guard_config = function
 let guard config inner =
   let g = Guarded.create config in
   let stats = inner.stats in
-  let lookup ?kind flow =
-    match inner.lookup ?kind flow with
-    | Some _ as found ->
-      Guarded.note_touched g flow;
-      found
-    | None -> None
+  let lookup kind ~w0 ~w1 =
+    let pcb = inner.lookup kind ~w0 ~w1 in
+    Guarded.note_touched g pcb.Pcb.flow;
+    pcb
   in
   let evict flow =
     match inner.remove flow with
@@ -179,18 +160,18 @@ let guard config inner =
           removed
         | None -> None);
     lookup;
-    lookup_words = lookup_words_of lookup;
     note_send = inner.note_send;
     stats;
     length = inner.length;
     iter = inner.iter }
 
-(* Erase one table behind the record of closures. *)
+(* Erase one table behind the record of closures.  [lookup] is the
+   stack's per-datagram call: written as a full application, it is one
+   closure call into the table's own lookup. *)
 module Erase (D : Types.TABLE) = struct
   let make name d =
-    let lookup ?kind flow = D.lookup d ?kind flow in
-    { name; insert = D.insert d; remove = D.remove d; lookup;
-      lookup_words = lookup_words_of lookup;
+    { name; insert = D.insert d; remove = D.remove d;
+      lookup = (fun kind ~w0 ~w1 -> D.lookup d kind ~w0 ~w1);
       note_send = D.note_send d; stats = D.stats d;
       length = (fun () -> D.length d); iter = (fun f -> D.iter f d) }
 end
@@ -205,19 +186,15 @@ module Splay_e = Erase (Splay)
 module Lru_cache_e = Erase (Lru_cache)
 module Cuckoo_e = Erase (Cuckoo)
 
-(* Sequent's store answers the words itself, allocating nothing. *)
-let sequent name d =
-  { (Sequent_e.make name d) with
-    lookup_words = (fun _ ~w0 ~w1 -> Sequent.lookup_words d ~w0 ~w1) }
-
 let rec create spec =
   let n = spec_name spec in
   match spec with
   | Linear -> Linear_e.make n (Linear.create ())
-  | Bsd -> sequent n (Sequent.create ~chains:1 ())
+  | Bsd -> Sequent_e.make n (Sequent.create ~chains:1 ())
   | Mtf -> Mtf_e.make n (Mtf.create ())
   | Sr_cache -> Sr_cache_e.make n (Sr_cache.create ())
-  | Sequent { chains; hasher } -> sequent n (Sequent.create ~chains ~hasher ())
+  | Sequent { chains; hasher } ->
+    Sequent_e.make n (Sequent.create ~chains ~hasher ())
   | Hashed_mtf { chains; hasher } -> Mtf_e.make n (Mtf.create ~chains ~hasher ())
   | Conn_id { capacity } -> Conn_id_e.make n (Conn_id.create ~capacity ())
   | Resizing_hash -> Resizing_hash_e.make n (Resizing_hash.create ())

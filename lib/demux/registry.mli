@@ -50,29 +50,20 @@ type 'a t = {
   name : string;
   insert : Packet.Flow.t -> 'a -> 'a Pcb.t;
   remove : Packet.Flow.t -> 'a Pcb.t option;
-  lookup : ?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option;
-  lookup_words : Types.packet_kind -> w0:int -> w1:int -> 'a Pcb.t;
-      (** [lookup] of the flow whose packed words
-          ({!Packet.Flow.w0}, {!Packet.Flow.w1}) are [w0] and [w1],
-          for a receive path that reads them in place: the PCB, or
-          [Not_found] on a miss.  It charges {!Lookup_stats} exactly
-          as [lookup] does.  For ["sequent-H"] and ["bsd"] it is
-          {!Sequent.lookup_words} and allocates nothing; every other
-          table answers through [lookup] ({!lookup_words_of}). *)
+  lookup : Types.packet_kind -> w0:int -> w1:int -> 'a Pcb.t;
+      (** The one lookup, on words: the algorithm's own
+          {!Types.TABLE.lookup} of the flow whose packed words
+          ({!Packet.Flow.w0}, {!Packet.Flow.w1}) are [w0] and [w1], as
+          the stack reads them in place.  It charges {!Lookup_stats}
+          and raises [Not_found] on a miss.  A warm lookup allocates
+          nothing, hit or miss, under every spec but ["splay"].  A
+          caller holding a {!Packet.Flow.t} passes its words. *)
   note_send : Packet.Flow.t -> unit;
   stats : Lookup_stats.t;
   length : unit -> int;
   iter : ('a Pcb.t -> unit) -> unit;
 }
 (** One instantiated demultiplexer. *)
-
-val lookup_words_of :
-  (?kind:Types.packet_kind -> Packet.Flow.t -> 'a Pcb.t option) ->
-  Types.packet_kind -> w0:int -> w1:int -> 'a Pcb.t
-(** [lookup_words_of lookup] is a [lookup_words] field for a table
-    whose [lookup] is [lookup]: it builds the flow with
-    {!Packet.Flow.of_words}, and raises [Not_found] where [lookup]
-    answers [None]. *)
 
 val create : spec -> 'a t
 (** Instantiate an algorithm.

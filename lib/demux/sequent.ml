@@ -29,19 +29,16 @@ let chains t = Array.length t.buckets
 
 (* Allocation-free: hashes the packed words instead of serialising a
    fresh 12-byte key per packet. *)
-let home_words t ~w0 ~w1 =
+let home t ~w0 ~w1 =
   t.buckets.(Hashing.Hashers.bucket_words t.hasher
                ~buckets:(Array.length t.buckets) w0 w1)
-
-let home t flow =
-  home_words t ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow)
 
 let bucket t i = t.buckets.(i)
 
 (* Push [pcb] onto the head of its home chain and (re)index it. *)
 let link t pcb ~w0 ~w1 =
   Flat_table.replace t.index ~w0 ~w1
-    (Chain.push_front (home_words t ~w0 ~w1).chain pcb)
+    (Chain.push_front (home t ~w0 ~w1).chain pcb)
 
 let insert t flow data =
   let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
@@ -70,7 +67,7 @@ let remove t flow =
   match Flat_table.find_opt t.index ~w0 ~w1 with
   | None -> None
   | Some node ->
-    let bucket = home_words t ~w0 ~w1 in
+    let bucket = home t ~w0 ~w1 in
     (match bucket.cache with
     | Some cached when cached == node -> bucket.cache <- None
     | Some _ | None -> ());
@@ -82,17 +79,17 @@ let remove t flow =
 let finish t ~hit_cache = function
   | Some node ->
     Lookup_stats.end_lookup t.stats ~hit_cache ~found:true;
-    Some (Chain.pcb node)
+    Chain.pcb node
   | None ->
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-    None
+    raise Not_found
 
 (* Sequent's policy.  It stays in this module, next to the store,
    because the stack's receive path runs it on every datagram and a
    helper in another module would be a real call there. *)
 
 (* Cache missed (or was cold): scan the chain.  Shared miss
-   continuation for [lookup_words]. *)
+   continuation for [lookup]. *)
 let scan_chain t bucket ~w0 ~w1 =
   match Chain.scan bucket.chain ~stats:t.stats ~w0 ~w1 with
   | Some node as found ->
@@ -104,9 +101,9 @@ let scan_chain t bucket ~w0 ~w1 =
     Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
     raise Not_found
 
-let lookup_words t ~w0 ~w1 =
+let lookup t _ ~w0 ~w1 =
   Lookup_stats.begin_lookup t.stats;
-  let bucket = home_words t ~w0 ~w1 in
+  let bucket = home t ~w0 ~w1 in
   match bucket.cache with
   | Some node ->
     Lookup_stats.examine t.stats;
@@ -116,14 +113,6 @@ let lookup_words t ~w0 ~w1 =
     end
     else scan_chain t bucket ~w0 ~w1
   | None -> scan_chain t bucket ~w0 ~w1
-
-let lookup_pcb t flow =
-  lookup_words t ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow)
-
-let lookup t ?kind:_ flow =
-  match lookup_pcb t flow with
-  | pcb -> Some pcb
-  | exception Not_found -> None
 
 let mem t flow =
   Flat_table.mem t.index ~w0:(Packet.Flow.w0 flow) ~w1:(Packet.Flow.w1 flow)

@@ -25,6 +25,9 @@
 type 'a t
 
 include Types.TABLE with type 'a t := 'a t
+(** [lookup] ignores its kind.  It is the stack's per-datagram call,
+    and allocates nothing, hit or miss (asserted by
+    [Gc.minor_words] tests). *)
 
 val default_chains : int
 (** 19, the paper's installation default. *)
@@ -33,19 +36,6 @@ val create : ?chains:int -> ?hasher:Hashing.Hashers.t -> unit -> 'a t
 (** An empty store of [chains] chains.  Defaults: [chains = 19],
     [hasher = Hashing.Hashers.multiplicative].
     @raise Invalid_argument if [chains <= 0]. *)
-
-val lookup_pcb : 'a t -> Packet.Flow.t -> 'a Pcb.t
-(** Exception-style lookup: like {!lookup} but raising [Not_found] on
-    a miss instead of boxing the result in an option.  A hit performs
-    zero minor-heap allocations (asserted by a [Gc.minor_words] test),
-    which is why the hot receive path prefers it.  Accounting is
-    identical to {!lookup}. *)
-
-val lookup_words : 'a t -> w0:int -> w1:int -> 'a Pcb.t
-(** {!lookup_pcb} of the flow whose packed words ({!Packet.Flow.w0},
-    {!Packet.Flow.w1}) are [w0] and [w1], for a receive path that reads
-    the words in place and builds no {!Packet.Flow.t}.  Allocates
-    nothing, hit or miss. *)
 
 val chains : 'a t -> int
 (** [H], the current chain count. *)
@@ -63,17 +53,19 @@ type 'a bucket = {
           leaves. *)
 }
 
-val home : 'a t -> Packet.Flow.t -> 'a bucket
-(** The bucket a flow hashes to.  Allocation-free. *)
+val home : 'a t -> w0:int -> w1:int -> 'a bucket
+(** The bucket the flow with packed words [w0], [w1] hashes to.
+    Allocation-free. *)
 
 val bucket : 'a t -> int -> 'a bucket
 (** Bucket [i], [0 <= i < chains t]. *)
 
-val finish : 'a t -> hit_cache:bool -> 'a Chain.node option -> 'a Pcb.t option
+val finish : 'a t -> hit_cache:bool -> 'a Chain.node option -> 'a Pcb.t
 (** Close a lookup the policy opened with {!Lookup_stats.begin_lookup}
     on {!stats}: count the outcome in the ledger and return the PCB
-    found, if any.  Pass a chain's or cache slot's own option cell, so
-    nothing but the result is allocated. *)
+    found.  Pass a chain's or cache slot's own option cell, so nothing
+    is allocated.
+    @raise Not_found when the lookup found nothing. *)
 
 val mem : 'a t -> Packet.Flow.t -> bool
 

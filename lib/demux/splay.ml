@@ -128,22 +128,20 @@ let remove t flow =
       None
     end
 
-let lookup t ?kind:_ flow =
+(* The tree keeps {!Packet.Flow.compare} order, so a lookup builds the
+   flow its words name. *)
+let lookup t _ ~w0 ~w1 =
+  let flow = Packet.Flow.of_words ~w0 ~w1 in
   Lookup_stats.begin_lookup t.stats;
   match splay_charged t flow t.root with
-  | Leaf ->
-    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-    None
-  | Node (_, v, _) as root ->
+  | Node (_, v, _) as root when Packet.Flow.equal v.Pcb.flow flow ->
     t.root <- root;
-    if Packet.Flow.equal v.Pcb.flow flow then begin
-      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
-      Some v
-    end
-    else begin
-      Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
-      None
-    end
+    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:true;
+    v
+  | root ->
+    t.root <- root;
+    Lookup_stats.end_lookup t.stats ~hit_cache:false ~found:false;
+    raise Not_found
 
 let note_send t flow = t.root <- splay_uncharged t flow t.root
 

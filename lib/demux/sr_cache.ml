@@ -32,10 +32,9 @@ let refill t list ~hit_cache found =
   | None -> ());
   Sequent.finish t.store ~hit_cache found
 
-let lookup t ?(kind = Types.Data) flow =
+let lookup t kind ~w0 ~w1 =
   let stats = Sequent.stats t.store in
   Lookup_stats.begin_lookup stats;
-  let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   let list = list t in
   let first, second =
     match kind with

@@ -18,8 +18,8 @@
 type 'a t
 
 include Types.TABLE with type 'a t := 'a t
-(** [lookup]'s [kind] defaults to [Data]; a successful lookup installs
-    the PCB in the receive-side cache.  [note_send] installs the
+(** [lookup]'s [kind] picks the cache side probed first; a successful
+    lookup installs the PCB in the receive-side cache.  [note_send] installs the
     flow's PCB in the send-side cache.  Removing a cached PCB
     invalidates that cache side. *)
 

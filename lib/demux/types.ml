@@ -14,7 +14,7 @@ module type TABLE = sig
 
   val insert : 'a t -> Packet.Flow.t -> 'a -> 'a Pcb.t
   val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
-  val lookup : 'a t -> ?kind:packet_kind -> Packet.Flow.t -> 'a Pcb.t option
+  val lookup : 'a t -> packet_kind -> w0:int -> w1:int -> 'a Pcb.t
   val note_send : 'a t -> Packet.Flow.t -> unit
   val stats : 'a t -> Lookup_stats.t
   val length : 'a t -> int

@@ -26,9 +26,15 @@ module type TABLE = sig
 
   val remove : 'a t -> Packet.Flow.t -> 'a Pcb.t option
 
-  val lookup : 'a t -> ?kind:packet_kind -> Packet.Flow.t -> 'a Pcb.t option
-  (** The metered receive path: every PCB compared is charged to
-      {!stats}.  Only {!Sr_cache} reads [kind] (default [Data]). *)
+  val lookup : 'a t -> packet_kind -> w0:int -> w1:int -> 'a Pcb.t
+  (** The metered receive path, and the one lookup: the PCB of the
+      flow whose packed words ({!Packet.Flow.w0}, {!Packet.Flow.w1})
+      are [w0] and [w1], as a receive path reads them in place.  Every
+      PCB compared is charged to {!stats}.  Only {!Sr_cache} reads
+      [kind].  A lookup allocates nothing, hit or miss, but in
+      {!Splay}, whose rotations rebuild its nodes, and when
+      {!Lru_cache} admits a flow to its cache.
+      @raise Not_found on a miss. *)
 
   val note_send : 'a t -> Packet.Flow.t -> unit
   (** A segment was sent on the flow.  Uncharged: the sender already

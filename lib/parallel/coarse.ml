@@ -10,10 +10,18 @@ let locked t f =
 let insert t flow data = locked t (fun () -> t.demux.Demux.Registry.insert flow data)
 let remove t flow = locked t (fun () -> t.demux.Demux.Registry.remove flow)
 
-let lookup t ?kind flow =
-  locked t (fun () -> t.demux.Demux.Registry.lookup ?kind flow)
+(* The table's one lookup is on words; a caller here holds flows. *)
+let find t kind flow =
+  t.demux.Demux.Registry.lookup kind ~w0:(Packet.Flow.w0 flow)
+    ~w1:(Packet.Flow.w1 flow)
 
-let lookup_batch t ?kind flows =
+let lookup t ?(kind = Demux.Types.Data) flow =
+  locked t (fun () ->
+      match find t kind flow with
+      | pcb -> Some pcb
+      | exception Not_found -> None)
+
+let lookup_batch t ?(kind = Demux.Types.Data) flows =
   if Array.length flows = 0 then 0
   else
     locked t (fun () ->
@@ -21,9 +29,9 @@ let lookup_batch t ?kind flows =
           ~size:(Array.length flows);
         Array.fold_left
           (fun found flow ->
-            match t.demux.Demux.Registry.lookup ?kind flow with
-            | Some _ -> found + 1
-            | None -> found)
+            match find t kind flow with
+            | _ -> found + 1
+            | exception Not_found -> found)
           0 flows)
 
 let insert_batch t entries =

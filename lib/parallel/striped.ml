@@ -80,9 +80,17 @@ let remove t flow =
         removed
       | None -> None)
 
+(* A stripe's store ignores the kind, and its one lookup is on words. *)
+let find stripe flow =
+  Demux.Sequent.lookup stripe.store Demux.Types.Data ~w0:(Packet.Flow.w0 flow)
+    ~w1:(Packet.Flow.w1 flow)
+
 let lookup t ?kind:_ flow =
   let stripe = stripe_of_flow t flow in
-  with_stripe stripe (fun () -> Demux.Sequent.lookup stripe.store flow)
+  with_stripe stripe (fun () ->
+      match find stripe flow with
+      | pcb -> Some pcb
+      | exception Not_found -> None)
 
 (* Batched operations visit each stripe once: a counting sort groups
    the batch's indices by stripe (O(batch + chains), no comparisons),
@@ -123,9 +131,7 @@ let lookup_batch t ?kind:_ flows =
             Demux.Lookup_stats.note_batch (Demux.Sequent.stats stripe.store)
               ~size:(hi - lo);
             for k = lo to hi - 1 do
-              match
-                Demux.Sequent.lookup_pcb stripe.store flows.(order.(k))
-              with
+              match find stripe flows.(order.(k)) with
               | _ -> incr found
               | exception Not_found -> ()
             done)

@@ -36,12 +36,15 @@ let examined_so_far t =
 
 let lookup t ~kind flow =
   let before = examined_so_far t in
-  match t.demux.Demux.Registry.lookup ~kind flow with
-  | None ->
+  match
+    t.demux.Demux.Registry.lookup kind ~w0:(Packet.Flow.w0 flow)
+      ~w1:(Packet.Flow.w1 flow)
+  with
+  | exception Not_found ->
     failwith
       (Printf.sprintf "Meter.lookup: no PCB for flow %s"
          (Packet.Flow.to_string flow))
-  | Some _ ->
+  | _ ->
     if t.measuring then
       Numerics.Stats.add (accumulator t kind)
         (float_of_int (examined_so_far t - before))

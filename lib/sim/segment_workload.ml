@@ -7,18 +7,15 @@ type config = {
   close_after : bool;
   interleave : interleave;
   seed : int;
-  server_iss : Packet.Flow.t -> int32;
 }
 
 let config ?(requests_per_client = 4) ?(payload = 64) ?(close_after = false)
-    ?(interleave = Round_robin) ?(seed = 42)
-    ?(server_iss = Tcpcore.Stack.deterministic_iss) ~clients () =
+    ?(interleave = Round_robin) ?(seed = 42) ~clients () =
   if clients <= 0 then invalid_arg "Segment_workload.config: clients <= 0";
   if payload <= 0 then invalid_arg "Segment_workload.config: payload <= 0";
   if requests_per_client < 0 then
     invalid_arg "Segment_workload.config: requests_per_client < 0";
-  { clients; requests_per_client; payload; close_after; interleave; seed;
-    server_iss }
+  { clients; requests_per_client; payload; close_after; interleave; seed }
 
 type trace = {
   datagrams : bytes array;
@@ -39,7 +36,7 @@ let client_iss flow = Tcpcore.Stack.deterministic_iss (Packet.Flow.reverse flow)
 let flow_segments cfg flow =
   let src = flow.Packet.Flow.remote and dst = flow.Packet.Flow.local in
   let c_iss = client_iss flow in
-  let s_ack = Int32.add (cfg.server_iss flow) 1l in
+  let s_ack = Int32.add (Tcpcore.Stack.deterministic_iss flow) 1l in
   let seg ?payload ~flags ~seq ~ack_number () =
     Packet.Segment.make ?payload ~flags ~seq ~ack_number ~src ~dst ()
   in

@@ -12,10 +12,9 @@
     The trace is pure data, computed before the run, so it can be
     replayed identically into one stack or sharded across N — which
     requires knowing the server's SYN-ACK sequence number in advance.
-    That is what [server_iss] provides: give the server stacks the
-    same per-flow function (e.g. [Tcpcore.Stack.deterministic_iss],
-    the default) and every client acknowledgement in the trace is
-    exactly right. *)
+    The generator takes it from [Tcpcore.Stack.deterministic_iss]:
+    give the server stacks that function as their [~iss] and every
+    client acknowledgement in the trace is exactly right. *)
 
 type interleave =
   | Sequential   (** All of flow 0's segments, then flow 1's, ... *)
@@ -31,18 +30,13 @@ type config = {
   close_after : bool;          (** End each flow with a client FIN. *)
   interleave : interleave;
   seed : int;                  (** Only consulted by [Shuffled]. *)
-  server_iss : Packet.Flow.t -> int32;
-      (** The server's ISS for a (server-view) flow; must match the
-          consuming stack's [~iss] for acknowledgement numbers in the
-          trace to be acceptable. *)
 }
 
 val config :
   ?requests_per_client:int -> ?payload:int -> ?close_after:bool ->
-  ?interleave:interleave -> ?seed:int ->
-  ?server_iss:(Packet.Flow.t -> int32) -> clients:int -> unit -> config
+  ?interleave:interleave -> ?seed:int -> clients:int -> unit -> config
 (** Defaults: 4 requests of 64 bytes, no close, [Round_robin],
-    seed 42, [Tcpcore.Stack.deterministic_iss].
+    seed 42.
     @raise Invalid_argument on non-positive clients or payload, or
     negative request count. *)
 
@@ -58,7 +52,8 @@ type trace = {
 val generate : config -> trace
 (** Build the trace.  Per client: SYN; ACK of the server's SYN-ACK;
     [requests_per_client] data segments; optionally FIN.  A server
-    stack replaying this (with the matching [~iss]) ends with every
+    stack replaying this (with [Tcpcore.Stack.deterministic_iss] as
+    its [~iss]) ends with every
     flow [Established] ([Close_wait] after a client FIN) and
     [bytes_in = payload_bytes_per_flow] — the conservation oracle the
     lockstep and migration tests assert. *)

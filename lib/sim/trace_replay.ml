@@ -20,11 +20,15 @@ let replay_records ?obs ?tracer ?(verify_checksum = true) records spec =
       | Ok segment ->
         let flow = Packet.Segment.flow segment in
         let kind = Demux.Types.kind_of_segment segment in
-        if demux.Demux.Registry.lookup ~kind flow = None then begin
+        (match
+           demux.Demux.Registry.lookup kind ~w0:(Packet.Flow.w0 flow)
+             ~w1:(Packet.Flow.w1 flow)
+         with
+        | _ -> ()
+        | exception Not_found ->
           (* First packet of a new flow: the lookup (a charged miss,
              as in a real stack) falls through to connection setup. *)
-          ignore (demux.Demux.Registry.insert flow ())
-        end;
+          ignore (demux.Demux.Registry.insert flow ()));
         incr replayed)
     records;
   (* The meter above is bypassed (we need miss-tolerant lookups), so

@@ -65,7 +65,7 @@ type ('conn, 'listener) result =
 let lookup t ~kind flow =
   let w0 = Packet.Flow.w0 flow in
   match
-    t.demux.Demux.Registry.lookup_words kind ~w0 ~w1:(Packet.Flow.w1 flow)
+    t.demux.Demux.Registry.lookup kind ~w0 ~w1:(Packet.Flow.w1 flow)
   with
   | pcb -> Connection pcb
   | exception Not_found -> (

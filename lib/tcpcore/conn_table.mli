@@ -46,12 +46,12 @@ val lookup :
   ('conn, 'listener) t -> kind:Demux.Types.packet_kind -> Packet.Flow.t ->
   ('conn, 'listener) result
 (** Full receive-path lookup: 4-tuple first (metered by the demux
-    algorithm's {!Demux.Registry.t.lookup_words}), then
-    address-specific listener, then wildcard listener
+    algorithm's one lookup, {!Demux.Registry.t.lookup}, on the flow's
+    words), then address-specific listener, then wildcard listener
     ({!find_listener}).  [kind] is a plain argument, so a call
-    allocates no option for it; with the ["sequent-H"] or ["bsd"]
-    demultiplexer a hit allocates only its [Connection] and a listener
-    fallback only its [Listener].  A receive path that reads a
+    allocates no option for it; under every spec but ["splay"] a hit
+    allocates only its [Connection] and a listener fallback only its
+    [Listener].  A receive path that reads a
     datagram's flow words in place takes the same two steps itself,
     without the result constructor. *)
 

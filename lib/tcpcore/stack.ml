@@ -692,7 +692,7 @@ let handle_segment_at t tier ~w0 ~w1 ~flags ~seq ~ack ~payload =
   | Normal | Shed_new_flows | Drop_batches -> (
     let kind = Demux.Types.kind_of_flags ~flags ~payload_length:len in
     let demux = Conn_table.demux t.table in
-    match demux.Demux.Registry.lookup_words kind ~w0 ~w1 with
+    match demux.Demux.Registry.lookup kind ~w0 ~w1 with
     | pcb ->
       let conn = pcb.Demux.Pcb.data in
       handle_connection t conn ~flags ~seq ~ack ~payload;

@@ -22,16 +22,18 @@
     and acknowledgement numbers, and payload.  {!handle_bytes} reads
     them where they lie in the datagram, after
     {!Packet.Segment.check}; {!handle_segment} reads them from its
-    record.  Either way a segment costs exactly one metered lookup
-    ({!Demux.Registry.t.lookup_words}), and no [Ipv4.t],
-    [Tcp_header.t], flags record or [Flow.t] is built on the way to
-    the state machine: a flow is made only for a new connection or an
-    RST.  Payload-less segments (pure ACKs, SYNs, SYN-ACKs and FINs)
-    are built on the connection's [template], without
-    {!Packet.Segment.make}, with the same bytes.  With the default
-    demultiplexer, a warm duplicate pure ACK through {!handle_bytes}
-    and {!poll_output} allocates nothing, and an in-sequence data
-    segment allocates its payload copy, its [rcv_nxt] box and its ACK.
+    record.  Either way a segment costs exactly one metered lookup,
+    the demultiplexer's one lookup, on words
+    ({!Demux.Registry.t.lookup}: one closure call into the table's
+    own), and no [Ipv4.t], [Tcp_header.t], flags record or [Flow.t]
+    is built on the way to the state machine: a flow is made only for
+    a new connection or an RST.  Payload-less segments (pure ACKs,
+    SYNs, SYN-ACKs and FINs) are built on the connection's [template],
+    without {!Packet.Segment.make}, with the same bytes.  Under every
+    registry spec but ["splay"], a warm duplicate pure ACK through
+    {!handle_bytes} and {!poll_output} allocates nothing; with the
+    default demultiplexer an in-sequence data segment allocates its
+    payload copy, its [rcv_nxt] box and its ACK.
     A warm accepted SYN allocates about 93 words: its connection, flow,
     template, PCB and table entry, and its SYN-ACK with the SYN-ACK's
     queue and outbox cells.

@@ -551,7 +551,13 @@ let test_striped_four_domain_lockstep () =
       match o.Check.Op.kind with
       | Check.Op.Insert -> ignore (Demux.Sequent.insert scalar o.Check.Op.flow i)
       | Check.Op.Remove -> ignore (Demux.Sequent.remove scalar o.Check.Op.flow)
-      | _ -> ignore (Demux.Sequent.lookup scalar o.Check.Op.flow))
+      | _ -> (
+        let f = o.Check.Op.flow in
+        match
+          Demux.Sequent.lookup scalar Demux.Types.Data ~w0:(Packet.Flow.w0 f)
+            ~w1:(Packet.Flow.w1 f)
+        with
+        | _ | (exception Not_found) -> ()))
     ops;
   let scalar_stats = Demux.Lookup_stats.snapshot (Demux.Sequent.stats scalar) in
   Alcotest.(check bool) "scalar Sequent stats match" true
@@ -685,11 +691,14 @@ let test_epoch_four_domain_lockstep () =
             (Option.map
                (fun pcb -> pcb.Demux.Pcb.data)
                (Demux.Sequent.remove scalar o.Check.Op.flow))
-        | Check.Op.Lookup | Check.Op.Ack_lookup | Check.Op.Send ->
-          Found
-            (Option.map
-               (fun pcb -> pcb.Demux.Pcb.data)
-               (Demux.Sequent.lookup scalar o.Check.Op.flow))
+        | Check.Op.Lookup | Check.Op.Ack_lookup | Check.Op.Send -> (
+          let f = o.Check.Op.flow in
+          match
+            Demux.Sequent.lookup scalar Demux.Types.Data ~w0:(Packet.Flow.w0 f)
+              ~w1:(Packet.Flow.w1 f)
+          with
+          | pcb -> Found (Some pcb.Demux.Pcb.data)
+          | exception Not_found -> Found None)
       in
       if r <> expected.(i) then
         Alcotest.fail
@@ -905,28 +914,47 @@ let test_chaos_audit_catches_doctored_runs () =
     | Check.Chaos.Found _ | Check.Chaos.Missed -> true
     | _ -> false
   in
-  let flags label expected doctored =
+  let starts_with prefix s =
+    String.length s >= String.length prefix
+    && String.sub s 0 (String.length prefix) = prefix
+  in
+  (* [at] is where the printed mismatch places the fault: ["step"] for
+     a replayed op, named with its kind and flow, or ["quiesce"] for
+     an end-of-run check, which names no op. *)
+  let flags label ~at expected doctored =
     match Check.Chaos.audit doctored with
     | [ m ] ->
       let what = m.Check.Diff.what in
-      if
-        not
-          (String.length what >= String.length expected
-          && String.sub what 0 (String.length expected) = expected)
-      then Alcotest.failf "%s: flagged %S, want %S..." label what expected
+      if not (starts_with expected what) then
+        Alcotest.failf "%s: flagged %S, want %S..." label what expected;
+      let printed = Format.asprintf "%a" Check.Diff.pp_mismatch m in
+      let subject = m.Check.Diff.subject in
+      if not (starts_with (subject ^ " @ " ^ at ^ " ") printed) then
+        Alcotest.failf "%s: printed %S, want \"%s @ %s ...\"" label printed
+          subject at;
+      m.Check.Diff.op
     | [] -> Alcotest.failf "%s: the audit passed a doctored run" label
     | _ -> Alcotest.failf "%s: more than one mismatch" label
   in
+  let check_op label want got =
+    Alcotest.(check string) (label ^ ": op")
+      (Format.asprintf "%a" Check.Op.pp_op want)
+      (match got with
+      | Some op -> Format.asprintf "%a" Check.Op.pp_op op
+      | None -> "none")
+  in
   (* An applied lookup missing from its worker's log: the replay stays
      consistent, and the logs no longer account for every op. *)
-  flags "event dropped from a log" "conservation:"
-    { r with Check.Chaos.logs = without (find lookup) };
+  ignore
+    (flags "event dropped from a log" ~at:"quiesce" "conservation:"
+       { r with Check.Chaos.logs = without (find lookup) });
   (* The same event shed instead, by the producer alone. *)
-  flags "tier drop missing from the controller's ledger"
-    "ledgers disagree: producer dropped"
-    { r with
-      Check.Chaos.logs = without (find lookup);
-      dropped_ops = r.Check.Chaos.dropped_ops + 1 };
+  ignore
+    (flags "tier drop missing from the controller's ledger" ~at:"quiesce"
+       "ledgers disagree: producer dropped"
+       { r with
+         Check.Chaos.logs = without (find lookup);
+         dropped_ops = r.Check.Chaos.dropped_ops + 1 });
   (* A lookup that saw another op's payload. *)
   let w, i =
     find (fun _ (ev : Check.Chaos.event) ->
@@ -935,12 +963,15 @@ let test_chaos_audit_catches_doctored_runs () =
         | _ -> false)
   in
   let log = Array.copy r.Check.Chaos.logs.(w) in
+  let stale = log.(i).Check.Chaos.op.Check.Chaos.flow in
   (match log.(i) with
   | { Check.Chaos.outcome = Check.Chaos.Found v; op } ->
     log.(i) <- { Check.Chaos.op; outcome = Check.Chaos.Found (v + 1) }
   | _ -> assert false);
-  flags "stale payload" "lookup of"
-    { r with Check.Chaos.logs = with_log w log };
+  check_op "stale payload"
+    { Check.Op.kind = Check.Op.Lookup; flow = stale }
+    (flags "stale payload" ~at:"step" "lookup of"
+       { r with Check.Chaos.logs = with_log w log });
   (* The last op of a flow that worker 0 applied more than once, moved
      to the end of worker 1's log.  Replayed in log order, the flow's
      ops still run in their order, so only the ownership check can see
@@ -957,11 +988,19 @@ let test_chaos_audit_catches_doctored_runs () =
   let flow = flow_of r.Check.Chaos.logs.(0).(i) in
   let last = List.fold_left max i (ops_of flow) in
   let logs = without (0, last) in
-  logs.(1) <- Array.append logs.(1) [| r.Check.Chaos.logs.(0).(last) |];
-  flags "one flow split across two workers"
-    (Printf.sprintf "ops on %s applied by workers 0 and 1"
-       (Packet.Flow.to_string flow))
-    { r with Check.Chaos.logs }
+  let moved = r.Check.Chaos.logs.(0).(last) in
+  logs.(1) <- Array.append logs.(1) [| moved |];
+  check_op "one flow split across two workers"
+    { Check.Op.kind =
+        (match moved.Check.Chaos.op.Check.Chaos.kind with
+        | Check.Chaos.Insert -> Check.Op.Insert
+        | Check.Chaos.Lookup -> Check.Op.Lookup
+        | Check.Chaos.Remove -> Check.Op.Remove);
+      flow }
+    (flags "one flow split across two workers" ~at:"step"
+       (Printf.sprintf "ops on %s applied by workers 0 and 1"
+          (Packet.Flow.to_string flow))
+       { r with Check.Chaos.logs })
 
 let test_chaos_report_round_trip () =
   let t = Check.Chaos.run ~workers:2 ~ops:2_000 ~seed:23 () in

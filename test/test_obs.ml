@@ -503,7 +503,12 @@ let drive_spec ?obs ?tracer spec =
   done;
   for round = 0 to 5 do
     for i = 0 to 59 do
-      ignore (demux.Demux.Registry.lookup (flow ((i * 7) + round mod 60)))
+      let f = flow ((i * 7) + round mod 60) in
+      match
+        demux.Demux.Registry.lookup Demux.Types.Data ~w0:(Packet.Flow.w0 f)
+          ~w1:(Packet.Flow.w1 f)
+      with
+      | _ | (exception Not_found) -> ()
     done
   done;
   for i = 0 to 9 do

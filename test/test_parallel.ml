@@ -23,11 +23,15 @@ let test_striped_agrees_with_sequent () =
   let rng = Numerics.Rng.create ~seed:7 in
   for _ = 1 to 3000 do
     let f = population.(Numerics.Rng.int rng ~bound:300) in
-    (match (Parallel.Striped.lookup striped f, Demux.Sequent.lookup sequential f) with
-    | Some a, Some b ->
+    match
+      ( Parallel.Striped.lookup striped f,
+        Demux.Sequent.lookup sequential Demux.Types.Data ~w0:(Packet.Flow.w0 f)
+          ~w1:(Packet.Flow.w1 f) )
+    with
+    | Some a, b ->
       if not (Packet.Flow.equal a.Demux.Pcb.flow b.Demux.Pcb.flow) then
         Alcotest.fail "diverged"
-    | _ -> Alcotest.fail "lookup failed")
+    | None, _ | (exception Not_found) -> Alcotest.fail "lookup failed"
   done;
   let striped_stats = Parallel.Striped.stats striped in
   let sequential_stats =

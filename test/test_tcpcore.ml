@@ -155,7 +155,7 @@ let test_conn_table_lookup_priority () =
    listener table with [Hashtbl.find] on the packed local word.  A
    packing helper that boxed an endpoint or a word on this path would
    push either count past its bound. *)
-let test_conn_table_lookup_words () =
+let test_conn_table_warm_lookup_alloc () =
   let table =
     Tcpcore.Conn_table.create
       (Demux.Registry.Sequent
@@ -1958,6 +1958,69 @@ let receive_path_cases =
         rx_trace ~close_after:true ~clients:50 ~requests:10 ~payload:64
           ~interleave:Sim.Segment_workload.Shuffled ) ]
 
+(* A warm duplicate pure ACK, from bytes through [handle_bytes] and
+   [poll_output], allocates nothing under every registry spec but the
+   splay tree, whose rotations rebuild its nodes: the stack's one
+   lookup is each table's own, on the words it reads in place.  With
+   200 connections established, the list tables walk a long chain to
+   the first client's PCB. *)
+let test_stack_dup_ack_words_every_spec () =
+  List.iter
+    (fun name ->
+      let spec = Result.get_ok (Demux.Registry.spec_of_string name) in
+      let server =
+        Tcpcore.Stack.create ~demux:spec ~local_addr:server_addr ()
+      in
+      Tcpcore.Stack.listen server ~port:8888 ~on_data:(fun _ _ _ -> ());
+      let wire port ~flags ~seq ~ack =
+        Packet.Segment.to_bytes
+          (Packet.Segment.make ~flags ~seq:(Int32.of_int seq)
+             ~ack_number:(Int32.of_int ack) ~src:(client_ep port)
+             ~dst:server_ep ())
+      in
+      let handle d =
+        (match Tcpcore.Stack.handle_bytes server d with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e);
+        Tcpcore.Stack.poll_output server
+      in
+      let establish port =
+        match
+          handle (wire port ~flags:Packet.Tcp_header.flag_syn ~seq:100 ~ack:0)
+        with
+        | [ synack ] ->
+          let iss =
+            Int32.to_int synack.Packet.Segment.tcp.Packet.Tcp_header.seq
+            land 0xFFFFFFFF
+          in
+          ignore
+            (handle
+               (wire port ~flags:Packet.Tcp_header.flag_ack ~seq:101
+                  ~ack:(iss + 1)));
+          iss
+        | _ -> Alcotest.failf "%s: expected one SYN-ACK" name
+      in
+      let isses = List.init 200 (fun k -> establish (5000 + k)) in
+      Alcotest.(check int) (name ^ ": established") 200
+        (Tcpcore.Stack.connection_count server);
+      let dup =
+        wire 5000 ~flags:Packet.Tcp_header.flag_ack ~seq:101
+          ~ack:(List.hd isses + 1)
+      in
+      let run () = ignore (Sys.opaque_identity (handle dup)) in
+      run ();
+      let before = Gc.minor_words () in
+      for _ = 1 to 1_000 do
+        run ()
+      done;
+      Alcotest.(check (float 0.0))
+        (name ^ ": duplicate pure ACK words")
+        0.0
+        (Gc.minor_words () -. before))
+    [ "linear"; "bsd"; "mtf"; "sr-cache"; "sequent-19"; "hashed-mtf-19";
+      "conn-id"; "resizing-hash"; "lru-cache-8"; "cuckoo";
+      "guarded-sequent-19" ]
+
 let () =
   Alcotest.run "tcpcore"
     [ ( "state-machine",
@@ -1974,7 +2037,7 @@ let () =
       ( "conn-table",
         [ Alcotest.test_case "lookup priority" `Quick test_conn_table_lookup_priority;
           Alcotest.test_case "warm lookup words" `Quick
-            test_conn_table_lookup_words;
+            test_conn_table_warm_lookup_alloc;
           Alcotest.test_case "listen validation" `Quick test_conn_table_listen_validation;
           Alcotest.test_case "wildcard vs specific" `Quick
             test_conn_table_wildcard_vs_specific;
@@ -1992,6 +2055,8 @@ let () =
           Alcotest.test_case "demux metering" `Quick test_stack_demux_metering;
           Alcotest.test_case "warm receive words" `Quick
             test_stack_warm_receive_words;
+          Alcotest.test_case "duplicate pure ACK words, every spec" `Quick
+            test_stack_dup_ack_words_every_spec;
           Alcotest.test_case "rejected datagram words" `Quick
             test_stack_rejected_words;
           Alcotest.test_case "accepted SYN words" `Quick
