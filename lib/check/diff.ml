@@ -148,38 +148,27 @@ let run_subject ?(checkpoint_every = 512) (subject : Subject.t) program =
     let flow = op.Op.flow in
     match op.Op.kind with
     | Op.Insert ->
-      if not (Oracle.mem oracle flow) then (
-        match shadow with
-        | None ->
-          subject.Subject.insert flow step;
-          Oracle.insert oracle flow step;
-          exp.inserts <- exp.inserts + 1
-        | Some guard -> (
-          match Demux.Guarded.admit guard flow with
-          | `Reject ->
-            (* The subject's own guard must reject too; if it admits,
-               the content audit will find the phantom resident. *)
-            subject.Subject.insert flow step;
-            exp.rejections <- exp.rejections + 1
-          | `Admit victims ->
-            List.iter
-              (fun victim ->
-                match Oracle.remove oracle victim with
-                | Some _ ->
-                  exp.removes <- exp.removes + 1;
-                  exp.evictions <- exp.evictions + 1
-                | None ->
-                  raise
-                    (Fail
-                       (Printf.sprintf
-                          "shadow guard evicted %s, which the oracle never \
-                           held"
-                          (flow_str victim))))
-              victims;
-            subject.Subject.insert flow step;
-            Oracle.insert oracle flow step;
-            Demux.Guarded.note_inserted guard flow;
-            exp.inserts <- exp.inserts + 1))
+      if not (Oracle.mem oracle flow) then begin
+        let evict victim =
+          match Oracle.remove oracle victim with
+          | Some _ ->
+            exp.removes <- exp.removes + 1;
+            exp.evictions <- exp.evictions + 1
+          | None ->
+            raise
+              (Fail
+                 (Printf.sprintf
+                    "shadow guard evicted %s, which the oracle never held"
+                    (flow_str victim)))
+        in
+        Option.iter
+          (fun guard -> List.iter evict (Demux.Guarded.admit guard flow))
+          shadow;
+        subject.Subject.insert flow step;
+        Oracle.insert oracle flow step;
+        Option.iter (fun guard -> Demux.Guarded.note_inserted guard flow) shadow;
+        exp.inserts <- exp.inserts + 1
+      end
     | Op.Lookup | Op.Ack_lookup ->
       let kind =
         match op.Op.kind with

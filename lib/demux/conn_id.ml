@@ -1,7 +1,10 @@
+(* IDs are handed out from [released], last released first, and then
+   from [fresh], the lowest ID never used. *)
 type 'a t = {
   slots : 'a Pcb.t option array;
   ids : Packed_table.Heap.t;
-  mutable free : int list;
+  mutable fresh : int;
+  mutable released : int list;
   stats : Lookup_stats.t;
   mutable population : int;
 }
@@ -10,23 +13,31 @@ let create ?(capacity = 65536) () =
   if capacity <= 0 then invalid_arg "Conn_id.create: capacity <= 0";
   { slots = Array.make capacity None;
     ids = Packed_table.Heap.create ~initial_capacity:64 ();
-    free = List.init capacity Fun.id; stats = Lookup_stats.create ();
+    fresh = 0; released = []; stats = Lookup_stats.create ();
     population = 0 }
+
+let next_id t =
+  match t.released with
+  | id :: rest ->
+    t.released <- rest;
+    id
+  | [] ->
+    if t.fresh = Array.length t.slots then
+      failwith "Conn_id.insert: connection-ID space exhausted";
+    t.fresh <- t.fresh + 1;
+    t.fresh - 1
 
 let insert t flow data =
   let w0 = Packet.Flow.w0 flow and w1 = Packet.Flow.w1 flow in
   if Packed_table.Heap.mem t.ids ~w0 ~w1 then
     invalid_arg "Conn_id.insert: duplicate flow";
-  match t.free with
-  | [] -> failwith "Conn_id.insert: connection-ID space exhausted"
-  | id :: rest ->
-    t.free <- rest;
-    let pcb = Pcb.make ~id ~flow data in
-    t.slots.(id) <- Some pcb;
-    Packed_table.Heap.replace t.ids ~w0 ~w1 id;
-    t.population <- t.population + 1;
-    Lookup_stats.note_insert t.stats;
-    pcb
+  let id = next_id t in
+  let pcb = Pcb.make ~id ~flow data in
+  t.slots.(id) <- Some pcb;
+  Packed_table.Heap.replace t.ids ~w0 ~w1 id;
+  t.population <- t.population + 1;
+  Lookup_stats.note_insert t.stats;
+  pcb
 
 let connection_id t flow =
   Packed_table.Heap.find_opt t.ids ~w0:(Packet.Flow.w0 flow)
@@ -40,7 +51,7 @@ let remove t flow =
     let pcb = t.slots.(id) in
     t.slots.(id) <- None;
     Packed_table.Heap.remove t.ids ~w0 ~w1;
-    t.free <- id :: t.free;
+    t.released <- id :: t.released;
     t.population <- t.population - 1;
     Lookup_stats.note_remove t.stats;
     pcb

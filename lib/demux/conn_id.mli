@@ -7,8 +7,11 @@
     Sequent-style hashing makes this protocol change unnecessary; this
     module exists to quantify the gap (experiment E18).
 
-    Connection IDs are assigned at {!insert} from a free list and
-    recycled on {!remove}.  {!lookup} models the header carrying the
+    Connection IDs are assigned at {!insert} and recycled on
+    {!remove}: the last ID released is reused first, and with none
+    released the lowest ID never used is next, so the first insert
+    into a new table gets 0.  {!create} builds no list of the ID
+    space: a counter and a stack of released IDs hand them out.  {!lookup} models the header carrying the
     ID: it resolves the flow's words to the ID without charge (in the
     real protocol the bits are in the packet) and charges exactly the
     one direct array access. *)

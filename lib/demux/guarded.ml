@@ -1,23 +1,19 @@
-type policy = Evict_lru | Reject_new
-
 type config = {
   max_chain : int;
   max_total : int;
   chains : int;
   hasher : Hashing.Hashers.t;
-  policy : policy;
 }
 
 let default_max_chain = 32
 let default_max_total = 2048
 
-let config ?(policy = Evict_lru) ?(max_chain = default_max_chain)
-    ?(max_total = default_max_total) ?(chains = 1)
-    ?(hasher = Hashing.Hashers.multiplicative) () =
+let config ?(max_chain = default_max_chain) ?(max_total = default_max_total)
+    ?(chains = 1) ?(hasher = Hashing.Hashers.multiplicative) () =
   if max_chain <= 0 then invalid_arg "Guarded.config: max_chain <= 0";
   if max_total <= 0 then invalid_arg "Guarded.config: max_total <= 0";
   if chains <= 0 then invalid_arg "Guarded.config: chains <= 0";
-  { max_chain; max_total; chains; hasher; policy }
+  { max_chain; max_total; chains; hasher }
 
 (* Recency metadata carried in the guard's shadow population: a
    logical timestamp bumped on every insert and every successful
@@ -64,32 +60,26 @@ let global_lru t =
   done;
   Option.map (fun pcb -> pcb.Pcb.flow) !oldest
 
-(* Decide the fate of an insertion: [`Admit victims] means the caller
-   must first evict [victims] from the underlying table (the guard has
-   already forgotten them), [`Reject] means the insertion itself must
-   be shed.  Mutates the guard state. *)
+(* The victims the caller must first evict from the underlying table
+   to admit [flow] (the guard has already forgotten them).  Mutates the
+   guard state. *)
 let admit t flow =
-  if Sequent.mem t.shadow flow then `Admit [] (* duplicate: inner decides *)
+  if Sequent.mem t.shadow flow then [] (* duplicate: inner decides *)
   else
     let chain = home_chain t flow in
-    let chain_full = Chain.length chain >= t.cfg.max_chain in
-    let total_full = tracked t >= t.cfg.max_total in
-    match t.cfg.policy with
-    | Reject_new when chain_full || total_full -> `Reject
-    | Reject_new | Evict_lru ->
-      let victims = ref [] in
-      let evict flow =
-        unlink t flow;
-        victims := flow :: !victims
-      in
-      if chain_full then
-        Option.iter (fun pcb -> evict pcb.Pcb.flow) (Chain.tail_pcb chain);
-      while tracked t >= t.cfg.max_total do
-        match global_lru t with
-        | Some flow -> evict flow
-        | None -> assert false (* max_total > 0 and the table is non-empty *)
-      done;
-      `Admit (List.rev !victims)
+    let victims = ref [] in
+    let evict flow =
+      unlink t flow;
+      victims := flow :: !victims
+    in
+    if Chain.length chain >= t.cfg.max_chain then
+      Option.iter (fun pcb -> evict pcb.Pcb.flow) (Chain.tail_pcb chain);
+    while tracked t >= t.cfg.max_total do
+      match global_lru t with
+      | Some flow -> evict flow
+      | None -> assert false (* max_total > 0 and the table is non-empty *)
+    done;
+    List.rev !victims
 
 let note_inserted t flow =
   if not (Sequent.mem t.shadow flow) then

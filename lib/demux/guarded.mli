@@ -12,13 +12,10 @@
     The guard holds none of the table's PCBs; it shadows the
     population in a {!Sequent} store of its own, built at the guarded
     algorithm's chain geometry with each chain in recency order, and
-    plans evictions.  {!Registry.guard} wires it around any
-    instantiated demultiplexer and charges the shed work to
-    {!Lookup_stats} ([evictions] / [rejections]). *)
-
-type policy =
-  | Evict_lru    (** Shed the least-recently-seen flow to admit the new one. *)
-  | Reject_new   (** Refuse the new flow (classic SYN-flood drop). *)
+    plans evictions: a new flow is always admitted, and the
+    least-recently-seen flows are shed to make room for it.
+    {!Registry.guard} wires it around any instantiated demultiplexer
+    and charges the shed work to {!Lookup_stats} ([evictions]). *)
 
 type config = {
   max_chain : int;            (** Bound on any one chain's population. *)
@@ -26,16 +23,15 @@ type config = {
   chains : int;               (** Chain count mirrored from the guarded
                                   algorithm (1 for single-list tables). *)
   hasher : Hashing.Hashers.t; (** Hash mirrored from the guarded algorithm. *)
-  policy : policy;
 }
 
 val default_max_chain : int
 val default_max_total : int
 
 val config :
-  ?policy:policy -> ?max_chain:int -> ?max_total:int -> ?chains:int ->
+  ?max_chain:int -> ?max_total:int -> ?chains:int ->
   ?hasher:Hashing.Hashers.t -> unit -> config
-(** Defaults: [Evict_lru], {!default_max_chain}, {!default_max_total},
+(** Defaults: {!default_max_chain}, {!default_max_total},
     one chain, multiplicative hash.
     @raise Invalid_argument on non-positive bounds or chain count. *)
 
@@ -43,12 +39,13 @@ type t
 
 val create : config -> t
 
-val admit : t -> Packet.Flow.t -> [ `Admit of Packet.Flow.t list | `Reject ]
-(** Plan the insertion of a new flow.  [`Admit victims] admits it
-    provided the caller evicts [victims] from the underlying table
-    first (the guard has already forgotten them); [`Reject] refuses
-    the insertion ([Reject_new] policy at a bound).  Already-tracked
-    flows are admitted with no victims. *)
+val admit : t -> Packet.Flow.t -> Packet.Flow.t list
+(** Plan the insertion of a new flow: the victims the caller must
+    evict from the underlying table first, in order (the guard has
+    already forgotten them): the tail of the flow's chain if the chain
+    is at [max_chain], then the least-recently-seen flows while the
+    table is at [max_total].  Already-tracked flows get no
+    victims. *)
 
 val note_inserted : t -> Packet.Flow.t -> unit
 (** The flow was inserted into the underlying table. *)

@@ -77,6 +77,8 @@ let end_lookup t ~hit_cache ~found =
   else if t.current > 1 then
     Obs.Trace.record t.tracer Obs.Trace.Chain_walk t.current 0
 
+let pcbs_examined t = t.pcbs_examined
+
 let note_insert t =
   t.inserts <- t.inserts + 1;
   Obs.Trace.record t.tracer Obs.Trace.Insert 0 0

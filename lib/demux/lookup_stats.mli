@@ -88,6 +88,10 @@ type snapshot = {
 
 val snapshot : t -> snapshot
 
+val pcbs_examined : t -> int
+(** The running total of {!snapshot}'s [pcbs_examined], read without
+    building a snapshot. *)
+
 val merge_snapshots : snapshot list -> snapshot
 (** Pointwise sum (max for [max_examined]) — used to aggregate
     per-stripe counters in the parallel demultiplexers. *)

@@ -141,17 +141,10 @@ let guard config inner =
   { name = "guarded-" ^ inner.name;
     insert =
       (fun flow data ->
-        match Guarded.admit g flow with
-        | `Reject ->
-          Lookup_stats.note_rejection stats;
-          (* The caller gets a PCB, but the table never admits the
-             flow: the overloaded server sheds the new connection. *)
-          Pcb.make ~id:(-1) ~flow data
-        | `Admit victims ->
-          List.iter evict victims;
-          let pcb = inner.insert flow data in
-          Guarded.note_inserted g flow;
-          pcb);
+        List.iter evict (Guarded.admit g flow);
+        let pcb = inner.insert flow data in
+        Guarded.note_inserted g flow;
+        pcb);
     remove =
       (fun flow ->
         match inner.remove flow with

@@ -89,10 +89,9 @@ val guard_config : spec -> Guarded.config option
 val guard : Guarded.config -> 'a t -> 'a t
 (** [guard config inner] bounds [inner]'s population: insertions that
     would push a chain past [config.max_chain] or the table past
-    [config.max_total] shed the least-recently-seen flow
-    ([Evict_lru], counted in [stats] as evictions) or are refused
-    ([Reject_new], counted as rejections; the returned PCB is not
-    retained, so later lookups miss).  Lookup cost accounting is
+    [config.max_total] shed the least-recently-seen flow (counted in
+    [stats] as evictions); the new flow is always admitted, so a
+    lookup misses only a flow that was shed.  Lookup cost accounting is
     unchanged — the guard charges nothing.  [config.chains] /
     [config.hasher] should mirror [inner]'s chain geometry so the
     per-chain bound tracks the real chains. *)

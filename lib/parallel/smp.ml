@@ -3,7 +3,6 @@ type config = {
   ring_capacity : int;
   demux : Demux.Registry.spec;
   migrate : bool;
-  migrate_target : int option;
   local_addr : Packet.Ipv4.addr;
   on_data :
     Tcpcore.Stack.t -> Tcpcore.Stack.connection -> string -> unit;
@@ -16,19 +15,12 @@ let config ?(ring_capacity = 1024)
       Demux.Registry.Sequent
         { chains = Demux.Sequent.default_chains;
           hasher = Hashing.Hashers.multiplicative })
-    ?(migrate = false) ?migrate_target ?(on_data = fun _ _ _ -> ()) ?pressure
+    ?(migrate = false) ?(on_data = fun _ _ _ -> ()) ?pressure
     ?(on_pressure = fun _ -> ()) ~domains ~local_addr () =
   if domains <= 0 then invalid_arg "Smp.config: domains <= 0";
   if ring_capacity <= 0 then invalid_arg "Smp.config: ring_capacity <= 0";
-  (match migrate_target with
-  | Some t when not migrate ->
-    invalid_arg
-      (Printf.sprintf "Smp.config: migrate_target %d without migrate" t)
-  | Some t when t < 0 || t >= domains ->
-    invalid_arg "Smp.config: migrate_target outside [0, domains)"
-  | _ -> ());
-  { domains; ring_capacity; demux; migrate; migrate_target; local_addr;
-    on_data; pressure; on_pressure }
+  { domains; ring_capacity; demux; migrate; local_addr; on_data; pressure;
+    on_pressure }
 
 (* Every worker's listener; the traffic generators' server port. *)
 let listen_port = 8888
@@ -131,14 +123,11 @@ let worker (cfg : config) ~index ~ring ~ctrl ~finished ~pressure () =
   let pending_migration = Queue.create () in
   let _, geometry_hasher = Demux.Registry.chain_geometry cfg.demux in
   let target_of flow =
-    match cfg.migrate_target with
-    | Some t -> t
-    | None ->
-      if cfg.domains = 1 then 0
-      else
-        1
-        + Hashing.Hashers.bucket_flow geometry_hasher
-            ~buckets:(cfg.domains - 1) flow
+    if cfg.domains = 1 then 0
+    else
+      1
+      + Hashing.Hashers.bucket_flow geometry_hasher ~buckets:(cfg.domains - 1)
+          flow
   in
   if listener then
     Tcpcore.Stack.set_on_established stack

@@ -16,10 +16,9 @@
 
     {!run} never advances a stack's clock
     ({!Tcpcore.Stack.advance_clock}): each stack's timing wheel holds
-    the timers its connections arm, but no RTO, TIME-WAIT or
-    delayed-ACK timer fires during a run, so nothing is retransmitted,
-    reaped or acknowledged late, and a connection's replies are exactly
-    those its datagrams trigger.
+    the timers its connections arm, but no RTO or TIME-WAIT timer
+    fires during a run, so nothing is retransmitted or reaped, and a
+    connection's replies are exactly those its datagrams trigger.
 
     {2 Steering}
 
@@ -40,10 +39,11 @@
     With [migrate] every datagram is first steered to domain 0, the
     listener core.  When a handshake completes there, the connection
     moves to its owning core k once every datagram already routed to
-    the listener core has been handled there.  Every core has one
-    input ring, and the dispatcher is its only producer, so the
-    listener core talks to the dispatcher over a control ring, and all
-    handoff state lives in the dispatcher's route map:
+    the listener core has been handled there; k is 1 + the flow's hash
+    bucket over cores 1..N-1.  Every core has one input ring, and the
+    dispatcher is its only producer, so the listener core talks to the
+    dispatcher over a control ring, and all handoff state lives in the
+    dispatcher's route map:
 
     {v
       worker 0:   Migrate f -> ctrl
@@ -96,9 +96,9 @@ type config = {
           the rest. *)
   demux : Demux.Registry.spec;
   migrate : bool;
-  migrate_target : int option;
-      (** With [migrate]: adopt every flow on this domain, or spread
-          across domains 1..N-1 by flow hash when [None]. *)
+      (** Hand each accepted flow from domain 0, the listener core, to
+          a domain in 1..N-1 chosen by flow hash (at 2 domains, always
+          domain 1; at 1 domain, back to itself). *)
   local_addr : Packet.Ipv4.addr;
   on_data :
     Tcpcore.Stack.t -> Tcpcore.Stack.connection -> string -> unit;
@@ -120,7 +120,6 @@ val config :
   ?ring_capacity:int ->
   ?demux:Demux.Registry.spec ->
   ?migrate:bool ->
-  ?migrate_target:int ->
   ?on_data:(Tcpcore.Stack.t -> Tcpcore.Stack.connection -> string -> unit) ->
   ?pressure:Pressure.config ->
   ?on_pressure:(Pressure.t array -> unit) ->
@@ -131,9 +130,7 @@ val config :
 (** Defaults: ring capacity 1024, Sequent with
     {!Demux.Sequent.default_chains} chains (the stack's own default),
     no migration, no-op [on_data], no pressure.
-    @raise Invalid_argument on non-positive domains / capacity,
-    a migrate target outside [0, domains), or [migrate_target]
-    without [migrate]. *)
+    @raise Invalid_argument on non-positive domains or capacity. *)
 
 type conn_summary = {
   flow : Packet.Flow.t;

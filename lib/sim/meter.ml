@@ -30,24 +30,19 @@ let accumulator t = function
   | Demux.Types.Data -> t.entry
   | Demux.Types.Pure_ack -> t.ack
 
-let examined_so_far t =
-  (Demux.Lookup_stats.snapshot t.demux.Demux.Registry.stats)
-    .Demux.Lookup_stats.pcbs_examined
-
+(* A miss (a flow an overload guard shed) is charged to the ledger
+   like a hit, and recorded the same way. *)
 let lookup t ~kind flow =
-  let before = examined_so_far t in
-  match
-    t.demux.Demux.Registry.lookup kind ~w0:(Packet.Flow.w0 flow)
-      ~w1:(Packet.Flow.w1 flow)
-  with
-  | exception Not_found ->
-    failwith
-      (Printf.sprintf "Meter.lookup: no PCB for flow %s"
-         (Packet.Flow.to_string flow))
-  | _ ->
-    if t.measuring then
-      Numerics.Stats.add (accumulator t kind)
-        (float_of_int (examined_so_far t - before))
+  let stats = t.demux.Demux.Registry.stats in
+  let before = Demux.Lookup_stats.pcbs_examined stats in
+  (match
+     t.demux.Demux.Registry.lookup kind ~w0:(Packet.Flow.w0 flow)
+       ~w1:(Packet.Flow.w1 flow)
+   with
+  | _ | (exception Not_found) -> ());
+  if t.measuring then
+    Numerics.Stats.add (accumulator t kind)
+      (float_of_int (Demux.Lookup_stats.pcbs_examined stats - before))
 
 let note_send t flow = t.demux.Demux.Registry.note_send flow
 let entry_examined t = t.entry

@@ -31,9 +31,11 @@ val start_measuring : t -> unit
     action. *)
 
 val lookup : t -> kind:Demux.Types.packet_kind -> Packet.Flow.t -> unit
-(** Perform a metered receive-path lookup.
-    @raise Failure if the flow has no PCB (a simulation bug: OLTP
-    connections are long-lived). *)
+(** Perform a metered receive-path lookup and record the PCBs it
+    examined, read from the ledger's running total
+    ({!Demux.Lookup_stats.pcbs_examined}).  A lookup that finds no PCB
+    — a flow an overload guard (["guarded-*"]) shed — is recorded like
+    any other: its examinations were charged all the same. *)
 
 val note_send : t -> Packet.Flow.t -> unit
 

@@ -1,16 +1,7 @@
-(* A listener binding packed as one immediate int, so probing for a
-   listener on the receive path allocates no constructor:
-
-     wildcard (port only)  : port                      (bits 0-15)
-     specific (addr, port) : 1 lsl 48 | Packet.Flow.word addr port
-
-   The bit-48 discriminant keeps the two namespaces disjoint; 49
-   significant bits fit an OCaml immediate int. *)
-type binding = int
-
+(* A listener is its local port, whatever the local address. *)
 type ('conn, 'listener) t = {
   demux : 'conn Demux.Registry.t;
-  listeners : (binding, 'listener) Hashtbl.t;
+  listeners : (int, 'listener) Hashtbl.t;
 }
 
 let create spec =
@@ -18,37 +9,19 @@ let create spec =
 
 let demux t = t.demux
 
-let specific_binding word = (1 lsl 48) lor word
-
-let binding_of ?addr port =
-  match addr with
-  | Some addr -> specific_binding (Packet.Flow.word addr port)
-  | None -> port
-
-let listen ?addr t ~port listener =
+let listen t ~port listener =
   if port < 0 || port > 0xFFFF then invalid_arg "Conn_table.listen: bad port";
-  let binding = binding_of ?addr port in
-  if Hashtbl.mem t.listeners binding then
+  if Hashtbl.mem t.listeners port then
     invalid_arg "Conn_table.listen: port already has a listener";
-  Hashtbl.replace t.listeners binding listener
+  Hashtbl.replace t.listeners port listener
 
-let unlisten ?addr t ~port = Hashtbl.remove t.listeners (binding_of ?addr port)
+let unlisten t ~port = Hashtbl.remove t.listeners port
 
-(* The specific binding of the local endpoint word [w0], then the
-   wildcard one on its port; raises [Not_found].  [Hashtbl.find]
-   answers without an option, so a probe allocates nothing. *)
-let find_listener t ~w0 =
-  match Hashtbl.find t.listeners (specific_binding w0) with
-  | listener -> listener
-  | exception Not_found -> Hashtbl.find t.listeners (w0 land 0xFFFF)
+(* The port is [w0]'s low 16 bits.  [Hashtbl.find] answers without an
+   option, so a probe allocates nothing. *)
+let find_listener t ~w0 = Hashtbl.find t.listeners (w0 land 0xFFFF)
 
-let listener ?addr t ~port =
-  match addr with
-  | Some addr -> (
-    match find_listener t ~w0:(Packet.Flow.word addr port) with
-    | listener -> Some listener
-    | exception Not_found -> None)
-  | None -> Hashtbl.find_opt t.listeners port
+let listener t ~port = Hashtbl.find_opt t.listeners port
 
 let add_connection t flow conn = t.demux.Demux.Registry.insert flow conn
 

@@ -3,9 +3,12 @@
     established connections, falling back to a listener table for SYNs
     to listening sockets.
 
-    Listener matching follows BSD's [in_pcblookup] wildcard rules: a
-    listener bound to a specific local address beats one bound to the
-    wildcard address on the same port; both beat no match. *)
+    A listener is its local port: one listener per port answers a SYN
+    to that port on any local address, so the fallback is one probe.
+    There is no address-specific bind, so BSD's [in_pcblookup] rule
+    that a specific bind beats the wildcard one on the same port does
+    not arise; a stack that owns one address drops datagrams for other
+    destinations before it looks (see {!Stack.handle_bytes}). *)
 
 type ('conn, 'listener) t
 
@@ -14,22 +17,15 @@ val create : Demux.Registry.spec -> ('conn, 'listener) t
 val demux : ('conn, 'listener) t -> 'conn Demux.Registry.t
 (** The underlying 4-tuple demultiplexer (e.g. for statistics). *)
 
-val listen :
-  ?addr:Packet.Ipv4.addr -> ('conn, 'listener) t -> port:int -> 'listener ->
-  unit
-(** Register a listener on a local port; without [addr] it accepts the
-    port on any local address (a wildcard bind).
-    @raise Invalid_argument if the port is out of range or that
-    (address, port) binding already has a listener. *)
+val listen : ('conn, 'listener) t -> port:int -> 'listener -> unit
+(** Register a listener on a local port, for every local address.
+    @raise Invalid_argument if the port is out of range or already has
+    a listener. *)
 
-val unlisten : ?addr:Packet.Ipv4.addr -> ('conn, 'listener) t -> port:int -> unit
+val unlisten : ('conn, 'listener) t -> port:int -> unit
 
-val listener :
-  ?addr:Packet.Ipv4.addr -> ('conn, 'listener) t -> port:int ->
-  'listener option
-(** The listener an inbound SYN to (addr, port) would reach: the
-    address-specific binding if present, else the wildcard one.
-    Without [addr], only the wildcard binding is consulted. *)
+val listener : ('conn, 'listener) t -> port:int -> 'listener option
+(** The listener an inbound SYN to [port] would reach. *)
 
 val add_connection :
   ('conn, 'listener) t -> Packet.Flow.t -> 'conn -> 'conn Demux.Pcb.t
@@ -47,8 +43,7 @@ val lookup :
   ('conn, 'listener) result
 (** Full receive-path lookup: 4-tuple first (metered by the demux
     algorithm's one lookup, {!Demux.Registry.t.lookup}, on the flow's
-    words), then address-specific listener, then wildcard listener
-    ({!find_listener}).  [kind] is a plain argument, so a call
+    words), then the listener on its local port ({!find_listener}).  [kind] is a plain argument, so a call
     allocates no option for it; under every spec but ["splay"] a hit
     allocates only its [Connection] and a listener fallback only its
     [Listener].  A receive path that reads a
@@ -57,10 +52,9 @@ val lookup :
 
 val find_listener : ('conn, 'listener) t -> w0:int -> 'listener
 (** The listener an inbound SYN to the local endpoint whose packed
-    word ({!Packet.Flow.w0}) is [w0] would reach: the address-specific
-    binding, else the wildcard one on its port.  Unmetered and
-    allocation-free.
-    @raise Not_found if neither is bound. *)
+    word ({!Packet.Flow.w0}) is [w0] would reach: the one on its port,
+    in one [Hashtbl] probe.  Unmetered and allocation-free.
+    @raise Not_found if the port has no listener. *)
 
 val note_send : ('conn, 'listener) t -> Packet.Flow.t -> unit
 val connections : ('conn, 'listener) t -> int

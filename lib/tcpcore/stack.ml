@@ -53,7 +53,6 @@ type connection = {
   mutable unacked : (int32 * Packet.Segment.t) list;
       (* retransmission queue: (first sequence number, segment),
          oldest first *)
-  mutable ack_pending : bool;
   mutable listener : listener option;
   mutable time_wait_timer : Timer_wheel.timer option;
 }
@@ -72,13 +71,8 @@ and t = {
   mutable rsts_sent : int;
   mutable retransmissions : int;
   drops : int array;  (* by drop code *)
-  time_wait_timeout : float;
   retransmit_timeout : float;
-  max_retransmits : int;
-  rto_jitter : bool;
   rto_rng : Numerics.Rng.t;
-  delayed_acks : bool;
-  delayed_ack_timeout : float;
   mutable overload_probe : unit -> overload_tier;
   wheel : connection Timer_wheel.t;  (* argument: see [retransmit_timer] *)
   mutable time_wait_pending : int;  (* connections whose 2MSL timer is armed *)
@@ -111,35 +105,35 @@ let wheel_tick = 1.0 /. 64.0
    [1 lsl max_backoff] base timeouts. *)
 let max_backoff = 6
 
+(* 2MSL, the attempts a segment gets, and the seed of the RTO jitter
+   draws. *)
+let time_wait_timeout = 60.0
+let max_retransmits = 12
+let rto_seed = 0x52544f
+
 let create ?(demux =
              Demux.Registry.Sequent
                { chains = Demux.Sequent.default_chains;
                  hasher = Hashing.Hashers.multiplicative })
-    ?(time_wait_timeout = 60.0) ?(retransmit_timeout = 1.0)
-    ?(max_retransmits = 12) ?(rto_jitter = true) ?(rto_seed = 0x52544f)
-    ?(delayed_acks = false) ?(delayed_ack_timeout = 0.2) ?iss ~local_addr () =
+    ?(retransmit_timeout = 1.0) ?iss ~local_addr () =
   let wheel = Timer_wheel.create ~tick:wheel_tick () in
-  (* [longest] is the longest delay the timeout arms: a timer armed at
-     clock 0 must fit the wheel. *)
-  let check name timeout ~longest =
-    if not (timeout > 0.0 && Float.is_finite timeout) then
-      invalid_arg ("Stack.create: " ^ name ^ " is not positive and finite");
-    if not (Timer_wheel.placeable wheel longest) then
-      invalid_arg
-        ("Stack.create: " ^ name ^ " is beyond the timer wheel's range")
-  in
-  check "time_wait_timeout" time_wait_timeout ~longest:time_wait_timeout;
-  check "retransmit_timeout" retransmit_timeout
-    ~longest:(Float.of_int (1 lsl max_backoff) *. retransmit_timeout);
-  check "delayed_ack_timeout" delayed_ack_timeout ~longest:delayed_ack_timeout;
+  if not (retransmit_timeout > 0.0 && Float.is_finite retransmit_timeout) then
+    invalid_arg "Stack.create: retransmit_timeout is not positive and finite";
+  (* A timer armed at clock 0 must fit the wheel: the longest delay the
+     RTO arms is its capped backoff. *)
+  if
+    not
+      (Timer_wheel.placeable wheel
+         (Float.of_int (1 lsl max_backoff) *. retransmit_timeout))
+  then
+    invalid_arg
+      "Stack.create: retransmit_timeout is beyond the timer wheel's range";
   { local_addr; tracer = Obs.Trace.disabled;
     table = Conn_table.create demux; outbox = [];
     next_iss = 1000l; iss_for = iss; on_established = None;
     segments_sent = 0; rsts_sent = 0; retransmissions = 0;
     drops = Array.make (List.length all_drops) 0;
-    time_wait_timeout; retransmit_timeout; max_retransmits;
-    rto_jitter; rto_rng = Numerics.Rng.create ~seed:rto_seed;
-    delayed_acks; delayed_ack_timeout;
+    retransmit_timeout; rto_rng = Numerics.Rng.create ~seed:rto_seed;
     overload_probe = (fun () -> Normal);
     wheel; time_wait_pending = 0 }
 
@@ -181,33 +175,30 @@ let transmit t segment flow =
    a peer that never acknowledges — or an induced-loss fault plan —
    cannot make the stack hammer the network at a constant rate.
 
-   With [rto_jitter] (the default), the capped delay is full-jittered:
-   attempt [n] waits [base + u * (capped - base)] for a fresh uniform
-   [u], i.e. anywhere in [[base, capped]].  Without jitter, every host
-   that lost the same burst retransmits on the same schedule, and the
-   synchronized retry wave re-creates the overload that caused the
-   loss; jittered, the wave decorrelates while the mean backoff still
-   grows exponentially.  Draws come from the stack's own seeded
-   generator, so a given stack's delay sequence is reproducible. *)
+   The capped delay is full-jittered: attempt [n] waits
+   [base + u * (capped - base)] for a fresh uniform [u], i.e. anywhere
+   in [[base, capped]].  Without jitter, every host that lost the same
+   burst would retransmit on the same schedule, and the synchronized
+   retry wave would re-create the overload that caused the loss;
+   jittered, the wave decorrelates while the mean backoff still grows
+   exponentially.  Draws come from the stack's own generator, seeded
+   with [rto_seed], so a given stack's delay sequence is
+   reproducible. *)
 let rto_for_attempt t attempt =
   if attempt <= 1 then t.retransmit_timeout
   else
     let capped =
       t.retransmit_timeout *. Float.of_int (1 lsl min max_backoff (attempt - 1))
     in
-    if not t.rto_jitter then capped
-    else
-      t.retransmit_timeout
-      +. (Numerics.Rng.float t.rto_rng *. (capped -. t.retransmit_timeout))
+    t.retransmit_timeout
+    +. (Numerics.Rng.float t.rto_rng *. (capped -. t.retransmit_timeout))
 
 (* A timer's payload is its connection, and its argument says what to
-   do: the low two bits are the kind, and a retransmission carries the
-   segment's sequence number (32 bits) and its attempt above them. *)
+   do: 0 reaps a TIME-WAIT connection, and a retransmission sets the
+   low bit and carries the segment's sequence number (32 bits) and its
+   attempt above it. *)
 let reap_timer = 0
-let delayed_ack_timer = 1
-let retransmit_kind = 2
-let retransmit_timer ~seq ~attempt =
-  (attempt lsl 34) lor (seq lsl 2) lor retransmit_kind
+let retransmit_timer ~seq ~attempt = (attempt lsl 33) lor (seq lsl 1) lor 1
 
 (* The IPv4 header [Segment.make] gives a payload-less segment on
    [flow]: an option-free 20-byte TCP header and no payload.  Each
@@ -254,27 +245,13 @@ let emit_rst t ~flow ~seq ~ack_number =
   t.segments_sent <- t.segments_sent + 1;
   t.rsts_sent <- t.rsts_sent + 1
 
-(* A pure ACK carries the connection's own sequence boxes. *)
+(* A pure ACK carries the connection's own sequence boxes.  Every
+   in-order data segment is acknowledged at once. *)
 let ack_now t conn =
-  conn.ack_pending <- false;
   transmit t
     (header_segment conn ~flags:Packet.Tcp_header.flag_ack ~seq:conn.snd_nxt
        ~ack_number:conn.rcv_nxt)
     conn.flow
-
-(* RFC 1122 delayed acknowledgement: ack every second data segment, or
-   after delayed_ack_timeout, whichever comes first.  Sending data
-   also piggybacks the ack (emit always carries rcv_nxt), which is the
-   case the paper's footnote 2 describes. *)
-let ack_data t conn =
-  if not t.delayed_acks then ack_now t conn
-  else if conn.ack_pending then ack_now t conn (* second segment: ack now *)
-  else begin
-    conn.ack_pending <- true;
-    ignore
-      (Timer_wheel.schedule t.wheel ~delay:t.delayed_ack_timeout conn
-         delayed_ack_timer)
-  end
 
 let listen t ~port ~on_data = Conn_table.listen t.table ~port { on_data }
 
@@ -286,8 +263,7 @@ let connect t ~local_port ~remote =
     { flow; template = header_template flow; state = State.Syn_sent;
       snd_nxt = Int32.add iss 1l;
       rcv_nxt = 0l; snd_una = iss; bytes_in = 0; bytes_out = 0; unacked = [];
-      ack_pending = false;
-      listener = Conn_table.listener ~addr:t.local_addr t.table ~port:local_port;
+      listener = Conn_table.listener t.table ~port:local_port;
       time_wait_timer = None }
   in
   ignore (Conn_table.add_connection t.table flow conn);
@@ -301,7 +277,6 @@ let send t conn payload =
   | state ->
     invalid_arg
       (Printf.sprintf "Stack.send: cannot send in %s" (State.to_string state)));
-  conn.ack_pending <- false (* the data segment carries the ack *);
   emit_reliable t conn ~payload ~flags:Packet.Tcp_header.flag_psh_ack
     ~seq:conn.snd_nxt ~ack_number:conn.rcv_nxt ();
   conn.snd_nxt <- Int32.add conn.snd_nxt (Int32.of_int (String.length payload));
@@ -346,7 +321,7 @@ let maybe_arm_time_wait t conn =
   | None when State.equal conn.state State.Time_wait ->
     conn.time_wait_timer <-
       Some
-        (Timer_wheel.schedule t.wheel ~delay:t.time_wait_timeout conn
+        (Timer_wheel.schedule t.wheel ~delay:time_wait_timeout conn
            reap_timer);
     t.time_wait_pending <- t.time_wait_pending + 1
   | Some _ | None -> ()
@@ -363,8 +338,8 @@ let extract_connection t flow =
   | Some pcb ->
     let conn = pcb.Demux.Pcb.data in
     cancel_time_wait t conn;
-    (* Ship a fresh record and neutralize the original.  Pending wheel
-       entries (RTO, delayed ack) still reference the original, and
+    (* Ship a fresh record and neutralize the original.  Pending RTO
+       entries on the wheel still reference the original, and
        every timer path is a no-op on a Closed connection with an
        empty retransmission queue — so no timer on this stack can ever
        touch state that now lives on another domain.  The adopting
@@ -372,7 +347,6 @@ let extract_connection t flow =
     let copy = { conn with listener = None; time_wait_timer = None } in
     conn.state <- State.Closed;
     conn.unacked <- [];
-    conn.ack_pending <- false;
     Some copy
 
 let adopt_connection t conn =
@@ -384,24 +358,19 @@ let adopt_connection t conn =
   if State.equal conn.state State.Closed then
     invalid_arg "Stack.adopt_connection: connection is closed";
   conn.listener <-
-    Conn_table.listener ~addr:t.local_addr t.table
+    Conn_table.listener t.table
       ~port:conn.flow.Packet.Flow.local.Packet.Flow.port;
   ignore (Conn_table.add_connection t.table conn.flow conn);
   maybe_arm_time_wait t conn;
   (* Anything still unacknowledged gets a fresh first-attempt RTO on
      this stack's wheel (attempt 1 never consumes a jitter draw, so
-     adoption stays deterministic), and an owed delayed ACK a fresh
-     delayed-ACK timer. *)
+     adoption stays deterministic). *)
   List.iter
     (fun (seq, _) ->
       ignore
         (Timer_wheel.schedule t.wheel ~delay:(rto_for_attempt t 1) conn
            (retransmit_timer ~seq:(u32 seq) ~attempt:1)))
-    conn.unacked;
-  if conn.ack_pending then
-    ignore
-      (Timer_wheel.schedule t.wheel ~delay:t.delayed_ack_timeout conn
-         delayed_ack_timer)
+    conn.unacked
 
 (* Retransmission bookkeeping.  An arriving ACK advances snd_una and
    releases fully acknowledged segments from the queue; an expired RTO
@@ -440,8 +409,8 @@ let rec unacked_segment seq = function
 let handle_retransmit t conn ~seq ~attempt =
   if
     (not (State.equal conn.state State.Closed))
-    && attempt <= t.max_retransmits
-    && t.retransmissions < t.max_retransmits * 64
+    && attempt <= max_retransmits
+    && t.retransmissions < max_retransmits * 64
     (* circuit breaker against pathological never-acked loops *)
   then
     match unacked_segment seq conn.unacked with
@@ -463,8 +432,7 @@ let handle_retransmit t conn ~seq ~attempt =
 (* Whether a fired timer acted; one made moot by a later ack or close
    does nothing. *)
 let on_timer t conn arg =
-  let kind = arg land 3 in
-  if kind = reap_timer then begin
+  if arg = reap_timer then begin
     time_wait_done t conn;
     State.equal conn.state State.Time_wait
     && begin
@@ -472,17 +440,10 @@ let on_timer t conn arg =
          true
        end
   end
-  else if kind = delayed_ack_timer then
-    conn.ack_pending
-    && (not (State.equal conn.state State.Closed))
-    && begin
-         ack_now t conn;
-         true
-       end
   else
     handle_retransmit t conn
-      ~seq:((arg lsr 2) land 0xFFFF_FFFF)
-      ~attempt:(arg lsr 34)
+      ~seq:((arg lsr 1) land 0xFFFF_FFFF)
+      ~attempt:(arg lsr 33)
 
 let advance_clock t ~now =
   let actions = ref 0 in
@@ -491,12 +452,6 @@ let advance_clock t ~now =
   !actions
 
 let pending_time_wait t = t.time_wait_pending
-
-let expire_time_wait t conn =
-  match State.transition conn.state State.Time_wait_expired with
-  | Some State.Closed -> drop_connection t conn
-  | Some _ | None ->
-    invalid_arg "Stack.expire_time_wait: connection not in TIME-WAIT"
 
 let connection_of_flow t flow =
   (* Maintenance-path lookup: walk the unmetered application view. *)
@@ -540,7 +495,7 @@ let deliver_data t conn ~seq ~payload =
     if seq = u32 conn.rcv_nxt then begin
       conn.rcv_nxt <- Int32.add conn.rcv_nxt (Int32.of_int len);
       conn.bytes_in <- conn.bytes_in + len;
-      ack_data t conn;
+      ack_now t conn;
       match conn.listener with
       | Some { on_data } -> on_data t conn payload
       | None -> ()
@@ -651,7 +606,7 @@ let accept t listener ~w0 ~w1 ~seq =
     { flow; template = header_template flow; state = State.Syn_received;
       snd_nxt = Int32.add iss 1l; rcv_nxt = Int32.of_int (seq + 1);
       snd_una = iss; bytes_in = 0; bytes_out = 0; unacked = [];
-      ack_pending = false; listener = Some listener; time_wait_timer = None }
+      listener = Some listener; time_wait_timer = None }
   in
   ignore (Conn_table.add_connection t.table flow conn);
   Log.debug (fun m -> m "accept %s" (Packet.Flow.to_string flow));
@@ -813,7 +768,7 @@ let register_obs ?(prefix = "stack") t obs =
     ~name:(name "time_wait_pending")
     (fun () -> float_of_int (pending_time_wait t));
   Obs.Registry.register_gauge obs
-    ~help:"2MSL, RTO and delayed-ACK timers not yet fired or cancelled"
+    ~help:"2MSL and RTO timers not yet fired or cancelled"
     ~name:(name "timer.pending")
     (fun () -> float_of_int (Timer_wheel.pending t.wheel));
   Obs.Registry.register_counter obs ~help:"timers scheduled on the wheel"

@@ -2,11 +2,15 @@
 
     Enough of a stack to drive every demultiplexing algorithm with
     real wire-format segments: passive and active opens, in-order data
-    delivery with cumulative acknowledgements, RTO retransmission of
-    SYN/FIN/data via a timing wheel with exponential backoff,
-    TIME-WAIT reaping, orderly close, and RST for segments that match
-    no socket.
+    delivery with an immediate cumulative acknowledgement of each
+    segment, RTO retransmission of SYN/FIN/data via a timing wheel
+    with jittered exponential backoff, TIME-WAIT reaping after 2MSL
+    (60 s), orderly close, and RST for segments that match no socket.
+    It has one configuration: only the demultiplexer, the base RTO and
+    the ISS function are chosen at {!create}.
     Out of scope (documented in DESIGN.md): adaptive RTO estimation,
+    delayed acknowledgement (the paper's footnote 2 is modelled by the
+    TPC/A simulation instead, [Sim.Tpca_workload]'s [delayed_acks]),
     congestion control, flow-control windows, urgent data — none of
     which affect PCB lookup, which is what this library studies.
 
@@ -34,14 +38,14 @@
     {!handle_bytes} and {!poll_output} allocates nothing; with the
     default demultiplexer an in-sequence data segment allocates its
     payload copy, its [rcv_nxt] box and its ACK.
-    A warm accepted SYN allocates about 93 words: its connection, flow,
+    A warm accepted SYN allocates about 89 words: its connection, flow,
     template, PCB and table entry, and its SYN-ACK with the SYN-ACK's
     queue and outbox cells.
 
     {b Timers.}  One {!Timer_wheel} with a 1/64-s tick and 256 slots
-    holds every 2MSL, RTO and delayed-ACK timer.  A timer's payload is
-    its connection, and its argument is an int that packs the timer's
-    kind and, for a retransmission, the segment's sequence number and
+    holds every 2MSL and RTO timer.  A timer's payload is its
+    connection, and its argument is an int that says whether it reaps
+    and, for a retransmission, packs the segment's sequence number and
     attempt, so arming, cancelling and firing one allocate nothing.
     {!advance_clock} fires due timers in (deadline, scheduling order);
     what a firing arms waits for the next call.  The wheel's arrays
@@ -70,8 +74,6 @@ type connection = {
   mutable unacked : (int32 * Packet.Segment.t) list;
       (** Retransmission queue, oldest first: sequence-space-consuming
           segments (SYN, FIN, data) not yet covered by [snd_una]. *)
-  mutable ack_pending : bool;
-      (** A delayed acknowledgement is owed (see [delayed_acks]). *)
   mutable listener : listener option;
       (** The listener this connection delivers its data to, [None] for
           nowhere: see {!listen}.  Owned by the stack. *)
@@ -81,43 +83,32 @@ type connection = {
 }
 
 val create :
-  ?demux:Demux.Registry.spec -> ?time_wait_timeout:float ->
-  ?retransmit_timeout:float -> ?max_retransmits:int ->
-  ?rto_jitter:bool -> ?rto_seed:int ->
-  ?delayed_acks:bool -> ?delayed_ack_timeout:float ->
+  ?demux:Demux.Registry.spec -> ?retransmit_timeout:float ->
   ?iss:(Packet.Flow.t -> int32) ->
   local_addr:Packet.Ipv4.addr -> unit -> t
 (** A host at [local_addr].  Default demultiplexer: the Sequent
-    algorithm with 19 chains.  [time_wait_timeout] is the 2MSL reaping
-    delay used by {!advance_clock} (default 60 s);
-    [retransmit_timeout] is the base RTO for SYN/FIN/data segments
-    (default 1 s; no adaptive estimation — out of scope per DESIGN.md
-    — but each unanswered retransmission backs off exponentially,
-    capped at 64x, and a segment is abandoned after [max_retransmits]
-    attempts).  With [rto_jitter] (default [true]) each backoff delay
-    is {e full-jittered}: attempt [n] waits a uniform draw from
-    [[base, min(base * 2^(n-1), base * 64)]], so hosts that lost the
-    same burst do not retransmit in a synchronized wave that re-creates
-    the overload; draws come from a generator seeded with [rto_seed]
-    (fixed default), so a stack's delay sequence is deterministic.
-    Pass [~rto_jitter:false] for the exact classic doubling schedule.
-    With [delayed_acks] (default false) data is
-    acknowledged RFC 1122-style: every second segment, after
-    [delayed_ack_timeout] (default 200 ms, fired by
-    {!advance_clock}), or piggybacked on outbound data — the
-    mechanism the paper's footnote 2 appeals to.
+    algorithm with 19 chains.  [retransmit_timeout] is the base RTO
+    for SYN/FIN/data segments (default 1 s; no adaptive estimation —
+    out of scope per DESIGN.md).  Each unanswered retransmission backs
+    off exponentially, capped at 64x, and a segment is abandoned after
+    12 attempts.  Each backoff delay is {e full-jittered}: attempt [n]
+    waits a uniform draw from [[base, min(base * 2^(n-1), base * 64)]],
+    so hosts that lost the same burst do not retransmit in a
+    synchronized wave that re-creates the overload; draws come from a
+    generator with a fixed seed, so two stacks created the same way
+    draw the same delay sequence.  {!advance_clock} reaps a TIME-WAIT
+    connection 60 s (2MSL) after it entered TIME-WAIT.
     [iss] overrides initial-sequence-number assignment with a per-flow
     function (see {!deterministic_iss}); by default each open draws
     from a per-stack counter, which makes ISS depend on accept order.
-    @raise Invalid_argument on a timeout that is not positive and
-    finite, or whose longest delay lies beyond the timer wheel's range
-    from clock 0 ({!Timer_wheel.placeable}: about 7.2e16 s at the
-    1/64-s tick).  The longest delays are 64 × [retransmit_timeout],
-    [time_wait_timeout] and [delayed_ack_timeout].  A clock advanced to
-    within that delay of the range's end cannot arm them: there
-    {!handle_bytes} sheds a segment that arms a timer as a
-    ["handler-error"], a SYN to a listener after its connection was
-    added and its SYN-ACK queued. *)
+    @raise Invalid_argument if [retransmit_timeout] is not positive
+    and finite, or if its capped backoff, 64 × [retransmit_timeout],
+    lies beyond the timer wheel's range from clock 0
+    ({!Timer_wheel.placeable}: about 7.2e16 s at the 1/64-s tick).  A
+    clock advanced to within that delay (or the 60-s 2MSL) of the
+    range's end cannot arm them: there {!handle_bytes} sheds a segment
+    that arms a timer as a ["handler-error"], a SYN to a listener after
+    its connection was added and its SYN-ACK queued. *)
 
 val deterministic_iss : Packet.Flow.t -> int32
 (** A fixed mix of the 4-tuple (RFC 6528 minus the secret and clock):
@@ -129,16 +120,17 @@ val deterministic_iss : Packet.Flow.t -> int32
 
 val rto_for_attempt : t -> int -> float
 (** The delay armed before retransmission attempt [n >= 1] (attempt 1
-    is the initial send's timer).  Without jitter this is the pure
-    capped exponential; with jitter it consumes one draw from the
-    stack's generator per call, exactly as the retransmission path
-    does — exposed so tests can audit the bounds and determinism of
-    the schedule. *)
+    is the initial send's timer, the base RTO, and draws nothing).  A
+    later attempt consumes one draw from the stack's generator per
+    call, exactly as the retransmission path does — exposed so tests
+    can audit the bounds and determinism of the schedule. *)
 
 val local_addr : t -> Packet.Ipv4.addr
 
 val listen : t -> port:int -> on_data:(t -> connection -> string -> unit) -> unit
-(** Accept connections on [port]; [on_data] fires for each in-order
+(** Accept connections on [port] ({!Conn_table.listen}: one listener
+    per port, not per address; {!handle_bytes} has already dropped
+    datagrams for other hosts).  [on_data] fires for each in-order
     data segment delivered on a connection bound to this listener.  A
     connection is bound once, when it is made: one accepted here is
     bound to the listener its SYN reached, one opened by {!connect}
@@ -246,19 +238,22 @@ val poll_output : t -> Packet.Segment.t list
     bookkeeping ({!Demux.Registry.t.note_send}) has already run.  A
     one-segment outbox is returned as it is, without a copy. *)
 
-val expire_time_wait : t -> connection -> unit
-(** Fire the 2MSL timer by hand: a [Time_wait] connection is removed.
-    @raise Invalid_argument if the connection is not in TIME-WAIT. *)
-
 val advance_clock : t -> now:float -> int
-(** Drive the stack's {!Timer_wheel}: connections that entered
-    TIME-WAIT more than the 2MSL timeout before [now] are reaped, and
-    unacknowledged SYN/FIN/data segments whose RTO has elapsed are
-    retransmitted (and re-armed with exponentially longer timeouts,
-    up to [max_retransmits] attempts).  Returns the number of effective
-    actions (reaps + retransmissions + delayed ACKs); timers made moot
-    by later acks fire silently.  The caller owns the clock (wall time,
+(** Drive the stack's {!Timer_wheel}, its only way to reap:
+    connections that entered TIME-WAIT more than 2MSL (60 s) before
+    [now] are reaped, and unacknowledged SYN/FIN/data segments whose
+    RTO has elapsed are retransmitted (and re-armed with exponentially
+    longer timeouts, up to 12 attempts).  Returns the number of
+    effective actions (reaps + retransmissions); timers made moot by
+    later acks fire silently.  The caller owns the clock (wall time,
     simulated time, ...); time starts at 0.
+
+    A circuit breaker stops every retransmission once the stack has
+    made 768 (12 × 64) since it was created, and the count never
+    falls: a burst of SYNs that are never answered (a SYN flood)
+    spends it, and later connections' SYN-ACKs and data are then
+    never retransmitted.  rxbench's synflood reaches it (its pinned
+    768 retransmissions).
     @raise Invalid_argument if [now] moves backwards or is infinite, or
     if its tick index does not fit in an int. *)
 
@@ -267,7 +262,8 @@ val pending_time_wait : t -> int
     reaping. *)
 
 val retransmissions : t -> int
-(** Segments re-sent by the RTO timer since the stack was created. *)
+(** Segments re-sent by the RTO timer since the stack was created (at
+    most 768: see {!advance_clock}). *)
 
 val connection_of_flow : t -> Packet.Flow.t -> connection option
 (** Uncharged lookup for applications that track their peers. *)
@@ -300,16 +296,15 @@ val extract_connection : t -> Packet.Flow.t -> connection option
     (unmetered maintenance removal, counted as a remove in
     {!demux_stats}), cancel its 2MSL timer if armed, and return a
     fresh copy of the record, bound to no listener and with no timer;
-    the original is closed and emptied so pending RTO / delayed-ack
-    timers on this stack fire as no-ops.
+    the original is closed and emptied so pending RTO timers on this
+    stack fire as no-ops.
     [None] if the flow is not resident. *)
 
 val adopt_connection : t -> connection -> unit
 (** Install an extracted connection into this stack: bind it to this
     stack's listener on its local port (see {!listen}), demux-table
-    insert (counted), re-arm 2MSL if the connection is in TIME-WAIT, a
-    first-attempt RTO for each still-unacknowledged segment, and the
-    delayed-ACK timer if an acknowledgement is owed.
+    insert (counted), re-arm 2MSL if the connection is in TIME-WAIT, and
+    a first-attempt RTO for each still-unacknowledged segment.
     @raise Invalid_argument if the connection is [Closed] or its local
     address is not this stack's. *)
 

@@ -1,8 +1,8 @@
 (** Hashed timing wheel (Varghese & Lauck 1987) — the timer substrate
-    a real TCP needs for 2MSL, retransmission and delayed-ack timers.
-    {!Stack} drives its TIME-WAIT reaping, RTO retransmissions and
-    delayed ACKs from one wheel, keeping PCB removal on the same
-    unmetered maintenance path the paper assumes.
+    a real TCP needs for its 2MSL and retransmission timers.  {!Stack}
+    drives its TIME-WAIT reaping and RTO retransmissions from one
+    wheel, keeping PCB removal on the same unmetered maintenance path
+    the paper assumes.
 
     {b Layout.}  A timer is an entry in a struct of arrays: its
     deadline in a float array; its scheduling id, int argument,

@@ -602,6 +602,55 @@ let test_conn_id_recycling () =
   Alcotest.(check (option int)) "id recycled" (Some id0)
     (Demux.Conn_id.connection_id demux (flow 2))
 
+(* IDs come out lowest fresh first, and the last one released is
+   reused first: the order E18 and the conn-id ledgers of [check] and
+   the migrating runs were recorded with. *)
+let test_conn_id_order () =
+  let demux = Demux.Conn_id.create ~capacity:8 () in
+  let id k =
+    match Demux.Conn_id.connection_id demux (flow k) with
+    | Some id -> id
+    | None -> Alcotest.failf "flow %d has no id" k
+  in
+  let insert k =
+    let pcb = Demux.Conn_id.insert demux (flow k) () in
+    Alcotest.(check int) (Printf.sprintf "flow %d's PCB" k) (id k)
+      pcb.Demux.Pcb.id
+  in
+  let remove k = ignore (Demux.Conn_id.remove demux (flow k)) in
+  List.iter insert [ 0; 1; 2; 3 ];
+  Alcotest.(check (list int)) "fresh ids in order" [ 0; 1; 2; 3 ]
+    (List.map id [ 0; 1; 2; 3 ]);
+  remove 1;
+  remove 3;
+  remove 0;
+  List.iter insert [ 10; 11; 12; 13; 14 ];
+  Alcotest.(check (list int)) "last released first, then fresh"
+    [ 0; 3; 1; 4; 5 ]
+    (List.map id [ 10; 11; 12; 13; 14 ]);
+  remove 12;
+  insert 15;
+  Alcotest.(check int) "a lone release is reused" 1 (id 15);
+  List.iter insert [ 16; 17 ];
+  Alcotest.(check (list int)) "the rest of the space" [ 6; 7 ]
+    (List.map id [ 16; 17 ]);
+  match Demux.Conn_id.insert demux (flow 18) () with
+  | _ -> Alcotest.fail "over capacity"
+  | exception Failure _ -> ()
+
+(* A table does not build its ID space: at the registry's 65,536 IDs,
+   [create] costs what the empty index and the ledger cost, where a
+   list of every ID would cost about 197,000 minor words. *)
+let test_conn_id_create_words () =
+  let create () = ignore (Sys.opaque_identity (Demux.Conn_id.create ())) in
+  create ();
+  let before = Gc.minor_words () in
+  create ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "create: %.0f minor words (at most 1,000)" words)
+    true (words <= 1_000.0)
+
 (* The lookup resolves the flow's words to its negotiated ID for free
    and charges the one slot access; a flow with no ID charges nothing. *)
 let test_conn_id_lookup_charges_one () =
@@ -910,26 +959,6 @@ let test_guarded_caps_total () =
   Alcotest.(check int) "total capped" 10 (demux.Demux.Registry.length ());
   let snap = Demux.Lookup_stats.snapshot demux.Demux.Registry.stats in
   Alcotest.(check int) "evictions counted" 30 snap.Demux.Lookup_stats.evictions
-
-let test_guarded_reject_new () =
-  let config =
-    Demux.Guarded.config ~policy:Demux.Guarded.Reject_new ~max_chain:4
-      ~max_total:16 ~chains:1 ~hasher:Hashing.Hashers.multiplicative ()
-  in
-  let demux = Demux.Registry.guard config (Demux.Registry.create Demux.Registry.Bsd) in
-  List.iter (fun f -> ignore (demux.Demux.Registry.insert f ())) (flows 10);
-  Alcotest.(check int) "first-come kept" 4 (demux.Demux.Registry.length ());
-  let snap = Demux.Lookup_stats.snapshot demux.Demux.Registry.stats in
-  Alcotest.(check int) "rejections counted" 6 snap.Demux.Lookup_stats.rejections;
-  Alcotest.(check int) "no evictions" 0 snap.Demux.Lookup_stats.evictions;
-  (* Admitted flows stay reachable; rejected ones were never retained. *)
-  List.iteri
-    (fun i f ->
-      Alcotest.(check bool)
-        (Printf.sprintf "flow %d" i)
-        (i < 4)
-        (find demux f <> None))
-    (flows 10)
 
 let test_guarded_lookup_refreshes_lru () =
   let demux = Demux.Registry.create (guarded_sequent ~max_chain:32 ~max_total:3) in
@@ -2172,6 +2201,9 @@ let () =
       ( "conn-id",
         [ Alcotest.test_case "always 1" `Quick test_conn_id_always_one;
           Alcotest.test_case "id recycling" `Quick test_conn_id_recycling;
+          Alcotest.test_case "id order" `Quick test_conn_id_order;
+          Alcotest.test_case "create builds no id list" `Quick
+            test_conn_id_create_words;
           Alcotest.test_case "lookup by id" `Quick
             test_conn_id_lookup_charges_one ] );
       ( "resizing-hash",
@@ -2200,7 +2232,6 @@ let () =
         [ Alcotest.test_case "caps chain length" `Quick test_guarded_caps_chain;
           Alcotest.test_case "caps total population" `Quick
             test_guarded_caps_total;
-          Alcotest.test_case "reject-new policy" `Quick test_guarded_reject_new;
           Alcotest.test_case "lookup refreshes LRU" `Quick
             test_guarded_lookup_refreshes_lru;
           Alcotest.test_case "remove frees slot" `Quick

@@ -232,12 +232,82 @@ let test_meter_warmup_reset () =
   let s = Demux.Lookup_stats.snapshot demux.Demux.Registry.stats in
   Alcotest.(check int) "aggregate reset" 1 s.Demux.Lookup_stats.lookups
 
-let test_meter_unknown_flow_fails () =
+(* A miss is a metered lookup like any other: charged to the ledger
+   and recorded, not fatal. *)
+let test_meter_unknown_flow_recorded () =
   let demux = Demux.Registry.create Demux.Registry.Bsd in
   let meter = Sim.Meter.create demux in
-  match Sim.Meter.lookup meter ~kind:Demux.Types.Data (Sim.Topology.flow_of_client 0) with
-  | () -> Alcotest.fail "lookup of absent flow should fail"
-  | exception Failure _ -> ()
+  Array.iter
+    (fun f -> ignore (demux.Demux.Registry.insert f ()))
+    (Sim.Topology.flows 3);
+  Sim.Meter.lookup meter ~kind:Demux.Types.Data (Sim.Topology.flow_of_client 7);
+  let s = Demux.Lookup_stats.snapshot demux.Demux.Registry.stats in
+  Alcotest.(check int) "one miss" 1 s.Demux.Lookup_stats.not_found;
+  let entry = Sim.Meter.entry_examined meter in
+  Alcotest.(check int) "recorded" 1 (Numerics.Stats.count entry);
+  Alcotest.(check (float 0.0)) "its examinations"
+    (float_of_int s.Demux.Lookup_stats.pcbs_examined)
+    (Numerics.Stats.mean entry);
+  Alcotest.(check bool) "the miss walked the chain" true
+    (s.Demux.Lookup_stats.pcbs_examined >= 3)
+
+(* The default guard (32 PCBs per chain, 19 chains) sheds part of 2,000
+   users, whose later lookups miss.  Each workload runs the guarded
+   spec to the end, and sequent-19 beside it prints the row it prints
+   alone, as [tcpdemux simulate W -a sequent-19,guarded-sequent-19]
+   does. *)
+let test_guarded_beside_sequent () =
+  let sequent =
+    Demux.Registry.Sequent
+      { chains = 19; hasher = Hashing.Hashers.multiplicative }
+  in
+  let guarded =
+    Demux.Registry.Guarded
+      { spec = sequent; max_chain = Demux.Guarded.default_max_chain;
+        max_total = Demux.Guarded.default_max_total }
+  in
+  let misses run =
+    let obs = Obs.Registry.create () in
+    ignore (run ~obs guarded);
+    match
+      Obs.Registry.find (Obs.Registry.snapshot obs)
+        "demux.guarded-sequent-19.not_found"
+    with
+    | Some { Obs.Registry.data = Obs.Registry.Counter n; _ } -> n
+    | _ -> Alcotest.fail "no not_found counter"
+  in
+  let check workload ~run ~rows =
+    Alcotest.(check bool)
+      (workload ^ ": the guarded run missed")
+      true
+      (misses run > 0);
+    match rows [ sequent; guarded ], rows [ sequent ] with
+    | [ beside; _ ], [ alone ] ->
+      Alcotest.(check string) (workload ^ ": sequent-19's row") alone beside
+    | _ -> Alcotest.fail (workload ^ ": expected one row per spec")
+  in
+  let p = Analysis.Tpca_params.v ~users:2000 () in
+  let tpca = Sim.Tpca_workload.default_config ~duration:20.0 p in
+  check "tpca"
+    ~run:(fun ~obs spec -> Sim.Tpca_workload.run ~obs tpca spec)
+    ~rows:(fun specs ->
+      List.map
+        (fun row -> Format.asprintf "%a" Sim.Validate.pp_rows [ row ])
+        (Sim.Validate.compare ~config:tpca p specs));
+  let polling = Sim.Polling_workload.default_config ~users:2000 () in
+  check "polling"
+    ~run:(fun ~obs spec -> Sim.Polling_workload.run ~obs polling spec)
+    ~rows:
+      (List.map (fun spec ->
+           Format.asprintf "%a" Sim.Report.pp
+             (Sim.Polling_workload.run polling spec)));
+  let mixed = Sim.Mixed_workload.default_config ~oltp_users:2000 () in
+  check "mixed"
+    ~run:(fun ~obs spec -> Sim.Mixed_workload.run ~obs mixed spec)
+    ~rows:
+      (List.map (fun spec ->
+           Format.asprintf "%a" Sim.Mixed_workload.pp_results
+             [ Sim.Mixed_workload.run mixed spec ]))
 
 (* ------------------------------------------------------------------ *)
 (* Workloads                                                           *)
@@ -635,7 +705,10 @@ let () =
       ( "meter",
         [ Alcotest.test_case "kind separation" `Quick test_meter_kind_separation;
           Alcotest.test_case "warm-up reset" `Quick test_meter_warmup_reset;
-          Alcotest.test_case "unknown flow" `Quick test_meter_unknown_flow_fails ] );
+          Alcotest.test_case "unknown flow" `Quick
+            test_meter_unknown_flow_recorded;
+          Alcotest.test_case "guarded misses beside sequent-19" `Quick
+            test_guarded_beside_sequent ] );
       ( "tpca",
         [ Alcotest.test_case "matches analysis" `Slow test_tpca_matches_analysis;
           Alcotest.test_case "matches analysis across R" `Slow

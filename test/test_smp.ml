@@ -12,11 +12,11 @@ let workload ?(clients = 48) ?(requests = 5) ?(close_after = false)
     (Sim.Segment_workload.config ~clients ~requests_per_client:requests
        ~close_after ~interleave ())
 
-let smp ?ring_capacity ?demux ?migrate ?migrate_target ?on_data ?pressure
-    ?on_pressure domains trace =
+let smp ?ring_capacity ?demux ?migrate ?on_data ?pressure ?on_pressure domains
+    trace =
   Parallel.Smp.run
-    (Parallel.Smp.config ?ring_capacity ?demux ?migrate ?migrate_target
-       ?on_data ?pressure ?on_pressure ~domains
+    (Parallel.Smp.config ?ring_capacity ?demux ?migrate ?on_data ?pressure
+       ?on_pressure ~domains
        ~local_addr:server.Packet.Flow.addr ())
     trace.Sim.Segment_workload.datagrams
 
@@ -198,14 +198,14 @@ let test_migrate_backpressure () =
   Alcotest.(check bool) "datagrams were held while flows moved" true (held > 0)
 
 let test_migrate_fixed_target () =
-  (* Pinning the target puts every accepted flow on one core. *)
+  (* At 2 domains every accepted flow has one target: domain 1. *)
   let trace = workload ~clients:12 ~requests:2 () in
-  let r = smp ~demux:conn_id ~migrate:true ~migrate_target:2 3 trace in
+  let r = smp ~demux:conn_id ~migrate:true 2 trace in
   check_no_violations "fixed target" r;
-  Alcotest.(check int) "all adopted by domain 2" 12
-    r.Parallel.Smp.per_domain.(2).Parallel.Smp.adopted;
-  Alcotest.(check int) "domain 2 owns every connection" 12
-    r.Parallel.Smp.per_domain.(2).Parallel.Smp.connections
+  Alcotest.(check int) "all adopted by domain 1" 12
+    r.Parallel.Smp.per_domain.(1).Parallel.Smp.adopted;
+  Alcotest.(check int) "domain 1 owns every connection" 12
+    r.Parallel.Smp.per_domain.(1).Parallel.Smp.connections
 
 let test_migrate_reset_before_flush () =
   (* A client resets its connection right behind the handshake ACK.
