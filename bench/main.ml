@@ -684,8 +684,10 @@ let e29 =
       row
         "Same multiplicative hash, same packed 96-bit key, compared as two\n\
          ints on both sides: each chain keeps its flows' packed words in one\n\
-         array, so a chained examination is two loads from contiguous memory\n\
-         and no node is touched until one matches.  The gap is a linear scan\n\
+         array and compares the remote word first, so a chained examination\n\
+         that misses is one load from contiguous memory (every flow here\n\
+         shares its local word) and no node is touched until one matches.\n\
+         The walk takes eight entries per step.  The gap is a linear scan\n\
          against one inline probe: the chained walk reads about N/38 entries\n\
          per lookup, the flat table a tag byte and, almost always, one\n\
          key-word pair.  Both allocate nothing per lookup (the words columns\n\
@@ -1856,9 +1858,9 @@ let e37 =
         rows;
       row
         "Paper, no locality: BSD %.0f PCBs (Eq 1), Sequent-19 %.1f\n\
-         (Eq 19).  An order-of-magnitude PCB gap is an order-of-magnitude\n\
-         time gap, but not a proportional one: every lookup also pays a\n\
-         fixed cost that the count does not see.\n"
+         (Eq 19).  An order-of-magnitude PCB gap is a several-fold time\n\
+         gap, not a proportional one: every lookup also pays a fixed cost\n\
+         that the count does not see.\n"
         (Analysis.Bsd_model.cost default_params)
         (Analysis.Sequent_model.cost_naive default_params ~chains:19))
 

@@ -27,7 +27,7 @@ let create () = { words = [||]; slab = [||]; length = 0 }
 let length t = t.length
 let is_empty t = t.length = 0
 let pcb node = node.pcb
-let matches node ~w0 ~w1 = node.w0 = w0 && node.w1 = w1
+let matches node ~w0 ~w1 = node.w1 = w1 && node.w0 = w0
 let capacity t = Array.length t.slab
 let slot_base t = 2 * capacity t
 let initial_capacity = 8
@@ -109,16 +109,32 @@ let move_to_front t node =
     t.words.(slot_base t + last) <- node.slot
   end
 
-(* The entry matching [w0]/[w1] at or below [i], or -1.  Top-level
-   recursion with explicit arguments, as a local closure would allocate
-   its environment; the [int] annotations keep [=] an int compare. *)
-let rec find_from (words : int array) (w0 : int) (w1 : int) i =
-  if i < 0 then i
-  else if
-    Array.unsafe_get words (2 * i) = w0
-    && Array.unsafe_get words ((2 * i) + 1) = w1
-  then i
-  else find_from words w0 w1 (i - 1)
+(* Whether entry [i] holds [w0]/[w1].  The remote word goes first:
+   every flow of a server shares its local word, so on a server's
+   chain a non-matching entry costs one load.  The [int] annotations
+   keep [=] an int compare. *)
+let[@inline] hit (words : int array) (w0 : int) (w1 : int) i =
+  Array.unsafe_get words ((2 * i) + 1) = w1
+  && Array.unsafe_get words (2 * i) = w0
+
+(* The entry matching [w0]/[w1] at or below [i], or -1: eight entries
+   per step while eight remain, then the last few one at a time.
+   Top-level recursion with explicit arguments, as a local closure
+   would allocate its environment. *)
+let rec find_tail words w0 w1 i =
+  if i < 0 || hit words w0 w1 i then i else find_tail words w0 w1 (i - 1)
+
+let rec find_from words w0 w1 i =
+  if i < 7 then find_tail words w0 w1 i
+  else if hit words w0 w1 i then i
+  else if hit words w0 w1 (i - 1) then i - 1
+  else if hit words w0 w1 (i - 2) then i - 2
+  else if hit words w0 w1 (i - 3) then i - 3
+  else if hit words w0 w1 (i - 4) then i - 4
+  else if hit words w0 w1 (i - 5) then i - 5
+  else if hit words w0 w1 (i - 6) then i - 6
+  else if hit words w0 w1 (i - 7) then i - 7
+  else find_from words w0 w1 (i - 8)
 
 (* One charge for the whole walk, the match included. *)
 let scan t ~stats ~w0 ~w1 =

@@ -16,10 +16,15 @@
     The nodes themselves sit in a slab, each in a slot that never moves
     while it is linked.  Queries arrive as the same two words
     ([~w0 ~w1], from {!Packet.Flow.w0}/{!Packet.Flow.w1}, computed once
-    per lookup), so {!scan} compares a PCB with two int loads from
+    per lookup), so {!scan} compares a PCB with int loads from
     contiguous memory: it never touches a node until it has found one.
-    The scan charges its examinations, one per PCB compared, through
-    the caller's {!Lookup_stats.t} once, at the end of the walk.
+    It loads the remote word [w1] first and the local word [w0] only
+    when [w1] matches.  Every flow of a server shares [w0], so on a
+    server's chain a non-matching entry costs one load.  The walk
+    examines eight entries per step while eight remain, then the last
+    0-7 one at a time.  The scan charges its examinations, one per PCB
+    compared, through the caller's {!Lookup_stats.t} once, at the end
+    of the walk.
 
     {b Costs.}  {!push_front} is amortised O(1).  {!remove} and
     {!move_to_front} find the node and shift every entry between it
@@ -41,8 +46,9 @@ val is_empty : 'a t -> bool
 val pcb : 'a node -> 'a Pcb.t
 
 val matches : 'a node -> w0:int -> w1:int -> bool
-(** Whether the node's flow packs to [w0]/[w1]: the one-entry-cache
-    probe.  Uncharged; the caller charges the examination. *)
+(** Whether the node's flow packs to [w0]/[w1], [w1] compared first as
+    in {!scan}: the one-entry-cache probe.  Uncharged; the caller
+    charges the examination. *)
 
 val push_front : 'a t -> 'a Pcb.t -> 'a node
 (** New PCBs go to the head, matching BSD's insertion discipline.
@@ -60,11 +66,13 @@ val move_to_front : 'a t -> 'a node -> unit
     @raise Invalid_argument as {!remove} does. *)
 
 val scan : 'a t -> stats:Lookup_stats.t -> w0:int -> w1:int -> 'a node option
-(** Walk from the head comparing each entry's packed words, charging
-    one examination per PCB compared (including the match itself, per
-    the paper's accounting).  A hit returns the node's own option
-    cell, so callers may store it without allocating; a scan allocates
-    nothing. *)
+(** Walk from the head comparing each entry's packed words, [w1] first
+    and [w0] only on a [w1] match, eight entries per step and the last
+    0-7 one at a time.  Charges one examination per PCB compared
+    (including the match itself, per the paper's accounting), by the
+    match's position, so the step size never shows in the count.  A
+    hit returns the node's own option cell, so callers may store it
+    without allocating; a scan allocates nothing. *)
 
 val iter : ('a Pcb.t -> unit) -> 'a t -> unit
 (** Head-to-tail iteration (no charge). *)

@@ -101,11 +101,15 @@ let run ?obs ?tracer config spec =
     bulk_mean = Numerics.Stats.mean !bulk_stats }
 
 let pp_results ppf results =
-  Format.fprintf ppf "%-16s %10s %12s %12s %9s@." "algorithm" "packets"
+  let w =
+    Report.name_width
+      (List.map (fun r -> r.combined.Report.algorithm) results)
+  in
+  Format.fprintf ppf "%-*s %10s %12s %12s %9s@." w "algorithm" "packets"
     "oltp-mean" "bulk-mean" "hit-rate";
   List.iter
     (fun r ->
-      Format.fprintf ppf "%-16s %10d %12.2f %12.2f %9.4f@."
+      Format.fprintf ppf "%-*s %10d %12.2f %12.2f %9.4f@." w
         r.combined.Report.algorithm r.combined.Report.packets r.oltp_mean
         r.bulk_mean r.combined.Report.hit_rate)
     results

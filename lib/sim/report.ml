@@ -32,12 +32,16 @@ let pp ppf t =
     t.algorithm t.workload t.packets t.overall_mean t.overall_ci95
     t.entry_mean t.ack_mean t.hit_rate t.max_examined
 
+let name_width names =
+  List.fold_left (fun w name -> max w (String.length name)) 16 names
+
 let pp_table ppf reports =
-  Format.fprintf ppf "%-16s %10s %10s %10s %10s %9s %6s@."
+  let w = name_width (List.map (fun t -> t.algorithm) reports) in
+  Format.fprintf ppf "%-*s %10s %10s %10s %10s %9s %6s@." w
     "algorithm" "packets" "mean" "entry" "ack" "hit-rate" "max";
   List.iter
     (fun t ->
-      Format.fprintf ppf "%-16s %10d %10.2f %10.2f %10.2f %9.4f %6d@."
+      Format.fprintf ppf "%-*s %10d %10.2f %10.2f %10.2f %9.4f %6d@." w
         t.algorithm t.packets t.overall_mean t.entry_mean t.ack_mean
         t.hit_rate t.max_examined)
     reports

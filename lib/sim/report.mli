@@ -22,3 +22,7 @@ val pp : Format.formatter -> t -> unit
 
 val pp_table : Format.formatter -> t list -> unit
 (** Aligned comparison table, one row per report. *)
+
+val name_width : string list -> int
+(** The width of a table's algorithm column: the longest name, and at
+    least 16, so every row's numbers start in the same columns. *)

@@ -47,10 +47,11 @@ let compare ?obs ?tracer ?config params specs =
     specs
 
 let pp_rows ppf rows =
-  Format.fprintf ppf "%-16s %12s %12s %10s %8s@." "algorithm" "predicted"
+  let w = Report.name_width (List.map (fun r -> r.algorithm) rows) in
+  Format.fprintf ppf "%-*s %12s %12s %10s %8s@." w "algorithm" "predicted"
     "simulated" "+/-95%" "ratio";
   List.iter
     (fun r ->
-      Format.fprintf ppf "%-16s %12.2f %12.2f %10.2f %8.3f@." r.algorithm
+      Format.fprintf ppf "%-*s %12.2f %12.2f %10.2f %8.3f@." w r.algorithm
         r.predicted r.simulated r.ci95 r.ratio)
     rows

@@ -1272,11 +1272,30 @@ let flip_one_field (f : Packet.Flow.t) field bit =
 
 (* A chain's flows (duplicates allowed: the scan must stop at the
    first) and a query that is resident, a one-field neighbour of a
-   resident flow, or drawn afresh. *)
+   resident flow, or drawn afresh.  Up to 40 flows, so a scan takes up
+   to five eight-entry steps before its tail of 0-7 entries.  A third
+   of the chains are shaped like a server's, every flow on the first
+   flow's local endpoint, or a client's, every flow to its remote
+   endpoint: one word then repeats down the chain, and a near miss is
+   told from its resident neighbour by the other word's compare
+   alone. *)
 let gen_chain_and_query =
   let open QCheck.Gen in
   let fresh = oneof [ Flow_gen.boundary; Flow_gen.full_range ] in
-  list_size (int_range 0 24) fresh >>= fun flows ->
+  let shape = function
+    | [] -> return []
+    | (first : Packet.Flow.t) :: _ as flows ->
+      let server (f : Packet.Flow.t) =
+        Packet.Flow.v ~local:first.local ~remote:f.remote
+      and client (f : Packet.Flow.t) =
+        Packet.Flow.v ~local:f.local ~remote:first.remote
+      in
+      frequency
+        [ (4, return flows);
+          (1, return (List.map server flows));
+          (1, return (List.map client flows)) ]
+  in
+  list_size (int_range 0 40) fresh >>= shape >>= fun flows ->
   let query =
     match flows with
     | [] -> fresh

@@ -580,6 +580,46 @@ let test_predicted_cost_coverage () =
   Alcotest.(check bool) "resizing unmodelled" false
     (has Demux.Registry.Resizing_hash)
 
+(* The three result tables pad the algorithm column to the longest
+   name, at least 16: two rows with the same figures, one named
+   guarded-sequent-19 (18 characters), print each number in the same
+   columns. *)
+let test_tables_align_long_names () =
+  let names = [ "sequent-19"; "guarded-sequent-19" ] in
+  let number_starts line =
+    List.filter
+      (fun i -> line.[i] <> ' ' && line.[i - 1] = ' ')
+      (List.init (String.length line - 1) succ)
+  in
+  let check table pp =
+    match String.split_on_char '\n' (Format.asprintf "%t" pp) with
+    | _header :: short :: long :: _ ->
+      Alcotest.(check (list int)) table (number_starts short)
+        (number_starts long)
+    | _ -> Alcotest.fail (table ^ ": expected a header and two rows")
+  in
+  let report algorithm =
+    { Sim.Report.algorithm; workload = "polling"; packets = 11759;
+      overall_mean = 7.84; entry_mean = 10.03; ack_mean = 5.65;
+      overall_ci95 = 0.12; hit_rate = 0.2501; max_examined = 25 }
+  in
+  check "Report.pp_table" (fun ppf ->
+      Sim.Report.pp_table ppf (List.map report names));
+  check "Mixed_workload.pp_results" (fun ppf ->
+      Sim.Mixed_workload.pp_results ppf
+        (List.map
+           (fun name ->
+             { Sim.Mixed_workload.combined = report name; oltp_mean = 8.16;
+               bulk_mean = 1.01 })
+           names));
+  check "Validate.pp_rows" (fun ppf ->
+      Sim.Validate.pp_rows ppf
+        (List.map
+           (fun algorithm ->
+             { Sim.Validate.algorithm; predicted = 6.58; simulated = 7.61;
+               ci95 = 0.51; ratio = 1.156 })
+           names))
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_queue_sorted ]
@@ -777,5 +817,7 @@ let () =
           Alcotest.test_case "missing file" `Quick test_trace_replay_missing_file ] );
       ( "validate",
         [ Alcotest.test_case "rows" `Slow test_validate_rows;
-          Alcotest.test_case "model coverage" `Quick test_predicted_cost_coverage ] );
+          Alcotest.test_case "model coverage" `Quick test_predicted_cost_coverage;
+          Alcotest.test_case "tables align long names" `Quick
+            test_tables_align_long_names ] );
       ("properties", qcheck_cases) ]
